@@ -83,8 +83,8 @@ void BM_Aprod2(benchmark::State& state) {
 }
 
 /// The atomic-vs-privatized comparison at the benchmark level: same
-/// apply2 pass, strategy selected via the tuning table (the registry
-/// routes the three atomic kernels to the privatized launchers).
+/// apply2 pass, strategy selected via the tuning table (the three
+/// shared-section scatters read it for their commit step).
 void BM_Aprod2Strategy(benchmark::State& state) {
   const auto backend = static_cast<backends::BackendKind>(state.range(0));
   const auto strategy =
@@ -109,13 +109,16 @@ void BM_Aprod2Strategy(benchmark::State& state) {
 }
 
 /// The fused single-row-pass aprod2 (the PSTL-port shape): att, instr
-/// and glob scatters folded into one kernel.
+/// and glob scatters folded into one kernel, on either commit step.
 void BM_Aprod2Fused(benchmark::State& state) {
   const auto backend = static_cast<backends::BackendKind>(state.range(0));
+  const auto strategy =
+      static_cast<backends::ScatterStrategy>(state.range(1));
   const auto& gen = system_under_test();
   backends::DeviceContext device;
   core::AprodOptions opts = options_for(backend, false);
   opts.fuse_aprod2 = true;
+  opts.tuning = table_with_strategy(strategy);
   core::Aprod aprod(gen.A, device, opts);
   util::Xoshiro256 rng(2);
   std::vector<real> y(static_cast<std::size_t>(gen.A.n_rows()));
@@ -127,7 +130,8 @@ void BM_Aprod2Fused(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(gen.A.values().size_bytes()));
-  state.SetLabel(backends::to_string(backend) + "/fused");
+  state.SetLabel(backends::to_string(backend) + "/fused/" +
+                 backends::to_string(strategy));
 }
 
 void RegisterAll() {
@@ -146,10 +150,10 @@ void RegisterAll() {
       benchmark::RegisterBenchmark("aprod2_scatter", BM_Aprod2Strategy)
           ->Args({static_cast<int>(backend), static_cast<int>(strategy)})
           ->Unit(benchmark::kMillisecond);
+      benchmark::RegisterBenchmark("aprod2_fused", BM_Aprod2Fused)
+          ->Args({static_cast<int>(backend), static_cast<int>(strategy)})
+          ->Unit(benchmark::kMillisecond);
     }
-    benchmark::RegisterBenchmark("aprod2_fused", BM_Aprod2Fused)
-        ->Arg(static_cast<int>(backend))
-        ->Unit(benchmark::kMillisecond);
   }
 }
 

@@ -255,4 +255,12 @@ decltype(auto) dispatch(BackendKind kind, F&& f) {
   return f(SerialExec{});  // unreachable; silences -Wreturn-type
 }
 
+/// Runtime view of Exec::scatter_workers: the private slices an aprod2
+/// scatter launch at `cfg` uses on `kind`.
+[[nodiscard]] inline int scatter_workers(BackendKind kind, KernelConfig cfg) {
+  return dispatch(kind, [&](auto exec) {
+    return decltype(exec)::scatter_workers(cfg);
+  });
+}
+
 }  // namespace gaia::backends

@@ -1,6 +1,7 @@
 #include "core/aprod.hpp"
 
 #include "core/kernel_catalog.hpp"
+#include "core/preconditioner.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf_counters.hpp"
@@ -60,32 +61,32 @@ void record_launch_sample(const SystemView& view, KernelId id, bool fused,
                           const backends::KernelConfig& cfg, double seconds) {
   if (!obs::MetricsRegistry::global().enabled()) return;
   const bool glob_noop = !view.has_global;
+  if (!fused && glob_noop &&
+      (id == KernelId::kAprod1Glob || id == KernelId::kAprod2Glob))
+    return;
+  const int workers = backends::scatter_workers(backend, cfg);
   obs::KernelSample s;
   s.backend = backends::to_string(backend);
   s.seconds = seconds;
+  s.strategy = fused || backends::kernel_uses_atomics(id)
+                   ? backends::to_string(cfg.strategy)
+                   : "none";
   if (fused) {
     s.kernel = "aprod2_fused";
-    s.strategy = "atomic";
     const std::array<KernelId, 3> parts = {
         KernelId::kAprod2Att, KernelId::kAprod2Instr, KernelId::kAprod2Glob};
     for (KernelId part : parts) {
       if (part == KernelId::kAprod2Glob && glob_noop) continue;
       s.bytes += kernel_traffic_bytes(view, part, cfg.layout, cfg.precision);
       s.flops += kernel_flops(view, part);
-      s.atomic_updates += kernel_atomic_updates(
-          view, part, backends::ScatterStrategy::kAtomic);
+      s.atomic_updates +=
+          kernel_atomic_updates(view, part, cfg.strategy, workers);
     }
   } else {
-    if (glob_noop &&
-        (id == KernelId::kAprod1Glob || id == KernelId::kAprod2Glob))
-      return;
     s.kernel = kernel_region_name(id);
-    s.strategy = backends::kernel_uses_atomics(id)
-                     ? backends::to_string(cfg.strategy)
-                     : "none";
     s.bytes = kernel_traffic_bytes(view, id, cfg.layout, cfg.precision);
     s.flops = kernel_flops(view, id);
-    s.atomic_updates = kernel_atomic_updates(view, id, cfg.strategy);
+    s.atomic_updates = kernel_atomic_updates(view, id, cfg.strategy, workers);
   }
   obs::record_kernel_sample(s);
 }
@@ -111,7 +112,7 @@ void note_failover(const char* kernel, BackendKind from, BackendKind to) {
 }  // namespace
 
 Aprod::Aprod(const matrix::SystemMatrix& A, backends::DeviceContext& device,
-             AprodOptions options)
+             AprodOptions options, std::span<const real> col_scale)
     : options_(options),
       active_backend_(options.backend),
       matrix_(&A),
@@ -122,6 +123,8 @@ Aprod::Aprod(const matrix::SystemMatrix& A, backends::DeviceContext& device,
       d_instr_col_(device, A.instr_col(), options.coherence),
       d_star_row_start_(device, A.star_row_start(), options.coherence) {
   ensure_kernel_catalog();
+  if (!col_scale.empty())
+    apply_column_scaling(A, d_values_.span(), col_scale);
   // Same construction path as the host view, fed the device-resident
   // copies — scalar fields and layout descriptors can't drift.
   view_ = SystemView::from(
@@ -138,7 +141,8 @@ void Aprod::ensure_layout(backends::StorageLayout layout) {
   std::lock_guard<std::mutex> lock(layout_mutex_);
   if (view_.has_layout(layout)) return;
   if (!layouts_)
-    layouts_ = std::make_unique<matrix::LayoutedSystem>(*matrix_);
+    layouts_ = std::make_unique<matrix::LayoutedSystem>(
+        *matrix_, d_values_.span());
   layouts_->build(layout);
   // Upload the derived arrays once (the "resident before the main loop"
   // contract of paper SIV-a applies to them like the seed arrays) and
@@ -223,7 +227,8 @@ void Aprod::ensure_precision(backends::Precision precision) {
   if (precision == backends::Precision::kFp64) return;
   std::lock_guard<std::mutex> lock(layout_mutex_);
   if (!layouts_)
-    layouts_ = std::make_unique<matrix::LayoutedSystem>(*matrix_);
+    layouts_ = std::make_unique<matrix::LayoutedSystem>(
+        *matrix_, d_values_.span());
   // Converts the seed values plus every layout stream built so far;
   // streams converted on a previous call are skipped inside.
   layouts_->build_precision(precision);
@@ -261,10 +266,6 @@ void Aprod::launch_kernel(KernelId id, bool fused, const real* in, real* out,
                        tuner->searching(id);
     backends::KernelConfig cfg =
         trial ? tuner->propose(id) : options_.tuning.get(id);
-    // The fused scatter interleaves all three sections in one row pass;
-    // privatizing it would need every section's scratch at once for no
-    // contention win, so fused launches always run the atomic strategy.
-    if (fused) cfg.strategy = backends::ScatterStrategy::kAtomic;
     // Materialize the derived layout on first use; if the build cannot
     // fit the device, the launch clamps back to the always-present seed
     // layout instead of aborting the solve.

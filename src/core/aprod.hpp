@@ -70,9 +70,13 @@ struct AprodOptions {
 class Aprod {
  public:
   /// Copies the system onto `device` (throws if it does not fit) and
-  /// keeps it resident for the driver's lifetime.
+  /// keeps it resident for the driver's lifetime. A non-empty
+  /// `col_scale` column-scales the device copy right after the upload
+  /// (apply_column_scaling), so a preconditioned solve needs no second
+  /// host copy of the system; every derived layout and precision is
+  /// built from the scaled copy.
   Aprod(const matrix::SystemMatrix& A, backends::DeviceContext& device,
-        AprodOptions options);
+        AprodOptions options, std::span<const real> col_scale = {});
   ~Aprod();
 
   Aprod(const Aprod&) = delete;
@@ -111,7 +115,7 @@ class Aprod {
   /// block is disabled) — lets tests pin the stream/launch structure.
   [[nodiscard]] std::uint64_t launches() const { return launches_; }
 
-  /// Scratch pool backing this driver's privatized scatters. Exposed so
+  /// Scratch pool backing this driver's aprod2 scatters. Exposed so
   /// tests can assert the allocator-silent-after-warm-up contract (the
   /// miss counter stops moving after the first iteration).
   [[nodiscard]] backends::ScratchArena& scratch_arena() {
@@ -200,7 +204,7 @@ class Aprod {
   PrecisionBuffers<matrix::bf16s> d_b16_;
   /// One stream per aprod2 kernel, created lazily when streams are on.
   std::array<std::unique_ptr<backends::Stream>, 4> streams_;
-  /// Pooled scratch for the privatized scatter strategy; owned per
+  /// Pooled scratch for the aprod2 scatters' private slices; owned per
   /// driver so its hit/miss accounting tracks this solve alone.
   backends::ScratchArena scratch_arena_;
   std::uint64_t launches_ = 0;

@@ -9,9 +9,11 @@
 /// aprod mode 2 (paper Eq. 4): x += A^T y — a scatter per row into x.
 /// The astrometric part is block diagonal, so parallelizing over *stars*
 /// gives each task exclusive ownership of its five columns: no atomics.
-/// Attitude, instrumental and global columns are shared between rows, so
-/// their updates are atomic; the three kernels target disjoint sections
-/// of x and may safely overlap in streams (paper SIV).
+/// Attitude, instrumental and global columns are shared between rows:
+/// those three kernels accumulate row chunks into per-worker private
+/// slices and commit the slices to x, atomically or through a fixed-order
+/// fold (`detail::section_scatter`). They target disjoint sections of x
+/// and may safely overlap in streams (paper SIV).
 ///
 /// Templating on the execution policy keeps the row loop body inlined in
 /// every backend while the launch mechanics (grid-stride virtual threads,
@@ -141,110 +143,60 @@ void aprod2_astro(const SystemView& A, const real* y, real* x,
   });
 }
 
-/// Row-parallel with atomic updates: neighbouring observations hit the
-/// same attitude spline knots (this is the collision hot spot the paper
-/// tunes thread counts down for).
-template <typename Exec, typename CoefT = real>
-void aprod2_att(const SystemView& A, const real* y, real* x,
-                KernelConfig cfg, AtomicMode mode) {
-  const CoefT* vals = A.coefs<CoefT>().values;
-  Exec::launch(A.n_rows, cfg, [=](std::int64_t r) {
-    const CoefT* rv = vals + r * kNnzPerRow + matrix::kAttCoeffOffset;
-    const real yr = y[r];
-    const col_index base = A.att_offset + A.idx_att[r];
-    for (int blk = 0; blk < kAttBlocks; ++blk) {
-      const col_index c0 = base + blk * A.att_stride;
-      for (int i = 0; i < kAttBlockSize; ++i)
-        Exec::atomic_add(x[c0 + i],
-                         load_real(rv[blk * kAttBlockSize + i]) * yr, mode);
-    }
-  });
+/// Column section [offset, offset + len) of x that an aprod2 scatter
+/// kernel writes; empty for the other kernels and for the global kernel
+/// of a system without a global block.
+struct ScatterSection {
+  col_index offset = 0;
+  col_index len = 0;
+};
+
+inline ScatterSection scatter_section(const SystemView& A,
+                                      backends::KernelId id) {
+  switch (id) {
+    case backends::KernelId::kAprod2Att:
+      return {A.att_offset, A.instr_offset - A.att_offset};
+    case backends::KernelId::kAprod2Instr:
+      return {A.instr_offset, A.glob_offset - A.instr_offset};
+    case backends::KernelId::kAprod2Glob:
+      return {A.glob_offset, A.has_global ? 1 : 0};
+    default:
+      return {};
+  }
 }
 
-template <typename Exec, typename CoefT = real>
-void aprod2_instr(const SystemView& A, const real* y, real* x,
-                  KernelConfig cfg, AtomicMode mode) {
-  const CoefT* vals = A.coefs<CoefT>().values;
-  Exec::launch(A.n_rows, cfg, [=](std::int64_t r) {
-    const CoefT* rv = vals + r * kNnzPerRow + matrix::kInstrCoeffOffset;
-    const std::int32_t* cols = A.instr_col + r * kInstrNnzPerRow;
-    const real yr = y[r];
-    for (int i = 0; i < kInstrNnzPerRow; ++i)
-      Exec::atomic_add(x[A.instr_offset + cols[i]], load_real(rv[i]) * yr,
-                       mode);
-  });
+/// The three shared sections are contiguous in x, so the fused scatter
+/// writes one span: [att_offset, end of the global section).
+inline ScatterSection fused_scatter_section(const SystemView& A) {
+  return {A.att_offset,
+          A.glob_offset + (A.has_global ? 1 : 0) - A.att_offset};
 }
-
-/// Every row contributes to the single PPN-gamma unknown — the most
-/// contended column of the whole system.
-template <typename Exec, typename CoefT = real>
-void aprod2_glob(const SystemView& A, const real* y, real* x,
-                 KernelConfig cfg, AtomicMode mode) {
-  if (!A.has_global) return;
-  const CoefT* vals = A.coefs<CoefT>().values;
-  Exec::launch(A.n_rows, cfg, [=](std::int64_t r) {
-    Exec::atomic_add(
-        x[A.glob_offset],
-        load_real(vals[r * kNnzPerRow + matrix::kGlobCoeffOffset]) * y[r],
-        mode);
-  });
-}
-
-/// Fused single-pass aprod2 over the shared sections (attitude +
-/// instrumental + global): one row-parallel kernel doing every atomic
-/// scatter. This is the shape a real C++ PSTL port takes — stdpar has no
-/// stream/queue concept, so splitting the scatter into four kernels buys
-/// nothing, while fusing reads each row's record once. The astrometric
-/// block still goes through the star-parallel atomic-free kernel.
-template <typename Exec, typename CoefT = real>
-void aprod2_shared_fused(const SystemView& A, const real* y, real* x,
-                         KernelConfig cfg, AtomicMode mode) {
-  const CoefT* vals = A.coefs<CoefT>().values;
-  Exec::launch(A.n_rows, cfg, [=](std::int64_t r) {
-    const CoefT* rv = vals + r * kNnzPerRow;
-    const real yr = y[r];
-    const col_index att_base = A.att_offset + A.idx_att[r];
-    for (int blk = 0; blk < kAttBlocks; ++blk) {
-      const col_index c0 = att_base + blk * A.att_stride;
-      for (int i = 0; i < kAttBlockSize; ++i)
-        Exec::atomic_add(
-            x[c0 + i],
-            load_real(rv[matrix::kAttCoeffOffset + blk * kAttBlockSize + i]) *
-                yr,
-            mode);
-    }
-    const std::int32_t* cols = A.instr_col + r * kInstrNnzPerRow;
-    for (int i = 0; i < kInstrNnzPerRow; ++i)
-      Exec::atomic_add(x[A.instr_offset + cols[i]],
-                       load_real(rv[matrix::kInstrCoeffOffset + i]) * yr,
-                       mode);
-    if (A.has_global)
-      Exec::atomic_add(x[A.glob_offset],
-                       load_real(rv[matrix::kGlobCoeffOffset]) * yr, mode);
-  });
-}
-
-// ---------------------------------------------------------------------------
-// aprod2, privatized strategy (ScatterStrategy::kPrivatized): no atomics
-// ---------------------------------------------------------------------------
 
 namespace detail {
 
-/// The contention-free scatter skeleton shared by the three privatized
-/// kernels. W = Exec::scatter_workers(cfg) workers each zero a private
-/// copy of the kernel's column section in pooled scratch and accumulate
-/// a contiguous row chunk into it sequentially (ascending rows); the
-/// copies are then folded pairwise — slice p += slice p+stride, stride
-/// halving from bit_ceil(W)/2 — a combine order fixed by W alone, so a
-/// fixed launch shape reduces bit-identically run to run regardless of
-/// thread scheduling. The folded slice 0 is added into x in one
-/// column-parallel pass. `accumulate_row(slice, r)` adds row r's
-/// contribution at section-relative indices.
+/// The one scatter skeleton of the shared sections, for both scatter
+/// strategies. W = Exec::scatter_workers(cfg) workers each zero a private
+/// copy of the section in pooled scratch and accumulate a contiguous row
+/// chunk into it sequentially (ascending rows); `accumulate_row(slice, r)`
+/// adds row r's contribution at section-relative indices. Only the
+/// commit step depends on cfg.strategy:
+///
+/// - kAtomic: each worker, right after its chunk, adds its slice into x
+///   with one Exec::atomic_add per column (honouring `mode`). That is
+///   W x section atomics in a nondeterministic order instead of one per
+///   (row, column): the host analogue of the block-level shared-memory
+///   aggregation GPU scatter kernels use. No fold, no second launch.
+/// - kPrivatized: no atomics. The slices are folded pairwise — slice p +=
+///   slice p+stride, stride halving from bit_ceil(W)/2 — a combine order
+///   fixed by W alone, so a fixed launch shape reduces bit-identically
+///   run to run regardless of thread scheduling. The folded slice 0 is
+///   added into x in one column-parallel pass.
 template <typename Exec, typename AccumRow>
-void privatized_scatter(std::int64_t n_rows, real* x, col_index sect_offset,
-                        col_index sect_len, KernelConfig cfg,
-                        backends::ScratchArena* arena,
-                        AccumRow&& accumulate_row) {
+void section_scatter(std::int64_t n_rows, real* x, ScatterSection sect,
+                     KernelConfig cfg, AtomicMode mode,
+                     backends::ScratchArena* arena,
+                     AccumRow&& accumulate_row) {
+  const col_index sect_len = sect.len;
   if (sect_len <= 0) return;
   const int workers = Exec::scatter_workers(cfg);
   backends::ScratchArena& pool =
@@ -252,7 +204,9 @@ void privatized_scatter(std::int64_t n_rows, real* x, col_index sect_offset,
   auto lease = pool.acquire(static_cast<std::size_t>(workers) *
                             static_cast<std::size_t>(sect_len));
   real* const scratch = lease.data();
+  real* const xs = x + sect.offset;
   const std::int64_t chunk = (n_rows + workers - 1) / workers;
+  const bool atomic = cfg.strategy == backends::ScatterStrategy::kAtomic;
 
   Exec::launch_workers(workers, cfg, [&](int w) {
     real* GAIA_RESTRICT slice =
@@ -261,7 +215,11 @@ void privatized_scatter(std::int64_t n_rows, real* x, col_index sect_offset,
     const std::int64_t begin = static_cast<std::int64_t>(w) * chunk;
     const std::int64_t end = std::min(n_rows, begin + chunk);
     for (std::int64_t r = begin; r < end; ++r) accumulate_row(slice, r);
+    if (atomic)
+      for (col_index c = 0; c < sect_len; ++c)
+        Exec::atomic_add(xs[c], slice[c], mode);
   });
+  if (atomic) return;
 
   const int top =
       static_cast<int>(std::bit_ceil(static_cast<unsigned>(workers)) / 2);
@@ -274,68 +232,124 @@ void privatized_scatter(std::int64_t n_rows, real* x, col_index sect_offset,
       scratch[p * sect_len + c] += scratch[(p + stride) * sect_len + c];
     });
   }
-  Exec::launch(sect_len, cfg,
-               [=](std::int64_t c) { x[sect_offset + c] += scratch[c]; });
+  Exec::launch(sect_len, cfg, [=](std::int64_t c) { xs[c] += scratch[c]; });
+}
+
+/// The fused scatter: one row pass over the contiguous shared span,
+/// composed from the three per-section row accumulators of a layout.
+/// Each column still belongs to exactly one section and receives the
+/// same adds in the same row order, so at a fixed launch shape the
+/// privatized fused result equals the three separate privatized
+/// kernels bit for bit.
+template <typename Exec, typename AttRows, typename InstrRows,
+          typename GlobRows>
+void fused_scatter(const SystemView& A, real* x, KernelConfig cfg,
+                   AtomicMode mode, backends::ScratchArena* arena,
+                   AttRows att, InstrRows instr, GlobRows glob) {
+  const col_index instr_at = A.instr_offset - A.att_offset;
+  const col_index glob_at = A.glob_offset - A.att_offset;
+  const bool has_global = A.has_global;
+  section_scatter<Exec>(
+      A.n_rows, x, fused_scatter_section(A), cfg, mode, arena,
+      [=](real* GAIA_RESTRICT slice, std::int64_t r) {
+        att(slice, r);
+        instr(slice + instr_at, r);
+        if (has_global) glob(slice + glob_at, r);
+      });
+}
+
+// Row accumulators of the seed layout, one per shared-section kernel.
+
+template <typename CoefT>
+auto att_rows(const SystemView& A, const real* y) {
+  const CoefT* vals = A.coefs<CoefT>().values;
+  const col_index* idx_att = A.idx_att;
+  const col_index stride = A.att_stride;
+  return [=](real* GAIA_RESTRICT slice, std::int64_t r) {
+    const CoefT* GAIA_RESTRICT rv =
+        vals + r * kNnzPerRow + matrix::kAttCoeffOffset;
+    const real yr = y[r];
+    const col_index base = idx_att[r];
+    for (int blk = 0; blk < kAttBlocks; ++blk) {
+      const col_index c0 = base + blk * stride;
+      for (int i = 0; i < kAttBlockSize; ++i)
+        slice[c0 + i] += load_real(rv[blk * kAttBlockSize + i]) * yr;
+    }
+  };
+}
+
+template <typename CoefT>
+auto instr_rows(const SystemView& A, const real* y) {
+  const CoefT* vals = A.coefs<CoefT>().values;
+  const std::int32_t* instr_col = A.instr_col;
+  return [=](real* GAIA_RESTRICT slice, std::int64_t r) {
+    const CoefT* GAIA_RESTRICT rv =
+        vals + r * kNnzPerRow + matrix::kInstrCoeffOffset;
+    const std::int32_t* GAIA_RESTRICT cols = instr_col + r * kInstrNnzPerRow;
+    const real yr = y[r];
+    for (int i = 0; i < kInstrNnzPerRow; ++i)
+      slice[cols[i]] += load_real(rv[i]) * yr;
+  };
+}
+
+template <typename CoefT>
+auto glob_rows(const SystemView& A, const real* y) {
+  const CoefT* vals = A.coefs<CoefT>().values;
+  return [=](real* GAIA_RESTRICT slice, std::int64_t r) {
+    slice[0] +=
+        load_real(vals[r * kNnzPerRow + matrix::kGlobCoeffOffset]) * y[r];
+  };
 }
 
 }  // namespace detail
 
-/// Privatized attitude scatter: each worker owns a private copy of the
-/// full attitude section (n_att entries) — collisions on the shared
-/// spline knots vanish entirely.
+/// Attitude scatter: neighbouring observations hit the same spline knots
+/// (the collision hot spot the paper tunes thread counts down for); each
+/// worker's slice spans the full attitude section.
 template <typename Exec, typename CoefT = real>
-void aprod2_att_privatized(const SystemView& A, const real* y, real* x,
-                           KernelConfig cfg,
-                           backends::ScratchArena* arena = nullptr) {
-  const CoefT* vals = A.coefs<CoefT>().values;
-  detail::privatized_scatter<Exec>(
-      A.n_rows, x, A.att_offset, A.instr_offset - A.att_offset, cfg, arena,
-      [=](real* GAIA_RESTRICT slice, std::int64_t r) {
-        const CoefT* GAIA_RESTRICT rv =
-            vals + r * kNnzPerRow + matrix::kAttCoeffOffset;
-        const real yr = y[r];
-        const col_index base = A.idx_att[r];
-        for (int blk = 0; blk < kAttBlocks; ++blk) {
-          const col_index c0 = base + blk * A.att_stride;
-          for (int i = 0; i < kAttBlockSize; ++i)
-            slice[c0 + i] += load_real(rv[blk * kAttBlockSize + i]) * yr;
-        }
-      });
+void aprod2_att(const SystemView& A, const real* y, real* x,
+                KernelConfig cfg, AtomicMode mode = AtomicMode::kNativeRmw,
+                backends::ScratchArena* arena = nullptr) {
+  detail::section_scatter<Exec>(
+      A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Att), cfg,
+      mode, arena, detail::att_rows<CoefT>(A, y));
 }
 
 template <typename Exec, typename CoefT = real>
-void aprod2_instr_privatized(const SystemView& A, const real* y, real* x,
-                             KernelConfig cfg,
-                             backends::ScratchArena* arena = nullptr) {
-  const CoefT* vals = A.coefs<CoefT>().values;
-  detail::privatized_scatter<Exec>(
-      A.n_rows, x, A.instr_offset, A.glob_offset - A.instr_offset, cfg,
-      arena, [=](real* GAIA_RESTRICT slice, std::int64_t r) {
-        const CoefT* GAIA_RESTRICT rv =
-            vals + r * kNnzPerRow + matrix::kInstrCoeffOffset;
-        const std::int32_t* GAIA_RESTRICT cols =
-            A.instr_col + r * kInstrNnzPerRow;
-        const real yr = y[r];
-        for (int i = 0; i < kInstrNnzPerRow; ++i)
-          slice[cols[i]] += load_real(rv[i]) * yr;
-      });
+void aprod2_instr(const SystemView& A, const real* y, real* x,
+                  KernelConfig cfg, AtomicMode mode = AtomicMode::kNativeRmw,
+                  backends::ScratchArena* arena = nullptr) {
+  detail::section_scatter<Exec>(
+      A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Instr), cfg,
+      mode, arena, detail::instr_rows<CoefT>(A, y));
 }
 
-/// Privatized global scatter: the single PPN-gamma column degenerates to
-/// one private partial sum per worker plus the tree fold — a classic
-/// parallel reduction replacing the most contended atomic of the system.
+/// Every row contributes to the single PPN-gamma unknown — the most
+/// contended column of the system. Its section degenerates to one
+/// partial sum per worker; without a global block it is empty (no-op).
 template <typename Exec, typename CoefT = real>
-void aprod2_glob_privatized(const SystemView& A, const real* y, real* x,
-                            KernelConfig cfg,
-                            backends::ScratchArena* arena = nullptr) {
-  if (!A.has_global) return;
-  const CoefT* vals = A.coefs<CoefT>().values;
-  detail::privatized_scatter<Exec>(
-      A.n_rows, x, A.glob_offset, 1, cfg, arena,
-      [=](real* GAIA_RESTRICT slice, std::int64_t r) {
-        slice[0] +=
-            load_real(vals[r * kNnzPerRow + matrix::kGlobCoeffOffset]) * y[r];
-      });
+void aprod2_glob(const SystemView& A, const real* y, real* x,
+                 KernelConfig cfg, AtomicMode mode = AtomicMode::kNativeRmw,
+                 backends::ScratchArena* arena = nullptr) {
+  detail::section_scatter<Exec>(
+      A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Glob), cfg,
+      mode, arena, detail::glob_rows<CoefT>(A, y));
+}
+
+/// Fused single-pass aprod2 over the shared sections (attitude +
+/// instrumental + global). This is the shape a real C++ PSTL port takes
+/// — stdpar has no stream/queue concept, so splitting the scatter into
+/// four kernels buys nothing, while fusing reads each row's record once.
+/// The astrometric block still goes through the star-parallel kernel.
+template <typename Exec, typename CoefT = real>
+void aprod2_shared_fused(const SystemView& A, const real* y, real* x,
+                         KernelConfig cfg,
+                         AtomicMode mode = AtomicMode::kNativeRmw,
+                         backends::ScratchArena* arena = nullptr) {
+  detail::fused_scatter<Exec>(A, x, cfg, mode, arena,
+                              detail::att_rows<CoefT>(A, y),
+                              detail::instr_rows<CoefT>(A, y),
+                              detail::glob_rows<CoefT>(A, y));
 }
 
 // ---------------------------------------------------------------------------
@@ -449,153 +463,94 @@ void aprod2_astro_soa(const SystemView& A, const real* y, real* x,
   });
 }
 
+namespace detail {
+
+// Row accumulators of the SoA-tiled layout.
+
+template <typename CoefT>
+auto att_rows_soa(const SystemView& A, const real* y) {
+  const CoefT* stream = A.coefs<CoefT>().soa_att;
+  const col_index* idx_att = A.idx_att;
+  const col_index stride = A.att_stride;
+  return [=](real* GAIA_RESTRICT slice, std::int64_t r) {
+    const CoefT* GAIA_RESTRICT rv = soa_row(stream, kAttNnzPerRow, r);
+    const real yr = y[r];
+    const col_index base = idx_att[r];
+    for (int blk = 0; blk < kAttBlocks; ++blk) {
+      const col_index c0 = base + blk * stride;
+      for (int i = 0; i < kAttBlockSize; ++i)
+        slice[c0 + i] +=
+            load_real(rv[(blk * kAttBlockSize + i) * matrix::kSoaTileRows]) *
+            yr;
+    }
+  };
+}
+
+template <typename CoefT>
+auto instr_rows_soa(const SystemView& A, const real* y) {
+  const CoefT* stream = A.coefs<CoefT>().soa_instr;
+  const std::int32_t* instr_col = A.instr_col;
+  return [=](real* GAIA_RESTRICT slice, std::int64_t r) {
+    const CoefT* GAIA_RESTRICT rv = soa_row(stream, kInstrNnzPerRow, r);
+    const std::int32_t* GAIA_RESTRICT cols = instr_col + r * kInstrNnzPerRow;
+    const real yr = y[r];
+    for (int i = 0; i < kInstrNnzPerRow; ++i)
+      slice[cols[i]] += load_real(rv[i * matrix::kSoaTileRows]) * yr;
+  };
+}
+
+template <typename CoefT>
+auto glob_rows_soa(const SystemView& A, const real* y) {
+  const CoefT* stream = A.coefs<CoefT>().soa_glob;
+  return [=](real* GAIA_RESTRICT slice, std::int64_t r) {
+    slice[0] += load_real(*soa_row(stream, 1, r)) * y[r];
+  };
+}
+
+}  // namespace detail
+
 template <typename Exec, typename CoefT = real>
 void aprod2_att_soa(const SystemView& A, const real* y, real* x,
-                    KernelConfig cfg, AtomicMode mode) {
-  const CoefT* stream = A.coefs<CoefT>().soa_att;
-  Exec::launch(A.n_rows, cfg, [=](std::int64_t r) {
-    const CoefT* rv = detail::soa_row(stream, kAttNnzPerRow, r);
-    const real yr = y[r];
-    const col_index base = A.att_offset + A.idx_att[r];
-    for (int blk = 0; blk < kAttBlocks; ++blk) {
-      const col_index c0 = base + blk * A.att_stride;
-      for (int i = 0; i < kAttBlockSize; ++i)
-        Exec::atomic_add(
-            x[c0 + i],
-            load_real(rv[(blk * kAttBlockSize + i) * matrix::kSoaTileRows]) *
-                yr,
-            mode);
-    }
-  });
+                    KernelConfig cfg, AtomicMode mode = AtomicMode::kNativeRmw,
+                    backends::ScratchArena* arena = nullptr) {
+  detail::section_scatter<Exec>(
+      A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Att), cfg,
+      mode, arena, detail::att_rows_soa<CoefT>(A, y));
 }
 
 template <typename Exec, typename CoefT = real>
 void aprod2_instr_soa(const SystemView& A, const real* y, real* x,
-                      KernelConfig cfg, AtomicMode mode) {
-  const CoefT* stream = A.coefs<CoefT>().soa_instr;
-  Exec::launch(A.n_rows, cfg, [=](std::int64_t r) {
-    const CoefT* rv = detail::soa_row(stream, kInstrNnzPerRow, r);
-    const std::int32_t* cols = A.instr_col + r * kInstrNnzPerRow;
-    const real yr = y[r];
-    for (int i = 0; i < kInstrNnzPerRow; ++i)
-      Exec::atomic_add(x[A.instr_offset + cols[i]],
-                       load_real(rv[i * matrix::kSoaTileRows]) * yr, mode);
-  });
+                      KernelConfig cfg,
+                      AtomicMode mode = AtomicMode::kNativeRmw,
+                      backends::ScratchArena* arena = nullptr) {
+  detail::section_scatter<Exec>(
+      A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Instr), cfg,
+      mode, arena, detail::instr_rows_soa<CoefT>(A, y));
 }
 
 template <typename Exec, typename CoefT = real>
 void aprod2_glob_soa(const SystemView& A, const real* y, real* x,
-                     KernelConfig cfg, AtomicMode mode) {
-  if (!A.has_global) return;
-  const CoefT* stream = A.coefs<CoefT>().soa_glob;
-  Exec::launch(A.n_rows, cfg, [=](std::int64_t r) {
-    const std::int64_t t = r / matrix::kSoaTileRows;
-    Exec::atomic_add(
-        x[A.glob_offset],
-        load_real(stream[t * matrix::kSoaTileRows +
-                         (r - t * matrix::kSoaTileRows)]) *
-            y[r],
-        mode);
-  });
+                     KernelConfig cfg,
+                     AtomicMode mode = AtomicMode::kNativeRmw,
+                     backends::ScratchArena* arena = nullptr) {
+  detail::section_scatter<Exec>(
+      A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Glob), cfg,
+      mode, arena, detail::glob_rows_soa<CoefT>(A, y));
 }
 
 /// Fused shared-section scatter over the SoA streams. Also serves the
 /// kSlicedInstr layout: fusing the three sections into one row pass is
-/// incompatible with slice-major iteration, and the sliced build always
-/// carries the SoA streams.
+/// incompatible with slice-major storage order, and the sliced build
+/// always carries the SoA streams.
 template <typename Exec, typename CoefT = real>
 void aprod2_shared_fused_soa(const SystemView& A, const real* y, real* x,
-                             KernelConfig cfg, AtomicMode mode) {
-  const CoefT* att_stream = A.coefs<CoefT>().soa_att;
-  const CoefT* instr_stream = A.coefs<CoefT>().soa_instr;
-  const CoefT* glob_stream = A.coefs<CoefT>().soa_glob;
-  Exec::launch(A.n_rows, cfg, [=](std::int64_t r) {
-    const real yr = y[r];
-    const CoefT* rv_att = detail::soa_row(att_stream, kAttNnzPerRow, r);
-    const col_index att_base = A.att_offset + A.idx_att[r];
-    for (int blk = 0; blk < kAttBlocks; ++blk) {
-      const col_index c0 = att_base + blk * A.att_stride;
-      for (int i = 0; i < kAttBlockSize; ++i)
-        Exec::atomic_add(
-            x[c0 + i],
-            load_real(
-                rv_att[(blk * kAttBlockSize + i) * matrix::kSoaTileRows]) *
-                yr,
-            mode);
-    }
-    const CoefT* rv_instr = detail::soa_row(instr_stream, kInstrNnzPerRow, r);
-    const std::int32_t* cols = A.instr_col + r * kInstrNnzPerRow;
-    for (int i = 0; i < kInstrNnzPerRow; ++i)
-      Exec::atomic_add(x[A.instr_offset + cols[i]],
-                       load_real(rv_instr[i * matrix::kSoaTileRows]) * yr,
-                       mode);
-    if (A.has_global) {
-      const std::int64_t t = r / matrix::kSoaTileRows;
-      Exec::atomic_add(
-          x[A.glob_offset],
-          load_real(glob_stream[t * matrix::kSoaTileRows +
-                                (r - t * matrix::kSoaTileRows)]) *
-              yr,
-          mode);
-    }
-  });
-}
-
-template <typename Exec, typename CoefT = real>
-void aprod2_att_privatized_soa(const SystemView& A, const real* y, real* x,
-                               KernelConfig cfg,
-                               backends::ScratchArena* arena = nullptr) {
-  const CoefT* stream = A.coefs<CoefT>().soa_att;
-  detail::privatized_scatter<Exec>(
-      A.n_rows, x, A.att_offset, A.instr_offset - A.att_offset, cfg, arena,
-      [=](real* GAIA_RESTRICT slice, std::int64_t r) {
-        const CoefT* GAIA_RESTRICT rv =
-            detail::soa_row(stream, kAttNnzPerRow, r);
-        const real yr = y[r];
-        const col_index base = A.idx_att[r];
-        for (int blk = 0; blk < kAttBlocks; ++blk) {
-          const col_index c0 = base + blk * A.att_stride;
-          for (int i = 0; i < kAttBlockSize; ++i)
-            slice[c0 + i] +=
-                load_real(rv[(blk * kAttBlockSize + i) *
-                             matrix::kSoaTileRows]) *
-                yr;
-        }
-      });
-}
-
-template <typename Exec, typename CoefT = real>
-void aprod2_instr_privatized_soa(const SystemView& A, const real* y, real* x,
-                                 KernelConfig cfg,
-                                 backends::ScratchArena* arena = nullptr) {
-  const CoefT* stream = A.coefs<CoefT>().soa_instr;
-  detail::privatized_scatter<Exec>(
-      A.n_rows, x, A.instr_offset, A.glob_offset - A.instr_offset, cfg,
-      arena, [=](real* GAIA_RESTRICT slice, std::int64_t r) {
-        const CoefT* GAIA_RESTRICT rv =
-            detail::soa_row(stream, kInstrNnzPerRow, r);
-        const std::int32_t* GAIA_RESTRICT cols =
-            A.instr_col + r * kInstrNnzPerRow;
-        const real yr = y[r];
-        for (int i = 0; i < kInstrNnzPerRow; ++i)
-          slice[cols[i]] += load_real(rv[i * matrix::kSoaTileRows]) * yr;
-      });
-}
-
-template <typename Exec, typename CoefT = real>
-void aprod2_glob_privatized_soa(const SystemView& A, const real* y, real* x,
-                                KernelConfig cfg,
-                                backends::ScratchArena* arena = nullptr) {
-  if (!A.has_global) return;
-  const CoefT* stream = A.coefs<CoefT>().soa_glob;
-  detail::privatized_scatter<Exec>(
-      A.n_rows, x, A.glob_offset, 1, cfg, arena,
-      [=](real* GAIA_RESTRICT slice, std::int64_t r) {
-        const std::int64_t t = r / matrix::kSoaTileRows;
-        slice[0] += load_real(stream[t * matrix::kSoaTileRows +
-                                     (r - t * matrix::kSoaTileRows)]) *
-                    y[r];
-      });
+                             KernelConfig cfg,
+                             AtomicMode mode = AtomicMode::kNativeRmw,
+                             backends::ScratchArena* arena = nullptr) {
+  detail::fused_scatter<Exec>(A, x, cfg, mode, arena,
+                              detail::att_rows_soa<CoefT>(A, y),
+                              detail::instr_rows_soa<CoefT>(A, y),
+                              detail::glob_rows_soa<CoefT>(A, y));
 }
 
 // ---------------------------------------------------------------------------
@@ -632,50 +587,29 @@ void aprod1_instr_sliced(const SystemView& A, const real* x, real* y,
   });
 }
 
-/// Slice-parallel instrumental scatter (atomic strategy): the sort
-/// clusters nearby target columns within a slice, trading a few more
-/// intra-slice collisions for far better locality on x.
-template <typename Exec, typename CoefT = real>
-void aprod2_instr_sliced(const SystemView& A, const real* y, real* x,
-                         KernelConfig cfg, AtomicMode mode) {
-  const CoefT* svals = A.coefs<CoefT>().slice_values;
-  Exec::launch(A.n_slices * matrix::kSliceHeight, cfg,
-               [=](std::int64_t slot) {
-    const row_index r = A.slice_rows[slot];
-    if (r < 0) return;
-    const std::int64_t s = slot / matrix::kSliceHeight;
-    const std::int64_t lane = slot - s * matrix::kSliceHeight;
-    const std::int64_t base =
-        s * kInstrNnzPerRow * matrix::kSliceHeight + lane;
-    const CoefT* GAIA_RESTRICT v = svals + base;
-    const std::int32_t* GAIA_RESTRICT c = A.slice_cols + base;
-    const real yr = y[r];
-    for (int j = 0; j < kInstrNnzPerRow; ++j)
-      Exec::atomic_add(x[A.instr_offset + c[j * matrix::kSliceHeight]],
-                       load_real(v[j * matrix::kSliceHeight]) * yr, mode);
-  });
-}
-
-/// Privatized instrumental scatter over the sliced storage: the
-/// skeleton keeps iterating rows in ascending order (via the row->slot
-/// inverse permutation), so worker partitioning, per-row accumulation
-/// order and the tree fold are exactly the seed layout's — bit-identical
+/// Instrumental scatter over the sliced storage: the skeleton keeps
+/// iterating rows in ascending order (via the row->slot inverse
+/// permutation), so worker partitioning, per-row accumulation order and
+/// the privatized fold are exactly the seed layout's — bit-identical
 /// results at a fixed launch shape, layout notwithstanding.
 template <typename Exec, typename CoefT = real>
-void aprod2_instr_privatized_sliced(const SystemView& A, const real* y,
-                                    real* x, KernelConfig cfg,
-                                    backends::ScratchArena* arena = nullptr) {
+void aprod2_instr_sliced(const SystemView& A, const real* y, real* x,
+                         KernelConfig cfg,
+                         AtomicMode mode = AtomicMode::kNativeRmw,
+                         backends::ScratchArena* arena = nullptr) {
   const CoefT* svals = A.coefs<CoefT>().slice_values;
-  detail::privatized_scatter<Exec>(
-      A.n_rows, x, A.instr_offset, A.glob_offset - A.instr_offset, cfg,
-      arena, [=](real* GAIA_RESTRICT slice, std::int64_t r) {
-        const std::int64_t slot = A.slice_row_slot[r];
+  const std::int32_t* scols = A.slice_cols;
+  const row_index* row_slot = A.slice_row_slot;
+  detail::section_scatter<Exec>(
+      A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Instr), cfg,
+      mode, arena, [=](real* GAIA_RESTRICT slice, std::int64_t r) {
+        const std::int64_t slot = row_slot[r];
         const std::int64_t s = slot / matrix::kSliceHeight;
         const std::int64_t lane = slot - s * matrix::kSliceHeight;
         const std::int64_t base =
             s * kInstrNnzPerRow * matrix::kSliceHeight + lane;
         const CoefT* GAIA_RESTRICT v = svals + base;
-        const std::int32_t* GAIA_RESTRICT c = A.slice_cols + base;
+        const std::int32_t* GAIA_RESTRICT c = scols + base;
         const real yr = y[r];
         for (int j = 0; j < kInstrNnzPerRow; ++j)
           slice[c[j * matrix::kSliceHeight]] +=

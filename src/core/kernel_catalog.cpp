@@ -21,7 +21,8 @@ namespace {
 /// Each launcher captures nothing: the full launch state travels in
 /// LaunchArgs, so the registry entries are valid for the process
 /// lifetime. The CoefT = real instantiation registered at kFp64 is the
-/// pre-precision catalog, bit for bit.
+/// pre-precision catalog, bit for bit. The scatter launchers serve both
+/// strategies: the body reads a.config.strategy for its commit step.
 template <typename Exec, typename CoefT>
 void register_kernels(KernelRegistry& reg, Precision precision) {
   constexpr BackendKind kind = Exec::kKind;
@@ -42,38 +43,27 @@ void register_kernels(KernelRegistry& reg, Precision precision) {
     aprod2_astro<Exec, CoefT>(*a.view, a.in, a.out, a.config);
   }, kSeed, precision);
   reg.add(KernelId::kAprod2Att, kind, [](const LaunchArgs& a) {
-    aprod2_att<Exec, CoefT>(*a.view, a.in, a.out, a.config, a.atomic_mode);
+    aprod2_att<Exec, CoefT>(*a.view, a.in, a.out, a.config, a.atomic_mode,
+                            a.arena);
   }, kSeed, precision);
   reg.add(KernelId::kAprod2Instr, kind, [](const LaunchArgs& a) {
-    aprod2_instr<Exec, CoefT>(*a.view, a.in, a.out, a.config, a.atomic_mode);
+    aprod2_instr<Exec, CoefT>(*a.view, a.in, a.out, a.config, a.atomic_mode,
+                              a.arena);
   }, kSeed, precision);
   reg.add(KernelId::kAprod2Glob, kind, [](const LaunchArgs& a) {
-    aprod2_glob<Exec, CoefT>(*a.view, a.in, a.out, a.config, a.atomic_mode);
+    aprod2_glob<Exec, CoefT>(*a.view, a.in, a.out, a.config, a.atomic_mode,
+                             a.arena);
   }, kSeed, precision);
   reg.add_fused(kind, [](const LaunchArgs& a) {
     aprod2_shared_fused<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                     a.atomic_mode);
-  }, kSeed, precision);
-  // Second strategy for the atomic scatters: contention-free privatized
-  // accumulation + deterministic tree reduction, pooled scratch.
-  reg.add_privatized(KernelId::kAprod2Att, kind, [](const LaunchArgs& a) {
-    aprod2_att_privatized<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                       a.arena);
-  }, kSeed, precision);
-  reg.add_privatized(KernelId::kAprod2Instr, kind, [](const LaunchArgs& a) {
-    aprod2_instr_privatized<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                         a.arena);
-  }, kSeed, precision);
-  reg.add_privatized(KernelId::kAprod2Glob, kind, [](const LaunchArgs& a) {
-    aprod2_glob_privatized<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                        a.arena);
+                                     a.atomic_mode, a.arena);
   }, kSeed, precision);
 }
 
 /// The SoA-tiled bodies, registered for `layout` — both derived layouts
 /// use them for the regular blocks (the sliced build always carries the
 /// SoA streams), so kSlicedInstr registers this set and then overrides
-/// the three instrumental slots with the slice-major bodies.
+/// the two instrumental slots with the slice-major bodies.
 template <typename Exec, typename CoefT>
 void register_soa_bodies(KernelRegistry& reg, StorageLayout layout,
                          Precision precision) {
@@ -95,31 +85,19 @@ void register_soa_bodies(KernelRegistry& reg, StorageLayout layout,
   }, layout, precision);
   reg.add(KernelId::kAprod2Att, kind, [](const LaunchArgs& a) {
     aprod2_att_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                a.atomic_mode);
+                                a.atomic_mode, a.arena);
   }, layout, precision);
   reg.add(KernelId::kAprod2Instr, kind, [](const LaunchArgs& a) {
     aprod2_instr_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                  a.atomic_mode);
+                                  a.atomic_mode, a.arena);
   }, layout, precision);
   reg.add(KernelId::kAprod2Glob, kind, [](const LaunchArgs& a) {
     aprod2_glob_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                 a.atomic_mode);
+                                 a.atomic_mode, a.arena);
   }, layout, precision);
   reg.add_fused(kind, [](const LaunchArgs& a) {
     aprod2_shared_fused_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                         a.atomic_mode);
-  }, layout, precision);
-  reg.add_privatized(KernelId::kAprod2Att, kind, [](const LaunchArgs& a) {
-    aprod2_att_privatized_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                           a.arena);
-  }, layout, precision);
-  reg.add_privatized(KernelId::kAprod2Instr, kind, [](const LaunchArgs& a) {
-    aprod2_instr_privatized_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                             a.arena);
-  }, layout, precision);
-  reg.add_privatized(KernelId::kAprod2Glob, kind, [](const LaunchArgs& a) {
-    aprod2_glob_privatized_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                            a.arena);
+                                         a.atomic_mode, a.arena);
   }, layout, precision);
 }
 
@@ -136,11 +114,7 @@ void register_layout_kernels(KernelRegistry& reg, Precision precision) {
   }, kSliced, precision);
   reg.add(KernelId::kAprod2Instr, kind, [](const LaunchArgs& a) {
     aprod2_instr_sliced<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                     a.atomic_mode);
-  }, kSliced, precision);
-  reg.add_privatized(KernelId::kAprod2Instr, kind, [](const LaunchArgs& a) {
-    aprod2_instr_privatized_sliced<Exec, CoefT>(*a.view, a.in, a.out,
-                                                a.config, a.arena);
+                                     a.atomic_mode, a.arena);
   }, kSliced, precision);
 }
 
@@ -298,11 +272,11 @@ std::uint64_t kernel_flops(const SystemView& v, KernelId id) {
 }
 
 std::uint64_t kernel_atomic_updates(const SystemView& v, KernelId id,
-                                    backends::ScatterStrategy strategy) {
-  if (!backends::kernel_uses_atomics(id)) return 0;
+                                    backends::ScatterStrategy strategy,
+                                    int workers) {
   if (strategy != backends::ScatterStrategy::kAtomic) return 0;
-  return static_cast<std::uint64_t>(v.n_rows) *
-         static_cast<std::uint64_t>(nnz_per_row(id));
+  return static_cast<std::uint64_t>(workers) *
+         static_cast<std::uint64_t>(scatter_section(v, id).len);
 }
 
 }  // namespace gaia::core

@@ -61,12 +61,13 @@ void ensure_kernel_catalog();
 [[nodiscard]] std::uint64_t kernel_flops(const SystemView& view,
                                          backends::KernelId id);
 
-/// Atomic read-modify-write updates a launch issues: rows * nnz for the
-/// aprod2 scatter kernels when running the atomic strategy, zero for
-/// gather kernels and for the privatized strategy (which replaces the
-/// atomics with private accumulators + a deterministic reduction).
+/// Atomic read-modify-write updates a launch issues: each of the
+/// `workers` private slices commits its whole column section, so W x
+/// section length for the aprod2 scatter kernels under the atomic
+/// strategy; zero for gather kernels, for aprod2_astro and for the
+/// privatized strategy (which commits through a deterministic fold).
 [[nodiscard]] std::uint64_t kernel_atomic_updates(
     const SystemView& view, backends::KernelId id,
-    backends::ScatterStrategy strategy);
+    backends::ScatterStrategy strategy, int workers);
 
 }  // namespace gaia::core

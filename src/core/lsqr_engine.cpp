@@ -51,9 +51,9 @@ void read_vec(std::istream& is, std::span<real> v) {
 
 struct LsqrEngine::Impl {
   LsqrOptions options;
-  const matrix::SystemMatrix* A_orig = nullptr;
-  matrix::SystemMatrix scaled;       // used when preconditioning
-  const matrix::SystemMatrix* A = nullptr;
+  /// Column norms when preconditioning (empty otherwise). The scaling
+  /// is applied to the Aprod's device-resident coefficient copy only —
+  /// no second host copy of the system lives through the solve.
   std::vector<real> col_scale;
   std::size_t m = 0, n = 0;
 
@@ -95,25 +95,17 @@ struct LsqrEngine::Impl {
   Impl(const matrix::SystemMatrix& A_in, std::span<const real> b,
        const LsqrOptions& opts)
       : options(opts),
-        A_orig(&A_in),
         device(opts.device_capacity,
                backends::to_string(opts.aprod.backend) + "-device") {
     GAIA_CHECK(static_cast<row_index>(b.size()) == A_in.n_rows(),
                "rhs size mismatch");
     GAIA_CHECK(options.max_iterations > 0,
                "need a positive iteration limit");
-    if (options.precondition) {
-      col_scale = column_norms(A_in);
-      scaled = A_in;
-      apply_column_scaling(scaled, col_scale);
-      A = &scaled;
-    } else {
-      A = &A_in;
-    }
-    m = static_cast<std::size_t>(A->n_rows());
-    n = static_cast<std::size_t>(A->n_cols());
+    if (options.precondition) col_scale = column_norms(A_in);
+    m = static_cast<std::size_t>(A_in.n_rows());
+    n = static_cast<std::size_t>(A_in.n_cols());
 
-    aprod = std::make_unique<Aprod>(*A, device, options.aprod);
+    aprod = std::make_unique<Aprod>(A_in, device, options.aprod, col_scale);
     d_u = backends::DeviceBuffer<real>(device, b);
     d_v = backends::DeviceBuffer<real>(device, n);
     d_w = backends::DeviceBuffer<real>(device, n);
@@ -176,8 +168,8 @@ struct LsqrEngine::Impl {
       h ^= v;
       h *= 0x100000001b3ull;
     };
-    mix(static_cast<std::uint64_t>(A->n_rows()));
-    mix(static_cast<std::uint64_t>(A->n_cols()));
+    mix(static_cast<std::uint64_t>(m));
+    mix(static_cast<std::uint64_t>(n));
     // max_iterations is deliberately NOT part of the fingerprint: the
   // iteration budget does not change the trajectory, so a resumed run
   // may extend it (rerun with a larger --iterations). Launch-shape
@@ -187,10 +179,11 @@ struct LsqrEngine::Impl {
     mix(static_cast<std::uint64_t>(options.precondition));
     mix(static_cast<std::uint64_t>(options.compute_std_errors));
     mix(std::bit_cast<std::uint64_t>(options.damp));
+    // First and last coefficient of the (scaled) device-resident copy.
+    const real* values = aprod->view().values;
+    mix(std::bit_cast<std::uint64_t>(static_cast<double>(values[0])));
     mix(std::bit_cast<std::uint64_t>(
-        static_cast<double>(A->values()[0])));
-    mix(std::bit_cast<std::uint64_t>(static_cast<double>(
-        A->values()[A->values().size() - 1])));
+        static_cast<double>(values[m * kNnzPerRow - 1])));
     return h;
   }
 

@@ -11,17 +11,17 @@ using matrix::kInstrCoeffOffset;
 
 namespace {
 
-/// Visits every (column, coefficient reference) pair of a row.
-template <typename F>
-void for_each_entry(matrix::SystemMatrix& A, F&& f) {
+/// Visits every (column, coefficient reference) pair of A, reading the
+/// coefficients from `vals` (A's own array or a copy shaped like it).
+template <typename V, typename F>
+void for_each_entry(const matrix::SystemMatrix& A, std::span<V> vals, F&& f) {
   const matrix::ParameterLayout& lay = A.layout();
-  auto vals = A.values();
   const auto ia = A.matrix_index_astro();
   const auto it = A.matrix_index_att();
   const auto ic = A.instr_col();
   for (row_index r = 0; r < A.n_rows(); ++r) {
     const auto ri = static_cast<std::size_t>(r);
-    real* rv = vals.data() + ri * kNnzPerRow;
+    V* rv = vals.data() + ri * kNnzPerRow;
     for (int i = 0; i < kAstroNnzPerRow; ++i)
       f(ia[ri] + i, rv[kAstroCoeffOffset + i]);
     for (int blk = 0; blk < kAttBlocks; ++blk)
@@ -39,10 +39,7 @@ void for_each_entry(matrix::SystemMatrix& A, F&& f) {
 
 std::vector<real> column_norms(const matrix::SystemMatrix& A) {
   std::vector<real> norms(static_cast<std::size_t>(A.n_cols()), real{0});
-  // const_cast is safe: the visitor only reads when f takes by value; we
-  // keep one mutable visitor to avoid duplicating the traversal.
-  auto& mutable_A = const_cast<matrix::SystemMatrix&>(A);
-  for_each_entry(mutable_A, [&](col_index c, real& v) {
+  for_each_entry(A, A.values(), [&](col_index c, real v) {
     norms[static_cast<std::size_t>(c)] += v * v;
   });
   for (auto& n : norms) n = n > real{0} ? std::sqrt(n) : real{1};
@@ -51,9 +48,17 @@ std::vector<real> column_norms(const matrix::SystemMatrix& A) {
 
 void apply_column_scaling(matrix::SystemMatrix& A,
                           std::span<const real> norms) {
+  apply_column_scaling(A, A.values(), norms);
+}
+
+void apply_column_scaling(const matrix::SystemMatrix& A,
+                          std::span<real> values,
+                          std::span<const real> norms) {
   GAIA_CHECK(static_cast<col_index>(norms.size()) == A.n_cols(),
              "column-norm vector size mismatch");
-  for_each_entry(A, [&](col_index c, real& v) {
+  GAIA_CHECK(values.size() == A.values().size(),
+             "coefficient array size mismatch");
+  for_each_entry(A, values, [&](col_index c, real& v) {
     v /= norms[static_cast<std::size_t>(c)];
   });
 }

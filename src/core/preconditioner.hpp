@@ -25,6 +25,13 @@ std::vector<real> column_norms(const matrix::SystemMatrix& A);
 void apply_column_scaling(matrix::SystemMatrix& A,
                           std::span<const real> norms);
 
+/// The same scaling applied to `values`, a copy of A's coefficient array
+/// (e.g. the device-resident one): identical per-entry divisions, so the
+/// result is bit-identical to scaling a copy of the whole matrix.
+void apply_column_scaling(const matrix::SystemMatrix& A,
+                          std::span<real> values,
+                          std::span<const real> norms);
+
 /// Maps the scaled-space solution back: x = D z (divides elementwise by
 /// the norms). Also correct for the per-unknown standard errors.
 void unscale_solution(std::span<real> x, std::span<const real> norms);

@@ -206,6 +206,11 @@ void World::run(const std::function<void(Comm&)>& body) {
       Comm comm(this, r, size_);
       try {
         body(comm);
+        // A body may return normally after catching WorldPoisoned (the
+        // metrics aggregation does); leaving the barrier here keeps a
+        // survivor that is still inside arrive_and_wait from waiting
+        // forever for this rank.
+        barrier_->arrive_and_drop();
       } catch (const WorldPoisoned&) {
         // Collateral unwind of a survivor — the real error is already
         // recorded. Leave the barrier so remaining waiters progress.

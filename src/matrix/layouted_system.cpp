@@ -44,7 +44,7 @@ void LayoutedSystem::build_soa() {
   soa_.instr.assign(static_cast<std::size_t>(padded) * kInstrNnzPerRow, 0);
   soa_.glob.assign(static_cast<std::size_t>(padded), 0);
 
-  const real* values = A.values().data();
+  const real* values = values_.data();
   for (row_index t = 0; t < n_tiles; ++t) {
     const row_index row0 = t * kSoaTileRows;
     const row_index rows = std::min<row_index>(kSoaTileRows, n - row0);
@@ -73,7 +73,7 @@ void LayoutedSystem::build_sliced() {
   const SystemMatrix& A = *A_;
   const row_index n = A.n_rows();
   const std::int32_t* cols = A.instr_col().data();
-  const real* values = A.values().data();
+  const real* values = values_.data();
 
   // Slice count: every sigma window pads independently, so the row ->
   // slot permutation of one window never depends on the others.
@@ -152,7 +152,7 @@ void convert_plane(const Src& src, std::vector<T>& dst) {
 
 template <typename T>
 void LayoutedSystem::convert_into(PrecisionStore<T>& store) {
-  convert_plane(A_->values(), store.values);
+  convert_plane(values_, store.values);
   if (soa_.built()) {
     convert_plane(soa_.astro, store.soa_astro);
     convert_plane(soa_.att, store.soa_att);

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "matrix/precision.hpp"
@@ -105,10 +106,15 @@ struct PrecisionStore {
 
 /// Owner of the derived layouts of one system. Holds a reference to the
 /// source matrix; the matrix must outlive it and must not be resized
-/// while layouts are attached to views.
+/// while layouts are attached to views. The coefficients are read from
+/// `values` when given — a copy shaped like `A.values()`, such as a
+/// column-scaled device copy, which must outlive the builds — and from
+/// the matrix otherwise; indices and structure always come from `A`.
 class LayoutedSystem {
  public:
-  explicit LayoutedSystem(const SystemMatrix& A) : A_(&A) {}
+  explicit LayoutedSystem(const SystemMatrix& A,
+                          std::span<const real> values = {})
+      : A_(&A), values_(values.empty() ? A.values() : values) {}
 
   /// Builds the derived arrays a layout needs (idempotent; `kSeedAos`
   /// is a no-op). `kSlicedInstr` implies the SoA streams too: it uses
@@ -159,6 +165,7 @@ class LayoutedSystem {
                                StorageLayout layout) const;
 
   const SystemMatrix* A_;
+  std::span<const real> values_;
   SoaStreams soa_{};
   SlicedInstr sliced_{};
   PrecisionStore<float> f32_{};

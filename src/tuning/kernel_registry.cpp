@@ -32,6 +32,29 @@ Precision effective_precision(const LaunchArgs& args, StorageLayout layout) {
     return Precision::kFp64;
   return p;
 }
+
+/// Picks the launcher slot a launch runs and writes the effective
+/// layout/precision into `run`. `slot(layout, precision)` returns the
+/// table entry of that plane.
+template <typename Slot>
+const KernelLauncher* resolve(const LaunchArgs& args, LaunchArgs& run,
+                              Slot&& slot) {
+  const StorageLayout layout = effective_layout(args);
+  Precision precision = effective_precision(args, layout);
+  run = args;
+  run.config.layout = layout;
+  // Empty precision slot clamps to the fp64 plane of the same layout;
+  // an empty derived-layout slot then falls back to the seed layout.
+  const KernelLauncher* fn = &slot(layout, precision);
+  if (!*fn && precision != Precision::kFp64) {
+    precision = Precision::kFp64;
+    fn = &slot(layout, precision);
+  }
+  if (!*fn && layout != StorageLayout::kSeedAos)
+    fn = &slot(StorageLayout::kSeedAos, precision);
+  run.config.precision = precision;
+  return *fn ? fn : nullptr;
+}
 }  // namespace
 
 void KernelRegistry::add(backends::KernelId id,
@@ -49,19 +72,6 @@ void KernelRegistry::add_fused(backends::BackendKind backend,
   fused_[fused_index(backend, layout, precision)] = std::move(launcher);
 }
 
-void KernelRegistry::add_privatized(backends::KernelId id,
-                                    backends::BackendKind backend,
-                                    KernelLauncher launcher,
-                                    StorageLayout layout,
-                                    Precision precision) {
-  GAIA_CHECK(launcher != nullptr,
-             "KernelRegistry::add_privatized: null launcher");
-  GAIA_CHECK(backends::kernel_uses_atomics(id),
-             "KernelRegistry::add_privatized: " + backends::to_string(id) +
-                 " has no atomic scatter to privatize");
-  privatized_[index(id, backend, layout, precision)] = std::move(launcher);
-}
-
 bool KernelRegistry::has(backends::KernelId id,
                          backends::BackendKind backend, StorageLayout layout,
                          Precision precision) const {
@@ -74,75 +84,32 @@ bool KernelRegistry::has_fused(backends::BackendKind backend,
   return fused_[fused_index(backend, layout, precision)] != nullptr;
 }
 
-bool KernelRegistry::has_privatized(backends::KernelId id,
-                                    backends::BackendKind backend,
-                                    StorageLayout layout,
-                                    Precision precision) const {
-  return privatized_[index(id, backend, layout, precision)] != nullptr;
-}
-
 void KernelRegistry::launch(backends::KernelId id,
                             backends::BackendKind backend,
                             const LaunchArgs& args) const {
-  const StorageLayout layout = effective_layout(args);
-  Precision precision = effective_precision(args, layout);
-  LaunchArgs run = args;
-  run.config.layout = layout;
-  if (args.config.strategy == backends::ScatterStrategy::kPrivatized &&
-      backends::kernel_uses_atomics(id)) {
-    const KernelLauncher* pfn =
-        &privatized_[index(id, backend, layout, precision)];
-    // Empty precision slot clamps to the fp64 plane of the same layout;
-    // an empty derived-layout slot then falls back to the seed layout.
-    if (!*pfn && precision != Precision::kFp64) {
-      precision = Precision::kFp64;
-      pfn = &privatized_[index(id, backend, layout, precision)];
-    }
-    if (!*pfn && layout != StorageLayout::kSeedAos)
-      pfn = &privatized_[index(id, backend, StorageLayout::kSeedAos,
-                               precision)];
-    if (!*pfn)
-      throw Error(
-          "KernelRegistry: no privatized launcher registered for kernel " +
-          backends::to_string(id) + " on backend " +
-          backends::to_string(backend));
-    run.config.precision = precision;
-    (*pfn)(run);
-    return;
-  }
-  const KernelLauncher* fn = &table_[index(id, backend, layout, precision)];
-  if (!*fn && precision != Precision::kFp64) {
-    precision = Precision::kFp64;
-    fn = &table_[index(id, backend, layout, precision)];
-  }
-  if (!*fn && layout != StorageLayout::kSeedAos)
-    fn = &table_[index(id, backend, StorageLayout::kSeedAos, precision)];
-  if (!*fn)
+  LaunchArgs run;
+  const KernelLauncher* fn =
+      resolve(args, run, [&](StorageLayout l, Precision p) -> const auto& {
+        return table_[index(id, backend, l, p)];
+      });
+  if (!fn)
     throw Error("KernelRegistry: no launcher registered for kernel " +
                 backends::to_string(id) + " on backend " +
                 backends::to_string(backend));
-  run.config.precision = precision;
   (*fn)(run);
 }
 
 void KernelRegistry::launch_fused(backends::BackendKind backend,
                                   const LaunchArgs& args) const {
-  const StorageLayout layout = effective_layout(args);
-  Precision precision = effective_precision(args, layout);
-  LaunchArgs run = args;
-  run.config.layout = layout;
-  const KernelLauncher* fn = &fused_[fused_index(backend, layout, precision)];
-  if (!*fn && precision != Precision::kFp64) {
-    precision = Precision::kFp64;
-    fn = &fused_[fused_index(backend, layout, precision)];
-  }
-  if (!*fn && layout != StorageLayout::kSeedAos)
-    fn = &fused_[fused_index(backend, StorageLayout::kSeedAos, precision)];
-  if (!*fn)
+  LaunchArgs run;
+  const KernelLauncher* fn =
+      resolve(args, run, [&](StorageLayout l, Precision p) -> const auto& {
+        return fused_[fused_index(backend, l, p)];
+      });
+  if (!fn)
     throw Error("KernelRegistry: no fused aprod2 launcher registered for "
                 "backend " +
                 backends::to_string(backend));
-  run.config.precision = precision;
   (*fn)(run);
 }
 

@@ -48,10 +48,10 @@ namespace gaia::tuning {
 /// Flat argument pack of one kernel launch. `in`/`out` follow the data
 /// flow: for aprod1 kernels in = x (n_cols), out = y (n_rows); for
 /// aprod2 kernels in = y, out = x. atomic_mode is ignored by the
-/// atomic-free kernels. `arena` is the scratch pool the privatized
-/// scatter strategy draws from (null = the backend's process-wide
-/// arena); config.strategy selects which launcher variant runs and
-/// config.layout which storage layout's body.
+/// atomic-free kernels. `arena` is the scratch pool the aprod2 scatters
+/// draw their per-worker slices from (null = the backend's process-wide
+/// arena); config.strategy selects the scatters' commit step and
+/// config.layout which storage layout's body runs.
 struct LaunchArgs {
   const core::SystemView* view = nullptr;
   const real* in = nullptr;
@@ -80,14 +80,6 @@ class KernelRegistry {
       backends::BackendKind backend, KernelLauncher launcher,
       backends::StorageLayout layout = backends::StorageLayout::kSeedAos,
       backends::Precision precision = backends::Precision::kFp64);
-  /// Registers the contention-free variant of an atomic scatter kernel;
-  /// `launch()` routes to it when args.config.strategy says so.
-  void add_privatized(
-      backends::KernelId id, backends::BackendKind backend,
-      KernelLauncher launcher,
-      backends::StorageLayout layout = backends::StorageLayout::kSeedAos,
-      backends::Precision precision = backends::Precision::kFp64);
-
   [[nodiscard]] bool has(
       backends::KernelId id, backends::BackendKind backend,
       backends::StorageLayout layout = backends::StorageLayout::kSeedAos,
@@ -96,26 +88,21 @@ class KernelRegistry {
       backends::BackendKind backend,
       backends::StorageLayout layout = backends::StorageLayout::kSeedAos,
       backends::Precision precision = backends::Precision::kFp64) const;
-  [[nodiscard]] bool has_privatized(
-      backends::KernelId id, backends::BackendKind backend,
-      backends::StorageLayout layout = backends::StorageLayout::kSeedAos,
-      backends::Precision precision = backends::Precision::kFp64) const;
 
   /// Dispatches through the registered launcher; throws gaia::Error
   /// naming the (kernel, backend) pair when nothing is registered —
-  /// a registration bug, not a user error. An atomic scatter kernel
-  /// whose args carry ScatterStrategy::kPrivatized dispatches through
-  /// the privatized variant instead; every other kernel ignores the
-  /// strategy (there is nothing to privatize in a gather). The layout
-  /// axis picks the body; an unregistered layout slot falls back to
-  /// the seed-layout launcher of the same (kernel, backend, variant).
+  /// a registration bug, not a user error. The scatter strategy is not a
+  /// dispatch axis: one body serves both, reading args.config.strategy
+  /// for its commit step. The layout axis picks the body; an
+  /// unregistered layout slot falls back to the seed-layout launcher of
+  /// the same (kernel, backend).
   void launch(backends::KernelId id, backends::BackendKind backend,
               const LaunchArgs& args) const;
   void launch_fused(backends::BackendKind backend,
                     const LaunchArgs& args) const;
 
   /// Registered (kernel, backend) entries in the seed-layout plane;
-  /// fused/privatized/derived-layout slots excluded.
+  /// fused/derived-layout slots excluded.
   [[nodiscard]] std::size_t size() const;
 
   /// Process-wide registry the solver dispatches through.
@@ -155,9 +142,6 @@ class KernelRegistry {
   std::array<KernelLauncher,
              static_cast<std::size_t>(backends::kNumBackends) * kLayoutPlanes>
       fused_{};
-  /// Sparse second strategy table: only the atomic scatter kernels have
-  /// privatized variants registered.
-  std::array<KernelLauncher, kPlane * kLayoutPlanes> privatized_{};
 };
 
 }  // namespace gaia::tuning

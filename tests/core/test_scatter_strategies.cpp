@@ -1,18 +1,27 @@
 /// \file test_scatter_strategies.cpp
-/// \brief Property suite for the privatized (contention-free) aprod2
-/// scatter strategy: equivalence with the atomic path and the serial
-/// reference on every backend, robustness across worker counts and
-/// degenerate shapes, bit-reproducibility at a fixed launch shape, and
-/// the scratch-arena reuse contract (allocator goes silent after the
-/// first iteration).
+/// \brief Property suite for the aprod2 scatter skeleton and its two
+/// commit steps: the atomic commit (each worker adds its private slice
+/// into x with atomics) and the privatized commit (fixed-order fold).
+/// Covers equivalence with the serial reference on every backend, layout
+/// and precision, the fused slot on both strategies, worker-count sweeps
+/// and degenerate shapes, bit-reproducibility of the fold, the adjoint
+/// identity through every registered launcher, the atomic-update
+/// accounting, and the scratch-arena reuse contract (allocator goes
+/// silent after the first iteration).
 #include <gtest/gtest.h>
+
+#include <array>
+#include <cmath>
 
 #include "backends/scratch_arena.hpp"
 #include "core/aprod.hpp"
 #include "core/aprod_kernels.hpp"
+#include "core/kernel_catalog.hpp"
 #include "matrix/generator.hpp"
 #include "obs/metrics.hpp"
+#include "obs/perf_counters.hpp"
 #include "test_helpers.hpp"
+#include "tuning/kernel_registry.hpp"
 #include "util/rng.hpp"
 
 namespace gaia::core {
@@ -20,48 +29,83 @@ namespace {
 
 using backends::BackendKind;
 using backends::KernelConfig;
+using backends::KernelId;
+using backends::Precision;
 using backends::ScatterStrategy;
+using backends::StorageLayout;
+
+constexpr std::array<KernelId, 3> kSharedScatters = {
+    KernelId::kAprod2Att, KernelId::kAprod2Instr, KernelId::kAprod2Glob};
+
+KernelConfig with_strategy(KernelConfig cfg, ScatterStrategy strategy) {
+  cfg.strategy = strategy;
+  return cfg;
+}
+
+std::vector<real> random_vector(std::size_t n, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<real> v(n);
+  for (auto& e : v) e = rng.normal();
+  return v;
+}
+
+/// The three shared-section scatters called directly.
+template <typename Exec>
+void run_scatters(const SystemView& view, const real* y, std::vector<real>& x,
+                  KernelConfig cfg, backends::ScratchArena* arena = nullptr) {
+  aprod2_att<Exec>(view, y, x.data(), cfg, backends::AtomicMode::kNativeRmw,
+                   arena);
+  aprod2_instr<Exec>(view, y, x.data(), cfg, backends::AtomicMode::kNativeRmw,
+                     arena);
+  aprod2_glob<Exec>(view, y, x.data(), cfg, backends::AtomicMode::kNativeRmw,
+                    arena);
+}
+
+/// The shared-section scatters through the registry at one (backend,
+/// config): the three kernels, or the fused slot.
+std::vector<real> registry_scatter(const SystemView& view,
+                                   const std::vector<real>& y,
+                                   BackendKind backend, KernelConfig cfg,
+                                   bool fused) {
+  const tuning::KernelRegistry& reg = tuning::KernelRegistry::global();
+  std::vector<real> x(static_cast<std::size_t>(view.n_cols), 0.0);
+  tuning::LaunchArgs args;
+  args.view = &view;
+  args.in = y.data();
+  args.out = x.data();
+  args.config = cfg;
+  if (fused) {
+    reg.launch_fused(backend, args);
+  } else {
+    for (KernelId id : kSharedScatters) reg.launch(id, backend, args);
+  }
+  return x;
+}
 
 /// Fixture: a system with enough rows per column that scatters actually
-/// collide, plus the serial atomic result as the reference.
+/// collide, plus the serial result as the reference.
 class ScatterStrategies : public ::testing::TestWithParam<BackendKind> {
  protected:
   void SetUp() override {
+    ensure_kernel_catalog();
     gen_ = matrix::generate_system(gaia::testing::medium_config(23));
     view_ = SystemView::from(gen_.A);
-    util::Xoshiro256 rng(47);
-    y_.resize(static_cast<std::size_t>(gen_.A.n_rows()));
-    for (auto& v : y_) v = rng.normal();
+    y_ = random_vector(static_cast<std::size_t>(gen_.A.n_rows()), 47);
     reference_.assign(static_cast<std::size_t>(gen_.A.n_cols()), 0.0);
-    run_atomic<backends::SerialExec>(view_, reference_, {});
+    run_scatters<backends::SerialExec>(view_, y_.data(), reference_, {});
   }
 
-  template <typename Exec>
-  void run_atomic(const SystemView& view, std::vector<real>& x,
-                  KernelConfig cfg) const {
-    aprod2_att<Exec>(view, y_.data(), x.data(), cfg,
-                     backends::AtomicMode::kNativeRmw);
-    aprod2_instr<Exec>(view, y_.data(), x.data(), cfg,
-                       backends::AtomicMode::kNativeRmw);
-    aprod2_glob<Exec>(view, y_.data(), x.data(), cfg,
-                      backends::AtomicMode::kNativeRmw);
-  }
-
-  template <typename Exec>
-  void run_privatized(const SystemView& view, std::vector<real>& x,
-                      KernelConfig cfg,
-                      backends::ScratchArena* arena = nullptr) const {
-    aprod2_att_privatized<Exec>(view, y_.data(), x.data(), cfg, arena);
-    aprod2_instr_privatized<Exec>(view, y_.data(), x.data(), cfg, arena);
-    aprod2_glob_privatized<Exec>(view, y_.data(), x.data(), cfg, arena);
+  std::vector<real> result(ScatterStrategy strategy, KernelConfig cfg) const {
+    std::vector<real> x(reference_.size(), 0.0);
+    backends::dispatch(GetParam(), [&](auto exec) {
+      run_scatters<decltype(exec)>(view_, y_.data(), x,
+                                   with_strategy(cfg, strategy));
+    });
+    return x;
   }
 
   std::vector<real> privatized_result(KernelConfig cfg) const {
-    std::vector<real> x(reference_.size(), 0.0);
-    backends::dispatch(GetParam(), [&](auto exec) {
-      run_privatized<decltype(exec)>(view_, x, cfg);
-    });
-    return x;
+    return result(ScatterStrategy::kPrivatized, cfg);
   }
 
   matrix::GeneratedSystem gen_;
@@ -77,27 +121,26 @@ TEST_P(ScatterStrategies, PrivatizedMatchesSerialAtomicReference) {
 
 TEST_P(ScatterStrategies, PrivatizedMatchesAtomicOnSameBackend) {
   const KernelConfig cfg{64, 32};
-  std::vector<real> atomic(reference_.size(), 0.0);
-  std::vector<real> priv(reference_.size(), 0.0);
-  backends::dispatch(GetParam(), [&](auto exec) {
-    using Exec = decltype(exec);
-    run_atomic<Exec>(view_, atomic, cfg);
-    run_privatized<Exec>(view_, priv, cfg);
-  });
+  const auto atomic = result(ScatterStrategy::kAtomic, cfg);
+  const auto priv = privatized_result(cfg);
   EXPECT_LT(gaia::testing::rel_l2_error(priv, atomic), 1e-12);
 }
 
 TEST_P(ScatterStrategies, WorkerCountSweepPreservesResults) {
   // scatter_workers is a pure function of the launch shape; every shape
   // (1 worker, odd counts, the kMaxScatterWorkers cap) must agree with
-  // the reference.
-  for (const KernelConfig cfg :
-       {KernelConfig{1, 1}, KernelConfig{2, 3}, KernelConfig{7, 5},
-        KernelConfig{64, 32}, KernelConfig{300, 64},
-        KernelConfig{1024, 256}}) {
-    const auto x = privatized_result(cfg);
-    EXPECT_LT(gaia::testing::rel_l2_error(x, reference_), 1e-12)
-        << "cfg " << cfg.blocks << "x" << cfg.threads;
+  // the reference under both commit steps.
+  for (const ScatterStrategy strategy :
+       {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
+    for (const KernelConfig cfg :
+         {KernelConfig{1, 1}, KernelConfig{2, 3}, KernelConfig{7, 5},
+          KernelConfig{64, 32}, KernelConfig{300, 64},
+          KernelConfig{1024, 256}}) {
+      const auto x = result(strategy, cfg);
+      EXPECT_LT(gaia::testing::rel_l2_error(x, reference_), 1e-12)
+          << backends::to_string(strategy) << " cfg " << cfg.blocks << "x"
+          << cfg.threads;
+    }
   }
 }
 
@@ -115,30 +158,34 @@ TEST_P(ScatterStrategies, BitIdenticalAcrossRepeatedRuns) {
 }
 
 TEST_P(ScatterStrategies, DegenerateSingleStarSystem) {
+  // A dozen rows: wide shapes give more workers than rows on the
+  // backends that honour the launch shape, so most workers accumulate
+  // an empty chunk and commit a zero slice.
   auto cfg = gaia::testing::small_config(29);
   cfg.n_stars = 1;
   const auto gen = matrix::generate_system(cfg);
   const SystemView view = SystemView::from(gen.A);
-  util::Xoshiro256 rng(5);
-  std::vector<real> y(static_cast<std::size_t>(gen.A.n_rows()));
-  for (auto& v : y) v = rng.normal();
+  const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 5);
 
   std::vector<real> ref(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
-  aprod2_att<backends::SerialExec>(view, y.data(), ref.data(), {},
-                                   backends::AtomicMode::kNativeRmw);
-  aprod2_instr<backends::SerialExec>(view, y.data(), ref.data(), {},
-                                     backends::AtomicMode::kNativeRmw);
-  aprod2_glob<backends::SerialExec>(view, y.data(), ref.data(), {},
-                                    backends::AtomicMode::kNativeRmw);
+  run_scatters<backends::SerialExec>(view, y.data(), ref, {});
 
-  std::vector<real> x(ref.size(), 0.0);
-  backends::dispatch(GetParam(), [&](auto exec) {
-    using Exec = decltype(exec);
-    aprod2_att_privatized<Exec>(view, y.data(), x.data(), {128, 64});
-    aprod2_instr_privatized<Exec>(view, y.data(), x.data(), {128, 64});
-    aprod2_glob_privatized<Exec>(view, y.data(), x.data(), {128, 64});
-  });
-  EXPECT_LT(gaia::testing::rel_l2_error(x, ref), 1e-12);
+  const KernelConfig wide{300, 64};
+  if (GetParam() == BackendKind::kGpuSim) {
+    ASSERT_GT(backends::scatter_workers(GetParam(), wide), gen.A.n_rows());
+  }
+  for (const ScatterStrategy strategy :
+       {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
+    for (const KernelConfig shape : {KernelConfig{128, 64}, wide}) {
+      std::vector<real> x(ref.size(), 0.0);
+      backends::dispatch(GetParam(), [&](auto exec) {
+        run_scatters<decltype(exec)>(view, y.data(), x,
+                                     with_strategy(shape, strategy));
+      });
+      EXPECT_LT(gaia::testing::rel_l2_error(x, ref), 1e-12)
+          << backends::to_string(strategy) << " " << shape.blocks;
+    }
+  }
 }
 
 TEST_P(ScatterStrategies, NoGlobalSectionIsANoop) {
@@ -146,12 +193,141 @@ TEST_P(ScatterStrategies, NoGlobalSectionIsANoop) {
   cfg.has_global = false;
   const auto gen = matrix::generate_system(cfg);
   const SystemView view = SystemView::from(gen.A);
+  EXPECT_EQ(scatter_section(view, KernelId::kAprod2Glob).len, 0);
   std::vector<real> ones(static_cast<std::size_t>(gen.A.n_rows()), 1.0);
-  std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
-  backends::dispatch(GetParam(), [&](auto exec) {
-    aprod2_glob_privatized<decltype(exec)>(view, ones.data(), x.data(), {});
-  });
-  for (real v : x) ASSERT_EQ(v, 0.0);
+  for (const ScatterStrategy strategy :
+       {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
+    std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
+    backends::dispatch(GetParam(), [&](auto exec) {
+      aprod2_glob<decltype(exec)>(view, ones.data(), x.data(),
+                                  with_strategy({}, strategy));
+    });
+    for (real v : x) ASSERT_EQ(v, 0.0);
+  }
+}
+
+TEST_P(ScatterStrategies, FusedSlotWithoutGlobalSectionMatchesSeparate) {
+  auto cfg = gaia::testing::small_config(37);
+  cfg.has_global = false;
+  const auto gen = matrix::generate_system(cfg);
+  const SystemView view = SystemView::from(gen.A);
+  const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 3);
+  const auto ref = registry_scatter(view, y, BackendKind::kSerial, {}, false);
+  for (const ScatterStrategy strategy :
+       {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
+    const auto fused = registry_scatter(
+        view, y, GetParam(), with_strategy({16, 32}, strategy), true);
+    EXPECT_LT(gaia::testing::rel_l2_error(fused, ref), 1e-12)
+        << backends::to_string(strategy);
+  }
+}
+
+/// A view of the fixture system with every derived layout and reduced
+/// precision built and attached.
+struct AttachedSystem {
+  explicit AttachedSystem(const matrix::SystemMatrix& A)
+      : layouts(A), view(SystemView::from(A)) {
+    layouts.build(StorageLayout::kSlicedInstr);  // implies SoA
+    layouts.build_precision(Precision::kFp32);
+    layouts.build_precision(Precision::kBf16s);
+    view.attach_layout(layouts);
+    view.attach_precision(layouts);
+  }
+  matrix::LayoutedSystem layouts;
+  SystemView view;
+};
+
+constexpr std::array<StorageLayout, 3> kLayouts = {
+    StorageLayout::kSeedAos, StorageLayout::kSoaTiled,
+    StorageLayout::kSlicedInstr};
+constexpr std::array<Precision, 3> kPrecisions = {
+    Precision::kFp64, Precision::kFp32, Precision::kBf16s};
+
+TEST_P(ScatterStrategies, AtomicCommitMatchesSeedOnAllLayoutsAndPrecisions) {
+  // Reference per precision: the serial backend on the seed layout at
+  // the same storage precision (accumulation is FP64 everywhere, and
+  // every layout rounds the same coefficients). The atomic scatters and
+  // the fused slot on both strategies must all agree with it; the fused
+  // privatized result equals the separate privatized kernels bit for
+  // bit, since each column sees the same adds in the same order.
+  const AttachedSystem sys(gen_.A);
+  for (const Precision precision : kPrecisions) {
+    KernelConfig seed_cfg;
+    seed_cfg.precision = precision;
+    const auto ref =
+        registry_scatter(sys.view, y_, BackendKind::kSerial, seed_cfg, false);
+    for (const StorageLayout layout : kLayouts) {
+      KernelConfig cfg{16, 32};
+      cfg.layout = layout;
+      cfg.precision = precision;
+      const std::string label = std::string(backends::to_string(layout)) +
+                                "/" + backends::to_string(precision);
+      const auto atomic = registry_scatter(
+          sys.view, y_, GetParam(),
+          with_strategy(cfg, ScatterStrategy::kAtomic), false);
+      EXPECT_LT(gaia::testing::rel_l2_error(atomic, ref), 1e-12) << label;
+      for (const ScatterStrategy strategy :
+           {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
+        const auto fused = registry_scatter(
+            sys.view, y_, GetParam(), with_strategy(cfg, strategy), true);
+        EXPECT_LT(gaia::testing::rel_l2_error(fused, ref), 1e-12)
+            << label << " fused " << backends::to_string(strategy);
+      }
+      const auto priv = with_strategy(cfg, ScatterStrategy::kPrivatized);
+      const auto separate =
+          registry_scatter(sys.view, y_, GetParam(), priv, false);
+      const auto fused = registry_scatter(sys.view, y_, GetParam(), priv, true);
+      for (std::size_t i = 0; i < fused.size(); ++i)
+        ASSERT_EQ(fused[i], separate[i]) << label << " at " << i;
+    }
+  }
+}
+
+TEST_P(ScatterStrategies, AdjointIdentityThroughEveryRegisteredScatter) {
+  // <A x, y> = <x, A^T y> through the registry, for every (layout,
+  // precision) slot of this backend, with the three atomic scatters and
+  // with the fused slot. No dense expansion: the gap is judged against
+  // the summed magnitude of the products.
+  const AttachedSystem sys(gen_.A);
+  const tuning::KernelRegistry& reg = tuning::KernelRegistry::global();
+  const auto x = random_vector(reference_.size(), 61);
+  for (const StorageLayout layout : kLayouts) {
+    for (const Precision precision : kPrecisions) {
+      KernelConfig cfg{16, 32};
+      cfg.layout = layout;
+      cfg.precision = precision;
+      tuning::LaunchArgs args;
+      args.view = &sys.view;
+      args.config = cfg;
+      std::vector<real> Ax(y_.size(), 0.0);
+      args.in = x.data();
+      args.out = Ax.data();
+      for (KernelId id : {KernelId::kAprod1Astro, KernelId::kAprod1Att,
+                          KernelId::kAprod1Instr, KernelId::kAprod1Glob})
+        reg.launch(id, GetParam(), args);
+      real lhs = 0, scale = 0;
+      for (std::size_t i = 0; i < Ax.size(); ++i) {
+        lhs += Ax[i] * y_[i];
+        scale += std::abs(Ax[i] * y_[i]);
+      }
+      for (const bool fused : {false, true}) {
+        std::vector<real> Aty(x.size(), 0.0);
+        args.in = y_.data();
+        args.out = Aty.data();
+        reg.launch(KernelId::kAprod2Astro, GetParam(), args);
+        if (fused) {
+          reg.launch_fused(GetParam(), args);
+        } else {
+          for (KernelId id : kSharedScatters) reg.launch(id, GetParam(), args);
+        }
+        real rhs = 0;
+        for (std::size_t i = 0; i < Aty.size(); ++i) rhs += Aty[i] * x[i];
+        EXPECT_LT(std::abs(lhs - rhs), 1e-12 * scale)
+            << backends::to_string(layout) << "/"
+            << backends::to_string(precision) << (fused ? " fused" : "");
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, ScatterStrategies,
@@ -160,13 +336,39 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ScatterStrategies,
                            return backends::to_string(info.param);
                          });
 
+TEST(ScatterStrategyCommit, SerialAtomicBitIdenticalToPrivatized) {
+  // One worker: the atomic commit adds the single slice into x, the
+  // privatized fold has nothing to combine — the same adds in the same
+  // order, for the separate kernels and the fused slot alike.
+  ensure_kernel_catalog();
+  const auto gen = matrix::generate_system(gaia::testing::medium_config(71));
+  const AttachedSystem sys(gen.A);
+  const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 73);
+  for (const StorageLayout layout : kLayouts) {
+    for (const bool fused : {false, true}) {
+      KernelConfig cfg;
+      cfg.layout = layout;
+      const auto atomic = registry_scatter(
+          sys.view, y, BackendKind::kSerial,
+          with_strategy(cfg, ScatterStrategy::kAtomic), fused);
+      const auto priv = registry_scatter(
+          sys.view, y, BackendKind::kSerial,
+          with_strategy(cfg, ScatterStrategy::kPrivatized), fused);
+      for (std::size_t i = 0; i < atomic.size(); ++i)
+        ASSERT_EQ(atomic[i], priv[i])
+            << backends::to_string(layout) << (fused ? " fused" : "")
+            << " at " << i;
+    }
+  }
+}
+
 /// Installs `strategy` on the three atomic kernels of a tuned table,
 /// and optionally `layout` on every kernel.
 backends::TuningTable strategy_table(
     ScatterStrategy strategy,
-    backends::StorageLayout layout = backends::StorageLayout::kSeedAos) {
+    StorageLayout layout = StorageLayout::kSeedAos) {
   backends::TuningTable table = backends::TuningTable::tuned_default();
-  for (backends::KernelId id : backends::all_kernels()) {
+  for (KernelId id : backends::all_kernels()) {
     KernelConfig cfg = table.get(id);
     if (backends::kernel_uses_atomics(id)) cfg.strategy = strategy;
     cfg.layout = layout;
@@ -175,13 +377,78 @@ backends::TuningTable strategy_table(
   return table;
 }
 
+TEST(ScatterStrategyCommit, AtomicUpdatesCountCommitsNotRowEntries) {
+  // The atomic commit issues W x section-length atomics per launch.
+  // kernel_atomic_updates and the kernel.*.atomic_updates counters must
+  // report exactly that — not the rows x nnz of a per-row atomic body.
+  const auto gen = matrix::generate_system(gaia::testing::medium_config(79));
+  const SystemView host = SystemView::from(gen.A);
+  for (KernelId id : kSharedScatters) {
+    const auto len = static_cast<std::uint64_t>(scatter_section(host, id).len);
+    EXPECT_EQ(kernel_atomic_updates(host, id, ScatterStrategy::kAtomic, 7),
+              7 * len);
+    EXPECT_EQ(kernel_atomic_updates(host, id, ScatterStrategy::kPrivatized, 7),
+              0u);
+  }
+  EXPECT_EQ(kernel_atomic_updates(host, KernelId::kAprod2Astro,
+                                  ScatterStrategy::kAtomic, 7),
+            0u);
+
+  auto& reg = obs::MetricsRegistry::global();
+  reg.set_enabled(true);
+  reg.reset();
+  const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 83);
+  auto counter = [&](const std::string& kernel, const char* strategy) {
+    return reg
+        .counter(obs::kernel_series_name(kernel, "gpusim", strategy,
+                                         "atomic_updates"))
+        .value();
+  };
+  for (const bool fused : {false, true}) {
+    for (const ScatterStrategy strategy :
+         {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
+      backends::DeviceContext device;
+      AprodOptions opts;
+      opts.backend = BackendKind::kGpuSim;
+      opts.use_streams = false;
+      opts.fuse_aprod2 = fused;
+      opts.tuning = strategy_table(strategy);
+      Aprod aprod(gen.A, device, opts);
+      std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
+      aprod.apply2(y, x);
+      aprod.apply2(y, x);
+    }
+  }
+  const backends::TuningTable table = backends::TuningTable::tuned_default();
+  const auto workers = [&](KernelId id) {
+    return static_cast<std::uint64_t>(
+        backends::scatter_workers(BackendKind::kGpuSim, table.get(id)));
+  };
+  for (KernelId id : kSharedScatters) {
+    const auto len = static_cast<std::uint64_t>(scatter_section(host, id).len);
+    EXPECT_EQ(counter(kernel_region_name(id), "atomic"),
+              2 * workers(id) * len)
+        << kernel_region_name(id);
+    EXPECT_EQ(counter(kernel_region_name(id), "privatized"), 0u);
+  }
+  // The fused slot follows the strategy and shares kAprod2Att's shape.
+  const auto fused_len =
+      static_cast<std::uint64_t>(fused_scatter_section(host).len);
+  EXPECT_EQ(counter("aprod2_fused", "atomic"),
+            2 * workers(KernelId::kAprod2Att) * fused_len);
+  EXPECT_EQ(reg.counter(obs::kernel_series_name("aprod2_fused", "gpusim",
+                                                "privatized", "launches"))
+                .value(),
+            2u);
+  reg.set_enabled(false);
+  reg.reset();
+}
+
 TEST(ScatterStrategyDriver, PrivatizedTableMatchesAtomicThroughAprod) {
   // End-to-end through the registry routing: an Aprod whose tuning table
   // selects kPrivatized must produce the same apply2 as the atomic one.
   const auto gen = matrix::generate_system(gaia::testing::medium_config(37));
-  util::Xoshiro256 rng(11);
-  std::vector<real> y(static_cast<std::size_t>(gen.A.n_rows()));
-  for (auto& v : y) v = rng.normal();
+  const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 11);
 
   auto apply2_with = [&](ScatterStrategy strategy) {
     backends::DeviceContext device;
@@ -205,14 +472,10 @@ TEST(ScatterStrategyDriver, DerivedLayoutsMatchSeedThroughAprod) {
   // the LayoutedSystem on first launch, and both aprod directions must
   // agree with the seed layout for either scatter strategy.
   const auto gen = matrix::generate_system(gaia::testing::medium_config(53));
-  util::Xoshiro256 rng(19);
-  std::vector<real> x_in(static_cast<std::size_t>(gen.A.n_cols()));
-  std::vector<real> y_in(static_cast<std::size_t>(gen.A.n_rows()));
-  for (auto& v : x_in) v = rng.normal();
-  for (auto& v : y_in) v = rng.normal();
+  const auto x_in = random_vector(static_cast<std::size_t>(gen.A.n_cols()), 19);
+  const auto y_in = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 20);
 
-  auto run_with = [&](ScatterStrategy strategy,
-                      backends::StorageLayout layout) {
+  auto run_with = [&](ScatterStrategy strategy, StorageLayout layout) {
     backends::DeviceContext device;
     AprodOptions opts;
     opts.backend = BackendKind::kGpuSim;
@@ -226,10 +489,9 @@ TEST(ScatterStrategyDriver, DerivedLayoutsMatchSeedThroughAprod) {
     return std::pair{y, x};
   };
 
-  const auto seed = run_with(ScatterStrategy::kAtomic,
-                             backends::StorageLayout::kSeedAos);
-  for (const auto layout : {backends::StorageLayout::kSoaTiled,
-                            backends::StorageLayout::kSlicedInstr}) {
+  const auto seed = run_with(ScatterStrategy::kAtomic, StorageLayout::kSeedAos);
+  for (const auto layout :
+       {StorageLayout::kSoaTiled, StorageLayout::kSlicedInstr}) {
     for (const auto strategy :
          {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
       const auto [y, x] = run_with(strategy, layout);
@@ -242,30 +504,31 @@ TEST(ScatterStrategyDriver, DerivedLayoutsMatchSeedThroughAprod) {
 }
 
 TEST(ScatterStrategyDriver, ArenaAllocatorSilentAfterFirstIteration) {
-  // The pool contract of the tentpole: every buffer the privatized
-  // scatters need is allocated during the first apply2; after that the
-  // miss counter must not move — iterations run allocation-free.
+  // The pool contract: every buffer the scatters need is allocated during
+  // the first apply2; after that the miss counter must not move —
+  // iterations run allocation-free, whichever commit step runs.
   const auto gen = matrix::generate_system(gaia::testing::medium_config(41));
-  backends::DeviceContext device;
-  AprodOptions opts;
-  opts.backend = BackendKind::kGpuSim;
-  opts.use_streams = false;  // deterministic lease pattern
-  opts.tuning = strategy_table(ScatterStrategy::kPrivatized);
-  Aprod aprod(gen.A, device, opts);
+  const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 13);
+  for (const ScatterStrategy strategy :
+       {ScatterStrategy::kPrivatized, ScatterStrategy::kAtomic}) {
+    backends::DeviceContext device;
+    AprodOptions opts;
+    opts.backend = BackendKind::kGpuSim;
+    opts.use_streams = false;  // deterministic lease pattern
+    opts.tuning = strategy_table(strategy);
+    Aprod aprod(gen.A, device, opts);
+    std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
 
-  util::Xoshiro256 rng(13);
-  std::vector<real> y(static_cast<std::size_t>(gen.A.n_rows()));
-  for (auto& v : y) v = rng.normal();
-  std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
+    aprod.apply2(y, x);  // warm-up: populates the pool
+    const std::uint64_t misses_after_warmup = aprod.scratch_arena().misses();
+    EXPECT_GT(misses_after_warmup, 0u);  // the skeleton really ran
+    EXPECT_GT(aprod.scratch_arena().pooled_bytes(), 0u);
 
-  aprod.apply2(y, x);  // warm-up: populates the pool
-  const std::uint64_t misses_after_warmup = aprod.scratch_arena().misses();
-  EXPECT_GT(misses_after_warmup, 0u);  // the privatized path really ran
-  EXPECT_GT(aprod.scratch_arena().pooled_bytes(), 0u);
-
-  for (int iter = 0; iter < 5; ++iter) aprod.apply2(y, x);
-  EXPECT_EQ(aprod.scratch_arena().misses(), misses_after_warmup);
-  EXPECT_GT(aprod.scratch_arena().hits(), 0u);
+    for (int iter = 0; iter < 5; ++iter) aprod.apply2(y, x);
+    EXPECT_EQ(aprod.scratch_arena().misses(), misses_after_warmup)
+        << backends::to_string(strategy);
+    EXPECT_GT(aprod.scratch_arena().hits(), 0u);
+  }
 }
 
 TEST(ScatterStrategyDriver, ArenaBytesSurfaceInObsMetrics) {
@@ -280,9 +543,7 @@ TEST(ScatterStrategyDriver, ArenaBytesSurfaceInObsMetrics) {
   opts.use_streams = false;
   opts.tuning = strategy_table(ScatterStrategy::kPrivatized);
   Aprod aprod(gen.A, device, opts);
-  util::Xoshiro256 rng(17);
-  std::vector<real> y(static_cast<std::size_t>(gen.A.n_rows()));
-  for (auto& v : y) v = rng.normal();
+  const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 17);
   std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
   aprod.apply2(y, x);
 
