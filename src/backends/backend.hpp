@@ -263,4 +263,31 @@ decltype(auto) dispatch(BackendKind kind, F&& f) {
   });
 }
 
+/// Workers an atomic-commit scatter over `n_rows` rows uses: the
+/// privatized count, except that PSTL's count is the pool size whatever
+/// the launch, so there it is capped at the chunks `pstl::for_each`
+/// splits the rows into. A PSTL launch under the grain then runs one
+/// worker and commits in row order, like every PSTL loop of that size.
+template <typename Exec>
+[[nodiscard]] int atomic_scatter_workers(std::int64_t n_rows,
+                                         KernelConfig cfg) {
+  const int workers = Exec::scatter_workers(cfg);
+  if constexpr (Exec::kKind == BackendKind::kPstl) {
+    const std::int64_t grain =
+        pstl::detail::grain_for(n_rows, ThreadPool::global().workers());
+    const std::int64_t chunks =
+        n_rows <= grain ? 1 : (n_rows + grain - 1) / grain;
+    return chunks < workers ? static_cast<int>(chunks) : workers;
+  }
+  return workers;
+}
+
+[[nodiscard]] inline int atomic_scatter_workers(BackendKind kind,
+                                                std::int64_t n_rows,
+                                                KernelConfig cfg) {
+  return dispatch(kind, [&](auto exec) {
+    return atomic_scatter_workers<decltype(exec)>(n_rows, cfg);
+  });
+}
+
 }  // namespace gaia::backends

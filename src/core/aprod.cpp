@@ -64,7 +64,8 @@ void record_launch_sample(const SystemView& view, KernelId id, bool fused,
   if (!fused && glob_noop &&
       (id == KernelId::kAprod1Glob || id == KernelId::kAprod2Glob))
     return;
-  const int workers = backends::scatter_workers(backend, cfg);
+  const int workers =
+      backends::atomic_scatter_workers(backend, view.n_rows, cfg);
   obs::KernelSample s;
   s.backend = backends::to_string(backend);
   s.seconds = seconds;

@@ -175,9 +175,10 @@ inline ScatterSection fused_scatter_section(const SystemView& A) {
 namespace detail {
 
 /// The one scatter skeleton of the shared sections, for both scatter
-/// strategies. W = Exec::scatter_workers(cfg) workers each zero a private
-/// copy of the section in pooled scratch and accumulate a contiguous row
-/// chunk into it sequentially (ascending rows); `accumulate_row(slice, r)`
+/// strategies. W workers (Exec::scatter_workers(cfg); for the atomic
+/// commit backends::atomic_scatter_workers) each zero a private copy of
+/// the section in pooled scratch and accumulate a contiguous row chunk
+/// into it sequentially (ascending rows); `accumulate_row(slice, r)`
 /// adds row r's contribution at section-relative indices. Only the
 /// commit step depends on cfg.strategy:
 ///
@@ -198,7 +199,10 @@ void section_scatter(std::int64_t n_rows, real* x, ScatterSection sect,
                      AccumRow&& accumulate_row) {
   const col_index sect_len = sect.len;
   if (sect_len <= 0) return;
-  const int workers = Exec::scatter_workers(cfg);
+  const bool atomic = cfg.strategy == backends::ScatterStrategy::kAtomic;
+  const int workers =
+      atomic ? backends::atomic_scatter_workers<Exec>(n_rows, cfg)
+             : Exec::scatter_workers(cfg);
   backends::ScratchArena& pool =
       arena ? *arena : backends::ScratchArena::for_backend(Exec::kKind);
   auto lease = pool.acquire(static_cast<std::size_t>(workers) *
@@ -206,7 +210,6 @@ void section_scatter(std::int64_t n_rows, real* x, ScatterSection sect,
   real* const scratch = lease.data();
   real* const xs = x + sect.offset;
   const std::int64_t chunk = (n_rows + workers - 1) / workers;
-  const bool atomic = cfg.strategy == backends::ScatterStrategy::kAtomic;
 
   Exec::launch_workers(workers, cfg, [&](int w) {
     real* GAIA_RESTRICT slice =

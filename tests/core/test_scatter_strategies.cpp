@@ -362,6 +362,37 @@ TEST(ScatterStrategyCommit, SerialAtomicBitIdenticalToPrivatized) {
   }
 }
 
+TEST(ScatterStrategyCommit, PstlAtomicUnderTheGrainCommitsInRowOrder) {
+  // PSTL's worker count is the pool size whatever the launch; the atomic
+  // commit caps it at the chunks a PSTL loop over the rows would form,
+  // so a launch under the grain runs one worker and equals the serial
+  // result bit for bit, while a large launch keeps every worker.
+  ensure_kernel_catalog();
+  const KernelConfig cfg = with_strategy({}, ScatterStrategy::kAtomic);
+  EXPECT_EQ(backends::atomic_scatter_workers(BackendKind::kPstl, 200, cfg), 1);
+  EXPECT_EQ(
+      backends::atomic_scatter_workers(BackendKind::kPstl, 1 << 24, cfg),
+      backends::scatter_workers(BackendKind::kPstl, cfg));
+  EXPECT_EQ(
+      backends::atomic_scatter_workers(BackendKind::kGpuSim, 10, {300, 64}),
+      backends::scatter_workers(BackendKind::kGpuSim, {300, 64}));
+
+  auto small = gaia::testing::small_config(29);
+  small.n_stars = 4;
+  const auto gen = matrix::generate_system(small);
+  ASSERT_LE(gen.A.n_rows(), 256);
+  const SystemView view = SystemView::from(gen.A);
+  const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 7);
+  for (const bool fused : {false, true}) {
+    const auto serial =
+        registry_scatter(view, y, BackendKind::kSerial, cfg, fused);
+    const auto pstl = registry_scatter(view, y, BackendKind::kPstl, cfg, fused);
+    for (std::size_t i = 0; i < serial.size(); ++i)
+      ASSERT_EQ(pstl[i], serial[i]) << (fused ? "fused" : "separate") << " at "
+                                    << i;
+  }
+}
+
 /// Installs `strategy` on the three atomic kernels of a tuned table,
 /// and optionally `layout` on every kernel.
 backends::TuningTable strategy_table(
@@ -421,8 +452,8 @@ TEST(ScatterStrategyCommit, AtomicUpdatesCountCommitsNotRowEntries) {
   }
   const backends::TuningTable table = backends::TuningTable::tuned_default();
   const auto workers = [&](KernelId id) {
-    return static_cast<std::uint64_t>(
-        backends::scatter_workers(BackendKind::kGpuSim, table.get(id)));
+    return static_cast<std::uint64_t>(backends::atomic_scatter_workers(
+        BackendKind::kGpuSim, gen.A.n_rows(), table.get(id)));
   };
   for (KernelId id : kSharedScatters) {
     const auto len = static_cast<std::uint64_t>(scatter_section(host, id).len);

@@ -3,10 +3,7 @@
 /// bit-identical to calling the templated kernel directly. The launch
 /// shape {1, 1} serializes the backends that honor it, and the small
 /// system stays under the PSTL grain, so floating-point summation order
-/// is fixed and exact equality is the right assertion — except for the
-/// atomic scatter commit on PSTL, whose fixed worker count (the pool
-/// size) commits its private slices in scheduling order; there the two
-/// paths agree to rounding.
+/// is fixed and exact equality is the right assertion.
 #include "tuning/kernel_registry.hpp"
 
 #include <gtest/gtest.h>
@@ -66,25 +63,6 @@ constexpr bool is_aprod1(KernelId id) {
   return static_cast<int>(id) < static_cast<int>(KernelId::kAprod2Astro);
 }
 
-/// Exact equality where the launch has one summation order; agreement to
-/// rounding where several scatter workers commit atomically.
-void expect_same_output(const std::vector<real>& via_registry,
-                        const std::vector<real>& via_direct, bool ordered,
-                        const std::string& what) {
-  if (!ordered) {
-    EXPECT_LT(gaia::testing::rel_l2_error(via_registry, via_direct), 1e-14)
-        << what;
-    return;
-  }
-  for (std::size_t i = 0; i < via_direct.size(); ++i)
-    ASSERT_EQ(via_registry[i], via_direct[i]) << what << " at " << i;
-}
-
-bool ordered_launch(KernelId id, BackendKind kind, KernelConfig cfg) {
-  return !backends::kernel_uses_atomics(id) ||
-         backends::scatter_workers(kind, cfg) == 1;
-}
-
 class KernelRegistryDispatch : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -139,9 +117,9 @@ TEST_F(KernelRegistryDispatch, BitIdenticalToDirectCallOnEveryPair) {
                                       cfg, AtomicMode::kNativeRmw);
       });
 
-      expect_same_output(via_registry, via_direct,
-                         ordered_launch(id, kind, cfg),
-                         to_string(id) + " on " + to_string(kind));
+      for (std::size_t i = 0; i < out_n; ++i)
+        ASSERT_EQ(via_registry[i], via_direct[i])
+            << to_string(id) << " on " << to_string(kind) << " at " << i;
     }
   }
 }
@@ -167,9 +145,9 @@ TEST_F(KernelRegistryDispatch, FusedLauncherMatchesDirectFusedCall) {
                                                 AtomicMode::kNativeRmw);
     });
 
-    expect_same_output(via_registry, via_direct,
-                       ordered_launch(KernelId::kAprod2Att, kind, cfg),
-                       "fused on " + to_string(kind));
+    for (std::size_t i = 0; i < via_direct.size(); ++i)
+      ASSERT_EQ(via_registry[i], via_direct[i])
+          << "fused on " << to_string(kind) << " at " << i;
   }
 }
 
