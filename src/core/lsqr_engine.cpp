@@ -1,6 +1,7 @@
 #include "core/lsqr_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <bit>
 #include <cstring>
@@ -9,6 +10,7 @@
 #include <sstream>
 
 #include "core/preconditioner.hpp"
+#include "core/rank_reducer.hpp"
 #include "core/vector_ops.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
@@ -40,26 +42,42 @@ void write_vec(std::ostream& os, std::span<const real> v) {
   os.write(reinterpret_cast<const char*>(v.data()),
            static_cast<std::streamsize>(v.size_bytes()));
 }
-void read_vec(std::istream& is, std::span<real> v) {
-  const auto n = read_pod<std::uint64_t>(is);
-  GAIA_CHECK(n == v.size(), "checkpoint vector size mismatch");
+void read_values(std::istream& is, std::span<real> v) {
   is.read(reinterpret_cast<char*>(v.data()),
           static_cast<std::streamsize>(v.size_bytes()));
   GAIA_CHECK(is.good(), "truncated checkpoint");
+}
+void read_vec(std::istream& is, std::span<real> v) {
+  GAIA_CHECK(read_pod<std::uint64_t>(is) == v.size(),
+             "checkpoint vector size mismatch");
+  read_values(is, v);
 }
 }  // namespace
 
 struct LsqrEngine::Impl {
   LsqrOptions options;
+  /// Cross-rank reductions of a distributed solve (not owned); null for
+  /// the single-process solver, where every branch on it is taken once
+  /// per call site and the step issues no extra work.
+  RankReducer* reducer = nullptr;
+  int rank = 0;
   /// Column norms when preconditioning (empty otherwise). The scaling
   /// is applied to the Aprod's device-resident coefficient copy only —
   /// no second host copy of the system lives through the solve.
   std::vector<real> col_scale;
+  /// Rows/columns of this engine's system: a rank's slice when
+  /// distributed.
   std::size_t m = 0, n = 0;
+  std::uint64_t fingerprint = 0;
+  /// Rotation step() seals checkpoints into (not owned; null = none).
+  resilience::CheckpointManager* checkpoints = nullptr;
 
   backends::DeviceContext device;
   std::unique_ptr<Aprod> aprod;
   backends::DeviceBuffer<real> d_u, d_v, d_w, d_x, d_var;
+  /// Distributed only: the zeroed buffer this rank's aprod2 column
+  /// partials land in before they are summed across ranks.
+  std::vector<real> partials;
 
   // Recurrence scalars.
   real alpha = 0, beta = 0, bnorm = 0;
@@ -93,15 +111,22 @@ struct LsqrEngine::Impl {
   real sum_u = 0, sum_v = 0;
 
   Impl(const matrix::SystemMatrix& A_in, std::span<const real> b,
-       const LsqrOptions& opts)
+       const LsqrOptions& opts, RankReducer* reducer_in,
+       std::span<const real> given_col_scale)
       : options(opts),
+        reducer(reducer_in),
+        rank(reducer_in ? reducer_in->rank() : 0),
         device(opts.device_capacity,
                backends::to_string(opts.aprod.backend) + "-device") {
     GAIA_CHECK(static_cast<row_index>(b.size()) == A_in.n_rows(),
                "rhs size mismatch");
     GAIA_CHECK(options.max_iterations > 0,
                "need a positive iteration limit");
-    if (options.precondition) col_scale = column_norms(A_in);
+    if (options.precondition)
+      col_scale = given_col_scale.empty()
+                      ? column_norms(A_in)
+                      : std::vector<real>(given_col_scale.begin(),
+                                          given_col_scale.end());
     m = static_cast<std::size_t>(A_in.n_rows());
     n = static_cast<std::size_t>(A_in.n_cols());
 
@@ -116,13 +141,18 @@ struct LsqrEngine::Impl {
     d_w.fill(real{0});
     d_x.fill(real{0});
     if (options.compute_std_errors) d_var.fill(real{0});
+    if (reducer) partials.assign(n, real{0});
+    fingerprint = compute_fingerprint();
 
     // Golub-Kahan start.
     const auto backend = aprod->active_backend();
-    beta = vnorm(d_u.span());
+    beta = row_norm(d_u.span());
     if (beta > 0) {
       vscale(backend, d_u.span(), real{1} / beta);
-      aprod->apply2(d_u.span(), d_v.span());
+      if (reducer)
+        reduced_apply2(d_u.span(), d_v.span(), real{1});
+      else
+        aprod->apply2(d_u.span(), d_v.span());
       alpha = vnorm(d_v.span());
     }
     if (alpha > 0) {
@@ -140,20 +170,23 @@ struct LsqrEngine::Impl {
     }
 
     if (options.health.enabled()) {
-      health = std::make_unique<resilience::HealthMonitor>(options.health);
+      health =
+          std::make_unique<resilience::HealthMonitor>(options.health, rank);
       // The recompute checks need b on the host (b is the *unchanged*
       // rhs — preconditioning only scales columns).
       b_host.assign(b.begin(), b.end());
       resid_scratch.assign(m, real{0});
       // ABFT checksum vectors, via the kernels themselves so every
-      // backend's product is checked against its own arithmetic.
+      // backend's product is checked against its own arithmetic. Both
+      // are rank-local: the aprod1 identity holds per slice, and the
+      // aprod2 one sums its row_check . u term across ranks.
       std::vector<real> ones(std::max(m, n), real{1});
       col_check.assign(n, real{0});
       aprod->apply2(std::span<const real>(ones.data(), m), col_check);
       row_check.assign(m, real{0});
       aprod->apply1(std::span<const real>(ones.data(), n), row_check);
       col_check_norm = vnorm(col_check);
-      row_check_norm = vnorm(row_check);
+      row_check_norm = row_norm(row_check);
       sum_u = vsum(d_u.span());
       sum_v = vsum(d_v.span());
       if (options.health.mode == resilience::HealthMode::kRepair)
@@ -161,45 +194,83 @@ struct LsqrEngine::Impl {
     }
   }
 
-  /// Fingerprint binding a checkpoint to (problem, options).
-  std::uint64_t fingerprint() const {
+  /// ||y|| over the global row space (y is this rank's slice when
+  /// distributed).
+  real row_norm(std::span<const real> y) const {
+    const real local = vnorm(y);
+    return reducer ? std::sqrt(reducer->sum(local * local)) : local;
+  }
+
+  /// a . b over the global row space.
+  real row_dot(std::span<const real> a, std::span<const real> b) const {
+    return reducer ? reducer->sum(vdot(a, b)) : vdot(a, b);
+  }
+
+  /// Distributed aprod2, v = scale v + A^T u: this rank's column
+  /// partials land in the zeroed scratch, are summed across ranks, and
+  /// only then reach v — so every replica of v sees the same sum.
+  void reduced_apply2(std::span<const real> u, std::span<real> v,
+                      real scale) {
+    const auto backend = aprod->active_backend();
+    std::fill(partials.begin(), partials.end(), real{0});
+    aprod->apply2(u, partials);
+    reducer->sum(partials);
+    if (scale != real{1}) vscale(backend, v, scale);
+    vaxpy(backend, v, real{1}, partials);
+  }
+
+  /// Fingerprint binding a checkpoint to (problem, options) — never to
+  /// the rank count. Distributed, the global row count and the global
+  /// first and last coefficients (rank 0's first row, the last rank's
+  /// constraint tail) stand in for this rank's slice.
+  std::uint64_t compute_fingerprint() const {
+    const real* values = aprod->view().values;
+    std::array<real, 2> edges = {
+        m > 0 ? values[0] : real{0},
+        m > 0 ? values[m * kNnzPerRow - 1] : real{0}};
+    std::size_t rows = m;
+    if (reducer) {
+      if (rank != 0) edges[0] = 0;
+      if (rank != reducer->ranks() - 1) edges[1] = 0;
+      reducer->sum(edges);
+      rows = reducer->global_rows();
+    }
     std::uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&h](std::uint64_t v) {
       h ^= v;
       h *= 0x100000001b3ull;
     };
-    mix(static_cast<std::uint64_t>(m));
+    mix(static_cast<std::uint64_t>(rows));
     mix(static_cast<std::uint64_t>(n));
     // max_iterations is deliberately NOT part of the fingerprint: the
-  // iteration budget does not change the trajectory, so a resumed run
-  // may extend it (rerun with a larger --iterations). Launch-shape
-  // tuning (AprodOptions::tuning, the autotuner) is excluded for the
-  // same reason: shapes change kernel timing, never the numerics, so a
-  // checkpoint taken untuned may be resumed autotuned and vice versa.
+    // iteration budget does not change the trajectory, so a resumed run
+    // may extend it (rerun with a larger --iterations). Launch-shape
+    // tuning (AprodOptions::tuning, the autotuner) is excluded for the
+    // same reason: shapes change kernel timing, never the numerics, so a
+    // checkpoint taken untuned may be resumed autotuned and vice versa.
     mix(static_cast<std::uint64_t>(options.precondition));
     mix(static_cast<std::uint64_t>(options.compute_std_errors));
     mix(std::bit_cast<std::uint64_t>(options.damp));
     // First and last coefficient of the (scaled) device-resident copy.
-    const real* values = aprod->view().values;
-    mix(std::bit_cast<std::uint64_t>(static_cast<double>(values[0])));
-    mix(std::bit_cast<std::uint64_t>(
-        static_cast<double>(values[m * kNnzPerRow - 1])));
+    mix(std::bit_cast<std::uint64_t>(static_cast<double>(edges[0])));
+    mix(std::bit_cast<std::uint64_t>(static_cast<double>(edges[1])));
     return h;
   }
 
-  /// Raw checkpoint stream (no file framing): the on-disk format of
-  /// LsqrEngine::checkpoint *and* the in-memory rollback snapshot of
-  /// repair mode.
-  void save_state(std::ostream& os) const {
+  /// Raw checkpoint stream (no file framing) holding `u` as the basis
+  /// vector: the on-disk format of LsqrEngine::checkpoint (u assembled
+  /// globally when distributed) *and* the in-memory rollback snapshot of
+  /// repair mode (this rank's slice).
+  void save_state(std::ostream& os, std::span<const real> u) const {
     os.write(kCheckpointMagic, sizeof(kCheckpointMagic));
-    write_pod(os, fingerprint());
+    write_pod(os, fingerprint);
     write_pod(os, itn);
     write_pod(os, static_cast<std::uint8_t>(finished ? 1 : 0));
     write_pod(os, static_cast<std::int32_t>(istop));
     for (real v : {alpha, beta, bnorm, rhobar, phibar, rnorm, arnorm,
                    anorm, acond, ddnorm, res2, xnorm, xxnorm, z, cs2, sn2})
       write_pod(os, v);
-    write_vec(os, d_u.span());
+    write_vec(os, u);
     write_vec(os, d_v.span());
     write_vec(os, d_w.span());
     write_vec(os, d_x.span());
@@ -214,13 +285,42 @@ struct LsqrEngine::Impl {
     GAIA_CHECK(os.good(), "checkpoint write failed");
   }
 
+  /// The checkpoint stream; distributed, u is first assembled across
+  /// ranks (collective), so the stream is the same for every rank count.
+  void save_checkpoint(std::ostream& os) const {
+    if (!reducer) {
+      save_state(os, d_u.span());
+      return;
+    }
+    std::vector<real> u_global(reducer->global_rows());
+    reducer->gather_rows(d_u.span(), u_global);
+    save_state(os, u_global);
+  }
+
+  /// Reads u: this rank's slice as a rollback snapshot stores it or —
+  /// distributed — the globally assembled u of a checkpoint, re-sliced.
+  void read_u(std::istream& is) {
+    const auto size = read_pod<std::uint64_t>(is);
+    auto u = d_u.span();
+    if (reducer && size != u.size()) {
+      GAIA_CHECK(size == reducer->global_rows(),
+                 "checkpoint vector size mismatch");
+      std::vector<real> u_global(size);
+      read_values(is, u_global);
+      reducer->slice_rows(u_global, u);
+      return;
+    }
+    GAIA_CHECK(size == u.size(), "checkpoint vector size mismatch");
+    read_values(is, u);
+  }
+
   void load_state(std::istream& is) {
     char magic[8];
     is.read(magic, sizeof(magic));
     GAIA_CHECK(is.good() &&
                    std::memcmp(magic, kCheckpointMagic, sizeof(magic)) == 0,
                "not a gaia LSQR checkpoint");
-    GAIA_CHECK(read_pod<std::uint64_t>(is) == fingerprint(),
+    GAIA_CHECK(read_pod<std::uint64_t>(is) == fingerprint,
                "checkpoint does not match this system/options");
     itn = read_pod<std::int64_t>(is);
     finished = read_pod<std::uint8_t>(is) != 0;
@@ -229,7 +329,7 @@ struct LsqrEngine::Impl {
                     &arnorm, &anorm, &acond, &ddnorm, &res2, &xnorm,
                     &xxnorm, &z, &cs2, &sn2})
       *v = read_pod<real>(is);
-    read_vec(is, d_u.span());
+    read_u(is);
     read_vec(is, d_v.span());
     read_vec(is, d_w.span());
     read_vec(is, d_x.span());
@@ -254,7 +354,7 @@ struct LsqrEngine::Impl {
 
   void refresh_good_state() {
     std::ostringstream os(std::ios::binary);
-    save_state(os);
+    save_state(os, d_u.span());
     good_state = std::move(os).str();
     good_itn = itn;
   }
@@ -264,46 +364,91 @@ struct LsqrEngine::Impl {
   void maybe_inject_sdc(std::string_view pass, std::span<real> out) {
     auto& injector = resilience::FaultInjector::global();
     if (!injector.armed()) return;
-    if (const auto flip = injector.on_kernel_output(pass, itn, 0, out.size()))
+    if (const auto flip =
+            injector.on_kernel_output(pass, itn, rank, out.size()))
       resilience::apply_bitflip(out, *flip);
+  }
+
+  /// sum (b - A x)^2 over this engine's rows (Kahan, like vnorm): the
+  /// true residual the deep pass checks rnorm against. One extra apply1
+  /// — the overhead term of the health monitor.
+  real residual_sum_sq() {
+    std::fill(resid_scratch.begin(), resid_scratch.end(), real{0});
+    aprod->apply1(d_x.span(), resid_scratch);  // resid = A x
+    real sum = 0, comp = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      const real d = b_host[i] - resid_scratch[i];
+      const real term = d * d - comp;
+      const real next = sum + term;
+      comp = (next - sum) - term;
+      sum = next;
+    }
+    return sum;
   }
 
   /// The every-K deep pass: segment checksums + the two ABFT agreement
   /// cross-checks (||x|| vs the xnorm recurrence, recomputed ||b - Ax||
-  /// vs the rnorm estimate). Returns the first tripped invariant.
-  resilience::HealthVerdict run_deep_checks() {
+  /// vs the rnorm estimate) and, distributed, the replicated-state hash
+  /// agreement. Returns `verdict` if it already tripped, else the first
+  /// tripped invariant.
+  resilience::HealthVerdict run_deep_checks(
+      resilience::HealthVerdict verdict) {
     using resilience::HealthInvariant;
     health->note_deep_check();
     obs::ScopedTrace span("health.deep_check", "resilience");
     const auto& cfg = options.health;
-    auto verdict = health->check_vector(
-        itn, "u", d_u.span(), beta > 0 ? real{1} : real{-1},
-        cfg.unit_norm_tol, HealthInvariant::kUnitNorm);
-    if (!verdict.healthy()) return verdict;
-    verdict = health->check_vector(
-        itn, "v", d_v.span(), alpha > 0 ? real{1} : real{-1},
-        cfg.unit_norm_tol, HealthInvariant::kUnitNorm);
-    if (!verdict.healthy()) return verdict;
-    verdict = health->check_vector(itn, "x", d_x.span(), xnorm,
-                                   cfg.xnorm_rel_tol,
-                                   HealthInvariant::kXnormAgreement);
+    // Distributed, the cross-rank terms come first and unconditionally:
+    // every rank reaches the same collectives, whatever its own checks
+    // find. Single-process the residual is recomputed only when reached.
+    real u_norm = 0, rss = 0, h_min = 0, h_max = 0;
+    if (reducer) {
+      u_norm = row_norm(d_u.span());
+      rss = reducer->sum(residual_sum_sq());
+      // v/w/x are replicated bit-identically: their hash must agree.
+      const std::array<real, 16> scalars = {
+          alpha, beta, bnorm, rhobar, phibar, rnorm, arnorm, anorm,
+          acond, ddnorm, res2, xnorm, xxnorm, z, cs2, sn2};
+      const real h = static_cast<real>(resilience::fold_hash_to_real(
+          resilience::state_hash(scalars, {d_v.span(), d_w.span(),
+                                           d_x.span()})));
+      h_min = reducer->min(h);
+      h_max = reducer->max(h);
+    }
+    // A rank's slice of u is not unit: distributed, its segments are
+    // checked here and the global norm just below.
+    const real unit = beta > 0 ? real{1} : real{-1};
+    if (verdict.healthy())
+      verdict = health->check_vector(itn, "u", d_u.span(),
+                                     reducer ? real{-1} : unit,
+                                     cfg.unit_norm_tol,
+                                     HealthInvariant::kUnitNorm);
+    if (verdict.healthy() && reducer && beta > 0)
+      verdict = health->check_agreement(itn, "||u||", u_norm, unit,
+                                        cfg.unit_norm_tol,
+                                        HealthInvariant::kUnitNorm);
+    if (verdict.healthy())
+      verdict = health->check_vector(
+          itn, "v", d_v.span(), alpha > 0 ? real{1} : real{-1},
+          cfg.unit_norm_tol, HealthInvariant::kUnitNorm);
+    if (verdict.healthy())
+      verdict = health->check_vector(itn, "x", d_x.span(), xnorm,
+                                     cfg.xnorm_rel_tol,
+                                     HealthInvariant::kXnormAgreement);
+    if (verdict.healthy() && h_min != h_max) {
+      verdict.invariant = HealthInvariant::kStateHashDisagreement;
+      std::ostringstream os;
+      os << "replicated-state hash min " << h_min << " != max " << h_max
+         << " across " << reducer->ranks() << " rank(s)";
+      verdict.detail = os.str();
+    }
     if (!verdict.healthy()) return verdict;
 
-    // True-residual recompute (one extra apply1 — the overhead term):
-    // r = b - A x, plus the damping contribution when damp != 0, against
-    // the recurrence's rnorm. Skipped deep in the convergence plateau,
-    // where the difference is dominated by cancellation, not corruption.
+    // True residual r = b - A x, plus the damping contribution when
+    // damp != 0, against the recurrence's rnorm. Skipped deep in the
+    // convergence plateau, where the difference is dominated by
+    // cancellation, not corruption.
     if (rnorm > bnorm * real{1e-9}) {
-      std::fill(resid_scratch.begin(), resid_scratch.end(), real{0});
-      aprod->apply1(d_x.span(), resid_scratch);  // resid = A x
-      real sum = 0, comp = 0;
-      for (std::size_t i = 0; i < m; ++i) {
-        const real d = b_host[i] - resid_scratch[i];
-        const real term = d * d - comp;
-        const real next = sum + term;
-        comp = (next - sum) - term;
-        sum = next;
-      }
+      real sum = reducer ? rss : residual_sum_sq();
       if (options.damp != 0) {
         const real xn = vnorm(d_x.span());
         sum += options.damp * options.damp * xn * xn;
@@ -401,7 +546,7 @@ struct LsqrEngine::Impl {
     }
     {
       util::ScopedRegion region("reduction_norm");
-      beta = vnorm(u);
+      beta = row_norm(u);
     }
     if (beta > 0) {
       {
@@ -409,15 +554,21 @@ struct LsqrEngine::Impl {
         vscale(backend, u, real{1} / beta);
         anorm = std::sqrt(anorm * anorm + alpha * alpha + beta * beta +
                           damp * damp);
-        vscale(backend, v, -beta);
+        if (!reducer) vscale(backend, v, -beta);
       }
       if (health) sum_u /= beta;
-      aprod->apply2(u, v);
+      // Distributed, v is rescaled only once the partials are summed.
+      if (reducer)
+        reduced_apply2(u, v, -beta);
+      else
+        aprod->apply2(u, v);
+      // A distributed flip lands after the sum: only this rank's replica
+      // of v diverges, which its own checksum catches.
       maybe_inject_sdc("aprod2", v);
       if (health) {
         // v now holds A^T u - beta v_old (u freshly normalized).
         const real actual = vsum(v);
-        const real expected = vdot(row_check, u) - beta * s_v_old;
+        const real expected = row_dot(row_check, u) - beta * s_v_old;
         const real scale =
             row_check_norm +
             std::abs(beta) * std::sqrt(static_cast<real>(n)) +
@@ -482,7 +633,10 @@ struct LsqrEngine::Impl {
       xnorm_history.push_back(xnorm);
     }
     const double iteration_s = watch.elapsed_s();
-    iteration_seconds.push_back(iteration_s);
+    // Distributed, the reported time is the maximum over ranks (paper
+    // App. B).
+    iteration_seconds.push_back(
+        reducer ? reducer->max_iteration_seconds(iteration_s) : iteration_s);
     record_iteration_telemetry(iter_span, iteration_s);
 
     // --- silent-corruption defense -----------------------------------
@@ -492,14 +646,19 @@ struct LsqrEngine::Impl {
         verdict =
             health->check_scalars(itn, alpha, beta, rnorm, arnorm, xnorm);
       if (verdict.healthy()) verdict = health->check_rnorm_window(itn, rnorm);
-      if (verdict.healthy() && options.health.due(itn)) {
-        verdict = run_deep_checks();
-        // Seal the rollback target only after the full pass came back
-        // clean: a snapshot is a *validated* state, never a hopeful one.
-        if (verdict.healthy() &&
-            options.health.mode == resilience::HealthMode::kRepair)
-          refresh_good_state();
-      }
+      // Distributed, every rank enters a due deep pass, even one whose
+      // cheaper checks tripped, so the world stays in lockstep.
+      const bool deep =
+          options.health.due(itn) && (reducer || verdict.healthy());
+      if (deep) verdict = run_deep_checks(std::move(verdict));
+      // Distributed, every rank acts on the same verdict: all stop, or
+      // all roll back to their own validated snapshots together.
+      if (reducer) verdict = reducer->agree(verdict);
+      // Seal the rollback target only after the full pass came back
+      // clean: a snapshot is a *validated* state, never a hopeful one.
+      if (deep && verdict.healthy() &&
+          options.health.mode == resilience::HealthMode::kRepair)
+        refresh_good_state();
       if (!verdict.healthy()) {
         health->record_detection(verdict);
         if (options.health.mode == resilience::HealthMode::kRepair) {
@@ -554,7 +713,16 @@ struct LsqrEngine::Impl {
       if (istop != LsqrStop::kIterationLimit) finished = true;
     }
     if (itn >= options.max_iterations) finished = true;
+    if (!finished && checkpoints && checkpoints->due(itn)) seal_checkpoint();
     return !finished;
+  }
+
+  /// Seals the current state into the rotation. Distributed, every rank
+  /// takes part in assembling u and rank 0 writes the file.
+  void seal_checkpoint() {
+    std::ostringstream payload(std::ios::binary);
+    save_checkpoint(payload);
+    if (rank == 0) checkpoints->write(itn, payload.view());
   }
 
   LsqrResult make_result() const {
@@ -565,7 +733,9 @@ struct LsqrEngine::Impl {
     if (options.compute_std_errors) {
       result.std_errors.assign(n, real{0});
       d_var.copy_to_host(result.std_errors);
-      const real dof = m > n ? static_cast<real>(m - n) : real{1};
+      // Degrees of freedom from the *global* row count.
+      const std::size_t rows = reducer ? reducer->global_rows() : m;
+      const real dof = rows > n ? static_cast<real>(rows - n) : real{1};
       const real s = rnorm / std::sqrt(dof);
       for (auto& se : result.std_errors) se = s * std::sqrt(se);
       if (options.precondition)
@@ -598,8 +768,9 @@ struct LsqrEngine::Impl {
 };
 
 LsqrEngine::LsqrEngine(const matrix::SystemMatrix& A,
-                       std::span<const real> b, const LsqrOptions& options)
-    : impl_(std::make_unique<Impl>(A, b, options)) {
+                       std::span<const real> b, const LsqrOptions& options,
+                       RankReducer* reducer, std::span<const real> col_scale)
+    : impl_(std::make_unique<Impl>(A, b, options, reducer, col_scale)) {
   sync_mirrors();
 }
 
@@ -635,8 +806,10 @@ std::int64_t LsqrEngine::run_to_completion() {
 
 LsqrResult LsqrEngine::result() const { return impl_->make_result(); }
 
+const Aprod& LsqrEngine::aprod() const { return *impl_->aprod; }
+
 void LsqrEngine::checkpoint(std::ostream& os) const {
-  impl_->save_state(os);
+  impl_->save_checkpoint(os);
 }
 
 void LsqrEngine::checkpoint(const std::string& path) const {
@@ -664,6 +837,18 @@ void LsqrEngine::restore(const std::string& path) {
   std::istringstream payload(resilience::read_framed_file(path),
                              std::ios::binary);
   restore(payload);
+}
+
+std::int64_t LsqrEngine::use_checkpoints(
+    resilience::CheckpointManager& manager) {
+  impl_->checkpoints = &manager;
+  const auto resumed = manager.resume(
+      [this](const std::string& payload) {
+        std::istringstream is(payload, std::ios::binary);
+        restore(is);
+      },
+      /*report=*/impl_->rank == 0);
+  return resumed ? resumed->iteration : -1;
 }
 
 }  // namespace gaia::core

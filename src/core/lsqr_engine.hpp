@@ -1,9 +1,10 @@
 /// \file lsqr_engine.hpp
-/// \brief Stateful, steppable LSQR with checkpoint/restart.
+/// \brief Stateful, steppable LSQR with checkpoint/restart — the one
+/// LSQR recurrence, single-process and distributed.
 ///
-/// `lsqr_solve()` is a convenience wrapper around this engine. The
-/// engine form exists for the two production needs the batch call cannot
-/// serve:
+/// `lsqr_solve()`, `run_solver()` and `dist::dist_lsqr_solve()` all run
+/// this engine. The engine form exists for the production needs a batch
+/// call cannot serve:
 ///  * **checkpoint/restart** — a full AVU-GSR solve occupies a large
 ///    allocation on a shared machine for hours; the production solver
 ///    persists its state and resumes across job boundaries. The engine
@@ -11,22 +12,38 @@
 ///    scalars) and resumes bit-exactly;
 ///  * **outer-loop integration** — re-weighting and monitoring schemes
 ///    interleave with the iteration (paper Fig. 1 pipeline), which needs
-///    per-step control.
+///    per-step control;
+///  * **ranks** — with a `RankReducer` the engine runs on one rank's row
+///    slice and reduces across ranks only where the recurrence needs it
+///    (core/rank_reducer.hpp).
 #pragma once
 
 #include <iosfwd>
 
 #include "core/lsqr.hpp"
 
+namespace gaia::resilience {
+class CheckpointManager;
+}
+
 namespace gaia::core {
+
+class RankReducer;
 
 class LsqrEngine {
  public:
   /// Prepares the solve: preconditions (if configured), copies the
   /// system to the device, and runs the bidiagonalization start. The
   /// system must outlive the engine.
+  ///
+  /// Distributed, `A` and `b` are this rank's row slice, `reducer` (not
+  /// owned, outlives the engine) performs the cross-rank reductions, and
+  /// `col_scale` carries the global column norms every rank scales its
+  /// device copy by; empty means the norms of `A`. Construction is then
+  /// collective.
   LsqrEngine(const matrix::SystemMatrix& A, std::span<const real> b,
-             const LsqrOptions& options);
+             const LsqrOptions& options, RankReducer* reducer = nullptr,
+             std::span<const real> col_scale = {});
   /// b defaults to A.known_terms().
   explicit LsqrEngine(const matrix::SystemMatrix& A,
                       const LsqrOptions& options = {});
@@ -54,8 +71,13 @@ class LsqrEngine {
   /// at any point, not only at completion).
   [[nodiscard]] LsqrResult result() const;
 
+  /// The Aprod the engine runs its products through.
+  [[nodiscard]] const Aprod& aprod() const;
+
   /// Serializes the complete solver state (versioned binary). The
   /// checkpoint embeds the problem fingerprint; `restore` validates it.
+  /// Distributed, the stream holds the globally assembled u, so it
+  /// restores on any rank count; writing it is then collective.
   void checkpoint(std::ostream& os) const;
   void checkpoint(const std::string& path) const;
 
@@ -65,6 +87,14 @@ class LsqrEngine {
   /// uninterrupted ones.
   void restore(std::istream& is);
   void restore(const std::string& path);
+
+  /// Checkpoints through `manager` (not owned; outlives the engine):
+  /// resumes from the newest checkpoint in its rotation that verifies
+  /// and restores, then seals one at every due iteration a step does
+  /// not finish on — inside that iteration's trace span. Distributed,
+  /// rank 0 writes and reports. Returns the iteration resumed from, or
+  /// -1 for a fresh start.
+  std::int64_t use_checkpoints(resilience::CheckpointManager& manager);
 
  private:
   struct Impl;

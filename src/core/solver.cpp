@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <iostream>
 #include <sstream>
 #include <vector>
 
@@ -499,42 +498,13 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
 
   board.set_phase(prank, "solve");
   watch.reset();
+  // The one solve path: auto-resume from the newest checkpoint that
+  // verifies and matches this problem (a no-op when checkpointing is
+  // off), then step to completion, sealing on the cadence.
   resilience::CheckpointManager manager(config.checkpoint);
-  if (!manager.enabled()) {
-    report.result = lsqr_solve(generated.A, lsqr);
-    run_refinement(config, generated.A, lsqr, report);
-    report.solve_seconds = watch.elapsed_s();
-    finish_observability(gen_cfg, lsqr, report);
-    return report;
-  }
-
   core::LsqrEngine engine(generated.A, lsqr);
-  // Auto-resume: walk the rotation newest-first and take the first
-  // checkpoint that passes both the CRC framing and the engine's
-  // problem-fingerprint check; anything corrupt or stale is skipped
-  // with a warning instead of failing the run.
-  for (const auto& info : manager.list()) {
-    try {
-      std::istringstream payload(resilience::read_framed_file(info.path),
-                                 std::ios::binary);
-      engine.restore(payload);
-      report.resumed_from_iteration = info.iteration;
-      resilience::note_resilience_event("checkpoint.resumed", info.path);
-      break;
-    } catch (const Error& e) {
-      std::cerr << "warning: skipping checkpoint " << info.path << ": "
-                << e.what() << '\n';
-      resilience::note_resilience_event("checkpoint.skipped", info.path);
-    }
-  }
-
-  while (engine.step()) {
-    if (manager.due(engine.iteration())) {
-      std::ostringstream payload(std::ios::binary);
-      engine.checkpoint(payload);
-      manager.write(engine.iteration(), payload.view());
-    }
-  }
+  report.resumed_from_iteration = engine.use_checkpoints(manager);
+  engine.run_to_completion();
   report.result = engine.result();
   report.result.resumed_from_iteration = report.resumed_from_iteration;
   report.checkpoints_written = manager.written();

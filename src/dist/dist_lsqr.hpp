@@ -8,6 +8,11 @@
 /// computed from allreduced norms, so all ranks follow the same scalar
 /// trajectory. The reported iteration time is the *maximum over ranks*,
 /// exactly the paper's measurement rule (Appendix B).
+///
+/// Each rank runs the one LSQR recurrence, `core::LsqrEngine`, on its
+/// slice through a `Comm`-backed `core::RankReducer`; `dist_lsqr_solve`
+/// only partitions, builds the reducers and engines, and restarts the
+/// solve on the survivors when a rank dies.
 #pragma once
 
 #include "core/lsqr.hpp"
@@ -30,8 +35,9 @@ struct DistLsqrOptions {
   /// collective (an allreduce-max of per-rank verdicts), so a corrupted
   /// rank can never desync the world's collective order.
   core::LsqrOptions lsqr{};
-  /// Periodic distributed checkpoints (rank 0 seals the replicated +
-  /// reassembled state every `checkpoint.every` iterations). Also the
+  /// Periodic checkpoints in the engine's one format (rank 0 seals the
+  /// replicated + reassembled state every `checkpoint.every`
+  /// iterations, so a file restores on any rank count). Also the
   /// recovery source after a rank death: disabled (`every == 0`) means a
   /// rank death restarts the solve from iteration 0.
   resilience::CheckpointConfig checkpoint{};
@@ -102,12 +108,12 @@ struct DistLsqrResult {
   std::string merged_trace_file;
   std::uint64_t trace_dropped_events = 0;
 
-  /// Health-monitor outcome accumulated across attempts (mode kOff with
-  /// zero counters unless options.lsqr.health enabled it). In repair
-  /// mode a collective detection aborts the attempt and the driver
-  /// replays from the newest valid checkpoint — or from iteration 0 when
-  /// checkpointing is off — bounded by health.max_repairs; exhausting
-  /// the budget throws resilience::SdcError with the diagnosis.
+  /// Health-monitor outcome of the final attempt, as rank 0 saw it
+  /// (mode kOff with zero counters unless options.lsqr.health enabled
+  /// it). In repair mode a collective detection rolls every rank back
+  /// to its own in-memory validated snapshot together, bounded by
+  /// health.max_repairs; exhausting the budget throws
+  /// resilience::SdcError with the diagnosis.
   resilience::HealthReport health{};
 };
 

@@ -129,13 +129,17 @@ std::vector<CheckpointInfo> CheckpointManager::list() const {
   return found;
 }
 
-std::optional<CheckpointManager::Loaded>
-CheckpointManager::load_newest_valid() const {
+std::optional<CheckpointInfo> CheckpointManager::resume(
+    const std::function<void(const std::string& payload)>& restore,
+    bool report) const {
+  if (!enabled()) return std::nullopt;
   for (const CheckpointInfo& info : list()) {
     try {
-      std::string payload = read_framed_file(info.path);
-      return Loaded{info, std::move(payload)};
+      restore(read_framed_file(info.path));
+      if (report) note_resilience_event("checkpoint.resumed", info.path);
+      return info;
     } catch (const Error& e) {
+      if (!report) continue;
       std::cerr << "warning: skipping checkpoint " << info.path << ": "
                 << e.what() << '\n';
       note_resilience_event("checkpoint.skipped", info.path);

@@ -10,9 +10,10 @@
 ///    verifies the footer and rejects truncated/corrupt files with a
 ///    `gaia::Error` naming the path and reason.
 ///  * **`CheckpointManager`** — rotates `basename.<iteration>.ckpt`
-///    files in a directory, keeps the last K, and on resume returns the
-///    newest file that still verifies, skipping corrupt ones with a
-///    warning (and an obs event) instead of failing the run.
+///    files in a directory, keeps the last K, and on resume hands the
+///    newest file that still verifies *and* restores to the caller,
+///    skipping corrupt or foreign ones with a warning (and an obs event)
+///    instead of failing the run.
 ///
 /// The manager is also the injection point for `ckpt:` fault clauses:
 /// after each write it asks the global `FaultInjector` whether to
@@ -21,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -80,14 +82,18 @@ class CheckpointManager {
   /// All checkpoints in the directory, newest (highest iteration) first.
   [[nodiscard]] std::vector<CheckpointInfo> list() const;
 
-  struct Loaded {
-    CheckpointInfo info;
-    std::string payload;
-  };
-  /// Newest checkpoint that verifies; corrupt files are skipped with a
-  /// stderr warning and an obs `checkpoint.skipped` event. nullopt when
-  /// none survives.
-  [[nodiscard]] std::optional<Loaded> load_newest_valid() const;
+  /// The auto-resume walk: newest first, hands each checkpoint whose
+  /// framing verifies to `restore`, which parses it and throws
+  /// gaia::Error to reject it (e.g. a fingerprint of another problem).
+  /// Corrupt or rejected files are skipped with a stderr warning and an
+  /// obs `checkpoint.skipped` event; the accepted one records
+  /// `checkpoint.resumed`. `report = false` keeps the walk silent (the
+  /// ranks of a distributed solve that do not report). Returns the
+  /// accepted checkpoint, or nullopt when the manager is disabled or no
+  /// file is accepted.
+  std::optional<CheckpointInfo> resume(
+      const std::function<void(const std::string& payload)>& restore,
+      bool report = true) const;
 
   [[nodiscard]] std::uint64_t written() const { return written_; }
   [[nodiscard]] const CheckpointConfig& config() const { return config_; }

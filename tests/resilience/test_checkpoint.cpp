@@ -7,6 +7,7 @@
 #include <string>
 
 #include "resilience/fault_injector.hpp"
+#include "util/error.hpp"
 
 namespace gaia::resilience {
 namespace {
@@ -148,30 +149,65 @@ TEST_F(CheckpointTest, ManagerRotatesKeepingTheLastK) {
   EXPECT_EQ(read_framed_file(listed[0].path), "state@5");
 }
 
-TEST_F(CheckpointTest, LoadNewestValidSkipsTheCorruptNewest) {
+TEST_F(CheckpointTest, ResumeSkipsTheCorruptNewest) {
   CheckpointManager manager(config());
   (void)manager.write(5, "state@5");
   const std::string newest = manager.write(10, "state@10");
   // The newest checkpoint rots on disk after sealing.
   fs::resize_file(newest, fs::file_size(newest) - 6);
 
+  std::string restored;
   ::testing::internal::CaptureStderr();
-  const auto loaded = manager.load_newest_valid();
+  const auto resumed =
+      manager.resume([&](const std::string& payload) { restored = payload; });
   const std::string warning = ::testing::internal::GetCapturedStderr();
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->info.iteration, 5);
-  EXPECT_EQ(loaded->payload, "state@5");
+  ASSERT_TRUE(resumed.has_value());
+  EXPECT_EQ(resumed->iteration, 5);
+  EXPECT_EQ(restored, "state@5");
   EXPECT_NE(warning.find("skipping"), std::string::npos) << warning;
 }
 
-TEST_F(CheckpointTest, LoadNewestValidIsEmptyWhenNothingSurvives) {
+TEST_F(CheckpointTest, ResumeSkipsWhatTheCallerRejects) {
   CheckpointManager manager(config());
-  EXPECT_FALSE(manager.load_newest_valid().has_value());
+  (void)manager.write(5, "state@5");
+  (void)manager.write(10, "foreign@10");
+  // An intact file the caller refuses (say, another problem's
+  // fingerprint) is skipped like a corrupt one.
+  std::string restored;
+  ::testing::internal::CaptureStderr();
+  const auto resumed = manager.resume([&](const std::string& payload) {
+    GAIA_CHECK(payload.rfind("state@", 0) == 0, "foreign checkpoint");
+    restored = payload;
+  });
+  const std::string warning = ::testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(resumed.has_value());
+  EXPECT_EQ(resumed->iteration, 5);
+  EXPECT_EQ(restored, "state@5");
+  EXPECT_NE(warning.find("foreign checkpoint"), std::string::npos) << warning;
+
+  // A silent walk takes the same decision without a warning.
+  ::testing::internal::CaptureStderr();
+  const auto quiet = manager.resume(
+      [](const std::string& payload) {
+        GAIA_CHECK(payload.rfind("state@", 0) == 0, "foreign checkpoint");
+      },
+      /*report=*/false);
+  EXPECT_TRUE(::testing::internal::GetCapturedStderr().empty());
+  ASSERT_TRUE(quiet.has_value());
+  EXPECT_EQ(quiet->iteration, 5);
+}
+
+TEST_F(CheckpointTest, ResumeIsEmptyWhenNothingSurvives) {
+  CheckpointManager manager(config());
+  const auto never = [](const std::string&) { FAIL() << "nothing to load"; };
+  EXPECT_FALSE(manager.resume(never).has_value());
   const std::string only = manager.write(3, "state@3");
   fs::resize_file(only, 2);
   ::testing::internal::CaptureStderr();
-  EXPECT_FALSE(manager.load_newest_valid().has_value());
+  EXPECT_FALSE(manager.resume(never).has_value());
   (void)::testing::internal::GetCapturedStderr();
+  // A disabled manager never walks.
+  EXPECT_FALSE(CheckpointManager(CheckpointConfig{}).resume(never).has_value());
 }
 
 TEST_F(CheckpointTest, InjectedTruncationCorruptsExactlyTheNthWrite) {
