@@ -2,15 +2,30 @@
 /// \brief google-benchmark microbenchmarks of the real (host-executed)
 /// aprod kernels across backends — the measured counterpart of the
 /// platform model's analytical kernel costs.
+///
+/// Each aprod product is timed both ways: as the paper's per-section
+/// kernels (`aprod1`: four gathers, `aprod2_scatter`: three shared-section
+/// scatters) and as the fused row pass the solver runs (`aprod1_fused`,
+/// `aprod2_fused`), launched through the KernelRegistry at the tuned
+/// shapes. `aprod2` is the solver's apply2 through the Aprod driver.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <string>
+
+#include "backends/scratch_arena.hpp"
 #include "core/aprod.hpp"
+#include "core/kernel_catalog.hpp"
 #include "matrix/generator.hpp"
+#include "tuning/kernel_registry.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace gaia;
+using backends::KernelId;
+using tuning::AprodPass;
+using tuning::FusedPass;
 
 const matrix::GeneratedSystem& system_under_test() {
   static const matrix::GeneratedSystem gen = [] {
@@ -25,17 +40,10 @@ const matrix::GeneratedSystem& system_under_test() {
   return gen;
 }
 
-core::AprodOptions options_for(backends::BackendKind backend, bool streams) {
-  core::AprodOptions opts;
-  opts.backend = backend;
-  opts.use_streams = streams;
-  return opts;
-}
-
 /// Installs `strategy` on the three atomic aprod2 kernels.
 backends::TuningTable table_with_strategy(backends::ScatterStrategy strategy) {
   backends::TuningTable table = backends::TuningTable::tuned_default();
-  for (backends::KernelId id : backends::all_kernels()) {
+  for (KernelId id : backends::all_kernels()) {
     if (!backends::kernel_uses_atomics(id)) continue;
     backends::KernelConfig cfg = table.get(id);
     cfg.strategy = strategy;
@@ -44,116 +52,114 @@ backends::TuningTable table_with_strategy(backends::ScatterStrategy strategy) {
   return table;
 }
 
-void BM_Aprod1(benchmark::State& state) {
+/// What one registry benchmark launches per iteration.
+enum class Product : int { kAprod1, kAprod1Fused, kAprod2Scatter, kAprod2Fused };
+
+std::vector<AprodPass> passes_of(Product product) {
+  switch (product) {
+    case Product::kAprod1:
+      return {{KernelId::kAprod1Astro, std::nullopt},
+              {KernelId::kAprod1Att, std::nullopt},
+              {KernelId::kAprod1Instr, std::nullopt},
+              {KernelId::kAprod1Glob, std::nullopt}};
+    case Product::kAprod1Fused:
+      return {{KernelId::kAprod1Astro, FusedPass::kGather}};
+    case Product::kAprod2Scatter:
+      return {{KernelId::kAprod2Att, std::nullopt},
+              {KernelId::kAprod2Instr, std::nullopt},
+              {KernelId::kAprod2Glob, std::nullopt}};
+    case Product::kAprod2Fused:
+      return {{KernelId::kAprod2Att, FusedPass::kScatter}};
+  }
+  return {};
+}
+
+/// One product through the KernelRegistry: range(0) backend, range(1)
+/// Product, range(2) scatter strategy.
+void BM_Registry(benchmark::State& state) {
+  const auto backend = static_cast<backends::BackendKind>(state.range(0));
+  const auto product = static_cast<Product>(state.range(1));
+  const auto strategy =
+      static_cast<backends::ScatterStrategy>(state.range(2));
+  const auto& gen = system_under_test();
+  core::ensure_kernel_catalog();
+  const core::SystemView view = core::SystemView::from(gen.A);
+  const tuning::KernelRegistry& registry = tuning::KernelRegistry::global();
+  const backends::TuningTable table = table_with_strategy(strategy);
+  backends::ScratchArena arena;
+  util::Xoshiro256 rng(1);
+  std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()));
+  std::vector<real> y(static_cast<std::size_t>(gen.A.n_rows()));
+  for (auto& v : x) v = rng.normal();
+  for (auto& v : y) v = rng.normal();
+  const bool gather =
+      product == Product::kAprod1 || product == Product::kAprod1Fused;
+  const std::vector<AprodPass> passes = passes_of(product);
+  tuning::LaunchArgs args;
+  args.view = &view;
+  args.in = gather ? x.data() : y.data();
+  args.out = gather ? y.data() : x.data();
+  args.arena = &arena;
+  for (auto _ : state) {
+    for (const AprodPass& pass : passes) {
+      args.config = table.get(pass.id);
+      registry.launch(pass, backend, args);
+    }
+    benchmark::DoNotOptimize(args.out);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(gen.A.values().size_bytes()));
+  std::string label = backends::to_string(backend);
+  if (!gather) label.append("/").append(backends::to_string(strategy));
+  state.SetLabel(label);
+}
+
+/// The solver's apply2 through the Aprod driver: aprod2_astro then the
+/// fused scatter, on the calling thread.
+void BM_Aprod2(benchmark::State& state) {
   const auto backend = static_cast<backends::BackendKind>(state.range(0));
   const auto& gen = system_under_test();
   backends::DeviceContext device;
-  core::Aprod aprod(gen.A, device, options_for(backend, false));
-  util::Xoshiro256 rng(1);
-  std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()));
-  std::vector<real> y(static_cast<std::size_t>(gen.A.n_rows()), 0.0);
-  for (auto& v : x) v = rng.normal();
+  core::AprodOptions opts;
+  opts.backend = backend;
+  core::Aprod aprod(gen.A, device, opts);
+  util::Xoshiro256 rng(2);
+  std::vector<real> y(static_cast<std::size_t>(gen.A.n_rows()));
+  std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
+  for (auto& v : y) v = rng.normal();
   for (auto _ : state) {
-    aprod.apply1(x, y);
-    benchmark::DoNotOptimize(y.data());
+    aprod.apply2(y, x);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(gen.A.values().size_bytes()));
   state.SetLabel(backends::to_string(backend));
 }
 
-void BM_Aprod2(benchmark::State& state) {
-  const auto backend = static_cast<backends::BackendKind>(state.range(0));
-  const bool streams = state.range(1) != 0;
-  const auto& gen = system_under_test();
-  backends::DeviceContext device;
-  core::Aprod aprod(gen.A, device, options_for(backend, streams));
-  util::Xoshiro256 rng(2);
-  std::vector<real> y(static_cast<std::size_t>(gen.A.n_rows()));
-  std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
-  for (auto& v : y) v = rng.normal();
-  for (auto _ : state) {
-    aprod.apply2(y, x);
-    benchmark::DoNotOptimize(x.data());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(gen.A.values().size_bytes()));
-  state.SetLabel(backends::to_string(backend) +
-                 (streams ? "/streams" : "/sequential"));
-}
-
-/// The atomic-vs-privatized comparison at the benchmark level: same
-/// apply2 pass, strategy selected via the tuning table (the three
-/// shared-section scatters read it for their commit step).
-void BM_Aprod2Strategy(benchmark::State& state) {
-  const auto backend = static_cast<backends::BackendKind>(state.range(0));
-  const auto strategy =
-      static_cast<backends::ScatterStrategy>(state.range(1));
-  const auto& gen = system_under_test();
-  backends::DeviceContext device;
-  core::AprodOptions opts = options_for(backend, false);
-  opts.tuning = table_with_strategy(strategy);
-  core::Aprod aprod(gen.A, device, opts);
-  util::Xoshiro256 rng(2);
-  std::vector<real> y(static_cast<std::size_t>(gen.A.n_rows()));
-  std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
-  for (auto& v : y) v = rng.normal();
-  for (auto _ : state) {
-    aprod.apply2(y, x);
-    benchmark::DoNotOptimize(x.data());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(gen.A.values().size_bytes()));
-  state.SetLabel(backends::to_string(backend) + "/" +
-                 backends::to_string(strategy));
-}
-
-/// The fused single-row-pass aprod2 (the PSTL-port shape): att, instr
-/// and glob scatters folded into one kernel, on either commit step.
-void BM_Aprod2Fused(benchmark::State& state) {
-  const auto backend = static_cast<backends::BackendKind>(state.range(0));
-  const auto strategy =
-      static_cast<backends::ScatterStrategy>(state.range(1));
-  const auto& gen = system_under_test();
-  backends::DeviceContext device;
-  core::AprodOptions opts = options_for(backend, false);
-  opts.fuse_aprod2 = true;
-  opts.tuning = table_with_strategy(strategy);
-  core::Aprod aprod(gen.A, device, opts);
-  util::Xoshiro256 rng(2);
-  std::vector<real> y(static_cast<std::size_t>(gen.A.n_rows()));
-  std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
-  for (auto& v : y) v = rng.normal();
-  for (auto _ : state) {
-    aprod.apply2(y, x);
-    benchmark::DoNotOptimize(x.data());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(gen.A.values().size_bytes()));
-  state.SetLabel(backends::to_string(backend) + "/fused/" +
-                 backends::to_string(strategy));
-}
-
 void RegisterAll() {
+  const std::array<std::pair<const char*, Product>, 2> gathers = {
+      {{"aprod1", Product::kAprod1}, {"aprod1_fused", Product::kAprod1Fused}}};
+  const std::array<std::pair<const char*, Product>, 2> scatters = {
+      {{"aprod2_scatter", Product::kAprod2Scatter},
+       {"aprod2_fused", Product::kAprod2Fused}}};
   for (backends::BackendKind backend : backends::all_backends()) {
-    benchmark::RegisterBenchmark("aprod1", BM_Aprod1)
-        ->Arg(static_cast<int>(backend))
-        ->Unit(benchmark::kMillisecond);
-    for (int streams : {0, 1}) {
-      benchmark::RegisterBenchmark("aprod2", BM_Aprod2)
-          ->Args({static_cast<int>(backend), streams})
+    const int b = static_cast<int>(backend);
+    for (const auto& [name, product] : gathers)
+      benchmark::RegisterBenchmark(name, BM_Registry)
+          ->Args({b, static_cast<int>(product), 0})
           ->Unit(benchmark::kMillisecond);
-    }
+    benchmark::RegisterBenchmark("aprod2", BM_Aprod2)
+        ->Arg(b)
+        ->Unit(benchmark::kMillisecond);
     for (backends::ScatterStrategy strategy :
          {backends::ScatterStrategy::kAtomic,
-          backends::ScatterStrategy::kPrivatized}) {
-      benchmark::RegisterBenchmark("aprod2_scatter", BM_Aprod2Strategy)
-          ->Args({static_cast<int>(backend), static_cast<int>(strategy)})
-          ->Unit(benchmark::kMillisecond);
-      benchmark::RegisterBenchmark("aprod2_fused", BM_Aprod2Fused)
-          ->Args({static_cast<int>(backend), static_cast<int>(strategy)})
-          ->Unit(benchmark::kMillisecond);
-    }
+          backends::ScatterStrategy::kPrivatized})
+      for (const auto& [name, product] : scatters)
+        benchmark::RegisterBenchmark(name, BM_Registry)
+            ->Args({b, static_cast<int>(product), static_cast<int>(strategy)})
+            ->Unit(benchmark::kMillisecond);
   }
 }
 

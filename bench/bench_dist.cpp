@@ -32,7 +32,6 @@ void BM_DistLsqr(benchmark::State& state) {
   dist::DistLsqrOptions opts;
   opts.n_ranks = ranks;
   opts.lsqr.aprod.backend = backends::BackendKind::kSerial;
-  opts.lsqr.aprod.use_streams = false;
   opts.lsqr.max_iterations = 5;
   opts.lsqr.compute_std_errors = false;
   for (auto _ : state) {
@@ -55,7 +54,6 @@ void BM_DistLsqrTraced(benchmark::State& state) {
   dist::DistLsqrOptions opts;
   opts.n_ranks = ranks;
   opts.lsqr.aprod.backend = backends::BackendKind::kSerial;
-  opts.lsqr.aprod.use_streams = false;
   opts.lsqr.max_iterations = 5;
   opts.lsqr.compute_std_errors = false;
   opts.trace_dir = dir.string();

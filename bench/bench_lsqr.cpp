@@ -29,7 +29,6 @@ void BM_LsqrIteration(benchmark::State& state) {
   const bool tuned = state.range(1) != 0;
   core::LsqrOptions opts;
   opts.aprod.backend = backend;
-  opts.aprod.use_streams = backend != backends::BackendKind::kSerial;
   opts.aprod.tuning = tuned ? backends::TuningTable::tuned_default()
                             : backends::TuningTable::untuned();
   opts.compute_std_errors = false;

@@ -2,11 +2,12 @@
 /// \brief Fast per-kernel timing sweep that emits a BENCH_smoke.json
 /// perf baseline — the producer side of the `gaia-perfgate` CI gate.
 ///
-/// Launches each of the eight aprod kernels directly through the
+/// Launches each of the eight aprod kernels, the fused gather and the
+/// fused scatter on both commit strategies directly through the
 /// KernelRegistry on a small host-resident system, records the median
-/// launch time per kernel, and writes a metrics::PerfBaseline. Runs in
-/// well under a second, so CI can afford two runs (baseline + verify)
-/// plus an injected-slowdown run to prove the gate trips:
+/// launch time per series, and writes a metrics::PerfBaseline. Runs in
+/// about a second, so CI can afford two runs (baseline + verify) plus an
+/// injected-slowdown run to prove the gate trips:
 ///
 ///   bench_smoke --out BENCH_smoke.json
 ///   bench_smoke --out slow.json --slowdown aprod2_att=2.0
@@ -128,6 +129,26 @@ int main(int argc, char** argv) {
     for (auto& v : x) v = rng.normal();
     for (auto& v : y) v = rng.normal();
 
+    // The timed series: the eight per-section kernels at the tuned table
+    // (the per-kernel totals below sum these), then the two passes the
+    // solve launches, the fused scatter once per commit strategy.
+    struct Series {
+      tuning::AprodPass pass;
+      backends::ScatterStrategy strategy;
+    };
+    std::vector<Series> series;
+    for (backends::KernelId id : backends::all_kernels())
+      series.push_back({{id, std::nullopt}, table.get(id).strategy});
+    series.push_back({{backends::KernelId::kAprod1Astro,
+                       tuning::FusedPass::kGather},
+                      backends::ScatterStrategy::kAtomic});
+    for (const backends::ScatterStrategy strategy :
+         {backends::ScatterStrategy::kAtomic,
+          backends::ScatterStrategy::kPrivatized})
+      series.push_back({{backends::KernelId::kAprod2Att,
+                         tuning::FusedPass::kScatter},
+                        strategy});
+
     metrics::PerfBaseline baseline;
     baseline.name = "smoke";
     std::array<std::array<double, backends::kNumStorageLayouts>,
@@ -137,26 +158,28 @@ int main(int argc, char** argv) {
       const auto precision = static_cast<backends::Precision>(pi);
       for (int li = 0; li < backends::kNumStorageLayouts; ++li) {
         const auto layout = static_cast<backends::StorageLayout>(li);
-        for (backends::KernelId id : backends::all_kernels()) {
+        for (const Series& s : series) {
+          const backends::KernelId id = s.pass.id;
           const bool is_aprod1 = id < backends::KernelId::kAprod2Astro;
           tuning::LaunchArgs args;
           args.view = &view;
           args.in = is_aprod1 ? x.data() : y.data();
           args.out = is_aprod1 ? y.data() : x.data();
           args.config = table.get(id);
+          args.config.strategy = s.strategy;
           args.config.layout = layout;
           args.config.precision = precision;
           args.arena = &arena;
-          const std::string name = backends::to_string(id);
+          const std::string name = core::pass_region_name(s.pass);
           const double spin_factor =
               name == slowdown.kernel ? slowdown.factor - 1.0 : 0.0;
 
           std::vector<double> samples;
           samples.reserve(static_cast<std::size_t>(reps));
-          registry.launch(id, backend, args);  // warm-up, untimed
+          registry.launch(s.pass, backend, args);  // warm-up, untimed
           for (int r = 0; r < reps; ++r) {
             util::Stopwatch watch;
-            registry.launch(id, backend, args);
+            registry.launch(s.pass, backend, args);
             if (spin_factor > 0)
               busy_spin_for(spin_factor * watch.elapsed_s());
             samples.push_back(watch.elapsed_s());
@@ -166,20 +189,21 @@ int main(int argc, char** argv) {
           timing.kernel = name;
           timing.backend = backends::to_string(backend);
           timing.strategy = backends::kernel_uses_atomics(id)
-                                ? backends::to_string(args.config.strategy)
+                                ? backends::to_string(s.strategy)
                                 : "none";
           timing.layout = backends::to_string(layout);
           timing.precision = backends::to_string(precision);
           timing.median_seconds = util::median(samples);
           timing.samples = samples.size();
           baseline.kernels.push_back(timing);
-          aprod_total[static_cast<std::size_t>(pi)]
-                     [static_cast<std::size_t>(li)] +=
-              timing.median_seconds;
-          std::cout << name << " [" << timing.layout << '/'
-                    << timing.precision << "]: median "
-                    << timing.median_seconds * 1e3 << " ms over " << reps
-                    << " rep(s)\n";
+          if (!s.pass.fused)
+            aprod_total[static_cast<std::size_t>(pi)]
+                       [static_cast<std::size_t>(li)] +=
+                timing.median_seconds;
+          std::cout << name << " [" << timing.strategy << '/'
+                    << timing.layout << '/' << timing.precision
+                    << "]: median " << timing.median_seconds * 1e3
+                    << " ms over " << reps << " rep(s)\n";
         }
       }
     }

@@ -1,26 +1,31 @@
 /// \file model_drift_helper.hpp
-/// \brief Shared bench plumbing for the model-drift report: run a real
-/// host LSQR under the profiler, aggregate the measured per-kernel
-/// times, and confront them with the cost model's predictions for the
-/// same problem shape.
+/// \brief Shared bench plumbing for the model-drift report: time every
+/// aprod kernel on the host, and confront the measured times with the
+/// cost model's predictions for the same problem shape.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "core/lsqr.hpp"
+#include "backends/scratch_arena.hpp"
+#include "core/kernel_catalog.hpp"
+#include "core/system_view.hpp"
 #include "matrix/generator.hpp"
 #include "metrics/model_drift.hpp"
 #include "perfmodel/cost_model.hpp"
 #include "perfmodel/problem_shape.hpp"
-#include "util/profiler.hpp"
+#include "tuning/kernel_registry.hpp"
+#include "util/rng.hpp"
+#include "util/stopwatch.hpp"
 
 namespace gaia::bench {
 
-/// Runs `iterations` LSQR steps of the generated system on the given
-/// backend with per-kernel profiling, then builds one drift row per
-/// aprod kernel: predicted = cost-model kernel seconds on `spec` x
-/// iteration count, measured = profiler totals from the host run.
+/// Launches each of the eight aprod kernels `iterations` times through
+/// KernelRegistry::launch on the given backend, at the cost model's
+/// tuned shapes, then builds one drift row per kernel: predicted =
+/// cost-model kernel seconds on `spec` x iteration count, measured = the
+/// summed host launch times. The solve itself runs fused passes, so the
+/// per-kernel times come from the registry, not from a solve's profile.
 inline metrics::ModelDriftReport host_drift_report(
     const matrix::GeneratorConfig& gen_cfg,
     const perfmodel::GpuSpec& spec,
@@ -32,34 +37,37 @@ inline metrics::ModelDriftReport host_drift_report(
   const perfmodel::KernelCostModel model(spec);
   const backends::TuningTable tuning = model.tuned_table();
 
-  auto& prof = util::Profiler::global();
-  const bool was_enabled = prof.enabled();
-  prof.reset();
-  prof.set_enabled(true);
-
-  core::LsqrOptions opts;
-  opts.aprod.backend = backend;
-  opts.aprod.use_streams = false;  // serialize so per-kernel times add up
-  opts.aprod.tuning = tuning;
-  opts.max_iterations = iterations;
-  opts.compute_std_errors = false;
-  core::lsqr_solve(gen.A, opts);
-
-  const auto snapshot = prof.snapshot();
-  prof.set_enabled(was_enabled);
-  prof.reset();
+  core::ensure_kernel_catalog();
+  const core::SystemView view = core::SystemView::from(gen.A);
+  const tuning::KernelRegistry& registry = tuning::KernelRegistry::global();
+  backends::ScratchArena arena;
+  util::Xoshiro256 rng(gen_cfg.seed);
+  std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()));
+  std::vector<real> y(static_cast<std::size_t>(gen.A.n_rows()));
+  for (auto& v : x) v = rng.normal();
+  for (auto& v : y) v = rng.normal();
 
   std::vector<metrics::KernelDrift> rows;
-  for (int k = 0; k < backends::kNumKernels; ++k) {
-    const auto id = static_cast<backends::KernelId>(k);
+  for (backends::KernelId id : backends::all_kernels()) {
+    const bool gather = id < backends::KernelId::kAprod2Astro;
+    tuning::LaunchArgs args;
+    args.view = &view;
+    args.in = gather ? x.data() : y.data();
+    args.out = gather ? y.data() : x.data();
+    args.config = tuning.get(id);
+    args.arena = &arena;
+    registry.launch(id, backend, args);  // warm-up, untimed
     metrics::KernelDrift row;
     row.kernel = backends::to_string(id);
     row.predicted_s =
         model.kernel_seconds(id, shape, tuning.get(id),
                              backends::AtomicMode::kNativeRmw) *
         iterations;
-    for (const auto& region : snapshot)
-      if (region.name == row.kernel) row.measured_s = region.total_s;
+    for (int it = 0; it < iterations; ++it) {
+      util::Stopwatch watch;
+      registry.launch(id, backend, args);
+      row.measured_s += watch.elapsed_s();
+    }
     rows.push_back(std::move(row));
   }
   return metrics::ModelDriftReport(std::move(rows));

@@ -5,7 +5,7 @@
 /// time — the paper's measurement binary.
 ///
 ///   $ ./gaia_solver --size 64MB --iterations 100 --backend gpusim
-///   $ ./gaia_solver --size 128MB --backend openmp --no-streams
+///   $ ./gaia_solver --size 128MB --backend openmp --scatter privatized
 ///   $ ./gaia_solver --size 32MB --backend serial --ranks 4
 ///   $ ./gaia_solver --trace trace.json --metrics metrics.csv
 ///   $ ./gaia_solver --ranks 3 --trace-dir traces && gaia-critpath \
@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
                  "sycl, stdpar, omp)");
   cli.add_option("seed", "1746", "dataset seed");
   cli.add_option("ranks", "1", "simulated MPI ranks (>1 uses dist solver)");
-  cli.add_flag("no-streams", "disable aprod2 stream overlap");
   cli.add_flag("untuned", "use naive 256x256 kernel shapes");
   cli.add_flag("autotune",
                "search (blocks, threads) per kernel during warm-up "
@@ -177,7 +176,6 @@ int main(int argc, char** argv) {
     config.footprint_bytes = cli.get_size("size");
     config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     config.lsqr.aprod.backend = *backend;
-    config.lsqr.aprod.use_streams = !cli.get_flag("no-streams");
     config.lsqr.aprod.tuning =
         cli.get_flag("untuned") ? backends::TuningTable::untuned()
                                 : backends::TuningTable::tuned_default();
@@ -236,9 +234,7 @@ int main(int argc, char** argv) {
 
     const int ranks = static_cast<int>(cli.get_int("ranks"));
     std::cout << "backend: " << backends::to_string(*backend)
-              << ", streams: " << std::boolalpha
-              << config.lsqr.aprod.use_streams << ", ranks: " << ranks
-              << "\n";
+              << ", ranks: " << ranks << "\n";
 
     if (ranks <= 1) {
       const core::SolverRunReport report = core::run_solver(config);

@@ -31,11 +31,10 @@ int main() {
             << " constraints, " << A.n_cols() << " unknowns\n";
 
   // 2. Configure the solver: CUDA-shaped backend, tuned kernels,
-  //    aprod2 kernels overlapped in streams, standard errors on.
+  //    standard errors on.
   core::LsqrOptions options;
   options.aprod.backend = backends::BackendKind::kGpuSim;
   options.aprod.tuning = backends::TuningTable::tuned_default();
-  options.aprod.use_streams = true;
   options.max_iterations = 300;
   options.atol = 1e-12;
   options.btol = 1e-12;

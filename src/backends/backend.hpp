@@ -8,7 +8,7 @@
 /// | paper model      | backend   | what is preserved                      |
 /// |------------------|-----------|----------------------------------------|
 /// | CUDA / HIP / SYCL| kGpuSim   | explicit kernels, grid/block tuning,    |
-/// |                  |           | device buffers, streams, device atomics |
+/// |                  |           | device buffers, device atomics          |
 /// | OpenMP-GPU       | kOpenMP   | directive-based, teams/thread_limit     |
 /// | C++ PSTL         | kPstl     | parallel algorithms, *no tuning knob*   |
 /// | (reference)      | kSerial   | deterministic oracle ("production" ref) |

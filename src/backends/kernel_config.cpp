@@ -116,7 +116,8 @@ TuningTable TuningTable::tuned_default() {
   t.set(KernelId::kAprod2Astro, wide);
   // ...and deliberately narrow shapes where atomics collide (paper SIV):
   // fewer blocks and threads lower the collision probability at the cost
-  // of occupancy, recovered by overlapping the kernels in streams.
+  // of occupancy. The solve launches kAprod2Att's entry for the fused
+  // scatter; the instr/glob entries shape their separate kernels only.
   const KernelConfig narrow{32, 32};
   t.set(KernelId::kAprod2Att, narrow);
   t.set(KernelId::kAprod2Instr, narrow);

@@ -3,8 +3,8 @@
 ///
 /// All parallel backends (OpenMP excepted — it brings its own runtime)
 /// execute on this pool. Design constraints:
-///  * multiple submitters may run `parallel_for` concurrently (the solver
-///    overlaps aprod2 kernels in streams, like the CUDA original);
+///  * multiple submitters may run `parallel_for` concurrently (in-process
+///    ranks and independent solvers share the pool);
 ///  * the submitting thread participates in its own job, so a pool of
 ///    size 0 degenerates to serial execution and nested submission cannot
 ///    deadlock;

@@ -21,13 +21,13 @@ using backends::KernelId;
 
 namespace {
 
-/// Span annotations of one kernel launch: backend, launch shape
-/// (resolved to the actual grid for the gpusim backend), stream lane,
-/// bytes moved, and whether this launch was an autotuner trial.
-std::vector<obs::TraceArg> kernel_trace_args(
+/// Span annotations of one launch: backend, launch shape (resolved to
+/// the actual grid for the gpusim backend), bytes the pass moves, and
+/// whether this launch was an autotuner trial.
+std::vector<obs::TraceArg> pass_trace_args(
     BackendKind backend, backends::KernelConfig cfg,
-    backends::AtomicMode atomic_mode, const SystemView& view, KernelId id,
-    std::int32_t stream, bool trial) {
+    backends::AtomicMode atomic_mode, const SystemView& view,
+    const tuning::AprodPass& pass, bool trial) {
   if (backend == BackendKind::kGpuSim)
     cfg = backends::GpuSimExec::resolve(cfg);
   std::vector<obs::TraceArg> args;
@@ -35,14 +35,13 @@ std::vector<obs::TraceArg> kernel_trace_args(
   args.emplace_back("backend", backends::to_string(backend));
   args.emplace_back("blocks", static_cast<std::int64_t>(cfg.blocks));
   args.emplace_back("threads", static_cast<std::int64_t>(cfg.threads));
-  args.emplace_back("stream", static_cast<std::int64_t>(stream));
-  args.emplace_back(
-      "bytes", kernel_traffic_bytes(view, id, cfg.layout, cfg.precision));
+  args.emplace_back("bytes", pass_traffic_bytes(view, pass, cfg.layout,
+                                                cfg.precision));
   if (cfg.layout != backends::StorageLayout::kSeedAos)
     args.emplace_back("layout", backends::to_string(cfg.layout));
   if (cfg.precision != backends::Precision::kFp64)
     args.emplace_back("precision", backends::to_string(cfg.precision));
-  if (backends::kernel_uses_atomics(id)) {
+  if (backends::kernel_uses_atomics(pass.id)) {
     args.emplace_back("strategy", backends::to_string(cfg.strategy));
     if (cfg.strategy == backends::ScatterStrategy::kAtomic)
       args.emplace_back("atomic", backends::to_string(atomic_mode));
@@ -51,44 +50,32 @@ std::vector<obs::TraceArg> kernel_trace_args(
   return args;
 }
 
-/// Derived performance counters for one completed (non-trial) launch.
-/// The cost shapes come from the kernel catalog, the wall time from the
-/// launch stopwatch; the fused scatter reports the summed shape of the
-/// three sections it interleaves. Glob launches on a system without a
-/// global block are registry no-ops and record nothing.
-void record_launch_sample(const SystemView& view, KernelId id, bool fused,
-                          BackendKind backend,
+/// Strategy label of a pass's series: the fused scatter carries
+/// kAprod2Att's identity, so it is the one pass with a commit strategy.
+std::string strategy_label(const tuning::AprodPass& pass,
+                           const backends::KernelConfig& cfg) {
+  return backends::kernel_uses_atomics(pass.id)
+             ? backends::to_string(cfg.strategy)
+             : "none";
+}
+
+/// Derived performance counters for one completed (non-trial) launch:
+/// the pass-level cost shapes from the kernel catalog, the wall time from
+/// the launch stopwatch.
+void record_launch_sample(const SystemView& view,
+                          const tuning::AprodPass& pass, BackendKind backend,
                           const backends::KernelConfig& cfg, double seconds) {
   if (!obs::MetricsRegistry::global().enabled()) return;
-  const bool glob_noop = !view.has_global;
-  if (!fused && glob_noop &&
-      (id == KernelId::kAprod1Glob || id == KernelId::kAprod2Glob))
-    return;
   const int workers =
       backends::atomic_scatter_workers(backend, view.n_rows, cfg);
   obs::KernelSample s;
+  s.kernel = pass_region_name(pass);
   s.backend = backends::to_string(backend);
+  s.strategy = strategy_label(pass, cfg);
   s.seconds = seconds;
-  s.strategy = fused || backends::kernel_uses_atomics(id)
-                   ? backends::to_string(cfg.strategy)
-                   : "none";
-  if (fused) {
-    s.kernel = "aprod2_fused";
-    const std::array<KernelId, 3> parts = {
-        KernelId::kAprod2Att, KernelId::kAprod2Instr, KernelId::kAprod2Glob};
-    for (KernelId part : parts) {
-      if (part == KernelId::kAprod2Glob && glob_noop) continue;
-      s.bytes += kernel_traffic_bytes(view, part, cfg.layout, cfg.precision);
-      s.flops += kernel_flops(view, part);
-      s.atomic_updates +=
-          kernel_atomic_updates(view, part, cfg.strategy, workers);
-    }
-  } else {
-    s.kernel = kernel_region_name(id);
-    s.bytes = kernel_traffic_bytes(view, id, cfg.layout, cfg.precision);
-    s.flops = kernel_flops(view, id);
-    s.atomic_updates = kernel_atomic_updates(view, id, cfg.strategy, workers);
-  }
+  s.bytes = pass_traffic_bytes(view, pass, cfg.layout, cfg.precision);
+  s.flops = pass_flops(view, pass);
+  s.atomic_updates = pass_atomic_updates(view, pass, cfg.strategy, workers);
   obs::record_kernel_sample(s);
 }
 
@@ -131,10 +118,6 @@ Aprod::Aprod(const matrix::SystemMatrix& A, backends::DeviceContext& device,
   view_ = SystemView::from(
       A, {d_values_.data(), d_idx_astro_.data(), d_idx_att_.data(),
           d_instr_col_.data(), d_star_row_start_.data()});
-
-  if (options_.use_streams) {
-    for (auto& s : streams_) s = std::make_unique<backends::Stream>();
-  }
 }
 
 void Aprod::ensure_layout(backends::StorageLayout layout) {
@@ -247,24 +230,20 @@ void Aprod::ensure_precision(backends::Precision precision) {
 
 Aprod::~Aprod() = default;
 
-bool Aprod::tuning_in_progress() const {
-  tuning::Autotuner* tuner = options_.autotuner;
-  return tuner && active_backend() == tuner->backend() && tuner->active();
-}
-
-void Aprod::launch_kernel(KernelId id, bool fused, const real* in, real* out,
-                          std::int32_t track) {
+void Aprod::launch_pass(const tuning::AprodPass& pass, const real* in,
+                        real* out) {
   const tuning::KernelRegistry& registry = tuning::KernelRegistry::global();
   auto& injector = resilience::FaultInjector::global();
-  const char* name = fused ? "aprod2_fused" : kernel_region_name(id);
+  const KernelId id = pass.id;
+  const char* name = pass_region_name(pass);
   for (;;) {
     const BackendKind backend = active_backend();
     // Trial launches only happen on the tuner's own backend: after a
     // failover the shapes being searched no longer describe the backend
     // actually executing, so the run falls back to the installed table.
     tuning::Autotuner* tuner = options_.autotuner;
-    const bool trial = !fused && tuner && backend == tuner->backend() &&
-                       tuner->searching(id);
+    const bool trial =
+        tuner && backend == tuner->backend() && tuner->searching(id);
     backends::KernelConfig cfg =
         trial ? tuner->propose(id) : options_.tuning.get(id);
     // Materialize the derived layout on first use; if the build cannot
@@ -291,11 +270,10 @@ void Aprod::launch_kernel(KernelId id, bool fused, const real* in, real* out,
     }
     try {
       resilience::with_retry(name, options_.retry, [&] {
-        obs::ScopedTrace span(name, "kernel", track);
+        obs::ScopedTrace span(name, "kernel");
         if (span.armed())
-          for (auto& a : kernel_trace_args(backend, cfg,
-                                           options_.atomic_mode, view_, id,
-                                           track, trial))
+          for (auto& a : pass_trace_args(backend, cfg, options_.atomic_mode,
+                                         view_, pass, trial))
             span.add_arg(std::move(a));
         util::ScopedRegion region(name);
         if (injector.armed() &&
@@ -309,38 +287,29 @@ void Aprod::launch_kernel(KernelId id, bool fused, const real* in, real* out,
         args.config = cfg;
         args.atomic_mode = options_.atomic_mode;
         args.arena = &scratch_arena_;
+        util::Stopwatch watch;
+        registry.launch(pass, backend, args);
+        const double seconds = watch.elapsed_s();
         if (trial) {
-          util::Stopwatch watch;
-          registry.launch(id, backend, args);
-          // Closing a kernel's search installs its measured winner into
-          // the live table, so the remaining iterations already run
-          // tuned.
-          if (tuner->report(id, cfg, watch.elapsed_s()))
+          // A trial's shape is a search candidate, not the production
+          // config: its time feeds the latency histogram only.
+          obs::record_kernel_time(name, backends::to_string(backend),
+                                  strategy_label(pass, cfg), seconds);
+          // Closing a search installs its measured winner into the live
+          // table, so the remaining iterations already run tuned.
+          if (tuner->report(id, cfg, seconds))
             options_.tuning.set(id, tuner->best(id));
         } else {
-          util::Stopwatch watch;
-          if (fused)
-            registry.launch_fused(backend, args);
-          else
-            registry.launch(id, backend, args);
-          const double seconds = watch.elapsed_s();
-          pass_kernel_seconds_.fetch_add(seconds,
-                                         std::memory_order_relaxed);
-          record_launch_sample(view_, id, fused, backend, cfg, seconds);
+          record_launch_sample(view_, pass, backend, cfg, seconds);
         }
       });
       return;
     } catch (const resilience::PersistentFault&) {
       const auto next = resilience::next_backend(backend);
       if (!options_.failover || !next) throw;
-      // Several streams can fault concurrently; only the first thread
-      // advances the chain, the rest retry on the already-updated
-      // backend.
-      BackendKind expected = backend;
-      if (active_backend_.compare_exchange_strong(expected, *next)) {
-        failover_count_.fetch_add(1, std::memory_order_relaxed);
-        note_failover(name, backend, *next);
-      }
+      active_backend_.store(*next, std::memory_order_relaxed);
+      failover_count_.fetch_add(1, std::memory_order_relaxed);
+      note_failover(name, backend, *next);
     }
   }
 }
@@ -350,22 +319,11 @@ void Aprod::apply1(std::span<const real> x, std::span<real> y) {
              "aprod1 x size mismatch");
   GAIA_CHECK(static_cast<row_index>(y.size()) == view_.n_rows,
              "aprod1 y size mismatch");
-  const real* xp = x.data();
-  real* yp = y.data();
-  obs::ScopedTrace pass("aprod1", "aprod");
-  // The four gathers all accumulate into y[r]: they must run in order
-  // (one stream). Launched back to back on the calling thread, each one
-  // independently retryable/failover-able (injected faults throw before
-  // the kernel body runs, so a retried launch never double-applies).
-  launch_kernel(KernelId::kAprod1Astro, false, xp, yp,
-                obs::TraceRecorder::kMainTrack);
-  launch_kernel(KernelId::kAprod1Att, false, xp, yp,
-                obs::TraceRecorder::kMainTrack);
-  launch_kernel(KernelId::kAprod1Instr, false, xp, yp,
-                obs::TraceRecorder::kMainTrack);
-  launch_kernel(KernelId::kAprod1Glob, false, xp, yp,
-                obs::TraceRecorder::kMainTrack);
-  launches_ += view_.has_global ? 4 : 3;
+  obs::ScopedTrace span("aprod1", "aprod");
+  // One fused gather; an injected fault throws before the body runs, so
+  // a retried launch never double-applies.
+  launch_pass(tuning::kAprodPasses[0], x.data(), y.data());
+  launches_ += 1;
 }
 
 void Aprod::apply2(std::span<const real> y, std::span<real> x) {
@@ -373,54 +331,12 @@ void Aprod::apply2(std::span<const real> y, std::span<real> x) {
              "aprod2 y size mismatch");
   GAIA_CHECK(static_cast<col_index>(x.size()) == view_.n_cols,
              "aprod2 x size mismatch");
-  const real* yp = y.data();
-  real* xp = x.data();
-  obs::ScopedTrace pass("aprod2", "aprod");
-
-  if (options_.fuse_aprod2) {
-    launch_kernel(KernelId::kAprod2Astro, false, yp, xp,
-                  obs::TraceRecorder::kMainTrack);
-    // The fused scatter is traced under its own name but shares the
-    // attitude kernel's tuning/fault identity.
-    launch_kernel(KernelId::kAprod2Att, true, yp, xp,
-                  obs::TraceRecorder::kMainTrack);
-    launches_ += 2;
-    return;
-  }
-
-  const std::array<KernelId, 4> kernels = {
-      KernelId::kAprod2Astro, KernelId::kAprod2Att, KernelId::kAprod2Instr,
-      KernelId::kAprod2Glob};
-  const std::size_t active = view_.has_global ? 4 : 3;
-
-  if (options_.use_streams && !tuning_in_progress()) {
-    // The scatters target disjoint sections of x, so overlapping them
-    // does not increase atomic contention (paper SIV); each kernel goes
-    // to its own stream, then all streams are joined. A launch fault
-    // inside a stream retries/fails-over on the stream's thread; an
-    // exhausted chain surfaces at synchronize(). While the autotuner is
-    // still searching, overlap is suppressed: four concurrent kernels
-    // would pollute each other's trial timings.
-    pass_kernel_seconds_.store(0, std::memory_order_relaxed);
-    util::Stopwatch pass_watch;
-    for (std::size_t k = 0; k < active; ++k) {
-      streams_[k]->enqueue([this, id = kernels[k], yp, xp,
-                            track = streams_[k]->id()] {
-        launch_kernel(id, false, yp, xp, track);
-      });
-    }
-    for (std::size_t k = 0; k < active; ++k) streams_[k]->synchronize();
-    // Overlap ratio: sum of per-kernel times over the pass wall time.
-    // ~1.0 means the streams serialized, ~`active` means full overlap.
-    obs::record_stream_overlap(
-        pass_kernel_seconds_.load(std::memory_order_relaxed),
-        pass_watch.elapsed_s());
-  } else {
-    for (std::size_t k = 0; k < active; ++k)
-      launch_kernel(kernels[k], false, yp, xp,
-                    obs::TraceRecorder::kMainTrack);
-  }
-  launches_ += active;
+  obs::ScopedTrace span("aprod2", "aprod");
+  // The star-parallel astrometric scatter, then the fused scatter over
+  // the contiguous attitude/instrumental/global span.
+  launch_pass(tuning::kAprodPasses[1], y.data(), x.data());
+  launch_pass(tuning::kAprodPasses[2], y.data(), x.data());
+  launches_ += 2;
 }
 
 }  // namespace gaia::core

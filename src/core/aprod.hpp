@@ -1,21 +1,26 @@
 /// \file aprod.hpp
 /// \brief Runtime driver for the aprod products: backend selection,
-/// device residency, kernel tuning, stream overlap.
+/// device residency, kernel tuning, failover.
 ///
 /// Owns the device-resident copy of the system (made once, at
 /// construction — the "matrices are copied to the GPU before the main
-/// loop and remain there until the end" contract of paper SIV-a) and the
-/// four streams used to overlap the aprod2 scatter kernels.
+/// loop and remain there until the end" contract of paper SIV-a).
 ///
-/// Every kernel launch — normal, failover re-dispatch, and autotuner
-/// trial — goes through one path (`launch_kernel`) that dispatches via
+/// One row pass per aprod product: apply1 launches the fused gather, and
+/// apply2 launches aprod2_astro and then the fused shared-section scatter,
+/// all on the calling thread (tuning::kAprodPasses). The paper's
+/// four-kernel split with stream-overlapped aprod2 scatters stays a
+/// modeled GPU effect (perfmodel); on the host every extra kernel
+/// streams the row records and y again.
+///
+/// Every launch — normal, failover re-dispatch, and autotuner trial —
+/// goes through one path (`launch_pass`) that dispatches via
 /// `tuning::KernelRegistry`. When an `Autotuner` is attached, launches
-/// of kernels still under search run the tuner's candidate shape, are
-/// timed, and feed the measurement back; the winner is installed into
-/// the live TuningTable the moment a kernel's search closes.
+/// whose identity is still under search run the tuner's candidate shape,
+/// are timed, and feed the measurement back; the winner is installed
+/// into the live TuningTable the moment a search closes.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -27,10 +32,10 @@
 #include "backends/device_buffer.hpp"
 #include "backends/kernel_config.hpp"
 #include "backends/scratch_arena.hpp"
-#include "backends/stream.hpp"
 #include "core/system_view.hpp"
 #include "matrix/layouted_system.hpp"
 #include "matrix/system_matrix.hpp"
+#include "tuning/kernel_registry.hpp"
 #include "util/backoff.hpp"
 
 namespace gaia::tuning {
@@ -44,15 +49,10 @@ struct AprodOptions {
   backends::BackendKind backend = backends::BackendKind::kGpuSim;
   backends::TuningTable tuning = backends::TuningTable::tuned_default();
   backends::AtomicMode atomic_mode = backends::AtomicMode::kNativeRmw;
-  /// Overlap the four aprod2 kernels in streams (safe: they scatter into
-  /// disjoint sections of x). The serial reference runs without streams
-  /// to stay deterministic.
+  /// Ignored: Aprod runs one row pass per aprod product on the calling
+  /// thread and overlaps nothing. Still a field only because existing
+  /// callers set it.
   bool use_streams = true;
-  /// Fuse the attitude/instrumental/global scatters into one row-pass —
-  /// the shape a real C++ PSTL port takes (stdpar has no streams, and
-  /// fusing reads each row record once). Overrides use_streams for
-  /// aprod2.
-  bool fuse_aprod2 = false;
   backends::CoherenceMode coherence = backends::CoherenceMode::kCoarseGrain;
   /// Retry budget for transient kernel-launch faults (injected via
   /// GAIA_FAULTS or real): bounded exponential backoff per launch.
@@ -111,8 +111,8 @@ class Aprod {
   /// aprod mode 2: x += A^T y. y has n_rows elements, x has n_cols.
   void apply2(std::span<const real> y, std::span<real> x);
 
-  /// Kernel launches issued so far (8 per apply pair unless the global
-  /// block is disabled) — lets tests pin the stream/launch structure.
+  /// Launches so far: 1 per apply1 and 2 per apply2 — lets tests
+  /// pin the one-pass-per-product structure.
   [[nodiscard]] std::uint64_t launches() const { return launches_; }
 
   /// Scratch pool backing this driver's aprod2 scatters. Exposed so
@@ -140,21 +140,14 @@ class Aprod {
 
  private:
   /// The single launch path: resolves the shape (tuner candidate or
-  /// installed table), dispatches through the KernelRegistry under the
-  /// retry budget with fault injection, and on a persistent fault fails
-  /// over to the next backend in the chain (atomically, first thread
-  /// wins) and re-dispatches — through the same registry. `fused` routes
-  /// to the fused aprod2 scatter, which shares `id`'s (= kAprod2Att's)
-  /// tuning and fault identity but is traced under its own name.
-  /// `track` is the trace-timeline lane: 0 for the calling thread,
-  /// Stream::id() when the kernel was enqueued on a stream.
-  void launch_kernel(backends::KernelId id, bool fused, const real* in,
-                     real* out, std::int32_t track);
-
-  /// True while trial launches may still happen on the active backend —
-  /// apply2 then keeps kernels on the calling thread (no stream overlap)
-  /// so trial timings measure one kernel, not four.
-  [[nodiscard]] bool tuning_in_progress() const;
+  /// installed table entry of `pass.id`), dispatches through the
+  /// KernelRegistry under the retry budget with fault injection, and on a
+  /// persistent fault fails over to the next backend in the chain and
+  /// re-dispatches — through the same registry. A fused pass shares
+  /// `pass.id`'s tuning and fault identity but is traced and counted
+  /// under its own name (pass_region_name).
+  void launch_pass(const tuning::AprodPass& pass, const real* in,
+                   real* out);
 
   AprodOptions options_;
   std::atomic<backends::BackendKind> active_backend_;
@@ -170,9 +163,10 @@ class Aprod {
   backends::DeviceBuffer<row_index> d_star_row_start_;
   SystemView view_{};
   /// Lazily-built derived layouts + their device-resident copies.
-  /// Guarded by layout_mutex_ (stream threads may race to build); the
-  /// view's descriptor pointers are only ever written under the mutex,
-  /// and a launch needing them re-checks has_layout() under it too.
+  /// Guarded by layout_mutex_ (ensure_layout/ensure_precision are public
+  /// and may be called from any thread); the view's descriptor pointers
+  /// are only ever written under the mutex, and a launch needing them
+  /// re-checks has_layout() under it too.
   std::mutex layout_mutex_;
   std::unique_ptr<matrix::LayoutedSystem> layouts_;
   std::unique_ptr<backends::DeviceBuffer<real>> d_soa_astro_;
@@ -202,17 +196,10 @@ class Aprod {
                                 SystemView::CoefPlanes<T>& planes);
   PrecisionBuffers<float> d_f32_;
   PrecisionBuffers<matrix::bf16s> d_b16_;
-  /// One stream per aprod2 kernel, created lazily when streams are on.
-  std::array<std::unique_ptr<backends::Stream>, 4> streams_;
   /// Pooled scratch for the aprod2 scatters' private slices; owned per
   /// driver so its hit/miss accounting tracks this solve alone.
   backends::ScratchArena scratch_arena_;
   std::uint64_t launches_ = 0;
-  /// Sum of per-kernel wall times within the current streamed aprod2
-  /// pass (accumulated from stream threads, hence atomic). Together with
-  /// the pass wall time this yields the stream-overlap ratio exported to
-  /// the metrics registry.
-  std::atomic<double> pass_kernel_seconds_{0};
 };
 
 }  // namespace gaia::core

@@ -1,10 +1,11 @@
 /// \file aprod_kernels.hpp
-/// \brief The eight hot kernels of the solver, templated on the backend.
+/// \brief The eight hot kernels of the solver and the two fused row
+/// passes, templated on the backend.
 ///
 /// aprod mode 1 (paper Eq. 3): y += A x — a gather per row; every kernel
-/// accumulates its block's partial dot product into y[r], so the four
-/// aprod1 kernels must not run concurrently with each other (they share
-/// y), matching the production code where only aprod2 is overlapped.
+/// accumulates its block's partial dot product into y[r]. The fused
+/// gather adds all four partial sums in one row pass, in the kernels'
+/// order, so it equals the four launches bit for bit.
 ///
 /// aprod mode 2 (paper Eq. 4): x += A^T y — a scatter per row into x.
 /// The astrometric part is block diagonal, so parallelizing over *stars*
@@ -12,8 +13,13 @@
 /// Attitude, instrumental and global columns are shared between rows:
 /// those three kernels accumulate row chunks into per-worker private
 /// slices and commit the slices to x, atomically or through a fixed-order
-/// fold (`detail::section_scatter`). They target disjoint sections of x
-/// and may safely overlap in streams (paper SIV).
+/// fold (`detail::section_scatter`). The sections are contiguous in x, so
+/// the fused scatter runs all three in one row pass over one span.
+///
+/// The solver launches the fused gather, aprod2_astro and the fused
+/// scatter (tuning::kAprodPasses). The per-section kernels stay registry
+/// slots for the benches and the per-kernel baseline; the cost model
+/// prices them as the paper's GPU kernels.
 ///
 /// Templating on the execution policy keeps the row loop body inlined in
 /// every backend while the launch mechanics (grid-stride virtual threads,
@@ -48,73 +54,146 @@ using matrix::load_real;
 // ---------------------------------------------------------------------------
 // aprod1: y += A x (row-parallel gathers; no atomics anywhere)
 // ---------------------------------------------------------------------------
-// The gather inner loops run over fixed, tiny trip counts through
-// pointers that never alias (coefficients, index arrays and x come from
-// distinct buffers): GAIA_RESTRICT + the simd reduction hint let the
-// serial/pstl backends vectorize what CUDA gets from the hardware.
+// Each layout has one row dot per section: `dot(r)` is row r's partial
+// product of A x over the section. A separate gather adds one dot into
+// y[r]; the fused gather adds all four in one row pass. The gather inner
+// loops run over fixed, tiny trip counts through pointers that never
+// alias (coefficients, index arrays and x come from distinct buffers):
+// GAIA_RESTRICT + the simd reduction hint let the serial/pstl backends
+// vectorize what CUDA gets from the hardware.
 
-template <typename Exec, typename CoefT = real>
-void aprod1_astro(const SystemView& A, const real* x, real* y,
-                  KernelConfig cfg) {
-  const CoefT* vals = A.coefs<CoefT>().values;
+namespace detail {
+
+/// One section's gather: y[r] += dot(r). Every y[r] is written by exactly
+/// one virtual thread.
+template <typename Exec, typename Dot>
+void row_gather(std::int64_t n_rows, real* y, KernelConfig cfg, Dot dot) {
+  Exec::launch(n_rows, cfg, [=](std::int64_t r) { y[r] += dot(r); });
+}
+
+/// The fused gather: one row pass that adds the four section dots into
+/// y[r] in the order the separate kernels add them (astro, att, instr,
+/// glob). Same dots, same adds, same order: it equals the four separate
+/// launches bit for bit, and reads each row's record and y[r] once.
+template <typename Exec, typename AstroDot, typename AttDot,
+          typename InstrDot, typename GlobDot>
+void fused_gather(const SystemView& A, real* y, KernelConfig cfg,
+                  AstroDot astro, AttDot att, InstrDot instr, GlobDot glob) {
+  const bool has_global = A.has_global;
   Exec::launch(A.n_rows, cfg, [=](std::int64_t r) {
-    const CoefT* GAIA_RESTRICT rv =
-        vals + r * kNnzPerRow + matrix::kAstroCoeffOffset;
-    const real* GAIA_RESTRICT xs = x + A.idx_astro[r];
-    real sum = 0;
-    GAIA_OMP_SIMD_REDUCTION(sum)
-    for (int i = 0; i < kAstroNnzPerRow; ++i) sum += load_real(rv[i]) * xs[i];
-    y[r] += sum;
+    real yr = y[r];
+    yr += astro(r);
+    yr += att(r);
+    yr += instr(r);
+    if (has_global) yr += glob(r);
+    y[r] = yr;
   });
 }
 
-template <typename Exec, typename CoefT = real>
-void aprod1_att(const SystemView& A, const real* x, real* y,
-                KernelConfig cfg) {
+// Row dots of the seed layout.
+
+template <typename CoefT>
+auto astro_dot(const SystemView& A, const real* x) {
   const CoefT* vals = A.coefs<CoefT>().values;
-  Exec::launch(A.n_rows, cfg, [=](std::int64_t r) {
+  const col_index* idx_astro = A.idx_astro;
+  return [=](std::int64_t r) {
+    const CoefT* GAIA_RESTRICT rv =
+        vals + r * kNnzPerRow + matrix::kAstroCoeffOffset;
+    const real* GAIA_RESTRICT xs = x + idx_astro[r];
+    real sum = 0;
+    GAIA_OMP_SIMD_REDUCTION(sum)
+    for (int i = 0; i < kAstroNnzPerRow; ++i) sum += load_real(rv[i]) * xs[i];
+    return sum;
+  };
+}
+
+template <typename CoefT>
+auto att_dot(const SystemView& A, const real* x) {
+  const CoefT* vals = A.coefs<CoefT>().values;
+  const col_index* idx_att = A.idx_att;
+  const real* xa = x + A.att_offset;
+  const col_index stride = A.att_stride;
+  return [=](std::int64_t r) {
     const CoefT* GAIA_RESTRICT rv =
         vals + r * kNnzPerRow + matrix::kAttCoeffOffset;
-    const col_index base = A.att_offset + A.idx_att[r];
+    const col_index base = idx_att[r];
     real sum = 0;
     for (int blk = 0; blk < kAttBlocks; ++blk) {
-      const real* GAIA_RESTRICT xb = x + base + blk * A.att_stride;
+      const real* GAIA_RESTRICT xb = xa + base + blk * stride;
       const CoefT* GAIA_RESTRICT rb = rv + blk * kAttBlockSize;
       GAIA_OMP_SIMD_REDUCTION(sum)
       for (int i = 0; i < kAttBlockSize; ++i)
         sum += load_real(rb[i]) * xb[i];
     }
-    y[r] += sum;
-  });
+    return sum;
+  };
+}
+
+template <typename CoefT>
+auto instr_dot(const SystemView& A, const real* x) {
+  const CoefT* vals = A.coefs<CoefT>().values;
+  const std::int32_t* instr_col = A.instr_col;
+  const real* xi = x + A.instr_offset;
+  return [=](std::int64_t r) {
+    const CoefT* GAIA_RESTRICT rv =
+        vals + r * kNnzPerRow + matrix::kInstrCoeffOffset;
+    const std::int32_t* GAIA_RESTRICT cols = instr_col + r * kInstrNnzPerRow;
+    const real* GAIA_RESTRICT xs = xi;
+    real sum = 0;
+    GAIA_OMP_SIMD_REDUCTION(sum)
+    for (int i = 0; i < kInstrNnzPerRow; ++i)
+      sum += load_real(rv[i]) * xs[cols[i]];
+    return sum;
+  };
+}
+
+/// Without a global block there is no x entry to read; the dot is never
+/// called then (the glob kernel returns early, the fused gather skips it).
+template <typename CoefT>
+auto glob_dot(const SystemView& A, const real* x) {
+  const CoefT* vals = A.coefs<CoefT>().values;
+  const real xg = A.has_global ? x[A.glob_offset] : real{0};
+  return [=](std::int64_t r) {
+    return load_real(vals[r * kNnzPerRow + matrix::kGlobCoeffOffset]) * xg;
+  };
+}
+
+}  // namespace detail
+
+template <typename Exec, typename CoefT = real>
+void aprod1_astro(const SystemView& A, const real* x, real* y,
+                  KernelConfig cfg) {
+  detail::row_gather<Exec>(A.n_rows, y, cfg, detail::astro_dot<CoefT>(A, x));
+}
+
+template <typename Exec, typename CoefT = real>
+void aprod1_att(const SystemView& A, const real* x, real* y,
+                KernelConfig cfg) {
+  detail::row_gather<Exec>(A.n_rows, y, cfg, detail::att_dot<CoefT>(A, x));
 }
 
 template <typename Exec, typename CoefT = real>
 void aprod1_instr(const SystemView& A, const real* x, real* y,
                   KernelConfig cfg) {
-  const CoefT* vals = A.coefs<CoefT>().values;
-  Exec::launch(A.n_rows, cfg, [=](std::int64_t r) {
-    const CoefT* GAIA_RESTRICT rv =
-        vals + r * kNnzPerRow + matrix::kInstrCoeffOffset;
-    const std::int32_t* GAIA_RESTRICT cols =
-        A.instr_col + r * kInstrNnzPerRow;
-    const real* GAIA_RESTRICT xs = x + A.instr_offset;
-    real sum = 0;
-    GAIA_OMP_SIMD_REDUCTION(sum)
-    for (int i = 0; i < kInstrNnzPerRow; ++i)
-      sum += load_real(rv[i]) * xs[cols[i]];
-    y[r] += sum;
-  });
+  detail::row_gather<Exec>(A.n_rows, y, cfg, detail::instr_dot<CoefT>(A, x));
 }
 
 template <typename Exec, typename CoefT = real>
 void aprod1_glob(const SystemView& A, const real* x, real* y,
                  KernelConfig cfg) {
   if (!A.has_global) return;
-  const real xg = x[A.glob_offset];
-  const CoefT* vals = A.coefs<CoefT>().values;
-  Exec::launch(A.n_rows, cfg, [=](std::int64_t r) {
-    y[r] += load_real(vals[r * kNnzPerRow + matrix::kGlobCoeffOffset]) * xg;
-  });
+  detail::row_gather<Exec>(A.n_rows, y, cfg, detail::glob_dot<CoefT>(A, x));
+}
+
+/// Fused single-pass aprod1: the whole row record is read once and y[r]
+/// is read and written once, instead of once per section kernel.
+template <typename Exec, typename CoefT = real>
+void aprod1_fused(const SystemView& A, const real* x, real* y,
+                  KernelConfig cfg) {
+  detail::fused_gather<Exec>(A, y, cfg, detail::astro_dot<CoefT>(A, x),
+                             detail::att_dot<CoefT>(A, x),
+                             detail::instr_dot<CoefT>(A, x),
+                             detail::glob_dot<CoefT>(A, x));
 }
 
 // ---------------------------------------------------------------------------
@@ -379,73 +458,110 @@ inline const T* soa_row(const T* stream, int planes, std::int64_t r) {
 
 }  // namespace detail
 
-template <typename Exec, typename CoefT = real>
-void aprod1_astro_soa(const SystemView& A, const real* x, real* y,
-                      KernelConfig cfg) {
+namespace detail {
+
+// Row dots of the SoA-tiled layout.
+
+template <typename CoefT>
+auto astro_dot_soa(const SystemView& A, const real* x) {
   const CoefT* stream = A.coefs<CoefT>().soa_astro;
-  Exec::launch(A.n_rows, cfg, [=](std::int64_t r) {
-    const CoefT* GAIA_RESTRICT rv =
-        detail::soa_row(stream, kAstroNnzPerRow, r);
-    const real* GAIA_RESTRICT xs = x + A.idx_astro[r];
+  const col_index* idx_astro = A.idx_astro;
+  return [=](std::int64_t r) {
+    const CoefT* GAIA_RESTRICT rv = soa_row(stream, kAstroNnzPerRow, r);
+    const real* GAIA_RESTRICT xs = x + idx_astro[r];
     real sum = 0;
     GAIA_OMP_SIMD_REDUCTION(sum)
     for (int i = 0; i < kAstroNnzPerRow; ++i)
       sum += load_real(rv[i * matrix::kSoaTileRows]) * xs[i];
-    y[r] += sum;
-  });
+    return sum;
+  };
 }
 
-template <typename Exec, typename CoefT = real>
-void aprod1_att_soa(const SystemView& A, const real* x, real* y,
-                    KernelConfig cfg) {
+template <typename CoefT>
+auto att_dot_soa(const SystemView& A, const real* x) {
   const CoefT* stream = A.coefs<CoefT>().soa_att;
-  Exec::launch(A.n_rows, cfg, [=](std::int64_t r) {
-    const CoefT* GAIA_RESTRICT rv = detail::soa_row(stream, kAttNnzPerRow, r);
-    const col_index base = A.att_offset + A.idx_att[r];
+  const col_index* idx_att = A.idx_att;
+  const real* xa = x + A.att_offset;
+  const col_index stride = A.att_stride;
+  return [=](std::int64_t r) {
+    const CoefT* GAIA_RESTRICT rv = soa_row(stream, kAttNnzPerRow, r);
+    const col_index base = idx_att[r];
     real sum = 0;
     for (int blk = 0; blk < kAttBlocks; ++blk) {
-      const real* GAIA_RESTRICT xb = x + base + blk * A.att_stride;
+      const real* GAIA_RESTRICT xb = xa + base + blk * stride;
       const CoefT* GAIA_RESTRICT rb =
           rv + blk * kAttBlockSize * matrix::kSoaTileRows;
       GAIA_OMP_SIMD_REDUCTION(sum)
       for (int i = 0; i < kAttBlockSize; ++i)
         sum += load_real(rb[i * matrix::kSoaTileRows]) * xb[i];
     }
-    y[r] += sum;
-  });
+    return sum;
+  };
+}
+
+template <typename CoefT>
+auto instr_dot_soa(const SystemView& A, const real* x) {
+  const CoefT* stream = A.coefs<CoefT>().soa_instr;
+  const std::int32_t* instr_col = A.instr_col;
+  const real* xi = x + A.instr_offset;
+  return [=](std::int64_t r) {
+    const CoefT* GAIA_RESTRICT rv = soa_row(stream, kInstrNnzPerRow, r);
+    const std::int32_t* GAIA_RESTRICT cols = instr_col + r * kInstrNnzPerRow;
+    const real* GAIA_RESTRICT xs = xi;
+    real sum = 0;
+    GAIA_OMP_SIMD_REDUCTION(sum)
+    for (int i = 0; i < kInstrNnzPerRow; ++i)
+      sum += load_real(rv[i * matrix::kSoaTileRows]) * xs[cols[i]];
+    return sum;
+  };
+}
+
+template <typename CoefT>
+auto glob_dot_soa(const SystemView& A, const real* x) {
+  const CoefT* stream = A.coefs<CoefT>().soa_glob;
+  const real xg = A.has_global ? x[A.glob_offset] : real{0};
+  return [=](std::int64_t r) {
+    return load_real(*soa_row(stream, 1, r)) * xg;
+  };
+}
+
+}  // namespace detail
+
+template <typename Exec, typename CoefT = real>
+void aprod1_astro_soa(const SystemView& A, const real* x, real* y,
+                      KernelConfig cfg) {
+  detail::row_gather<Exec>(A.n_rows, y, cfg,
+                           detail::astro_dot_soa<CoefT>(A, x));
+}
+
+template <typename Exec, typename CoefT = real>
+void aprod1_att_soa(const SystemView& A, const real* x, real* y,
+                    KernelConfig cfg) {
+  detail::row_gather<Exec>(A.n_rows, y, cfg, detail::att_dot_soa<CoefT>(A, x));
 }
 
 template <typename Exec, typename CoefT = real>
 void aprod1_instr_soa(const SystemView& A, const real* x, real* y,
                       KernelConfig cfg) {
-  const CoefT* stream = A.coefs<CoefT>().soa_instr;
-  Exec::launch(A.n_rows, cfg, [=](std::int64_t r) {
-    const CoefT* GAIA_RESTRICT rv =
-        detail::soa_row(stream, kInstrNnzPerRow, r);
-    const std::int32_t* GAIA_RESTRICT cols =
-        A.instr_col + r * kInstrNnzPerRow;
-    const real* GAIA_RESTRICT xs = x + A.instr_offset;
-    real sum = 0;
-    GAIA_OMP_SIMD_REDUCTION(sum)
-    for (int i = 0; i < kInstrNnzPerRow; ++i)
-      sum += load_real(rv[i * matrix::kSoaTileRows]) * xs[cols[i]];
-    y[r] += sum;
-  });
+  detail::row_gather<Exec>(A.n_rows, y, cfg,
+                           detail::instr_dot_soa<CoefT>(A, x));
 }
 
 template <typename Exec, typename CoefT = real>
 void aprod1_glob_soa(const SystemView& A, const real* x, real* y,
                      KernelConfig cfg) {
   if (!A.has_global) return;
-  const real xg = x[A.glob_offset];
-  const CoefT* stream = A.coefs<CoefT>().soa_glob;
-  Exec::launch(A.n_rows, cfg, [=](std::int64_t r) {
-    const std::int64_t t = r / matrix::kSoaTileRows;
-    y[r] += load_real(
-                stream[t * matrix::kSoaTileRows +
-                       (r - t * matrix::kSoaTileRows)]) *
-            xg;
-  });
+  detail::row_gather<Exec>(A.n_rows, y, cfg,
+                           detail::glob_dot_soa<CoefT>(A, x));
+}
+
+template <typename Exec, typename CoefT = real>
+void aprod1_fused_soa(const SystemView& A, const real* x, real* y,
+                      KernelConfig cfg) {
+  detail::fused_gather<Exec>(A, y, cfg, detail::astro_dot_soa<CoefT>(A, x),
+                             detail::att_dot_soa<CoefT>(A, x),
+                             detail::instr_dot_soa<CoefT>(A, x),
+                             detail::glob_dot_soa<CoefT>(A, x));
 }
 
 template <typename Exec, typename CoefT = real>
@@ -561,6 +677,39 @@ void aprod2_shared_fused_soa(const SystemView& A, const real* y, real* x,
 // irregular instrumental block (regular blocks run the SoA bodies)
 // ---------------------------------------------------------------------------
 
+namespace detail {
+
+/// Offset of lane slot `slot`'s first entry in the lane-major slice
+/// arrays; entry j then sits at `+ j * kSliceHeight`.
+inline std::int64_t slice_base(std::int64_t slot) {
+  const std::int64_t s = slot / matrix::kSliceHeight;
+  const std::int64_t lane = slot - s * matrix::kSliceHeight;
+  return s * kInstrNnzPerRow * matrix::kSliceHeight + lane;
+}
+
+/// Instrumental row dot over the sliced storage, addressed by lane slot:
+/// the same products in the same column order as the seed row.
+template <typename CoefT>
+auto instr_slot_dot(const SystemView& A, const real* x) {
+  const CoefT* svals = A.coefs<CoefT>().slice_values;
+  const std::int32_t* scols = A.slice_cols;
+  const real* xi = x + A.instr_offset;
+  return [=](std::int64_t slot) {
+    const std::int64_t base = slice_base(slot);
+    const CoefT* GAIA_RESTRICT v = svals + base;
+    const std::int32_t* GAIA_RESTRICT c = scols + base;
+    const real* GAIA_RESTRICT xs = xi;
+    real sum = 0;
+    GAIA_OMP_SIMD_REDUCTION(sum)
+    for (int j = 0; j < kInstrNnzPerRow; ++j)
+      sum += load_real(v[j * matrix::kSliceHeight]) *
+             xs[c[j * matrix::kSliceHeight]];
+    return sum;
+  };
+}
+
+}  // namespace detail
+
 /// Slice-parallel instrumental gather: one virtual thread per lane slot.
 /// Every row occupies exactly one slot, so y[r] is written by exactly
 /// one worker; padded lanes carry row -1 and are skipped. The slice
@@ -569,25 +718,29 @@ void aprod2_shared_fused_soa(const SystemView& A, const real* y, real* x,
 template <typename Exec, typename CoefT = real>
 void aprod1_instr_sliced(const SystemView& A, const real* x, real* y,
                          KernelConfig cfg) {
-  const CoefT* svals = A.coefs<CoefT>().slice_values;
+  const row_index* slice_rows = A.slice_rows;
+  const auto dot = detail::instr_slot_dot<CoefT>(A, x);
   Exec::launch(A.n_slices * matrix::kSliceHeight, cfg,
                [=](std::int64_t slot) {
-    const row_index r = A.slice_rows[slot];
+    const row_index r = slice_rows[slot];
     if (r < 0) return;
-    const std::int64_t s = slot / matrix::kSliceHeight;
-    const std::int64_t lane = slot - s * matrix::kSliceHeight;
-    const std::int64_t base =
-        s * kInstrNnzPerRow * matrix::kSliceHeight + lane;
-    const CoefT* GAIA_RESTRICT v = svals + base;
-    const std::int32_t* GAIA_RESTRICT c = A.slice_cols + base;
-    const real* GAIA_RESTRICT xs = x + A.instr_offset;
-    real sum = 0;
-    GAIA_OMP_SIMD_REDUCTION(sum)
-    for (int j = 0; j < kInstrNnzPerRow; ++j)
-      sum += load_real(v[j * matrix::kSliceHeight]) *
-             xs[c[j * matrix::kSliceHeight]];
-    y[r] += sum;
+    y[r] += dot(slot);
   });
+}
+
+/// Fused gather of the sliced layout: the regular sections read the SoA
+/// streams, the instrumental dot reaches each row's lane slot through
+/// the row->slot inverse permutation.
+template <typename Exec, typename CoefT = real>
+void aprod1_fused_sliced(const SystemView& A, const real* x, real* y,
+                         KernelConfig cfg) {
+  const row_index* row_slot = A.slice_row_slot;
+  const auto slot_dot = detail::instr_slot_dot<CoefT>(A, x);
+  detail::fused_gather<Exec>(
+      A, y, cfg, detail::astro_dot_soa<CoefT>(A, x),
+      detail::att_dot_soa<CoefT>(A, x),
+      [=](std::int64_t r) { return slot_dot(row_slot[r]); },
+      detail::glob_dot_soa<CoefT>(A, x));
 }
 
 /// Instrumental scatter over the sliced storage: the skeleton keeps
@@ -606,11 +759,7 @@ void aprod2_instr_sliced(const SystemView& A, const real* y, real* x,
   detail::section_scatter<Exec>(
       A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Instr), cfg,
       mode, arena, [=](real* GAIA_RESTRICT slice, std::int64_t r) {
-        const std::int64_t slot = row_slot[r];
-        const std::int64_t s = slot / matrix::kSliceHeight;
-        const std::int64_t lane = slot - s * matrix::kSliceHeight;
-        const std::int64_t base =
-            s * kInstrNnzPerRow * matrix::kSliceHeight + lane;
+        const std::int64_t base = detail::slice_base(row_slot[r]);
         const CoefT* GAIA_RESTRICT v = svals + base;
         const std::int32_t* GAIA_RESTRICT c = scols + base;
         const real yr = y[r];

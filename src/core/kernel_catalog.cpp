@@ -1,5 +1,6 @@
 #include "core/kernel_catalog.hpp"
 
+#include <array>
 #include <mutex>
 
 #include "core/aprod_kernels.hpp"
@@ -11,13 +12,16 @@ using backends::BackendKind;
 using backends::KernelId;
 using backends::Precision;
 using backends::StorageLayout;
+using tuning::AprodPass;
+using tuning::FusedPass;
 using tuning::KernelRegistry;
 using tuning::LaunchArgs;
 
 namespace {
 
-/// Instantiates all seed-layout launchers for one (execution policy,
-/// coefficient storage scalar) pair and hands them to the registry.
+/// Instantiates all seed-layout launchers, the two fused passes
+/// included, for one (execution policy, coefficient storage scalar) pair
+/// and hands them to the registry.
 /// Each launcher captures nothing: the full launch state travels in
 /// LaunchArgs, so the registry entries are valid for the process
 /// lifetime. The CoefT = real instantiation registered at kFp64 is the
@@ -54,7 +58,10 @@ void register_kernels(KernelRegistry& reg, Precision precision) {
     aprod2_glob<Exec, CoefT>(*a.view, a.in, a.out, a.config, a.atomic_mode,
                              a.arena);
   }, kSeed, precision);
-  reg.add_fused(kind, [](const LaunchArgs& a) {
+  reg.add_fused(FusedPass::kGather, kind, [](const LaunchArgs& a) {
+    aprod1_fused<Exec, CoefT>(*a.view, a.in, a.out, a.config);
+  }, kSeed, precision);
+  reg.add_fused(FusedPass::kScatter, kind, [](const LaunchArgs& a) {
     aprod2_shared_fused<Exec, CoefT>(*a.view, a.in, a.out, a.config,
                                      a.atomic_mode, a.arena);
   }, kSeed, precision);
@@ -63,7 +70,8 @@ void register_kernels(KernelRegistry& reg, Precision precision) {
 /// The SoA-tiled bodies, registered for `layout` — both derived layouts
 /// use them for the regular blocks (the sliced build always carries the
 /// SoA streams), so kSlicedInstr registers this set and then overrides
-/// the two instrumental slots with the slice-major bodies.
+/// the two instrumental slots and the fused gather with the slice-major
+/// bodies.
 template <typename Exec, typename CoefT>
 void register_soa_bodies(KernelRegistry& reg, StorageLayout layout,
                          Precision precision) {
@@ -95,7 +103,10 @@ void register_soa_bodies(KernelRegistry& reg, StorageLayout layout,
     aprod2_glob_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config,
                                  a.atomic_mode, a.arena);
   }, layout, precision);
-  reg.add_fused(kind, [](const LaunchArgs& a) {
+  reg.add_fused(FusedPass::kGather, kind, [](const LaunchArgs& a) {
+    aprod1_fused_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config);
+  }, layout, precision);
+  reg.add_fused(FusedPass::kScatter, kind, [](const LaunchArgs& a) {
     aprod2_shared_fused_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config,
                                          a.atomic_mode, a.arena);
   }, layout, precision);
@@ -115,6 +126,9 @@ void register_layout_kernels(KernelRegistry& reg, Precision precision) {
   reg.add(KernelId::kAprod2Instr, kind, [](const LaunchArgs& a) {
     aprod2_instr_sliced<Exec, CoefT>(*a.view, a.in, a.out, a.config,
                                      a.atomic_mode, a.arena);
+  }, kSliced, precision);
+  reg.add_fused(FusedPass::kGather, kind, [](const LaunchArgs& a) {
+    aprod1_fused_sliced<Exec, CoefT>(*a.view, a.in, a.out, a.config);
   }, kSliced, precision);
 }
 
@@ -277,6 +291,69 @@ std::uint64_t kernel_atomic_updates(const SystemView& v, KernelId id,
   if (strategy != backends::ScatterStrategy::kAtomic) return 0;
   return static_cast<std::uint64_t>(workers) *
          static_cast<std::uint64_t>(scatter_section(v, id).len);
+}
+
+const char* pass_region_name(const AprodPass& pass) {
+  if (!pass.fused) return kernel_region_name(pass.id);
+  return *pass.fused == FusedPass::kGather ? "aprod1_fused" : "aprod2_fused";
+}
+
+std::span<const KernelId> pass_parts(const AprodPass& pass) {
+  static constexpr std::array<KernelId, 4> kGather = {
+      KernelId::kAprod1Astro, KernelId::kAprod1Att, KernelId::kAprod1Instr,
+      KernelId::kAprod1Glob};
+  static constexpr std::array<KernelId, 3> kScatter = {
+      KernelId::kAprod2Att, KernelId::kAprod2Instr, KernelId::kAprod2Glob};
+  if (!pass.fused)
+    return std::span(backends::all_kernels())
+        .subspan(static_cast<std::size_t>(pass.id), 1);
+  if (*pass.fused == FusedPass::kGather) return kGather;
+  return kScatter;
+}
+
+namespace {
+
+/// Whether a part runs at all: the glob kernels are no-ops on a system
+/// without a global block.
+bool part_runs(const SystemView& v, KernelId id) {
+  return v.has_global ||
+         (id != KernelId::kAprod1Glob && id != KernelId::kAprod2Glob);
+}
+
+}  // namespace
+
+std::uint64_t pass_traffic_bytes(const SystemView& v, const AprodPass& pass,
+                                 StorageLayout layout, Precision precision) {
+  std::uint64_t bytes = 0;
+  std::uint64_t parts = 0;
+  for (KernelId part : pass_parts(pass)) {
+    if (!part_runs(v, part)) continue;
+    bytes += kernel_traffic_bytes(v, part, layout, precision);
+    ++parts;
+  }
+  if (parts == 0) return 0;
+  // Every part charges y once per row (aprod1 reads and writes y[r],
+  // aprod2 reads it); the pass touches y[r] once.
+  const std::uint64_t y_row_bytes =
+      pass.id < KernelId::kAprod2Astro ? 2 * sizeof(real) : sizeof(real);
+  return bytes - (parts - 1) * static_cast<std::uint64_t>(v.n_rows) *
+                     y_row_bytes;
+}
+
+std::uint64_t pass_flops(const SystemView& v, const AprodPass& pass) {
+  std::uint64_t flops = 0;
+  for (KernelId part : pass_parts(pass))
+    if (part_runs(v, part)) flops += kernel_flops(v, part);
+  return flops;
+}
+
+std::uint64_t pass_atomic_updates(const SystemView& v, const AprodPass& pass,
+                                  backends::ScatterStrategy strategy,
+                                  int workers) {
+  std::uint64_t updates = 0;
+  for (KernelId part : pass_parts(pass))
+    updates += kernel_atomic_updates(v, part, strategy, workers);
+  return updates;
 }
 
 }  // namespace gaia::core

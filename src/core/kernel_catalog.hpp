@@ -4,15 +4,19 @@
 /// The tuning library owns the dispatch *mechanism* (a type-erased
 /// (KernelId, Backend) table); this file owns the dispatch *content*:
 /// the eight templated aprod kernels instantiated for every compiled
-/// backend, plus the fused aprod2 scatter. Registration is idempotent
+/// backend, plus the fused aprod1 gather and aprod2 scatter, and the
+/// cost shapes of both (per kernel and per pass). Registration is
+/// idempotent
 /// and runs on first Aprod construction, so any binary that launches a
 /// kernel has a fully populated registry without global-initializer
 /// ordering games across libraries.
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "backends/kernel_config.hpp"
+#include "tuning/kernel_registry.hpp"
 
 namespace gaia::core {
 
@@ -68,6 +72,31 @@ void ensure_kernel_catalog();
 /// privatized strategy (which commits through a deterministic fold).
 [[nodiscard]] std::uint64_t kernel_atomic_updates(
     const SystemView& view, backends::KernelId id,
+    backends::ScatterStrategy strategy, int workers);
+
+/// Span/series name of one pass of an aprod pair: "aprod1_fused",
+/// "aprod2_fused", or the kernel's own name.
+[[nodiscard]] const char* pass_region_name(const tuning::AprodPass& pass);
+
+/// The kernels a pass interleaves, in the order it adds them; a kernel
+/// pass is its own single part.
+[[nodiscard]] std::span<const backends::KernelId> pass_parts(
+    const tuning::AprodPass& pass);
+
+/// Pass-level traffic: the parts' coefficient, index and x bytes, plus
+/// the y traffic once per row. Each part alone charges y per row, but
+/// the pass reads (and for the gather writes) y[r] once, so the sum of
+/// the parts overstates it by (parts - 1) x rows x y bytes. Glob parts
+/// are left out on a system without a global block (they do not run).
+[[nodiscard]] std::uint64_t pass_traffic_bytes(
+    const SystemView& view, const tuning::AprodPass& pass,
+    backends::StorageLayout layout, backends::Precision precision);
+
+/// The parts' flops and atomic updates (both add up across parts).
+[[nodiscard]] std::uint64_t pass_flops(const SystemView& view,
+                                       const tuning::AprodPass& pass);
+[[nodiscard]] std::uint64_t pass_atomic_updates(
+    const SystemView& view, const tuning::AprodPass& pass,
     backends::ScatterStrategy strategy, int workers);
 
 }  // namespace gaia::core

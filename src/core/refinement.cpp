@@ -74,8 +74,7 @@ RefinementReport refine_corrections(const matrix::SystemMatrix& A,
 
   // FP64 residual driver: same backend and tuned shapes as the solve,
   // precision clamped to the seed planes. No autotuner — the shapes are
-  // already resolved — and no streams races to worry about: apply1 and
-  // apply2 are called back to back on this thread.
+  // already resolved.
   backends::DeviceContext device(reduced.device_capacity, "refine");
   AprodOptions residual_opts = reduced.aprod;
   residual_opts.autotuner = nullptr;

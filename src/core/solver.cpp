@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/autotune_driver.hpp"
+#include "core/kernel_catalog.hpp"
 #include "core/lsqr_engine.hpp"
 #include "metrics/pennycook.hpp"
 #include "metrics/roofline.hpp"
@@ -332,13 +333,15 @@ void run_refinement(const SolverRunConfig& config,
   report.result = lsqr_solve(A, fp64);
 }
 
-/// Post-solve observability digest: Pennycook P across the kernels that
+/// Post-solve observability digest: Pennycook P across the passes that
 /// recorded production timing samples, plus the armed snapshot path.
-/// Per-kernel efficiency e_i = (cost-model predicted launch time) /
+/// Per-pass efficiency e_i = (cost-model predicted launch time) /
 /// (measured p50), the per-kernel analog of the paper's application
-/// efficiency; normalized by the best kernel so e_i in (0, 1] and P is
-/// the harmonic mean of Eq. 1. Rows are read from a snapshot — never via
-/// registry lookups, which would create empty series as a side effect.
+/// efficiency; a fused pass is priced as the sum of its parts' kernel
+/// times at the pass's launch config. Normalized by the best pass so
+/// e_i in (0, 1] and P is the harmonic mean of Eq. 1. Rows are read from
+/// a snapshot — never via registry lookups, which would create empty
+/// series as a side effect.
 void finish_observability(const matrix::GeneratorConfig& gen_cfg,
                           const LsqrOptions& lsqr, SolverRunReport& report) {
   report.metrics_snapshot_path = obs::global_snapshot_path();
@@ -361,9 +364,9 @@ void finish_observability(const matrix::GeneratorConfig& gen_cfg,
   report.roofline = metrics::roofline_points(rows, report.roofline_machine);
   metrics::publish_roofline_gauges(report.roofline);
   std::vector<double> eff;
-  for (backends::KernelId id : backends::all_kernels()) {
-    const std::string kname = backends::to_string(id);
-    // Several series can exist per kernel (trial shapes, failover
+  for (const tuning::AprodPass& pass : tuning::kAprodPasses) {
+    const std::string kname = pass_region_name(pass);
+    // Several series can exist per pass (trial shapes, failover
     // backends); the one with the most samples is the production config.
     double measured = 0;
     std::uint64_t best_count = 0;
@@ -377,9 +380,11 @@ void finish_observability(const matrix::GeneratorConfig& gen_cfg,
       }
     }
     if (best_count == 0 || measured <= 0) continue;
-    const double predicted =
-        model.kernel_seconds(id, shape, report.tuning_used.get(id),
-                             lsqr.aprod.atomic_mode, lsqr.aprod.coherence);
+    double predicted = 0;
+    for (backends::KernelId part : pass_parts(pass))
+      predicted += model.kernel_seconds(
+          part, shape, report.tuning_used.get(pass.id),
+          lsqr.aprod.atomic_mode, lsqr.aprod.coherence);
     if (predicted <= 0) continue;
     eff.push_back(predicted / measured);
   }
@@ -566,53 +571,40 @@ std::string SolverRunReport::summary() const {
       os << "backend ignores launch shapes; nothing to tune";
     os << '\n';
   }
+  // The config lines report the three passes the solve launches, each
+  // under its tuning identity's entry. The fused scatter is the one pass
+  // with a commit strategy.
   os << "scatter:";
-  for (backends::KernelId id : backends::all_kernels()) {
-    if (!backends::kernel_uses_atomics(id)) continue;
-    os << ' ' << backends::to_string(id) << '='
-       << backends::to_string(tuning_used.get(id).strategy);
+  for (const tuning::AprodPass& pass : tuning::kAprodPasses) {
+    if (!backends::kernel_uses_atomics(pass.id)) continue;
+    os << ' ' << pass_region_name(pass) << '='
+       << backends::to_string(tuning_used.get(pass.id).strategy);
   }
   os << '\n';
-  // Collapse the layout line when every kernel agrees (the common case:
-  // a pinned mode); --layout=auto can split per kernel.
-  bool uniform_layout = true;
-  const backends::StorageLayout first_layout =
-      tuning_used.get(backends::KernelId::kAprod1Astro).layout;
-  for (backends::KernelId id : backends::all_kernels())
-    uniform_layout &= tuning_used.get(id).layout == first_layout;
-  os << "layout: ";
-  if (uniform_layout) {
-    os << backends::to_string(first_layout);
-  } else {
-    bool first = true;
-    for (backends::KernelId id : backends::all_kernels()) {
-      if (!first) os << ' ';
-      first = false;
-      os << backends::to_string(id) << '='
-         << backends::to_string(tuning_used.get(id).layout);
+  // The layout and precision lines collapse when every pass agrees (the
+  // common case: a pinned mode); auto modes can split per pass.
+  const auto config_line = [&](const char* label, auto field) {
+    const auto first = field(tuning_used.get(tuning::kAprodPasses[0].id));
+    bool uniform = true;
+    for (const tuning::AprodPass& pass : tuning::kAprodPasses)
+      uniform &= field(tuning_used.get(pass.id)) == first;
+    os << label << ": ";
+    if (uniform) {
+      os << backends::to_string(first);
+    } else {
+      const char* sep = "";
+      for (const tuning::AprodPass& pass : tuning::kAprodPasses) {
+        os << sep << pass_region_name(pass) << '='
+           << backends::to_string(field(tuning_used.get(pass.id)));
+        sep = " ";
+      }
     }
-  }
-  os << '\n';
-  // Same collapse for the precision line; --precision=auto can split
-  // per kernel too.
-  bool uniform_precision = true;
-  const backends::Precision first_precision =
-      tuning_used.get(backends::KernelId::kAprod1Astro).precision;
-  for (backends::KernelId id : backends::all_kernels())
-    uniform_precision &= tuning_used.get(id).precision == first_precision;
-  os << "precision: ";
-  if (uniform_precision) {
-    os << backends::to_string(first_precision);
-  } else {
-    bool first = true;
-    for (backends::KernelId id : backends::all_kernels()) {
-      if (!first) os << ' ';
-      first = false;
-      os << backends::to_string(id) << '='
-         << backends::to_string(tuning_used.get(id).precision);
-    }
-  }
-  os << '\n';
+    os << '\n';
+  };
+  config_line("layout",
+              [](const backends::KernelConfig& c) { return c.layout; });
+  config_line("precision",
+              [](const backends::KernelConfig& c) { return c.precision; });
   if (refinement_ran) {
     os << "refine: " << refinement.corrections << " correction(s), "
        << (refinement.converged ? "converged" : "stalled")

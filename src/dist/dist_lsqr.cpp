@@ -165,11 +165,15 @@ std::vector<obs::MetricRow> build_rank_rows(
     r.last = r.sum;
     return r;
   };
-  // Bytes this rank's kernels moved: the catalog's per-launch traffic of
-  // all eight kernels over the rank's slice, once per iteration.
+  // Bytes this rank's kernels moved: the catalog's pass-level traffic of
+  // the three launches of an aprod pair over the rank's slice, once per
+  // iteration.
   std::uint64_t bytes_per_iteration = 0;
-  for (backends::KernelId id : backends::all_kernels())
-    bytes_per_iteration += core::kernel_traffic_bytes(aprod.view(), id);
+  for (const tuning::AprodPass& pass : tuning::kAprodPasses) {
+    const backends::KernelConfig cfg = aprod.tuning().get(pass.id);
+    bytes_per_iteration += core::pass_traffic_bytes(
+        aprod.view(), pass, cfg.layout, cfg.precision);
+  }
   rows.push_back(counter("dist.rank.kernel_bytes",
                          bytes_per_iteration *
                              static_cast<std::uint64_t>(itn)));
@@ -301,10 +305,9 @@ DistLsqrResult dist_lsqr_solve(const matrix::SystemMatrix& A,
       world.run([&](Comm& comm) {
         const int rank = comm.rank();
         const auto slot = static_cast<std::size_t>(rank);
-        // Everything this rank thread records — and everything the
-        // streams it spawns record — lands in its own recorder; without
-        // tracing the scope installs nullptr and instrumentation falls
-        // through to the process-global recorder as before.
+        // Everything this rank thread records lands in its own
+        // recorder; without tracing the scope installs nullptr and
+        // instrumentation falls through to the process-global recorder.
         obs::ThreadRecorderScope trace_scope(
             tracing ? recorders[slot].get() : nullptr);
         // Rank-tagged telemetry: the sampler's progress rows and any

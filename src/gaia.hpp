@@ -21,7 +21,6 @@
 #include "backends/backend.hpp"
 #include "backends/device_buffer.hpp"
 #include "backends/kernel_config.hpp"
-#include "backends/stream.hpp"
 
 // The solver.
 #include "core/aprod.hpp"

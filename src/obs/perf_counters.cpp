@@ -70,12 +70,4 @@ void record_kernel_time(const std::string& kernel, const std::string& backend,
       .record(seconds);
 }
 
-void record_stream_overlap(double kernel_seconds_sum, double pass_seconds) {
-  auto& reg = MetricsRegistry::global();
-  if (!reg.enabled() || pass_seconds <= 0) return;
-  const double ratio = kernel_seconds_sum / pass_seconds;
-  reg.gauge("aprod2.stream_overlap_ratio").set(ratio);
-  reg.histogram("aprod2.stream_overlap_ratio_hist").record(ratio);
-}
-
 }  // namespace gaia::obs

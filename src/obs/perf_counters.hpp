@@ -41,18 +41,12 @@ struct KernelSample {
 /// while the registry is disabled.
 void record_kernel_sample(const KernelSample& sample);
 
-/// Wall time only — autotuner trial launches feed the same per-kernel
+/// Wall time only — autotuner trial launches feed the same per-pass
 /// time histograms without contributing traffic counters (a trial's
 /// shape is not the shape the solve runs, but its timing is a real
-/// launch of the real kernel).
+/// launch of the real pass).
 void record_kernel_time(const std::string& kernel, const std::string& backend,
                         const std::string& strategy, double seconds);
-
-/// Stream-overlap ratio of one aprod2 pass: sum of the per-kernel wall
-/// times over the pass wall time (≈1 serialized, →4 perfectly
-/// overlapped). Recorded as gauge `aprod2.stream_overlap_ratio` plus
-/// histogram `aprod2.stream_overlap_ratio_hist`.
-void record_stream_overlap(double kernel_seconds_sum, double pass_seconds);
 
 /// Structured decomposition of a `kernel.*` metric name.
 struct KernelSeriesName {

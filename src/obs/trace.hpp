@@ -2,17 +2,16 @@
 /// \brief Kernel-level trace recorder (the nsys/rocprof timeline analog).
 ///
 /// The paper's evidence is timeline-shaped: nsys/rocprof screenshots
-/// showing that aprod1/aprod2 dominate the iteration and that the four
-/// aprod2 scatter kernels overlap in concurrent streams (SIV, SV-A).
-/// This recorder produces the same artifact for our host backends: every
+/// showing that aprod1/aprod2 dominate the iteration (SIV, SV-A). This
+/// recorder produces the same artifact for our host backends: every
 /// kernel launch, transfer and iteration becomes a span in a Chrome
 /// trace-event JSON file (`chrome://tracing` / Perfetto loadable), with
-/// stream ids mapped to timeline tracks and the launch configuration
+/// track ids mapped to timeline tracks and the launch configuration
 /// attached as span arguments.
 ///
 /// Distributed runs add a second dimension: each simulated MPI rank
 /// owns its *own* recorder (installed as the rank thread's
-/// thread-recorder, inherited by the streams it spawns), stamped with a
+/// thread-recorder), stamped with a
 /// rank identity (`set_rank`) that becomes the `pid` of every emitted
 /// event, and a clock-alignment offset against the World's shared epoch
 /// (`set_epoch_offset_us`) that the trace merger (obs/trace_merge)
@@ -82,7 +81,7 @@ struct TraceEvent {
 class TraceRecorder {
  public:
   /// Track id of spans emitted from the caller's thread context (the
-  /// LSQR driver loop); streams use their own ids (see Stream::id()).
+  /// LSQR driver loop and its kernel launches).
   static constexpr std::int32_t kMainTrack = 0;
   /// Default event-capacity cap (see set_capacity).
   static constexpr std::size_t kDefaultCapacity = 1u << 20;
@@ -155,12 +154,12 @@ class TraceRecorder {
   static TraceRecorder& global();
 
   /// Recorder instrumentation on *this thread* records into: the
-  /// thread-local override when installed (dist rank threads and the
-  /// streams they spawn), `global()` otherwise.
+  /// thread-local override when installed (dist rank threads),
+  /// `global()` otherwise.
   static TraceRecorder& current();
   /// The raw thread-local override (nullptr = none). Exposed so thread
-  /// spawners (Stream workers) can propagate the spawning thread's
-  /// recorder into the threads they create.
+  /// spawners can propagate the spawning thread's recorder into the
+  /// threads they create.
   static TraceRecorder* thread_recorder();
   static void set_thread_recorder(TraceRecorder* recorder);
 
@@ -183,8 +182,7 @@ class TraceRecorder {
 };
 
 /// RAII install/restore of the thread-local recorder override. The
-/// distributed solver places one at the top of each rank body; Stream
-/// workers construct one from the recorder captured at Stream creation.
+/// distributed solver places one at the top of each rank body.
 class ThreadRecorderScope {
  public:
   explicit ThreadRecorderScope(TraceRecorder* recorder)

@@ -6,8 +6,8 @@
 #include <limits>
 
 #include "obs/metrics.hpp"
-#include "obs/perf_counters.hpp"
 #include "obs/trace.hpp"
+#include "tuning/kernel_registry.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 
@@ -68,8 +68,11 @@ Autotuner::Autotuner(backends::BackendKind backend, AutotuneOptions options)
 bool Autotuner::active() const {
   if (!enabled_) return false;
   std::lock_guard<std::mutex> lock(mutex_);
-  return std::any_of(search_.begin(), search_.end(),
-                     [](const KernelSearch& s) { return !s.finished; });
+  return std::any_of(kAprodPasses.begin(), kAprodPasses.end(),
+                     [&](const AprodPass& pass) {
+                       return !search_[static_cast<std::size_t>(pass.id)]
+                                   .finished;
+                     });
 }
 
 bool Autotuner::searching(KernelId id) const {
@@ -182,14 +185,6 @@ bool Autotuner::report(KernelId id, KernelConfig cfg, double seconds) {
   if (cfg != config_of(s.current)) return false;  // stale (e.g. failover)
   trials_++;
   note_trial();
-  // Trial launches bypass the Aprod sample path (their shapes are search
-  // candidates, not production config), but their wall times still
-  // belong in the per-kernel latency histograms.
-  obs::record_kernel_time(
-      backends::to_string(id), backends::to_string(backend_),
-      backends::kernel_uses_atomics(id) ? backends::to_string(cfg.strategy)
-                                        : "none",
-      seconds);
   s.samples.push_back(seconds);
   if (static_cast<int>(s.samples.size()) < options_.samples_per_config)
     return false;

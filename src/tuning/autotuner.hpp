@@ -73,10 +73,9 @@ struct AutotuneOptions {
   std::optional<backends::Precision> precision = backends::Precision::kFp64;
 };
 
-/// Per-(backend) search state over all eight kernels. Thread-safe: the
-/// stream threads of an overlapped aprod2 could race propose/report (the
-/// driver disables overlap while tuning, but the tuner does not rely on
-/// it).
+/// Per-(backend) search state over all eight kernel identities.
+/// Thread-safe: propose/report lock, so concurrent launchers cannot
+/// corrupt a search.
 class Autotuner {
  public:
   explicit Autotuner(backends::BackendKind backend,
@@ -84,7 +83,10 @@ class Autotuner {
 
   [[nodiscard]] backends::BackendKind backend() const { return backend_; }
 
-  /// True while at least one kernel's search is still open. Permanently
+  /// True while the search of an identity the solve launches
+  /// (kAprodPasses) is still open. A KernelId the Aprod driver never
+  /// launches never scores, so it does not hold warm-up open; it can
+  /// still be searched by driving propose/report directly. Permanently
   /// false on backends that ignore launch shapes.
   [[nodiscard]] bool active() const;
   /// True while `id`'s search is still open.

@@ -65,11 +65,11 @@ void KernelRegistry::add(backends::KernelId id,
   table_[index(id, backend, layout, precision)] = std::move(launcher);
 }
 
-void KernelRegistry::add_fused(backends::BackendKind backend,
+void KernelRegistry::add_fused(FusedPass pass, backends::BackendKind backend,
                                KernelLauncher launcher, StorageLayout layout,
                                Precision precision) {
   GAIA_CHECK(launcher != nullptr, "KernelRegistry::add_fused: null launcher");
-  fused_[fused_index(backend, layout, precision)] = std::move(launcher);
+  fused_[fused_index(pass, backend, layout, precision)] = std::move(launcher);
 }
 
 bool KernelRegistry::has(backends::KernelId id,
@@ -78,10 +78,10 @@ bool KernelRegistry::has(backends::KernelId id,
   return table_[index(id, backend, layout, precision)] != nullptr;
 }
 
-bool KernelRegistry::has_fused(backends::BackendKind backend,
+bool KernelRegistry::has_fused(FusedPass pass, backends::BackendKind backend,
                                StorageLayout layout,
                                Precision precision) const {
-  return fused_[fused_index(backend, layout, precision)] != nullptr;
+  return fused_[fused_index(pass, backend, layout, precision)] != nullptr;
 }
 
 void KernelRegistry::launch(backends::KernelId id,
@@ -99,18 +99,29 @@ void KernelRegistry::launch(backends::KernelId id,
   (*fn)(run);
 }
 
-void KernelRegistry::launch_fused(backends::BackendKind backend,
+void KernelRegistry::launch_fused(FusedPass pass,
+                                  backends::BackendKind backend,
                                   const LaunchArgs& args) const {
   LaunchArgs run;
   const KernelLauncher* fn =
       resolve(args, run, [&](StorageLayout l, Precision p) -> const auto& {
-        return fused_[fused_index(backend, l, p)];
+        return fused_[fused_index(pass, backend, l, p)];
       });
   if (!fn)
-    throw Error("KernelRegistry: no fused aprod2 launcher registered for "
-                "backend " +
+    throw Error(std::string("KernelRegistry: no fused ") +
+                (pass == FusedPass::kGather ? "aprod1" : "aprod2") +
+                " launcher registered for backend " +
                 backends::to_string(backend));
   (*fn)(run);
+}
+
+void KernelRegistry::launch(const AprodPass& pass,
+                            backends::BackendKind backend,
+                            const LaunchArgs& args) const {
+  if (pass.fused)
+    launch_fused(*pass.fused, backend, args);
+  else
+    launch(pass.id, backend, args);
 }
 
 std::size_t KernelRegistry::size() const {

@@ -32,6 +32,7 @@
 
 #include <array>
 #include <functional>
+#include <optional>
 
 #include "backends/backend.hpp"
 #include "util/types.hpp"
@@ -63,10 +64,32 @@ struct LaunchArgs {
 
 using KernelLauncher = std::function<void(const LaunchArgs&)>;
 
-/// Dense (KernelId x BackendKind x StorageLayout) table of launchers
-/// plus one fused aprod2 launcher per (backend, layout) — the fused
-/// scatter is not a KernelId of its own, it shares kAprod2Att's tuning
-/// and fault identity.
+/// The fused row passes, one per aprod product: the gather adds the four
+/// aprod1 sections into y[r], the scatter the three shared aprod2
+/// sections into x. Neither is a KernelId of its own (see AprodPass).
+enum class FusedPass : std::uint8_t { kGather = 0, kScatter };
+inline constexpr int kNumFusedPasses = 2;
+
+/// One launch of an aprod pair: kernel `id`, or the fused pass that runs
+/// under `id`'s tuning-table entry and fault identity.
+struct AprodPass {
+  backends::KernelId id;
+  std::optional<FusedPass> fused;
+};
+
+/// What one aprod pair launches, in launch order: apply1's fused gather
+/// (kAprod1Astro's identity), then apply2's aprod2_astro and fused
+/// scatter (kAprod2Att's identity). The autotuner searches exactly these
+/// three identities; the other KernelIds stay registry slots for the
+/// benches and the per-kernel baseline.
+inline constexpr std::array<AprodPass, 3> kAprodPasses = {{
+    {backends::KernelId::kAprod1Astro, FusedPass::kGather},
+    {backends::KernelId::kAprod2Astro, std::nullopt},
+    {backends::KernelId::kAprod2Att, FusedPass::kScatter},
+}};
+
+/// Dense (KernelId x BackendKind x StorageLayout x Precision) table of
+/// launchers plus one launcher per fused pass on the same axes.
 ///
 /// Registration happens once at startup (core::ensure_kernel_catalog());
 /// after that the table is read-only, so launches need no locking.
@@ -77,7 +100,7 @@ class KernelRegistry {
            backends::StorageLayout layout = backends::StorageLayout::kSeedAos,
            backends::Precision precision = backends::Precision::kFp64);
   void add_fused(
-      backends::BackendKind backend, KernelLauncher launcher,
+      FusedPass pass, backends::BackendKind backend, KernelLauncher launcher,
       backends::StorageLayout layout = backends::StorageLayout::kSeedAos,
       backends::Precision precision = backends::Precision::kFp64);
   [[nodiscard]] bool has(
@@ -85,7 +108,7 @@ class KernelRegistry {
       backends::StorageLayout layout = backends::StorageLayout::kSeedAos,
       backends::Precision precision = backends::Precision::kFp64) const;
   [[nodiscard]] bool has_fused(
-      backends::BackendKind backend,
+      FusedPass pass, backends::BackendKind backend,
       backends::StorageLayout layout = backends::StorageLayout::kSeedAos,
       backends::Precision precision = backends::Precision::kFp64) const;
 
@@ -98,8 +121,11 @@ class KernelRegistry {
   /// the same (kernel, backend).
   void launch(backends::KernelId id, backends::BackendKind backend,
               const LaunchArgs& args) const;
-  void launch_fused(backends::BackendKind backend,
+  void launch_fused(FusedPass pass, backends::BackendKind backend,
                     const LaunchArgs& args) const;
+  /// Launches one pass of an aprod pair: its fused slot, or kernel `id`.
+  void launch(const AprodPass& pass, backends::BackendKind backend,
+              const LaunchArgs& args) const;
 
   /// Registered (kernel, backend) entries in the seed-layout plane;
   /// fused/derived-layout slots excluded.
@@ -128,20 +154,23 @@ class KernelRegistry {
                static_cast<std::size_t>(backends::kNumBackends) +
            static_cast<std::size_t>(backend);
   }
+  static constexpr std::size_t kFusedPlane =
+      static_cast<std::size_t>(kNumFusedPasses) *
+      static_cast<std::size_t>(backends::kNumBackends);
   [[nodiscard]] static std::size_t fused_index(
-      backends::BackendKind backend, backends::StorageLayout layout,
-      backends::Precision precision) {
+      FusedPass pass, backends::BackendKind backend,
+      backends::StorageLayout layout, backends::Precision precision) {
     return (static_cast<std::size_t>(precision) *
                 static_cast<std::size_t>(backends::kNumStorageLayouts) +
             static_cast<std::size_t>(layout)) *
+               kFusedPlane +
+           static_cast<std::size_t>(pass) *
                static_cast<std::size_t>(backends::kNumBackends) +
            static_cast<std::size_t>(backend);
   }
 
   std::array<KernelLauncher, kPlane * kLayoutPlanes> table_{};
-  std::array<KernelLauncher,
-             static_cast<std::size_t>(backends::kNumBackends) * kLayoutPlanes>
-      fused_{};
+  std::array<KernelLauncher, kFusedPlane * kLayoutPlanes> fused_{};
 };
 
 }  // namespace gaia::tuning

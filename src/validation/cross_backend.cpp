@@ -22,7 +22,6 @@ ValidationCampaign run_validation(const ValidationOptions& options) {
   // Reference: the deterministic serial build plays the production code.
   core::LsqrOptions ref_opts = options.lsqr;
   ref_opts.aprod.backend = backends::BackendKind::kSerial;
-  ref_opts.aprod.use_streams = false;
   ref_opts.compute_std_errors = true;
   campaign.reference = core::lsqr_solve(gen.A, ref_opts);
 
@@ -62,7 +61,6 @@ ValidationCampaign run_validation(const ValidationOptions& options) {
     if (p == backends::Precision::kFp64) continue;
     core::LsqrOptions reduced_opts = options.lsqr;
     reduced_opts.aprod.backend = backends::BackendKind::kSerial;
-    reduced_opts.aprod.use_streams = false;
     reduced_opts.compute_std_errors = false;
     for (backends::KernelId id : backends::all_kernels()) {
       backends::KernelConfig kcfg = reduced_opts.aprod.tuning.get(id);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <thread>
 
 #include "matrix/dense.hpp"
@@ -26,10 +27,9 @@ class AprodDriver : public ::testing::TestWithParam<BackendKind> {
     for (auto& v : y_) v = rng.normal();
   }
 
-  AprodOptions opts(bool streams) const {
+  AprodOptions opts() const {
     AprodOptions o;
     o.backend = GetParam();
-    o.use_streams = streams;
     return o;
   }
 
@@ -40,34 +40,30 @@ class AprodDriver : public ::testing::TestWithParam<BackendKind> {
 };
 
 TEST_P(AprodDriver, Apply1MatchesOracleWithAndWithoutStreams) {
+  // Aprod has one aprod1 path (the fused gather); the dense oracle holds.
   const auto oracle =
       matrix::dense_matvec(dense_, gen_.A.n_rows(), gen_.A.n_cols(), x_);
-  for (bool streams : {false, true}) {
-    backends::DeviceContext device;
-    Aprod aprod(gen_.A, device, opts(streams));
-    std::vector<real> y(y_.size(), 0.0);
-    aprod.apply1(x_, y);
-    EXPECT_LT(gaia::testing::rel_l2_error(y, oracle), 1e-12)
-        << "streams=" << streams;
-  }
+  backends::DeviceContext device;
+  Aprod aprod(gen_.A, device, opts());
+  std::vector<real> y(y_.size(), 0.0);
+  aprod.apply1(x_, y);
+  EXPECT_LT(gaia::testing::rel_l2_error(y, oracle), 1e-12);
 }
 
 TEST_P(AprodDriver, Apply2MatchesOracleWithAndWithoutStreams) {
+  // Aprod has one aprod2 path (astro + fused scatter); the oracle holds.
   const auto oracle =
       matrix::dense_rmatvec(dense_, gen_.A.n_rows(), gen_.A.n_cols(), y_);
-  for (bool streams : {false, true}) {
-    backends::DeviceContext device;
-    Aprod aprod(gen_.A, device, opts(streams));
-    std::vector<real> x(x_.size(), 0.0);
-    aprod.apply2(y_, x);
-    EXPECT_LT(gaia::testing::rel_l2_error(x, oracle), 1e-10)
-        << "streams=" << streams;
-  }
+  backends::DeviceContext device;
+  Aprod aprod(gen_.A, device, opts());
+  std::vector<real> x(x_.size(), 0.0);
+  aprod.apply2(y_, x);
+  EXPECT_LT(gaia::testing::rel_l2_error(x, oracle), 1e-10);
 }
 
 TEST_P(AprodDriver, SystemIsCopiedToDeviceOnceAtConstruction) {
   backends::DeviceContext device;
-  Aprod aprod(gen_.A, device, opts(true));
+  Aprod aprod(gen_.A, device, opts());
   const auto h2d_after_setup = device.h2d_bytes();
   EXPECT_GE(h2d_after_setup, gen_.A.values().size_bytes());
 
@@ -85,23 +81,25 @@ TEST_P(AprodDriver, SystemIsCopiedToDeviceOnceAtConstruction) {
 
 TEST_P(AprodDriver, DeviceCapacityEnforced) {
   backends::DeviceContext tiny(1024, "tiny");
-  EXPECT_THROW(Aprod(gen_.A, tiny, opts(false)), gaia::Error);
+  EXPECT_THROW(Aprod(gen_.A, tiny, opts()), gaia::Error);
 }
 
 TEST_P(AprodDriver, LaunchCounterTracksKernels) {
+  // One row pass per product: the fused gather, then aprod2_astro and
+  // the fused scatter.
   backends::DeviceContext device;
-  Aprod aprod(gen_.A, device, opts(false));
+  Aprod aprod(gen_.A, device, opts());
   std::vector<real> y(y_.size(), 0.0);
   std::vector<real> x(x_.size(), 0.0);
   aprod.apply1(x_, y);
-  EXPECT_EQ(aprod.launches(), 4u);
+  EXPECT_EQ(aprod.launches(), 1u);
   aprod.apply2(y_, x);
-  EXPECT_EQ(aprod.launches(), 8u);
+  EXPECT_EQ(aprod.launches(), 3u);
 }
 
 TEST_P(AprodDriver, SizeMismatchesRejected) {
   backends::DeviceContext device;
-  Aprod aprod(gen_.A, device, opts(false));
+  Aprod aprod(gen_.A, device, opts());
   std::vector<real> bad_x(3), bad_y(3);
   std::vector<real> y(y_.size());
   std::vector<real> x(x_.size());
@@ -112,11 +110,12 @@ TEST_P(AprodDriver, SizeMismatchesRejected) {
 }
 
 TEST_P(AprodDriver, StreamedAndUnstreamedResultsAgreeClosely) {
-  // Overlapping the aprod2 kernels changes only the accumulation order
-  // within shared columns — results must agree to fp roundoff.
+  // Two drivers on the same system run the same aprod2 path; on the
+  // atomic commit only the accumulation order within shared columns may
+  // differ — results must agree to fp roundoff.
   backends::DeviceContext d1, d2;
-  Aprod seq(gen_.A, d1, opts(false));
-  Aprod ovl(gen_.A, d2, opts(true));
+  Aprod seq(gen_.A, d1, opts());
+  Aprod ovl(gen_.A, d2, opts());
   std::vector<real> xs(x_.size(), 0.0), xo(x_.size(), 0.0);
   seq.apply2(y_, xs);
   ovl.apply2(y_, xo);
@@ -124,9 +123,9 @@ TEST_P(AprodDriver, StreamedAndUnstreamedResultsAgreeClosely) {
 }
 
 TEST_P(AprodDriver, TunedAndUntunedProduceSameNumbers) {
-  AprodOptions tuned = opts(false);
+  AprodOptions tuned = opts();
   tuned.tuning = backends::TuningTable::tuned_default();
-  AprodOptions untuned = opts(false);
+  AprodOptions untuned = opts();
   untuned.tuning = backends::TuningTable::untuned();
   backends::DeviceContext d1, d2;
   Aprod a(gen_.A, d1, tuned), b(gen_.A, d2, untuned);
@@ -137,13 +136,13 @@ TEST_P(AprodDriver, TunedAndUntunedProduceSameNumbers) {
 }
 
 TEST_P(AprodDriver, ConcurrentDriversShareThePoolSafely) {
-  // Two independent Aprod instances running streamed aprod2 at the same
-  // time: the shared thread pool and per-driver streams must not
+  // Two independent Aprod instances running aprod2 at the same time:
+  // the shared thread pool and the per-driver scratch arenas must not
   // interfere (this is the multi-solver / multi-rank-in-process shape).
   const auto oracle =
       matrix::dense_rmatvec(dense_, gen_.A.n_rows(), gen_.A.n_cols(), y_);
   backends::DeviceContext d1, d2;
-  Aprod a(gen_.A, d1, opts(true)), b(gen_.A, d2, opts(true));
+  Aprod a(gen_.A, d1, opts()), b(gen_.A, d2, opts());
   std::vector<real> xa(x_.size(), 0.0), xb(x_.size(), 0.0);
   std::thread ta([&] {
     for (int i = 0; i < 3; ++i) {
@@ -168,14 +167,55 @@ TEST_P(AprodDriver, FusedAprod2MatchesSplitKernels) {
   // algebra, two launches instead of four.
   const auto oracle =
       matrix::dense_rmatvec(dense_, gen_.A.n_rows(), gen_.A.n_cols(), y_);
-  AprodOptions fused = opts(false);
-  fused.fuse_aprod2 = true;
   backends::DeviceContext device;
-  Aprod aprod(gen_.A, device, fused);
+  Aprod aprod(gen_.A, device, opts());
   std::vector<real> x(x_.size(), 0.0);
   aprod.apply2(y_, x);
   EXPECT_LT(gaia::testing::rel_l2_error(x, oracle), 1e-10);
   EXPECT_EQ(aprod.launches(), 2u);
+}
+
+TEST_P(AprodDriver, AdjointIdentityOnEveryLayoutPrecisionAndStrategy) {
+  // The matrix-free oracle at the driver level, where the passes are
+  // composed: <A x, y> = <x, A^T y> through apply1/apply2 for every
+  // (layout, precision, scatter strategy) table. Both products read the
+  // same stored coefficients, so reduced precision perturbs A but not
+  // the identity; the gap is judged against the summed magnitude of the
+  // products. No dense expansion is needed.
+  for (const auto layout :
+       {backends::StorageLayout::kSeedAos, backends::StorageLayout::kSoaTiled,
+        backends::StorageLayout::kSlicedInstr}) {
+    for (const auto precision :
+         {backends::Precision::kFp64, backends::Precision::kFp32,
+          backends::Precision::kBf16s}) {
+      for (const auto strategy : {backends::ScatterStrategy::kAtomic,
+                                  backends::ScatterStrategy::kPrivatized}) {
+        AprodOptions o = opts();
+        for (backends::KernelId id : backends::all_kernels()) {
+          backends::KernelConfig cfg = o.tuning.get(id);
+          cfg.layout = layout;
+          cfg.precision = precision;
+          if (backends::kernel_uses_atomics(id)) cfg.strategy = strategy;
+          o.tuning.set(id, cfg);
+        }
+        backends::DeviceContext device;
+        Aprod aprod(gen_.A, device, o);
+        std::vector<real> ax(y_.size(), 0.0), aty(x_.size(), 0.0);
+        aprod.apply1(x_, ax);
+        aprod.apply2(y_, aty);
+        real lhs = 0, rhs = 0, scale = 0;
+        for (std::size_t i = 0; i < ax.size(); ++i) {
+          lhs += ax[i] * y_[i];
+          scale += std::abs(ax[i] * y_[i]);
+        }
+        for (std::size_t i = 0; i < aty.size(); ++i) rhs += aty[i] * x_[i];
+        EXPECT_LT(std::abs(lhs - rhs), 1e-12 * scale)
+            << backends::to_string(layout) << "/"
+            << backends::to_string(precision) << "/"
+            << backends::to_string(strategy);
+      }
+    }
+  }
 }
 
 TEST_P(AprodDriver, UmbrellaHeaderExposesDriver) {

@@ -2,15 +2,47 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
+#include "core/kernel_catalog.hpp"
 #include "matrix/dense.hpp"
 #include "matrix/generator.hpp"
+#include "matrix/layouted_system.hpp"
 #include "test_helpers.hpp"
+#include "tuning/kernel_registry.hpp"
 #include "util/rng.hpp"
 
 namespace gaia::core {
 namespace {
 
 using backends::BackendKind;
+using backends::KernelId;
+using backends::Precision;
+using backends::StorageLayout;
+
+constexpr std::array<StorageLayout, 3> kLayouts = {
+    StorageLayout::kSeedAos, StorageLayout::kSoaTiled,
+    StorageLayout::kSlicedInstr};
+constexpr std::array<Precision, 3> kPrecisions = {
+    Precision::kFp64, Precision::kFp32, Precision::kBf16s};
+
+/// A generated system with every derived layout and reduced precision
+/// built and attached to its host view.
+struct AttachedSystem {
+  explicit AttachedSystem(const matrix::GeneratorConfig& cfg)
+      : gen(matrix::generate_system(cfg)),
+        layouts(gen.A),
+        view(SystemView::from(gen.A)) {
+    layouts.build(StorageLayout::kSlicedInstr);  // implies SoA
+    layouts.build_precision(Precision::kFp32);
+    layouts.build_precision(Precision::kBf16s);
+    view.attach_layout(layouts);
+    view.attach_precision(layouts);
+  }
+  matrix::GeneratedSystem gen;
+  matrix::LayoutedSystem layouts;
+  SystemView view;
+};
 using matrix::dense_matvec;
 using matrix::dense_rmatvec;
 using matrix::to_dense;
@@ -184,11 +216,103 @@ TEST_P(AprodKernels, GlobalKernelsNoopWithoutGlobalSection) {
   for (real v : x) ASSERT_EQ(v, 0.0);
 }
 
+TEST_P(AprodKernels, FusedGatherBitIdenticalToTheFourGathers) {
+  // The fused gather adds the four section dots into y[r] in the order
+  // the separate kernels add them: through the registry it equals the
+  // four launches bit for bit on every layout and precision, onto a
+  // non-zero y, with and without a global block.
+  ensure_kernel_catalog();
+  const tuning::KernelRegistry& reg = tuning::KernelRegistry::global();
+  for (const bool has_global : {true, false}) {
+    auto cfg = gaia::testing::medium_config(19);
+    cfg.has_global = has_global;
+    const AttachedSystem sys(cfg);
+    util::Xoshiro256 rng(23);
+    std::vector<real> x(static_cast<std::size_t>(sys.gen.A.n_cols()));
+    std::vector<real> y0(static_cast<std::size_t>(sys.gen.A.n_rows()));
+    for (auto& v : x) v = rng.normal();
+    for (auto& v : y0) v = rng.normal();
+    for (const StorageLayout layout : kLayouts) {
+      for (const Precision precision : kPrecisions) {
+        tuning::LaunchArgs args;
+        args.view = &sys.view;
+        args.in = x.data();
+        args.config = {16, 32};
+        args.config.layout = layout;
+        args.config.precision = precision;
+        std::vector<real> separate = y0;
+        args.out = separate.data();
+        for (KernelId id : {KernelId::kAprod1Astro, KernelId::kAprod1Att,
+                            KernelId::kAprod1Instr, KernelId::kAprod1Glob})
+          reg.launch(id, GetParam(), args);
+        std::vector<real> fused = y0;
+        args.out = fused.data();
+        reg.launch_fused(tuning::FusedPass::kGather, GetParam(), args);
+        for (std::size_t r = 0; r < fused.size(); ++r)
+          ASSERT_EQ(fused[r], separate[r])
+              << backends::to_string(layout) << "/"
+              << backends::to_string(precision)
+              << (has_global ? "" : " no-global") << " row " << r;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, AprodKernels,
                          ::testing::ValuesIn(backends::all_backends()),
                          [](const auto& info) {
                            return backends::to_string(info.param);
                          });
+
+TEST(KernelCatalog, PassTrafficCountsYOncePerRow) {
+  // A fused pass moves its parts' coefficient, index and x bytes but
+  // touches y[r] once: the parts' sum minus (parts - 1) x rows x y bytes
+  // (aprod1 reads and writes y[r], aprod2 reads it). Without a global
+  // block the glob part does not run and is not charged. aprod2_astro is
+  // its own single part.
+  for (const bool has_global : {true, false}) {
+    auto cfg = gaia::testing::medium_config(21);
+    cfg.has_global = has_global;
+    const AttachedSystem sys(cfg);
+    const SystemView& v = sys.view;
+    const auto rows = static_cast<std::uint64_t>(v.n_rows);
+    const std::uint64_t gather_parts = has_global ? 4 : 3;
+    const std::uint64_t scatter_parts = has_global ? 3 : 2;
+    const auto& [gather, astro, scatter] = tuning::kAprodPasses;
+    for (const StorageLayout layout : kLayouts) {
+      for (const Precision precision : kPrecisions) {
+        const auto bytes = [&](KernelId id) {
+          return kernel_traffic_bytes(v, id, layout, precision);
+        };
+        std::uint64_t gather_sum = bytes(KernelId::kAprod1Astro) +
+                                   bytes(KernelId::kAprod1Att) +
+                                   bytes(KernelId::kAprod1Instr);
+        std::uint64_t scatter_sum =
+            bytes(KernelId::kAprod2Att) + bytes(KernelId::kAprod2Instr);
+        if (has_global) {
+          gather_sum += bytes(KernelId::kAprod1Glob);
+          scatter_sum += bytes(KernelId::kAprod2Glob);
+        }
+        const std::string label = std::string(backends::to_string(layout)) +
+                                  "/" + backends::to_string(precision);
+        EXPECT_EQ(pass_traffic_bytes(v, gather, layout, precision),
+                  gather_sum - (gather_parts - 1) * rows * 2 * sizeof(real))
+            << label;
+        EXPECT_EQ(pass_traffic_bytes(v, scatter, layout, precision),
+                  scatter_sum - (scatter_parts - 1) * rows * sizeof(real))
+            << label;
+        EXPECT_EQ(pass_traffic_bytes(v, astro, layout, precision),
+                  bytes(KernelId::kAprod2Astro))
+            << label;
+      }
+    }
+    EXPECT_EQ(pass_flops(v, gather),
+              kernel_flops(v, KernelId::kAprod1Astro) +
+                  kernel_flops(v, KernelId::kAprod1Att) +
+                  kernel_flops(v, KernelId::kAprod1Instr) +
+                  (has_global ? kernel_flops(v, KernelId::kAprod1Glob) : 0));
+  }
+}
 
 }  // namespace
 }  // namespace gaia::core

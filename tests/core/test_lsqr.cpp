@@ -20,7 +20,6 @@ using backends::BackendKind;
 LsqrOptions base_options(BackendKind backend, std::int64_t iters = 400) {
   LsqrOptions opts;
   opts.aprod.backend = backend;
-  opts.aprod.use_streams = backend != BackendKind::kSerial;
   opts.max_iterations = iters;
   opts.atol = 1e-12;
   opts.btol = 1e-12;

@@ -17,7 +17,6 @@ LsqrOptions engine_options(backends::BackendKind backend =
                                backends::BackendKind::kSerial) {
   LsqrOptions opts;
   opts.aprod.backend = backend;
-  opts.aprod.use_streams = false;
   opts.max_iterations = 60;
   return opts;
 }

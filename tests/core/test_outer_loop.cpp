@@ -12,7 +12,6 @@ namespace {
 OuterLoopOptions loop_options() {
   OuterLoopOptions opts;
   opts.lsqr.aprod.backend = backends::BackendKind::kSerial;
-  opts.lsqr.aprod.use_streams = false;
   opts.lsqr.max_iterations = 300;
   opts.lsqr.atol = 1e-12;
   opts.lsqr.btol = 1e-12;

@@ -25,7 +25,6 @@ using backends::StorageLayout;
 LsqrOptions solve_options(BackendKind backend) {
   LsqrOptions opts;
   opts.aprod.backend = backend;
-  opts.aprod.use_streams = backend != BackendKind::kSerial;
   opts.max_iterations = 400;
   opts.atol = 1e-12;
   opts.btol = 1e-12;

@@ -75,7 +75,7 @@ std::vector<real> registry_scatter(const SystemView& view,
   args.out = x.data();
   args.config = cfg;
   if (fused) {
-    reg.launch_fused(backend, args);
+    reg.launch_fused(tuning::FusedPass::kScatter, backend, args);
   } else {
     for (KernelId id : kSharedScatters) reg.launch(id, backend, args);
   }
@@ -316,7 +316,7 @@ TEST_P(ScatterStrategies, AdjointIdentityThroughEveryRegisteredScatter) {
         args.out = Aty.data();
         reg.launch(KernelId::kAprod2Astro, GetParam(), args);
         if (fused) {
-          reg.launch_fused(GetParam(), args);
+          reg.launch_fused(tuning::FusedPass::kScatter, GetParam(), args);
         } else {
           for (KernelId id : kSharedScatters) reg.launch(id, GetParam(), args);
         }
@@ -435,33 +435,24 @@ TEST(ScatterStrategyCommit, AtomicUpdatesCountCommitsNotRowEntries) {
                                          "atomic_updates"))
         .value();
   };
-  for (const bool fused : {false, true}) {
-    for (const ScatterStrategy strategy :
-         {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
-      backends::DeviceContext device;
-      AprodOptions opts;
-      opts.backend = BackendKind::kGpuSim;
-      opts.use_streams = false;
-      opts.fuse_aprod2 = fused;
-      opts.tuning = strategy_table(strategy);
-      Aprod aprod(gen.A, device, opts);
-      std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
-      aprod.apply2(y, x);
-      aprod.apply2(y, x);
-    }
+  // Aprod's aprod2 runs the fused scatter, which commits the whole
+  // shared span per worker.
+  for (const ScatterStrategy strategy :
+       {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
+    backends::DeviceContext device;
+    AprodOptions opts;
+    opts.backend = BackendKind::kGpuSim;
+    opts.tuning = strategy_table(strategy);
+    Aprod aprod(gen.A, device, opts);
+    std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
+    aprod.apply2(y, x);
+    aprod.apply2(y, x);
   }
   const backends::TuningTable table = backends::TuningTable::tuned_default();
   const auto workers = [&](KernelId id) {
     return static_cast<std::uint64_t>(backends::atomic_scatter_workers(
         BackendKind::kGpuSim, gen.A.n_rows(), table.get(id)));
   };
-  for (KernelId id : kSharedScatters) {
-    const auto len = static_cast<std::uint64_t>(scatter_section(host, id).len);
-    EXPECT_EQ(counter(kernel_region_name(id), "atomic"),
-              2 * workers(id) * len)
-        << kernel_region_name(id);
-    EXPECT_EQ(counter(kernel_region_name(id), "privatized"), 0u);
-  }
   // The fused slot follows the strategy and shares kAprod2Att's shape.
   const auto fused_len =
       static_cast<std::uint64_t>(fused_scatter_section(host).len);
@@ -485,7 +476,6 @@ TEST(ScatterStrategyDriver, PrivatizedTableMatchesAtomicThroughAprod) {
     backends::DeviceContext device;
     AprodOptions opts;
     opts.backend = BackendKind::kGpuSim;
-    opts.use_streams = false;
     opts.tuning = strategy_table(strategy);
     Aprod aprod(gen.A, device, opts);
     std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
@@ -510,7 +500,6 @@ TEST(ScatterStrategyDriver, DerivedLayoutsMatchSeedThroughAprod) {
     backends::DeviceContext device;
     AprodOptions opts;
     opts.backend = BackendKind::kGpuSim;
-    opts.use_streams = false;
     opts.tuning = strategy_table(strategy, layout);
     Aprod aprod(gen.A, device, opts);
     std::vector<real> y(y_in.size(), 0.0);
@@ -545,7 +534,6 @@ TEST(ScatterStrategyDriver, ArenaAllocatorSilentAfterFirstIteration) {
     backends::DeviceContext device;
     AprodOptions opts;
     opts.backend = BackendKind::kGpuSim;
-    opts.use_streams = false;  // deterministic lease pattern
     opts.tuning = strategy_table(strategy);
     Aprod aprod(gen.A, device, opts);
     std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
@@ -571,7 +559,6 @@ TEST(ScatterStrategyDriver, ArenaBytesSurfaceInObsMetrics) {
   backends::DeviceContext device;
   AprodOptions opts;
   opts.backend = BackendKind::kGpuSim;
-  opts.use_streams = false;
   opts.tuning = strategy_table(ScatterStrategy::kPrivatized);
   Aprod aprod(gen.A, device, opts);
   const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 17);

@@ -122,7 +122,6 @@ TEST(WeightedSolve, EquivalentToScaledSystem) {
 
   LsqrOptions opts;
   opts.aprod.backend = backends::BackendKind::kSerial;
-  opts.aprod.use_streams = false;
   opts.max_iterations = 500;
   opts.atol = 1e-12;
   opts.btol = 1e-12;
@@ -149,7 +148,6 @@ TEST(WeightedSolve, DownweightingOutliersImprovesRecovery) {
 
   LsqrOptions opts;
   opts.aprod.backend = backends::BackendKind::kSerial;
-  opts.aprod.use_streams = false;
   opts.max_iterations = 400;
   opts.atol = 1e-12;
   opts.btol = 1e-12;

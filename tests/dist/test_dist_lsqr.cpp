@@ -15,7 +15,6 @@ namespace {
 core::LsqrOptions solver_options() {
   core::LsqrOptions opts;
   opts.aprod.backend = backends::BackendKind::kSerial;
-  opts.aprod.use_streams = false;
   opts.max_iterations = 300;
   opts.atol = 1e-12;
   opts.btol = 1e-12;
@@ -101,7 +100,6 @@ TEST(DistLsqrParallelBackend, GpuSimBackendAgreesAcrossRanks) {
   const auto gen = matrix::generate_system(gaia::testing::small_config(104));
   auto opts_core = solver_options();
   opts_core.aprod.backend = backends::BackendKind::kGpuSim;
-  opts_core.aprod.use_streams = true;
   const auto reference = core::lsqr_solve(gen.A, opts_core);
 
   DistLsqrOptions opts;

@@ -34,7 +34,6 @@ DistLsqrOptions traced_options(int ranks, const std::string& trace_dir) {
   DistLsqrOptions opts;
   opts.n_ranks = ranks;
   opts.lsqr.aprod.backend = backends::BackendKind::kSerial;
-  opts.lsqr.aprod.use_streams = false;
   opts.lsqr.max_iterations = 5;
   opts.trace_dir = trace_dir;
   return opts;

@@ -168,7 +168,6 @@ TEST_F(DistLsqrMetrics, ClusterCountersAreSumsOfRankRows) {
   DistLsqrOptions opts;
   opts.n_ranks = 3;
   opts.lsqr.aprod.backend = backends::BackendKind::kSerial;
-  opts.lsqr.aprod.use_streams = false;
   opts.lsqr.max_iterations = 12;
   opts.lsqr.atol = 0;
   opts.lsqr.btol = 0;
@@ -221,7 +220,6 @@ TEST_F(DistLsqrMetrics, PublishesClusterRowsToRegistryWhenEnabled) {
   DistLsqrOptions opts;
   opts.n_ranks = 2;
   opts.lsqr.aprod.backend = backends::BackendKind::kSerial;
-  opts.lsqr.aprod.use_streams = false;
   opts.lsqr.max_iterations = 8;
   opts.lsqr.atol = 0;
   opts.lsqr.btol = 0;

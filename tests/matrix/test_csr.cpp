@@ -82,7 +82,6 @@ TEST(Csr, SpmvAgreesWithAprodKernels) {
   backends::DeviceContext device;
   core::AprodOptions opts;
   opts.backend = backends::BackendKind::kSerial;
-  opts.use_streams = false;
   core::Aprod aprod(gen.A, device, opts);
 
   std::vector<real> y_aprod(y.size(), 0.0), y_csr(y.size(), 0.0);

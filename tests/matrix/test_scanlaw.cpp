@@ -140,7 +140,6 @@ TEST(ScanLawSystem, SolvableByLsqr) {
   const auto sys = generate_from_scanlaw(cfg);
   core::LsqrOptions opts;
   opts.aprod.backend = backends::BackendKind::kSerial;
-  opts.aprod.use_streams = false;
   opts.max_iterations = 600;
   opts.atol = 1e-12;
   opts.btol = 1e-12;

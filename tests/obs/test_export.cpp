@@ -104,25 +104,11 @@ TEST_F(ExportTest, RecordingIsDisabledGated) {
   s.seconds = 1;
   record_kernel_sample(s);
   record_kernel_time("aprod1_astro", "serial", "none", 1.0);
-  record_stream_overlap(2.0, 1.0);
   // A disabled registry must not even grow new entries.
   const auto rows = reg.snapshot();
   EXPECT_EQ(rows.size(), entries_before);
   EXPECT_EQ(find_row(rows, "kernel.aprod1_astro.serial.none.launches"),
             nullptr);
-}
-
-TEST_F(ExportTest, StreamOverlapRatio) {
-  auto& reg = MetricsRegistry::global();
-  reg.set_enabled(true);
-  record_stream_overlap(3.0, 1.0);  // 3 kernels fully overlapped
-  EXPECT_DOUBLE_EQ(reg.gauge("aprod2.stream_overlap_ratio").value(), 3.0);
-  EXPECT_EQ(reg.histogram("aprod2.stream_overlap_ratio_hist")
-                .summary()
-                .count,
-            1u);
-  record_stream_overlap(1.0, 0.0);  // degenerate pass: ignored
-  EXPECT_DOUBLE_EQ(reg.gauge("aprod2.stream_overlap_ratio").value(), 3.0);
 }
 
 TEST_F(ExportTest, OpenMetricsRoundTrip) {

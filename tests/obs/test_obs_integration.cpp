@@ -1,7 +1,8 @@
 /// \file test_obs_integration.cpp
 /// \brief End-to-end observability check: a traced LSQR campaign emits a
-/// valid timeline with all eight kernel spans, and the metrics CSV
-/// transfer totals equal the device-side byte accounting exactly.
+/// valid timeline with the three pass spans of every aprod pair, each
+/// carrying the pass's exact traffic, and the metrics CSV transfer
+/// totals equal the device-side byte accounting exactly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/kernel_catalog.hpp"
 #include "core/lsqr.hpp"
 #include "matrix/generator.hpp"
 #include "obs/json_checker.hpp"
@@ -63,7 +65,6 @@ TEST(ObsIntegration, TracedLsqrRunEmitsFullTimelineAndExactByteTotals) {
     Session session(trace_file.path, metrics_file.path);
     core::LsqrOptions opts;
     opts.aprod.backend = backends::BackendKind::kGpuSim;
-    opts.aprod.use_streams = true;  // aprod2 spans must land on stream tracks
     opts.max_iterations = 100;
     opts.atol = 0;  // run all 100 iterations (the acceptance scenario)
     opts.btol = 0;
@@ -82,31 +83,29 @@ TEST(ObsIntegration, TracedLsqrRunEmitsFullTimelineAndExactByteTotals) {
   EXPECT_TRUE(checker.valid());
   EXPECT_NE(buf.str().find("\"traceEvents\""), std::string::npos);
 
-  // 2. All eight aprod sub-kernels appear as spans, each annotated with
-  // its launch config and stream lane.
-  const std::set<std::string> expected = {
-      "aprod1_astro", "aprod1_att", "aprod1_instr", "aprod1_glob",
-      "aprod2_astro", "aprod2_att", "aprod2_instr", "aprod2_glob"};
+  // 2. Exactly the three passes of an aprod pair appear as kernel spans,
+  // all on the caller's track, each annotated with its launch config and
+  // the pass-level bytes (y counted once per row, not once per part).
+  const core::SystemView view = core::SystemView::from(gen.A);
+  std::map<std::string, std::uint64_t> expected;
+  for (const auto& pass : tuning::kAprodPasses)
+    expected[core::pass_region_name(pass)] = core::pass_traffic_bytes(
+        view, pass, backends::StorageLayout::kSeedAos,
+        backends::Precision::kFp64);
   std::set<std::string> seen;
-  std::set<std::int32_t> aprod2_tracks;
   for (const auto& e : events) {
     if (e.phase != 'X' || e.cat != "kernel") continue;
-    if (expected.count(e.name) == 0) continue;
+    ASSERT_EQ(expected.count(e.name), 1u) << e.name;
     seen.insert(e.name);
-    std::set<std::string> keys;
-    for (const auto& a : e.args) keys.insert(a.key());
-    EXPECT_TRUE(keys.count("backend")) << e.name;
-    EXPECT_TRUE(keys.count("blocks")) << e.name;
-    EXPECT_TRUE(keys.count("threads")) << e.name;
-    EXPECT_TRUE(keys.count("stream")) << e.name;
-    EXPECT_TRUE(keys.count("bytes")) << e.name;
-    if (e.name.rfind("aprod2", 0) == 0) aprod2_tracks.insert(e.tid);
+    EXPECT_EQ(e.tid, TraceRecorder::kMainTrack) << e.name;
+    std::map<std::string, std::string> args;
+    for (const auto& a : e.args) args[a.key()] = a.json_value();
+    EXPECT_TRUE(args.count("backend")) << e.name;
+    EXPECT_TRUE(args.count("blocks")) << e.name;
+    EXPECT_TRUE(args.count("threads")) << e.name;
+    EXPECT_EQ(args["bytes"], std::to_string(expected.at(e.name))) << e.name;
   }
-  EXPECT_EQ(seen, expected);
-  // The four aprod2 scatters ran in four distinct streams, i.e. four
-  // distinct non-main timeline tracks.
-  EXPECT_EQ(aprod2_tracks.size(), 4u);
-  EXPECT_EQ(aprod2_tracks.count(TraceRecorder::kMainTrack), 0u);
+  EXPECT_EQ(seen.size(), expected.size());
 
   // 3. Per-iteration telemetry: one lsqr.iteration span per iteration.
   int iteration_spans = 0;
@@ -122,9 +121,12 @@ TEST(ObsIntegration, TracedLsqrRunEmitsFullTimelineAndExactByteTotals) {
             result.h2d_bytes);
   ASSERT_TRUE(sums.count("lsqr.iterations"));
   EXPECT_EQ(static_cast<std::uint64_t>(sums.at("lsqr.iterations")), 100u);
-  ASSERT_TRUE(sums.count("stream.tasks"));
-  // 4 aprod2 kernels per iteration, each enqueued as one stream task.
-  EXPECT_GE(static_cast<std::uint64_t>(sums.at("stream.tasks")), 400u);
+  // One fused-scatter launch per aprod2: the bidiagonalization start plus
+  // one per iteration.
+  ASSERT_TRUE(sums.count("kernel.aprod2_fused.gpusim.atomic.launches"));
+  EXPECT_GE(static_cast<std::uint64_t>(
+                sums.at("kernel.aprod2_fused.gpusim.atomic.launches")),
+            100u);
 }
 
 TEST(ObsIntegration, CasRetriesAreCountedUnderCasLoopMode) {
@@ -137,7 +139,6 @@ TEST(ObsIntegration, CasRetriesAreCountedUnderCasLoopMode) {
     // regardless (that *is* its native RMW), so it never counts CAS ops.
     opts.aprod.backend = backends::BackendKind::kGpuSim;
     opts.aprod.atomic_mode = backends::AtomicMode::kCasLoop;
-    opts.aprod.use_streams = false;
     opts.max_iterations = 3;
     opts.compute_std_errors = false;
     core::lsqr_solve(gen.A, opts);

@@ -30,8 +30,6 @@ class SolverSweep : public ::testing::TestWithParam<SolveCase> {
   static LsqrOptions options() {
     LsqrOptions opts;
     opts.aprod.backend = GetParam().backend;
-    opts.aprod.use_streams =
-        GetParam().backend != backends::BackendKind::kSerial;
     opts.max_iterations = 400;
     opts.atol = 1e-11;
     opts.btol = 1e-11;
@@ -56,7 +54,6 @@ TEST_P(SolverSweep, NormalEquationsResidualIsSmall) {
   backends::DeviceContext device;
   AprodOptions aopts;
   aopts.backend = backends::BackendKind::kSerial;
-  aopts.use_streams = false;
   Aprod aprod(gen.A, device, aopts);
   std::vector<real> g(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
   aprod.apply2(r, g);

@@ -24,7 +24,6 @@ class FailoverTest : public ::testing::Test {
   static core::LsqrOptions options(BackendKind backend) {
     core::LsqrOptions opts;
     opts.aprod.backend = backend;
-    opts.aprod.use_streams = false;
     opts.max_iterations = 40;
     // Keep injected-fault tests fast: the structure of the backoff is
     // under test elsewhere, not the wall-clock delays.

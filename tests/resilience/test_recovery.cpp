@@ -24,7 +24,6 @@ using backends::BackendKind;
 core::LsqrOptions fast_retry_options(BackendKind backend) {
   core::LsqrOptions opts;
   opts.aprod.backend = backend;
-  opts.aprod.use_streams = false;
   opts.max_iterations = 60;
   opts.aprod.retry.base_delay = std::chrono::microseconds(1);
   opts.aprod.retry.max_delay = std::chrono::microseconds(4);

@@ -90,7 +90,8 @@ TEST_F(KernelRegistryDispatch, CatalogCoversEveryKernelOnEveryBackend) {
     for (KernelId id : backends::all_kernels())
       EXPECT_TRUE(reg.has(id, kind))
           << to_string(id) << " on " << to_string(kind);
-    EXPECT_TRUE(reg.has_fused(kind)) << to_string(kind);
+    EXPECT_TRUE(reg.has_fused(FusedPass::kGather, kind)) << to_string(kind);
+    EXPECT_TRUE(reg.has_fused(FusedPass::kScatter, kind)) << to_string(kind);
   }
 }
 
@@ -137,7 +138,7 @@ TEST_F(KernelRegistryDispatch, FusedLauncherMatchesDirectFusedCall) {
     args.out = via_registry.data();
     args.config = cfg;
     args.atomic_mode = AtomicMode::kNativeRmw;
-    reg.launch_fused(kind, args);
+    reg.launch_fused(FusedPass::kScatter, kind, args);
 
     backends::dispatch(kind, [&](auto exec) {
       core::aprod2_shared_fused<decltype(exec)>(view_, y_.data(),
@@ -173,19 +174,24 @@ TEST_F(KernelRegistryDispatch, CasModeFlowsThroughTheLaunchArgs) {
 TEST(KernelRegistry, UnregisteredLaunchThrows) {
   KernelRegistry reg;  // local and empty: the global one is always full
   EXPECT_FALSE(reg.has(KernelId::kAprod1Astro, BackendKind::kSerial));
-  EXPECT_FALSE(reg.has_fused(BackendKind::kSerial));
+  EXPECT_FALSE(reg.has_fused(FusedPass::kGather, BackendKind::kSerial));
+  EXPECT_FALSE(reg.has_fused(FusedPass::kScatter, BackendKind::kSerial));
   EXPECT_EQ(reg.size(), 0u);
   LaunchArgs args;
   EXPECT_THROW(reg.launch(KernelId::kAprod1Astro, BackendKind::kSerial, args),
                Error);
-  EXPECT_THROW(reg.launch_fused(BackendKind::kSerial, args), Error);
+  EXPECT_THROW(reg.launch_fused(FusedPass::kScatter, BackendKind::kSerial,
+                                args),
+               Error);
 }
 
 TEST(KernelRegistry, NullLauncherIsRejected) {
   KernelRegistry reg;
   EXPECT_THROW(reg.add(KernelId::kAprod1Astro, BackendKind::kSerial, nullptr),
                Error);
-  EXPECT_THROW(reg.add_fused(BackendKind::kSerial, nullptr), Error);
+  EXPECT_THROW(reg.add_fused(FusedPass::kScatter, BackendKind::kSerial,
+                             nullptr),
+               Error);
 }
 
 }  // namespace

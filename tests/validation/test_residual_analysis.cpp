@@ -83,7 +83,6 @@ TEST(ResidualAnalysis, SolvedScanLawSystemLeavesWhiteResiduals) {
 
   core::LsqrOptions opts;
   opts.aprod.backend = backends::BackendKind::kSerial;
-  opts.aprod.use_streams = false;
   opts.max_iterations = 500;
   opts.atol = 1e-12;
   opts.btol = 1e-12;
