@@ -5,9 +5,11 @@
 ///
 /// Each aprod product is timed both ways: as the paper's per-section
 /// kernels (`aprod1`: four gathers, `aprod2_scatter`: three shared-section
-/// scatters) and as the fused row pass the solver runs (`aprod1_fused`,
-/// `aprod2_fused`), launched through the KernelRegistry at the tuned
-/// shapes. `aprod2` is the solver's apply2 through the Aprod driver.
+/// scatters) and as the fused row pass the apply path runs
+/// (`aprod1_fused`, `aprod2_fused`), launched through the KernelRegistry
+/// at the tuned shapes. `aprod2` is apply2 through the Aprod driver, and
+/// `aprod_step` the LSQR step the solver runs: both products of one
+/// iteration in one row pass, against `aprod1_fused` + `aprod2`.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -138,6 +140,35 @@ void BM_Aprod2(benchmark::State& state) {
   state.SetLabel(backends::to_string(backend));
 }
 
+/// The LSQR step through the Aprod driver: range(0) backend, range(1)
+/// scatter strategy. sigma * alpha = 0.5 keeps the repeated u <- p
+/// bounded.
+void BM_Step(benchmark::State& state) {
+  const auto backend = static_cast<backends::BackendKind>(state.range(0));
+  const auto strategy =
+      static_cast<backends::ScatterStrategy>(state.range(1));
+  const auto& gen = system_under_test();
+  backends::DeviceContext device;
+  core::AprodOptions opts;
+  opts.backend = backend;
+  opts.tuning = table_with_strategy(strategy);
+  core::Aprod aprod(gen.A, device, opts);
+  util::Xoshiro256 rng(3);
+  std::vector<real> v(static_cast<std::size_t>(gen.A.n_cols()));
+  std::vector<real> u(static_cast<std::size_t>(gen.A.n_rows()));
+  std::vector<real> q(v.size());
+  for (auto& e : v) e = rng.normal();
+  for (auto& e : u) e = rng.normal();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(aprod.step(v, u, q, 1.0, 0.5));
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(gen.A.values().size_bytes()));
+  state.SetLabel(backends::to_string(backend) + "/" +
+                 backends::to_string(strategy));
+}
+
 void RegisterAll() {
   const std::array<std::pair<const char*, Product>, 2> gathers = {
       {{"aprod1", Product::kAprod1}, {"aprod1_fused", Product::kAprod1Fused}}};
@@ -155,11 +186,15 @@ void RegisterAll() {
         ->Unit(benchmark::kMillisecond);
     for (backends::ScatterStrategy strategy :
          {backends::ScatterStrategy::kAtomic,
-          backends::ScatterStrategy::kPrivatized})
+          backends::ScatterStrategy::kPrivatized}) {
       for (const auto& [name, product] : scatters)
         benchmark::RegisterBenchmark(name, BM_Registry)
             ->Args({b, static_cast<int>(product), static_cast<int>(strategy)})
             ->Unit(benchmark::kMillisecond);
+      benchmark::RegisterBenchmark("aprod_step", BM_Step)
+          ->Args({b, static_cast<int>(strategy)})
+          ->Unit(benchmark::kMillisecond);
+    }
   }
 }
 

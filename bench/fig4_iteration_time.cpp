@@ -64,6 +64,34 @@ int main(int argc, char** argv) {
                  "MI250X trails A100/H100 (noncoalesced SpMV); the fastest "
                  "framework is CUDA or HIP on NVIDIA and OMP+V on MI250X.\n\n";
 
+    // --- modeled: the one-pass LSQR step vs the eight kernels ----------
+    // The library's solver runs one row pass per iteration (aprod_step);
+    // the paper's eight kernels read A twice. Both are cost-model
+    // prices on the A100 spec, at the tuned shapes.
+    {
+      const GpuSpec& a100 = gpu_spec(Platform::kA100);
+      const KernelCostModel model(a100);
+      ExecutionPlan plan;
+      plan.tuning = model.tuned_table();
+      std::cout << "=== modeled: one-pass LSQR step vs eight-kernel "
+                   "iteration, "
+                << a100.name << " ===\n";
+      util::Table t({"size", "eight kernels (ms)", "one-pass step (ms)",
+                     "ratio"});
+      for (const double gb : sizes) {
+        const ProblemShape p = ProblemShape::from_footprint(
+            static_cast<byte_size>(gb * static_cast<double>(kGiB)));
+        const double eight = model.iteration_seconds(p, plan);
+        const double step = model.step_iteration_seconds(p, plan);
+        std::string size = util::Table::num(gb, 0) + " GB";
+        if (gb > a100.mem_capacity_gb) size += " (exceeds HBM)";
+        t.add_row({size, util::Table::num(eight * 1e3, 2),
+                   util::Table::num(step * 1e3, 2),
+                   util::Table::num(step / eight, 2)});
+      }
+      std::cout << t.str() << "modeled, not measured.\n\n";
+    }
+
     // --- model drift: predicted vs host-measured kernel time shares ----
     // The figure above is pure model output; this confronts the model
     // with a real (host gpusim) run of the same kernels and reports how

@@ -230,8 +230,8 @@ void Aprod::ensure_precision(backends::Precision precision) {
 
 Aprod::~Aprod() = default;
 
-void Aprod::launch_pass(const tuning::AprodPass& pass, const real* in,
-                        real* out) {
+void Aprod::launch_pass(const tuning::AprodPass& pass,
+                        tuning::LaunchArgs args) {
   const tuning::KernelRegistry& registry = tuning::KernelRegistry::global();
   auto& injector = resilience::FaultInjector::global();
   const KernelId id = pass.id;
@@ -241,9 +241,12 @@ void Aprod::launch_pass(const tuning::AprodPass& pass, const real* in,
     // Trial launches only happen on the tuner's own backend: after a
     // failover the shapes being searched no longer describe the backend
     // actually executing, so the run falls back to the installed table.
+    // The step inherits kAprod2Att's entry and is never a trial: the
+    // search measures the apply passes.
     tuning::Autotuner* tuner = options_.autotuner;
-    const bool trial =
-        tuner && backend == tuner->backend() && tuner->searching(id);
+    const bool trial = tuner && backend == tuner->backend() &&
+                       pass.fused != tuning::FusedPass::kStep &&
+                       tuner->searching(id);
     backends::KernelConfig cfg =
         trial ? tuner->propose(id) : options_.tuning.get(id);
     // Materialize the derived layout on first use; if the build cannot
@@ -280,10 +283,7 @@ void Aprod::launch_pass(const tuning::AprodPass& pass, const real* in,
             injector.should_fail_kernel(name, backends::to_string(backend)))
           throw resilience::TransientFault(
               std::string("injected launch failure: ") + name);
-        tuning::LaunchArgs args;
         args.view = &view_;
-        args.in = in;
-        args.out = out;
         args.config = cfg;
         args.atomic_mode = options_.atomic_mode;
         args.arena = &scratch_arena_;
@@ -322,7 +322,7 @@ void Aprod::apply1(std::span<const real> x, std::span<real> y) {
   obs::ScopedTrace span("aprod1", "aprod");
   // One fused gather; an injected fault throws before the body runs, so
   // a retried launch never double-applies.
-  launch_pass(tuning::kAprodPasses[0], x.data(), y.data());
+  launch_pass(tuning::kAprodPasses[0], {.in = x.data(), .out = y.data()});
   launches_ += 1;
 }
 
@@ -334,9 +334,29 @@ void Aprod::apply2(std::span<const real> y, std::span<real> x) {
   obs::ScopedTrace span("aprod2", "aprod");
   // The star-parallel astrometric scatter, then the fused scatter over
   // the contiguous attitude/instrumental/global span.
-  launch_pass(tuning::kAprodPasses[1], y.data(), x.data());
-  launch_pass(tuning::kAprodPasses[2], y.data(), x.data());
+  launch_pass(tuning::kAprodPasses[1], {.in = y.data(), .out = x.data()});
+  launch_pass(tuning::kAprodPasses[2], {.in = y.data(), .out = x.data()});
   launches_ += 2;
+}
+
+real Aprod::step(std::span<const real> v, std::span<real> u,
+                 std::span<real> q, real sigma, real alpha) {
+  GAIA_CHECK(static_cast<col_index>(v.size()) == view_.n_cols &&
+                 static_cast<col_index>(q.size()) == view_.n_cols,
+             "step v/q size mismatch");
+  GAIA_CHECK(static_cast<row_index>(u.size()) == view_.n_rows,
+             "step u size mismatch");
+  // p overwrites u inside the pass; an injected fault throws before the
+  // body runs, so a retried launch still reads the old u.
+  real pnorm_sq = 0;
+  launch_pass(tuning::kStepPass, {.in = v.data(),
+                                  .out = u.data(),
+                                  .q = q.data(),
+                                  .sigma = sigma,
+                                  .alpha = alpha,
+                                  .pnorm_sq = &pnorm_sq});
+  launches_ += 1;
+  return pnorm_sq;
 }
 
 }  // namespace gaia::core

@@ -6,12 +6,13 @@
 /// construction — the "matrices are copied to the GPU before the main
 /// loop and remain there until the end" contract of paper SIV-a).
 ///
-/// One row pass per aprod product: apply1 launches the fused gather, and
-/// apply2 launches aprod2_astro and then the fused shared-section scatter,
-/// all on the calling thread (tuning::kAprodPasses). The paper's
-/// four-kernel split with stream-overlapped aprod2 scatters stays a
-/// modeled GPU effect (perfmodel); on the host every extra kernel
-/// streams the row records and y again.
+/// One row pass per product: apply1 launches the fused gather, apply2
+/// launches aprod2_astro and then the fused shared-section scatter
+/// (tuning::kAprodPasses), and step launches the LSQR step, which forms
+/// both products of a bidiagonalization step in one pass — all on the
+/// calling thread. The paper's four-kernel split with stream-overlapped
+/// aprod2 scatters stays a modeled GPU effect (perfmodel); on the host
+/// every extra kernel streams the row records and y again.
 ///
 /// Every launch — normal, failover re-dispatch, and autotuner trial —
 /// goes through one path (`launch_pass`) that dispatches via
@@ -111,8 +112,16 @@ class Aprod {
   /// aprod mode 2: x += A^T y. y has n_rows elements, x has n_cols.
   void apply2(std::span<const real> y, std::span<real> x);
 
-  /// Launches so far: 1 per apply1 and 2 per apply2 — lets tests
-  /// pin the one-pass-per-product structure.
+  /// The LSQR step pass (core::aprod_step): with p = A v - alpha (sigma u),
+  /// overwrites u with p and q with A^T p, and returns ||p||^2 (summed in
+  /// a fixed order per launch shape). Sizes: v and q n_cols, u n_rows.
+  /// v = 0, alpha = -1, sigma = 1 gives p = u and q = A^T u: the
+  /// Golub-Kahan start.
+  real step(std::span<const real> v, std::span<real> u, std::span<real> q,
+            real sigma, real alpha);
+
+  /// Launches so far: 1 per apply1, 2 per apply2 and 1 per step — lets
+  /// tests pin the one-pass-per-product structure.
   [[nodiscard]] std::uint64_t launches() const { return launches_; }
 
   /// Scratch pool backing this driver's aprod2 scatters. Exposed so
@@ -145,9 +154,9 @@ class Aprod {
   /// persistent fault fails over to the next backend in the chain and
   /// re-dispatches — through the same registry. A fused pass shares
   /// `pass.id`'s tuning and fault identity but is traced and counted
-  /// under its own name (pass_region_name).
-  void launch_pass(const tuning::AprodPass& pass, const real* in,
-                   real* out);
+  /// under its own name (pass_region_name). `args` carries the operands;
+  /// the view, shape, atomic mode and arena are filled in here.
+  void launch_pass(const tuning::AprodPass& pass, tuning::LaunchArgs args);
 
   AprodOptions options_;
   std::atomic<backends::BackendKind> active_backend_;

@@ -1,5 +1,5 @@
 /// \file aprod_kernels.hpp
-/// \brief The eight hot kernels of the solver and the two fused row
+/// \brief The eight hot kernels of the solver and the three fused row
 /// passes, templated on the backend.
 ///
 /// aprod mode 1 (paper Eq. 3): y += A x — a gather per row; every kernel
@@ -16,10 +16,14 @@
 /// fold (`detail::section_scatter`). The sections are contiguous in x, so
 /// the fused scatter runs all three in one row pass over one span.
 ///
-/// The solver launches the fused gather, aprod2_astro and the fused
-/// scatter (tuning::kAprodPasses). The per-section kernels stay registry
-/// slots for the benches and the per-kernel baseline; the cost model
-/// prices them as the paper's GPU kernels.
+/// The LSQR step (`aprod_step`) is the third fused pass: one row pass
+/// over star-aligned chunks that forms p = A v - alpha (sigma u), writes
+/// it over u, scatters q = A^T p and sums ||p||^2. It is the only pass
+/// `LsqrEngine` launches. `Aprod::apply1/apply2` launch the fused gather,
+/// aprod2_astro and the fused scatter (tuning::kAprodPasses). The
+/// per-section kernels stay registry slots for the benches and the
+/// per-kernel baseline; the cost model prices them as the paper's GPU
+/// kernels.
 ///
 /// Templating on the execution policy keeps the row loop body inlined in
 /// every backend while the launch mechanics (grid-stride virtual threads,
@@ -38,6 +42,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "backends/backend.hpp"
@@ -71,23 +76,29 @@ void row_gather(std::int64_t n_rows, real* y, KernelConfig cfg, Dot dot) {
   Exec::launch(n_rows, cfg, [=](std::int64_t r) { y[r] += dot(r); });
 }
 
-/// The fused gather: one row pass that adds the four section dots into
-/// y[r] in the order the separate kernels add them (astro, att, instr,
-/// glob). Same dots, same adds, same order: it equals the four separate
-/// launches bit for bit, and reads each row's record and y[r] once.
-template <typename Exec, typename AstroDot, typename AttDot,
-          typename InstrDot, typename GlobDot>
-void fused_gather(const SystemView& A, real* y, KernelConfig cfg,
-                  AstroDot astro, AttDot att, InstrDot instr, GlobDot glob) {
+/// Row r of the fused gather: `yr` plus the four section dots, added in
+/// the order the separate kernels add them (astro, att, instr, glob).
+template <typename AstroDot, typename AttDot, typename InstrDot,
+          typename GlobDot>
+auto gather_row(const SystemView& A, AstroDot astro, AttDot att,
+                InstrDot instr, GlobDot glob) {
   const bool has_global = A.has_global;
-  Exec::launch(A.n_rows, cfg, [=](std::int64_t r) {
-    real yr = y[r];
+  return [=](real yr, std::int64_t r) {
     yr += astro(r);
     yr += att(r);
     yr += instr(r);
     if (has_global) yr += glob(r);
-    y[r] = yr;
-  });
+    return yr;
+  };
+}
+
+/// The fused gather: one row pass of a layout's gather row. Same dots,
+/// same adds, same order: it equals the four separate launches bit for
+/// bit, and reads each row's record and y[r] once.
+template <typename Exec, typename GatherRow>
+void fused_gather(std::int64_t n_rows, real* y, KernelConfig cfg,
+                  GatherRow row) {
+  Exec::launch(n_rows, cfg, [=](std::int64_t r) { y[r] = row(y[r], r); });
 }
 
 // Row dots of the seed layout.
@@ -158,6 +169,12 @@ auto glob_dot(const SystemView& A, const real* x) {
   };
 }
 
+template <typename CoefT>
+auto seed_gather_row(const SystemView& A, const real* x) {
+  return gather_row(A, astro_dot<CoefT>(A, x), att_dot<CoefT>(A, x),
+                    instr_dot<CoefT>(A, x), glob_dot<CoefT>(A, x));
+}
+
 }  // namespace detail
 
 template <typename Exec, typename CoefT = real>
@@ -190,36 +207,53 @@ void aprod1_glob(const SystemView& A, const real* x, real* y,
 template <typename Exec, typename CoefT = real>
 void aprod1_fused(const SystemView& A, const real* x, real* y,
                   KernelConfig cfg) {
-  detail::fused_gather<Exec>(A, y, cfg, detail::astro_dot<CoefT>(A, x),
-                             detail::att_dot<CoefT>(A, x),
-                             detail::instr_dot<CoefT>(A, x),
-                             detail::glob_dot<CoefT>(A, x));
+  detail::fused_gather<Exec>(A.n_rows, y, cfg,
+                             detail::seed_gather_row<CoefT>(A, x));
 }
 
 // ---------------------------------------------------------------------------
 // aprod2: x += A^T y (column scatters)
 // ---------------------------------------------------------------------------
 
-/// Star-parallel, atomic-free: each star owns its 5 columns and the rows
-/// touching them are exactly its contiguous row range. Requires the
-/// generator invariant that constraint rows carry zero astrometric
-/// coefficients (they are not covered by the star partition).
+namespace detail {
+
+/// The star-parallel astrometric scatter: each star owns its 5 columns
+/// and the rows touching them are exactly its contiguous row range, so
+/// `rows(acc, r)` adds row r into the star's registers and no atomics are
+/// needed. Requires the generator invariant that constraint rows carry
+/// zero astrometric coefficients (they are not covered by the star
+/// partition).
+template <typename Exec, typename AstroRows>
+void star_scatter(const SystemView& A, real* x, KernelConfig cfg,
+                  AstroRows rows) {
+  const row_index* starts = A.star_row_start;
+  Exec::launch(A.n_stars, cfg, [=](std::int64_t s) {
+    real acc[kAstroNnzPerRow] = {0, 0, 0, 0, 0};
+    for (row_index r = starts[s]; r < starts[s + 1]; ++r) rows(acc, r);
+    real* xs = x + s * kAstroParamsPerStar;
+    for (int i = 0; i < kAstroNnzPerRow; ++i) xs[i] += acc[i];
+  });
+}
+
+/// Astrometric row accumulator of the seed layout, shared by
+/// aprod2_astro and the LSQR step.
+template <typename CoefT>
+auto astro_rows(const SystemView& A, const real* y) {
+  const CoefT* vals = A.coefs<CoefT>().values;
+  return [=](real* GAIA_RESTRICT acc, std::int64_t r) {
+    const CoefT* rv = vals + r * kNnzPerRow + matrix::kAstroCoeffOffset;
+    const real yr = y[r];
+    for (int i = 0; i < kAstroNnzPerRow; ++i)
+      acc[i] += load_real(rv[i]) * yr;
+  };
+}
+
+}  // namespace detail
+
 template <typename Exec, typename CoefT = real>
 void aprod2_astro(const SystemView& A, const real* y, real* x,
                   KernelConfig cfg) {
-  const CoefT* vals = A.coefs<CoefT>().values;
-  Exec::launch(A.n_stars, cfg, [=](std::int64_t s) {
-    const col_index c0 = s * kAstroParamsPerStar;
-    real acc[kAstroNnzPerRow] = {0, 0, 0, 0, 0};
-    for (row_index r = A.star_row_start[s]; r < A.star_row_start[s + 1];
-         ++r) {
-      const CoefT* rv = vals + r * kNnzPerRow + matrix::kAstroCoeffOffset;
-      const real yr = y[r];
-      for (int i = 0; i < kAstroNnzPerRow; ++i)
-        acc[i] += load_real(rv[i]) * yr;
-    }
-    for (int i = 0; i < kAstroNnzPerRow; ++i) x[c0 + i] += acc[i];
-  });
+  detail::star_scatter<Exec>(A, x, cfg, detail::astro_rows<CoefT>(A, y));
 }
 
 /// Column section [offset, offset + len) of x that an aprod2 scatter
@@ -253,15 +287,24 @@ inline ScatterSection fused_scatter_section(const SystemView& A) {
 
 namespace detail {
 
-/// The one scatter skeleton of the shared sections, for both scatter
-/// strategies. W workers (Exec::scatter_workers(cfg); for the atomic
-/// commit backends::atomic_scatter_workers) each zero a private copy of
-/// the section in pooled scratch and accumulate a contiguous row chunk
-/// into it sequentially (ascending rows); `accumulate_row(slice, r)`
-/// adds row r's contribution at section-relative indices. Only the
-/// commit step depends on cfg.strategy:
+/// Private slices a shared-section scatter over `n_rows` rows uses:
+/// Exec::scatter_workers(cfg), or for the atomic commit
+/// backends::atomic_scatter_workers.
+template <typename Exec>
+int section_workers(std::int64_t n_rows, KernelConfig cfg) {
+  return cfg.strategy == backends::ScatterStrategy::kAtomic
+             ? backends::atomic_scatter_workers<Exec>(n_rows, cfg)
+             : Exec::scatter_workers(cfg);
+}
+
+/// The one commit skeleton of the shared sections, for both scatter
+/// strategies and every pass that scatters into them. Each of `workers`
+/// workers zeroes a private copy of the section in pooled scratch and
+/// runs `body(w, slice)`, which adds its rows' contributions at
+/// section-relative indices. Only the commit step depends on
+/// cfg.strategy:
 ///
-/// - kAtomic: each worker, right after its chunk, adds its slice into x
+/// - kAtomic: each worker, right after its body, adds its slice into x
 ///   with one Exec::atomic_add per column (honouring `mode`). That is
 ///   W x section atomics in a nondeterministic order instead of one per
 ///   (row, column): the host analogue of the block-level shared-memory
@@ -271,37 +314,29 @@ namespace detail {
 ///   fixed by W alone, so a fixed launch shape reduces bit-identically
 ///   run to run regardless of thread scheduling. The folded slice 0 is
 ///   added into x in one column-parallel pass.
-template <typename Exec, typename AccumRow>
-void section_scatter(std::int64_t n_rows, real* x, ScatterSection sect,
+template <typename Exec, typename WorkerBody>
+void section_scatter(int workers, real* x, ScatterSection sect,
                      KernelConfig cfg, AtomicMode mode,
-                     backends::ScratchArena* arena,
-                     AccumRow&& accumulate_row) {
+                     backends::ScratchArena* arena, WorkerBody&& body) {
   const col_index sect_len = sect.len;
-  if (sect_len <= 0) return;
   const bool atomic = cfg.strategy == backends::ScatterStrategy::kAtomic;
-  const int workers =
-      atomic ? backends::atomic_scatter_workers<Exec>(n_rows, cfg)
-             : Exec::scatter_workers(cfg);
   backends::ScratchArena& pool =
       arena ? *arena : backends::ScratchArena::for_backend(Exec::kKind);
   auto lease = pool.acquire(static_cast<std::size_t>(workers) *
                             static_cast<std::size_t>(sect_len));
   real* const scratch = lease.data();
   real* const xs = x + sect.offset;
-  const std::int64_t chunk = (n_rows + workers - 1) / workers;
 
   Exec::launch_workers(workers, cfg, [&](int w) {
     real* GAIA_RESTRICT slice =
         scratch + static_cast<std::int64_t>(w) * sect_len;
     std::fill(slice, slice + sect_len, real{0});
-    const std::int64_t begin = static_cast<std::int64_t>(w) * chunk;
-    const std::int64_t end = std::min(n_rows, begin + chunk);
-    for (std::int64_t r = begin; r < end; ++r) accumulate_row(slice, r);
+    body(w, slice);
     if (atomic)
       for (col_index c = 0; c < sect_len; ++c)
         Exec::atomic_add(xs[c], slice[c], mode);
   });
-  if (atomic) return;
+  if (atomic || sect_len <= 0) return;
 
   const int top =
       static_cast<int>(std::bit_ceil(static_cast<unsigned>(workers)) / 2);
@@ -317,27 +352,49 @@ void section_scatter(std::int64_t n_rows, real* x, ScatterSection sect,
   Exec::launch(sect_len, cfg, [=](std::int64_t c) { xs[c] += scratch[c]; });
 }
 
-/// The fused scatter: one row pass over the contiguous shared span,
-/// composed from the three per-section row accumulators of a layout.
-/// Each column still belongs to exactly one section and receives the
-/// same adds in the same row order, so at a fixed launch shape the
-/// privatized fused result equals the three separate privatized
-/// kernels bit for bit.
-template <typename Exec, typename AttRows, typename InstrRows,
-          typename GlobRows>
-void fused_scatter(const SystemView& A, real* x, KernelConfig cfg,
-                   AtomicMode mode, backends::ScratchArena* arena,
-                   AttRows att, InstrRows instr, GlobRows glob) {
+/// The scatter kernels' worker body: worker w accumulates the w-th of W
+/// equal contiguous row chunks, rows ascending, through
+/// `accumulate_row(slice, r)`.
+template <typename Exec, typename AccumRow>
+void row_scatter(std::int64_t n_rows, real* x, ScatterSection sect,
+                 KernelConfig cfg, AtomicMode mode,
+                 backends::ScratchArena* arena, AccumRow&& accumulate_row) {
+  if (sect.len <= 0) return;
+  const int workers = section_workers<Exec>(n_rows, cfg);
+  const std::int64_t chunk = (n_rows + workers - 1) / workers;
+  section_scatter<Exec>(
+      workers, x, sect, cfg, mode, arena, [&](int w, real* slice) {
+        const std::int64_t begin = static_cast<std::int64_t>(w) * chunk;
+        const std::int64_t end = std::min(n_rows, begin + chunk);
+        for (std::int64_t r = begin; r < end; ++r) accumulate_row(slice, r);
+      });
+}
+
+/// Row r of the fused scatter: a layout's three per-section row
+/// accumulators over the contiguous shared span. Each column still
+/// belongs to exactly one section and receives the same adds in the same
+/// row order, so at a fixed launch shape the privatized fused scatter
+/// equals the three separate privatized kernels bit for bit.
+template <typename AttRows, typename InstrRows, typename GlobRows>
+auto shared_rows(const SystemView& A, AttRows att, InstrRows instr,
+                 GlobRows glob) {
   const col_index instr_at = A.instr_offset - A.att_offset;
   const col_index glob_at = A.glob_offset - A.att_offset;
   const bool has_global = A.has_global;
-  section_scatter<Exec>(
-      A.n_rows, x, fused_scatter_section(A), cfg, mode, arena,
-      [=](real* GAIA_RESTRICT slice, std::int64_t r) {
-        att(slice, r);
-        instr(slice + instr_at, r);
-        if (has_global) glob(slice + glob_at, r);
-      });
+  return [=](real* GAIA_RESTRICT slice, std::int64_t r) {
+    att(slice, r);
+    instr(slice + instr_at, r);
+    if (has_global) glob(slice + glob_at, r);
+  };
+}
+
+/// The fused scatter: one row pass of a layout's shared row accumulator.
+template <typename Exec, typename SharedRows>
+void fused_scatter(const SystemView& A, real* x, KernelConfig cfg,
+                   AtomicMode mode, backends::ScratchArena* arena,
+                   SharedRows rows) {
+  row_scatter<Exec>(A.n_rows, x, fused_scatter_section(A), cfg, mode,
+                    arena, rows);
 }
 
 // Row accumulators of the seed layout, one per shared-section kernel.
@@ -383,6 +440,12 @@ auto glob_rows(const SystemView& A, const real* y) {
   };
 }
 
+template <typename CoefT>
+auto seed_shared_rows(const SystemView& A, const real* y) {
+  return shared_rows(A, att_rows<CoefT>(A, y), instr_rows<CoefT>(A, y),
+                     glob_rows<CoefT>(A, y));
+}
+
 }  // namespace detail
 
 /// Attitude scatter: neighbouring observations hit the same spline knots
@@ -392,7 +455,7 @@ template <typename Exec, typename CoefT = real>
 void aprod2_att(const SystemView& A, const real* y, real* x,
                 KernelConfig cfg, AtomicMode mode = AtomicMode::kNativeRmw,
                 backends::ScratchArena* arena = nullptr) {
-  detail::section_scatter<Exec>(
+  detail::row_scatter<Exec>(
       A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Att), cfg,
       mode, arena, detail::att_rows<CoefT>(A, y));
 }
@@ -401,7 +464,7 @@ template <typename Exec, typename CoefT = real>
 void aprod2_instr(const SystemView& A, const real* y, real* x,
                   KernelConfig cfg, AtomicMode mode = AtomicMode::kNativeRmw,
                   backends::ScratchArena* arena = nullptr) {
-  detail::section_scatter<Exec>(
+  detail::row_scatter<Exec>(
       A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Instr), cfg,
       mode, arena, detail::instr_rows<CoefT>(A, y));
 }
@@ -413,7 +476,7 @@ template <typename Exec, typename CoefT = real>
 void aprod2_glob(const SystemView& A, const real* y, real* x,
                  KernelConfig cfg, AtomicMode mode = AtomicMode::kNativeRmw,
                  backends::ScratchArena* arena = nullptr) {
-  detail::section_scatter<Exec>(
+  detail::row_scatter<Exec>(
       A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Glob), cfg,
       mode, arena, detail::glob_rows<CoefT>(A, y));
 }
@@ -429,9 +492,120 @@ void aprod2_shared_fused(const SystemView& A, const real* y, real* x,
                          AtomicMode mode = AtomicMode::kNativeRmw,
                          backends::ScratchArena* arena = nullptr) {
   detail::fused_scatter<Exec>(A, x, cfg, mode, arena,
-                              detail::att_rows<CoefT>(A, y),
-                              detail::instr_rows<CoefT>(A, y),
-                              detail::glob_rows<CoefT>(A, y));
+                              detail::seed_shared_rows<CoefT>(A, y));
+}
+
+// ---------------------------------------------------------------------------
+// The LSQR step: p = A v - alpha (sigma u), q = A^T p and ||p||^2 in one
+// row pass
+// ---------------------------------------------------------------------------
+// The bidiagonalization step beta u' = A v - alpha u, alpha' v' =
+// A^T u' - beta v depends on A only row by row: row r's p_r is final once
+// its gather is done, so the same pass scatters a_r p_r into q and p_r^2
+// into ||p||^2. The engine then finishes the step on n-length vectors
+// (beta = ||p||, v' ∝ q / beta - beta v) and keeps u' = p / beta as a
+// pending scale sigma instead of rescaling u.
+
+/// Operands of one step launch.
+struct StepOperands {
+  const real* v = nullptr;  ///< n_cols, read
+  real* u = nullptr;        ///< n_rows: the stored u in, p out
+  real* q = nullptr;        ///< n_cols, overwritten with A^T p
+  real sigma = 1;           ///< pending scale: the true u is sigma * u
+  real alpha = 0;
+  real* pnorm_sq = nullptr;  ///< receives ||p||^2
+};
+
+namespace detail {
+
+/// First star of worker w's chunk of the step: the first star whose rows
+/// begin at or after w * n_obs / W (n_stars for w = W).
+inline std::int64_t step_first_star(const SystemView& A, int w,
+                                    int workers) {
+  if (w >= workers) return A.n_stars;
+  const row_index target =
+      (static_cast<row_index>(w) * A.n_obs + workers - 1) / workers;
+  const row_index* starts = A.star_row_start;
+  return std::lower_bound(starts, starts + A.n_stars + 1, target) - starts;
+}
+
+/// The step skeleton, composed from a layout's gather row, astrometric
+/// row accumulator and shared row accumulator. W workers (the shared
+/// scatter's count for cfg.strategy) each own a star-aligned row chunk;
+/// the last one also takes the constraint rows. Per row, rows
+/// ascending: p_r = gather((sigma u_r)(-alpha), r) is stored over u_r,
+/// its square goes into the worker's compensated partial, and the row is
+/// added into the star's astro registers and the worker's shared slice.
+/// A worker writes the astro columns of every star in its range (0 for a
+/// star without local rows), so the astro section needs no atomics and q
+/// is overwritten whole; the shared sections commit through
+/// section_scatter onto a zeroed span. The partials combine in worker
+/// order, so ||p||^2 is fixed by the launch shape — and with the
+/// privatized commit, so is q.
+template <typename Exec, typename GatherRow, typename AstroRows,
+          typename SharedRows>
+void fused_step(const SystemView& A, const StepOperands& op,
+                KernelConfig cfg, AtomicMode mode,
+                backends::ScratchArena* arena, GatherRow gather,
+                AstroRows astro, SharedRows shared) {
+  const int workers = section_workers<Exec>(A.n_rows, cfg);
+  const ScatterSection sect = fused_scatter_section(A);
+  real* const u = op.u;
+  real* const q = op.q;
+  const real sigma = op.sigma;
+  const real neg_alpha = -op.alpha;
+  const row_index* starts = A.star_row_start;
+  std::fill(q + sect.offset, q + sect.offset + sect.len, real{0});
+  std::array<real, backends::kMaxScatterWorkers> partial{};
+  section_scatter<Exec>(
+      workers, q, sect, cfg, mode, arena, [&](int w, real* slice) {
+        real sum = 0, comp = 0;
+        const auto row = [&](std::int64_t r) {
+          const real p = gather((sigma * u[r]) * neg_alpha, r);
+          u[r] = p;
+          const real term = p * p - comp;
+          const real next = sum + term;
+          comp = (next - sum) - term;
+          sum = next;
+          shared(slice, r);
+        };
+        const std::int64_t star_end = step_first_star(A, w + 1, workers);
+        for (std::int64_t s = step_first_star(A, w, workers); s < star_end;
+             ++s) {
+          real acc[kAstroNnzPerRow] = {0, 0, 0, 0, 0};
+          for (row_index r = starts[s]; r < starts[s + 1]; ++r) {
+            row(r);
+            astro(acc, r);
+          }
+          real* qs = q + s * kAstroParamsPerStar;
+          for (int i = 0; i < kAstroNnzPerRow; ++i) qs[i] = acc[i];
+        }
+        if (w == workers - 1)
+          for (std::int64_t r = A.n_obs; r < A.n_rows; ++r) row(r);
+        partial[static_cast<std::size_t>(w)] = sum;
+      });
+  real sum = 0, comp = 0;
+  for (int w = 0; w < workers; ++w) {
+    const real term = partial[static_cast<std::size_t>(w)] - comp;
+    const real next = sum + term;
+    comp = (next - sum) - term;
+    sum = next;
+  }
+  *op.pnorm_sq = sum;
+}
+
+}  // namespace detail
+
+/// The LSQR step over the seed layout: the fused gather's row, the
+/// aprod2_astro accumulator and the fused scatter's row in one pass.
+template <typename Exec, typename CoefT = real>
+void aprod_step(const SystemView& A, const StepOperands& op,
+                KernelConfig cfg, AtomicMode mode = AtomicMode::kNativeRmw,
+                backends::ScratchArena* arena = nullptr) {
+  detail::fused_step<Exec>(A, op, cfg, mode, arena,
+                           detail::seed_gather_row<CoefT>(A, op.v),
+                           detail::astro_rows<CoefT>(A, op.u),
+                           detail::seed_shared_rows<CoefT>(A, op.u));
 }
 
 // ---------------------------------------------------------------------------
@@ -525,6 +699,12 @@ auto glob_dot_soa(const SystemView& A, const real* x) {
   };
 }
 
+template <typename CoefT>
+auto soa_gather_row(const SystemView& A, const real* x) {
+  return gather_row(A, astro_dot_soa<CoefT>(A, x), att_dot_soa<CoefT>(A, x),
+                    instr_dot_soa<CoefT>(A, x), glob_dot_soa<CoefT>(A, x));
+}
+
 }  // namespace detail
 
 template <typename Exec, typename CoefT = real>
@@ -558,33 +738,24 @@ void aprod1_glob_soa(const SystemView& A, const real* x, real* y,
 template <typename Exec, typename CoefT = real>
 void aprod1_fused_soa(const SystemView& A, const real* x, real* y,
                       KernelConfig cfg) {
-  detail::fused_gather<Exec>(A, y, cfg, detail::astro_dot_soa<CoefT>(A, x),
-                             detail::att_dot_soa<CoefT>(A, x),
-                             detail::instr_dot_soa<CoefT>(A, x),
-                             detail::glob_dot_soa<CoefT>(A, x));
-}
-
-template <typename Exec, typename CoefT = real>
-void aprod2_astro_soa(const SystemView& A, const real* y, real* x,
-                      KernelConfig cfg) {
-  const CoefT* stream = A.coefs<CoefT>().soa_astro;
-  Exec::launch(A.n_stars, cfg, [=](std::int64_t s) {
-    const col_index c0 = s * kAstroParamsPerStar;
-    real acc[kAstroNnzPerRow] = {0, 0, 0, 0, 0};
-    for (row_index r = A.star_row_start[s]; r < A.star_row_start[s + 1];
-         ++r) {
-      const CoefT* rv = detail::soa_row(stream, kAstroNnzPerRow, r);
-      const real yr = y[r];
-      for (int i = 0; i < kAstroNnzPerRow; ++i)
-        acc[i] += load_real(rv[i * matrix::kSoaTileRows]) * yr;
-    }
-    for (int i = 0; i < kAstroNnzPerRow; ++i) x[c0 + i] += acc[i];
-  });
+  detail::fused_gather<Exec>(A.n_rows, y, cfg,
+                             detail::soa_gather_row<CoefT>(A, x));
 }
 
 namespace detail {
 
 // Row accumulators of the SoA-tiled layout.
+
+template <typename CoefT>
+auto astro_rows_soa(const SystemView& A, const real* y) {
+  const CoefT* stream = A.coefs<CoefT>().soa_astro;
+  return [=](real* GAIA_RESTRICT acc, std::int64_t r) {
+    const CoefT* rv = soa_row(stream, kAstroNnzPerRow, r);
+    const real yr = y[r];
+    for (int i = 0; i < kAstroNnzPerRow; ++i)
+      acc[i] += load_real(rv[i * matrix::kSoaTileRows]) * yr;
+  };
+}
 
 template <typename CoefT>
 auto att_rows_soa(const SystemView& A, const real* y) {
@@ -626,13 +797,25 @@ auto glob_rows_soa(const SystemView& A, const real* y) {
   };
 }
 
+template <typename CoefT>
+auto soa_shared_rows(const SystemView& A, const real* y) {
+  return shared_rows(A, att_rows_soa<CoefT>(A, y),
+                     instr_rows_soa<CoefT>(A, y), glob_rows_soa<CoefT>(A, y));
+}
+
 }  // namespace detail
+
+template <typename Exec, typename CoefT = real>
+void aprod2_astro_soa(const SystemView& A, const real* y, real* x,
+                      KernelConfig cfg) {
+  detail::star_scatter<Exec>(A, x, cfg, detail::astro_rows_soa<CoefT>(A, y));
+}
 
 template <typename Exec, typename CoefT = real>
 void aprod2_att_soa(const SystemView& A, const real* y, real* x,
                     KernelConfig cfg, AtomicMode mode = AtomicMode::kNativeRmw,
                     backends::ScratchArena* arena = nullptr) {
-  detail::section_scatter<Exec>(
+  detail::row_scatter<Exec>(
       A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Att), cfg,
       mode, arena, detail::att_rows_soa<CoefT>(A, y));
 }
@@ -642,7 +825,7 @@ void aprod2_instr_soa(const SystemView& A, const real* y, real* x,
                       KernelConfig cfg,
                       AtomicMode mode = AtomicMode::kNativeRmw,
                       backends::ScratchArena* arena = nullptr) {
-  detail::section_scatter<Exec>(
+  detail::row_scatter<Exec>(
       A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Instr), cfg,
       mode, arena, detail::instr_rows_soa<CoefT>(A, y));
 }
@@ -652,7 +835,7 @@ void aprod2_glob_soa(const SystemView& A, const real* y, real* x,
                      KernelConfig cfg,
                      AtomicMode mode = AtomicMode::kNativeRmw,
                      backends::ScratchArena* arena = nullptr) {
-  detail::section_scatter<Exec>(
+  detail::row_scatter<Exec>(
       A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Glob), cfg,
       mode, arena, detail::glob_rows_soa<CoefT>(A, y));
 }
@@ -667,9 +850,17 @@ void aprod2_shared_fused_soa(const SystemView& A, const real* y, real* x,
                              AtomicMode mode = AtomicMode::kNativeRmw,
                              backends::ScratchArena* arena = nullptr) {
   detail::fused_scatter<Exec>(A, x, cfg, mode, arena,
-                              detail::att_rows_soa<CoefT>(A, y),
-                              detail::instr_rows_soa<CoefT>(A, y),
-                              detail::glob_rows_soa<CoefT>(A, y));
+                              detail::soa_shared_rows<CoefT>(A, y));
+}
+
+template <typename Exec, typename CoefT = real>
+void aprod_step_soa(const SystemView& A, const StepOperands& op,
+                    KernelConfig cfg, AtomicMode mode = AtomicMode::kNativeRmw,
+                    backends::ScratchArena* arena = nullptr) {
+  detail::fused_step<Exec>(A, op, cfg, mode, arena,
+                           detail::soa_gather_row<CoefT>(A, op.v),
+                           detail::astro_rows_soa<CoefT>(A, op.u),
+                           detail::soa_shared_rows<CoefT>(A, op.u));
 }
 
 // ---------------------------------------------------------------------------
@@ -728,19 +919,40 @@ void aprod1_instr_sliced(const SystemView& A, const real* x, real* y,
   });
 }
 
-/// Fused gather of the sliced layout: the regular sections read the SoA
+namespace detail {
+
+/// Gather row of the sliced layout: the regular sections read the SoA
 /// streams, the instrumental dot reaches each row's lane slot through
 /// the row->slot inverse permutation.
+template <typename CoefT>
+auto sliced_gather_row(const SystemView& A, const real* x) {
+  const row_index* row_slot = A.slice_row_slot;
+  const auto slot_dot = instr_slot_dot<CoefT>(A, x);
+  return gather_row(A, astro_dot_soa<CoefT>(A, x), att_dot_soa<CoefT>(A, x),
+                    [=](std::int64_t r) { return slot_dot(row_slot[r]); },
+                    glob_dot_soa<CoefT>(A, x));
+}
+
+}  // namespace detail
+
 template <typename Exec, typename CoefT = real>
 void aprod1_fused_sliced(const SystemView& A, const real* x, real* y,
                          KernelConfig cfg) {
-  const row_index* row_slot = A.slice_row_slot;
-  const auto slot_dot = detail::instr_slot_dot<CoefT>(A, x);
-  detail::fused_gather<Exec>(
-      A, y, cfg, detail::astro_dot_soa<CoefT>(A, x),
-      detail::att_dot_soa<CoefT>(A, x),
-      [=](std::int64_t r) { return slot_dot(row_slot[r]); },
-      detail::glob_dot_soa<CoefT>(A, x));
+  detail::fused_gather<Exec>(A.n_rows, y, cfg,
+                             detail::sliced_gather_row<CoefT>(A, x));
+}
+
+/// The step of the sliced layout: the sliced fused gather's row, then
+/// the SoA scatter rows the sliced layout's aprod2 passes run.
+template <typename Exec, typename CoefT = real>
+void aprod_step_sliced(const SystemView& A, const StepOperands& op,
+                       KernelConfig cfg,
+                       AtomicMode mode = AtomicMode::kNativeRmw,
+                       backends::ScratchArena* arena = nullptr) {
+  detail::fused_step<Exec>(A, op, cfg, mode, arena,
+                           detail::sliced_gather_row<CoefT>(A, op.v),
+                           detail::astro_rows_soa<CoefT>(A, op.u),
+                           detail::soa_shared_rows<CoefT>(A, op.u));
 }
 
 /// Instrumental scatter over the sliced storage: the skeleton keeps
@@ -756,7 +968,7 @@ void aprod2_instr_sliced(const SystemView& A, const real* y, real* x,
   const CoefT* svals = A.coefs<CoefT>().slice_values;
   const std::int32_t* scols = A.slice_cols;
   const row_index* row_slot = A.slice_row_slot;
-  detail::section_scatter<Exec>(
+  detail::row_scatter<Exec>(
       A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Instr), cfg,
       mode, arena, [=](real* GAIA_RESTRICT slice, std::int64_t r) {
         const std::int64_t base = detail::slice_base(row_slot[r]);

@@ -19,7 +19,12 @@ using tuning::LaunchArgs;
 
 namespace {
 
-/// Instantiates all seed-layout launchers, the two fused passes
+/// The step's kernel operands, unpacked from a launch's flat args.
+StepOperands step_operands(const LaunchArgs& a) {
+  return {a.in, a.out, a.q, a.sigma, a.alpha, a.pnorm_sq};
+}
+
+/// Instantiates all seed-layout launchers, the three fused passes
 /// included, for one (execution policy, coefficient storage scalar) pair
 /// and hands them to the registry.
 /// Each launcher captures nothing: the full launch state travels in
@@ -65,13 +70,17 @@ void register_kernels(KernelRegistry& reg, Precision precision) {
     aprod2_shared_fused<Exec, CoefT>(*a.view, a.in, a.out, a.config,
                                      a.atomic_mode, a.arena);
   }, kSeed, precision);
+  reg.add_fused(FusedPass::kStep, kind, [](const LaunchArgs& a) {
+    aprod_step<Exec, CoefT>(*a.view, step_operands(a), a.config,
+                            a.atomic_mode, a.arena);
+  }, kSeed, precision);
 }
 
 /// The SoA-tiled bodies, registered for `layout` — both derived layouts
 /// use them for the regular blocks (the sliced build always carries the
 /// SoA streams), so kSlicedInstr registers this set and then overrides
-/// the two instrumental slots and the fused gather with the slice-major
-/// bodies.
+/// the two instrumental slots, the fused gather and the step with the
+/// slice-major bodies.
 template <typename Exec, typename CoefT>
 void register_soa_bodies(KernelRegistry& reg, StorageLayout layout,
                          Precision precision) {
@@ -110,6 +119,10 @@ void register_soa_bodies(KernelRegistry& reg, StorageLayout layout,
     aprod2_shared_fused_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config,
                                          a.atomic_mode, a.arena);
   }, layout, precision);
+  reg.add_fused(FusedPass::kStep, kind, [](const LaunchArgs& a) {
+    aprod_step_soa<Exec, CoefT>(*a.view, step_operands(a), a.config,
+                                a.atomic_mode, a.arena);
+  }, layout, precision);
 }
 
 template <typename Exec, typename CoefT>
@@ -129,6 +142,10 @@ void register_layout_kernels(KernelRegistry& reg, Precision precision) {
   }, kSliced, precision);
   reg.add_fused(FusedPass::kGather, kind, [](const LaunchArgs& a) {
     aprod1_fused_sliced<Exec, CoefT>(*a.view, a.in, a.out, a.config);
+  }, kSliced, precision);
+  reg.add_fused(FusedPass::kStep, kind, [](const LaunchArgs& a) {
+    aprod_step_sliced<Exec, CoefT>(*a.view, step_operands(a), a.config,
+                                   a.atomic_mode, a.arena);
   }, kSliced, precision);
 }
 
@@ -295,7 +312,9 @@ std::uint64_t kernel_atomic_updates(const SystemView& v, KernelId id,
 
 const char* pass_region_name(const AprodPass& pass) {
   if (!pass.fused) return kernel_region_name(pass.id);
-  return *pass.fused == FusedPass::kGather ? "aprod1_fused" : "aprod2_fused";
+  static const char* kNames[] = {"aprod1_fused", "aprod2_fused",
+                                 "aprod_step"};
+  return kNames[static_cast<int>(*pass.fused)];
 }
 
 std::span<const KernelId> pass_parts(const AprodPass& pass) {
@@ -307,8 +326,15 @@ std::span<const KernelId> pass_parts(const AprodPass& pass) {
   if (!pass.fused)
     return std::span(backends::all_kernels())
         .subspan(static_cast<std::size_t>(pass.id), 1);
-  if (*pass.fused == FusedPass::kGather) return kGather;
-  return kScatter;
+  switch (*pass.fused) {
+    case FusedPass::kGather:
+      return kGather;
+    case FusedPass::kScatter:
+      return kScatter;
+    case FusedPass::kStep:
+      break;
+  }
+  return backends::all_kernels();
 }
 
 namespace {
@@ -324,6 +350,24 @@ bool part_runs(const SystemView& v, KernelId id) {
 
 std::uint64_t pass_traffic_bytes(const SystemView& v, const AprodPass& pass,
                                  StorageLayout layout, Precision precision) {
+  const auto rows = static_cast<std::uint64_t>(v.n_rows);
+  if (pass.fused == FusedPass::kStep) {
+    // The gather parts' coefficient, index and v bytes (each without its
+    // y[r] read-modify-write), the scatter parts' q read-modify-writes
+    // only (their coefficients are the ones the gather already read),
+    // and u read and written once per row.
+    std::uint64_t bytes = 2 * sizeof(real) * rows;
+    for (KernelId part : pass_parts(pass)) {
+      if (!part_runs(v, part)) continue;
+      if (part < KernelId::kAprod2Astro)
+        bytes += kernel_traffic_bytes(v, part, layout, precision) -
+                 2 * sizeof(real) * rows;
+      else
+        bytes += 2 * sizeof(real) * rows *
+                 static_cast<std::uint64_t>(nnz_per_row(part));
+    }
+    return bytes;
+  }
   std::uint64_t bytes = 0;
   std::uint64_t parts = 0;
   for (KernelId part : pass_parts(pass)) {
@@ -336,8 +380,7 @@ std::uint64_t pass_traffic_bytes(const SystemView& v, const AprodPass& pass,
   // aprod2 reads it); the pass touches y[r] once.
   const std::uint64_t y_row_bytes =
       pass.id < KernelId::kAprod2Astro ? 2 * sizeof(real) : sizeof(real);
-  return bytes - (parts - 1) * static_cast<std::uint64_t>(v.n_rows) *
-                     y_row_bytes;
+  return bytes - (parts - 1) * rows * y_row_bytes;
 }
 
 std::uint64_t pass_flops(const SystemView& v, const AprodPass& pass) {

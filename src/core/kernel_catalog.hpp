@@ -4,10 +4,9 @@
 /// The tuning library owns the dispatch *mechanism* (a type-erased
 /// (KernelId, Backend) table); this file owns the dispatch *content*:
 /// the eight templated aprod kernels instantiated for every compiled
-/// backend, plus the fused aprod1 gather and aprod2 scatter, and the
-/// cost shapes of both (per kernel and per pass). Registration is
-/// idempotent
-/// and runs on first Aprod construction, so any binary that launches a
+/// backend, plus the fused aprod1 gather, the fused aprod2 scatter and
+/// the LSQR step, and their cost shapes (per kernel and per pass).
+/// Registration is idempotent and runs on first Aprod construction, so any binary that launches a
 /// kernel has a fully populated registry without global-initializer
 /// ordering games across libraries.
 #pragma once
@@ -74,20 +73,23 @@ void ensure_kernel_catalog();
     const SystemView& view, backends::KernelId id,
     backends::ScatterStrategy strategy, int workers);
 
-/// Span/series name of one pass of an aprod pair: "aprod1_fused",
-/// "aprod2_fused", or the kernel's own name.
+/// Span/series name of a pass: "aprod1_fused", "aprod2_fused",
+/// "aprod_step", or the kernel's own name.
 [[nodiscard]] const char* pass_region_name(const tuning::AprodPass& pass);
 
 /// The kernels a pass interleaves, in the order it adds them; a kernel
-/// pass is its own single part.
+/// pass is its own single part, and the LSQR step's parts are all eight.
 [[nodiscard]] std::span<const backends::KernelId> pass_parts(
     const tuning::AprodPass& pass);
 
 /// Pass-level traffic: the parts' coefficient, index and x bytes, plus
 /// the y traffic once per row. Each part alone charges y per row, but
 /// the pass reads (and for the gather writes) y[r] once, so the sum of
-/// the parts overstates it by (parts - 1) x rows x y bytes. Glob parts
-/// are left out on a system without a global block (they do not run).
+/// the parts overstates it by (parts - 1) x rows x y bytes. The LSQR
+/// step reads the coefficients and indices once: its gather parts' bytes
+/// without their y traffic, the scatter parts' q read-modify-writes, and
+/// u read and written once per row. Glob parts are left out on a system
+/// without a global block (they do not run).
 [[nodiscard]] std::uint64_t pass_traffic_bytes(
     const SystemView& view, const tuning::AprodPass& pass,
     backends::StorageLayout layout, backends::Precision precision);

@@ -122,6 +122,15 @@ struct LsqrResult {
   resilience::HealthReport health{};
 };
 
+/// The reference code's stopping tests on one iteration's estimates.
+/// Later tests override earlier ones, as in the reference code, so codes
+/// 1/2/3 win over 4/5/6. Returns kIterationLimit when none holds, and
+/// always when every tolerance is 0 — the paper's fixed-iteration timing
+/// mode runs no test, not even the machine-precision ones.
+[[nodiscard]] LsqrStop stop_test(const LsqrOptions& options, real bnorm,
+                                 real anorm, real acond, real rnorm,
+                                 real arnorm, real xnorm);
+
 /// Solves A x ~= b where b = A.known_terms(). Throws gaia::Error if the
 /// system does not fit the configured device capacity.
 LsqrResult lsqr_solve(const matrix::SystemMatrix& A,

@@ -42,6 +42,19 @@ void write_vec(std::ostream& os, std::span<const real> v) {
   os.write(reinterpret_cast<const char*>(v.data()),
            static_cast<std::streamsize>(v.size_bytes()));
 }
+/// write_vec of scale * v, converted block by block (no second copy).
+void write_scaled_vec(std::ostream& os, std::span<const real> v,
+                      real scale) {
+  if (scale == real{1}) return write_vec(os, v);
+  write_pod(os, static_cast<std::uint64_t>(v.size()));
+  std::array<real, 512> block;
+  for (std::size_t i = 0; i < v.size(); i += block.size()) {
+    const std::size_t len = std::min(block.size(), v.size() - i);
+    for (std::size_t k = 0; k < len; ++k) block[k] = scale * v[i + k];
+    os.write(reinterpret_cast<const char*>(block.data()),
+             static_cast<std::streamsize>(len * sizeof(real)));
+  }
+}
 void read_values(std::istream& is, std::span<real> v) {
   is.read(reinterpret_cast<char*>(v.data()),
           static_cast<std::streamsize>(v.size_bytes()));
@@ -74,12 +87,15 @@ struct LsqrEngine::Impl {
 
   backends::DeviceContext device;
   std::unique_ptr<Aprod> aprod;
+  /// u holds p, the step pass's unnormalized output: the basis vector
+  /// the recurrence means is sigma * u (`sigma`, the pending scale).
   backends::DeviceBuffer<real> d_u, d_v, d_w, d_x, d_var;
-  /// Distributed only: the zeroed buffer this rank's aprod2 column
-  /// partials land in before they are summed across ranks.
-  std::vector<real> partials;
+  /// q = A^T p of the step pass, plus one slot for ||p||^2, so that a
+  /// distributed step sums both across ranks in one collective.
+  backends::DeviceBuffer<real> d_q;
 
   // Recurrence scalars.
+  real sigma = 1;
   real alpha = 0, beta = 0, bnorm = 0;
   real rhobar = 0, phibar = 0;
   real rnorm = 0, arnorm = 0;
@@ -103,12 +119,12 @@ struct LsqrEngine::Impl {
   std::int64_t good_itn = 0;
   // ABFT checksum-vector state: col_check = A^T 1_m and row_check =
   // A 1_n, precomputed once on a clean system; per iteration the summed
-  // kernel outputs are verified against sum(A v) = col_check . v and
-  // sum(A^T u) = row_check . u. sum_u/sum_v track the sums of the
-  // current normalized basis vectors (rescaled, never re-summed).
+  // step outputs are verified against sum(p) = col_check . v -
+  // alpha sum(u) and sum(q) = row_check . p. sum_u tracks the sum of
+  // the current normalized u (rescaled, never re-summed).
   std::vector<real> col_check, row_check;
   real col_check_norm = 0, row_check_norm = 0;
-  real sum_u = 0, sum_v = 0;
+  real sum_u = 0;
 
   Impl(const matrix::SystemMatrix& A_in, std::span<const real> b,
        const LsqrOptions& opts, RankReducer* reducer_in,
@@ -137,28 +153,22 @@ struct LsqrEngine::Impl {
     d_x = backends::DeviceBuffer<real>(device, n);
     d_var = backends::DeviceBuffer<real>(
         device, options.compute_std_errors ? n : std::size_t{0});
+    d_q = backends::DeviceBuffer<real>(device, n + 1);
     d_v.fill(real{0});
     d_w.fill(real{0});
     d_x.fill(real{0});
     if (options.compute_std_errors) d_var.fill(real{0});
-    if (reducer) partials.assign(n, real{0});
     fingerprint = compute_fingerprint();
 
-    // Golub-Kahan start.
-    const auto backend = aprod->active_backend();
-    beta = row_norm(d_u.span());
-    if (beta > 0) {
-      vscale(backend, d_u.span(), real{1} / beta);
-      if (reducer)
-        reduced_apply2(d_u.span(), d_v.span(), real{1});
-      else
-        aprod->apply2(d_u.span(), d_v.span());
-      alpha = vnorm(d_v.span());
-    }
-    if (alpha > 0) {
-      vscale(backend, d_v.span(), real{1} / alpha);
+    // Golub-Kahan start: the step pass with v = 0 and alpha = -1 leaves
+    // p = b in u and q = A^T b, so beta u = b and alpha v = A^T u follow
+    // on n-length vectors alone.
+    run_step_pass(real{-1});
+    if (reducer) reducer->sum(d_q.span());
+    beta = std::sqrt(d_q.span()[n]);
+    if (beta > 0) update_v();
+    if (alpha > 0)
       std::copy(d_v.span().begin(), d_v.span().end(), d_w.span().begin());
-    }
     bnorm = beta;
     rhobar = alpha;
     phibar = beta;
@@ -187,8 +197,8 @@ struct LsqrEngine::Impl {
       aprod->apply1(std::span<const real>(ones.data(), n), row_check);
       col_check_norm = vnorm(col_check);
       row_check_norm = row_norm(row_check);
+      materialize_u();
       sum_u = vsum(d_u.span());
-      sum_v = vsum(d_v.span());
       if (options.health.mode == resilience::HealthMode::kRepair)
         refresh_good_state();  // iteration-0 rollback target
     }
@@ -206,17 +216,42 @@ struct LsqrEngine::Impl {
     return reducer ? reducer->sum(vdot(a, b)) : vdot(a, b);
   }
 
-  /// Distributed aprod2, v = scale v + A^T u: this rank's column
-  /// partials land in the zeroed scratch, are summed across ranks, and
-  /// only then reach v — so every replica of v sees the same sum.
-  void reduced_apply2(std::span<const real> u, std::span<real> v,
-                      real scale) {
+  /// The step pass (Aprod::step) at the current v, u and pending scale:
+  /// u <- p = A v - alpha_in (sigma u), q <- A^T p, and ||p||^2 into q's
+  /// last slot. Distributed, q and ||p||^2 are this rank's partials
+  /// until one allreduce of d_q sums both.
+  void run_step_pass(real alpha_in) {
+    auto q = d_q.span();
+    q[n] = aprod->step(d_v.span(), d_u.span(), q.first(n), sigma, alpha_in);
+  }
+
+  /// The n-length end of a step once beta > 0: u = p / beta becomes the
+  /// pending scale sigma, v <- sigma q - beta v, alpha = ||v||, and
+  /// v <- v / alpha.
+  void update_v() {
     const auto backend = aprod->active_backend();
-    std::fill(partials.begin(), partials.end(), real{0});
-    aprod->apply2(u, partials);
-    reducer->sum(partials);
-    if (scale != real{1}) vscale(backend, v, scale);
-    vaxpy(backend, v, real{1}, partials);
+    auto v = d_v.span();
+    sigma = real{1} / beta;
+    {
+      util::ScopedRegion region("blas1_scale");
+      vaxpby(backend, v, sigma, d_q.span().first(n), -beta);
+    }
+    {
+      util::ScopedRegion region("reduction_norm");
+      alpha = vnorm(v);
+    }
+    if (alpha > 0) {
+      util::ScopedRegion region("blas1_scale");
+      vscale(backend, v, real{1} / alpha);
+    }
+  }
+
+  /// u <- sigma u, sigma <- 1. The step pass multiplies u by sigma
+  /// before alpha, so this never changes the trajectory.
+  void materialize_u() {
+    if (sigma == real{1}) return;
+    vscale(aprod->active_backend(), d_u.span(), sigma);
+    sigma = 1;
   }
 
   /// Fingerprint binding a checkpoint to (problem, options) — never to
@@ -257,11 +292,13 @@ struct LsqrEngine::Impl {
     return h;
   }
 
-  /// Raw checkpoint stream (no file framing) holding `u` as the basis
-  /// vector: the on-disk format of LsqrEngine::checkpoint (u assembled
-  /// globally when distributed) *and* the in-memory rollback snapshot of
-  /// repair mode (this rank's slice).
-  void save_state(std::ostream& os, std::span<const real> u) const {
+  /// Raw checkpoint stream (no file framing) holding `u_scale * u` as
+  /// the basis vector: the on-disk format of LsqrEngine::checkpoint (u
+  /// assembled globally when distributed) *and* the in-memory rollback
+  /// snapshot of repair mode (this rank's slice). Storing the normalized
+  /// u keeps the format free of the pending scale.
+  void save_state(std::ostream& os, std::span<const real> u,
+                  real u_scale) const {
     os.write(kCheckpointMagic, sizeof(kCheckpointMagic));
     write_pod(os, fingerprint);
     write_pod(os, itn);
@@ -270,7 +307,7 @@ struct LsqrEngine::Impl {
     for (real v : {alpha, beta, bnorm, rhobar, phibar, rnorm, arnorm,
                    anorm, acond, ddnorm, res2, xnorm, xxnorm, z, cs2, sn2})
       write_pod(os, v);
-    write_vec(os, u);
+    write_scaled_vec(os, u, u_scale);
     write_vec(os, d_v.span());
     write_vec(os, d_w.span());
     write_vec(os, d_x.span());
@@ -289,12 +326,12 @@ struct LsqrEngine::Impl {
   /// ranks (collective), so the stream is the same for every rank count.
   void save_checkpoint(std::ostream& os) const {
     if (!reducer) {
-      save_state(os, d_u.span());
+      save_state(os, d_u.span(), sigma);
       return;
     }
     std::vector<real> u_global(reducer->global_rows());
     reducer->gather_rows(d_u.span(), u_global);
-    save_state(os, u_global);
+    save_state(os, u_global, sigma);
   }
 
   /// Reads u: this rank's slice as a rollback snapshot stores it or —
@@ -346,15 +383,14 @@ struct LsqrEngine::Impl {
               static_cast<std::streamsize>(n_hist * sizeof(real)));
       GAIA_CHECK(is.good(), "truncated checkpoint");
     }
-    if (health) {
-      sum_u = vsum(d_u.span());
-      sum_v = vsum(d_v.span());
-    }
+    // The stored u is normalized: nothing is pending.
+    sigma = 1;
+    if (health) sum_u = vsum(d_u.span());
   }
 
   void refresh_good_state() {
     std::ostringstream os(std::ios::binary);
-    save_state(os, d_u.span());
+    save_state(os, d_u.span(), sigma);
     good_state = std::move(os).str();
     good_itn = itn;
   }
@@ -397,6 +433,8 @@ struct LsqrEngine::Impl {
     health->note_deep_check();
     obs::ScopedTrace span("health.deep_check", "resilience");
     const auto& cfg = options.health;
+    // The u checks below read the normalized u.
+    materialize_u();
     // Distributed, the cross-rank terms come first and unconditionally:
     // every rank reaches the same collectives, whatever its own checks
     // find. Single-process the residual is recomputed only when reached.
@@ -519,91 +557,76 @@ struct LsqrEngine::Impl {
     auto v = d_v.span();
     auto w = d_w.span();
     auto x = d_x.span();
+    auto q = d_q.span().first(n);
 
-    // ABFT bookkeeping: sums of the basis vectors entering this
+    // ABFT bookkeeping: the sum of the normalized u entering this
     // iteration, and the first checksum verdict (if any) to surface.
-    const real s_u_old = sum_u, s_v_old = sum_v;
+    const real s_u_old = sum_u;
     resilience::HealthVerdict abft;
 
-    {
-      util::ScopedRegion region("blas1_scale");
-      vscale(backend, u, -alpha);
-    }
-    aprod->apply1(v, u);
+    // One row pass: u <- p = A v - alpha u, q = A^T p, ||p||^2.
+    run_step_pass(alpha);
     maybe_inject_sdc("aprod1", u);
+    real s_p = 0;
     if (health) {
-      // u now holds A v - alpha u_old; its sum must equal
-      // col_check . v - alpha sum(u_old) to rounding.
-      const real actual = vsum(u);
+      // The sum of p must equal col_check . v - alpha sum(u_old) to
+      // rounding. Summed over the output, not inside the pass, so a flip
+      // after the pass still shows.
+      s_p = vsum(u);
       const real expected = vdot(col_check, v) - alpha * s_u_old;
       const real scale =
           col_check_norm +
           std::abs(alpha) * std::sqrt(static_cast<real>(m)) +
-          std::abs(actual);
-      abft = health->check_kernel_checksum(itn, "aprod1", actual,
-                                           expected, scale);
-      sum_u = actual;
+          std::abs(s_p);
+      abft = health->check_kernel_checksum(itn, "aprod1", s_p, expected,
+                                           scale);
     }
-    {
-      util::ScopedRegion region("reduction_norm");
-      beta = row_norm(u);
+    // One collective sums q and ||p||^2, so every replica of v is
+    // updated from the same sum. A distributed flip lands after it: only
+    // this rank's replica of q diverges, which its own checksum catches.
+    if (reducer) reducer->sum(d_q.span());
+    maybe_inject_sdc("aprod2", q);
+    beta = std::sqrt(d_q.span()[n]);
+    if (health) {
+      // q = A^T p; ||p|| = beta bounds row_check . p.
+      const real actual = vsum(q);
+      const real expected = row_dot(row_check, u);
+      const real scale = beta * row_check_norm + std::abs(actual);
+      if (abft.healthy())
+        abft = health->check_kernel_checksum(itn, "aprod2", actual,
+                                             expected, scale);
     }
     if (beta > 0) {
-      {
-        util::ScopedRegion region("blas1_scale");
-        vscale(backend, u, real{1} / beta);
-        anorm = std::sqrt(anorm * anorm + alpha * alpha + beta * beta +
-                          damp * damp);
-        if (!reducer) vscale(backend, v, -beta);
-      }
-      if (health) sum_u /= beta;
-      // Distributed, v is rescaled only once the partials are summed.
-      if (reducer)
-        reduced_apply2(u, v, -beta);
-      else
-        aprod->apply2(u, v);
-      // A distributed flip lands after the sum: only this rank's replica
-      // of v diverges, which its own checksum catches.
-      maybe_inject_sdc("aprod2", v);
-      if (health) {
-        // v now holds A^T u - beta v_old (u freshly normalized).
-        const real actual = vsum(v);
-        const real expected = row_dot(row_check, u) - beta * s_v_old;
-        const real scale =
-            row_check_norm +
-            std::abs(beta) * std::sqrt(static_cast<real>(n)) +
-            std::abs(actual);
-        if (abft.healthy())
-          abft = health->check_kernel_checksum(itn, "aprod2", actual,
-                                               expected, scale);
-        sum_v = actual;
-      }
-      {
-        util::ScopedRegion region("reduction_norm");
-        alpha = vnorm(v);
-      }
-      if (alpha > 0) {
-        util::ScopedRegion region("blas1_scale");
-        vscale(backend, v, real{1} / alpha);
-        if (health) sum_v /= alpha;
-      }
+      anorm = std::sqrt(anorm * anorm + alpha * alpha + beta * beta +
+                        damp * damp);
+      update_v();
+      if (health) sum_u = s_p / beta;
+    } else {
+      // p = 0: u is exactly the zero vector, nothing pends.
+      sigma = 1;
+      if (health) sum_u = s_p;
     }
 
-    const real rhobar1 = std::sqrt(rhobar * rhobar + damp * damp);
-    const real cs1 = rhobar / rhobar1;
-    const real psi = (damp / rhobar1) * phibar;
+    // Plane rotations, with the norms formed as the reference code's
+    // d2norm forms them: hypot cannot underflow to 0 once rhobar has
+    // decayed (sqrt(rhobar^2 + damp^2) did, and 0/0 poisoned the solve).
+    // A norm is 0 only when both its inputs are; its rotation is then
+    // the identity instead of a division by 0.
+    const real rhobar1 = std::hypot(rhobar, damp);
+    const real cs1 = rhobar1 > 0 ? rhobar / rhobar1 : real{1};
+    const real psi = rhobar1 > 0 ? (damp / rhobar1) * phibar : real{0};
     phibar = cs1 * phibar;
 
-    const real rho = std::sqrt(rhobar1 * rhobar1 + beta * beta);
-    const real cs = rhobar1 / rho;
-    const real sn = beta / rho;
+    const real rho = std::hypot(rhobar1, beta);
+    const real cs = rho > 0 ? rhobar1 / rho : real{1};
+    const real sn = rho > 0 ? beta / rho : real{0};
     const real theta = sn * alpha;
     rhobar = -cs * alpha;
     const real phi = cs * phibar;
     phibar = sn * phibar;
     const real tau = sn * phi;
 
-    {
+    if (rho > 0) {
       util::ScopedRegion region("blas1_updates");
       if (options.compute_std_errors)
         vaccumulate_sq(backend, d_var.span(), real{1} / rho, w);
@@ -615,11 +638,12 @@ struct LsqrEngine::Impl {
     const real delta = sn2 * rho;
     const real gambar = -cs2 * rho;
     const real rhs = phi - delta * z;
-    xnorm = std::sqrt(xxnorm + (rhs / gambar) * (rhs / gambar));
-    const real gamma = std::sqrt(gambar * gambar + theta * theta);
-    cs2 = gambar / gamma;
-    sn2 = theta / gamma;
-    z = rhs / gamma;
+    const real zbar = gambar != 0 ? rhs / gambar : real{0};
+    xnorm = std::sqrt(xxnorm + zbar * zbar);
+    const real gamma = std::hypot(gambar, theta);
+    cs2 = gamma > 0 ? gambar / gamma : real{1};
+    sn2 = gamma > 0 ? theta / gamma : real{0};
+    z = gamma > 0 ? rhs / gamma : real{0};
     xxnorm += z * z;
 
     acond = anorm * std::sqrt(ddnorm);
@@ -686,32 +710,8 @@ struct LsqrEngine::Impl {
       return false;
     }
 
-    // Stopping tests (reference-code numbering; skipped when all
-    // tolerances are zero, the paper's fixed-iteration timing mode).
-    if (options.atol > 0 || options.btol > 0 || options.conlim > 0) {
-      const real ctol =
-          options.conlim > 0 ? real{1} / options.conlim : real{0};
-      const real test1 = rnorm / bnorm;
-      const real test2 =
-          anorm * rnorm > 0 ? arnorm / (anorm * rnorm) : real{0};
-      const real test3 = acond > 0 ? real{1} / acond : real{0};
-      const real t1s = test1 / (real{1} + anorm * xnorm / bnorm);
-      const real rtol = options.btol + options.atol * anorm * xnorm / bnorm;
-      if (real{1} + test3 <= real{1}) {
-        istop = LsqrStop::kConlimEps;
-      } else if (real{1} + test2 <= real{1}) {
-        istop = LsqrStop::kLeastSquaresEps;
-      } else if (real{1} + t1s <= real{1}) {
-        istop = LsqrStop::kAtolBtolEps;
-      } else if (ctol > 0 && test3 <= ctol) {
-        istop = LsqrStop::kConlim;
-      } else if (options.atol > 0 && test2 <= options.atol) {
-        istop = LsqrStop::kLeastSquares;
-      } else if ((options.atol > 0 || options.btol > 0) && test1 <= rtol) {
-        istop = LsqrStop::kAtolBtol;
-      }
-      if (istop != LsqrStop::kIterationLimit) finished = true;
-    }
+    istop = stop_test(options, bnorm, anorm, acond, rnorm, arnorm, xnorm);
+    if (istop != LsqrStop::kIterationLimit) finished = true;
     if (itn >= options.max_iterations) finished = true;
     if (!finished && checkpoints && checkpoints->due(itn)) seal_checkpoint();
     return !finished;

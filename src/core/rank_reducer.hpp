@@ -5,9 +5,10 @@
 /// rows of A and the vector u are distributed by observation, x/v/w are
 /// replicated, and the recurrence needs a cross-rank result at exactly
 /// a handful of points (paper SIII; Cesare et al., arXiv 2308.00778):
-///  * row-space norms and sums — beta, the u unit-norm deep check, the
-///    ABFT `row_check . u` term and the true-residual sum of squares;
-///  * the aprod2 column partials summed into v;
+///  * the LSQR step's q = A^T p column partials, with ||p||^2 (beta^2)
+///    riding as one extra slot of the same sum;
+///  * row-space norms and sums — the u unit-norm deep check, the ABFT
+///    `row_check . p` term and the true-residual sum of squares;
 ///  * the replicated-state hash agreement and the worst-verdict
 ///    agreement of the health monitor;
 ///  * the per-iteration time maximum (paper App. B);

@@ -1,6 +1,7 @@
 #include "core/solver.hpp"
 
 #include <algorithm>
+#include <array>
 #include <exception>
 #include <sstream>
 #include <vector>
@@ -363,8 +364,13 @@ void finish_observability(const matrix::GeneratorConfig& gen_cfg,
       spec.spmv_bw_efficiency};
   report.roofline = metrics::roofline_points(rows, report.roofline_machine);
   metrics::publish_roofline_gauges(report.roofline);
+  // The step is the solve's pass; the apply passes run where health
+  // checks or refinement ask for a plain product.
+  const std::array<tuning::AprodPass, 4> passes = {
+      tuning::kStepPass, tuning::kAprodPasses[0], tuning::kAprodPasses[1],
+      tuning::kAprodPasses[2]};
   std::vector<double> eff;
-  for (const tuning::AprodPass& pass : tuning::kAprodPasses) {
+  for (const tuning::AprodPass& pass : passes) {
     const std::string kname = pass_region_name(pass);
     // Several series can exist per pass (trial shapes, failover
     // backends); the one with the most samples is the production config.
@@ -571,40 +577,16 @@ std::string SolverRunReport::summary() const {
       os << "backend ignores launch shapes; nothing to tune";
     os << '\n';
   }
-  // The config lines report the three passes the solve launches, each
-  // under its tuning identity's entry. The fused scatter is the one pass
-  // with a commit strategy.
-  os << "scatter:";
-  for (const tuning::AprodPass& pass : tuning::kAprodPasses) {
-    if (!backends::kernel_uses_atomics(pass.id)) continue;
-    os << ' ' << pass_region_name(pass) << '='
-       << backends::to_string(tuning_used.get(pass.id).strategy);
-  }
-  os << '\n';
-  // The layout and precision lines collapse when every pass agrees (the
-  // common case: a pinned mode); auto modes can split per pass.
-  const auto config_line = [&](const char* label, auto field) {
-    const auto first = field(tuning_used.get(tuning::kAprodPasses[0].id));
-    bool uniform = true;
-    for (const tuning::AprodPass& pass : tuning::kAprodPasses)
-      uniform &= field(tuning_used.get(pass.id)) == first;
-    os << label << ": ";
-    if (uniform) {
-      os << backends::to_string(first);
-    } else {
-      const char* sep = "";
-      for (const tuning::AprodPass& pass : tuning::kAprodPasses) {
-        os << sep << pass_region_name(pass) << '='
-           << backends::to_string(field(tuning_used.get(pass.id)));
-        sep = " ";
-      }
-    }
-    os << '\n';
-  };
-  config_line("layout",
-              [](const backends::KernelConfig& c) { return c.layout; });
-  config_line("precision",
-              [](const backends::KernelConfig& c) { return c.precision; });
+  // The config lines report the one pass the solve launches, under the
+  // tuning entry it runs with.
+  const char* step_name = pass_region_name(tuning::kStepPass);
+  const backends::KernelConfig step = tuning_used.get(tuning::kStepPass.id);
+  os << "scatter: " << step_name << '='
+     << backends::to_string(step.strategy) << '\n';
+  os << "layout: " << backends::to_string(step.layout) << " (" << step_name
+     << ")\n";
+  os << "precision: " << backends::to_string(step.precision) << " ("
+     << step_name << ")\n";
   if (refinement_ran) {
     os << "refine: " << refinement.corrections << " correction(s), "
        << (refinement.converged ? "converged" : "stalled")

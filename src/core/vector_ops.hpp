@@ -38,6 +38,18 @@ inline void vaxpy(backends::BackendKind backend, std::span<real> y, real a,
   });
 }
 
+/// y = a*x + b*y (the LSQR step's v update)
+inline void vaxpby(backends::BackendKind backend, std::span<real> y, real a,
+                   std::span<const real> x, real b) {
+  real* yp = y.data();
+  const real* xp = x.data();
+  backends::dispatch(backend, [&](auto exec) {
+    decltype(exec)::launch(
+        static_cast<std::int64_t>(y.size()), {},
+        [=](std::int64_t i) { yp[i] = a * xp[i] + b * yp[i]; });
+  });
+}
+
 /// y = x + b*y (LSQR's w update)
 inline void vxpby(backends::BackendKind backend, std::span<real> y,
                   std::span<const real> x, real b) {

@@ -165,15 +165,11 @@ std::vector<obs::MetricRow> build_rank_rows(
     r.last = r.sum;
     return r;
   };
-  // Bytes this rank's kernels moved: the catalog's pass-level traffic of
-  // the three launches of an aprod pair over the rank's slice, once per
-  // iteration.
-  std::uint64_t bytes_per_iteration = 0;
-  for (const tuning::AprodPass& pass : tuning::kAprodPasses) {
-    const backends::KernelConfig cfg = aprod.tuning().get(pass.id);
-    bytes_per_iteration += core::pass_traffic_bytes(
-        aprod.view(), pass, cfg.layout, cfg.precision);
-  }
+  // Bytes this rank's kernels moved: the catalog's traffic of the LSQR
+  // step over the rank's slice, once per iteration.
+  const backends::KernelConfig cfg = aprod.tuning().get(tuning::kStepPass.id);
+  const std::uint64_t bytes_per_iteration = core::pass_traffic_bytes(
+      aprod.view(), tuning::kStepPass, cfg.layout, cfg.precision);
   rows.push_back(counter("dist.rank.kernel_bytes",
                          bytes_per_iteration *
                              static_cast<std::uint64_t>(itn)));

@@ -484,4 +484,49 @@ double KernelCostModel::iteration_seconds(const ProblemShape& p,
   return aprod1 + aprod2 + vec_s + kIterationOverheadS;
 }
 
+double KernelCostModel::step_iteration_seconds(
+    const ProblemShape& p, const ExecutionPlan& plan) const {
+  using enum KernelId;
+  const double rows = static_cast<double>(p.n_rows);
+  const double launch_s = spec_.launch_overhead_us * 1e-6;
+  const KernelConfig c = resolve(kAprod2Att, plan.tuning.get(kAprod2Att));
+  double bytes = 0.0, flops = 0.0, atomic_s = 0.0, priv_s = 0.0;
+  int gather_parts = 0;
+  for (KernelId id : backends::all_kernels()) {
+    if (!kernel_active(id, p, plan)) continue;
+    flops += kernel_flops(id, p);
+    if (id < kAprod2Astro) {
+      bytes += kernel_traffic_bytes(id, p);
+      ++gather_parts;
+      continue;
+    }
+    const KernelShapeInfo info = shape_info(id);
+    bytes += rows * info.gather_bytes * info.miss;
+    atomic_s += atomic_seconds(id, p, c, plan.atomic_mode, plan.coherence);
+    if (c.strategy == backends::ScatterStrategy::kPrivatized)
+      priv_s += privatized_seconds(id, p, c);
+  }
+  // Each gather part charges a y read-modify-write per row; the pass
+  // reads and writes u[r] once.
+  bytes -= static_cast<double>(gather_parts - 1) * rows * 2 * sizeof(real);
+  const double coherence_bw =
+      plan.coherence == backends::CoherenceMode::kFineGrain
+          ? kFineGrainBwFactor
+          : 1.0;
+  const double bw = spec_.peak_bw_gbs * 1e9 * spec_.spmv_bw_efficiency *
+                    shape_efficiency(c) * lane_utilization(c) * coherence_bw;
+  const double mem_s =
+      std::max(bytes / bw, flops / (spec_.fp64_tflops * 1e12));
+  // The commits' serialization overlaps the pass's memory traffic, as
+  // the streamed aprod2 scatters' does in iteration_seconds.
+  const double pass_s = std::max(mem_s, atomic_s) + priv_s + launch_s;
+
+  // BLAS-1 on v/w/x only: u is never rescaled, its norm is the pass's.
+  const double vec_bytes =
+      6.0 * 3.0 * static_cast<double>(p.n_unknowns()) * sizeof(real);
+  const double vec_s = vec_bytes / (spec_.peak_bw_gbs * 1e9 * kStreamEff) +
+                       3.0 * launch_s;
+  return pass_s + vec_s + kIterationOverheadS;
+}
+
 }  // namespace gaia::perfmodel

@@ -143,6 +143,15 @@ class KernelCostModel {
   [[nodiscard]] double iteration_seconds(const ProblemShape& p,
                                          const ExecutionPlan& plan) const;
 
+  /// Wall time of one LSQR iteration run as the library's one-pass step
+  /// (core::aprod_step) instead of the paper's eight kernels: one launch
+  /// at the aprod2_att shape that reads each coefficient and index once,
+  /// u once per row, and adds only the scatters' x traffic and commits of
+  /// the aprod2 half; the BLAS-1 work shrinks to the n-length vectors.
+  /// The eight-kernel iteration reads A twice.
+  [[nodiscard]] double step_iteration_seconds(
+      const ProblemShape& p, const ExecutionPlan& plan) const;
+
   /// Bandwidth efficiency multiplier of a launch shape on this platform
   /// (1 at the preferred threads-per-block; exposed for tests/ablations).
   [[nodiscard]] double shape_efficiency(KernelConfig cfg) const;

@@ -107,11 +107,14 @@ void KernelRegistry::launch_fused(FusedPass pass,
       resolve(args, run, [&](StorageLayout l, Precision p) -> const auto& {
         return fused_[fused_index(pass, backend, l, p)];
       });
-  if (!fn)
+  if (!fn) {
+    static const char* kNames[] = {"aprod1 gather", "aprod2 scatter",
+                                   "LSQR step"};
     throw Error(std::string("KernelRegistry: no fused ") +
-                (pass == FusedPass::kGather ? "aprod1" : "aprod2") +
+                kNames[static_cast<int>(pass)] +
                 " launcher registered for backend " +
                 backends::to_string(backend));
+  }
   (*fn)(run);
 }
 

@@ -48,15 +48,22 @@ namespace gaia::tuning {
 
 /// Flat argument pack of one kernel launch. `in`/`out` follow the data
 /// flow: for aprod1 kernels in = x (n_cols), out = y (n_rows); for
-/// aprod2 kernels in = y, out = x. atomic_mode is ignored by the
-/// atomic-free kernels. `arena` is the scratch pool the aprod2 scatters
-/// draw their per-worker slices from (null = the backend's process-wide
-/// arena); config.strategy selects the scatters' commit step and
-/// config.layout which storage layout's body runs.
+/// aprod2 kernels in = y, out = x. The LSQR step reads in = v and
+/// overwrites out = u with p = A v - alpha (sigma u), `q` with A^T p and
+/// `*pnorm_sq` with ||p||^2; the other passes ignore those four fields.
+/// atomic_mode is ignored by the atomic-free kernels. `arena` is the
+/// scratch pool the aprod2 scatters draw their per-worker slices from
+/// (null = the backend's process-wide arena); config.strategy selects
+/// the scatters' commit step and config.layout which storage layout's
+/// body runs.
 struct LaunchArgs {
   const core::SystemView* view = nullptr;
   const real* in = nullptr;
   real* out = nullptr;
+  real* q = nullptr;
+  real sigma = 1;
+  real alpha = 0;
+  real* pnorm_sq = nullptr;
   backends::KernelConfig config{};
   backends::AtomicMode atomic_mode = backends::AtomicMode::kNativeRmw;
   backends::ScratchArena* arena = nullptr;
@@ -64,11 +71,12 @@ struct LaunchArgs {
 
 using KernelLauncher = std::function<void(const LaunchArgs&)>;
 
-/// The fused row passes, one per aprod product: the gather adds the four
-/// aprod1 sections into y[r], the scatter the three shared aprod2
-/// sections into x. Neither is a KernelId of its own (see AprodPass).
-enum class FusedPass : std::uint8_t { kGather = 0, kScatter };
-inline constexpr int kNumFusedPasses = 2;
+/// The fused row passes: the gather adds the four aprod1 sections into
+/// y[r], the scatter the three shared aprod2 sections into x, and the
+/// LSQR step runs a whole bidiagonalization step's products in one row
+/// pass. None is a KernelId of its own (see AprodPass).
+enum class FusedPass : std::uint8_t { kGather = 0, kScatter, kStep };
+inline constexpr int kNumFusedPasses = 3;
 
 /// One launch of an aprod pair: kernel `id`, or the fused pass that runs
 /// under `id`'s tuning-table entry and fault identity.
@@ -87,6 +95,12 @@ inline constexpr std::array<AprodPass, 3> kAprodPasses = {{
     {backends::KernelId::kAprod2Astro, std::nullopt},
     {backends::KernelId::kAprod2Att, FusedPass::kScatter},
 }};
+
+/// The one pass LsqrEngine launches, under kAprod2Att's tuning-table
+/// entry and fault identity like the fused scatter: it inherits the
+/// shape the warm-up search found for the apply passes.
+inline constexpr AprodPass kStepPass = {backends::KernelId::kAprod2Att,
+                                        FusedPass::kStep};
 
 /// Dense (KernelId x BackendKind x StorageLayout x Precision) table of
 /// launchers plus one launcher per fused pass on the same axes.

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <thread>
 
+#include "core/vector_ops.hpp"
 #include "matrix/dense.hpp"
 #include "matrix/generator.hpp"
 #include "test_helpers.hpp"
@@ -95,6 +96,27 @@ TEST_P(AprodDriver, LaunchCounterTracksKernels) {
   EXPECT_EQ(aprod.launches(), 1u);
   aprod.apply2(y_, x);
   EXPECT_EQ(aprod.launches(), 3u);
+}
+
+TEST_P(AprodDriver, StepMatchesDenseOracleInOneLaunch) {
+  // The LSQR step through the driver: p = A v - alpha (sigma u) over u,
+  // q = A^T p over q, ||p||^2 returned — one launch.
+  backends::DeviceContext device;
+  Aprod aprod(gen_.A, device, opts());
+  const real sigma = 0.5, alpha = 1.5;
+  std::vector<real> p =
+      matrix::dense_matvec(dense_, gen_.A.n_rows(), gen_.A.n_cols(), x_);
+  for (std::size_t r = 0; r < p.size(); ++r) p[r] -= alpha * sigma * y_[r];
+  const auto q_oracle =
+      matrix::dense_rmatvec(dense_, gen_.A.n_rows(), gen_.A.n_cols(), p);
+  std::vector<real> u = y_;
+  std::vector<real> q(x_.size(), real{7});
+  const real pnorm_sq = aprod.step(x_, u, q, sigma, alpha);
+  EXPECT_EQ(aprod.launches(), 1u);
+  EXPECT_LT(gaia::testing::rel_l2_error(u, p), 1e-12);
+  EXPECT_LT(gaia::testing::rel_l2_error(q, q_oracle), 1e-12);
+  EXPECT_NEAR(pnorm_sq, vdot(p, p), 1e-12 * vdot(p, p));
+  EXPECT_THROW(aprod.step(y_, u, q, sigma, alpha), gaia::Error);
 }
 
 TEST_P(AprodDriver, SizeMismatchesRejected) {

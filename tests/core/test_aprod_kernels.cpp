@@ -5,6 +5,7 @@
 #include <array>
 
 #include "core/kernel_catalog.hpp"
+#include "core/vector_ops.hpp"
 #include "matrix/dense.hpp"
 #include "matrix/generator.hpp"
 #include "matrix/layouted_system.hpp"
@@ -258,6 +259,124 @@ TEST_P(AprodKernels, FusedGatherBitIdenticalToTheFourGathers) {
   }
 }
 
+/// p, q and ||p||^2 of one step launch through the registry, from u0
+/// and a q that starts as garbage (the step overwrites it whole).
+struct StepOutputs {
+  std::vector<real> p, q;
+  real pnorm_sq = -1;
+};
+
+StepOutputs launch_step(BackendKind backend, tuning::LaunchArgs args,
+                        const std::vector<real>& v,
+                        const std::vector<real>& u0, real sigma, real alpha) {
+  StepOutputs out;
+  out.p = u0;
+  out.q.assign(v.size(), real{1e30});
+  args.in = v.data();
+  args.out = out.p.data();
+  args.q = out.q.data();
+  args.sigma = sigma;
+  args.alpha = alpha;
+  args.pnorm_sq = &out.pnorm_sq;
+  tuning::KernelRegistry::global().launch_fused(tuning::FusedPass::kStep,
+                                                backend, args);
+  return out;
+}
+
+TEST_P(AprodKernels, StepMatchesGatherAstroAndFusedScatter) {
+  // The step forms p = A v - alpha (sigma u) with the fused gather's
+  // row, so p equals the fused gather onto (sigma u)(-alpha) bit for
+  // bit. q = A^T p and ||p||^2 accumulate in another order than
+  // aprod2_astro + the fused scatter + a norm, so they agree to
+  // rounding. Every layout, precision and strategy, with and without a
+  // global block.
+  ensure_kernel_catalog();
+  const tuning::KernelRegistry& reg = tuning::KernelRegistry::global();
+  const real sigma = 0.75, alpha = 1.3;
+  for (const bool has_global : {true, false}) {
+    auto cfg = gaia::testing::medium_config(29);
+    cfg.has_global = has_global;
+    const AttachedSystem sys(cfg);
+    util::Xoshiro256 rng(37);
+    std::vector<real> v(static_cast<std::size_t>(sys.gen.A.n_cols()));
+    std::vector<real> u0(static_cast<std::size_t>(sys.gen.A.n_rows()));
+    for (auto& e : v) e = rng.normal();
+    for (auto& e : u0) e = rng.normal();
+    for (const StorageLayout layout : kLayouts) {
+      for (const Precision precision : kPrecisions) {
+        for (const auto strategy : {backends::ScatterStrategy::kAtomic,
+                                    backends::ScatterStrategy::kPrivatized}) {
+          tuning::LaunchArgs args;
+          args.view = &sys.view;
+          args.config = {16, 32};
+          args.config.layout = layout;
+          args.config.precision = precision;
+          args.config.strategy = strategy;
+          const std::string label =
+              std::string(backends::to_string(layout)) + "/" +
+              backends::to_string(precision) + "/" +
+              backends::to_string(strategy) +
+              (has_global ? "" : " no-global");
+
+          std::vector<real> p_ref(u0.size());
+          for (std::size_t r = 0; r < u0.size(); ++r)
+            p_ref[r] = (sigma * u0[r]) * -alpha;
+          args.in = v.data();
+          args.out = p_ref.data();
+          reg.launch_fused(tuning::FusedPass::kGather, GetParam(), args);
+          std::vector<real> q_ref(v.size(), 0.0);
+          args.in = p_ref.data();
+          args.out = q_ref.data();
+          reg.launch(KernelId::kAprod2Astro, GetParam(), args);
+          reg.launch_fused(tuning::FusedPass::kScatter, GetParam(), args);
+          const real pnorm_sq_ref = vdot(p_ref, p_ref);
+
+          const StepOutputs step =
+              launch_step(GetParam(), args, v, u0, sigma, alpha);
+          for (std::size_t r = 0; r < p_ref.size(); ++r)
+            ASSERT_EQ(step.p[r], p_ref[r]) << label << " row " << r;
+          EXPECT_LT(gaia::testing::rel_l2_error(step.q, q_ref), 1e-13)
+              << label;
+          EXPECT_NEAR(step.pnorm_sq, pnorm_sq_ref, 1e-13 * pnorm_sq_ref)
+              << label;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(AprodKernels, PrivatizedStepBitIdenticalAcrossLaunches) {
+  // At a fixed launch shape the privatized step's star-aligned chunks,
+  // fold order and partial combine order are all fixed: p, q and
+  // ||p||^2 repeat bit for bit, whatever the thread scheduling.
+  ensure_kernel_catalog();
+  const AttachedSystem sys(gaia::testing::medium_config(31));
+  util::Xoshiro256 rng(41);
+  std::vector<real> v(static_cast<std::size_t>(sys.gen.A.n_cols()));
+  std::vector<real> u0(static_cast<std::size_t>(sys.gen.A.n_rows()));
+  for (auto& e : v) e = rng.normal();
+  for (auto& e : u0) e = rng.normal();
+  for (const backends::KernelConfig shape :
+       {backends::KernelConfig{1, 1}, backends::KernelConfig{3, 7},
+        backends::KernelConfig{512, 64}}) {
+    tuning::LaunchArgs args;
+    args.view = &sys.view;
+    args.config = shape;
+    args.config.strategy = backends::ScatterStrategy::kPrivatized;
+    const StepOutputs first = launch_step(GetParam(), args, v, u0, 0.5, 2.0);
+    for (int rep = 0; rep < 3; ++rep) {
+      const StepOutputs again =
+          launch_step(GetParam(), args, v, u0, 0.5, 2.0);
+      ASSERT_EQ(again.pnorm_sq, first.pnorm_sq);
+      for (std::size_t r = 0; r < first.p.size(); ++r)
+        ASSERT_EQ(again.p[r], first.p[r]) << r;
+      for (std::size_t c = 0; c < first.q.size(); ++c)
+        ASSERT_EQ(again.q[c], first.q[c])
+            << shape.blocks << "x" << shape.threads << " column " << c;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, AprodKernels,
                          ::testing::ValuesIn(backends::all_backends()),
                          [](const auto& info) {
@@ -311,6 +430,41 @@ TEST(KernelCatalog, PassTrafficCountsYOncePerRow) {
                   kernel_flops(v, KernelId::kAprod1Att) +
                   kernel_flops(v, KernelId::kAprod1Instr) +
                   (has_global ? kernel_flops(v, KernelId::kAprod1Glob) : 0));
+  }
+}
+
+TEST(KernelCatalog, StepTrafficReadsTheCoefficientsOnce) {
+  // The step reads what the fused gather reads (coefficients, indices, v
+  // gathers; u in place of y, once per row, read and written) plus the
+  // q read-modify-writes of the four scatter parts; its flops and atomic
+  // commits are the sums over all eight parts.
+  for (const bool has_global : {true, false}) {
+    auto cfg = gaia::testing::medium_config(22);
+    cfg.has_global = has_global;
+    const AttachedSystem sys(cfg);
+    const SystemView& v = sys.view;
+    const auto rows = static_cast<std::uint64_t>(v.n_rows);
+    const std::uint64_t scatter_nnz =
+        kAstroNnzPerRow + kAttNnzPerRow + kInstrNnzPerRow +
+        (has_global ? kGlobNnzPerRow : 0);
+    const auto& [gather, astro, scatter] = tuning::kAprodPasses;
+    for (const StorageLayout layout : kLayouts) {
+      for (const Precision precision : kPrecisions) {
+        EXPECT_EQ(pass_traffic_bytes(v, tuning::kStepPass, layout, precision),
+                  pass_traffic_bytes(v, gather, layout, precision) +
+                      rows * 2 * sizeof(real) * scatter_nnz)
+            << backends::to_string(layout) << "/"
+            << backends::to_string(precision);
+      }
+    }
+    EXPECT_EQ(pass_flops(v, tuning::kStepPass),
+              pass_flops(v, gather) + pass_flops(v, astro) +
+                  pass_flops(v, scatter));
+    for (const auto strategy : {backends::ScatterStrategy::kAtomic,
+                                backends::ScatterStrategy::kPrivatized})
+      EXPECT_EQ(pass_atomic_updates(v, tuning::kStepPass, strategy, 4),
+                pass_atomic_updates(v, scatter, strategy, 4));
+    EXPECT_STREQ(pass_region_name(tuning::kStepPass), "aprod_step");
   }
 }
 

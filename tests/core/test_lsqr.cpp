@@ -76,6 +76,28 @@ TEST_P(LsqrSolve, FixedIterationModeNeverStopsEarly) {
   EXPECT_GT(result.mean_iteration_s, 0.0);
 }
 
+TEST_P(LsqrSolve, FixedIterationSolvePastConvergenceStaysFinite) {
+  // With every tolerance 0 the solve runs on long after it converged,
+  // and rhobar decays until its square underflows: sqrt(rhobar^2 +
+  // damp^2) became 0 and damp / 0 poisoned the solve (iteration 373 on
+  // this system, serially). hypot-formed rotation norms keep the run
+  // finite to the iteration limit, on the converged solution.
+  const auto gen =
+      matrix::generate_system(matrix::config_for_footprint(1 * kMiB, 42));
+  LsqrOptions opts;
+  opts.aprod.backend = GetParam();
+  opts.max_iterations = 1500;
+  const auto long_run = lsqr_solve(gen.A, opts);
+  EXPECT_EQ(long_run.istop, LsqrStop::kIterationLimit);
+  EXPECT_EQ(long_run.iterations, 1500);
+  EXPECT_TRUE(std::isfinite(long_run.rnorm));
+  EXPECT_TRUE(std::isfinite(long_run.xnorm));
+  for (real v : long_run.x) ASSERT_TRUE(std::isfinite(v));
+  opts.max_iterations = 300;
+  const auto converged = lsqr_solve(gen.A, opts);
+  EXPECT_LT(gaia::testing::rel_l2_error(long_run.x, converged.x), 1e-8);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, LsqrSolve,
                          ::testing::ValuesIn(backends::all_backends()),
                          [](const auto& info) {
@@ -269,6 +291,31 @@ TEST(Lsqr, HistorySurvivesCheckpointRestore) {
   ASSERT_EQ(resumed.rnorm_history.size(), expected.rnorm_history.size());
   for (std::size_t i = 0; i < expected.rnorm_history.size(); ++i)
     EXPECT_EQ(resumed.rnorm_history[i], expected.rnorm_history[i]);
+}
+
+TEST(LsqrStopTest, LaterTestsOverrideEarlierOnes) {
+  // The reference code runs the machine-precision tests first and lets
+  // each later test override: when ||r|| meets btol and is also at
+  // machine precision, the stop is 1, not 4; when ||A^T r|| meets atol
+  // and is at machine precision too, 2, not 5.
+  LsqrOptions opts;
+  opts.atol = 1e-8;
+  opts.btol = 1e-8;
+  const real bnorm = 1, anorm = 1, acond = 10, xnorm = 1;
+  EXPECT_EQ(stop_test(opts, bnorm, anorm, acond, 1e-20, 1.0e-20, xnorm),
+            LsqrStop::kAtolBtol);
+  EXPECT_EQ(stop_test(opts, bnorm, anorm, acond, 0.5, 1e-20, xnorm),
+            LsqrStop::kLeastSquares);
+  EXPECT_EQ(stop_test(opts, bnorm, anorm, acond, 0.5, 0.25, xnorm),
+            LsqrStop::kIterationLimit);
+}
+
+TEST(LsqrStopTest, NoToleranceRunsNoTest) {
+  // The fixed-iteration timing mode: with every tolerance 0 even a
+  // machine-precision residual does not stop the solve.
+  const LsqrOptions opts;
+  EXPECT_EQ(stop_test(opts, 1, 1, 10, 1e-20, 1e-20, 1),
+            LsqrStop::kIterationLimit);
 }
 
 }  // namespace

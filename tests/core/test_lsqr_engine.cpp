@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "core/aprod.hpp"
+#include "core/vector_ops.hpp"
 #include "matrix/generator.hpp"
 #include "test_helpers.hpp"
 
@@ -279,6 +282,132 @@ TEST(LsqrCheckpointFiles, BitFlippedFileRejectedNamingPathAndReason) {
     EXPECT_NE(what.find("CRC mismatch"), std::string::npos) << what;
   }
   std::remove(path.c_str());
+}
+
+/// The Golub-Kahan state a checkpoint stream records: alpha, beta and
+/// the normalized u and v (GAIACKP2 layout: magic, fingerprint, itn,
+/// finished, istop, 16 scalars starting alpha/beta, then u and v).
+struct CheckpointedBasis {
+  real alpha = 0, beta = 0;
+  std::vector<real> u, v;
+};
+
+CheckpointedBasis read_basis(std::istream& is) {
+  CheckpointedBasis basis;
+  const auto read = [&](void* dst, std::size_t bytes) {
+    is.read(static_cast<char*>(dst), static_cast<std::streamsize>(bytes));
+  };
+  is.seekg(8 + 8 + 8 + 1 + 4);
+  std::array<real, 16> scalars{};
+  read(scalars.data(), sizeof(scalars));
+  basis.alpha = scalars[0];
+  basis.beta = scalars[1];
+  for (auto* vec : {&basis.u, &basis.v}) {
+    std::uint64_t size = 0;
+    read(&size, sizeof(size));
+    vec->resize(size);
+    read(vec->data(), size * sizeof(real));
+  }
+  EXPECT_TRUE(is.good());
+  return basis;
+}
+
+TEST(LsqrStepStart, StartPassMatchesTheApply2Start) {
+  // The start runs the step pass with v = 0 and alpha = -1 (p = b,
+  // q = A^T b) and normalizes afterwards; the reference normalizes b
+  // first and runs apply2 on it. Same beta, alpha, u and v to rounding.
+  const auto gen = matrix::generate_system(gaia::testing::medium_config(143));
+  auto opts = engine_options();
+  opts.precondition = false;
+  LsqrEngine engine(gen.A, opts);
+  std::stringstream ckpt;
+  engine.checkpoint(ckpt);
+  const CheckpointedBasis start = read_basis(ckpt);
+
+  const auto b = gen.A.known_terms();
+  const real beta = vnorm(b);
+  std::vector<real> u(b.begin(), b.end());
+  for (real& e : u) e /= beta;
+  std::vector<real> v(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
+  backends::DeviceContext device(opts.device_capacity, "reference");
+  Aprod aprod(gen.A, device, opts.aprod);
+  aprod.apply2(u, v);
+  const real alpha = vnorm(v);
+  for (real& e : v) e /= alpha;
+
+  EXPECT_NEAR(start.beta, beta, 4e-16 * beta);
+  EXPECT_NEAR(start.alpha, alpha, 1e-14 * alpha);
+  EXPECT_EQ(engine.rnorm(), start.beta);
+  ASSERT_EQ(start.u.size(), u.size());
+  ASSERT_EQ(start.v.size(), v.size());
+  EXPECT_LT(gaia::testing::max_abs_diff(start.u, u), 1e-15);
+  EXPECT_LT(gaia::testing::rel_l2_error(start.v, v), 1e-14);
+}
+
+/// Options whose runs repeat bit for bit: the serial backend, and the
+/// privatized commit on a parallel backend at a fixed launch shape.
+std::vector<LsqrOptions> deterministic_options() {
+  std::vector<LsqrOptions> all = {engine_options()};
+  LsqrOptions privatized = engine_options(backends::BackendKind::kOpenMP);
+  privatized.aprod.tuning = backends::TuningTable::untuned({2, 2});
+  for (backends::KernelId id : backends::all_kernels()) {
+    auto cfg = privatized.aprod.tuning.get(id);
+    cfg.strategy = backends::ScatterStrategy::kPrivatized;
+    privatized.aprod.tuning.set(id, cfg);
+  }
+  all.push_back(privatized);
+  return all;
+}
+
+TEST(LsqrPendingScale, CheckpointAtAnyIterationResumesBitIdentically) {
+  // u holds p and the true u is sigma * u. A checkpoint stores sigma * u
+  // and a restore leaves sigma = 1, which materializes u. The step pass
+  // multiplies by sigma before alpha, so wherever that happens the rest
+  // of the solve is bit-identical to the uninterrupted run.
+  const auto gen = matrix::generate_system(gaia::testing::small_config(144));
+  for (LsqrOptions opts : deterministic_options()) {
+    opts.max_iterations = 24;
+    LsqrEngine full(gen.A, opts);
+    full.run_to_completion();
+    const auto expected = full.result();
+    for (int k = 0; k < 24; ++k) {
+      LsqrEngine first(gen.A, opts);
+      for (int i = 0; i < k; ++i) first.step();
+      std::stringstream ckpt;
+      first.checkpoint(ckpt);
+      LsqrEngine second(gen.A, opts);
+      second.restore(ckpt);
+      second.run_to_completion();
+      const auto resumed = second.result();
+      ASSERT_EQ(resumed.iterations, expected.iterations) << k;
+      EXPECT_EQ(resumed.rnorm, expected.rnorm) << k;
+      for (std::size_t i = 0; i < expected.x.size(); ++i)
+        ASSERT_EQ(resumed.x[i], expected.x[i])
+            << backends::to_string(opts.aprod.backend) << " resumed at "
+            << k << ", x[" << i << "]";
+    }
+  }
+}
+
+TEST(LsqrPendingScale, DeepChecksMaterializeWithoutMovingTheSolve) {
+  // Every deep health check materializes u first; the checks only read,
+  // so a monitored solve is bit-identical to an unmonitored one.
+  const auto gen = matrix::generate_system(gaia::testing::small_config(145));
+  for (LsqrOptions opts : deterministic_options()) {
+    opts.max_iterations = 30;
+    const auto plain = lsqr_solve(gen.A, opts);
+    for (const int every : {1, 3}) {
+      LsqrOptions monitored = opts;
+      monitored.health.mode = resilience::HealthMode::kDetect;
+      monitored.health.check_every = every;
+      const auto checked = lsqr_solve(gen.A, monitored);
+      ASSERT_EQ(checked.health.detections, 0u);
+      ASSERT_EQ(checked.iterations, plain.iterations);
+      EXPECT_EQ(checked.rnorm, plain.rnorm);
+      for (std::size_t i = 0; i < plain.x.size(); ++i)
+        ASSERT_EQ(checked.x[i], plain.x[i]) << "check_every " << every;
+    }
+  }
 }
 
 }  // namespace

@@ -143,9 +143,9 @@ std::vector<std::uint64_t> loop_collectives(const DistLsqrResult& result) {
   return counts;
 }
 
-TEST(DistLsqrCollectives, HealthOffIssuesThreePerIteration) {
-  // beta's norm, the aprod2 partials and the iteration-time maximum:
-  // monitoring off adds no collective.
+TEST(DistLsqrCollectives, HealthOffIssuesTwoPerIteration) {
+  // The step's q partials with ||p||^2 in one extra slot, and the
+  // iteration-time maximum: monitoring off adds no collective.
   const auto gen = matrix::generate_system(gaia::testing::small_config(107));
   DistLsqrOptions opts;
   opts.n_ranks = 3;
@@ -157,7 +157,7 @@ TEST(DistLsqrCollectives, HealthOffIssuesThreePerIteration) {
   ASSERT_EQ(result.iterations, 12);
   const auto counts = loop_collectives(result);
   ASSERT_EQ(counts.size(), 3u);
-  for (std::uint64_t c : counts) EXPECT_EQ(c, 3u * 12u);
+  for (std::uint64_t c : counts) EXPECT_EQ(c, 2u * 12u);
 }
 
 TEST(DistLsqrCollectives, HealthAddsAtMostTheUnitNormCheckPerDeepPass) {
@@ -173,10 +173,10 @@ TEST(DistLsqrCollectives, HealthAddsAtMostTheUnitNormCheckPerDeepPass) {
   const auto result = dist_lsqr_solve(gen.A, opts);
   ASSERT_EQ(result.iterations, 12);
   ASSERT_EQ(result.health.checks, 3u);
-  // Per iteration: the three above, the ABFT row_check . u term and the
+  // Per iteration: the two above, the ABFT row_check . p term and the
   // worst-verdict agreement; per deep pass: the state-hash min and max,
   // the true-residual sum and the u unit-norm check.
-  const std::uint64_t without_unit_norm = 5u * 12u + 3u * 3u;
+  const std::uint64_t without_unit_norm = 4u * 12u + 3u * 3u;
   const auto counts = loop_collectives(result);
   ASSERT_EQ(counts.size(), 3u);
   for (std::uint64_t c : counts) {

@@ -364,7 +364,9 @@ TEST_F(ExportTest, EmptyHistogramExportsAllZeroRow) {
   auto& reg = MetricsRegistry::global();
   reg.set_enabled(true);
   (void)reg.histogram("never.recorded");
-  const MetricRow* row = find_row(reg.snapshot(), "never.recorded");
+  // The row points into the snapshot, which must outlive it.
+  const std::vector<MetricRow> rows = reg.snapshot();
+  const MetricRow* row = find_row(rows, "never.recorded");
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->count, 0u);
   EXPECT_DOUBLE_EQ(row->min, 0.0);  // not the +inf sentinel

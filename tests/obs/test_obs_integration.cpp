@@ -1,8 +1,8 @@
 /// \file test_obs_integration.cpp
 /// \brief End-to-end observability check: a traced LSQR campaign emits a
-/// valid timeline with the three pass spans of every aprod pair, each
-/// carrying the pass's exact traffic, and the metrics CSV transfer
-/// totals equal the device-side byte accounting exactly.
+/// valid timeline with one step-pass span per LSQR step, each carrying
+/// the pass's exact traffic, and the metrics CSV transfer totals equal
+/// the device-side byte accounting exactly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -83,15 +83,15 @@ TEST(ObsIntegration, TracedLsqrRunEmitsFullTimelineAndExactByteTotals) {
   EXPECT_TRUE(checker.valid());
   EXPECT_NE(buf.str().find("\"traceEvents\""), std::string::npos);
 
-  // 2. Exactly the three passes of an aprod pair appear as kernel spans,
-  // all on the caller's track, each annotated with its launch config and
-  // the pass-level bytes (y counted once per row, not once per part).
+  // 2. Only the step pass appears as a kernel span, on the caller's
+  // track, annotated with its launch config and the step's bytes (the
+  // coefficients read once for both products).
   const core::SystemView view = core::SystemView::from(gen.A);
   std::map<std::string, std::uint64_t> expected;
-  for (const auto& pass : tuning::kAprodPasses)
-    expected[core::pass_region_name(pass)] = core::pass_traffic_bytes(
-        view, pass, backends::StorageLayout::kSeedAos,
-        backends::Precision::kFp64);
+  expected[core::pass_region_name(tuning::kStepPass)] =
+      core::pass_traffic_bytes(view, tuning::kStepPass,
+                               backends::StorageLayout::kSeedAos,
+                               backends::Precision::kFp64);
   std::set<std::string> seen;
   for (const auto& e : events) {
     if (e.phase != 'X' || e.cat != "kernel") continue;
@@ -121,12 +121,12 @@ TEST(ObsIntegration, TracedLsqrRunEmitsFullTimelineAndExactByteTotals) {
             result.h2d_bytes);
   ASSERT_TRUE(sums.count("lsqr.iterations"));
   EXPECT_EQ(static_cast<std::uint64_t>(sums.at("lsqr.iterations")), 100u);
-  // One fused-scatter launch per aprod2: the bidiagonalization start plus
-  // one per iteration.
-  ASSERT_TRUE(sums.count("kernel.aprod2_fused.gpusim.atomic.launches"));
-  EXPECT_GE(static_cast<std::uint64_t>(
-                sums.at("kernel.aprod2_fused.gpusim.atomic.launches")),
-            100u);
+  // One step launch per LSQR step: the bidiagonalization start plus one
+  // per iteration.
+  ASSERT_TRUE(sums.count("kernel.aprod_step.gpusim.atomic.launches"));
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                sums.at("kernel.aprod_step.gpusim.atomic.launches")),
+            101u);
 }
 
 TEST(ObsIntegration, CasRetriesAreCountedUnderCasLoopMode) {

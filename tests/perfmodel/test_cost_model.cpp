@@ -144,6 +144,23 @@ TEST(CostModel, Mi250xSlowerThanA100DespiteHigherPeakBandwidth) {
   EXPECT_GT(mi, a100);
 }
 
+TEST(CostModel, OnePassStepBeatsTheEightKernelIteration) {
+  // The step reads A once where the eight kernels read it twice, so on
+  // the bandwidth-bound A100 it prices well under the eight-kernel
+  // iteration at every paper size, but above half of it: the x gathers,
+  // scatters and commits remain.
+  const KernelCostModel model(gpu_spec(Platform::kA100));
+  const ExecutionPlan plan = tuned_plan(gpu_spec(Platform::kA100));
+  for (const double gb : {10.0, 30.0, 60.0}) {
+    const auto p = ProblemShape::from_footprint(
+        static_cast<byte_size>(gb * static_cast<double>(kGiB)));
+    const double eight = model.iteration_seconds(p, plan);
+    const double step = model.step_iteration_seconds(p, plan);
+    EXPECT_LT(step, 0.8 * eight) << gb << " GB";
+    EXPECT_GT(step, 0.5 * eight) << gb << " GB";
+  }
+}
+
 TEST(CostModel, StreamsNeverSlowDownAnIteration) {
   const auto p = shape10();
   for (Platform plat : all_platforms()) {

@@ -92,6 +92,7 @@ TEST_F(KernelRegistryDispatch, CatalogCoversEveryKernelOnEveryBackend) {
           << to_string(id) << " on " << to_string(kind);
     EXPECT_TRUE(reg.has_fused(FusedPass::kGather, kind)) << to_string(kind);
     EXPECT_TRUE(reg.has_fused(FusedPass::kScatter, kind)) << to_string(kind);
+    EXPECT_TRUE(reg.has_fused(FusedPass::kStep, kind)) << to_string(kind);
   }
 }
 
@@ -176,12 +177,15 @@ TEST(KernelRegistry, UnregisteredLaunchThrows) {
   EXPECT_FALSE(reg.has(KernelId::kAprod1Astro, BackendKind::kSerial));
   EXPECT_FALSE(reg.has_fused(FusedPass::kGather, BackendKind::kSerial));
   EXPECT_FALSE(reg.has_fused(FusedPass::kScatter, BackendKind::kSerial));
+  EXPECT_FALSE(reg.has_fused(FusedPass::kStep, BackendKind::kSerial));
   EXPECT_EQ(reg.size(), 0u);
   LaunchArgs args;
   EXPECT_THROW(reg.launch(KernelId::kAprod1Astro, BackendKind::kSerial, args),
                Error);
   EXPECT_THROW(reg.launch_fused(FusedPass::kScatter, BackendKind::kSerial,
                                 args),
+               Error);
+  EXPECT_THROW(reg.launch_fused(FusedPass::kStep, BackendKind::kSerial, args),
                Error);
 }
 
