@@ -1,55 +1,30 @@
 /// \file ablation_storage.cpp
-/// \brief Storage-layout ablation over the production kernel stack.
+/// \brief Coefficient-storage footprint: the solver's row records
+/// against generic CSR (paper §III-B).
 ///
-/// Three comparisons, all driven through the same `LayoutedSystem` +
-/// `KernelRegistry` path the solver uses (no hand-rolled loops, so the
-/// numbers are the production numbers):
-///  1. footprint: seed AoS vs tiled SoA vs sliced-instrumental derived
-///     bytes, against generic CSR as the outside reference (the paper's
-///     SIII-B argument: the custom layout is what keeps production at
-///     ~19 TB instead of ~31 TB);
-///  2. measured per-kernel medians per layout on the selected backend;
-///  3. an optional `--out` perf baseline with layout-labeled rows so
-///     `gaia-perfgate` can track each (kernel, layout) series.
+/// The production code stores each observation as one 24-coefficient
+/// row record plus two column indices and six instrumental columns; a
+/// generic CSR pays one column index per non-zero instead. That custom
+/// layout is what keeps production at ~19 TB instead of ~31 TB. This
+/// table prints the coefficient bytes of the row records against the
+/// whole CSR for one synthetic system.
 #include <iostream>
 #include <string>
-#include <vector>
 
-#include "backends/scratch_arena.hpp"
-#include "core/kernel_catalog.hpp"
-#include "core/system_view.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/generator.hpp"
-#include "matrix/layouted_system.hpp"
-#include "metrics/perf_baseline.hpp"
-#include "tuning/kernel_registry.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
-#include "util/stats.hpp"
-#include "util/stopwatch.hpp"
 #include "util/string_utils.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace gaia;
   util::Cli cli("ablation_storage",
-                "Storage-layout ablation: seed AoS vs SoA-tiled vs "
-                "sliced-instrumental through the production registry");
-  cli.add_option("backend", "openmp", "serial | openmp | pstl | gpusim");
+                "Coefficient-storage footprint: row records vs generic CSR");
   cli.add_option("stars", "4000", "synthetic system size in stars");
-  cli.add_option("reps", "9", "timed repetitions per kernel");
-  cli.add_option("out", "",
-                 "write a layout-labeled perf baseline here (perf-gate "
-                 "consumable); empty = print only");
   try {
     if (!cli.parse(argc, argv)) return 0;
-    const auto backend_opt = backends::parse_backend(cli.get("backend"));
-    GAIA_CHECK(backend_opt.has_value(),
-               "unknown backend '" + cli.get("backend") + "'");
-    const backends::BackendKind backend = *backend_opt;
-    const auto reps = static_cast<int>(cli.get_int("reps"));
-    GAIA_CHECK(reps > 0, "--reps must be positive");
 
     matrix::GeneratorConfig cfg;
     cfg.seed = 555;
@@ -61,107 +36,27 @@ int main(int argc, char** argv) {
     const auto csr = matrix::to_csr(gen.A);
     const double rows = static_cast<double>(gen.A.n_rows());
 
-    matrix::LayoutedSystem layouts(gen.A);
-    layouts.build(backends::StorageLayout::kSlicedInstr);  // implies SoA
+    std::cout << "=== coefficient-storage footprint (" << gen.A.n_rows()
+              << " rows x " << gen.A.n_cols() << " unknowns) ===\n\n";
 
-    std::cout << "=== storage-layout ablation (" << gen.A.n_rows()
-              << " rows x " << gen.A.n_cols() << " unknowns, backend "
-              << backends::to_string(backend) << ") ===\n\n";
-
-    // 1. Footprint: padded coefficient bytes per layout, CSR reference.
     util::Table t({"format", "coeff bytes", "bytes/row", "vs seed"});
-    const double seed_bytes = static_cast<double>(
-        layouts.padded_coefficient_bytes(backends::StorageLayout::kSeedAos));
-    const auto add_layout_row = [&](backends::StorageLayout layout) {
-      const double bytes = static_cast<double>(
-          layouts.padded_coefficient_bytes(layout));
-      t.add_row({backends::to_string(layout),
-                 util::format_bytes(static_cast<byte_size>(bytes)),
-                 util::Table::num(bytes / rows, 1),
-                 util::Table::num(bytes / seed_bytes, 2) + "x"});
+    const auto seed_bytes = static_cast<byte_size>(gen.A.n_rows()) *
+                            kNnzPerRow * sizeof(real);
+    const auto add_row = [&](const std::string& format, byte_size bytes) {
+      const auto b = static_cast<double>(bytes);
+      t.add_row({format, util::format_bytes(bytes),
+                 util::Table::num(b / rows, 1),
+                 util::Table::num(b / static_cast<double>(seed_bytes), 2) +
+                     "x"});
     };
-    add_layout_row(backends::StorageLayout::kSeedAos);
-    add_layout_row(backends::StorageLayout::kSoaTiled);
-    add_layout_row(backends::StorageLayout::kSlicedInstr);
-    const double csr_bytes = static_cast<double>(csr.bytes());
-    t.add_row({"generic CSR", util::format_bytes(csr.bytes()),
-               util::Table::num(csr_bytes / rows, 1),
-               util::Table::num(csr_bytes / seed_bytes, 2) + "x"});
+    add_row("seed_aos", seed_bytes);
+    add_row("generic CSR", csr.bytes());
     std::cout << t.str() << '\n';
-
-    // 2. Measured per-kernel medians per layout, production launch path.
-    core::ensure_kernel_catalog();
-    core::SystemView view = core::SystemView::from(gen.A);
-    view.attach_layout(layouts);
-    const tuning::KernelRegistry& registry = tuning::KernelRegistry::global();
-    const backends::TuningTable table = backends::TuningTable::tuned_default();
-    backends::ScratchArena arena;
-
-    util::Xoshiro256 rng(1);
-    std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()));
-    std::vector<real> y(static_cast<std::size_t>(gen.A.n_rows()));
-    for (auto& v : x) v = rng.normal();
-    for (auto& v : y) v = rng.normal();
-
-    metrics::PerfBaseline baseline;
-    baseline.name = "ablation_storage";
-    util::Table m({"kernel", "seed_aos (ms)", "soa_tiled (ms)",
-                   "sliced_instr (ms)", "best/seed"});
-    for (backends::KernelId id : backends::all_kernels()) {
-      const bool is_aprod1 = id < backends::KernelId::kAprod2Astro;
-      std::vector<std::string> cells{std::string(backends::to_string(id))};
-      double seed_med = 0, best_med = 0;
-      for (int li = 0; li < backends::kNumStorageLayouts; ++li) {
-        tuning::LaunchArgs args;
-        args.view = &view;
-        args.in = is_aprod1 ? x.data() : y.data();
-        args.out = is_aprod1 ? y.data() : x.data();
-        args.config = table.get(id);
-        args.config.layout = static_cast<backends::StorageLayout>(li);
-        args.arena = &arena;
-        std::vector<double> samples;
-        samples.reserve(static_cast<std::size_t>(reps));
-        registry.launch(id, backend, args);  // warm-up, untimed
-        for (int r = 0; r < reps; ++r) {
-          util::Stopwatch watch;
-          registry.launch(id, backend, args);
-          samples.push_back(watch.elapsed_s());
-        }
-        const double med = util::median(samples);
-        if (li == 0) seed_med = med;
-        best_med = li == 0 ? med : std::min(best_med, med);
-        cells.push_back(util::Table::num(med * 1e3, 3));
-
-        metrics::KernelTiming timing;
-        timing.kernel = backends::to_string(id);
-        timing.backend = backends::to_string(backend);
-        timing.strategy = backends::kernel_uses_atomics(id)
-                              ? backends::to_string(args.config.strategy)
-                              : "none";
-        timing.layout = backends::to_string(args.config.layout);
-        timing.median_seconds = med;
-        timing.samples = samples.size();
-        baseline.kernels.push_back(timing);
-      }
-      cells.push_back(util::Table::num(best_med / seed_med, 2) + "x");
-      m.add_row(cells);
-    }
-    std::cout << m.str() << '\n';
-    std::cout << "seed AoS fetches whole 192 B row records at line "
-                 "granularity no matter which block a kernel reads; the "
-                 "SoA streams fetch exact coefficient bytes (plus a "
-                 "zero-padded tile tail), and the sliced instrumental "
-                 "format adds lane padding but clusters rows that touch "
-                 "nearby instrumental columns, cutting the irregular "
-                 "gather misses. CSR is the outside reference: its "
-                 "per-non-zero column index is the footprint the custom "
-                 "formats exist to avoid.\n";
-
-    if (!cli.get("out").empty()) {
-      metrics::save_baseline(cli.get("out"), baseline);
-      std::cout << "wrote " << baseline.kernels.size() << " series to "
-                << cli.get("out") << '\n';
-    }
+    std::cout << "The row records store 24 coefficients per row at fixed "
+                 "offsets, addressing the astrometric and attitude blocks "
+                 "with one column index each; CSR's per-non-zero column "
+                 "index is the footprint the custom format exists to "
+                 "avoid.\n";
     return 0;
   } catch (const gaia::Error& e) {
     std::cerr << "ablation_storage: " << e.what() << '\n';

@@ -2,11 +2,16 @@
 /// \brief Fast per-kernel timing sweep that emits a BENCH_smoke.json
 /// perf baseline — the producer side of the `gaia-perfgate` CI gate.
 ///
-/// Launches each of the eight aprod kernels, the fused gather and the
-/// fused scatter on both commit strategies directly through the
-/// KernelRegistry on a small host-resident system, records the median
-/// launch time per series, and writes a metrics::PerfBaseline. Runs in
-/// about a second, so CI can afford two runs (baseline + verify) plus an
+/// Launches each of the eight aprod kernels, the fused gather, the fused
+/// scatter and the LSQR step (the one pass the solver launches), the
+/// last two on both commit strategies, at every storage precision,
+/// directly through the KernelRegistry on a small host-resident system.
+/// Every series gets one untimed launch, then the timed repetitions run
+/// round-robin — repetition r of every series before repetition r + 1 of
+/// any — so neither the process's start-up transient nor its position
+/// in the sweep favours a series. Records the median launch time per
+/// series and writes a metrics::PerfBaseline. Runs in about a second,
+/// so CI can afford two runs (baseline + verify) plus an
 /// injected-slowdown run to prove the gate trips:
 ///
 ///   bench_smoke --out BENCH_smoke.json
@@ -16,6 +21,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backends/scratch_arena.hpp"
@@ -72,7 +78,7 @@ int main(int argc, char** argv) {
   cli.add_option("backend", "openmp", "serial | openmp | pstl | gpusim");
   cli.add_option("stars", "1500",
                  "synthetic system size in stars (large enough that the "
-                 "system leaves L2 and the layout comparison is a "
+                 "system leaves L2 and the precision comparison is a "
                  "bandwidth story, still well under a second)");
   cli.add_option("slowdown", "",
                  "KERNEL=FACTOR: artificially slow one kernel "
@@ -108,17 +114,12 @@ int main(int argc, char** argv) {
     const matrix::GeneratedSystem gen = matrix::generate_system(cfg);
     core::ensure_kernel_catalog();
     core::SystemView view = core::SystemView::from(gen.A);
-    // All three storage layouts are timed, so derived arrays are built
-    // up front and attached to the view; per-row series are labeled
-    // with their layout so the gate tracks each independently.
-    matrix::LayoutedSystem layouts(gen.A);
-    layouts.build(backends::StorageLayout::kSlicedInstr);  // implies SoA
-    view.attach_layout(layouts);
-    // Reduced-precision planes for every layout, so the precision axis
-    // is timed on the same memory story as the layout axis.
-    layouts.build_precision(backends::Precision::kFp32);
-    layouts.build_precision(backends::Precision::kBf16s);
-    view.attach_precision(layouts);
+    // Reduced-precision records, so every series is timed at every
+    // storage precision on the same system.
+    matrix::LayoutedSystem stores(gen.A);
+    stores.build_precision(backends::Precision::kFp32);
+    stores.build_precision(backends::Precision::kBf16s);
+    view.attach_precision(stores);
     const tuning::KernelRegistry& registry = tuning::KernelRegistry::global();
     const backends::TuningTable table = backends::TuningTable::tuned_default();
     backends::ScratchArena arena;
@@ -128,119 +129,111 @@ int main(int argc, char** argv) {
     std::vector<real> y(static_cast<std::size_t>(gen.A.n_rows()));
     for (auto& v : x) v = rng.normal();
     for (auto& v : y) v = rng.normal();
+    // The step overwrites its u with p = A v - alpha u and q with A^T p;
+    // sigma * alpha = 0.5 keeps the repeated u <- p bounded, as in
+    // bench_aprod.
+    std::vector<real> u = y;
+    std::vector<real> q(x.size());
+    real pnorm_sq = 0;
 
-    // The timed series: the eight per-section kernels at the tuned table
-    // (the per-kernel totals below sum these), then the two passes the
-    // solve launches, the fused scatter once per commit strategy.
+    // The timed series, per precision: the eight per-section kernels at
+    // the tuned table (the per-kernel totals below sum these), then the
+    // three passes the solver launches, the fused scatter and the step
+    // once per commit strategy.
+    std::vector<std::pair<tuning::AprodPass, backends::ScatterStrategy>>
+        shapes;
+    for (backends::KernelId id : backends::all_kernels())
+      shapes.push_back({{id, std::nullopt}, table.get(id).strategy});
+    shapes.push_back(
+        {tuning::kAprodPasses[0], backends::ScatterStrategy::kAtomic});
+    for (const tuning::AprodPass& pass :
+         {tuning::kAprodPasses[2], tuning::kStepPass})
+      for (const backends::ScatterStrategy strategy :
+           {backends::ScatterStrategy::kAtomic,
+            backends::ScatterStrategy::kPrivatized})
+        shapes.push_back({pass, strategy});
+
     struct Series {
       tuning::AprodPass pass;
-      backends::ScatterStrategy strategy;
+      tuning::LaunchArgs args;
+      metrics::KernelTiming timing;
+      double spin_factor = 0;
+      std::vector<double> samples;
     };
     std::vector<Series> series;
-    for (backends::KernelId id : backends::all_kernels())
-      series.push_back({{id, std::nullopt}, table.get(id).strategy});
-    series.push_back({{backends::KernelId::kAprod1Astro,
-                       tuning::FusedPass::kGather},
-                      backends::ScatterStrategy::kAtomic});
-    for (const backends::ScatterStrategy strategy :
-         {backends::ScatterStrategy::kAtomic,
-          backends::ScatterStrategy::kPrivatized})
-      series.push_back({{backends::KernelId::kAprod2Att,
-                         tuning::FusedPass::kScatter},
-                        strategy});
+    for (int pi = 0; pi < backends::kNumPrecisions; ++pi) {
+      const auto precision = static_cast<backends::Precision>(pi);
+      for (const auto& [pass, strategy] : shapes) {
+        const backends::KernelId id = pass.id;
+        const bool is_aprod1 = id < backends::KernelId::kAprod2Astro;
+        Series s;
+        s.pass = pass;
+        s.args.view = &view;
+        if (pass.fused == tuning::FusedPass::kStep) {
+          s.args.in = x.data();
+          s.args.out = u.data();
+          s.args.q = q.data();
+          s.args.alpha = 0.5;
+          s.args.pnorm_sq = &pnorm_sq;
+        } else {
+          s.args.in = is_aprod1 ? x.data() : y.data();
+          s.args.out = is_aprod1 ? y.data() : x.data();
+        }
+        s.args.config = table.get(id);
+        s.args.config.strategy = strategy;
+        s.args.config.precision = precision;
+        s.args.arena = &arena;
+        s.timing.kernel = core::pass_region_name(pass);
+        s.timing.backend = backends::to_string(backend);
+        s.timing.strategy = backends::kernel_uses_atomics(id)
+                                ? backends::to_string(strategy)
+                                : "none";
+        s.timing.precision = backends::to_string(precision);
+        s.spin_factor = s.timing.kernel == slowdown.kernel
+                            ? slowdown.factor - 1.0
+                            : 0.0;
+        s.samples.reserve(static_cast<std::size_t>(reps));
+        series.push_back(std::move(s));
+      }
+    }
+
+    for (Series& s : series)
+      registry.launch(s.pass, backend, s.args);  // warm-up, untimed
+    for (int r = 0; r < reps; ++r) {
+      for (Series& s : series) {
+        util::Stopwatch watch;
+        registry.launch(s.pass, backend, s.args);
+        if (s.spin_factor > 0)
+          busy_spin_for(s.spin_factor * watch.elapsed_s());
+        s.samples.push_back(watch.elapsed_s());
+      }
+    }
 
     metrics::PerfBaseline baseline;
     baseline.name = "smoke";
-    std::array<std::array<double, backends::kNumStorageLayouts>,
-               backends::kNumPrecisions>
-        aprod_total{};
-    for (int pi = 0; pi < backends::kNumPrecisions; ++pi) {
-      const auto precision = static_cast<backends::Precision>(pi);
-      for (int li = 0; li < backends::kNumStorageLayouts; ++li) {
-        const auto layout = static_cast<backends::StorageLayout>(li);
-        for (const Series& s : series) {
-          const backends::KernelId id = s.pass.id;
-          const bool is_aprod1 = id < backends::KernelId::kAprod2Astro;
-          tuning::LaunchArgs args;
-          args.view = &view;
-          args.in = is_aprod1 ? x.data() : y.data();
-          args.out = is_aprod1 ? y.data() : x.data();
-          args.config = table.get(id);
-          args.config.strategy = s.strategy;
-          args.config.layout = layout;
-          args.config.precision = precision;
-          args.arena = &arena;
-          const std::string name = core::pass_region_name(s.pass);
-          const double spin_factor =
-              name == slowdown.kernel ? slowdown.factor - 1.0 : 0.0;
-
-          std::vector<double> samples;
-          samples.reserve(static_cast<std::size_t>(reps));
-          registry.launch(s.pass, backend, args);  // warm-up, untimed
-          for (int r = 0; r < reps; ++r) {
-            util::Stopwatch watch;
-            registry.launch(s.pass, backend, args);
-            if (spin_factor > 0)
-              busy_spin_for(spin_factor * watch.elapsed_s());
-            samples.push_back(watch.elapsed_s());
-          }
-
-          metrics::KernelTiming timing;
-          timing.kernel = name;
-          timing.backend = backends::to_string(backend);
-          timing.strategy = backends::kernel_uses_atomics(id)
-                                ? backends::to_string(s.strategy)
-                                : "none";
-          timing.layout = backends::to_string(layout);
-          timing.precision = backends::to_string(precision);
-          timing.median_seconds = util::median(samples);
-          timing.samples = samples.size();
-          baseline.kernels.push_back(timing);
-          if (!s.pass.fused)
-            aprod_total[static_cast<std::size_t>(pi)]
-                       [static_cast<std::size_t>(li)] +=
-                timing.median_seconds;
-          std::cout << name << " [" << timing.strategy << '/'
-                    << timing.layout << '/' << timing.precision
-                    << "]: median " << timing.median_seconds * 1e3
-                    << " ms over " << reps << " rep(s)\n";
-        }
-      }
+    std::array<double, backends::kNumPrecisions> aprod_total{};
+    for (Series& s : series) {
+      s.timing.median_seconds = util::median(s.samples);
+      s.timing.samples = s.samples.size();
+      baseline.kernels.push_back(s.timing);
+      if (!s.pass.fused)
+        aprod_total[static_cast<std::size_t>(s.args.config.precision)] +=
+            s.timing.median_seconds;
+      std::cout << s.timing.kernel << " [" << s.timing.strategy << '/'
+                << s.timing.precision << "]: median "
+                << s.timing.median_seconds * 1e3 << " ms over " << reps
+                << " rep(s)\n";
     }
-    // One-line layout verdict (at fp64): summed per-kernel medians per
-    // layout. The layout-smoke CI job greps this to assert a derived
-    // layout beats the seed on at least one parallel host backend.
-    const double seed_total = aprod_total[0][0];
-    for (int li = 0; li < backends::kNumStorageLayouts; ++li) {
-      const auto layout = static_cast<backends::StorageLayout>(li);
-      std::cout << "layout total [" << backends::to_string(layout)
-                << "]: " << aprod_total[0][static_cast<std::size_t>(li)] * 1e3
-                << " ms"
-                << (li > 0 && aprod_total[0][static_cast<std::size_t>(li)] <
-                                  seed_total
-                        ? " (beats seed_aos)"
-                        : "")
-                << '\n';
-    }
-    // Precision verdict: per (precision, layout) aprod totals against
-    // the same layout's fp64 total — the precision-smoke CI job greps
+    // Precision verdict: per-precision totals of the eight per-kernel
+    // medians against the fp64 total — the precision-smoke CI job greps
     // "(beats fp64)" to assert the reduced storage actually buys
     // bandwidth on a parallel host backend.
     for (int pi = 1; pi < backends::kNumPrecisions; ++pi) {
       const auto precision = static_cast<backends::Precision>(pi);
-      for (int li = 0; li < backends::kNumStorageLayouts; ++li) {
-        const auto layout = static_cast<backends::StorageLayout>(li);
-        const double total =
-            aprod_total[static_cast<std::size_t>(pi)]
-                       [static_cast<std::size_t>(li)];
-        std::cout << "precision total [" << backends::to_string(layout)
-                  << '/' << backends::to_string(precision)
-                  << "]: " << total * 1e3 << " ms"
-                  << (total < aprod_total[0][static_cast<std::size_t>(li)]
-                          ? " (beats fp64)"
-                          : "")
-                  << '\n';
-      }
+      const double total = aprod_total[static_cast<std::size_t>(pi)];
+      std::cout << "precision total [" << backends::to_string(precision)
+                << "]: " << total * 1e3 << " ms"
+                << (total < aprod_total[0] ? " (beats fp64)" : "") << '\n';
     }
 
     metrics::save_baseline(cli.get("out"), baseline);

@@ -54,12 +54,6 @@ int main(int argc, char** argv) {
                  "default) | privatized (contention-free per-worker "
                  "slices + tree reduction) | auto (measured with "
                  "--autotune, cost-model predicted otherwise)");
-  cli.add_option("layout", "seed",
-                 "kernel storage layout: seed (row-record AoS, default) "
-                 "| soa (cache-blocked SoA streams) | sliced (SoA + "
-                 "slice-sorted instrumental block) | auto (measured with "
-                 "--autotune, cost-model predicted otherwise); also "
-                 "honored via GAIA_LAYOUT");
   cli.add_option("precision", "fp64",
                  "coefficient storage precision: fp64 (seed planes, "
                  "default) | fp32 | bf16s (truncated fp32) | auto "
@@ -188,17 +182,8 @@ int main(int argc, char** argv) {
     GAIA_CHECK(scatter.has_value(),
                "unknown scatter mode: " + cli.get("scatter"));
     config.scatter = *scatter;
-    std::string layout_source;
-    const std::string layout_name =
-        cli.get_or_env("layout", "GAIA_LAYOUT", &layout_source);
-    const auto layout_mode = core::parse_layout_mode(layout_name);
-    GAIA_CHECK(layout_mode.has_value(), "unknown layout mode (from " +
-                                            layout_source +
-                                            "): " + layout_name);
-    config.storage_layout = *layout_mode;
-    // Precision shares the layout grammar shape: flag wins over
-    // GAIA_PRECISION wins over the default, and a bad token's error
-    // names where the token actually came from.
+    // Precision: flag wins over GAIA_PRECISION wins over the default,
+    // and a bad token's error names where the token actually came from.
     std::string precision_source;
     const std::string precision_name =
         cli.get_or_env("precision", "GAIA_PRECISION", &precision_source);
@@ -275,24 +260,8 @@ int main(int argc, char** argv) {
       } else if (config.scatter == core::ScatterMode::kAuto) {
         dopts.autotune_search.scatter = std::nullopt;
       }
-      // Same mirroring for the layout policy: force a pinned derived
-      // layout into every rank's table, open the search axis for auto.
-      if (config.storage_layout == core::LayoutMode::kAuto) {
-        dopts.autotune_search.layout = std::nullopt;
-      } else if (config.storage_layout != core::LayoutMode::kSeed) {
-        const backends::StorageLayout forced =
-            config.storage_layout == core::LayoutMode::kSoa
-                ? backends::StorageLayout::kSoaTiled
-                : backends::StorageLayout::kSlicedInstr;
-        for (backends::KernelId id : backends::all_kernels()) {
-          backends::KernelConfig kcfg = dopts.lsqr.aprod.tuning.get(id);
-          kcfg.layout = forced;
-          dopts.lsqr.aprod.tuning.set(id, kcfg);
-        }
-        dopts.autotune_search.layout = forced;
-      }
       // And for the precision policy: rank 0's winners carry the
-      // precision field through the 5-real encoded broadcast.
+      // precision field through the 4-real encoded broadcast.
       if (config.precision == core::PrecisionMode::kAuto) {
         dopts.autotune_search.precision = std::nullopt;
       } else if (config.precision != core::PrecisionMode::kFp64) {

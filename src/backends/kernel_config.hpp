@@ -19,26 +19,19 @@
 
 namespace gaia::backends {
 
-/// Storage layout the kernel body reads its coefficients through. The
-/// enum lives in `matrix` (header-only — backends does not link
-/// gaia_matrix) next to the builders; it is re-exported here because it
-/// rides on KernelConfig through the whole tuning stack, exactly like
-/// the scatter strategy.
+/// The retired storage-layout enum, re-exported for KernelConfig::layout
+/// (matrix/storage_layout.hpp). Stays until ROADMAP item 8.
 using matrix::StorageLayout;
 using matrix::kNumStorageLayouts;
 
 [[nodiscard]] inline std::string to_string(StorageLayout layout) {
   return matrix::to_string(layout);
 }
-[[nodiscard]] inline std::optional<StorageLayout> parse_storage_layout(
-    const std::string& name) {
-  return matrix::parse_storage_layout(name);
-}
 
 /// Storage precision the kernel body reads its coefficients through.
-/// Like StorageLayout, the enum lives in `matrix` (header-only) next to
-/// the down-converters and rides on KernelConfig through the tuning
-/// stack; accumulation is FP64 for every precision.
+/// The enum lives in `matrix` (header-only — backends does not link
+/// gaia_matrix) next to the down-converters, and rides on KernelConfig
+/// through the tuning stack; accumulation is FP64 for every precision.
 using matrix::Precision;
 using matrix::kNumPrecisions;
 
@@ -78,17 +71,16 @@ struct KernelConfig {
   /// Scatter commit strategy (atomic kernels only; kAtomic preserves the
   /// pre-strategy behaviour bit for bit).
   ScatterStrategy strategy = ScatterStrategy::kAtomic;
-  /// Coefficient storage layout the kernel body reads. kSeedAos is the
-  /// seed behaviour bit for bit; non-seed layouts require the matching
-  /// derived arrays to be attached to the SystemView (the launcher
-  /// falls back to kSeedAos when they are not).
-  StorageLayout layout = StorageLayout::kSeedAos;
   /// Coefficient storage precision the kernel body loads through. kFp64
   /// is the seed behaviour bit for bit; reduced precisions require the
-  /// matching down-converted planes to be attached to the SystemView
+  /// matching down-converted records to be attached to the SystemView
   /// (the launcher clamps to kFp64 when they are not). Accumulation is
   /// FP64 regardless.
   Precision precision = Precision::kFp64;
+  /// Ignored, like AprodOptions::use_streams: every layout launches the
+  /// row-record bodies. Stays until ROADMAP item 8, for the end-to-end
+  /// benchmark's layout sweep.
+  StorageLayout layout = StorageLayout::kSeedAos;
 
   [[nodiscard]] bool is_default() const { return blocks == 0 && threads == 0; }
   [[nodiscard]] std::int64_t total_threads() const {

@@ -35,10 +35,7 @@ std::vector<obs::TraceArg> pass_trace_args(
   args.emplace_back("backend", backends::to_string(backend));
   args.emplace_back("blocks", static_cast<std::int64_t>(cfg.blocks));
   args.emplace_back("threads", static_cast<std::int64_t>(cfg.threads));
-  args.emplace_back("bytes", pass_traffic_bytes(view, pass, cfg.layout,
-                                                cfg.precision));
-  if (cfg.layout != backends::StorageLayout::kSeedAos)
-    args.emplace_back("layout", backends::to_string(cfg.layout));
+  args.emplace_back("bytes", pass_traffic_bytes(view, pass, cfg.precision));
   if (cfg.precision != backends::Precision::kFp64)
     args.emplace_back("precision", backends::to_string(cfg.precision));
   if (backends::kernel_uses_atomics(pass.id)) {
@@ -73,7 +70,7 @@ void record_launch_sample(const SystemView& view,
   s.backend = backends::to_string(backend);
   s.strategy = strategy_label(pass, cfg);
   s.seconds = seconds;
-  s.bytes = pass_traffic_bytes(view, pass, cfg.layout, cfg.precision);
+  s.bytes = pass_traffic_bytes(view, pass, cfg.precision);
   s.flops = pass_flops(view, pass);
   s.atomic_updates = pass_atomic_updates(view, pass, cfg.strategy, workers);
   obs::record_kernel_sample(s);
@@ -97,6 +94,19 @@ void note_failover(const char* kernel, BackendKind from, BackendKind to) {
                         backends::to_string(to));
 }
 
+/// A launch that asked for a reduced precision whose copy does not fit
+/// the device runs fp64 instead: the one degrade left on the launch path.
+void note_precision_clamp(const char* kernel, backends::Precision precision,
+                          const char* why) {
+  auto& reg = obs::MetricsRegistry::global();
+  if (reg.enabled()) {
+    static obs::Counter& clamps = reg.counter("aprod.precision_clamps");
+    clamps.add(1);
+  }
+  obs::flight_event("degrade", kernel,
+                    backends::to_string(precision) + " -> fp64: " + why);
+}
+
 }  // namespace
 
 Aprod::Aprod(const matrix::SystemMatrix& A, backends::DeviceContext& device,
@@ -114,116 +124,37 @@ Aprod::Aprod(const matrix::SystemMatrix& A, backends::DeviceContext& device,
   if (!col_scale.empty())
     apply_column_scaling(A, d_values_.span(), col_scale);
   // Same construction path as the host view, fed the device-resident
-  // copies — scalar fields and layout descriptors can't drift.
+  // copies — the scalar fields can't drift.
   view_ = SystemView::from(
       A, {d_values_.data(), d_idx_astro_.data(), d_idx_att_.data(),
           d_instr_col_.data(), d_star_row_start_.data()});
 }
 
-void Aprod::ensure_layout(backends::StorageLayout layout) {
-  if (layout == backends::StorageLayout::kSeedAos) return;
-  std::lock_guard<std::mutex> lock(layout_mutex_);
-  if (view_.has_layout(layout)) return;
-  if (!layouts_)
-    layouts_ = std::make_unique<matrix::LayoutedSystem>(
-        *matrix_, d_values_.span());
-  layouts_->build(layout);
-  // Upload the derived arrays once (the "resident before the main loop"
-  // contract of paper SIV-a applies to them like the seed arrays) and
-  // point the view's descriptors at the device copies.
-  const matrix::SoaStreams& soa = layouts_->soa();
-  if (soa.built() && !d_soa_astro_) {
-    d_soa_astro_ = std::make_unique<backends::DeviceBuffer<real>>(
-        *device_, std::span<const real>(soa.astro), options_.coherence);
-    d_soa_att_ = std::make_unique<backends::DeviceBuffer<real>>(
-        *device_, std::span<const real>(soa.att), options_.coherence);
-    d_soa_instr_ = std::make_unique<backends::DeviceBuffer<real>>(
-        *device_, std::span<const real>(soa.instr), options_.coherence);
-    d_soa_glob_ = std::make_unique<backends::DeviceBuffer<real>>(
-        *device_, std::span<const real>(soa.glob), options_.coherence);
-    view_.soa_astro = d_soa_astro_->data();
-    view_.soa_att = d_soa_att_->data();
-    view_.soa_instr = d_soa_instr_->data();
-    view_.soa_glob = d_soa_glob_->data();
-    view_.soa_padded_rows = soa.padded_rows;
-    view_.planes_f64.soa_astro = d_soa_astro_->data();
-    view_.planes_f64.soa_att = d_soa_att_->data();
-    view_.planes_f64.soa_instr = d_soa_instr_->data();
-    view_.planes_f64.soa_glob = d_soa_glob_->data();
-  }
-  const matrix::SlicedInstr& sliced = layouts_->sliced();
-  if (sliced.built() && !d_slice_values_) {
-    d_slice_values_ = std::make_unique<backends::DeviceBuffer<real>>(
-        *device_, std::span<const real>(sliced.slice_values),
-        options_.coherence);
-    d_slice_cols_ = std::make_unique<backends::DeviceBuffer<std::int32_t>>(
-        *device_, std::span<const std::int32_t>(sliced.slice_cols),
-        options_.coherence);
-    d_slice_rows_ = std::make_unique<backends::DeviceBuffer<row_index>>(
-        *device_, std::span<const row_index>(sliced.slice_rows),
-        options_.coherence);
-    d_slice_row_slot_ = std::make_unique<backends::DeviceBuffer<row_index>>(
-        *device_, std::span<const row_index>(sliced.row_slot),
-        options_.coherence);
-    view_.slice_values = d_slice_values_->data();
-    view_.slice_cols = d_slice_cols_->data();
-    view_.slice_rows = d_slice_rows_->data();
-    view_.slice_row_slot = d_slice_row_slot_->data();
-    view_.n_slices = sliced.n_slices;
-    view_.planes_f64.slice_values = d_slice_values_->data();
-  }
-}
-
-template <typename T>
-void Aprod::attach_precision_buffers(const matrix::PrecisionStore<T>& store,
-                                     PrecisionBuffers<T>& bufs,
-                                     SystemView::CoefPlanes<T>& planes) {
-  // Upload each converted stream once; a later call after a new layout
-  // build only uploads the streams that appeared since.
-  if (store.built() && !bufs.values) {
-    bufs.values = std::make_unique<backends::DeviceBuffer<T>>(
-        *device_, std::span<const T>(store.values), options_.coherence);
-    planes.values = bufs.values->data();
-  }
-  if (!store.soa_astro.empty() && !bufs.soa_astro) {
-    bufs.soa_astro = std::make_unique<backends::DeviceBuffer<T>>(
-        *device_, std::span<const T>(store.soa_astro), options_.coherence);
-    bufs.soa_att = std::make_unique<backends::DeviceBuffer<T>>(
-        *device_, std::span<const T>(store.soa_att), options_.coherence);
-    bufs.soa_instr = std::make_unique<backends::DeviceBuffer<T>>(
-        *device_, std::span<const T>(store.soa_instr), options_.coherence);
-    bufs.soa_glob = std::make_unique<backends::DeviceBuffer<T>>(
-        *device_, std::span<const T>(store.soa_glob), options_.coherence);
-    planes.soa_astro = bufs.soa_astro->data();
-    planes.soa_att = bufs.soa_att->data();
-    planes.soa_instr = bufs.soa_instr->data();
-    planes.soa_glob = bufs.soa_glob->data();
-  }
-  if (!store.slice_values.empty() && !bufs.slice_values) {
-    bufs.slice_values = std::make_unique<backends::DeviceBuffer<T>>(
-        *device_, std::span<const T>(store.slice_values),
-        options_.coherence);
-    planes.slice_values = bufs.slice_values->data();
-  }
-}
-
 void Aprod::ensure_precision(backends::Precision precision) {
   if (precision == backends::Precision::kFp64) return;
-  std::lock_guard<std::mutex> lock(layout_mutex_);
-  if (!layouts_)
-    layouts_ = std::make_unique<matrix::LayoutedSystem>(
-        *matrix_, d_values_.span());
-  // Converts the seed values plus every layout stream built so far;
-  // streams converted on a previous call are skipped inside.
-  layouts_->build_precision(precision);
+  std::lock_guard<std::mutex> lock(precision_mutex_);
+  if (view_.has_precision(precision)) return;
+  if (!stores_)
+    stores_ = std::make_unique<matrix::LayoutedSystem>(*matrix_,
+                                                       d_values_.span());
+  stores_->build_precision(precision);
+  // Upload the converted records once (the "resident before the main
+  // loop" contract of paper SIV-a applies to them like the seed arrays)
+  // and point the view at the device copy.
   switch (precision) {
     case backends::Precision::kFp64:
       break;
     case backends::Precision::kFp32:
-      attach_precision_buffers(layouts_->f32(), d_f32_, view_.planes_f32);
+      d_values_f32_ = std::make_unique<backends::DeviceBuffer<float>>(
+          *device_, std::span<const float>(stores_->f32().values),
+          options_.coherence);
+      view_.values_f32 = d_values_f32_->data();
       break;
     case backends::Precision::kBf16s:
-      attach_precision_buffers(layouts_->b16(), d_b16_, view_.planes_b16);
+      d_values_b16_ = std::make_unique<backends::DeviceBuffer<matrix::bf16s>>(
+          *device_, std::span<const matrix::bf16s>(stores_->b16().values),
+          options_.coherence);
+      view_.values_b16 = d_values_b16_->data();
       break;
   }
 }
@@ -249,27 +180,22 @@ void Aprod::launch_pass(const tuning::AprodPass& pass,
                        tuner->searching(id);
     backends::KernelConfig cfg =
         trial ? tuner->propose(id) : options_.tuning.get(id);
-    // Materialize the derived layout on first use; if the build cannot
-    // fit the device, the launch clamps back to the always-present seed
-    // layout instead of aborting the solve.
-    if (cfg.layout != backends::StorageLayout::kSeedAos &&
-        !view_.has_layout(cfg.layout)) {
-      try {
-        ensure_layout(cfg.layout);
-      } catch (const Error&) {
-        cfg.layout = backends::StorageLayout::kSeedAos;
-      }
-    }
-    // Same lazy-materialize-or-clamp contract for the precision axis:
-    // convert + upload the reduced-precision planes on first use, and
-    // if the conversion cannot fit the device, run full precision.
+    // Convert + upload the reduced-precision records on first use; if
+    // the copy cannot fit the device, run full precision instead of
+    // aborting the solve, and record the degrade.
     if (cfg.precision != backends::Precision::kFp64 &&
-        !view_.has_precision(cfg.precision, cfg.layout)) {
-      try {
-        ensure_precision(cfg.precision);
-      } catch (const Error&) {
-        cfg.precision = backends::Precision::kFp64;
+        !view_.has_precision(cfg.precision)) {
+      bool& clamped =
+          precision_clamped_[static_cast<std::size_t>(cfg.precision)];
+      if (!clamped) {
+        try {
+          ensure_precision(cfg.precision);
+        } catch (const Error& e) {
+          clamped = true;
+          note_precision_clamp(name, cfg.precision, e.what());
+        }
       }
+      if (clamped) cfg.precision = backends::Precision::kFp64;
     }
     try {
       resilience::with_retry(name, options_.retry, [&] {

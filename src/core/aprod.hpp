@@ -22,6 +22,7 @@
 /// into the live TuningTable the moment a search closes.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -74,8 +75,8 @@ class Aprod {
   /// keeps it resident for the driver's lifetime. A non-empty
   /// `col_scale` column-scales the device copy right after the upload
   /// (apply_column_scaling), so a preconditioned solve needs no second
-  /// host copy of the system; every derived layout and precision is
-  /// built from the scaled copy.
+  /// host copy of the system; every reduced-precision copy is built from
+  /// the scaled copy.
   Aprod(const matrix::SystemMatrix& A, backends::DeviceContext& device,
         AprodOptions options, std::span<const real> col_scale = {});
   ~Aprod();
@@ -131,20 +132,13 @@ class Aprod {
     return scratch_arena_;
   }
 
-  /// Builds and uploads the derived arrays `layout` needs and attaches
-  /// them to the view (idempotent; kSeedAos is a no-op). Called lazily
-  /// by the launch path the first time a config carries the layout, so
-  /// seed-pinned runs allocate nothing; callable eagerly to move the
-  /// build cost out of the first timed iteration.
-  void ensure_layout(backends::StorageLayout layout);
-
-  /// Down-converts the coefficient planes of every currently-built
-  /// layout to `precision`, uploads the converted streams, and attaches
-  /// them to the view (idempotent; kFp64 is a no-op — the seed arrays
-  /// *are* the fp64 planes). Like ensure_layout this is called lazily by
-  /// the launch path, so fp64-pinned runs convert and allocate nothing.
-  /// Call it again after ensure_layout() of a new layout to convert that
-  /// layout's streams too.
+  /// Down-converts the coefficient records to `precision`, uploads the
+  /// converted copy, and attaches it to the view (idempotent; kFp64 is a
+  /// no-op — the seed arrays *are* the fp64 records). Called lazily by
+  /// the launch path the first time a config carries the precision, so
+  /// fp64-pinned runs convert and allocate nothing; callable eagerly to
+  /// move the conversion out of the first timed iteration. Throws
+  /// gaia::Error when the copy does not fit the device.
   void ensure_precision(backends::Precision precision);
 
  private:
@@ -162,7 +156,7 @@ class Aprod {
   std::atomic<backends::BackendKind> active_backend_;
   std::atomic<std::uint64_t> failover_count_{0};
   /// Source matrix (not owned; outlives the driver — it backs the
-  /// derived-layout builds, which are lazy).
+  /// reduced-precision conversions, which are lazy).
   const matrix::SystemMatrix* matrix_;
   backends::DeviceContext* device_;
   backends::DeviceBuffer<real> d_values_;
@@ -171,44 +165,21 @@ class Aprod {
   backends::DeviceBuffer<std::int32_t> d_instr_col_;
   backends::DeviceBuffer<row_index> d_star_row_start_;
   SystemView view_{};
-  /// Lazily-built derived layouts + their device-resident copies.
-  /// Guarded by layout_mutex_ (ensure_layout/ensure_precision are public
-  /// and may be called from any thread); the view's descriptor pointers
-  /// are only ever written under the mutex, and a launch needing them
-  /// re-checks has_layout() under it too.
-  std::mutex layout_mutex_;
-  std::unique_ptr<matrix::LayoutedSystem> layouts_;
-  std::unique_ptr<backends::DeviceBuffer<real>> d_soa_astro_;
-  std::unique_ptr<backends::DeviceBuffer<real>> d_soa_att_;
-  std::unique_ptr<backends::DeviceBuffer<real>> d_soa_instr_;
-  std::unique_ptr<backends::DeviceBuffer<real>> d_soa_glob_;
-  std::unique_ptr<backends::DeviceBuffer<real>> d_slice_values_;
-  std::unique_ptr<backends::DeviceBuffer<std::int32_t>> d_slice_cols_;
-  std::unique_ptr<backends::DeviceBuffer<row_index>> d_slice_rows_;
-  std::unique_ptr<backends::DeviceBuffer<row_index>> d_slice_row_slot_;
-  /// Device-resident reduced-precision coefficient planes, one bundle
-  /// per storage scalar (indices stay shared with the fp64 buffers
-  /// above). Uploaded stream-by-stream as layouts get converted; guarded
-  /// by layout_mutex_ like the layout buffers.
-  template <typename T>
-  struct PrecisionBuffers {
-    std::unique_ptr<backends::DeviceBuffer<T>> values;
-    std::unique_ptr<backends::DeviceBuffer<T>> soa_astro;
-    std::unique_ptr<backends::DeviceBuffer<T>> soa_att;
-    std::unique_ptr<backends::DeviceBuffer<T>> soa_instr;
-    std::unique_ptr<backends::DeviceBuffer<T>> soa_glob;
-    std::unique_ptr<backends::DeviceBuffer<T>> slice_values;
-  };
-  template <typename T>
-  void attach_precision_buffers(const matrix::PrecisionStore<T>& store,
-                                PrecisionBuffers<T>& bufs,
-                                SystemView::CoefPlanes<T>& planes);
-  PrecisionBuffers<float> d_f32_;
-  PrecisionBuffers<matrix::bf16s> d_b16_;
+  /// Lazily-converted precision stores + their device-resident copies.
+  /// Guarded by precision_mutex_ (ensure_precision is public and may be
+  /// called from any thread); the view's precision pointers are only
+  /// ever written under the mutex.
+  std::mutex precision_mutex_;
+  std::unique_ptr<matrix::LayoutedSystem> stores_;
+  std::unique_ptr<backends::DeviceBuffer<float>> d_values_f32_;
+  std::unique_ptr<backends::DeviceBuffer<matrix::bf16s>> d_values_b16_;
   /// Pooled scratch for the aprod2 scatters' private slices; owned per
   /// driver so its hit/miss accounting tracks this solve alone.
   backends::ScratchArena scratch_arena_;
   std::uint64_t launches_ = 0;
+  /// Precisions whose copy did not fit the device: launches asking for
+  /// one run fp64 for the driver's lifetime (recorded once, on the first).
+  std::array<bool, backends::kNumPrecisions> precision_clamped_{};
 };
 
 }  // namespace gaia::core

@@ -59,9 +59,9 @@ using matrix::load_real;
 // ---------------------------------------------------------------------------
 // aprod1: y += A x (row-parallel gathers; no atomics anywhere)
 // ---------------------------------------------------------------------------
-// Each layout has one row dot per section: `dot(r)` is row r's partial
-// product of A x over the section. A separate gather adds one dot into
-// y[r]; the fused gather adds all four in one row pass. The gather inner
+// Each section has one row dot: `dot(r)` is row r's partial product of
+// A x over the section. A separate gather adds one dot into y[r]; the
+// fused gather adds all four in one row pass. The gather inner
 // loops run over fixed, tiny trip counts through pointers that never
 // alias (coefficients, index arrays and x come from distinct buffers):
 // GAIA_RESTRICT + the simd reduction hint let the serial/pstl backends
@@ -92,7 +92,7 @@ auto gather_row(const SystemView& A, AstroDot astro, AttDot att,
   };
 }
 
-/// The fused gather: one row pass of a layout's gather row. Same dots,
+/// The fused gather: one row pass of the gather row. Same dots,
 /// same adds, same order: it equals the four separate launches bit for
 /// bit, and reads each row's record and y[r] once.
 template <typename Exec, typename GatherRow>
@@ -101,11 +101,11 @@ void fused_gather(std::int64_t n_rows, real* y, KernelConfig cfg,
   Exec::launch(n_rows, cfg, [=](std::int64_t r) { y[r] = row(y[r], r); });
 }
 
-// Row dots of the seed layout.
+// Row dots over the row records.
 
 template <typename CoefT>
 auto astro_dot(const SystemView& A, const real* x) {
-  const CoefT* vals = A.coefs<CoefT>().values;
+  const CoefT* vals = A.coefs<CoefT>();
   const col_index* idx_astro = A.idx_astro;
   return [=](std::int64_t r) {
     const CoefT* GAIA_RESTRICT rv =
@@ -120,7 +120,7 @@ auto astro_dot(const SystemView& A, const real* x) {
 
 template <typename CoefT>
 auto att_dot(const SystemView& A, const real* x) {
-  const CoefT* vals = A.coefs<CoefT>().values;
+  const CoefT* vals = A.coefs<CoefT>();
   const col_index* idx_att = A.idx_att;
   const real* xa = x + A.att_offset;
   const col_index stride = A.att_stride;
@@ -142,7 +142,7 @@ auto att_dot(const SystemView& A, const real* x) {
 
 template <typename CoefT>
 auto instr_dot(const SystemView& A, const real* x) {
-  const CoefT* vals = A.coefs<CoefT>().values;
+  const CoefT* vals = A.coefs<CoefT>();
   const std::int32_t* instr_col = A.instr_col;
   const real* xi = x + A.instr_offset;
   return [=](std::int64_t r) {
@@ -162,7 +162,7 @@ auto instr_dot(const SystemView& A, const real* x) {
 /// called then (the glob kernel returns early, the fused gather skips it).
 template <typename CoefT>
 auto glob_dot(const SystemView& A, const real* x) {
-  const CoefT* vals = A.coefs<CoefT>().values;
+  const CoefT* vals = A.coefs<CoefT>();
   const real xg = A.has_global ? x[A.glob_offset] : real{0};
   return [=](std::int64_t r) {
     return load_real(vals[r * kNnzPerRow + matrix::kGlobCoeffOffset]) * xg;
@@ -235,11 +235,10 @@ void star_scatter(const SystemView& A, real* x, KernelConfig cfg,
   });
 }
 
-/// Astrometric row accumulator of the seed layout, shared by
-/// aprod2_astro and the LSQR step.
+/// Astrometric row accumulator, shared by aprod2_astro and the LSQR step.
 template <typename CoefT>
 auto astro_rows(const SystemView& A, const real* y) {
-  const CoefT* vals = A.coefs<CoefT>().values;
+  const CoefT* vals = A.coefs<CoefT>();
   return [=](real* GAIA_RESTRICT acc, std::int64_t r) {
     const CoefT* rv = vals + r * kNnzPerRow + matrix::kAstroCoeffOffset;
     const real yr = y[r];
@@ -370,8 +369,8 @@ void row_scatter(std::int64_t n_rows, real* x, ScatterSection sect,
       });
 }
 
-/// Row r of the fused scatter: a layout's three per-section row
-/// accumulators over the contiguous shared span. Each column still
+/// Row r of the fused scatter: the three per-section row accumulators
+/// over the contiguous shared span. Each column still
 /// belongs to exactly one section and receives the same adds in the same
 /// row order, so at a fixed launch shape the privatized fused scatter
 /// equals the three separate privatized kernels bit for bit.
@@ -388,7 +387,7 @@ auto shared_rows(const SystemView& A, AttRows att, InstrRows instr,
   };
 }
 
-/// The fused scatter: one row pass of a layout's shared row accumulator.
+/// The fused scatter: one row pass of the shared row accumulator.
 template <typename Exec, typename SharedRows>
 void fused_scatter(const SystemView& A, real* x, KernelConfig cfg,
                    AtomicMode mode, backends::ScratchArena* arena,
@@ -397,11 +396,11 @@ void fused_scatter(const SystemView& A, real* x, KernelConfig cfg,
                     arena, rows);
 }
 
-// Row accumulators of the seed layout, one per shared-section kernel.
+// Row accumulators, one per shared-section kernel.
 
 template <typename CoefT>
 auto att_rows(const SystemView& A, const real* y) {
-  const CoefT* vals = A.coefs<CoefT>().values;
+  const CoefT* vals = A.coefs<CoefT>();
   const col_index* idx_att = A.idx_att;
   const col_index stride = A.att_stride;
   return [=](real* GAIA_RESTRICT slice, std::int64_t r) {
@@ -419,7 +418,7 @@ auto att_rows(const SystemView& A, const real* y) {
 
 template <typename CoefT>
 auto instr_rows(const SystemView& A, const real* y) {
-  const CoefT* vals = A.coefs<CoefT>().values;
+  const CoefT* vals = A.coefs<CoefT>();
   const std::int32_t* instr_col = A.instr_col;
   return [=](real* GAIA_RESTRICT slice, std::int64_t r) {
     const CoefT* GAIA_RESTRICT rv =
@@ -433,7 +432,7 @@ auto instr_rows(const SystemView& A, const real* y) {
 
 template <typename CoefT>
 auto glob_rows(const SystemView& A, const real* y) {
-  const CoefT* vals = A.coefs<CoefT>().values;
+  const CoefT* vals = A.coefs<CoefT>();
   return [=](real* GAIA_RESTRICT slice, std::int64_t r) {
     slice[0] +=
         load_real(vals[r * kNnzPerRow + matrix::kGlobCoeffOffset]) * y[r];
@@ -529,8 +528,8 @@ inline std::int64_t step_first_star(const SystemView& A, int w,
   return std::lower_bound(starts, starts + A.n_stars + 1, target) - starts;
 }
 
-/// The step skeleton, composed from a layout's gather row, astrometric
-/// row accumulator and shared row accumulator. W workers (the shared
+/// The step skeleton, composed from a gather row, an astrometric row
+/// accumulator and a shared row accumulator. W workers (the shared
 /// scatter's count for cfg.strategy) each own a star-aligned row chunk;
 /// the last one also takes the constraint rows. Per row, rows
 /// ascending: p_r = gather((sigma u_r)(-alpha), r) is stored over u_r,
@@ -596,7 +595,7 @@ void fused_step(const SystemView& A, const StepOperands& op,
 
 }  // namespace detail
 
-/// The LSQR step over the seed layout: the fused gather's row, the
+/// The LSQR step: the fused gather's row, the
 /// aprod2_astro accumulator and the fused scatter's row in one pass.
 template <typename Exec, typename CoefT = real>
 void aprod_step(const SystemView& A, const StepOperands& op,
@@ -606,379 +605,6 @@ void aprod_step(const SystemView& A, const StepOperands& op,
                            detail::seed_gather_row<CoefT>(A, op.v),
                            detail::astro_rows<CoefT>(A, op.u),
                            detail::seed_shared_rows<CoefT>(A, op.u));
-}
-
-// ---------------------------------------------------------------------------
-// StorageLayout::kSoaTiled bodies: plane-major SoA streams in row tiles
-// ---------------------------------------------------------------------------
-// Same arithmetic, same per-row accumulation order as the seed bodies —
-// only the coefficient addressing changes, so each row's contribution is
-// bit-identical to the seed layout's. The win is pure traffic: a kernel
-// streams exactly its own planes (40–96 B/row) instead of the full
-// 192 B record. The plane-stride gathers are constant-stride
-// (kSoaTileRows), so the simd reduction hint still applies — the
-// compiler emits strided vector gathers instead of scalar loads.
-
-namespace detail {
-
-/// Address of coefficient plane 0 for row r in a `planes`-wide stream,
-/// plus the in-tile lane; plane i then sits at `base[i * kSoaTileRows]`.
-template <typename T>
-inline const T* soa_row(const T* stream, int planes, std::int64_t r) {
-  const std::int64_t t = r / matrix::kSoaTileRows;
-  const std::int64_t w = r - t * matrix::kSoaTileRows;
-  return stream + (t * planes) * matrix::kSoaTileRows + w;
-}
-
-}  // namespace detail
-
-namespace detail {
-
-// Row dots of the SoA-tiled layout.
-
-template <typename CoefT>
-auto astro_dot_soa(const SystemView& A, const real* x) {
-  const CoefT* stream = A.coefs<CoefT>().soa_astro;
-  const col_index* idx_astro = A.idx_astro;
-  return [=](std::int64_t r) {
-    const CoefT* GAIA_RESTRICT rv = soa_row(stream, kAstroNnzPerRow, r);
-    const real* GAIA_RESTRICT xs = x + idx_astro[r];
-    real sum = 0;
-    GAIA_OMP_SIMD_REDUCTION(sum)
-    for (int i = 0; i < kAstroNnzPerRow; ++i)
-      sum += load_real(rv[i * matrix::kSoaTileRows]) * xs[i];
-    return sum;
-  };
-}
-
-template <typename CoefT>
-auto att_dot_soa(const SystemView& A, const real* x) {
-  const CoefT* stream = A.coefs<CoefT>().soa_att;
-  const col_index* idx_att = A.idx_att;
-  const real* xa = x + A.att_offset;
-  const col_index stride = A.att_stride;
-  return [=](std::int64_t r) {
-    const CoefT* GAIA_RESTRICT rv = soa_row(stream, kAttNnzPerRow, r);
-    const col_index base = idx_att[r];
-    real sum = 0;
-    for (int blk = 0; blk < kAttBlocks; ++blk) {
-      const real* GAIA_RESTRICT xb = xa + base + blk * stride;
-      const CoefT* GAIA_RESTRICT rb =
-          rv + blk * kAttBlockSize * matrix::kSoaTileRows;
-      GAIA_OMP_SIMD_REDUCTION(sum)
-      for (int i = 0; i < kAttBlockSize; ++i)
-        sum += load_real(rb[i * matrix::kSoaTileRows]) * xb[i];
-    }
-    return sum;
-  };
-}
-
-template <typename CoefT>
-auto instr_dot_soa(const SystemView& A, const real* x) {
-  const CoefT* stream = A.coefs<CoefT>().soa_instr;
-  const std::int32_t* instr_col = A.instr_col;
-  const real* xi = x + A.instr_offset;
-  return [=](std::int64_t r) {
-    const CoefT* GAIA_RESTRICT rv = soa_row(stream, kInstrNnzPerRow, r);
-    const std::int32_t* GAIA_RESTRICT cols = instr_col + r * kInstrNnzPerRow;
-    const real* GAIA_RESTRICT xs = xi;
-    real sum = 0;
-    GAIA_OMP_SIMD_REDUCTION(sum)
-    for (int i = 0; i < kInstrNnzPerRow; ++i)
-      sum += load_real(rv[i * matrix::kSoaTileRows]) * xs[cols[i]];
-    return sum;
-  };
-}
-
-template <typename CoefT>
-auto glob_dot_soa(const SystemView& A, const real* x) {
-  const CoefT* stream = A.coefs<CoefT>().soa_glob;
-  const real xg = A.has_global ? x[A.glob_offset] : real{0};
-  return [=](std::int64_t r) {
-    return load_real(*soa_row(stream, 1, r)) * xg;
-  };
-}
-
-template <typename CoefT>
-auto soa_gather_row(const SystemView& A, const real* x) {
-  return gather_row(A, astro_dot_soa<CoefT>(A, x), att_dot_soa<CoefT>(A, x),
-                    instr_dot_soa<CoefT>(A, x), glob_dot_soa<CoefT>(A, x));
-}
-
-}  // namespace detail
-
-template <typename Exec, typename CoefT = real>
-void aprod1_astro_soa(const SystemView& A, const real* x, real* y,
-                      KernelConfig cfg) {
-  detail::row_gather<Exec>(A.n_rows, y, cfg,
-                           detail::astro_dot_soa<CoefT>(A, x));
-}
-
-template <typename Exec, typename CoefT = real>
-void aprod1_att_soa(const SystemView& A, const real* x, real* y,
-                    KernelConfig cfg) {
-  detail::row_gather<Exec>(A.n_rows, y, cfg, detail::att_dot_soa<CoefT>(A, x));
-}
-
-template <typename Exec, typename CoefT = real>
-void aprod1_instr_soa(const SystemView& A, const real* x, real* y,
-                      KernelConfig cfg) {
-  detail::row_gather<Exec>(A.n_rows, y, cfg,
-                           detail::instr_dot_soa<CoefT>(A, x));
-}
-
-template <typename Exec, typename CoefT = real>
-void aprod1_glob_soa(const SystemView& A, const real* x, real* y,
-                     KernelConfig cfg) {
-  if (!A.has_global) return;
-  detail::row_gather<Exec>(A.n_rows, y, cfg,
-                           detail::glob_dot_soa<CoefT>(A, x));
-}
-
-template <typename Exec, typename CoefT = real>
-void aprod1_fused_soa(const SystemView& A, const real* x, real* y,
-                      KernelConfig cfg) {
-  detail::fused_gather<Exec>(A.n_rows, y, cfg,
-                             detail::soa_gather_row<CoefT>(A, x));
-}
-
-namespace detail {
-
-// Row accumulators of the SoA-tiled layout.
-
-template <typename CoefT>
-auto astro_rows_soa(const SystemView& A, const real* y) {
-  const CoefT* stream = A.coefs<CoefT>().soa_astro;
-  return [=](real* GAIA_RESTRICT acc, std::int64_t r) {
-    const CoefT* rv = soa_row(stream, kAstroNnzPerRow, r);
-    const real yr = y[r];
-    for (int i = 0; i < kAstroNnzPerRow; ++i)
-      acc[i] += load_real(rv[i * matrix::kSoaTileRows]) * yr;
-  };
-}
-
-template <typename CoefT>
-auto att_rows_soa(const SystemView& A, const real* y) {
-  const CoefT* stream = A.coefs<CoefT>().soa_att;
-  const col_index* idx_att = A.idx_att;
-  const col_index stride = A.att_stride;
-  return [=](real* GAIA_RESTRICT slice, std::int64_t r) {
-    const CoefT* GAIA_RESTRICT rv = soa_row(stream, kAttNnzPerRow, r);
-    const real yr = y[r];
-    const col_index base = idx_att[r];
-    for (int blk = 0; blk < kAttBlocks; ++blk) {
-      const col_index c0 = base + blk * stride;
-      for (int i = 0; i < kAttBlockSize; ++i)
-        slice[c0 + i] +=
-            load_real(rv[(blk * kAttBlockSize + i) * matrix::kSoaTileRows]) *
-            yr;
-    }
-  };
-}
-
-template <typename CoefT>
-auto instr_rows_soa(const SystemView& A, const real* y) {
-  const CoefT* stream = A.coefs<CoefT>().soa_instr;
-  const std::int32_t* instr_col = A.instr_col;
-  return [=](real* GAIA_RESTRICT slice, std::int64_t r) {
-    const CoefT* GAIA_RESTRICT rv = soa_row(stream, kInstrNnzPerRow, r);
-    const std::int32_t* GAIA_RESTRICT cols = instr_col + r * kInstrNnzPerRow;
-    const real yr = y[r];
-    for (int i = 0; i < kInstrNnzPerRow; ++i)
-      slice[cols[i]] += load_real(rv[i * matrix::kSoaTileRows]) * yr;
-  };
-}
-
-template <typename CoefT>
-auto glob_rows_soa(const SystemView& A, const real* y) {
-  const CoefT* stream = A.coefs<CoefT>().soa_glob;
-  return [=](real* GAIA_RESTRICT slice, std::int64_t r) {
-    slice[0] += load_real(*soa_row(stream, 1, r)) * y[r];
-  };
-}
-
-template <typename CoefT>
-auto soa_shared_rows(const SystemView& A, const real* y) {
-  return shared_rows(A, att_rows_soa<CoefT>(A, y),
-                     instr_rows_soa<CoefT>(A, y), glob_rows_soa<CoefT>(A, y));
-}
-
-}  // namespace detail
-
-template <typename Exec, typename CoefT = real>
-void aprod2_astro_soa(const SystemView& A, const real* y, real* x,
-                      KernelConfig cfg) {
-  detail::star_scatter<Exec>(A, x, cfg, detail::astro_rows_soa<CoefT>(A, y));
-}
-
-template <typename Exec, typename CoefT = real>
-void aprod2_att_soa(const SystemView& A, const real* y, real* x,
-                    KernelConfig cfg, AtomicMode mode = AtomicMode::kNativeRmw,
-                    backends::ScratchArena* arena = nullptr) {
-  detail::row_scatter<Exec>(
-      A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Att), cfg,
-      mode, arena, detail::att_rows_soa<CoefT>(A, y));
-}
-
-template <typename Exec, typename CoefT = real>
-void aprod2_instr_soa(const SystemView& A, const real* y, real* x,
-                      KernelConfig cfg,
-                      AtomicMode mode = AtomicMode::kNativeRmw,
-                      backends::ScratchArena* arena = nullptr) {
-  detail::row_scatter<Exec>(
-      A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Instr), cfg,
-      mode, arena, detail::instr_rows_soa<CoefT>(A, y));
-}
-
-template <typename Exec, typename CoefT = real>
-void aprod2_glob_soa(const SystemView& A, const real* y, real* x,
-                     KernelConfig cfg,
-                     AtomicMode mode = AtomicMode::kNativeRmw,
-                     backends::ScratchArena* arena = nullptr) {
-  detail::row_scatter<Exec>(
-      A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Glob), cfg,
-      mode, arena, detail::glob_rows_soa<CoefT>(A, y));
-}
-
-/// Fused shared-section scatter over the SoA streams. Also serves the
-/// kSlicedInstr layout: fusing the three sections into one row pass is
-/// incompatible with slice-major storage order, and the sliced build
-/// always carries the SoA streams.
-template <typename Exec, typename CoefT = real>
-void aprod2_shared_fused_soa(const SystemView& A, const real* y, real* x,
-                             KernelConfig cfg,
-                             AtomicMode mode = AtomicMode::kNativeRmw,
-                             backends::ScratchArena* arena = nullptr) {
-  detail::fused_scatter<Exec>(A, x, cfg, mode, arena,
-                              detail::soa_shared_rows<CoefT>(A, y));
-}
-
-template <typename Exec, typename CoefT = real>
-void aprod_step_soa(const SystemView& A, const StepOperands& op,
-                    KernelConfig cfg, AtomicMode mode = AtomicMode::kNativeRmw,
-                    backends::ScratchArena* arena = nullptr) {
-  detail::fused_step<Exec>(A, op, cfg, mode, arena,
-                           detail::soa_gather_row<CoefT>(A, op.v),
-                           detail::astro_rows_soa<CoefT>(A, op.u),
-                           detail::soa_shared_rows<CoefT>(A, op.u));
-}
-
-// ---------------------------------------------------------------------------
-// StorageLayout::kSlicedInstr bodies: SELL-C-sigma slices for the
-// irregular instrumental block (regular blocks run the SoA bodies)
-// ---------------------------------------------------------------------------
-
-namespace detail {
-
-/// Offset of lane slot `slot`'s first entry in the lane-major slice
-/// arrays; entry j then sits at `+ j * kSliceHeight`.
-inline std::int64_t slice_base(std::int64_t slot) {
-  const std::int64_t s = slot / matrix::kSliceHeight;
-  const std::int64_t lane = slot - s * matrix::kSliceHeight;
-  return s * kInstrNnzPerRow * matrix::kSliceHeight + lane;
-}
-
-/// Instrumental row dot over the sliced storage, addressed by lane slot:
-/// the same products in the same column order as the seed row.
-template <typename CoefT>
-auto instr_slot_dot(const SystemView& A, const real* x) {
-  const CoefT* svals = A.coefs<CoefT>().slice_values;
-  const std::int32_t* scols = A.slice_cols;
-  const real* xi = x + A.instr_offset;
-  return [=](std::int64_t slot) {
-    const std::int64_t base = slice_base(slot);
-    const CoefT* GAIA_RESTRICT v = svals + base;
-    const std::int32_t* GAIA_RESTRICT c = scols + base;
-    const real* GAIA_RESTRICT xs = xi;
-    real sum = 0;
-    GAIA_OMP_SIMD_REDUCTION(sum)
-    for (int j = 0; j < kInstrNnzPerRow; ++j)
-      sum += load_real(v[j * matrix::kSliceHeight]) *
-             xs[c[j * matrix::kSliceHeight]];
-    return sum;
-  };
-}
-
-}  // namespace detail
-
-/// Slice-parallel instrumental gather: one virtual thread per lane slot.
-/// Every row occupies exactly one slot, so y[r] is written by exactly
-/// one worker; padded lanes carry row -1 and are skipped. The slice
-/// sort means neighbouring lanes gather neighbouring x entries — the
-/// cache reuse the seed layout's ~90 % miss rate leaves on the table.
-template <typename Exec, typename CoefT = real>
-void aprod1_instr_sliced(const SystemView& A, const real* x, real* y,
-                         KernelConfig cfg) {
-  const row_index* slice_rows = A.slice_rows;
-  const auto dot = detail::instr_slot_dot<CoefT>(A, x);
-  Exec::launch(A.n_slices * matrix::kSliceHeight, cfg,
-               [=](std::int64_t slot) {
-    const row_index r = slice_rows[slot];
-    if (r < 0) return;
-    y[r] += dot(slot);
-  });
-}
-
-namespace detail {
-
-/// Gather row of the sliced layout: the regular sections read the SoA
-/// streams, the instrumental dot reaches each row's lane slot through
-/// the row->slot inverse permutation.
-template <typename CoefT>
-auto sliced_gather_row(const SystemView& A, const real* x) {
-  const row_index* row_slot = A.slice_row_slot;
-  const auto slot_dot = instr_slot_dot<CoefT>(A, x);
-  return gather_row(A, astro_dot_soa<CoefT>(A, x), att_dot_soa<CoefT>(A, x),
-                    [=](std::int64_t r) { return slot_dot(row_slot[r]); },
-                    glob_dot_soa<CoefT>(A, x));
-}
-
-}  // namespace detail
-
-template <typename Exec, typename CoefT = real>
-void aprod1_fused_sliced(const SystemView& A, const real* x, real* y,
-                         KernelConfig cfg) {
-  detail::fused_gather<Exec>(A.n_rows, y, cfg,
-                             detail::sliced_gather_row<CoefT>(A, x));
-}
-
-/// The step of the sliced layout: the sliced fused gather's row, then
-/// the SoA scatter rows the sliced layout's aprod2 passes run.
-template <typename Exec, typename CoefT = real>
-void aprod_step_sliced(const SystemView& A, const StepOperands& op,
-                       KernelConfig cfg,
-                       AtomicMode mode = AtomicMode::kNativeRmw,
-                       backends::ScratchArena* arena = nullptr) {
-  detail::fused_step<Exec>(A, op, cfg, mode, arena,
-                           detail::sliced_gather_row<CoefT>(A, op.v),
-                           detail::astro_rows_soa<CoefT>(A, op.u),
-                           detail::soa_shared_rows<CoefT>(A, op.u));
-}
-
-/// Instrumental scatter over the sliced storage: the skeleton keeps
-/// iterating rows in ascending order (via the row->slot inverse
-/// permutation), so worker partitioning, per-row accumulation order and
-/// the privatized fold are exactly the seed layout's — bit-identical
-/// results at a fixed launch shape, layout notwithstanding.
-template <typename Exec, typename CoefT = real>
-void aprod2_instr_sliced(const SystemView& A, const real* y, real* x,
-                         KernelConfig cfg,
-                         AtomicMode mode = AtomicMode::kNativeRmw,
-                         backends::ScratchArena* arena = nullptr) {
-  const CoefT* svals = A.coefs<CoefT>().slice_values;
-  const std::int32_t* scols = A.slice_cols;
-  const row_index* row_slot = A.slice_row_slot;
-  detail::row_scatter<Exec>(
-      A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Instr), cfg,
-      mode, arena, [=](real* GAIA_RESTRICT slice, std::int64_t r) {
-        const std::int64_t base = detail::slice_base(row_slot[r]);
-        const CoefT* GAIA_RESTRICT v = svals + base;
-        const std::int32_t* GAIA_RESTRICT c = scols + base;
-        const real yr = y[r];
-        for (int j = 0; j < kInstrNnzPerRow; ++j)
-          slice[c[j * matrix::kSliceHeight]] +=
-              load_real(v[j * matrix::kSliceHeight]) * yr;
-      });
 }
 
 }  // namespace gaia::core

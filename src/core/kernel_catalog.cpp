@@ -11,7 +11,6 @@ namespace gaia::core {
 using backends::BackendKind;
 using backends::KernelId;
 using backends::Precision;
-using backends::StorageLayout;
 using tuning::AprodPass;
 using tuning::FusedPass;
 using tuning::KernelRegistry;
@@ -24,9 +23,9 @@ StepOperands step_operands(const LaunchArgs& a) {
   return {a.in, a.out, a.q, a.sigma, a.alpha, a.pnorm_sq};
 }
 
-/// Instantiates all seed-layout launchers, the three fused passes
-/// included, for one (execution policy, coefficient storage scalar) pair
-/// and hands them to the registry.
+/// Instantiates all launchers, the three fused passes included, for one
+/// (execution policy, coefficient storage scalar) pair and hands them to
+/// the registry.
 /// Each launcher captures nothing: the full launch state travels in
 /// LaunchArgs, so the registry entries are valid for the process
 /// lifetime. The CoefT = real instantiation registered at kFp64 is the
@@ -35,129 +34,52 @@ StepOperands step_operands(const LaunchArgs& a) {
 template <typename Exec, typename CoefT>
 void register_kernels(KernelRegistry& reg, Precision precision) {
   constexpr BackendKind kind = Exec::kKind;
-  constexpr auto kSeed = StorageLayout::kSeedAos;
   reg.add(KernelId::kAprod1Astro, kind, [](const LaunchArgs& a) {
     aprod1_astro<Exec, CoefT>(*a.view, a.in, a.out, a.config);
-  }, kSeed, precision);
+  }, precision);
   reg.add(KernelId::kAprod1Att, kind, [](const LaunchArgs& a) {
     aprod1_att<Exec, CoefT>(*a.view, a.in, a.out, a.config);
-  }, kSeed, precision);
+  }, precision);
   reg.add(KernelId::kAprod1Instr, kind, [](const LaunchArgs& a) {
     aprod1_instr<Exec, CoefT>(*a.view, a.in, a.out, a.config);
-  }, kSeed, precision);
+  }, precision);
   reg.add(KernelId::kAprod1Glob, kind, [](const LaunchArgs& a) {
     aprod1_glob<Exec, CoefT>(*a.view, a.in, a.out, a.config);
-  }, kSeed, precision);
+  }, precision);
   reg.add(KernelId::kAprod2Astro, kind, [](const LaunchArgs& a) {
     aprod2_astro<Exec, CoefT>(*a.view, a.in, a.out, a.config);
-  }, kSeed, precision);
+  }, precision);
   reg.add(KernelId::kAprod2Att, kind, [](const LaunchArgs& a) {
     aprod2_att<Exec, CoefT>(*a.view, a.in, a.out, a.config, a.atomic_mode,
                             a.arena);
-  }, kSeed, precision);
+  }, precision);
   reg.add(KernelId::kAprod2Instr, kind, [](const LaunchArgs& a) {
     aprod2_instr<Exec, CoefT>(*a.view, a.in, a.out, a.config, a.atomic_mode,
                               a.arena);
-  }, kSeed, precision);
+  }, precision);
   reg.add(KernelId::kAprod2Glob, kind, [](const LaunchArgs& a) {
     aprod2_glob<Exec, CoefT>(*a.view, a.in, a.out, a.config, a.atomic_mode,
                              a.arena);
-  }, kSeed, precision);
+  }, precision);
   reg.add_fused(FusedPass::kGather, kind, [](const LaunchArgs& a) {
     aprod1_fused<Exec, CoefT>(*a.view, a.in, a.out, a.config);
-  }, kSeed, precision);
+  }, precision);
   reg.add_fused(FusedPass::kScatter, kind, [](const LaunchArgs& a) {
     aprod2_shared_fused<Exec, CoefT>(*a.view, a.in, a.out, a.config,
                                      a.atomic_mode, a.arena);
-  }, kSeed, precision);
+  }, precision);
   reg.add_fused(FusedPass::kStep, kind, [](const LaunchArgs& a) {
     aprod_step<Exec, CoefT>(*a.view, step_operands(a), a.config,
                             a.atomic_mode, a.arena);
-  }, kSeed, precision);
+  }, precision);
 }
 
-/// The SoA-tiled bodies, registered for `layout` — both derived layouts
-/// use them for the regular blocks (the sliced build always carries the
-/// SoA streams), so kSlicedInstr registers this set and then overrides
-/// the two instrumental slots, the fused gather and the step with the
-/// slice-major bodies.
-template <typename Exec, typename CoefT>
-void register_soa_bodies(KernelRegistry& reg, StorageLayout layout,
-                         Precision precision) {
-  constexpr BackendKind kind = Exec::kKind;
-  reg.add(KernelId::kAprod1Astro, kind, [](const LaunchArgs& a) {
-    aprod1_astro_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config);
-  }, layout, precision);
-  reg.add(KernelId::kAprod1Att, kind, [](const LaunchArgs& a) {
-    aprod1_att_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config);
-  }, layout, precision);
-  reg.add(KernelId::kAprod1Instr, kind, [](const LaunchArgs& a) {
-    aprod1_instr_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config);
-  }, layout, precision);
-  reg.add(KernelId::kAprod1Glob, kind, [](const LaunchArgs& a) {
-    aprod1_glob_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config);
-  }, layout, precision);
-  reg.add(KernelId::kAprod2Astro, kind, [](const LaunchArgs& a) {
-    aprod2_astro_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config);
-  }, layout, precision);
-  reg.add(KernelId::kAprod2Att, kind, [](const LaunchArgs& a) {
-    aprod2_att_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                a.atomic_mode, a.arena);
-  }, layout, precision);
-  reg.add(KernelId::kAprod2Instr, kind, [](const LaunchArgs& a) {
-    aprod2_instr_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                  a.atomic_mode, a.arena);
-  }, layout, precision);
-  reg.add(KernelId::kAprod2Glob, kind, [](const LaunchArgs& a) {
-    aprod2_glob_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                 a.atomic_mode, a.arena);
-  }, layout, precision);
-  reg.add_fused(FusedPass::kGather, kind, [](const LaunchArgs& a) {
-    aprod1_fused_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config);
-  }, layout, precision);
-  reg.add_fused(FusedPass::kScatter, kind, [](const LaunchArgs& a) {
-    aprod2_shared_fused_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                         a.atomic_mode, a.arena);
-  }, layout, precision);
-  reg.add_fused(FusedPass::kStep, kind, [](const LaunchArgs& a) {
-    aprod_step_soa<Exec, CoefT>(*a.view, step_operands(a), a.config,
-                                a.atomic_mode, a.arena);
-  }, layout, precision);
-}
-
-template <typename Exec, typename CoefT>
-void register_layout_kernels(KernelRegistry& reg, Precision precision) {
-  constexpr BackendKind kind = Exec::kKind;
-  register_soa_bodies<Exec, CoefT>(reg, StorageLayout::kSoaTiled, precision);
-  register_soa_bodies<Exec, CoefT>(reg, StorageLayout::kSlicedInstr,
-                                   precision);
-  // Slice-major instrumental bodies override the SoA ones.
-  constexpr auto kSliced = StorageLayout::kSlicedInstr;
-  reg.add(KernelId::kAprod1Instr, kind, [](const LaunchArgs& a) {
-    aprod1_instr_sliced<Exec, CoefT>(*a.view, a.in, a.out, a.config);
-  }, kSliced, precision);
-  reg.add(KernelId::kAprod2Instr, kind, [](const LaunchArgs& a) {
-    aprod2_instr_sliced<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                     a.atomic_mode, a.arena);
-  }, kSliced, precision);
-  reg.add_fused(FusedPass::kGather, kind, [](const LaunchArgs& a) {
-    aprod1_fused_sliced<Exec, CoefT>(*a.view, a.in, a.out, a.config);
-  }, kSliced, precision);
-  reg.add_fused(FusedPass::kStep, kind, [](const LaunchArgs& a) {
-    aprod_step_sliced<Exec, CoefT>(*a.view, step_operands(a), a.config,
-                                   a.atomic_mode, a.arena);
-  }, kSliced, precision);
-}
-
-/// Full (layouts x precisions) catalog of one execution policy.
+/// Full (kernels x precisions) catalog of one execution policy.
 template <typename Exec>
 void register_backend(KernelRegistry& reg) {
   register_kernels<Exec, real>(reg, Precision::kFp64);
   register_kernels<Exec, float>(reg, Precision::kFp32);
   register_kernels<Exec, matrix::bf16s>(reg, Precision::kBf16s);
-  register_layout_kernels<Exec, real>(reg, Precision::kFp64);
-  register_layout_kernels<Exec, float>(reg, Precision::kFp32);
-  register_layout_kernels<Exec, matrix::bf16s>(reg, Precision::kBf16s);
 }
 
 }  // namespace
@@ -201,11 +123,14 @@ int nnz_per_row(KernelId id) {
   return 0;
 }
 
-/// Seed-layout traffic with the coefficient plane stored at `coef_size`
-/// bytes per entry. The x/y vector gathers/scatters stay FP64 whatever
-/// the storage precision — only A's entries shrink.
-std::uint64_t seed_traffic_bytes(const SystemView& v, KernelId id,
-                                 std::uint64_t coef_size) {
+}  // namespace
+
+std::uint64_t kernel_traffic_bytes(const SystemView& v, KernelId id,
+                                   Precision precision) {
+  // The x/y vector gathers/scatters stay FP64 whatever the storage
+  // precision — only A's entries shrink.
+  const auto coef_size =
+      static_cast<std::uint64_t>(matrix::precision_bytes(precision));
   const auto rows = static_cast<std::uint64_t>(v.n_rows);
   const bool is_aprod1 = id < KernelId::kAprod2Astro;
   int nnz = 0;
@@ -242,58 +167,10 @@ std::uint64_t seed_traffic_bytes(const SystemView& v, KernelId id,
   return rows * (store_bytes + idx_bytes + vector_bytes);
 }
 
-std::uint64_t layout_traffic_bytes_impl(const SystemView& v, KernelId id,
-                                        StorageLayout layout,
-                                        std::uint64_t coef_size) {
-  const std::uint64_t base = seed_traffic_bytes(v, id, coef_size);
-  if (layout == StorageLayout::kSeedAos) return base;
-  const auto rows = static_cast<std::uint64_t>(v.n_rows);
-  const auto padded = static_cast<std::uint64_t>(
-      v.soa_padded_rows > 0
-          ? v.soa_padded_rows
-          : (v.n_rows + matrix::kSoaTileRows - 1) / matrix::kSoaTileRows *
-                matrix::kSoaTileRows);
-  const bool instr_kernel =
-      id == KernelId::kAprod1Instr || id == KernelId::kAprod2Instr;
-  if (layout == StorageLayout::kSlicedInstr && instr_kernel) {
-    // Slice storage streams every padded lane: values + explicit
-    // columns + the lane's row id, then the vector traffic for the
-    // rows that actually exist.
-    const auto lanes = static_cast<std::uint64_t>(
-        v.n_slices > 0 ? v.n_slices * matrix::kSliceHeight : padded);
-    const std::uint64_t lane_bytes =
-        kInstrNnzPerRow * (coef_size + sizeof(std::int32_t)) +
-        sizeof(row_index);
-    const std::uint64_t value_bytes = kInstrNnzPerRow * sizeof(real);
-    const std::uint64_t vector_bytes =
-        id == KernelId::kAprod1Instr ? value_bytes + 2 * sizeof(real)
-                                     : sizeof(real) + 2 * value_bytes;
-    return lanes * lane_bytes + rows * vector_bytes;
-  }
-  // SoA planes: the per-row slice is exact (no record overfetch) but
-  // the zero-padded tile tail is streamed like any other row.
-  const std::uint64_t per_row_extra =
-      static_cast<std::uint64_t>(nnz_per_row(id)) * coef_size;
-  return base + (padded - rows) * per_row_extra;
-}
-
-}  // namespace
-
-std::uint64_t kernel_traffic_bytes(const SystemView& v, KernelId id) {
-  return seed_traffic_bytes(v, id, sizeof(real));
-}
-
 std::uint64_t kernel_traffic_bytes(const SystemView& v, KernelId id,
-                                   StorageLayout layout) {
-  return layout_traffic_bytes_impl(v, id, layout, sizeof(real));
-}
-
-std::uint64_t kernel_traffic_bytes(const SystemView& v, KernelId id,
-                                   StorageLayout layout,
+                                   backends::StorageLayout /*layout*/,
                                    Precision precision) {
-  return layout_traffic_bytes_impl(
-      v, id, layout,
-      static_cast<std::uint64_t>(matrix::precision_bytes(precision)));
+  return kernel_traffic_bytes(v, id, precision);
 }
 
 std::uint64_t kernel_flops(const SystemView& v, KernelId id) {
@@ -349,7 +226,7 @@ bool part_runs(const SystemView& v, KernelId id) {
 }  // namespace
 
 std::uint64_t pass_traffic_bytes(const SystemView& v, const AprodPass& pass,
-                                 StorageLayout layout, Precision precision) {
+                                 Precision precision) {
   const auto rows = static_cast<std::uint64_t>(v.n_rows);
   if (pass.fused == FusedPass::kStep) {
     // The gather parts' coefficient, index and v bytes (each without its
@@ -360,7 +237,7 @@ std::uint64_t pass_traffic_bytes(const SystemView& v, const AprodPass& pass,
     for (KernelId part : pass_parts(pass)) {
       if (!part_runs(v, part)) continue;
       if (part < KernelId::kAprod2Astro)
-        bytes += kernel_traffic_bytes(v, part, layout, precision) -
+        bytes += kernel_traffic_bytes(v, part, precision) -
                  2 * sizeof(real) * rows;
       else
         bytes += 2 * sizeof(real) * rows *
@@ -372,7 +249,7 @@ std::uint64_t pass_traffic_bytes(const SystemView& v, const AprodPass& pass,
   std::uint64_t parts = 0;
   for (KernelId part : pass_parts(pass)) {
     if (!part_runs(v, part)) continue;
-    bytes += kernel_traffic_bytes(v, part, layout, precision);
+    bytes += kernel_traffic_bytes(v, part, precision);
     ++parts;
   }
   if (parts == 0) return 0;

@@ -4,11 +4,12 @@
 /// The tuning library owns the dispatch *mechanism* (a type-erased
 /// (KernelId, Backend) table); this file owns the dispatch *content*:
 /// the eight templated aprod kernels instantiated for every compiled
-/// backend, plus the fused aprod1 gather, the fused aprod2 scatter and
-/// the LSQR step, and their cost shapes (per kernel and per pass).
-/// Registration is idempotent and runs on first Aprod construction, so any binary that launches a
-/// kernel has a fully populated registry without global-initializer
-/// ordering games across libraries.
+/// backend and storage precision, plus the fused aprod1 gather, the
+/// fused aprod2 scatter and the LSQR step, and their cost shapes (per
+/// kernel and per pass). Registration is idempotent and runs on first
+/// Aprod construction, so any binary that launches a kernel has a fully
+/// populated registry without global-initializer ordering games across
+/// libraries.
 #pragma once
 
 #include <cstdint>
@@ -32,27 +33,16 @@ void ensure_kernel_catalog();
 /// vendor profiler reports): coefficient values + index arrays + vector
 /// gathers/scatters, per row. An estimate with the same structure as
 /// perfmodel::KernelCostModel::kernel_traffic_bytes, computed from the
-/// live system dimensions.
-[[nodiscard]] std::uint64_t kernel_traffic_bytes(const SystemView& view,
-                                                 backends::KernelId id);
-
-/// Layout-aware traffic: the seed layout charges the compacted
-/// coefficient slice (unchanged accounting), the derived layouts charge
-/// what they actually stream — SoA planes over the zero-padded tile
-/// rows, sliced values + explicit columns + row ids over the padded
-/// lanes. The padded-vs-compacted ratio is the modeled price of the
-/// regularized addressing; the bandwidth win shows up in the cost
-/// model's miss factors, not here.
+/// live system dimensions. The coefficient bytes scale with the storage
+/// precision while the index arrays and the FP64 x/y vector traffic stay
+/// unchanged — the bandwidth lever reduced-precision storage pulls, and
+/// what KernelCostModel::precision_traffic_bytes prices per GPU spec.
 [[nodiscard]] std::uint64_t kernel_traffic_bytes(
     const SystemView& view, backends::KernelId id,
-    backends::StorageLayout layout);
+    backends::Precision precision = backends::Precision::kFp64);
 
-/// Precision-aware traffic: scales the coefficient-plane bytes (AoS
-/// records / SoA planes / sliced payload) by the storage scalar's size
-/// while the index arrays and the FP64 x/y vector traffic stay
-/// unchanged — the bandwidth lever mixed-precision storage actually
-/// pulls, and exactly what KernelCostModel::precision_traffic_bytes
-/// prices per GPU spec.
+/// The same bytes whatever `layout` says: every layout runs the row
+/// records. Stays until ROADMAP item 8, for the end-to-end benchmark.
 [[nodiscard]] std::uint64_t kernel_traffic_bytes(
     const SystemView& view, backends::KernelId id,
     backends::StorageLayout layout, backends::Precision precision);
@@ -92,7 +82,7 @@ void ensure_kernel_catalog();
 /// without a global block (they do not run).
 [[nodiscard]] std::uint64_t pass_traffic_bytes(
     const SystemView& view, const tuning::AprodPass& pass,
-    backends::StorageLayout layout, backends::Precision precision);
+    backends::Precision precision);
 
 /// The parts' flops and atomic updates (both add up across parts).
 [[nodiscard]] std::uint64_t pass_flops(const SystemView& view,

@@ -22,7 +22,7 @@ real norm_inf(std::span<const real> v) {
   return m;
 }
 
-/// Every kernel pinned to fp64 storage, shapes/strategies/layouts kept —
+/// Every kernel pinned to fp64 storage, shapes and strategies kept —
 /// the residual passes should run the production-tuned bodies, just at
 /// full precision.
 backends::TuningTable fp64_table(backends::TuningTable table) {
@@ -81,9 +81,9 @@ RefinementReport refine_corrections(const matrix::SystemMatrix& A,
   residual_opts.tuning = fp64_table(reduced.aprod.tuning);
   Aprod aprod(A, device, residual_opts);
 
-  // Correction solves reuse the reduced configuration (same precision,
-  // layout, strategy winners) but never checkpoint/monitor — they are
-  // short inner solves against a small right-hand side.
+  // Correction solves reuse the reduced configuration (same precision
+  // and strategy winners) but never checkpoint/monitor — they are short
+  // inner solves against a small right-hand side.
   LsqrOptions correction = reduced;
   correction.aprod.autotuner = nullptr;
   correction.compute_std_errors = false;

@@ -44,29 +44,6 @@ std::optional<ScatterMode> parse_scatter_mode(const std::string& name) {
   return std::nullopt;
 }
 
-std::string to_string(LayoutMode mode) {
-  switch (mode) {
-    case LayoutMode::kSeed:
-      return "seed";
-    case LayoutMode::kSoa:
-      return "soa";
-    case LayoutMode::kSliced:
-      return "sliced";
-    case LayoutMode::kAuto:
-      return "auto";
-  }
-  return "seed";
-}
-
-std::optional<LayoutMode> parse_layout_mode(const std::string& name) {
-  if (name == "seed" || name == "seed_aos" || name == "aos")
-    return LayoutMode::kSeed;
-  if (name == "soa" || name == "soa_tiled") return LayoutMode::kSoa;
-  if (name == "sliced" || name == "sliced_instr") return LayoutMode::kSliced;
-  if (name == "auto") return LayoutMode::kAuto;
-  return std::nullopt;
-}
-
 std::string to_string(PrecisionMode mode) {
   switch (mode) {
     case PrecisionMode::kFp64:
@@ -112,31 +89,8 @@ void force_scatter_strategy(backends::TuningTable& table,
   }
 }
 
-/// Installs `layout` on every kernel's table entry, leaving shapes and
-/// strategies untouched.
-void force_storage_layout(backends::TuningTable& table,
-                          backends::StorageLayout layout) {
-  for (backends::KernelId id : backends::all_kernels()) {
-    backends::KernelConfig cfg = table.get(id);
-    cfg.layout = layout;
-    table.set(id, cfg);
-  }
-}
-
-/// The fixed layout a pinned LayoutMode means (never called for kAuto).
-backends::StorageLayout pinned_layout(LayoutMode mode) {
-  switch (mode) {
-    case LayoutMode::kSoa:
-      return backends::StorageLayout::kSoaTiled;
-    case LayoutMode::kSliced:
-      return backends::StorageLayout::kSlicedInstr;
-    default:
-      return backends::StorageLayout::kSeedAos;
-  }
-}
-
-/// Installs `precision` on every kernel's table entry, leaving shapes,
-/// strategies and layouts untouched.
+/// Installs `precision` on every kernel's table entry, leaving shapes
+/// and strategies untouched.
 void force_precision(backends::TuningTable& table,
                      backends::Precision precision) {
   for (backends::KernelId id : backends::all_kernels()) {
@@ -177,23 +131,7 @@ void apply_model_preferred_precision(const matrix::GeneratorConfig& gen_cfg,
       perfmodel::gpu_spec(perfmodel::Platform::kA100));
   for (backends::KernelId id : backends::all_kernels()) {
     backends::KernelConfig cfg = table.get(id);
-    cfg.precision = model.preferred_precision(id, shape, cfg.layout);
-    table.set(id, cfg);
-  }
-}
-
-/// The no-measurement arm of `--layout=auto`: the cost model's
-/// overfetch-vs-padding crossover per kernel (same representative A100
-/// spec as the scatter crossover below — the sign is what matters).
-void apply_model_preferred_layout(const matrix::GeneratorConfig& gen_cfg,
-                                  backends::TuningTable& table) {
-  const perfmodel::ProblemShape shape =
-      perfmodel::ProblemShape::from_config(gen_cfg);
-  const perfmodel::KernelCostModel model(
-      perfmodel::gpu_spec(perfmodel::Platform::kA100));
-  for (backends::KernelId id : backends::all_kernels()) {
-    backends::KernelConfig cfg = table.get(id);
-    cfg.layout = model.preferred_layout(id, shape);
+    cfg.precision = model.preferred_precision(id, shape);
     table.set(id, cfg);
   }
 }
@@ -249,11 +187,8 @@ void run_autotune(const SolverRunConfig& config,
     else if (config.scatter == ScatterMode::kPrivatized)
       force_scatter_strategy(lsqr.aprod.tuning,
                              backends::ScatterStrategy::kPrivatized);
-    // Same for the layout axis: a pinned mode overrides cached winners.
-    if (config.storage_layout != LayoutMode::kAuto)
-      force_storage_layout(lsqr.aprod.tuning,
-                           pinned_layout(config.storage_layout));
-    // And the precision axis: a pinned mode overrides cached winners.
+    // Same for the precision axis: a pinned mode overrides cached
+    // winners.
     if (config.precision != PrecisionMode::kAuto)
       force_precision(lsqr.aprod.tuning,
                       pinned_precision(config.precision));
@@ -275,9 +210,6 @@ void run_autotune(const SolverRunConfig& config,
       search.scatter = std::nullopt;  // measure both arms per kernel
       break;
   }
-  search.layout = config.storage_layout == LayoutMode::kAuto
-                      ? std::nullopt  // measure every layout arm
-                      : std::optional(pinned_layout(config.storage_layout));
   search.precision =
       config.precision == PrecisionMode::kAuto
           ? std::nullopt  // measure every precision arm
@@ -437,7 +369,6 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
                               backends::to_string(lsqr.aprod.backend));
   obs::set_postmortem_context("seed", std::to_string(config.seed));
   obs::set_postmortem_context("scatter", to_string(config.scatter));
-  obs::set_postmortem_context("layout", to_string(config.storage_layout));
   obs::set_postmortem_context("precision", to_string(config.precision));
   obs::set_postmortem_context("n_obs", std::to_string(report.n_obs));
   obs::set_postmortem_context("n_unknowns",
@@ -459,21 +390,10 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
            (!config.autotune.enabled ||
             !backends::honors_kernel_config(lsqr.aprod.backend)))
     apply_model_preferred(gen_cfg, lsqr.aprod, lsqr.aprod.tuning);
-  // Layout policy mirrors the scatter resolution: pinned modes force the
-  // layout up front; kAuto without a measuring search falls back to the
-  // cost model's crossover.
-  if (config.storage_layout == LayoutMode::kSoa ||
-      config.storage_layout == LayoutMode::kSliced)
-    force_storage_layout(lsqr.aprod.tuning,
-                         pinned_layout(config.storage_layout));
-  else if (config.storage_layout == LayoutMode::kAuto &&
-           (!config.autotune.enabled ||
-            !backends::honors_kernel_config(lsqr.aprod.backend)))
-    apply_model_preferred_layout(gen_cfg, lsqr.aprod.tuning);
-  // Precision policy mirrors the layout resolution: pinned reduced modes
-  // force the storage precision up front; kAuto without a measuring
-  // search falls back to the cost model's bandwidth-vs-refinement
-  // crossover.
+  // Precision policy mirrors the scatter resolution: pinned reduced
+  // modes force the storage precision up front; kAuto without a
+  // measuring search falls back to the cost model's
+  // bandwidth-vs-refinement crossover.
   if (config.precision == PrecisionMode::kFp32 ||
       config.precision == PrecisionMode::kBf16s)
     force_precision(lsqr.aprod.tuning, pinned_precision(config.precision));
@@ -491,8 +411,8 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
   }
   report.tuning_used = lsqr.aprod.tuning;
   {
-    // Tuning fingerprint: the resolved (shape, strategy, layout,
-    // precision) per kernel — the first question a postmortem asks.
+    // Tuning fingerprint: the resolved (shape, strategy, precision) per
+    // kernel — the first question a postmortem asks.
     std::ostringstream fp;
     bool first = true;
     for (backends::KernelId id : backends::all_kernels()) {
@@ -501,7 +421,6 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
       first = false;
       fp << backends::to_string(id) << '=' << cfg.blocks << 'x' << cfg.threads
          << '/' << backends::to_string(cfg.strategy) << '/'
-         << backends::to_string(cfg.layout) << '/'
          << backends::to_string(cfg.precision);
     }
     obs::set_postmortem_context("tuning", fp.str());
@@ -583,8 +502,6 @@ std::string SolverRunReport::summary() const {
   const backends::KernelConfig step = tuning_used.get(tuning::kStepPass.id);
   os << "scatter: " << step_name << '='
      << backends::to_string(step.strategy) << '\n';
-  os << "layout: " << backends::to_string(step.layout) << " (" << step_name
-     << ")\n";
   os << "precision: " << backends::to_string(step.precision) << " ("
      << step_name << ")\n";
   if (refinement_ran) {

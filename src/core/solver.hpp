@@ -37,23 +37,6 @@ enum class ScatterMode : std::uint8_t {
 [[nodiscard]] std::optional<ScatterMode> parse_scatter_mode(
     const std::string& name);
 
-/// Storage-layout policy for all eight kernels (gathers included).
-/// `kSeed` is today's row-record AoS bit-for-bit; `kSoa` forces the
-/// tiled SoA streams; `kSliced` forces SoA plus the sliced instrumental
-/// format; `kAuto` lets the autotuner measure every layout arm (when
-/// enabled and the backend honours launch shapes) and otherwise asks
-/// the cost model's overfetch-vs-padding crossover per kernel.
-enum class LayoutMode : std::uint8_t {
-  kSeed = 0,
-  kSoa,
-  kSliced,
-  kAuto,
-};
-
-[[nodiscard]] std::string to_string(LayoutMode mode);
-[[nodiscard]] std::optional<LayoutMode> parse_layout_mode(
-    const std::string& name);
-
 /// Storage-precision policy for all eight kernels. `kFp64` is today's
 /// double-precision planes bit-for-bit; `kFp32`/`kBf16s` store the
 /// coefficient planes reduced (FP64 accumulation everywhere) and wrap
@@ -109,13 +92,9 @@ struct SolverRunConfig {
   /// axis from this mode.
   ScatterMode scatter = ScatterMode::kAtomic;
 
-  /// Storage-layout policy for the kernels. Authoritative over
-  /// `autotune.search.layout` the same way `scatter` is over its axis.
-  LayoutMode storage_layout = LayoutMode::kSeed;
-
   /// Storage-precision policy for the kernels. Authoritative over
-  /// `autotune.search.precision` the same way the other modes are over
-  /// their axes. Any resolved reduced precision arms the iterative-
+  /// `autotune.search.precision` the same way `scatter` is over its
+  /// axis. Any resolved reduced precision arms the iterative-
   /// refinement loop after the solve.
   PrecisionMode precision = PrecisionMode::kFp64;
 

@@ -5,8 +5,8 @@
 /// CUDA kernel has after the one-time host-to-device copy. Building a
 /// view from `DeviceBuffer`s (device residency) or straight from a
 /// `SystemMatrix` (tests) is equally valid: both feed the same
-/// construction path, `from(A, arrays)`, so the scalar fields and the
-/// layout descriptors can never drift between the two sources.
+/// construction path, `from(A, arrays)`, so the scalar fields can never
+/// drift between the two sources.
 #pragma once
 
 #include <cstdint>
@@ -14,14 +14,13 @@
 
 #include "matrix/layouted_system.hpp"
 #include "matrix/precision.hpp"
-#include "matrix/storage_layout.hpp"
 #include "matrix/system_matrix.hpp"
 #include "util/types.hpp"
 
 namespace gaia::core {
 
 struct SystemView {
-  /// The five data arrays of the seed layout. Split out so the host
+  /// The five data arrays of the row records. Split out so the host
   /// path (spans straight from the SystemMatrix) and the device path
   /// (DeviceBuffer::data() after the H2D copy) share one `from`.
   struct Arrays {
@@ -55,58 +54,30 @@ struct SystemView {
   col_index glob_offset = 0;
   bool has_global = false;
 
-  // --- Derived-layout descriptors (null until attach_layout) ---------
-  // Plane-major SoA streams within kSoaTileRows tiles; see
-  // matrix::SoaStreams for the addressing.
-  const real* soa_astro = nullptr;  ///< kAstroNnzPerRow planes
-  const real* soa_att = nullptr;    ///< kAttNnzPerRow planes
-  const real* soa_instr = nullptr;  ///< kInstrNnzPerRow planes
-  const real* soa_glob = nullptr;   ///< 1 plane
-  row_index soa_padded_rows = 0;
+  // --- Reduced-precision coefficient records (null until
+  // attach_precision) ---------------------------------------------------
+  // The row records down-converted per storage scalar; indices stay
+  // shared with the FP64 arrays above, only the values shrink.
+  const float* values_f32 = nullptr;
+  const matrix::bf16s* values_b16 = nullptr;
 
-  // Sliced instrumental block (SELL-C-sigma style); see
-  // matrix::SlicedInstr for the lane-major addressing and `row_slot`.
-  const real* slice_values = nullptr;
-  const std::int32_t* slice_cols = nullptr;
-  const row_index* slice_rows = nullptr;
-  const row_index* slice_row_slot = nullptr;
-  row_index n_slices = 0;
-
-  // --- Precision descriptors (null until attach_precision) -----------
-  // One pointer bundle per storage scalar: the coefficient payloads of
-  // every layout, down-converted. Indices/permutations stay shared with
-  // the FP64 arrays above — only the values shrink. The CoefT = real
-  // bundle mirrors the legacy pointers so a kernel body templated on
-  // CoefT reads the exact same memory as the pre-precision code when
-  // instantiated at real.
+  /// The coefficient records at storage scalar `T` (real | float |
+  /// bf16s). The `real` records are `values`, so a body templated on
+  /// CoefT reads the exact same memory as the fp64 code at CoefT = real.
   template <typename T>
-  struct CoefPlanes {
-    const T* values = nullptr;       ///< seed AoS records
-    const T* soa_astro = nullptr;    ///< SoA planes (same addressing)
-    const T* soa_att = nullptr;
-    const T* soa_instr = nullptr;
-    const T* soa_glob = nullptr;
-    const T* slice_values = nullptr; ///< sliced instrumental payload
-  };
-  CoefPlanes<real> planes_f64;
-  CoefPlanes<float> planes_f32;
-  CoefPlanes<matrix::bf16s> planes_b16;
-
-  /// The pointer bundle for storage scalar `T` (real | float | bf16s).
-  template <typename T>
-  [[nodiscard]] const CoefPlanes<T>& coefs() const {
+  [[nodiscard]] const T* coefs() const {
     if constexpr (std::is_same_v<T, real>) {
-      return planes_f64;
+      return values;
     } else if constexpr (std::is_same_v<T, float>) {
-      return planes_f32;
+      return values_f32;
     } else {
       static_assert(std::is_same_v<T, matrix::bf16s>,
                     "unsupported coefficient storage scalar");
-      return planes_b16;
+      return values_b16;
     }
   }
 
-  /// Shared construction path: scalar/layout fields from the matrix
+  /// Shared construction path: scalar fields from the matrix
   /// metadata, data pointers from wherever the arrays live (host spans
   /// or device buffers).
   static SystemView from(const matrix::SystemMatrix& A,
@@ -127,7 +98,6 @@ struct SystemView {
     v.instr_offset = lay.instr_offset();
     v.glob_offset = lay.glob_offset();
     v.has_global = lay.has_global();
-    v.planes_f64.values = arrays.values;
     return v;
   }
 
@@ -136,98 +106,30 @@ struct SystemView {
     return from(A, Arrays::of(A));
   }
 
-  /// Points the layout descriptors at `layouts`' derived arrays (only
-  /// those already built; building is the owner's call). The
-  /// LayoutedSystem must outlive every kernel launch through this view.
-  void attach_layout(const matrix::LayoutedSystem& layouts) {
-    if (layouts.soa().built()) {
-      const matrix::SoaStreams& s = layouts.soa();
-      soa_astro = s.astro.data();
-      soa_att = s.att.data();
-      soa_instr = s.instr.data();
-      soa_glob = s.glob.data();
-      soa_padded_rows = s.padded_rows;
-      planes_f64.soa_astro = s.astro.data();
-      planes_f64.soa_att = s.att.data();
-      planes_f64.soa_instr = s.instr.data();
-      planes_f64.soa_glob = s.glob.data();
-    }
-    if (layouts.sliced().built()) {
-      const matrix::SlicedInstr& s = layouts.sliced();
-      slice_values = s.slice_values.data();
-      slice_cols = s.slice_cols.data();
-      slice_rows = s.slice_rows.data();
-      slice_row_slot = s.row_slot.data();
-      n_slices = s.n_slices;
-      planes_f64.slice_values = s.slice_values.data();
-    }
-  }
+  /// No-op: there are no derived layouts to attach. Stays until ROADMAP
+  /// item 8, for the end-to-end benchmark's layout sweep.
+  void attach_layout(const matrix::LayoutedSystem&) {}
 
-  /// Points the reduced-precision descriptors at `layouts`' converted
-  /// stores (only streams already converted; build_precision is the
-  /// owner's call). Shares the host-path ownership contract of
-  /// attach_layout.
+  /// Points the reduced-precision pointers at `layouts`' converted
+  /// stores (only those already converted; build_precision is the
+  /// owner's call). The LayoutedSystem must outlive every kernel launch
+  /// through this view.
   void attach_precision(const matrix::LayoutedSystem& layouts) {
-    attach_precision_store(layouts.f32(), planes_f32);
-    attach_precision_store(layouts.b16(), planes_b16);
+    if (layouts.f32().built()) values_f32 = layouts.f32().values.data();
+    if (layouts.b16().built()) values_b16 = layouts.b16().values.data();
   }
 
-  template <typename T>
-  void attach_precision_store(const matrix::PrecisionStore<T>& s,
-                              CoefPlanes<T>& p) {
-    if (!s.built()) return;
-    p.values = s.values.data();
-    if (!s.soa_astro.empty()) {
-      p.soa_astro = s.soa_astro.data();
-      p.soa_att = s.soa_att.data();
-      p.soa_instr = s.soa_instr.data();
-      p.soa_glob = s.soa_glob.data();
-    }
-    if (!s.slice_values.empty()) p.slice_values = s.slice_values.data();
-  }
-
-  /// True when every array `layout` needs is attached — the launcher
-  /// clamps a config's layout to kSeedAos otherwise, so a view without
-  /// derived arrays keeps the seed semantics instead of faulting.
-  [[nodiscard]] bool has_layout(matrix::StorageLayout layout) const {
-    switch (layout) {
-      case matrix::StorageLayout::kSeedAos:
-        return true;
-      case matrix::StorageLayout::kSoaTiled:
-        return soa_astro != nullptr;
-      case matrix::StorageLayout::kSlicedInstr:
-        return soa_astro != nullptr && slice_values != nullptr;
-    }
-    return false;
-  }
-
-  /// True when the coefficient streams `layout` reads are attached at
-  /// precision `p` — the launcher clamps a config's precision to kFp64
-  /// otherwise, mirroring the layout fallback.
-  [[nodiscard]] bool has_precision(matrix::Precision p,
-                                   matrix::StorageLayout layout) const {
+  /// True when the records are attached at precision `p` — the launcher
+  /// clamps a config's precision to kFp64 otherwise, so a view without
+  /// converted records keeps fp64 semantics instead of faulting.
+  [[nodiscard]] bool has_precision(matrix::Precision p) const {
     switch (p) {
       case matrix::Precision::kFp64:
-        return has_layout(layout);
+        return true;
       case matrix::Precision::kFp32:
-        return planes_has(planes_f32, layout);
+        return values_f32 != nullptr;
       case matrix::Precision::kBf16s:
-        return planes_has(planes_b16, layout);
-    }
-    return false;
-  }
-
-  template <typename T>
-  [[nodiscard]] bool planes_has(const CoefPlanes<T>& p,
-                                matrix::StorageLayout layout) const {
-    if (!has_layout(layout)) return false;
-    switch (layout) {
-      case matrix::StorageLayout::kSeedAos:
-        return p.values != nullptr;
-      case matrix::StorageLayout::kSoaTiled:
-        return p.soa_astro != nullptr;
-      case matrix::StorageLayout::kSlicedInstr:
-        return p.soa_astro != nullptr && p.slice_values != nullptr;
+        return values_b16 != nullptr;
     }
     return false;
   }

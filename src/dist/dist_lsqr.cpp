@@ -169,7 +169,7 @@ std::vector<obs::MetricRow> build_rank_rows(
   // step over the rank's slice, once per iteration.
   const backends::KernelConfig cfg = aprod.tuning().get(tuning::kStepPass.id);
   const std::uint64_t bytes_per_iteration = core::pass_traffic_bytes(
-      aprod.view(), tuning::kStepPass, cfg.layout, cfg.precision);
+      aprod.view(), tuning::kStepPass, cfg.precision);
   rows.push_back(counter("dist.rank.kernel_bytes",
                          bytes_per_iteration *
                              static_cast<std::uint64_t>(itn)));

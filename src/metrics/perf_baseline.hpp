@@ -20,9 +20,10 @@ struct KernelTiming {
   std::string kernel;    ///< "aprod1_astro", ... (catalog region name)
   std::string backend;   ///< "serial" | "openmp" | "pstl" | "gpusim"
   std::string strategy;  ///< "atomic" | "privatized" | "none"
-  /// "seed_aos" | "soa_tiled" | "sliced_instr". Defaulted on parse so
-  /// baselines sealed before the layout axis existed stay loadable —
-  /// their series were all measured on the seed layout.
+  /// Storage-layout label: "seed_aos", the row records every series now
+  /// runs on. Defaulted on parse so baselines sealed before the layout
+  /// axis existed stay loadable; baselines sealed while it existed may
+  /// carry the retired layouts' names.
   std::string layout = "seed_aos";
   /// "fp64" | "fp32" | "bf16s". Defaulted the same way: baselines sealed
   /// before the precision axis existed measured full-precision planes.

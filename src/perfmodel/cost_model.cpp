@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "backends/backend.hpp"
-#include "matrix/storage_layout.hpp"
 #include "util/error.hpp"
 
 namespace gaia::perfmodel {
@@ -80,21 +79,15 @@ KernelShapeInfo shape_info(KernelId id) {
   throw Error("unknown kernel id");
 }
 
-// Gather miss factor of the instrumental kernels under the sliced
-// layout: sigma-window sorting by first instrumental column clusters
-// rows that scatter/gather nearby x entries, roughly halving the
-// irregular-access miss rate (the SELL-C-sigma effect).
-constexpr double kInstrMissSliced = 0.45;
-
 /// Exact coefficient bytes of a kernel's block, and the cache lines the
-/// seed AoS record fetch actually touches for it. The 24-double record
+/// row-record fetch actually touches for it. The 24-double record
 /// is 3 lines: [0,8) holds astro + the first att doubles, [8,16) att,
 /// [16,24) the att tail + instr + glob. Astro reads line 0 (64 B for
 /// 40 B of payload); attitude straddles all three (192 B for 96 B);
 /// instrumental and global each sit inside line 2.
 struct CoeffBlock {
   double exact;
-  double seed_lines;
+  double record_lines;
 };
 
 CoeffBlock coeff_block(KernelId id) {
@@ -148,64 +141,6 @@ double KernelCostModel::kernel_traffic_bytes(KernelId id,
 
 namespace {
 
-/// Shared body of layout_traffic_bytes / precision_traffic_bytes:
-/// `coef_scale` is the storage-scalar size over sizeof(real) (1 for
-/// fp64, 1/2 fp32, 1/4 bf16s). Only the coefficient stream scales —
-/// indices, permutations and the FP64 x/y gathers are precision-
-/// invariant.
-double traffic_bytes_impl(KernelId id, const ProblemShape& p,
-                          backends::StorageLayout layout,
-                          double coef_scale) {
-  using backends::StorageLayout;
-  const KernelShapeInfo info = shape_info(id);
-  const double rows = static_cast<double>(std::max<row_index>(1, p.n_rows));
-  const CoeffBlock cb = coeff_block(id);
-  // Index payload + y traffic: everything in per_row_bytes that is not
-  // the coefficient block itself.
-  double idx_y = info.per_row_bytes - cb.exact;
-  const bool instr =
-      id == KernelId::kAprod1Instr || id == KernelId::kAprod2Instr;
-  const auto padded_to = [rows](double granule) {
-    return std::ceil(rows / granule) * granule;
-  };
-
-  double coeff_total = 0.0;
-  double miss = info.miss;
-  switch (layout) {
-    case StorageLayout::kSeedAos:
-      // The shrunken record still fetches line-granular: scale the line
-      // coverage but never below one 64 B line per row touched.
-      coeff_total = rows * std::max(64.0, cb.seed_lines * coef_scale);
-      break;
-    case StorageLayout::kSoaTiled:
-      coeff_total = padded_to(static_cast<double>(matrix::kSoaTileRows)) *
-                    cb.exact * coef_scale;
-      break;
-    case StorageLayout::kSlicedInstr:
-      if (instr) {
-        // Lane-major slices: 6 coefficients + 6 int32 columns + the row
-        // index per lane, padded lanes included. The int32 payload
-        // replaces the seed's 24 B instr_col read, so drop it from
-        // idx_y.
-        const double lanes =
-            padded_to(static_cast<double>(matrix::kSliceHeight));
-        coeff_total =
-            lanes * (6.0 * (sizeof(real) * coef_scale +
-                            sizeof(std::int32_t)) +
-                     sizeof(row_index));
-        idx_y -= 6.0 * sizeof(std::int32_t);
-        miss = kInstrMissSliced;
-      } else {
-        // Non-instrumental kernels run the SoA streams under this
-        // layout (kSlicedInstr implies SoA for the regular blocks).
-        coeff_total = padded_to(static_cast<double>(matrix::kSoaTileRows)) *
-                      cb.exact * coef_scale;
-      }
-      break;
-  }
-  return coeff_total + rows * (idx_y + info.gather_bytes * miss);
-}
-
 /// Amortized refinement surcharge of a storage precision: reduced
 /// precision perturbs A, so the solve needs outer FP64 residual
 /// corrections (each a pair of full-precision aprod passes plus a short
@@ -227,45 +162,33 @@ double refinement_surcharge(backends::Precision precision) {
 
 }  // namespace
 
-double KernelCostModel::layout_traffic_bytes(
-    KernelId id, const ProblemShape& p,
-    backends::StorageLayout layout) const {
-  return traffic_bytes_impl(id, p, layout, 1.0);
-}
-
 double KernelCostModel::precision_traffic_bytes(
-    KernelId id, const ProblemShape& p, backends::StorageLayout layout,
+    KernelId id, const ProblemShape& p,
     backends::Precision precision) const {
-  const double scale =
+  const KernelShapeInfo info = shape_info(id);
+  const double rows = static_cast<double>(std::max<row_index>(1, p.n_rows));
+  const CoeffBlock cb = coeff_block(id);
+  const double coef_scale =
       static_cast<double>(matrix::precision_bytes(precision)) /
       static_cast<double>(sizeof(real));
-  return traffic_bytes_impl(id, p, layout, scale);
+  // The shrunken record still fetches line-granular: scale the line
+  // coverage but never below one 64 B line per row touched. Index
+  // payload + y traffic is everything in per_row_bytes that is not the
+  // coefficient block itself.
+  const double coeff_total =
+      rows * std::max(64.0, cb.record_lines * coef_scale);
+  const double idx_y = info.per_row_bytes - cb.exact;
+  return coeff_total + rows * (idx_y + info.gather_bytes * info.miss);
 }
 
 backends::Precision KernelCostModel::preferred_precision(
-    KernelId id, const ProblemShape& p,
-    backends::StorageLayout layout) const {
+    KernelId id, const ProblemShape& p) const {
   auto best = backends::Precision::kFp64;
-  double best_bytes = precision_traffic_bytes(id, p, layout, best);
+  double best_bytes = precision_traffic_bytes(id, p, best);
   for (int pr = 1; pr < backends::kNumPrecisions; ++pr) {
     const auto cand = static_cast<backends::Precision>(pr);
-    const double bytes = precision_traffic_bytes(id, p, layout, cand) *
+    const double bytes = precision_traffic_bytes(id, p, cand) *
                          (1.0 + refinement_surcharge(cand));
-    if (bytes < best_bytes) {
-      best = cand;
-      best_bytes = bytes;
-    }
-  }
-  return best;
-}
-
-backends::StorageLayout KernelCostModel::preferred_layout(
-    KernelId id, const ProblemShape& p) const {
-  auto best = backends::StorageLayout::kSeedAos;
-  double best_bytes = layout_traffic_bytes(id, p, best);
-  for (int l = 1; l < backends::kNumStorageLayouts; ++l) {
-    const auto cand = static_cast<backends::StorageLayout>(l);
-    const double bytes = layout_traffic_bytes(id, p, cand);
     if (bytes < best_bytes) {
       best = cand;
       best_bytes = bytes;

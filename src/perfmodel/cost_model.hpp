@@ -59,36 +59,18 @@ class KernelCostModel {
   [[nodiscard]] double kernel_traffic_bytes(KernelId id,
                                             const ProblemShape& p) const;
 
-  /// Bytes a kernel moves under a given *storage layout*. Unlike
+  /// Bytes a kernel moves under a given *storage precision*. Unlike
   /// `kernel_traffic_bytes` (which charges exact coefficient bytes),
-  /// this charges what the memory system actually fetches: the seed AoS
-  /// record is 3 cache lines, so a kernel reading one block of it pays
-  /// line-granular overfetch (64 B for a 40 B astro block, the full
-  /// 192 B record for the straddling attitude block); SoA streams pay
-  /// exact bytes plus the zero-padded tile tail; the sliced instrumental
-  /// format pays its lane padding and the int32 column payload but
-  /// halves the gather miss factor (slice sorting clusters rows that
-  /// touch nearby instrumental columns).
-  [[nodiscard]] double layout_traffic_bytes(
-      KernelId id, const ProblemShape& p,
-      backends::StorageLayout layout) const;
-
-  /// The overfetch-vs-padding crossover: which storage layout the model
-  /// predicts fastest for `id` on this problem. All eight kernels are
-  /// bandwidth-bound, so the lowest fetched-bytes layout wins; ties go
-  /// to the earlier enum value (seed).
-  [[nodiscard]] backends::StorageLayout preferred_layout(
-      KernelId id, const ProblemShape& p) const;
-
-  /// Bytes a kernel moves under a given *storage precision* on top of a
-  /// layout: the coefficient stream (AoS record lines / SoA planes /
-  /// sliced payload) shrinks with the storage scalar while the index
-  /// arrays and the FP64 x/y vector traffic stay unchanged — reduced
-  /// precision is a coefficient-bandwidth lever only. Seed AoS records
-  /// stay line-granular: a shrunken record still fetches whole 64 B
-  /// lines.
+  /// this charges what the memory system actually fetches: the 24-double
+  /// row record is 3 cache lines, so a kernel reading one block of it
+  /// pays line-granular overfetch (64 B for a 40 B astro block, the full
+  /// 192 B record for the straddling attitude block). The coefficient
+  /// fetch shrinks with the storage scalar, but never below one 64 B
+  /// line per row, while the index arrays and the FP64 x/y vector
+  /// traffic stay unchanged — reduced precision is a
+  /// coefficient-bandwidth lever only.
   [[nodiscard]] double precision_traffic_bytes(
-      KernelId id, const ProblemShape& p, backends::StorageLayout layout,
+      KernelId id, const ProblemShape& p,
       backends::Precision precision) const;
 
   /// The bandwidth-vs-refinement crossover: which storage precision the
@@ -100,8 +82,7 @@ class KernelCostModel {
   /// implementation) and picks the lowest effective bytes, ties to the
   /// earlier enum value (fp64).
   [[nodiscard]] backends::Precision preferred_precision(
-      KernelId id, const ProblemShape& p,
-      backends::StorageLayout layout) const;
+      KernelId id, const ProblemShape& p) const;
 
   /// FP operations of a kernel.
   [[nodiscard]] double kernel_flops(KernelId id, const ProblemShape& p) const;

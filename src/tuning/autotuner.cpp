@@ -39,7 +39,6 @@ void note_winner(KernelId id, KernelConfig cfg, double median_s) {
                  {"blocks", static_cast<std::int64_t>(cfg.blocks)},
                  {"threads", static_cast<std::int64_t>(cfg.threads)},
                  {"strategy", backends::to_string(cfg.strategy)},
-                 {"layout", backends::to_string(cfg.layout)},
                  {"precision", backends::to_string(cfg.precision)},
                  {"median_us", median_s * 1e6}});
   }
@@ -86,7 +85,6 @@ KernelConfig Autotuner::config_of(Candidate c) const {
           options_.thread_grid[static_cast<std::size_t>(c.ti)],
           c.si == 1 ? backends::ScatterStrategy::kPrivatized
                     : backends::ScatterStrategy::kAtomic,
-          static_cast<backends::StorageLayout>(c.li),
           static_cast<backends::Precision>(c.pi)};
 }
 
@@ -105,20 +103,19 @@ void Autotuner::seed_locked(KernelId id, KernelSearch& s) {
   // (collision avoidance), gathers want occupancy. The privatized
   // strategy has no collisions, so its arm seeds wide.
   const bool atomic = backends::kernel_uses_atomics(id);
-  const auto seed_of = [&](int si, int li, int pi) {
+  const auto seed_of = [&](int si, int pi) {
     const bool narrow = atomic && si == 0;
     Candidate c;
     c.bi = nearest_index(options_.block_grid, narrow ? 32 : 128);
     c.ti = nearest_index(options_.thread_grid, narrow ? 32 : 128);
     c.si = si;
-    c.li = li;
     c.pi = pi;
     return c;
   };
-  // Arm list = strategy axis x layout axis x precision axis. The
-  // strategy axis only exists for the atomic scatters; the layout and
-  // precision axes exist for every kernel. The first combo descends
-  // now, the rest are queued (stack, so they are pushed in reverse).
+  // Arm list = strategy axis x precision axis. The strategy axis only
+  // exists for the atomic scatters; the precision axis exists for every
+  // kernel. The first combo descends now, the rest are queued (stack, so
+  // they are pushed in reverse).
   std::vector<int> strategy_arms{0};
   if (atomic) {
     if (!options_.scatter.has_value())
@@ -126,12 +123,6 @@ void Autotuner::seed_locked(KernelId id, KernelSearch& s) {
     else if (*options_.scatter == backends::ScatterStrategy::kPrivatized)
       strategy_arms = {1};
   }
-  std::vector<int> layout_arms;
-  if (options_.layout.has_value())
-    layout_arms = {static_cast<int>(*options_.layout)};
-  else
-    for (int li = 0; li < backends::kNumStorageLayouts; ++li)
-      layout_arms.push_back(li);
   std::vector<int> precision_arms;
   if (options_.precision.has_value())
     precision_arms = {static_cast<int>(*options_.precision)};
@@ -140,13 +131,12 @@ void Autotuner::seed_locked(KernelId id, KernelSearch& s) {
       precision_arms.push_back(pi);
   std::vector<Candidate> combos;
   for (int si : strategy_arms)
-    for (int li : layout_arms)
-      for (int pi : precision_arms) combos.push_back(seed_of(si, li, pi));
+    for (int pi : precision_arms) combos.push_back(seed_of(si, pi));
   for (std::size_t i = combos.size(); i > 1; --i)
     s.arm_seeds.push_back(combos[i - 1]);
   const Candidate start = combos.front();
   s.current = start;
-  s.visited.insert({start.si, start.li, start.pi, start.bi, start.ti});
+  s.visited.insert({start.si, start.pi, start.bi, start.ti});
   s.started = true;
 }
 
@@ -156,12 +146,12 @@ void Autotuner::push_neighbors_locked(KernelSearch& s, Candidate c) {
         bi >= static_cast<int>(options_.block_grid.size()) ||
         ti >= static_cast<int>(options_.thread_grid.size()))
       return;
-    if (!s.visited.insert({c.si, c.li, c.pi, bi, ti}).second) return;
-    s.pending.push_back({bi, ti, c.si, c.li, c.pi});
+    if (!s.visited.insert({c.si, c.pi, bi, ti}).second) return;
+    s.pending.push_back({bi, ti, c.si, c.pi});
   };
-  // Axis moves only — this is the coordinate-descent step set. Strategy,
-  // layout and precision are not descent axes: each arm descends from
-  // its own seed.
+  // Axis moves only — this is the coordinate-descent step set. Strategy
+  // and precision are not descent axes: each arm descends from its own
+  // seed.
   try_push(c.bi - 1, c.ti);
   try_push(c.bi + 1, c.ti);
   try_push(c.bi, c.ti - 1);
@@ -197,9 +187,7 @@ bool Autotuner::report(KernelId id, KernelConfig cfg, double seconds) {
   // best improves (an arm whose seed loses to the other arm still
   // deserves its local search). The overall winner is tracked alongside.
   const auto arm = static_cast<std::size_t>(
-      (s.current.si * backends::kNumStorageLayouts + s.current.li) *
-          backends::kNumPrecisions +
-      s.current.pi);
+      s.current.si * backends::kNumPrecisions + s.current.pi);
   if (!s.arm_scored[arm] || med < s.arm_median[arm]) {
     s.arm_best[arm] = s.current;
     s.arm_median[arm] = med;
@@ -214,13 +202,13 @@ bool Autotuner::report(KernelId id, KernelConfig cfg, double seconds) {
   if (s.pending.empty() ||
       s.arm_evaluated >= options_.max_configs_per_kernel) {
     if (!s.arm_seeds.empty()) {
-      // This arm is done; start the next (strategy, layout) arm's seed.
+      // This arm is done; start the next (strategy, precision) arm's seed.
       const Candidate seed = s.arm_seeds.back();
       s.arm_seeds.pop_back();
       s.pending.clear();
       s.arm_evaluated = 0;
       s.current = seed;
-      s.visited.insert({seed.si, seed.li, seed.pi, seed.bi, seed.ti});
+      s.visited.insert({seed.si, seed.pi, seed.bi, seed.ti});
       return false;
     }
     s.finished = true;
@@ -259,14 +247,8 @@ int best_arm(const Search& s, Keep&& keep) {
   return best;
 }
 
-/// Inverse of the (si * kNumStorageLayouts + li) * kNumPrecisions + pi
-/// arm index.
-int arm_strategy(int a) {
-  return a / (backends::kNumStorageLayouts * backends::kNumPrecisions);
-}
-int arm_layout(int a) {
-  return (a / backends::kNumPrecisions) % backends::kNumStorageLayouts;
-}
+/// Inverse of the si * kNumPrecisions + pi arm index.
+int arm_strategy(int a) { return a / backends::kNumPrecisions; }
 int arm_precision(int a) { return a % backends::kNumPrecisions; }
 
 }  // namespace
@@ -287,26 +269,6 @@ double Autotuner::best_median_for(KernelId id,
   const KernelSearch& s = search_[static_cast<std::size_t>(id)];
   const int want = static_cast<int>(strategy);
   const int arm = best_arm(s, [&](int a) { return arm_strategy(a) == want; });
-  return arm >= 0 ? s.arm_median[static_cast<std::size_t>(arm)]
-                  : std::numeric_limits<double>::infinity();
-}
-
-KernelConfig Autotuner::best_for_layout(
-    KernelId id, backends::StorageLayout layout) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const KernelSearch& s = search_[static_cast<std::size_t>(id)];
-  const int want = static_cast<int>(layout);
-  const int arm = best_arm(s, [&](int a) { return arm_layout(a) == want; });
-  return arm >= 0 ? config_of(s.arm_best[static_cast<std::size_t>(arm)])
-                  : KernelConfig{};
-}
-
-double Autotuner::best_median_for_layout(
-    KernelId id, backends::StorageLayout layout) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const KernelSearch& s = search_[static_cast<std::size_t>(id)];
-  const int want = static_cast<int>(layout);
-  const int arm = best_arm(s, [&](int a) { return arm_layout(a) == want; });
   return arm >= 0 ? s.arm_median[static_cast<std::size_t>(arm)]
                   : std::numeric_limits<double>::infinity();
 }
@@ -369,7 +331,6 @@ std::vector<real> encode_table(const backends::TuningTable& table) {
     out.push_back(static_cast<real>(cfg.blocks));
     out.push_back(static_cast<real>(cfg.threads));
     out.push_back(static_cast<real>(static_cast<int>(cfg.strategy)));
-    out.push_back(static_cast<real>(static_cast<int>(cfg.layout)));
     out.push_back(static_cast<real>(static_cast<int>(cfg.precision)));
   }
   return out;
@@ -384,19 +345,15 @@ backends::TuningTable decode_table(std::span<const real> data) {
     const auto strategy = static_cast<int>(data[i + 2]);
     GAIA_CHECK(strategy >= 0 && strategy < backends::kNumScatterStrategies,
                "decode_table: unknown scatter strategy");
-    const auto layout = static_cast<int>(data[i + 3]);
-    GAIA_CHECK(layout >= 0 && layout < backends::kNumStorageLayouts,
-               "decode_table: unknown storage layout");
-    const auto precision = static_cast<int>(data[i + 4]);
+    const auto precision = static_cast<int>(data[i + 3]);
     GAIA_CHECK(precision >= 0 && precision < backends::kNumPrecisions,
                "decode_table: unknown storage precision");
     KernelConfig cfg{static_cast<std::int32_t>(data[i]),
                      static_cast<std::int32_t>(data[i + 1]),
                      static_cast<backends::ScatterStrategy>(strategy),
-                     static_cast<backends::StorageLayout>(layout),
                      static_cast<backends::Precision>(precision)};
     table.set(id, cfg);
-    i += 5;
+    i += 4;
   }
   return table;
 }

@@ -53,15 +53,6 @@ struct AutotuneOptions {
   /// and the lower measured median wins. Gather kernels ignore this.
   std::optional<backends::ScatterStrategy> scatter =
       backends::ScatterStrategy::kAtomic;
-  /// The storage-layout axis — every kernel has one, gathers included.
-  /// Pinned to kSeedAos (the default) nothing changes; pinned to a
-  /// derived layout every kernel searches that layout's bodies only;
-  /// nullopt opens the axis: each layout is its own descent arm (the
-  /// launch-shape optimum moves with the addressing pattern, so a
-  /// layout cannot reuse another's winning shape) and the lowest
-  /// measured median across arms wins.
-  std::optional<backends::StorageLayout> layout =
-      backends::StorageLayout::kSeedAos;
   /// The storage-precision axis. Pinned to kFp64 (the default) nothing
   /// changes; pinned to a reduced precision every kernel searches that
   /// precision's bodies only; nullopt opens the axis: each precision is
@@ -119,14 +110,6 @@ class Autotuner {
   [[nodiscard]] double best_median_for(
       backends::KernelId id, backends::ScatterStrategy strategy) const;
 
-  /// Best shape / median measured *within one layout arm* — the
-  /// seed-vs-derived-layout comparison the experiments tables and the
-  /// layout-smoke CI assertion are built from.
-  [[nodiscard]] backends::KernelConfig best_for_layout(
-      backends::KernelId id, backends::StorageLayout layout) const;
-  [[nodiscard]] double best_median_for_layout(
-      backends::KernelId id, backends::StorageLayout layout) const;
-
   /// Best shape / median measured *within one precision arm* — the
   /// fp64-vs-reduced comparison the experiments tables and the
   /// precision-smoke CI assertion are built from.
@@ -152,7 +135,6 @@ class Autotuner {
     int bi = 0;  ///< index into options_.block_grid
     int ti = 0;  ///< index into options_.thread_grid
     int si = 0;  ///< strategy arm: 0 = atomic, 1 = privatized
-    int li = 0;  ///< layout arm: StorageLayout enum value
     int pi = 0;  ///< precision arm: Precision enum value
   };
   struct KernelSearch {
@@ -161,23 +143,21 @@ class Autotuner {
     Candidate current{};
     std::vector<double> samples;   ///< of the current candidate
     std::vector<Candidate> pending;
-    std::set<std::tuple<int, int, int, int, int>> visited;
-    /// Seeds of (strategy, layout, precision) arms not yet descended (an
-    /// arm runs to convergence or budget before the next seed starts, so
+    std::set<std::tuple<int, int, int, int>> visited;
+    /// Seeds of (strategy, precision) arms not yet descended (an arm
+    /// runs to convergence or budget before the next seed starts, so
     /// every arm is guaranteed its descent).
     std::vector<Candidate> arm_seeds;
     int arm_evaluated = 0;  ///< candidates scored in the current arm
     Candidate best{};
     double best_median = 0;  ///< valid iff scored
     bool scored = false;
-    /// Per-(strategy, layout, precision) arm best — the descent
-    /// criterion, and the base of the atomic-vs-privatized,
-    /// seed-vs-derived and fp64-vs-reduced reports (each a minimum over
-    /// the other two axes). Indexed
-    /// (si * kNumStorageLayouts + li) * kNumPrecisions + pi.
-    static constexpr int kNumArms = backends::kNumScatterStrategies *
-                                    backends::kNumStorageLayouts *
-                                    backends::kNumPrecisions;
+    /// Per-(strategy, precision) arm best — the descent criterion, and
+    /// the base of the atomic-vs-privatized and fp64-vs-reduced reports
+    /// (each a minimum over the other axis). Indexed
+    /// si * kNumPrecisions + pi.
+    static constexpr int kNumArms =
+        backends::kNumScatterStrategies * backends::kNumPrecisions;
     std::array<Candidate, kNumArms> arm_best{};
     std::array<double, kNumArms> arm_median{};
     std::array<bool, kNumArms> arm_scored{};
@@ -198,13 +178,13 @@ class Autotuner {
   std::uint64_t trials_ = 0;
 };
 
-/// Flat encoding of a TuningTable as 5*kNumKernels reals (blocks,
-/// threads, scatter strategy, storage layout, storage precision per
-/// kernel in enum order) — the dist layer broadcasts rank 0's winners to
-/// all ranks through the existing Comm::bcast(span<real>) so every rank
-/// runs identical shapes, strategies, layouts and precisions.
+/// Flat encoding of a TuningTable as 4*kNumKernels reals (blocks,
+/// threads, scatter strategy, storage precision per kernel in enum
+/// order) — the dist layer broadcasts rank 0's winners to all ranks
+/// through the existing Comm::bcast(span<real>) so every rank runs
+/// identical shapes, strategies and precisions.
 inline constexpr std::size_t kEncodedTableSize =
-    5 * static_cast<std::size_t>(backends::kNumKernels);
+    4 * static_cast<std::size_t>(backends::kNumKernels);
 [[nodiscard]] std::vector<real> encode_table(
     const backends::TuningTable& table);
 [[nodiscard]] backends::TuningTable decode_table(std::span<const real> data);

@@ -6,82 +6,51 @@
 namespace gaia::tuning {
 
 using backends::Precision;
-using backends::StorageLayout;
 
 namespace {
-/// The layout a launch actually runs with: a derived layout whose
-/// arrays are not attached to the view clamps to the seed — a view
-/// without descriptors keeps seed semantics instead of faulting on the
-/// null pointers (the contract documented on SystemView::has_layout).
-StorageLayout effective_layout(const LaunchArgs& args) {
-  const StorageLayout layout = args.config.layout;
-  if (layout != StorageLayout::kSeedAos && args.view != nullptr &&
-      !args.view->has_layout(layout))
-    return StorageLayout::kSeedAos;
-  return layout;
-}
-
-/// The precision a launch actually runs with: a reduced precision whose
-/// converted planes are not attached for the effective layout clamps to
-/// fp64 (SystemView::has_precision) — reduced precision degrades to
-/// full precision, never to a fault.
-Precision effective_precision(const LaunchArgs& args, StorageLayout layout) {
-  const Precision p = args.config.precision;
-  if (p != Precision::kFp64 && args.view != nullptr &&
-      !args.view->has_precision(p, layout))
-    return Precision::kFp64;
-  return p;
-}
-
 /// Picks the launcher slot a launch runs and writes the effective
-/// layout/precision into `run`. `slot(layout, precision)` returns the
-/// table entry of that plane.
+/// precision into `run`: a reduced precision whose converted records are
+/// not attached to the view (SystemView::has_precision), or whose slot
+/// is empty, clamps to the fp64 launcher — reduced precision degrades to
+/// full precision, never to a fault. `slot(precision)` returns the table
+/// entry of that plane.
 template <typename Slot>
 const KernelLauncher* resolve(const LaunchArgs& args, LaunchArgs& run,
                               Slot&& slot) {
-  const StorageLayout layout = effective_layout(args);
-  Precision precision = effective_precision(args, layout);
-  run = args;
-  run.config.layout = layout;
-  // Empty precision slot clamps to the fp64 plane of the same layout;
-  // an empty derived-layout slot then falls back to the seed layout.
-  const KernelLauncher* fn = &slot(layout, precision);
-  if (!*fn && precision != Precision::kFp64) {
+  Precision precision = args.config.precision;
+  if (precision != Precision::kFp64 &&
+      ((args.view != nullptr && !args.view->has_precision(precision)) ||
+       !slot(precision)))
     precision = Precision::kFp64;
-    fn = &slot(layout, precision);
-  }
-  if (!*fn && layout != StorageLayout::kSeedAos)
-    fn = &slot(StorageLayout::kSeedAos, precision);
+  run = args;
   run.config.precision = precision;
+  const KernelLauncher* fn = &slot(precision);
   return *fn ? fn : nullptr;
 }
 }  // namespace
 
 void KernelRegistry::add(backends::KernelId id,
                          backends::BackendKind backend,
-                         KernelLauncher launcher, StorageLayout layout,
-                         Precision precision) {
+                         KernelLauncher launcher, Precision precision) {
   GAIA_CHECK(launcher != nullptr, "KernelRegistry::add: null launcher");
-  table_[index(id, backend, layout, precision)] = std::move(launcher);
+  table_[index(id, backend, precision)] = std::move(launcher);
 }
 
 void KernelRegistry::add_fused(FusedPass pass, backends::BackendKind backend,
-                               KernelLauncher launcher, StorageLayout layout,
-                               Precision precision) {
+                               KernelLauncher launcher, Precision precision) {
   GAIA_CHECK(launcher != nullptr, "KernelRegistry::add_fused: null launcher");
-  fused_[fused_index(pass, backend, layout, precision)] = std::move(launcher);
+  fused_[fused_index(pass, backend, precision)] = std::move(launcher);
 }
 
 bool KernelRegistry::has(backends::KernelId id,
-                         backends::BackendKind backend, StorageLayout layout,
+                         backends::BackendKind backend,
                          Precision precision) const {
-  return table_[index(id, backend, layout, precision)] != nullptr;
+  return table_[index(id, backend, precision)] != nullptr;
 }
 
 bool KernelRegistry::has_fused(FusedPass pass, backends::BackendKind backend,
-                               StorageLayout layout,
                                Precision precision) const {
-  return fused_[fused_index(pass, backend, layout, precision)] != nullptr;
+  return fused_[fused_index(pass, backend, precision)] != nullptr;
 }
 
 void KernelRegistry::launch(backends::KernelId id,
@@ -89,8 +58,8 @@ void KernelRegistry::launch(backends::KernelId id,
                             const LaunchArgs& args) const {
   LaunchArgs run;
   const KernelLauncher* fn =
-      resolve(args, run, [&](StorageLayout l, Precision p) -> const auto& {
-        return table_[index(id, backend, l, p)];
+      resolve(args, run, [&](Precision p) -> const auto& {
+        return table_[index(id, backend, p)];
       });
   if (!fn)
     throw Error("KernelRegistry: no launcher registered for kernel " +
@@ -104,8 +73,8 @@ void KernelRegistry::launch_fused(FusedPass pass,
                                   const LaunchArgs& args) const {
   LaunchArgs run;
   const KernelLauncher* fn =
-      resolve(args, run, [&](StorageLayout l, Precision p) -> const auto& {
-        return fused_[fused_index(pass, backend, l, p)];
+      resolve(args, run, [&](Precision p) -> const auto& {
+        return fused_[fused_index(pass, backend, p)];
       });
   if (!fn) {
     static const char* kNames[] = {"aprod1 gather", "aprod2 scatter",

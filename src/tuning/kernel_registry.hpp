@@ -1,6 +1,6 @@
 /// \file kernel_registry.hpp
 /// \brief Type-erased kernel dispatch:
-/// (KernelId, BackendKind, StorageLayout) -> launcher.
+/// (KernelId, BackendKind, Precision) -> launcher.
 ///
 /// Before this subsystem, every launch site in `core/aprod.cpp` carried
 /// its own `switch (id)` over the eight kernels — three copies of the
@@ -10,19 +10,13 @@
 /// kernel instantiations once (see `core/kernel_catalog.cpp`), and
 /// aprod, failover and bench all launch through `launch()`.
 ///
-/// The storage layout is a third dispatch axis, carried by
-/// `args.config.layout` exactly like the scatter strategy: the catalog
-/// registers one body per (kernel, backend, layout), and a layout slot
-/// left empty falls back to the seed-layout launcher (which reads the
-/// always-present seed arrays), so a partially-registered layout can
-/// never fault — it just runs unaccelerated.
-///
-/// Storage precision is the fourth axis, carried by
+/// Storage precision is the third axis, carried by
 /// `args.config.precision`: the catalog registers each body's float and
 /// bf16s instantiations next to the fp64 one, and an empty precision
-/// slot (or a view without the converted planes attached) clamps to the
-/// fp64 launcher of the same (kernel, backend, layout) — reduced
-/// precision degrades to full precision, never to a fault.
+/// slot (or a view without the converted records attached) clamps to
+/// the fp64 launcher of the same (kernel, backend) — reduced precision
+/// degrades to full precision, never to a fault. `args.config.layout`
+/// is ignored.
 ///
 /// The launchers are type-erased `std::function`s over a flat argument
 /// struct so the registry depends only on forward declarations — the
@@ -54,8 +48,7 @@ namespace gaia::tuning {
 /// atomic_mode is ignored by the atomic-free kernels. `arena` is the
 /// scratch pool the aprod2 scatters draw their per-worker slices from
 /// (null = the backend's process-wide arena); config.strategy selects
-/// the scatters' commit step and config.layout which storage layout's
-/// body runs.
+/// the scatters' commit step.
 struct LaunchArgs {
   const core::SystemView* view = nullptr;
   const real* in = nullptr;
@@ -102,8 +95,8 @@ inline constexpr std::array<AprodPass, 3> kAprodPasses = {{
 inline constexpr AprodPass kStepPass = {backends::KernelId::kAprod2Att,
                                         FusedPass::kStep};
 
-/// Dense (KernelId x BackendKind x StorageLayout x Precision) table of
-/// launchers plus one launcher per fused pass on the same axes.
+/// Dense (KernelId x BackendKind x Precision) table of launchers plus
+/// one launcher per fused pass on the same axes.
 ///
 /// Registration happens once at startup (core::ensure_kernel_catalog());
 /// after that the table is read-only, so launches need no locking.
@@ -111,28 +104,22 @@ class KernelRegistry {
  public:
   void add(backends::KernelId id, backends::BackendKind backend,
            KernelLauncher launcher,
-           backends::StorageLayout layout = backends::StorageLayout::kSeedAos,
            backends::Precision precision = backends::Precision::kFp64);
-  void add_fused(
-      FusedPass pass, backends::BackendKind backend, KernelLauncher launcher,
-      backends::StorageLayout layout = backends::StorageLayout::kSeedAos,
-      backends::Precision precision = backends::Precision::kFp64);
+  void add_fused(FusedPass pass, backends::BackendKind backend,
+                 KernelLauncher launcher,
+                 backends::Precision precision = backends::Precision::kFp64);
   [[nodiscard]] bool has(
       backends::KernelId id, backends::BackendKind backend,
-      backends::StorageLayout layout = backends::StorageLayout::kSeedAos,
       backends::Precision precision = backends::Precision::kFp64) const;
   [[nodiscard]] bool has_fused(
       FusedPass pass, backends::BackendKind backend,
-      backends::StorageLayout layout = backends::StorageLayout::kSeedAos,
       backends::Precision precision = backends::Precision::kFp64) const;
 
   /// Dispatches through the registered launcher; throws gaia::Error
   /// naming the (kernel, backend) pair when nothing is registered —
   /// a registration bug, not a user error. The scatter strategy is not a
   /// dispatch axis: one body serves both, reading args.config.strategy
-  /// for its commit step. The layout axis picks the body; an
-  /// unregistered layout slot falls back to the seed-layout launcher of
-  /// the same (kernel, backend).
+  /// for its commit step.
   void launch(backends::KernelId id, backends::BackendKind backend,
               const LaunchArgs& args) const;
   void launch_fused(FusedPass pass, backends::BackendKind backend,
@@ -141,8 +128,8 @@ class KernelRegistry {
   void launch(const AprodPass& pass, backends::BackendKind backend,
               const LaunchArgs& args) const;
 
-  /// Registered (kernel, backend) entries in the seed-layout plane;
-  /// fused/derived-layout slots excluded.
+  /// Registered (kernel, backend) entries in the fp64 plane; fused and
+  /// reduced-precision slots excluded.
   [[nodiscard]] std::size_t size() const;
 
   /// Process-wide registry the solver dispatches through.
@@ -152,18 +139,11 @@ class KernelRegistry {
   static constexpr std::size_t kPlane =
       static_cast<std::size_t>(backends::kNumKernels) *
       static_cast<std::size_t>(backends::kNumBackends);
-  static constexpr std::size_t kLayoutPlanes =
-      static_cast<std::size_t>(backends::kNumStorageLayouts) *
-      static_cast<std::size_t>(backends::kNumPrecisions);
 
   [[nodiscard]] static std::size_t index(backends::KernelId id,
                                          backends::BackendKind backend,
-                                         backends::StorageLayout layout,
                                          backends::Precision precision) {
-    return (static_cast<std::size_t>(precision) *
-                static_cast<std::size_t>(backends::kNumStorageLayouts) +
-            static_cast<std::size_t>(layout)) *
-               kPlane +
+    return static_cast<std::size_t>(precision) * kPlane +
            static_cast<std::size_t>(id) *
                static_cast<std::size_t>(backends::kNumBackends) +
            static_cast<std::size_t>(backend);
@@ -173,18 +153,17 @@ class KernelRegistry {
       static_cast<std::size_t>(backends::kNumBackends);
   [[nodiscard]] static std::size_t fused_index(
       FusedPass pass, backends::BackendKind backend,
-      backends::StorageLayout layout, backends::Precision precision) {
-    return (static_cast<std::size_t>(precision) *
-                static_cast<std::size_t>(backends::kNumStorageLayouts) +
-            static_cast<std::size_t>(layout)) *
-               kFusedPlane +
+      backends::Precision precision) {
+    return static_cast<std::size_t>(precision) * kFusedPlane +
            static_cast<std::size_t>(pass) *
                static_cast<std::size_t>(backends::kNumBackends) +
            static_cast<std::size_t>(backend);
   }
 
-  std::array<KernelLauncher, kPlane * kLayoutPlanes> table_{};
-  std::array<KernelLauncher, kFusedPlane * kLayoutPlanes> fused_{};
+  static constexpr std::size_t kPrecisionPlanes =
+      static_cast<std::size_t>(backends::kNumPrecisions);
+  std::array<KernelLauncher, kPlane * kPrecisionPlanes> table_{};
+  std::array<KernelLauncher, kFusedPlane * kPrecisionPlanes> fused_{};
 };
 
 }  // namespace gaia::tuning

@@ -75,7 +75,6 @@ std::string TuningCache::to_json() const {
        << backends::to_string(static_cast<KernelId>(kernel))
        << "\",\"blocks\":" << cfg.blocks << ",\"threads\":" << cfg.threads
        << ",\"strategy\":\"" << backends::to_string(cfg.strategy)
-       << "\",\"layout\":\"" << backends::to_string(cfg.layout)
        << "\",\"precision\":\"" << backends::to_string(cfg.precision)
        << "\"}";
   }
@@ -145,7 +144,6 @@ struct RawEntry {
   std::string backend;
   std::string kernel;
   std::string strategy = "atomic";
-  std::string layout = "seed_aos";
   std::string precision = "fp64";
   std::int64_t rows_log2 = 0;
   std::int64_t cols_log2 = 0;
@@ -167,8 +165,6 @@ bool parse_entry(JsonCursor& cur, RawEntry& entry) {
       if (!cur.parse_string(entry.kernel)) return false;
     } else if (key == "strategy") {
       if (!cur.parse_string(entry.strategy)) return false;
-    } else if (key == "layout") {
-      if (!cur.parse_string(entry.layout)) return false;
     } else if (key == "precision") {
       if (!cur.parse_string(entry.precision)) return false;
     } else if (key == "rows_log2") {
@@ -221,7 +217,7 @@ std::optional<TuningCache> TuningCache::parse_json(const std::string& text,
       // An honest file of another schema version is a clean miss, not
       // corruption — report it as such without trusting its entries
       // (v1 predates the strategy axis, v2 the layout axis, v3 the
-      // precision axis).
+      // precision axis, and v4 still carries the layout axis).
       if (v != kSchemaVersion) return fail(ParseStatus::kVersionMismatch);
     } else if (key == "entries") {
       saw_entries = true;
@@ -236,16 +232,15 @@ std::optional<TuningCache> TuningCache::parse_json(const std::string& text,
         const auto backend = backends::parse_backend(raw.backend);
         const auto kernel = backends::parse_kernel_id(raw.kernel);
         const auto strategy = backends::parse_scatter_strategy(raw.strategy);
-        const auto layout = backends::parse_storage_layout(raw.layout);
         const auto precision = backends::parse_precision(raw.precision);
-        if (!backend || !kernel || !strategy || !layout || !precision)
+        if (!backend || !kernel || !strategy || !precision)
           return fail(ParseStatus::kMalformed);
         if (raw.rows_log2 < 0 || raw.rows_log2 > 62 || raw.cols_log2 < 0 ||
             raw.cols_log2 > 62)
           return fail(ParseStatus::kMalformed);
         const KernelConfig cfg{static_cast<std::int32_t>(raw.blocks),
                                static_cast<std::int32_t>(raw.threads),
-                               *strategy, *layout, *precision};
+                               *strategy, *precision};
         if (!backends::is_valid_kernel_config(cfg))
           return fail(ParseStatus::kMalformed);
         cache.put(*backend,

@@ -8,6 +8,8 @@
 #include "core/vector_ops.hpp"
 #include "matrix/dense.hpp"
 #include "matrix/generator.hpp"
+#include "obs/flight_recorder.hpp"
+#include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 
@@ -200,42 +202,36 @@ TEST_P(AprodDriver, FusedAprod2MatchesSplitKernels) {
 TEST_P(AprodDriver, AdjointIdentityOnEveryLayoutPrecisionAndStrategy) {
   // The matrix-free oracle at the driver level, where the passes are
   // composed: <A x, y> = <x, A^T y> through apply1/apply2 for every
-  // (layout, precision, scatter strategy) table. Both products read the
-  // same stored coefficients, so reduced precision perturbs A but not
-  // the identity; the gap is judged against the summed magnitude of the
+  // (precision, scatter strategy) table. Both products read the same
+  // stored coefficients, so reduced precision perturbs A but not the
+  // identity; the gap is judged against the summed magnitude of the
   // products. No dense expansion is needed.
-  for (const auto layout :
-       {backends::StorageLayout::kSeedAos, backends::StorageLayout::kSoaTiled,
-        backends::StorageLayout::kSlicedInstr}) {
-    for (const auto precision :
-         {backends::Precision::kFp64, backends::Precision::kFp32,
-          backends::Precision::kBf16s}) {
-      for (const auto strategy : {backends::ScatterStrategy::kAtomic,
-                                  backends::ScatterStrategy::kPrivatized}) {
-        AprodOptions o = opts();
-        for (backends::KernelId id : backends::all_kernels()) {
-          backends::KernelConfig cfg = o.tuning.get(id);
-          cfg.layout = layout;
-          cfg.precision = precision;
-          if (backends::kernel_uses_atomics(id)) cfg.strategy = strategy;
-          o.tuning.set(id, cfg);
-        }
-        backends::DeviceContext device;
-        Aprod aprod(gen_.A, device, o);
-        std::vector<real> ax(y_.size(), 0.0), aty(x_.size(), 0.0);
-        aprod.apply1(x_, ax);
-        aprod.apply2(y_, aty);
-        real lhs = 0, rhs = 0, scale = 0;
-        for (std::size_t i = 0; i < ax.size(); ++i) {
-          lhs += ax[i] * y_[i];
-          scale += std::abs(ax[i] * y_[i]);
-        }
-        for (std::size_t i = 0; i < aty.size(); ++i) rhs += aty[i] * x_[i];
-        EXPECT_LT(std::abs(lhs - rhs), 1e-12 * scale)
-            << backends::to_string(layout) << "/"
-            << backends::to_string(precision) << "/"
-            << backends::to_string(strategy);
+  for (const auto precision :
+       {backends::Precision::kFp64, backends::Precision::kFp32,
+        backends::Precision::kBf16s}) {
+    for (const auto strategy : {backends::ScatterStrategy::kAtomic,
+                                backends::ScatterStrategy::kPrivatized}) {
+      AprodOptions o = opts();
+      for (backends::KernelId id : backends::all_kernels()) {
+        backends::KernelConfig cfg = o.tuning.get(id);
+        cfg.precision = precision;
+        if (backends::kernel_uses_atomics(id)) cfg.strategy = strategy;
+        o.tuning.set(id, cfg);
       }
+      backends::DeviceContext device;
+      Aprod aprod(gen_.A, device, o);
+      std::vector<real> ax(y_.size(), 0.0), aty(x_.size(), 0.0);
+      aprod.apply1(x_, ax);
+      aprod.apply2(y_, aty);
+      real lhs = 0, rhs = 0, scale = 0;
+      for (std::size_t i = 0; i < ax.size(); ++i) {
+        lhs += ax[i] * y_[i];
+        scale += std::abs(ax[i] * y_[i]);
+      }
+      for (std::size_t i = 0; i < aty.size(); ++i) rhs += aty[i] * x_[i];
+      EXPECT_LT(std::abs(lhs - rhs), 1e-12 * scale)
+          << backends::to_string(precision) << "/"
+          << backends::to_string(strategy);
     }
   }
 }
@@ -253,6 +249,77 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, AprodDriver,
                          [](const auto& info) {
                            return backends::to_string(info.param);
                          });
+
+TEST(AprodPrecisionClamp, OversizedCopyRunsFp64AndIsRecorded) {
+  // A device that holds the fp64 arrays but not the fp32 copy: an fp32
+  // table runs every pass at fp64, bit for bit, and the degrade is
+  // recorded once — an `aprod.precision_clamps` count and a `degrade`
+  // flight event naming the first pass that asked.
+  const auto gen = matrix::generate_system(gaia::testing::medium_config(6));
+  util::Xoshiro256 rng(9);
+  std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()));
+  std::vector<real> y(static_cast<std::size_t>(gen.A.n_rows()));
+  for (auto& v : x) v = rng.normal();
+  for (auto& v : y) v = rng.normal();
+
+  struct Run {
+    std::vector<real> ax, aty, u, q;
+    real pnorm_sq = 0;
+  };
+  const auto run = [&](Aprod& aprod) {
+    Run r;
+    r.ax.assign(y.size(), 0.0);
+    r.aty.assign(x.size(), 0.0);
+    aprod.apply1(x, r.ax);
+    aprod.apply2(y, r.aty);
+    r.u = y;
+    r.q.assign(x.size(), 0.0);
+    for (int i = 0; i < 2; ++i)
+      r.pnorm_sq = aprod.step(x, r.u, r.q, 1.0, 0.5);
+    return r;
+  };
+  AprodOptions fp64;
+  fp64.backend = BackendKind::kSerial;
+  backends::DeviceContext roomy;
+  Aprod reference(gen.A, roomy, fp64);
+  const byte_size seed_bytes = roomy.allocated();
+  const Run want = run(reference);
+
+  auto& reg = obs::MetricsRegistry::global();
+  reg.set_enabled(true);
+  reg.reset();
+  obs::FlightRecorder::global().reset();
+  AprodOptions fp32 = fp64;
+  for (backends::KernelId id : backends::all_kernels()) {
+    backends::KernelConfig cfg = fp32.tuning.get(id);
+    cfg.precision = backends::Precision::kFp32;
+    fp32.tuning.set(id, cfg);
+  }
+  const byte_size fp32_bytes = gen.A.values().size() * sizeof(float);
+  backends::DeviceContext tight(seed_bytes + fp32_bytes - 1, "tight");
+  Aprod clamped(gen.A, tight, fp32);
+  const Run got = run(clamped);
+  const std::uint64_t clamps =
+      reg.counter("aprod.precision_clamps").value();
+  reg.set_enabled(false);
+  reg.reset();
+
+  EXPECT_EQ(got.ax, want.ax);
+  EXPECT_EQ(got.aty, want.aty);
+  EXPECT_EQ(got.u, want.u);
+  EXPECT_EQ(got.q, want.q);
+  EXPECT_EQ(got.pnorm_sq, want.pnorm_sq);
+  EXPECT_EQ(tight.allocated(), seed_bytes);
+  EXPECT_EQ(clamps, 1u);
+  int degrades = 0;
+  for (const obs::FlightEvent& e : obs::FlightRecorder::global().events()) {
+    if (e.category != "degrade") continue;
+    ++degrades;
+    EXPECT_EQ(e.name, "aprod1_fused");
+    EXPECT_NE(e.detail.find("fp32 -> fp64"), std::string::npos) << e.detail;
+  }
+  EXPECT_EQ(degrades, 1);
+}
 
 }  // namespace
 }  // namespace gaia::core

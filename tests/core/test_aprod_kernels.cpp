@@ -19,29 +19,23 @@ namespace {
 using backends::BackendKind;
 using backends::KernelId;
 using backends::Precision;
-using backends::StorageLayout;
 
-constexpr std::array<StorageLayout, 3> kLayouts = {
-    StorageLayout::kSeedAos, StorageLayout::kSoaTiled,
-    StorageLayout::kSlicedInstr};
 constexpr std::array<Precision, 3> kPrecisions = {
     Precision::kFp64, Precision::kFp32, Precision::kBf16s};
 
-/// A generated system with every derived layout and reduced precision
-/// built and attached to its host view.
+/// A generated system with every reduced precision built and attached to
+/// its host view.
 struct AttachedSystem {
   explicit AttachedSystem(const matrix::GeneratorConfig& cfg)
       : gen(matrix::generate_system(cfg)),
-        layouts(gen.A),
+        stores(gen.A),
         view(SystemView::from(gen.A)) {
-    layouts.build(StorageLayout::kSlicedInstr);  // implies SoA
-    layouts.build_precision(Precision::kFp32);
-    layouts.build_precision(Precision::kBf16s);
-    view.attach_layout(layouts);
-    view.attach_precision(layouts);
+    stores.build_precision(Precision::kFp32);
+    stores.build_precision(Precision::kBf16s);
+    view.attach_precision(stores);
   }
   matrix::GeneratedSystem gen;
-  matrix::LayoutedSystem layouts;
+  matrix::LayoutedSystem stores;
   SystemView view;
 };
 using matrix::dense_matvec;
@@ -220,8 +214,8 @@ TEST_P(AprodKernels, GlobalKernelsNoopWithoutGlobalSection) {
 TEST_P(AprodKernels, FusedGatherBitIdenticalToTheFourGathers) {
   // The fused gather adds the four section dots into y[r] in the order
   // the separate kernels add them: through the registry it equals the
-  // four launches bit for bit on every layout and precision, onto a
-  // non-zero y, with and without a global block.
+  // four launches bit for bit at every precision, onto a non-zero y,
+  // with and without a global block.
   ensure_kernel_catalog();
   const tuning::KernelRegistry& reg = tuning::KernelRegistry::global();
   for (const bool has_global : {true, false}) {
@@ -233,28 +227,24 @@ TEST_P(AprodKernels, FusedGatherBitIdenticalToTheFourGathers) {
     std::vector<real> y0(static_cast<std::size_t>(sys.gen.A.n_rows()));
     for (auto& v : x) v = rng.normal();
     for (auto& v : y0) v = rng.normal();
-    for (const StorageLayout layout : kLayouts) {
-      for (const Precision precision : kPrecisions) {
-        tuning::LaunchArgs args;
-        args.view = &sys.view;
-        args.in = x.data();
-        args.config = {16, 32};
-        args.config.layout = layout;
-        args.config.precision = precision;
-        std::vector<real> separate = y0;
-        args.out = separate.data();
-        for (KernelId id : {KernelId::kAprod1Astro, KernelId::kAprod1Att,
-                            KernelId::kAprod1Instr, KernelId::kAprod1Glob})
-          reg.launch(id, GetParam(), args);
-        std::vector<real> fused = y0;
-        args.out = fused.data();
-        reg.launch_fused(tuning::FusedPass::kGather, GetParam(), args);
-        for (std::size_t r = 0; r < fused.size(); ++r)
-          ASSERT_EQ(fused[r], separate[r])
-              << backends::to_string(layout) << "/"
-              << backends::to_string(precision)
-              << (has_global ? "" : " no-global") << " row " << r;
-      }
+    for (const Precision precision : kPrecisions) {
+      tuning::LaunchArgs args;
+      args.view = &sys.view;
+      args.in = x.data();
+      args.config = {16, 32};
+      args.config.precision = precision;
+      std::vector<real> separate = y0;
+      args.out = separate.data();
+      for (KernelId id : {KernelId::kAprod1Astro, KernelId::kAprod1Att,
+                          KernelId::kAprod1Instr, KernelId::kAprod1Glob})
+        reg.launch(id, GetParam(), args);
+      std::vector<real> fused = y0;
+      args.out = fused.data();
+      reg.launch_fused(tuning::FusedPass::kGather, GetParam(), args);
+      for (std::size_t r = 0; r < fused.size(); ++r)
+        ASSERT_EQ(fused[r], separate[r])
+            << backends::to_string(precision)
+            << (has_global ? "" : " no-global") << " row " << r;
     }
   }
 }
@@ -288,8 +278,8 @@ TEST_P(AprodKernels, StepMatchesGatherAstroAndFusedScatter) {
   // row, so p equals the fused gather onto (sigma u)(-alpha) bit for
   // bit. q = A^T p and ||p||^2 accumulate in another order than
   // aprod2_astro + the fused scatter + a norm, so they agree to
-  // rounding. Every layout, precision and strategy, with and without a
-  // global block.
+  // rounding. Every precision and strategy, with and without a global
+  // block.
   ensure_kernel_catalog();
   const tuning::KernelRegistry& reg = tuning::KernelRegistry::global();
   const real sigma = 0.75, alpha = 1.3;
@@ -302,44 +292,39 @@ TEST_P(AprodKernels, StepMatchesGatherAstroAndFusedScatter) {
     std::vector<real> u0(static_cast<std::size_t>(sys.gen.A.n_rows()));
     for (auto& e : v) e = rng.normal();
     for (auto& e : u0) e = rng.normal();
-    for (const StorageLayout layout : kLayouts) {
-      for (const Precision precision : kPrecisions) {
-        for (const auto strategy : {backends::ScatterStrategy::kAtomic,
-                                    backends::ScatterStrategy::kPrivatized}) {
-          tuning::LaunchArgs args;
-          args.view = &sys.view;
-          args.config = {16, 32};
-          args.config.layout = layout;
-          args.config.precision = precision;
-          args.config.strategy = strategy;
-          const std::string label =
-              std::string(backends::to_string(layout)) + "/" +
-              backends::to_string(precision) + "/" +
-              backends::to_string(strategy) +
-              (has_global ? "" : " no-global");
+    for (const Precision precision : kPrecisions) {
+      for (const auto strategy : {backends::ScatterStrategy::kAtomic,
+                                  backends::ScatterStrategy::kPrivatized}) {
+        tuning::LaunchArgs args;
+        args.view = &sys.view;
+        args.config = {16, 32};
+        args.config.precision = precision;
+        args.config.strategy = strategy;
+        const std::string label = backends::to_string(precision) + "/" +
+                                  backends::to_string(strategy) +
+                                  (has_global ? "" : " no-global");
 
-          std::vector<real> p_ref(u0.size());
-          for (std::size_t r = 0; r < u0.size(); ++r)
-            p_ref[r] = (sigma * u0[r]) * -alpha;
-          args.in = v.data();
-          args.out = p_ref.data();
-          reg.launch_fused(tuning::FusedPass::kGather, GetParam(), args);
-          std::vector<real> q_ref(v.size(), 0.0);
-          args.in = p_ref.data();
-          args.out = q_ref.data();
-          reg.launch(KernelId::kAprod2Astro, GetParam(), args);
-          reg.launch_fused(tuning::FusedPass::kScatter, GetParam(), args);
-          const real pnorm_sq_ref = vdot(p_ref, p_ref);
+        std::vector<real> p_ref(u0.size());
+        for (std::size_t r = 0; r < u0.size(); ++r)
+          p_ref[r] = (sigma * u0[r]) * -alpha;
+        args.in = v.data();
+        args.out = p_ref.data();
+        reg.launch_fused(tuning::FusedPass::kGather, GetParam(), args);
+        std::vector<real> q_ref(v.size(), 0.0);
+        args.in = p_ref.data();
+        args.out = q_ref.data();
+        reg.launch(KernelId::kAprod2Astro, GetParam(), args);
+        reg.launch_fused(tuning::FusedPass::kScatter, GetParam(), args);
+        const real pnorm_sq_ref = vdot(p_ref, p_ref);
 
-          const StepOutputs step =
-              launch_step(GetParam(), args, v, u0, sigma, alpha);
-          for (std::size_t r = 0; r < p_ref.size(); ++r)
-            ASSERT_EQ(step.p[r], p_ref[r]) << label << " row " << r;
-          EXPECT_LT(gaia::testing::rel_l2_error(step.q, q_ref), 1e-13)
-              << label;
-          EXPECT_NEAR(step.pnorm_sq, pnorm_sq_ref, 1e-13 * pnorm_sq_ref)
-              << label;
-        }
+        const StepOutputs step =
+            launch_step(GetParam(), args, v, u0, sigma, alpha);
+        for (std::size_t r = 0; r < p_ref.size(); ++r)
+          ASSERT_EQ(step.p[r], p_ref[r]) << label << " row " << r;
+        EXPECT_LT(gaia::testing::rel_l2_error(step.q, q_ref), 1e-13)
+            << label;
+        EXPECT_NEAR(step.pnorm_sq, pnorm_sq_ref, 1e-13 * pnorm_sq_ref)
+            << label;
       }
     }
   }
@@ -388,7 +373,8 @@ TEST(KernelCatalog, PassTrafficCountsYOncePerRow) {
   // touches y[r] once: the parts' sum minus (parts - 1) x rows x y bytes
   // (aprod1 reads and writes y[r], aprod2 reads it). Without a global
   // block the glob part does not run and is not charged. aprod2_astro is
-  // its own single part.
+  // its own single part. Every layout runs the row records, so the
+  // layout-taking overload charges exactly their bytes.
   for (const bool has_global : {true, false}) {
     auto cfg = gaia::testing::medium_config(21);
     cfg.has_global = has_global;
@@ -398,32 +384,36 @@ TEST(KernelCatalog, PassTrafficCountsYOncePerRow) {
     const std::uint64_t gather_parts = has_global ? 4 : 3;
     const std::uint64_t scatter_parts = has_global ? 3 : 2;
     const auto& [gather, astro, scatter] = tuning::kAprodPasses;
-    for (const StorageLayout layout : kLayouts) {
-      for (const Precision precision : kPrecisions) {
-        const auto bytes = [&](KernelId id) {
-          return kernel_traffic_bytes(v, id, layout, precision);
-        };
-        std::uint64_t gather_sum = bytes(KernelId::kAprod1Astro) +
-                                   bytes(KernelId::kAprod1Att) +
-                                   bytes(KernelId::kAprod1Instr);
-        std::uint64_t scatter_sum =
-            bytes(KernelId::kAprod2Att) + bytes(KernelId::kAprod2Instr);
-        if (has_global) {
-          gather_sum += bytes(KernelId::kAprod1Glob);
-          scatter_sum += bytes(KernelId::kAprod2Glob);
-        }
-        const std::string label = std::string(backends::to_string(layout)) +
-                                  "/" + backends::to_string(precision);
-        EXPECT_EQ(pass_traffic_bytes(v, gather, layout, precision),
-                  gather_sum - (gather_parts - 1) * rows * 2 * sizeof(real))
-            << label;
-        EXPECT_EQ(pass_traffic_bytes(v, scatter, layout, precision),
-                  scatter_sum - (scatter_parts - 1) * rows * sizeof(real))
-            << label;
-        EXPECT_EQ(pass_traffic_bytes(v, astro, layout, precision),
-                  bytes(KernelId::kAprod2Astro))
-            << label;
+    for (const Precision precision : kPrecisions) {
+      const auto bytes = [&](KernelId id) {
+        return kernel_traffic_bytes(v, id, precision);
+      };
+      std::uint64_t gather_sum = bytes(KernelId::kAprod1Astro) +
+                                 bytes(KernelId::kAprod1Att) +
+                                 bytes(KernelId::kAprod1Instr);
+      std::uint64_t scatter_sum =
+          bytes(KernelId::kAprod2Att) + bytes(KernelId::kAprod2Instr);
+      if (has_global) {
+        gather_sum += bytes(KernelId::kAprod1Glob);
+        scatter_sum += bytes(KernelId::kAprod2Glob);
       }
+      const std::string label = backends::to_string(precision);
+      for (KernelId id : backends::all_kernels())
+        for (int li = 0; li < backends::kNumStorageLayouts; ++li)
+          EXPECT_EQ(kernel_traffic_bytes(
+                        v, id, static_cast<backends::StorageLayout>(li),
+                        precision),
+                    bytes(id))
+              << label << " layout " << li;
+      EXPECT_EQ(pass_traffic_bytes(v, gather, precision),
+                gather_sum - (gather_parts - 1) * rows * 2 * sizeof(real))
+          << label;
+      EXPECT_EQ(pass_traffic_bytes(v, scatter, precision),
+                scatter_sum - (scatter_parts - 1) * rows * sizeof(real))
+          << label;
+      EXPECT_EQ(pass_traffic_bytes(v, astro, precision),
+                bytes(KernelId::kAprod2Astro))
+          << label;
     }
     EXPECT_EQ(pass_flops(v, gather),
               kernel_flops(v, KernelId::kAprod1Astro) +
@@ -448,14 +438,11 @@ TEST(KernelCatalog, StepTrafficReadsTheCoefficientsOnce) {
         kAstroNnzPerRow + kAttNnzPerRow + kInstrNnzPerRow +
         (has_global ? kGlobNnzPerRow : 0);
     const auto& [gather, astro, scatter] = tuning::kAprodPasses;
-    for (const StorageLayout layout : kLayouts) {
-      for (const Precision precision : kPrecisions) {
-        EXPECT_EQ(pass_traffic_bytes(v, tuning::kStepPass, layout, precision),
-                  pass_traffic_bytes(v, gather, layout, precision) +
-                      rows * 2 * sizeof(real) * scatter_nnz)
-            << backends::to_string(layout) << "/"
-            << backends::to_string(precision);
-      }
+    for (const Precision precision : kPrecisions) {
+      EXPECT_EQ(pass_traffic_bytes(v, tuning::kStepPass, precision),
+                pass_traffic_bytes(v, gather, precision) +
+                    rows * 2 * sizeof(real) * scatter_nnz)
+          << backends::to_string(precision);
     }
     EXPECT_EQ(pass_flops(v, tuning::kStepPass),
               pass_flops(v, gather) + pass_flops(v, astro) +

@@ -2,8 +2,8 @@
 /// \brief Property suite for the aprod2 scatter skeleton and its two
 /// commit steps: the atomic commit (each worker adds its private slice
 /// into x with atomics) and the privatized commit (fixed-order fold).
-/// Covers equivalence with the serial reference on every backend, layout
-/// and precision, the fused slot on both strategies, worker-count sweeps
+/// Covers equivalence with the serial reference on every backend and
+/// precision, the fused slot on both strategies, worker-count sweeps
 /// and degenerate shapes, bit-reproducibility of the fold, the adjoint
 /// identity through every registered launcher, the atomic-update
 /// accounting, and the scratch-arena reuse contract (allocator goes
@@ -222,31 +222,25 @@ TEST_P(ScatterStrategies, FusedSlotWithoutGlobalSectionMatchesSeparate) {
   }
 }
 
-/// A view of the fixture system with every derived layout and reduced
-/// precision built and attached.
+/// A view of the fixture system with every reduced precision built and
+/// attached.
 struct AttachedSystem {
   explicit AttachedSystem(const matrix::SystemMatrix& A)
-      : layouts(A), view(SystemView::from(A)) {
-    layouts.build(StorageLayout::kSlicedInstr);  // implies SoA
-    layouts.build_precision(Precision::kFp32);
-    layouts.build_precision(Precision::kBf16s);
-    view.attach_layout(layouts);
-    view.attach_precision(layouts);
+      : stores(A), view(SystemView::from(A)) {
+    stores.build_precision(Precision::kFp32);
+    stores.build_precision(Precision::kBf16s);
+    view.attach_precision(stores);
   }
-  matrix::LayoutedSystem layouts;
+  matrix::LayoutedSystem stores;
   SystemView view;
 };
 
-constexpr std::array<StorageLayout, 3> kLayouts = {
-    StorageLayout::kSeedAos, StorageLayout::kSoaTiled,
-    StorageLayout::kSlicedInstr};
 constexpr std::array<Precision, 3> kPrecisions = {
     Precision::kFp64, Precision::kFp32, Precision::kBf16s};
 
 TEST_P(ScatterStrategies, AtomicCommitMatchesSeedOnAllLayoutsAndPrecisions) {
-  // Reference per precision: the serial backend on the seed layout at
-  // the same storage precision (accumulation is FP64 everywhere, and
-  // every layout rounds the same coefficients). The atomic scatters and
+  // Reference per precision: the serial backend at the same storage
+  // precision (accumulation is FP64 everywhere). The atomic scatters and
   // the fused slot on both strategies must all agree with it; the fused
   // privatized result equals the separate privatized kernels bit for
   // bit, since each column sees the same adds in the same order.
@@ -256,76 +250,68 @@ TEST_P(ScatterStrategies, AtomicCommitMatchesSeedOnAllLayoutsAndPrecisions) {
     seed_cfg.precision = precision;
     const auto ref =
         registry_scatter(sys.view, y_, BackendKind::kSerial, seed_cfg, false);
-    for (const StorageLayout layout : kLayouts) {
-      KernelConfig cfg{16, 32};
-      cfg.layout = layout;
-      cfg.precision = precision;
-      const std::string label = std::string(backends::to_string(layout)) +
-                                "/" + backends::to_string(precision);
-      const auto atomic = registry_scatter(
-          sys.view, y_, GetParam(),
-          with_strategy(cfg, ScatterStrategy::kAtomic), false);
-      EXPECT_LT(gaia::testing::rel_l2_error(atomic, ref), 1e-12) << label;
-      for (const ScatterStrategy strategy :
-           {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
-        const auto fused = registry_scatter(
-            sys.view, y_, GetParam(), with_strategy(cfg, strategy), true);
-        EXPECT_LT(gaia::testing::rel_l2_error(fused, ref), 1e-12)
-            << label << " fused " << backends::to_string(strategy);
-      }
-      const auto priv = with_strategy(cfg, ScatterStrategy::kPrivatized);
-      const auto separate =
-          registry_scatter(sys.view, y_, GetParam(), priv, false);
-      const auto fused = registry_scatter(sys.view, y_, GetParam(), priv, true);
-      for (std::size_t i = 0; i < fused.size(); ++i)
-        ASSERT_EQ(fused[i], separate[i]) << label << " at " << i;
+    KernelConfig cfg{16, 32};
+    cfg.precision = precision;
+    const std::string label = backends::to_string(precision);
+    const auto atomic = registry_scatter(
+        sys.view, y_, GetParam(),
+        with_strategy(cfg, ScatterStrategy::kAtomic), false);
+    EXPECT_LT(gaia::testing::rel_l2_error(atomic, ref), 1e-12) << label;
+    for (const ScatterStrategy strategy :
+         {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
+      const auto fused = registry_scatter(
+          sys.view, y_, GetParam(), with_strategy(cfg, strategy), true);
+      EXPECT_LT(gaia::testing::rel_l2_error(fused, ref), 1e-12)
+          << label << " fused " << backends::to_string(strategy);
     }
+    const auto priv = with_strategy(cfg, ScatterStrategy::kPrivatized);
+    const auto separate =
+        registry_scatter(sys.view, y_, GetParam(), priv, false);
+    const auto fused = registry_scatter(sys.view, y_, GetParam(), priv, true);
+    for (std::size_t i = 0; i < fused.size(); ++i)
+      ASSERT_EQ(fused[i], separate[i]) << label << " at " << i;
   }
 }
 
 TEST_P(ScatterStrategies, AdjointIdentityThroughEveryRegisteredScatter) {
-  // <A x, y> = <x, A^T y> through the registry, for every (layout,
-  // precision) slot of this backend, with the three atomic scatters and
-  // with the fused slot. No dense expansion: the gap is judged against
-  // the summed magnitude of the products.
+  // <A x, y> = <x, A^T y> through the registry, for every precision
+  // slot of this backend, with the three atomic scatters and with the
+  // fused slot. No dense expansion: the gap is judged against the summed
+  // magnitude of the products.
   const AttachedSystem sys(gen_.A);
   const tuning::KernelRegistry& reg = tuning::KernelRegistry::global();
   const auto x = random_vector(reference_.size(), 61);
-  for (const StorageLayout layout : kLayouts) {
-    for (const Precision precision : kPrecisions) {
-      KernelConfig cfg{16, 32};
-      cfg.layout = layout;
-      cfg.precision = precision;
-      tuning::LaunchArgs args;
-      args.view = &sys.view;
-      args.config = cfg;
-      std::vector<real> Ax(y_.size(), 0.0);
-      args.in = x.data();
-      args.out = Ax.data();
-      for (KernelId id : {KernelId::kAprod1Astro, KernelId::kAprod1Att,
-                          KernelId::kAprod1Instr, KernelId::kAprod1Glob})
-        reg.launch(id, GetParam(), args);
-      real lhs = 0, scale = 0;
-      for (std::size_t i = 0; i < Ax.size(); ++i) {
-        lhs += Ax[i] * y_[i];
-        scale += std::abs(Ax[i] * y_[i]);
+  for (const Precision precision : kPrecisions) {
+    KernelConfig cfg{16, 32};
+    cfg.precision = precision;
+    tuning::LaunchArgs args;
+    args.view = &sys.view;
+    args.config = cfg;
+    std::vector<real> Ax(y_.size(), 0.0);
+    args.in = x.data();
+    args.out = Ax.data();
+    for (KernelId id : {KernelId::kAprod1Astro, KernelId::kAprod1Att,
+                        KernelId::kAprod1Instr, KernelId::kAprod1Glob})
+      reg.launch(id, GetParam(), args);
+    real lhs = 0, scale = 0;
+    for (std::size_t i = 0; i < Ax.size(); ++i) {
+      lhs += Ax[i] * y_[i];
+      scale += std::abs(Ax[i] * y_[i]);
+    }
+    for (const bool fused : {false, true}) {
+      std::vector<real> Aty(x.size(), 0.0);
+      args.in = y_.data();
+      args.out = Aty.data();
+      reg.launch(KernelId::kAprod2Astro, GetParam(), args);
+      if (fused) {
+        reg.launch_fused(tuning::FusedPass::kScatter, GetParam(), args);
+      } else {
+        for (KernelId id : kSharedScatters) reg.launch(id, GetParam(), args);
       }
-      for (const bool fused : {false, true}) {
-        std::vector<real> Aty(x.size(), 0.0);
-        args.in = y_.data();
-        args.out = Aty.data();
-        reg.launch(KernelId::kAprod2Astro, GetParam(), args);
-        if (fused) {
-          reg.launch_fused(tuning::FusedPass::kScatter, GetParam(), args);
-        } else {
-          for (KernelId id : kSharedScatters) reg.launch(id, GetParam(), args);
-        }
-        real rhs = 0;
-        for (std::size_t i = 0; i < Aty.size(); ++i) rhs += Aty[i] * x[i];
-        EXPECT_LT(std::abs(lhs - rhs), 1e-12 * scale)
-            << backends::to_string(layout) << "/"
-            << backends::to_string(precision) << (fused ? " fused" : "");
-      }
+      real rhs = 0;
+      for (std::size_t i = 0; i < Aty.size(); ++i) rhs += Aty[i] * x[i];
+      EXPECT_LT(std::abs(lhs - rhs), 1e-12 * scale)
+          << backends::to_string(precision) << (fused ? " fused" : "");
     }
   }
 }
@@ -342,23 +328,17 @@ TEST(ScatterStrategyCommit, SerialAtomicBitIdenticalToPrivatized) {
   // order, for the separate kernels and the fused slot alike.
   ensure_kernel_catalog();
   const auto gen = matrix::generate_system(gaia::testing::medium_config(71));
-  const AttachedSystem sys(gen.A);
+  const SystemView view = SystemView::from(gen.A);
   const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 73);
-  for (const StorageLayout layout : kLayouts) {
-    for (const bool fused : {false, true}) {
-      KernelConfig cfg;
-      cfg.layout = layout;
-      const auto atomic = registry_scatter(
-          sys.view, y, BackendKind::kSerial,
-          with_strategy(cfg, ScatterStrategy::kAtomic), fused);
-      const auto priv = registry_scatter(
-          sys.view, y, BackendKind::kSerial,
-          with_strategy(cfg, ScatterStrategy::kPrivatized), fused);
-      for (std::size_t i = 0; i < atomic.size(); ++i)
-        ASSERT_EQ(atomic[i], priv[i])
-            << backends::to_string(layout) << (fused ? " fused" : "")
-            << " at " << i;
-    }
+  for (const bool fused : {false, true}) {
+    const auto atomic = registry_scatter(
+        view, y, BackendKind::kSerial,
+        with_strategy({}, ScatterStrategy::kAtomic), fused);
+    const auto priv = registry_scatter(
+        view, y, BackendKind::kSerial,
+        with_strategy({}, ScatterStrategy::kPrivatized), fused);
+    for (std::size_t i = 0; i < atomic.size(); ++i)
+      ASSERT_EQ(atomic[i], priv[i]) << (fused ? "fused " : "") << "at " << i;
   }
 }
 
@@ -394,7 +374,7 @@ TEST(ScatterStrategyCommit, PstlAtomicUnderTheGrainCommitsInRowOrder) {
 }
 
 /// Installs `strategy` on the three atomic kernels of a tuned table,
-/// and optionally `layout` on every kernel.
+/// and optionally the inert `layout` on every kernel.
 backends::TuningTable strategy_table(
     ScatterStrategy strategy,
     StorageLayout layout = StorageLayout::kSeedAos) {
@@ -488,37 +468,53 @@ TEST(ScatterStrategyDriver, PrivatizedTableMatchesAtomicThroughAprod) {
 }
 
 TEST(ScatterStrategyDriver, DerivedLayoutsMatchSeedThroughAprod) {
-  // End-to-end through Aprod's lazy layout path: a tuning table that
-  // selects a derived storage layout makes the driver build and attach
-  // the LayoutedSystem on first launch, and both aprod directions must
-  // agree with the seed layout for either scatter strategy.
+  // KernelConfig::layout is inert: a table carrying a retired layout runs
+  // the row-record bodies, so both aprod directions and the LSQR step
+  // equal the seed-layout table's bit for bit, for either scatter
+  // strategy, and the driver allocates no device bytes beyond the seed
+  // run's. The serial backend commits its one worker's slice in a fixed
+  // order, so the atomic strategy is deterministic too.
   const auto gen = matrix::generate_system(gaia::testing::medium_config(53));
   const auto x_in = random_vector(static_cast<std::size_t>(gen.A.n_cols()), 19);
   const auto y_in = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 20);
 
+  struct Run {
+    std::vector<real> y, x, u, q;
+    real pnorm_sq = 0;
+    byte_size device_bytes = 0;
+  };
   auto run_with = [&](ScatterStrategy strategy, StorageLayout layout) {
     backends::DeviceContext device;
     AprodOptions opts;
-    opts.backend = BackendKind::kGpuSim;
+    opts.backend = BackendKind::kSerial;
     opts.tuning = strategy_table(strategy, layout);
     Aprod aprod(gen.A, device, opts);
-    std::vector<real> y(y_in.size(), 0.0);
-    std::vector<real> x(x_in.size(), 0.0);
-    aprod.apply1(x_in, y);
-    aprod.apply2(y_in, x);
-    return std::pair{y, x};
+    Run run;
+    run.y.assign(y_in.size(), 0.0);
+    run.x.assign(x_in.size(), 0.0);
+    aprod.apply1(x_in, run.y);
+    aprod.apply2(y_in, run.x);
+    run.u = y_in;
+    run.q.assign(x_in.size(), 0.0);
+    run.pnorm_sq = aprod.step(x_in, run.u, run.q, 1.0, 0.5);
+    run.device_bytes = device.allocated();
+    return run;
   };
 
-  const auto seed = run_with(ScatterStrategy::kAtomic, StorageLayout::kSeedAos);
-  for (const auto layout :
-       {StorageLayout::kSoaTiled, StorageLayout::kSlicedInstr}) {
-    for (const auto strategy :
-         {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
-      const auto [y, x] = run_with(strategy, layout);
-      EXPECT_LT(gaia::testing::rel_l2_error(y, seed.first), 1e-12)
-          << backends::to_string(layout);
-      EXPECT_LT(gaia::testing::rel_l2_error(x, seed.second), 1e-12)
-          << backends::to_string(layout);
+  for (const auto strategy :
+       {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
+    const Run seed = run_with(strategy, StorageLayout::kSeedAos);
+    for (const auto layout :
+         {StorageLayout::kSoaTiled, StorageLayout::kSlicedInstr}) {
+      const Run got = run_with(strategy, layout);
+      const std::string label = backends::to_string(layout) + "/" +
+                                backends::to_string(strategy);
+      EXPECT_EQ(got.y, seed.y) << label;
+      EXPECT_EQ(got.x, seed.x) << label;
+      EXPECT_EQ(got.u, seed.u) << label;
+      EXPECT_EQ(got.q, seed.q) << label;
+      EXPECT_EQ(got.pnorm_sq, seed.pnorm_sq) << label;
+      EXPECT_EQ(got.device_bytes, seed.device_bytes) << label;
     }
   }
 }

@@ -1,7 +1,8 @@
 /// Down-conversion contract of the precision stores: the scalar
 /// converters are deterministic pure bit operations with bounded
-/// relative error, and LayoutedSystem::build_precision converts every
-/// built stream once, idempotently, bit-identically across rebuilds.
+/// relative error, and LayoutedSystem::build_precision converts the
+/// coefficient records once, idempotently, bit-identically across
+/// rebuilds.
 #include "matrix/precision.hpp"
 
 #include <gtest/gtest.h>
@@ -83,16 +84,15 @@ class PrecisionStoreTest : public ::testing::Test {
 
 TEST_F(PrecisionStoreTest, BuildConvertsEveryBuiltStreamElementwise) {
   LayoutedSystem layouts(gen_.A);
-  layouts.build(StorageLayout::kSlicedInstr);  // implies SoA
   layouts.build_precision(Precision::kFp32);
   layouts.build_precision(Precision::kBf16s);
 
-  ASSERT_TRUE(layouts.has_precision(Precision::kFp32,
-                                    StorageLayout::kSlicedInstr));
-  ASSERT_TRUE(layouts.has_precision(Precision::kBf16s,
-                                    StorageLayout::kSlicedInstr));
+  ASSERT_TRUE(layouts.has_precision(Precision::kFp32));
+  ASSERT_TRUE(layouts.has_precision(Precision::kBf16s));
+  // kFp64 needs no store: the seed records are the conversion.
+  EXPECT_TRUE(layouts.has_precision(Precision::kFp64));
 
-  // Seed AoS records: same length, per-element converted values.
+  // Same length as the records, per-element converted values.
   const auto seed = gen_.A.values();
   ASSERT_EQ(layouts.f32().values.size(), seed.size());
   ASSERT_EQ(layouts.b16().values.size(), seed.size());
@@ -100,50 +100,21 @@ TEST_F(PrecisionStoreTest, BuildConvertsEveryBuiltStreamElementwise) {
     EXPECT_EQ(layouts.f32().values[i], static_cast<float>(seed[i]));
     EXPECT_EQ(layouts.b16().values[i].bits, to_bf16s(seed[i]).bits);
   }
-  // Derived streams share the FP64 arrays' shapes (indices unchanged;
-  // only payload bytes shrink).
-  EXPECT_EQ(layouts.f32().soa_astro.size(), layouts.soa().astro.size());
-  EXPECT_EQ(layouts.f32().slice_values.size(),
-            layouts.sliced().slice_values.size());
-  EXPECT_EQ(layouts.b16().soa_att.size(), layouts.soa().att.size());
-  for (std::size_t i = 0; i < layouts.soa().glob.size(); ++i)
-    EXPECT_EQ(layouts.f32().soa_glob[i],
-              static_cast<float>(layouts.soa().glob[i]));
 }
 
 TEST_F(PrecisionStoreTest, RebuildIsBitIdenticalAndIdempotent) {
   LayoutedSystem a(gen_.A);
-  a.build(StorageLayout::kSoaTiled);
   a.build_precision(Precision::kBf16s);
-  const auto first = a.b16().soa_astro;
+  const auto first = a.b16().values;
   a.build_precision(Precision::kBf16s);  // idempotent: no re-conversion
-  EXPECT_EQ(a.b16().soa_astro.size(), first.size());
+  EXPECT_EQ(a.b16().values.size(), first.size());
   for (std::size_t i = 0; i < first.size(); ++i)
-    EXPECT_EQ(a.b16().soa_astro[i].bits, first[i].bits);
+    EXPECT_EQ(a.b16().values[i].bits, first[i].bits);
 
   LayoutedSystem b(gen_.A);
-  b.build(StorageLayout::kSoaTiled);
   b.build_precision(Precision::kBf16s);
   for (std::size_t i = 0; i < first.size(); ++i)
-    EXPECT_EQ(b.b16().soa_astro[i].bits, first[i].bits);
-}
-
-TEST_F(PrecisionStoreTest, LateLayoutBuildBackfillsOnNextBuildPrecision) {
-  LayoutedSystem layouts(gen_.A);
-  layouts.build_precision(Precision::kFp32);  // only the seed is built
-  EXPECT_TRUE(layouts.has_precision(Precision::kFp32,
-                                    StorageLayout::kSeedAos));
-  EXPECT_FALSE(layouts.has_precision(Precision::kFp32,
-                                     StorageLayout::kSoaTiled));
-  layouts.build(StorageLayout::kSoaTiled);
-  EXPECT_FALSE(layouts.has_precision(Precision::kFp32,
-                                     StorageLayout::kSoaTiled));
-  layouts.build_precision(Precision::kFp32);  // converts the new streams
-  EXPECT_TRUE(layouts.has_precision(Precision::kFp32,
-                                    StorageLayout::kSoaTiled));
-  // kFp64 needs no store: the seed planes are the conversion.
-  EXPECT_TRUE(layouts.has_precision(Precision::kFp64,
-                                    StorageLayout::kSoaTiled));
+    EXPECT_EQ(b.b16().values[i].bits, first[i].bits);
 }
 
 }  // namespace

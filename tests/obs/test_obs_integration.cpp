@@ -90,7 +90,6 @@ TEST(ObsIntegration, TracedLsqrRunEmitsFullTimelineAndExactByteTotals) {
   std::map<std::string, std::uint64_t> expected;
   expected[core::pass_region_name(tuning::kStepPass)] =
       core::pass_traffic_bytes(view, tuning::kStepPass,
-                               backends::StorageLayout::kSeedAos,
                                backends::Precision::kFp64);
   std::set<std::string> seen;
   for (const auto& e : events) {

@@ -240,19 +240,16 @@ TEST(AutotunerEncoding, TableRoundTripsThroughTheBroadcastEncoding) {
   backends::TuningTable table = backends::TuningTable::tuned_default();
   table.set(KernelId::kAprod1Glob, {3, 7});
   table.set(KernelId::kAprod2Att,
-            {16, 32, backends::ScatterStrategy::kPrivatized,
-             backends::StorageLayout::kSoaTiled});
+            {16, 32, backends::ScatterStrategy::kPrivatized});
   table.set(KernelId::kAprod2Instr,
-            {8, 64, backends::ScatterStrategy::kAtomic,
-             backends::StorageLayout::kSlicedInstr});
-  // Mixed precisions must survive the 5-real-per-kernel wire format the
+            {8, 64, backends::ScatterStrategy::kAtomic});
+  // Mixed precisions must survive the 4-real-per-kernel wire format the
   // rank-0 broadcast uses.
   table.set(KernelId::kAprod1Astro,
             {64, 128, backends::ScatterStrategy::kAtomic,
-             backends::StorageLayout::kSoaTiled, backends::Precision::kFp32});
+             backends::Precision::kFp32});
   table.set(KernelId::kAprod1Att,
             {64, 128, backends::ScatterStrategy::kAtomic,
-             backends::StorageLayout::kSeedAos,
              backends::Precision::kBf16s});
   const std::vector<real> wire = encode_table(table);
   EXPECT_EQ(wire.size(), kEncodedTableSize);
@@ -271,17 +268,10 @@ TEST(AutotunerEncoding, UnknownStrategyCodeThrows) {
   EXPECT_THROW((void)decode_table(wire), Error);
 }
 
-TEST(AutotunerEncoding, UnknownLayoutCodeThrows) {
-  backends::TuningTable table = backends::TuningTable::tuned_default();
-  std::vector<real> wire = encode_table(table);
-  wire[3] = 9;  // not a StorageLayout enumerator
-  EXPECT_THROW((void)decode_table(wire), Error);
-}
-
 TEST(AutotunerEncoding, UnknownPrecisionCodeThrows) {
   backends::TuningTable table = backends::TuningTable::tuned_default();
   std::vector<real> wire = encode_table(table);
-  wire[4] = 9;  // not a Precision enumerator
+  wire[3] = 9;  // not a Precision enumerator
   EXPECT_THROW((void)decode_table(wire), Error);
 }
 

@@ -154,15 +154,14 @@ TEST(TuningCacheJson, DocumentRoundTripsAndIsStable) {
   TuningCache cache;
   cache.put(BackendKind::kGpuSim, {8, 7}, KernelId::kAprod2Att,
             {32, 32, backends::ScatterStrategy::kPrivatized,
-             backends::StorageLayout::kSlicedInstr,
              backends::Precision::kFp32});
   cache.put(BackendKind::kOpenMP, {8, 7}, KernelId::kAprod1Astro, {16, 128});
   const std::string json = cache.to_json();
-  EXPECT_NE(json.find("\"version\":4"), std::string::npos);
+  EXPECT_NE(json.find("\"version\":5"), std::string::npos);
   EXPECT_NE(json.find("\"kernel\":\"aprod2_att\""), std::string::npos);
   EXPECT_NE(json.find("\"strategy\":\"privatized\""), std::string::npos);
-  EXPECT_NE(json.find("\"layout\":\"sliced_instr\""), std::string::npos);
   EXPECT_NE(json.find("\"precision\":\"fp32\""), std::string::npos);
+  EXPECT_EQ(json.find("\"layout\""), std::string::npos);
   const auto parsed = TuningCache::parse_json(json);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->size(), 2u);
@@ -171,7 +170,6 @@ TEST(TuningCacheJson, DocumentRoundTripsAndIsStable) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit,
             (KernelConfig{32, 32, backends::ScatterStrategy::kPrivatized,
-                          backends::StorageLayout::kSlicedInstr,
                           backends::Precision::kFp32}));
   // Serialization is deterministic (diffable caches).
   EXPECT_EQ(parsed->to_json(), json);
@@ -179,10 +177,9 @@ TEST(TuningCacheJson, DocumentRoundTripsAndIsStable) {
 
 TEST(TuningCacheJson, MissingStrategyAndLayoutKeysDefaultToSeed) {
   // Readers accept entries without the optional keys (a hand-edited
-  // file); absent means atomic + seed_aos + fp64, the pre-axis
-  // behaviour.
+  // file); absent means atomic + fp64, the pre-axis behaviour.
   const std::string json =
-      "{\"version\":4,\"entries\":[{\"backend\":\"gpusim\","
+      "{\"version\":5,\"entries\":[{\"backend\":\"gpusim\","
       "\"rows_log2\":8,\"cols_log2\":7,\"kernel\":\"aprod2_att\","
       "\"blocks\":32,\"threads\":32}]}";
   const auto parsed = TuningCache::parse_json(json);
@@ -191,19 +188,17 @@ TEST(TuningCacheJson, MissingStrategyAndLayoutKeysDefaultToSeed) {
       parsed->find(BackendKind::kGpuSim, {8, 7}, KernelId::kAprod2Att);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->strategy, backends::ScatterStrategy::kAtomic);
-  EXPECT_EQ(hit->layout, backends::StorageLayout::kSeedAos);
   EXPECT_EQ(hit->precision, backends::Precision::kFp64);
 }
 
 TEST(TuningCacheJson, StrictParserRejectsEveryMalformation) {
   const auto entry = [](const std::string& backend, const std::string& kernel,
                         int blocks, int threads) {
-    return "{\"version\":4,\"entries\":[{\"backend\":\"" + backend +
+    return "{\"version\":5,\"entries\":[{\"backend\":\"" + backend +
            "\",\"rows_log2\":8,\"cols_log2\":7,\"kernel\":\"" + kernel +
            "\",\"blocks\":" + std::to_string(blocks) +
            ",\"threads\":" + std::to_string(threads) +
-           ",\"strategy\":\"atomic\",\"layout\":\"seed_aos\","
-           "\"precision\":\"fp64\"}]}";
+           ",\"strategy\":\"atomic\",\"precision\":\"fp64\"}]}";
   };
   // The control: the generator above produces a parsable document.
   ASSERT_TRUE(TuningCache::parse_json(entry("gpusim", "aprod2_att", 32, 32))
@@ -217,7 +212,8 @@ TEST(TuningCacheJson, StrictParserRejectsEveryMalformation) {
   EXPECT_FALSE(TuningCache::parse_json("{\"version\":2}").has_value());
   // Other schema versions: rejected, but as a *version miss*, not
   // corruption — the entries are never trusted. v1 predates the
-  // strategy axis, v2 the layout axis, v3 the precision axis.
+  // strategy axis, v2 the layout axis, v3 the precision axis; v4 still
+  // carries the layout axis.
   EXPECT_FALSE(
       TuningCache::parse_json("{\"version\":1,\"entries\":[]}", &status)
           .has_value());
@@ -230,7 +226,11 @@ TEST(TuningCacheJson, StrictParserRejectsEveryMalformation) {
       TuningCache::parse_json("{\"version\":3,\"entries\":[]}", &status)
           .has_value());
   EXPECT_EQ(status, Status::kVersionMismatch);
-  // Unknown backend / kernel / strategy / layout names.
+  EXPECT_FALSE(
+      TuningCache::parse_json("{\"version\":4,\"entries\":[]}", &status)
+          .has_value());
+  EXPECT_EQ(status, Status::kVersionMismatch);
+  // Unknown backend / kernel / strategy / precision names.
   EXPECT_FALSE(TuningCache::parse_json(entry("cuda11", "aprod2_att", 32, 32))
                    .has_value());
   EXPECT_FALSE(TuningCache::parse_json(entry("gpusim", "aprod9_att", 32, 32))
@@ -239,9 +239,11 @@ TEST(TuningCacheJson, StrictParserRejectsEveryMalformation) {
   bad_strategy.replace(bad_strategy.find("atomic"), 6, "quantum");
   EXPECT_FALSE(TuningCache::parse_json(bad_strategy, &status).has_value());
   EXPECT_EQ(status, Status::kMalformed);
-  std::string bad_layout = entry("gpusim", "aprod2_att", 32, 32);
-  bad_layout.replace(bad_layout.find("seed_aos"), 8, "zigzag");
-  EXPECT_FALSE(TuningCache::parse_json(bad_layout, &status).has_value());
+  // A v5 entry carrying the retired layout key is an unknown key.
+  std::string with_layout = entry("gpusim", "aprod2_att", 32, 32);
+  with_layout.insert(with_layout.find(",\"precision\""),
+                     ",\"layout\":\"seed_aos\"");
+  EXPECT_FALSE(TuningCache::parse_json(with_layout, &status).has_value());
   EXPECT_EQ(status, Status::kMalformed);
   std::string bad_precision = entry("gpusim", "aprod2_att", 32, 32);
   bad_precision.replace(bad_precision.find("fp64"), 4, "fp13");
@@ -286,20 +288,31 @@ TEST(TuningCacheJson, OldVersionFileBumpsTheVersionMissCounter) {
   EXPECT_FALSE(cache.load(p));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(reg.counter("tuning.cache.version_miss").value(), 2u);
-  // A sealed v3 cache (layout axis, no precision axis) — the file this
-  // release's upgrade encounters: version miss, entries untouched.
+  // A sealed v3 cache (layout axis, no precision axis): version miss,
+  // entries untouched.
   resilience::write_framed_file(
       p, "{\"version\":3,\"entries\":[{\"backend\":\"gpusim\","
          "\"rows_log2\":8,\"cols_log2\":7,\"kernel\":\"aprod2_att\","
          "\"blocks\":32,\"threads\":32,\"strategy\":\"privatized\","
-         "\"layout\":\"soa_tiled\"}]}");
+         "\"layout\":\"seed_aos\"}]}");
   EXPECT_FALSE(cache.load(p));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(reg.counter("tuning.cache.version_miss").value(), 3u);
+  // A sealed v4 cache (layout and precision axes) — the file this
+  // release's upgrade encounters: its "layout" key is never parsed, the
+  // file is a clean version miss.
+  resilience::write_framed_file(
+      p, "{\"version\":4,\"entries\":[{\"backend\":\"gpusim\","
+         "\"rows_log2\":8,\"cols_log2\":7,\"kernel\":\"aprod2_att\","
+         "\"blocks\":32,\"threads\":32,\"strategy\":\"privatized\","
+         "\"layout\":\"seed_aos\",\"precision\":\"fp32\"}]}");
+  EXPECT_FALSE(cache.load(p));
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(reg.counter("tuning.cache.version_miss").value(), 4u);
   // Plain corruption does not touch the version-miss counter.
   resilience::write_framed_file(p, "not json");
   EXPECT_FALSE(cache.load(p));
-  EXPECT_EQ(reg.counter("tuning.cache.version_miss").value(), 3u);
+  EXPECT_EQ(reg.counter("tuning.cache.version_miss").value(), 4u);
   fs::remove(p);
   reg.set_enabled(false);
   reg.reset();

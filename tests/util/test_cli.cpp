@@ -91,10 +91,9 @@ TEST(Cli, UndeclaredGetThrows) {
   EXPECT_THROW(cli.get("nope"), Error);
 }
 
-// get_or_env precedence contract (shared by --layout/GAIA_LAYOUT and
-// --precision/GAIA_PRECISION): flag > env > default, and `source` names
-// where the value actually came from so a validation error can point at
-// the true origin of a bad token.
+// get_or_env precedence contract (--precision/GAIA_PRECISION): flag >
+// env > default, and `source` names where the value actually came from
+// so a validation error can point at the true origin of a bad token.
 TEST(Cli, GetOrEnvFlagWinsOverEnvironment) {
   Cli cli("p", "d");
   cli.add_option("precision", "fp64", "h");
