@@ -48,6 +48,7 @@
 #include "backends/backend.hpp"
 #include "backends/scratch_arena.hpp"
 #include "core/system_view.hpp"
+#include "util/compensated_sum.hpp"
 #include "util/types.hpp"
 
 namespace gaia::core {
@@ -558,14 +559,11 @@ void fused_step(const SystemView& A, const StepOperands& op,
   std::array<real, backends::kMaxScatterWorkers> partial{};
   section_scatter<Exec>(
       workers, q, sect, cfg, mode, arena, [&](int w, real* slice) {
-        real sum = 0, comp = 0;
+        util::KahanSum pnorm_sq;
         const auto row = [&](std::int64_t r) {
           const real p = gather((sigma * u[r]) * neg_alpha, r);
           u[r] = p;
-          const real term = p * p - comp;
-          const real next = sum + term;
-          comp = (next - sum) - term;
-          sum = next;
+          pnorm_sq.add(p * p);
           shared(slice, r);
         };
         const std::int64_t star_end = step_first_star(A, w + 1, workers);
@@ -581,16 +579,12 @@ void fused_step(const SystemView& A, const StepOperands& op,
         }
         if (w == workers - 1)
           for (std::int64_t r = A.n_obs; r < A.n_rows; ++r) row(r);
-        partial[static_cast<std::size_t>(w)] = sum;
+        partial[static_cast<std::size_t>(w)] = pnorm_sq.sum;
       });
-  real sum = 0, comp = 0;
-  for (int w = 0; w < workers; ++w) {
-    const real term = partial[static_cast<std::size_t>(w)] - comp;
-    const real next = sum + term;
-    comp = (next - sum) - term;
-    sum = next;
-  }
-  *op.pnorm_sq = sum;
+  util::KahanSum pnorm_sq;
+  for (int w = 0; w < workers; ++w)
+    pnorm_sq.add(partial[static_cast<std::size_t>(w)]);
+  *op.pnorm_sq = pnorm_sq.sum;
 }
 
 }  // namespace detail

@@ -195,10 +195,10 @@ struct LsqrEngine::Impl {
       aprod->apply2(std::span<const real>(ones.data(), m), col_check);
       row_check.assign(m, real{0});
       aprod->apply1(std::span<const real>(ones.data(), n), row_check);
-      col_check_norm = vnorm(col_check);
+      col_check_norm = vnorm(aprod->active_backend(), col_check);
       row_check_norm = row_norm(row_check);
       materialize_u();
-      sum_u = vsum(d_u.span());
+      sum_u = vsum(aprod->active_backend(), d_u.span());
       if (options.health.mode == resilience::HealthMode::kRepair)
         refresh_good_state();  // iteration-0 rollback target
     }
@@ -207,13 +207,14 @@ struct LsqrEngine::Impl {
   /// ||y|| over the global row space (y is this rank's slice when
   /// distributed).
   real row_norm(std::span<const real> y) const {
-    const real local = vnorm(y);
+    const real local = vnorm(aprod->active_backend(), y);
     return reducer ? std::sqrt(reducer->sum(local * local)) : local;
   }
 
   /// a . b over the global row space.
   real row_dot(std::span<const real> a, std::span<const real> b) const {
-    return reducer ? reducer->sum(vdot(a, b)) : vdot(a, b);
+    const real local = vdot(aprod->active_backend(), a, b);
+    return reducer ? reducer->sum(local) : local;
   }
 
   /// The step pass (Aprod::step) at the current v, u and pending scale:
@@ -238,7 +239,7 @@ struct LsqrEngine::Impl {
     }
     {
       util::ScopedRegion region("reduction_norm");
-      alpha = vnorm(v);
+      alpha = vnorm(backend, v);
     }
     if (alpha > 0) {
       util::ScopedRegion region("blas1_scale");
@@ -385,7 +386,7 @@ struct LsqrEngine::Impl {
     }
     // The stored u is normalized: nothing is pending.
     sigma = 1;
-    if (health) sum_u = vsum(d_u.span());
+    if (health) sum_u = vsum(aprod->active_backend(), d_u.span());
   }
 
   void refresh_good_state() {
@@ -405,21 +406,18 @@ struct LsqrEngine::Impl {
       resilience::apply_bitflip(out, *flip);
   }
 
-  /// sum (b - A x)^2 over this engine's rows (Kahan, like vnorm): the
-  /// true residual the deep pass checks rnorm against. One extra apply1
-  /// — the overhead term of the health monitor.
+  /// sum (b - A x)^2 over this engine's rows (a reduce_sum, like
+  /// vnorm): the true residual the deep pass checks rnorm against. One
+  /// extra apply1 — the overhead term of the health monitor.
   real residual_sum_sq() {
     std::fill(resid_scratch.begin(), resid_scratch.end(), real{0});
     aprod->apply1(d_x.span(), resid_scratch);  // resid = A x
-    real sum = 0, comp = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-      const real d = b_host[i] - resid_scratch[i];
-      const real term = d * d - comp;
-      const real next = sum + term;
-      comp = (next - sum) - term;
-      sum = next;
-    }
-    return sum;
+    const real* b = b_host.data();
+    const real* ax = resid_scratch.data();
+    return reduce_sum(aprod->active_backend(), m, [=](std::size_t i) {
+      const real d = b[i] - ax[i];
+      return d * d;
+    });
   }
 
   /// The every-K deep pass: segment checksums + the two ABFT agreement
@@ -488,7 +486,7 @@ struct LsqrEngine::Impl {
     if (rnorm > bnorm * real{1e-9}) {
       real sum = reducer ? rss : residual_sum_sq();
       if (options.damp != 0) {
-        const real xn = vnorm(d_x.span());
+        const real xn = vnorm(aprod->active_backend(), d_x.span());
         sum += options.damp * options.damp * xn * xn;
       }
       verdict = health->check_agreement(
@@ -567,34 +565,33 @@ struct LsqrEngine::Impl {
     // One row pass: u <- p = A v - alpha u, q = A^T p, ||p||^2.
     run_step_pass(alpha);
     maybe_inject_sdc("aprod1", u);
-    real s_p = 0;
-    if (health) {
-      // The sum of p must equal col_check . v - alpha sum(u_old) to
-      // rounding. Summed over the output, not inside the pass, so a flip
-      // after the pass still shows.
-      s_p = vsum(u);
-      const real expected = vdot(col_check, v) - alpha * s_u_old;
-      const real scale =
-          col_check_norm +
-          std::abs(alpha) * std::sqrt(static_cast<real>(m)) +
-          std::abs(s_p);
-      abft = health->check_kernel_checksum(itn, "aprod1", s_p, expected,
-                                           scale);
-    }
     // One collective sums q and ||p||^2, so every replica of v is
     // updated from the same sum. A distributed flip lands after it: only
     // this rank's replica of q diverges, which its own checksum catches.
     if (reducer) reducer->sum(d_q.span());
     maybe_inject_sdc("aprod2", q);
     beta = std::sqrt(d_q.span()[n]);
+    real s_p = 0;
     if (health) {
+      util::ScopedRegion region("health_checksums");
+      // The sum of p must equal col_check . v - alpha sum(u_old) to
+      // rounding. Summed over the outputs, not inside the pass, so a
+      // flip after the pass still shows.
+      s_p = vsum(backend, u);
+      const real expected_p = vdot(backend, col_check, v) - alpha * s_u_old;
+      const real scale_p =
+          col_check_norm +
+          std::abs(alpha) * std::sqrt(static_cast<real>(m)) +
+          std::abs(s_p);
+      abft = health->check_kernel_checksum(itn, "aprod1", s_p, expected_p,
+                                           scale_p);
       // q = A^T p; ||p|| = beta bounds row_check . p.
-      const real actual = vsum(q);
-      const real expected = row_dot(row_check, u);
-      const real scale = beta * row_check_norm + std::abs(actual);
+      const real s_q = vsum(backend, q);
+      const real expected_q = row_dot(row_check, u);
+      const real scale_q = beta * row_check_norm + std::abs(s_q);
       if (abft.healthy())
-        abft = health->check_kernel_checksum(itn, "aprod2", actual,
-                                             expected, scale);
+        abft = health->check_kernel_checksum(itn, "aprod2", s_q, expected_q,
+                                             scale_q);
     }
     if (beta > 0) {
       anorm = std::sqrt(anorm * anorm + alpha * alpha + beta * beta +
@@ -630,7 +627,7 @@ struct LsqrEngine::Impl {
       util::ScopedRegion region("blas1_updates");
       if (options.compute_std_errors)
         vaccumulate_sq(backend, d_var.span(), real{1} / rho, w);
-      ddnorm += (real{1} / rho) * (real{1} / rho) * vdot(w, w);
+      ddnorm += (real{1} / rho) * (real{1} / rho) * vdot(backend, w, w);
       vaxpy(backend, x, phi / rho, w);
       vxpby(backend, w, v, -theta / rho);
     }

@@ -3,17 +3,24 @@
 ///
 /// Elementwise operations (scale, axpy) are embarrassingly parallel and
 /// run through the selected backend, like the GPU code. Reductions
-/// (norms, dots) use a deterministic serial Kahan summation instead:
-/// this keeps the scalar trajectory of LSQR bit-identical across all
-/// backends, so the validation experiments (paper SV-C) isolate the only
-/// genuine numerical divergence — the non-deterministic order of the
-/// aprod2 atomic accumulations.
+/// (norms, dots, sums) are deterministic: a length-n sum splits into
+/// blocks fixed by n alone, each block is a compensated sum over four
+/// interleaved lanes (util::block_sum), and the block partials fold in
+/// block order. Which thread sums a block never changes its bits, so a
+/// reduction returns the same value on every backend, at any thread
+/// count, pool size or grid — and the one-argument overloads, which run
+/// the blocks on the calling thread, return it too. (The LSQR trajectory
+/// is not backend-independent: beta and q come from the step pass, whose
+/// per-worker partials and commit follow its launch shape.)
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <span>
 
 #include "backends/backend.hpp"
+#include "util/compensated_sum.hpp"
 #include "util/types.hpp"
 
 namespace gaia::core {
@@ -75,43 +82,94 @@ inline void vaccumulate_sq(backends::BackendKind backend, std::span<real> y,
   });
 }
 
-/// Deterministic Euclidean norm (serial Kahan compensated sum).
+namespace detail {
+
+/// Shortest block of a reduction, and the most blocks one may have: the
+/// partials of any length live in a fixed stack array.
+inline constexpr std::size_t kMinBlockLength = 4096;
+inline constexpr std::size_t kMaxBlocks = 256;
+/// Reductions shorter than eight minimum blocks run on the calling
+/// thread: a handful of blocks gains little over a fork/join.
+inline constexpr std::size_t kParallelLength = 8 * kMinBlockLength;
+
+/// Sum of term(i) over [0, n) on blocks of L = max(4096, ceil(n / 256))
+/// elements. From kParallelLength on, min(blocks, workers) workers of
+/// Exec each sum a contiguous range of blocks; the partials fold in
+/// block order, so the worker count never changes the result.
+template <typename Exec, typename Term>
+[[nodiscard]] real blocked_sum(std::size_t n, int workers, Term term) {
+  const std::size_t length =
+      std::max(kMinBlockLength, (n + kMaxBlocks - 1) / kMaxBlocks);
+  const std::size_t blocks = (n + length - 1) / length;
+  std::array<real, kMaxBlocks> partial{};
+  const auto sum_blocks = [&](std::size_t first, std::size_t last) {
+    for (std::size_t k = first; k < last; ++k) {
+      const std::size_t begin = k * length;
+      partial[k] = util::block_sum(begin, std::min(n, begin + length), term);
+    }
+  };
+  if (n < kParallelLength || workers <= 1) {
+    sum_blocks(0, blocks);
+  } else {
+    // Not Exec::launch: PSTL's grain floor and gpusim's grid stride
+    // would put all (at most 256) blocks into one chunk.
+    const std::size_t w_count =
+        std::min(blocks, static_cast<std::size_t>(workers));
+    Exec::launch_workers(static_cast<int>(w_count), {}, [&](int w) {
+      const auto k = static_cast<std::size_t>(w);
+      sum_blocks(blocks * k / w_count, blocks * (k + 1) / w_count);
+    });
+  }
+  util::KahanSum total;
+  for (std::size_t k = 0; k < blocks; ++k) total.add(partial[k]);
+  return total.sum;
+}
+
+}  // namespace detail
+
+/// Deterministic sum of term(i) over [0, n), its blocks spread over the
+/// backend's workers (Exec::scatter_workers of the default launch).
+template <typename Term>
+[[nodiscard]] real reduce_sum(backends::BackendKind backend, std::size_t n,
+                              Term term) {
+  return backends::dispatch(backend, [&](auto exec) {
+    using Exec = decltype(exec);
+    return detail::blocked_sum<Exec>(n, Exec::scatter_workers({}), term);
+  });
+}
+
+/// Deterministic Euclidean norm.
+inline real vnorm(backends::BackendKind backend, std::span<const real> x) {
+  const real* p = x.data();
+  return std::sqrt(reduce_sum(backend, x.size(),
+                              [=](std::size_t i) { return p[i] * p[i]; }));
+}
+/// The same norm on the calling thread.
 inline real vnorm(std::span<const real> x) {
-  real sum = 0, comp = 0;
-  for (real v : x) {
-    const real term = v * v - comp;
-    const real next = sum + term;
-    comp = (next - sum) - term;
-    sum = next;
-  }
-  return std::sqrt(sum);
+  return vnorm(backends::BackendKind::kSerial, x);
 }
 
-/// Deterministic element sum (serial Kahan compensated sum) — the
-/// cheap side of the ABFT checksum identities the health monitor
-/// verifies (sum(A v) = (A^T 1) . v and its adjoint dual).
+/// Deterministic element sum — the cheap side of the ABFT checksum
+/// identities the health monitor verifies (sum(A v) = (A^T 1) . v and
+/// its adjoint dual).
+inline real vsum(backends::BackendKind backend, std::span<const real> x) {
+  const real* p = x.data();
+  return reduce_sum(backend, x.size(), [=](std::size_t i) { return p[i]; });
+}
 inline real vsum(std::span<const real> x) {
-  real sum = 0, comp = 0;
-  for (real v : x) {
-    const real term = v - comp;
-    const real next = sum + term;
-    comp = (next - sum) - term;
-    sum = next;
-  }
-  return sum;
+  return vsum(backends::BackendKind::kSerial, x);
 }
 
-/// Deterministic dot product (serial Kahan compensated sum).
+/// Deterministic dot product over the shorter of the two lengths.
+inline real vdot(backends::BackendKind backend, std::span<const real> a,
+                 std::span<const real> b) {
+  const real* pa = a.data();
+  const real* pb = b.data();
+  return reduce_sum(backend, std::min(a.size(), b.size()),
+                    [=](std::size_t i) { return pa[i] * pb[i]; });
+}
 inline real vdot(std::span<const real> a, std::span<const real> b) {
-  real sum = 0, comp = 0;
-  const std::size_t n = a.size() < b.size() ? a.size() : b.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const real term = a[i] * b[i] - comp;
-    const real next = sum + term;
-    comp = (next - sum) - term;
-    sum = next;
-  }
-  return sum;
+  return vdot(backends::BackendKind::kSerial, a, b);
 }
 
 }  // namespace gaia::core

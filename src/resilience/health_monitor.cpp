@@ -9,6 +9,7 @@
 
 #include "obs/metrics.hpp"
 #include "resilience/checkpoint.hpp"
+#include "util/compensated_sum.hpp"
 
 namespace gaia::resilience {
 
@@ -181,13 +182,8 @@ HealthVerdict HealthMonitor::check_vector(std::int64_t iteration,
   for (int s = 0; s < n_segments; ++s) {
     const std::size_t begin = static_cast<std::size_t>(s) * seg_len;
     const std::size_t end = std::min(v.size(), begin + seg_len);
-    real sum = 0, comp = 0;  // Kahan per segment, like vnorm
-    for (std::size_t i = begin; i < end; ++i) {
-      const real term = v[i] * v[i] - comp;
-      const real next = sum + term;
-      comp = (next - sum) - term;
-      sum = next;
-    }
+    const real sum = util::block_sum(
+        begin, end, [&](std::size_t i) { return v[i] * v[i]; });
     if (!std::isfinite(sum)) {
       verdict.invariant = HealthInvariant::kSegmentChecksum;
       std::ostringstream os;

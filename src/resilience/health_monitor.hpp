@@ -21,8 +21,9 @@
 ///    self-consistently (the next basis vector is built *from* the
 ///    corrupted one, so downstream identities re-close) is caught here
 ///    before the recurrence consumes it.
-///  * **Segment checksums** (every K iterations, O(m + n)) — a Kahan
-///    sum-of-squares pass over u/v/x in fixed segments localizes
+///  * **Segment checksums** (every K iterations, O(m + n)) — a
+///    compensated sum-of-squares pass (util::block_sum, on the calling
+///    thread) over u/v/x in fixed segments localizes
 ///    non-finite contamination and yields the vector norm for free,
 ///    which is cross-checked against the recurrence's own estimates:
 ///    u and v are unit vectors by construction, and ||x|| must agree
@@ -36,7 +37,8 @@
 ///    corrupted Krylov basis while the recomputation sees the matrix.
 ///  * **Cross-rank state agreement** (dist, every K iterations, one
 ///    scalar allreduce pair) — v/w/x are replicated bit-identically
-///    across ranks (reductions in vector_ops.hpp are serial Kahan), so
+///    across ranks (every rank runs the same backend on the same n, and
+///    the blocked reductions of vector_ops.hpp are fixed by n alone), so
 ///    an FNV-1a hash of their bit patterns folded to 52 bits (exactly
 ///    representable as a double) must allreduce to min == max; a
 ///    minority rank whose replica diverged is caught within K

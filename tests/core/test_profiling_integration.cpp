@@ -78,6 +78,29 @@ TEST_F(SolverProfile, BlasAndReductionRegionsTracked) {
   EXPECT_GT(p.fraction_of("reduction"), 0.0);
 }
 
+TEST_F(SolverProfile, HealthChecksumsRegionOncePerIteration) {
+  // The ABFT checksum sums are attributed time: one region per
+  // iteration with health on, none with it off.
+  const auto gen = matrix::generate_system(gaia::testing::small_config(154));
+  LsqrOptions opts;
+  opts.aprod.backend = backends::BackendKind::kPstl;
+  opts.max_iterations = 6;
+  const auto calls = [](const char* name) -> std::uint64_t {
+    for (const auto& region : util::Profiler::global().snapshot())
+      if (region.name == name) return region.calls;
+    return 0;
+  };
+  (void)lsqr_solve(gen.A, opts);
+  EXPECT_EQ(calls("health_checksums"), 0u);
+
+  util::Profiler::global().reset();
+  opts.health.mode = resilience::HealthMode::kDetect;
+  const auto result = lsqr_solve(gen.A, opts);
+  ASSERT_EQ(result.iterations, 6);
+  EXPECT_EQ(calls("health_checksums"), 6u)
+      << util::Profiler::global().report();
+}
+
 TEST_F(SolverProfile, DisabledProfilerLeavesNoTrace) {
   util::Profiler::global().set_enabled(false);
   const auto gen = matrix::generate_system(gaia::testing::small_config(153));

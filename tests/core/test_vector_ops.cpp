@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -12,6 +14,16 @@ namespace {
 
 using backends::BackendKind;
 
+std::uint64_t bits(real value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// Lengths at every edge of the reduction partition: the 4096-element
+/// block, the 32 768-element parallel threshold, and the 256-block cap
+/// past which the blocks grow.
+constexpr std::size_t kLongest = 3 * (1 << 20) + 5;
+constexpr std::size_t kReductionLengths[] = {
+    0,     1,     5,     4095,           4096,           4097,
+    32767, 32768, 32769, 256 * 4096 - 1, 256 * 4096 + 1, kLongest};
+
 class VectorOps : public ::testing::TestWithParam<BackendKind> {
  protected:
   static std::vector<real> random_vec(std::size_t n, std::uint64_t seed) {
@@ -19,6 +31,12 @@ class VectorOps : public ::testing::TestWithParam<BackendKind> {
     std::vector<real> v(n);
     for (auto& x : v) x = rng.normal();
     return v;
+  }
+  /// Two shared operands as long as the longest reduction length.
+  static const std::vector<real>& operand(int which) {
+    static const std::vector<real> a = random_vec(kLongest, 8);
+    static const std::vector<real> b = random_vec(kLongest, 9);
+    return which == 0 ? a : b;
   }
 };
 
@@ -57,6 +75,34 @@ TEST_P(VectorOps, AccumulateSquareMatchesReference) {
     ASSERT_DOUBLE_EQ(y[i], y0[i] + 0.25 * x[i] * x[i]);
 }
 
+TEST_P(VectorOps, ReductionsMatchTheCallingThreadBitForBit) {
+  // The partition depends on n alone, so every backend returns the
+  // one-argument call's bits.
+  for (const std::size_t n : kReductionLengths) {
+    const auto a = std::span<const real>(operand(0)).first(n);
+    const auto b = std::span<const real>(operand(1)).first(n);
+    EXPECT_EQ(bits(vnorm(GetParam(), a)), bits(vnorm(a))) << "n=" << n;
+    EXPECT_EQ(bits(vsum(GetParam(), a)), bits(vsum(a))) << "n=" << n;
+    EXPECT_EQ(bits(vdot(GetParam(), a, b)), bits(vdot(a, b))) << "n=" << n;
+  }
+}
+
+TEST_P(VectorOps, BlockedSumIgnoresTheWorkerCount) {
+  // Workers take contiguous block ranges, so any worker count — more
+  // workers than blocks included — folds the same partials.
+  for (const std::size_t n : {std::size_t{32769}, kLongest}) {
+    const real* x = operand(0).data();
+    const auto term = [=](std::size_t i) { return x[i]; };
+    const real serial = vsum(std::span<const real>(operand(0)).first(n));
+    for (const int workers : {1, 2, 3, 5, 8, 64}) {
+      const real sum = backends::dispatch(GetParam(), [&](auto exec) {
+        return detail::blocked_sum<decltype(exec)>(n, workers, term);
+      });
+      EXPECT_EQ(bits(sum), bits(serial)) << "n=" << n << " W=" << workers;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, VectorOps,
                          ::testing::ValuesIn(backends::all_backends()),
                          [](const auto& info) {
@@ -73,24 +119,34 @@ TEST(VectorDot, KahanSummationBeatsNaiveOnSkewedData) {
   // One large product followed by many small ones of alternating sign:
   // naive left-to-right summation loses the small terms entirely;
   // compensated summation keeps them. Compare against a long-double
-  // reference.
-  std::vector<real> a, b;
-  a.push_back(1e12);
-  b.push_back(1.0);
-  for (int i = 0; i < 100000; ++i) {
-    a.push_back(1.0);
-    b.push_back(i % 2 ? 1e-3 : -1e-3 + 1e-5);
+  // reference, on every backend, also at a length whose 256 blocks are
+  // longer than the minimum. The reference adds the large product last:
+  // added one by one onto 1e12, millions of small products would round
+  // in the same direction even in long double.
+  for (const int n_small : {100000, 3 << 20}) {
+    std::vector<real> a, b;
+    a.push_back(1e12);
+    b.push_back(1.0);
+    for (int i = 0; i < n_small; ++i) {
+      a.push_back(1.0);
+      b.push_back(i % 2 ? 1e-3 : -1e-3 + 1e-5);
+    }
+    long double exact = 0;
+    for (std::size_t i = 1; i < a.size(); ++i)
+      exact += static_cast<long double>(a[i]) * b[i];
+    exact += static_cast<long double>(a[0]) * b[0];
+    double naive = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) naive += a[i] * b[i];
+    const double naive_err = std::abs(static_cast<double>(naive - exact));
+    for (const BackendKind backend : backends::all_backends()) {
+      const real kahan = vdot(backend, a, b);
+      const double kahan_err = std::abs(static_cast<double>(kahan - exact));
+      EXPECT_LE(kahan_err, naive_err)
+          << backends::to_string(backend) << " n=" << a.size();
+      EXPECT_LT(kahan_err, 1e-3)
+          << backends::to_string(backend) << " n=" << a.size();
+    }
   }
-  long double exact = 0;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    exact += static_cast<long double>(a[i]) * b[i];
-  double naive = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) naive += a[i] * b[i];
-  const real kahan = vdot(a, b);
-  const double kahan_err = std::abs(static_cast<double>(kahan - exact));
-  const double naive_err = std::abs(static_cast<double>(naive - exact));
-  EXPECT_LE(kahan_err, naive_err);
-  EXPECT_LT(kahan_err, 1e-3);
 }
 
 TEST(VectorDot, MatchesHandComputed) {
@@ -106,7 +162,8 @@ TEST(VectorDot, DeterministicAcrossCalls) {
   for (auto& v : b) v = rng.normal();
   const real d1 = vdot(a, b);
   const real d2 = vdot(a, b);
-  EXPECT_EQ(d1, d2);  // bitwise: reductions are serial by design
+  // Bitwise: the blocks and their fold order are fixed by the length.
+  EXPECT_EQ(d1, d2);
 }
 
 }  // namespace
