@@ -42,18 +42,6 @@ const matrix::GeneratedSystem& system_under_test() {
   return gen;
 }
 
-/// Installs `strategy` on the three atomic aprod2 kernels.
-backends::TuningTable table_with_strategy(backends::ScatterStrategy strategy) {
-  backends::TuningTable table = backends::TuningTable::tuned_default();
-  for (KernelId id : backends::all_kernels()) {
-    if (!backends::kernel_uses_atomics(id)) continue;
-    backends::KernelConfig cfg = table.get(id);
-    cfg.strategy = strategy;
-    table.set(id, cfg);
-  }
-  return table;
-}
-
 /// What one registry benchmark launches per iteration.
 enum class Product : int { kAprod1, kAprod1Fused, kAprod2Scatter, kAprod2Fused };
 
@@ -77,17 +65,15 @@ std::vector<AprodPass> passes_of(Product product) {
 }
 
 /// One product through the KernelRegistry: range(0) backend, range(1)
-/// Product, range(2) scatter strategy.
+/// Product.
 void BM_Registry(benchmark::State& state) {
   const auto backend = static_cast<backends::BackendKind>(state.range(0));
   const auto product = static_cast<Product>(state.range(1));
-  const auto strategy =
-      static_cast<backends::ScatterStrategy>(state.range(2));
   const auto& gen = system_under_test();
   core::ensure_kernel_catalog();
   const core::SystemView view = core::SystemView::from(gen.A);
   const tuning::KernelRegistry& registry = tuning::KernelRegistry::global();
-  const backends::TuningTable table = table_with_strategy(strategy);
+  const backends::TuningTable table = backends::TuningTable::tuned_default();
   backends::ScratchArena arena;
   util::Xoshiro256 rng(1);
   std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()));
@@ -112,9 +98,7 @@ void BM_Registry(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(gen.A.values().size_bytes()));
-  std::string label = backends::to_string(backend);
-  if (!gather) label.append("/").append(backends::to_string(strategy));
-  state.SetLabel(label);
+  state.SetLabel(backends::to_string(backend));
 }
 
 /// The solver's apply2 through the Aprod driver: aprod2_astro then the
@@ -140,18 +124,14 @@ void BM_Aprod2(benchmark::State& state) {
   state.SetLabel(backends::to_string(backend));
 }
 
-/// The LSQR step through the Aprod driver: range(0) backend, range(1)
-/// scatter strategy. sigma * alpha = 0.5 keeps the repeated u <- p
-/// bounded.
+/// The LSQR step through the Aprod driver: range(0) backend.
+/// sigma * alpha = 0.5 keeps the repeated u <- p bounded.
 void BM_Step(benchmark::State& state) {
   const auto backend = static_cast<backends::BackendKind>(state.range(0));
-  const auto strategy =
-      static_cast<backends::ScatterStrategy>(state.range(1));
   const auto& gen = system_under_test();
   backends::DeviceContext device;
   core::AprodOptions opts;
   opts.backend = backend;
-  opts.tuning = table_with_strategy(strategy);
   core::Aprod aprod(gen.A, device, opts);
   util::Xoshiro256 rng(3);
   std::vector<real> v(static_cast<std::size_t>(gen.A.n_cols()));
@@ -165,8 +145,7 @@ void BM_Step(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(gen.A.values().size_bytes()));
-  state.SetLabel(backends::to_string(backend) + "/" +
-                 backends::to_string(strategy));
+  state.SetLabel(backends::to_string(backend));
 }
 
 void RegisterAll() {
@@ -179,22 +158,18 @@ void RegisterAll() {
     const int b = static_cast<int>(backend);
     for (const auto& [name, product] : gathers)
       benchmark::RegisterBenchmark(name, BM_Registry)
-          ->Args({b, static_cast<int>(product), 0})
+          ->Args({b, static_cast<int>(product)})
           ->Unit(benchmark::kMillisecond);
     benchmark::RegisterBenchmark("aprod2", BM_Aprod2)
         ->Arg(b)
         ->Unit(benchmark::kMillisecond);
-    for (backends::ScatterStrategy strategy :
-         {backends::ScatterStrategy::kAtomic,
-          backends::ScatterStrategy::kPrivatized}) {
-      for (const auto& [name, product] : scatters)
-        benchmark::RegisterBenchmark(name, BM_Registry)
-            ->Args({b, static_cast<int>(product), static_cast<int>(strategy)})
-            ->Unit(benchmark::kMillisecond);
-      benchmark::RegisterBenchmark("aprod_step", BM_Step)
-          ->Args({b, static_cast<int>(strategy)})
+    for (const auto& [name, product] : scatters)
+      benchmark::RegisterBenchmark(name, BM_Registry)
+          ->Args({b, static_cast<int>(product)})
           ->Unit(benchmark::kMillisecond);
-    }
+    benchmark::RegisterBenchmark("aprod_step", BM_Step)
+        ->Arg(b)
+        ->Unit(benchmark::kMillisecond);
   }
 }
 

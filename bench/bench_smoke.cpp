@@ -3,9 +3,9 @@
 /// perf baseline — the producer side of the `gaia-perfgate` CI gate.
 ///
 /// Launches each of the eight aprod kernels, the fused gather, the fused
-/// scatter and the LSQR step (the one pass the solver launches), the
-/// last two on both commit strategies, at every storage precision,
-/// directly through the KernelRegistry on a small host-resident system.
+/// scatter and the LSQR step (the one pass the solver launches), at
+/// every storage precision, directly through the KernelRegistry on a
+/// small host-resident system.
 /// Every series gets one untimed launch, then the timed repetitions run
 /// round-robin — repetition r of every series before repetition r + 1 of
 /// any — so neither the process's start-up transient nor its position
@@ -138,20 +138,13 @@ int main(int argc, char** argv) {
 
     // The timed series, per precision: the eight per-section kernels at
     // the tuned table (the per-kernel totals below sum these), then the
-    // three passes the solver launches, the fused scatter and the step
-    // once per commit strategy.
-    std::vector<std::pair<tuning::AprodPass, backends::ScatterStrategy>>
-        shapes;
+    // fused gather, the fused scatter and the step.
+    std::vector<tuning::AprodPass> passes;
     for (backends::KernelId id : backends::all_kernels())
-      shapes.push_back({{id, std::nullopt}, table.get(id).strategy});
-    shapes.push_back(
-        {tuning::kAprodPasses[0], backends::ScatterStrategy::kAtomic});
-    for (const tuning::AprodPass& pass :
-         {tuning::kAprodPasses[2], tuning::kStepPass})
-      for (const backends::ScatterStrategy strategy :
-           {backends::ScatterStrategy::kAtomic,
-            backends::ScatterStrategy::kPrivatized})
-        shapes.push_back({pass, strategy});
+      passes.push_back({id, std::nullopt});
+    passes.push_back(tuning::kAprodPasses[0]);
+    passes.push_back(tuning::kAprodPasses[2]);
+    passes.push_back(tuning::kStepPass);
 
     struct Series {
       tuning::AprodPass pass;
@@ -163,7 +156,7 @@ int main(int argc, char** argv) {
     std::vector<Series> series;
     for (int pi = 0; pi < backends::kNumPrecisions; ++pi) {
       const auto precision = static_cast<backends::Precision>(pi);
-      for (const auto& [pass, strategy] : shapes) {
+      for (const tuning::AprodPass& pass : passes) {
         const backends::KernelId id = pass.id;
         const bool is_aprod1 = id < backends::KernelId::kAprod2Astro;
         Series s;
@@ -180,14 +173,13 @@ int main(int argc, char** argv) {
           s.args.out = is_aprod1 ? y.data() : x.data();
         }
         s.args.config = table.get(id);
-        s.args.config.strategy = strategy;
         s.args.config.precision = precision;
         s.args.arena = &arena;
         s.timing.kernel = core::pass_region_name(pass);
         s.timing.backend = backends::to_string(backend);
-        s.timing.strategy = backends::kernel_uses_atomics(id)
-                                ? backends::to_string(strategy)
-                                : "none";
+        // The perf counters' label: the scatters commit private slices.
+        s.timing.strategy =
+            backends::kernel_uses_atomics(id) ? "privatized" : "none";
         s.timing.precision = backends::to_string(precision);
         s.spin_factor = s.timing.kernel == slowdown.kernel
                             ? slowdown.factor - 1.0

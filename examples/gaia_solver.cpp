@@ -5,7 +5,7 @@
 /// time — the paper's measurement binary.
 ///
 ///   $ ./gaia_solver --size 64MB --iterations 100 --backend gpusim
-///   $ ./gaia_solver --size 128MB --backend openmp --scatter privatized
+///   $ ./gaia_solver --size 128MB --backend openmp --autotune
 ///   $ ./gaia_solver --size 32MB --backend serial --ranks 4
 ///   $ ./gaia_solver --trace trace.json --metrics metrics.csv
 ///   $ ./gaia_solver --ranks 3 --trace-dir traces && gaia-critpath \
@@ -49,11 +49,6 @@ int main(int argc, char** argv) {
                  "CRC-sealed tuning cache file: loaded on startup (a "
                  "complete entry skips the search), winners sealed back "
                  "after a fresh search");
-  cli.add_option("scatter", "atomic",
-                 "aprod2 scatter strategy: atomic (hardware atomics, "
-                 "default) | privatized (contention-free per-worker "
-                 "slices + tree reduction) | auto (measured with "
-                 "--autotune, cost-model predicted otherwise)");
   cli.add_option("precision", "fp64",
                  "coefficient storage precision: fp64 (seed planes, "
                  "default) | fp32 | bf16s (truncated fp32) | auto "
@@ -178,10 +173,6 @@ int main(int argc, char** argv) {
           backends::parse_kernel_config(cli.get("shape")));
     config.autotune.enabled = cli.get_flag("autotune");
     config.autotune.cache_path = cli.get("tuning-cache");
-    const auto scatter = core::parse_scatter_mode(cli.get("scatter"));
-    GAIA_CHECK(scatter.has_value(),
-               "unknown scatter mode: " + cli.get("scatter"));
-    config.scatter = *scatter;
     // Precision: flag wins over GAIA_PRECISION wins over the default,
     // and a bad token's error names where the token actually came from.
     std::string precision_source;
@@ -246,22 +237,8 @@ int main(int argc, char** argv) {
       dopts.autotune_search = config.autotune.search;
       dopts.trace_dir = cli.get("trace-dir");
       dopts.trace_capacity = trace_capacity;
-      // Mirror the single-rank scatter policy: rank 0's winners (incl.
-      // the strategy) are broadcast via the encoded tuning table.
-      if (config.scatter == core::ScatterMode::kPrivatized) {
-        for (backends::KernelId id : backends::all_kernels()) {
-          if (!backends::kernel_uses_atomics(id)) continue;
-          backends::KernelConfig kcfg = dopts.lsqr.aprod.tuning.get(id);
-          kcfg.strategy = backends::ScatterStrategy::kPrivatized;
-          dopts.lsqr.aprod.tuning.set(id, kcfg);
-        }
-        dopts.autotune_search.scatter =
-            backends::ScatterStrategy::kPrivatized;
-      } else if (config.scatter == core::ScatterMode::kAuto) {
-        dopts.autotune_search.scatter = std::nullopt;
-      }
-      // And for the precision policy: rank 0's winners carry the
-      // precision field through the 4-real encoded broadcast.
+      // Mirror the single-rank precision policy: rank 0's winners carry
+      // the precision field through the 3-real encoded broadcast.
       if (config.precision == core::PrecisionMode::kAuto) {
         dopts.autotune_search.precision = std::nullopt;
       } else if (config.precision != core::PrecisionMode::kFp64) {

@@ -8,7 +8,7 @@
 /// | paper model      | backend   | what is preserved                      |
 /// |------------------|-----------|----------------------------------------|
 /// | CUDA / HIP / SYCL| kGpuSim   | explicit kernels, grid/block tuning,    |
-/// |                  |           | device buffers, device atomics          |
+/// |                  |           | device buffers                          |
 /// | OpenMP-GPU       | kOpenMP   | directive-based, teams/thread_limit     |
 /// | C++ PSTL         | kPstl     | parallel algorithms, *no tuning knob*   |
 /// | (reference)      | kSerial   | deterministic oracle ("production" ref) |
@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "backends/atomic.hpp"
 #include "backends/counting_iterator.hpp"
 #include "backends/kernel_config.hpp"
 #include "backends/pstl_algorithms.hpp"
@@ -58,10 +57,9 @@ inline constexpr int kNumBackends = 4;
 // Execution policies
 // ---------------------------------------------------------------------------
 
-/// Upper bound on privatized-scatter workers per launch. Each worker
-/// privatizes a full column section, so scratch grows linearly with the
-/// worker count; past a few hundred host workers the reduction tree
-/// dominates anyway.
+/// Upper bound on scatter workers per launch. Each worker privatizes a
+/// full column section, so scratch grows linearly with the worker count;
+/// past a few hundred host workers the ordered fold dominates anyway.
 inline constexpr int kMaxScatterWorkers = 256;
 
 /// Reference backend: sequential, deterministic; plays the role of the
@@ -75,21 +73,17 @@ struct SerialExec {
     for (std::int64_t i = 0; i < n; ++i) body(i);
   }
 
-  /// Privatized-scatter workers a launch at `cfg` uses. A pure function
-  /// of the launch shape (and the fixed machine), so a fixed config
-  /// always reduces in the same combine order — the determinism contract
-  /// of the privatized path.
+  /// Scatter workers (private slices) a launch at `cfg` uses. A pure
+  /// function of the launch shape (and the fixed machine), so a fixed
+  /// config always folds the slices in the same order — the determinism
+  /// contract of the scatter commit.
   static int scatter_workers(KernelConfig /*cfg*/) { return 1; }
 
-  /// Runs body(w) once per worker w in [0, workers). Worker w is the
-  /// segment id of the privatized reduction; serial runs them in order.
+  /// Runs body(w) once per worker w in [0, workers). Worker w owns slice
+  /// w of the scatter commit; serial runs them in order.
   template <typename F>
   static void launch_workers(int workers, KernelConfig /*cfg*/, F&& body) {
     for (int w = 0; w < workers; ++w) body(w);
-  }
-
-  static void atomic_add(real& target, real value, AtomicMode /*mode*/) {
-    target += value;  // single thread: plain accumulation
   }
 };
 
@@ -115,7 +109,7 @@ struct OpenMPExec {
 #endif
   }
 
-  /// One privatized segment per OpenMP thread of this launch shape.
+  /// One private slice per OpenMP thread of this launch shape.
   static int scatter_workers(KernelConfig cfg) {
     const int nt = resolve_threads(cfg);
     return nt < 1 ? 1 : (nt > kMaxScatterWorkers ? kMaxScatterWorkers : nt);
@@ -128,15 +122,6 @@ struct OpenMPExec {
     for (int w = 0; w < workers; ++w) body(w);
 #else
     for (int w = 0; w < workers; ++w) body(w);
-#endif
-  }
-
-  static void atomic_add(real& target, real value, AtomicMode /*mode*/) {
-#if defined(GAIA_HAS_OPENMP)
-#pragma omp atomic update
-    target += value;
-#else
-    target += value;
 #endif
   }
 };
@@ -173,10 +158,6 @@ struct PstlExec {
             body(static_cast<int>(w));
         });
   }
-
-  static void atomic_add(real& target, real value, AtomicMode mode) {
-    backends::atomic_add(target, value, mode);
-  }
 };
 
 /// CUDA/HIP/SYCL-shaped port: explicit grid of blocks x threads, executed
@@ -211,7 +192,7 @@ struct GpuSimExec {
         });
   }
 
-  /// One privatized segment per virtual block (blocks are the gpusim
+  /// One private slice per virtual block (blocks are the gpusim
   /// scheduling unit), capped so scratch stays bounded when the tuner
   /// probes very wide grids.
   static int scatter_workers(KernelConfig cfg) {
@@ -227,10 +208,6 @@ struct GpuSimExec {
           for (std::int64_t w = begin; w < end; ++w)
             body(static_cast<int>(w));
         });
-  }
-
-  static void atomic_add(real& target, real value, AtomicMode mode) {
-    backends::atomic_add(target, value, mode);
   }
 };
 
@@ -260,33 +237,6 @@ decltype(auto) dispatch(BackendKind kind, F&& f) {
 [[nodiscard]] inline int scatter_workers(BackendKind kind, KernelConfig cfg) {
   return dispatch(kind, [&](auto exec) {
     return decltype(exec)::scatter_workers(cfg);
-  });
-}
-
-/// Workers an atomic-commit scatter over `n_rows` rows uses: the
-/// privatized count, except that PSTL's count is the pool size whatever
-/// the launch, so there it is capped at the chunks `pstl::for_each`
-/// splits the rows into. A PSTL launch under the grain then runs one
-/// worker and commits in row order, like every PSTL loop of that size.
-template <typename Exec>
-[[nodiscard]] int atomic_scatter_workers(std::int64_t n_rows,
-                                         KernelConfig cfg) {
-  const int workers = Exec::scatter_workers(cfg);
-  if constexpr (Exec::kKind == BackendKind::kPstl) {
-    const std::int64_t grain =
-        pstl::detail::grain_for(n_rows, ThreadPool::global().workers());
-    const std::int64_t chunks =
-        n_rows <= grain ? 1 : (n_rows + grain - 1) / grain;
-    return chunks < workers ? static_cast<int>(chunks) : workers;
-  }
-  return workers;
-}
-
-[[nodiscard]] inline int atomic_scatter_workers(BackendKind kind,
-                                                std::int64_t n_rows,
-                                                KernelConfig cfg) {
-  return dispatch(kind, [&](auto exec) {
-    return atomic_scatter_workers<decltype(exec)>(n_rows, cfg);
   });
 }
 

@@ -34,17 +34,6 @@ std::string to_string(AtomicMode mode) {
   return mode == AtomicMode::kNativeRmw ? "rmw" : "cas";
 }
 
-std::string to_string(ScatterStrategy strategy) {
-  return strategy == ScatterStrategy::kAtomic ? "atomic" : "privatized";
-}
-
-std::optional<ScatterStrategy> parse_scatter_strategy(
-    const std::string& name) {
-  if (name == "atomic") return ScatterStrategy::kAtomic;
-  if (name == "privatized") return ScatterStrategy::kPrivatized;
-  return std::nullopt;
-}
-
 std::optional<KernelId> parse_kernel_id(const std::string& name) {
   for (KernelId id : all_kernels()) {
     if (name == to_string(id)) return id;
@@ -116,8 +105,10 @@ TuningTable TuningTable::tuned_default() {
   t.set(KernelId::kAprod2Astro, wide);
   // ...and deliberately narrow shapes where atomics collide (paper SIV):
   // fewer blocks and threads lower the collision probability at the cost
-  // of occupancy. The solve launches kAprod2Att's entry for the fused
-  // scatter; the instr/glob entries shape their separate kernels only.
+  // of occupancy (on the host, fewer private slices to fold). The solve
+  // launches kAprod2Att's entry for the LSQR step, and apply2 for the
+  // fused scatter; the instr/glob entries shape their separate kernels
+  // only.
   const KernelConfig narrow{32, 32};
   t.set(KernelId::kAprod2Att, narrow);
   t.set(KernelId::kAprod2Instr, narrow);

@@ -43,34 +43,19 @@ using matrix::kNumPrecisions;
   return matrix::parse_precision(name);
 }
 
-/// How an atomic aprod2 scatter commits its updates to x.
-///
-/// kAtomic is the production path the paper tunes (atomic adds into the
-/// shared column section, thread counts turned *down* to limit
-/// collisions). kPrivatized is the contention-free alternative from the
-/// SpMV-transpose literature: each worker accumulates into a private
-/// copy of the column section, then a deterministic segmented tree
-/// reduction folds the copies into x — no atomics at all, at the price
-/// of scratch traffic proportional to workers x section length.
-/// Non-atomic kernels ignore the strategy.
+/// The retired scatter-strategy names, kept for KernelConfig::strategy.
+/// Every shared-section scatter commits one way (core/aprod_kernels.hpp,
+/// `detail::section_scatter`), whatever the field says. Stays until
+/// ROADMAP item 8.
 enum class ScatterStrategy : std::uint8_t {
   kAtomic = 0,
   kPrivatized,
 };
-inline constexpr int kNumScatterStrategies = 2;
-
-[[nodiscard]] std::string to_string(ScatterStrategy strategy);
-/// Inverse of to_string(ScatterStrategy); nullopt for unknown names.
-[[nodiscard]] std::optional<ScatterStrategy> parse_scatter_strategy(
-    const std::string& name);
 
 /// Launch shape of one kernel. {0, 0} means "backend default".
 struct KernelConfig {
   std::int32_t blocks = 0;
   std::int32_t threads = 0;
-  /// Scatter commit strategy (atomic kernels only; kAtomic preserves the
-  /// pre-strategy behaviour bit for bit).
-  ScatterStrategy strategy = ScatterStrategy::kAtomic;
   /// Coefficient storage precision the kernel body loads through. kFp64
   /// is the seed behaviour bit for bit; reduced precisions require the
   /// matching down-converted records to be attached to the SystemView
@@ -81,6 +66,9 @@ struct KernelConfig {
   /// row-record bodies. Stays until ROADMAP item 8, for the end-to-end
   /// benchmark's layout sweep.
   StorageLayout layout = StorageLayout::kSeedAos;
+  /// Ignored like `layout`: every scatter runs the one commit. Stays until
+  /// ROADMAP item 8, for the end-to-end benchmark's pinned workloads.
+  ScatterStrategy strategy = ScatterStrategy::kAtomic;
 
   [[nodiscard]] bool is_default() const { return blocks == 0 && threads == 0; }
   [[nodiscard]] std::int64_t total_threads() const {

@@ -1,9 +1,9 @@
 /// \file scratch_arena.hpp
-/// \brief Pooled, size-bucketed scratch buffers for privatized scatters.
+/// \brief Pooled, size-bucketed scratch buffers for the scatter commit.
 ///
-/// The privatized aprod2 path needs `workers x section` reals of scratch
+/// The aprod2 scatter commit needs `workers x section` reals of scratch
 /// on every launch — per LSQR iteration, for thousands of iterations.
-/// Paying the allocator each time would dwarf the contention it saves,
+/// Paying the allocator each time would dwarf the commit itself,
 /// so buffers are pooled: a released buffer parks in a power-of-two size
 /// bucket and the next acquire of a compatible size reuses it. After the
 /// first iteration touched every kernel's bucket, the steady state is
@@ -29,8 +29,8 @@ enum class BackendKind : std::uint8_t;
 class ScratchArena {
  public:
   /// RAII hold on one pooled buffer. The buffer returns to its bucket on
-  /// destruction; contents are *not* zeroed (the privatized scatter
-  /// zeroes each worker slice itself, in parallel).
+  /// destruction; contents are *not* zeroed (the scatter commit zeroes
+  /// each worker slice itself, in parallel).
   class Lease {
    public:
     Lease() = default;

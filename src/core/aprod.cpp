@@ -24,36 +24,30 @@ namespace {
 /// Span annotations of one launch: backend, launch shape (resolved to
 /// the actual grid for the gpusim backend), bytes the pass moves, and
 /// whether this launch was an autotuner trial.
-std::vector<obs::TraceArg> pass_trace_args(
-    BackendKind backend, backends::KernelConfig cfg,
-    backends::AtomicMode atomic_mode, const SystemView& view,
-    const tuning::AprodPass& pass, bool trial) {
+std::vector<obs::TraceArg> pass_trace_args(BackendKind backend,
+                                           backends::KernelConfig cfg,
+                                           const SystemView& view,
+                                           const tuning::AprodPass& pass,
+                                           bool trial) {
   if (backend == BackendKind::kGpuSim)
     cfg = backends::GpuSimExec::resolve(cfg);
   std::vector<obs::TraceArg> args;
-  args.reserve(8);
+  args.reserve(6);
   args.emplace_back("backend", backends::to_string(backend));
   args.emplace_back("blocks", static_cast<std::int64_t>(cfg.blocks));
   args.emplace_back("threads", static_cast<std::int64_t>(cfg.threads));
   args.emplace_back("bytes", pass_traffic_bytes(view, pass, cfg.precision));
   if (cfg.precision != backends::Precision::kFp64)
     args.emplace_back("precision", backends::to_string(cfg.precision));
-  if (backends::kernel_uses_atomics(pass.id)) {
-    args.emplace_back("strategy", backends::to_string(cfg.strategy));
-    if (cfg.strategy == backends::ScatterStrategy::kAtomic)
-      args.emplace_back("atomic", backends::to_string(atomic_mode));
-  }
   if (trial) args.emplace_back("tuning_trial", std::int64_t{1});
   return args;
 }
 
-/// Strategy label of a pass's series: the fused scatter carries
-/// kAprod2Att's identity, so it is the one pass with a commit strategy.
-std::string strategy_label(const tuning::AprodPass& pass,
-                           const backends::KernelConfig& cfg) {
-  return backends::kernel_uses_atomics(pass.id)
-             ? backends::to_string(cfg.strategy)
-             : "none";
+/// Strategy label of a pass's series: "privatized" for the passes that
+/// commit private slices into shared columns (kAprod2Att's identity: the
+/// fused scatter and the step), "none" for the rest.
+const char* strategy_label(const tuning::AprodPass& pass) {
+  return backends::kernel_uses_atomics(pass.id) ? "privatized" : "none";
 }
 
 /// Derived performance counters for one completed (non-trial) launch:
@@ -63,16 +57,13 @@ void record_launch_sample(const SystemView& view,
                           const tuning::AprodPass& pass, BackendKind backend,
                           const backends::KernelConfig& cfg, double seconds) {
   if (!obs::MetricsRegistry::global().enabled()) return;
-  const int workers =
-      backends::atomic_scatter_workers(backend, view.n_rows, cfg);
   obs::KernelSample s;
   s.kernel = pass_region_name(pass);
   s.backend = backends::to_string(backend);
-  s.strategy = strategy_label(pass, cfg);
+  s.strategy = strategy_label(pass);
   s.seconds = seconds;
   s.bytes = pass_traffic_bytes(view, pass, cfg.precision);
   s.flops = pass_flops(view, pass);
-  s.atomic_updates = pass_atomic_updates(view, pass, cfg.strategy, workers);
   obs::record_kernel_sample(s);
 }
 
@@ -201,8 +192,7 @@ void Aprod::launch_pass(const tuning::AprodPass& pass,
       resilience::with_retry(name, options_.retry, [&] {
         obs::ScopedTrace span(name, "kernel");
         if (span.armed())
-          for (auto& a : pass_trace_args(backend, cfg, options_.atomic_mode,
-                                         view_, pass, trial))
+          for (auto& a : pass_trace_args(backend, cfg, view_, pass, trial))
             span.add_arg(std::move(a));
         util::ScopedRegion region(name);
         if (injector.armed() &&
@@ -211,7 +201,6 @@ void Aprod::launch_pass(const tuning::AprodPass& pass,
               std::string("injected launch failure: ") + name);
         args.view = &view_;
         args.config = cfg;
-        args.atomic_mode = options_.atomic_mode;
         args.arena = &scratch_arena_;
         util::Stopwatch watch;
         registry.launch(pass, backend, args);
@@ -220,7 +209,7 @@ void Aprod::launch_pass(const tuning::AprodPass& pass,
           // A trial's shape is a search candidate, not the production
           // config: its time feeds the latency histogram only.
           obs::record_kernel_time(name, backends::to_string(backend),
-                                  strategy_label(pass, cfg), seconds);
+                                  strategy_label(pass), seconds);
           // Closing a search installs its measured winner into the live
           // table, so the remaining iterations already run tuned.
           if (tuner->report(id, cfg, seconds))

@@ -29,7 +29,6 @@
 #include <mutex>
 #include <span>
 
-#include "backends/atomic.hpp"
 #include "backends/backend.hpp"
 #include "backends/device_buffer.hpp"
 #include "backends/kernel_config.hpp"
@@ -50,7 +49,6 @@ namespace gaia::core {
 struct AprodOptions {
   backends::BackendKind backend = backends::BackendKind::kGpuSim;
   backends::TuningTable tuning = backends::TuningTable::tuned_default();
-  backends::AtomicMode atomic_mode = backends::AtomicMode::kNativeRmw;
   /// Ignored: Aprod runs one row pass per aprod product on the calling
   /// thread and overlaps nothing. Still a field only because existing
   /// callers set it.
@@ -149,7 +147,7 @@ class Aprod {
   /// re-dispatches — through the same registry. A fused pass shares
   /// `pass.id`'s tuning and fault identity but is traced and counted
   /// under its own name (pass_region_name). `args` carries the operands;
-  /// the view, shape, atomic mode and arena are filled in here.
+  /// the view, shape and arena are filled in here.
   void launch_pass(const tuning::AprodPass& pass, tuning::LaunchArgs args);
 
   AprodOptions options_;

@@ -12,9 +12,10 @@
 /// gives each task exclusive ownership of its five columns: no atomics.
 /// Attitude, instrumental and global columns are shared between rows:
 /// those three kernels accumulate row chunks into per-worker private
-/// slices and commit the slices to x, atomically or through a fixed-order
-/// fold (`detail::section_scatter`). The sections are contiguous in x, so
-/// the fused scatter runs all three in one row pass over one span.
+/// slices and commit the slices to x in one ordered fold
+/// (`detail::section_scatter`), so no host atomics run anywhere. The
+/// sections are contiguous in x, so the fused scatter runs all three in
+/// one row pass over one span.
 ///
 /// The LSQR step (`aprod_step`) is the third fused pass: one row pass
 /// over star-aligned chunks that forms p = A v - alpha (sigma u), writes
@@ -43,7 +44,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 
 #include "backends/backend.hpp"
 #include "backends/scratch_arena.hpp"
@@ -53,7 +53,6 @@
 
 namespace gaia::core {
 
-using backends::AtomicMode;
 using backends::KernelConfig;
 using matrix::load_real;
 
@@ -287,39 +286,21 @@ inline ScatterSection fused_scatter_section(const SystemView& A) {
 
 namespace detail {
 
-/// Private slices a shared-section scatter over `n_rows` rows uses:
-/// Exec::scatter_workers(cfg), or for the atomic commit
-/// backends::atomic_scatter_workers.
-template <typename Exec>
-int section_workers(std::int64_t n_rows, KernelConfig cfg) {
-  return cfg.strategy == backends::ScatterStrategy::kAtomic
-             ? backends::atomic_scatter_workers<Exec>(n_rows, cfg)
-             : Exec::scatter_workers(cfg);
-}
-
-/// The one commit skeleton of the shared sections, for both scatter
-/// strategies and every pass that scatters into them. Each of `workers`
-/// workers zeroes a private copy of the section in pooled scratch and
-/// runs `body(w, slice)`, which adds its rows' contributions at
-/// section-relative indices. Only the commit step depends on
-/// cfg.strategy:
-///
-/// - kAtomic: each worker, right after its body, adds its slice into x
-///   with one Exec::atomic_add per column (honouring `mode`). That is
-///   W x section atomics in a nondeterministic order instead of one per
-///   (row, column): the host analogue of the block-level shared-memory
-///   aggregation GPU scatter kernels use. No fold, no second launch.
-/// - kPrivatized: no atomics. The slices are folded pairwise — slice p +=
-///   slice p+stride, stride halving from bit_ceil(W)/2 — a combine order
-///   fixed by W alone, so a fixed launch shape reduces bit-identically
-///   run to run regardless of thread scheduling. The folded slice 0 is
-///   added into x in one column-parallel pass.
+/// The one commit of the shared sections, for every pass that scatters
+/// into them. W = Exec::scatter_workers(cfg) workers each zero a private
+/// copy of the section in pooled scratch and run `body(w, slice)`, which
+/// adds its rows' contributions at section-relative indices. One
+/// column-parallel launch then sums slices 0..W-1 in ascending worker
+/// order and adds the sum into x: a combine order fixed by W alone, so a
+/// fixed launch shape reduces bit-identically run to run whatever the
+/// thread scheduling. No atomics: the host analogue of the block-level
+/// shared-memory aggregation GPU scatter kernels do before their device
+/// atomics.
 template <typename Exec, typename WorkerBody>
 void section_scatter(int workers, real* x, ScatterSection sect,
-                     KernelConfig cfg, AtomicMode mode,
-                     backends::ScratchArena* arena, WorkerBody&& body) {
+                     KernelConfig cfg, backends::ScratchArena* arena,
+                     WorkerBody&& body) {
   const col_index sect_len = sect.len;
-  const bool atomic = cfg.strategy == backends::ScatterStrategy::kAtomic;
   backends::ScratchArena& pool =
       arena ? *arena : backends::ScratchArena::for_backend(Exec::kKind);
   auto lease = pool.acquire(static_cast<std::size_t>(workers) *
@@ -332,24 +313,14 @@ void section_scatter(int workers, real* x, ScatterSection sect,
         scratch + static_cast<std::int64_t>(w) * sect_len;
     std::fill(slice, slice + sect_len, real{0});
     body(w, slice);
-    if (atomic)
-      for (col_index c = 0; c < sect_len; ++c)
-        Exec::atomic_add(xs[c], slice[c], mode);
   });
-  if (atomic || sect_len <= 0) return;
-
-  const int top =
-      static_cast<int>(std::bit_ceil(static_cast<unsigned>(workers)) / 2);
-  for (int stride = top; stride >= 1; stride /= 2) {
-    const std::int64_t pairs = std::min(stride, workers - stride);
-    if (pairs <= 0) continue;
-    Exec::launch(pairs * sect_len, cfg, [=](std::int64_t i) {
-      const std::int64_t p = i / sect_len;
-      const std::int64_t c = i - p * sect_len;
-      scratch[p * sect_len + c] += scratch[(p + stride) * sect_len + c];
-    });
-  }
-  Exec::launch(sect_len, cfg, [=](std::int64_t c) { xs[c] += scratch[c]; });
+  if (sect_len <= 0) return;
+  Exec::launch(sect_len, cfg, [=](std::int64_t c) {
+    real sum = scratch[c];
+    for (int w = 1; w < workers; ++w)
+      sum += scratch[static_cast<std::int64_t>(w) * sect_len + c];
+    xs[c] += sum;
+  });
 }
 
 /// The scatter kernels' worker body: worker w accumulates the w-th of W
@@ -357,13 +328,13 @@ void section_scatter(int workers, real* x, ScatterSection sect,
 /// `accumulate_row(slice, r)`.
 template <typename Exec, typename AccumRow>
 void row_scatter(std::int64_t n_rows, real* x, ScatterSection sect,
-                 KernelConfig cfg, AtomicMode mode,
-                 backends::ScratchArena* arena, AccumRow&& accumulate_row) {
+                 KernelConfig cfg, backends::ScratchArena* arena,
+                 AccumRow&& accumulate_row) {
   if (sect.len <= 0) return;
-  const int workers = section_workers<Exec>(n_rows, cfg);
+  const int workers = Exec::scatter_workers(cfg);
   const std::int64_t chunk = (n_rows + workers - 1) / workers;
   section_scatter<Exec>(
-      workers, x, sect, cfg, mode, arena, [&](int w, real* slice) {
+      workers, x, sect, cfg, arena, [&](int w, real* slice) {
         const std::int64_t begin = static_cast<std::int64_t>(w) * chunk;
         const std::int64_t end = std::min(n_rows, begin + chunk);
         for (std::int64_t r = begin; r < end; ++r) accumulate_row(slice, r);
@@ -373,8 +344,8 @@ void row_scatter(std::int64_t n_rows, real* x, ScatterSection sect,
 /// Row r of the fused scatter: the three per-section row accumulators
 /// over the contiguous shared span. Each column still
 /// belongs to exactly one section and receives the same adds in the same
-/// row order, so at a fixed launch shape the privatized fused scatter
-/// equals the three separate privatized kernels bit for bit.
+/// row order, so at a fixed launch shape the fused scatter equals the
+/// three separate kernels bit for bit.
 template <typename AttRows, typename InstrRows, typename GlobRows>
 auto shared_rows(const SystemView& A, AttRows att, InstrRows instr,
                  GlobRows glob) {
@@ -391,10 +362,9 @@ auto shared_rows(const SystemView& A, AttRows att, InstrRows instr,
 /// The fused scatter: one row pass of the shared row accumulator.
 template <typename Exec, typename SharedRows>
 void fused_scatter(const SystemView& A, real* x, KernelConfig cfg,
-                   AtomicMode mode, backends::ScratchArena* arena,
-                   SharedRows rows) {
-  row_scatter<Exec>(A.n_rows, x, fused_scatter_section(A), cfg, mode,
-                    arena, rows);
+                   backends::ScratchArena* arena, SharedRows rows) {
+  row_scatter<Exec>(A.n_rows, x, fused_scatter_section(A), cfg, arena,
+                    rows);
 }
 
 // Row accumulators, one per shared-section kernel.
@@ -453,20 +423,18 @@ auto seed_shared_rows(const SystemView& A, const real* y) {
 /// worker's slice spans the full attitude section.
 template <typename Exec, typename CoefT = real>
 void aprod2_att(const SystemView& A, const real* y, real* x,
-                KernelConfig cfg, AtomicMode mode = AtomicMode::kNativeRmw,
-                backends::ScratchArena* arena = nullptr) {
+                KernelConfig cfg, backends::ScratchArena* arena = nullptr) {
   detail::row_scatter<Exec>(
       A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Att), cfg,
-      mode, arena, detail::att_rows<CoefT>(A, y));
+      arena, detail::att_rows<CoefT>(A, y));
 }
 
 template <typename Exec, typename CoefT = real>
 void aprod2_instr(const SystemView& A, const real* y, real* x,
-                  KernelConfig cfg, AtomicMode mode = AtomicMode::kNativeRmw,
-                  backends::ScratchArena* arena = nullptr) {
+                  KernelConfig cfg, backends::ScratchArena* arena = nullptr) {
   detail::row_scatter<Exec>(
       A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Instr), cfg,
-      mode, arena, detail::instr_rows<CoefT>(A, y));
+      arena, detail::instr_rows<CoefT>(A, y));
 }
 
 /// Every row contributes to the single PPN-gamma unknown — the most
@@ -474,11 +442,10 @@ void aprod2_instr(const SystemView& A, const real* y, real* x,
 /// partial sum per worker; without a global block it is empty (no-op).
 template <typename Exec, typename CoefT = real>
 void aprod2_glob(const SystemView& A, const real* y, real* x,
-                 KernelConfig cfg, AtomicMode mode = AtomicMode::kNativeRmw,
-                 backends::ScratchArena* arena = nullptr) {
+                 KernelConfig cfg, backends::ScratchArena* arena = nullptr) {
   detail::row_scatter<Exec>(
       A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Glob), cfg,
-      mode, arena, detail::glob_rows<CoefT>(A, y));
+      arena, detail::glob_rows<CoefT>(A, y));
 }
 
 /// Fused single-pass aprod2 over the shared sections (attitude +
@@ -489,9 +456,8 @@ void aprod2_glob(const SystemView& A, const real* y, real* x,
 template <typename Exec, typename CoefT = real>
 void aprod2_shared_fused(const SystemView& A, const real* y, real* x,
                          KernelConfig cfg,
-                         AtomicMode mode = AtomicMode::kNativeRmw,
                          backends::ScratchArena* arena = nullptr) {
-  detail::fused_scatter<Exec>(A, x, cfg, mode, arena,
+  detail::fused_scatter<Exec>(A, x, cfg, arena,
                               detail::seed_shared_rows<CoefT>(A, y));
 }
 
@@ -531,7 +497,7 @@ inline std::int64_t step_first_star(const SystemView& A, int w,
 
 /// The step skeleton, composed from a gather row, an astrometric row
 /// accumulator and a shared row accumulator. W workers (the shared
-/// scatter's count for cfg.strategy) each own a star-aligned row chunk;
+/// scatter's count) each own a star-aligned row chunk;
 /// the last one also takes the constraint rows. Per row, rows
 /// ascending: p_r = gather((sigma u_r)(-alpha), r) is stored over u_r,
 /// its square goes into the worker's compensated partial, and the row is
@@ -540,15 +506,13 @@ inline std::int64_t step_first_star(const SystemView& A, int w,
 /// star without local rows), so the astro section needs no atomics and q
 /// is overwritten whole; the shared sections commit through
 /// section_scatter onto a zeroed span. The partials combine in worker
-/// order, so ||p||^2 is fixed by the launch shape — and with the
-/// privatized commit, so is q.
+/// order, so ||p||^2, like q, is fixed by the launch shape.
 template <typename Exec, typename GatherRow, typename AstroRows,
           typename SharedRows>
 void fused_step(const SystemView& A, const StepOperands& op,
-                KernelConfig cfg, AtomicMode mode,
-                backends::ScratchArena* arena, GatherRow gather,
-                AstroRows astro, SharedRows shared) {
-  const int workers = section_workers<Exec>(A.n_rows, cfg);
+                KernelConfig cfg, backends::ScratchArena* arena,
+                GatherRow gather, AstroRows astro, SharedRows shared) {
+  const int workers = Exec::scatter_workers(cfg);
   const ScatterSection sect = fused_scatter_section(A);
   real* const u = op.u;
   real* const q = op.q;
@@ -558,7 +522,7 @@ void fused_step(const SystemView& A, const StepOperands& op,
   std::fill(q + sect.offset, q + sect.offset + sect.len, real{0});
   std::array<real, backends::kMaxScatterWorkers> partial{};
   section_scatter<Exec>(
-      workers, q, sect, cfg, mode, arena, [&](int w, real* slice) {
+      workers, q, sect, cfg, arena, [&](int w, real* slice) {
         util::KahanSum pnorm_sq;
         const auto row = [&](std::int64_t r) {
           const real p = gather((sigma * u[r]) * neg_alpha, r);
@@ -593,9 +557,8 @@ void fused_step(const SystemView& A, const StepOperands& op,
 /// aprod2_astro accumulator and the fused scatter's row in one pass.
 template <typename Exec, typename CoefT = real>
 void aprod_step(const SystemView& A, const StepOperands& op,
-                KernelConfig cfg, AtomicMode mode = AtomicMode::kNativeRmw,
-                backends::ScratchArena* arena = nullptr) {
-  detail::fused_step<Exec>(A, op, cfg, mode, arena,
+                KernelConfig cfg, backends::ScratchArena* arena = nullptr) {
+  detail::fused_step<Exec>(A, op, cfg, arena,
                            detail::seed_gather_row<CoefT>(A, op.v),
                            detail::astro_rows<CoefT>(A, op.u),
                            detail::seed_shared_rows<CoefT>(A, op.u));

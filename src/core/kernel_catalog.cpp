@@ -29,8 +29,7 @@ StepOperands step_operands(const LaunchArgs& a) {
 /// Each launcher captures nothing: the full launch state travels in
 /// LaunchArgs, so the registry entries are valid for the process
 /// lifetime. The CoefT = real instantiation registered at kFp64 is the
-/// pre-precision catalog, bit for bit. The scatter launchers serve both
-/// strategies: the body reads a.config.strategy for its commit step.
+/// pre-precision catalog, bit for bit.
 template <typename Exec, typename CoefT>
 void register_kernels(KernelRegistry& reg, Precision precision) {
   constexpr BackendKind kind = Exec::kKind;
@@ -50,27 +49,23 @@ void register_kernels(KernelRegistry& reg, Precision precision) {
     aprod2_astro<Exec, CoefT>(*a.view, a.in, a.out, a.config);
   }, precision);
   reg.add(KernelId::kAprod2Att, kind, [](const LaunchArgs& a) {
-    aprod2_att<Exec, CoefT>(*a.view, a.in, a.out, a.config, a.atomic_mode,
-                            a.arena);
+    aprod2_att<Exec, CoefT>(*a.view, a.in, a.out, a.config, a.arena);
   }, precision);
   reg.add(KernelId::kAprod2Instr, kind, [](const LaunchArgs& a) {
-    aprod2_instr<Exec, CoefT>(*a.view, a.in, a.out, a.config, a.atomic_mode,
-                              a.arena);
+    aprod2_instr<Exec, CoefT>(*a.view, a.in, a.out, a.config, a.arena);
   }, precision);
   reg.add(KernelId::kAprod2Glob, kind, [](const LaunchArgs& a) {
-    aprod2_glob<Exec, CoefT>(*a.view, a.in, a.out, a.config, a.atomic_mode,
-                             a.arena);
+    aprod2_glob<Exec, CoefT>(*a.view, a.in, a.out, a.config, a.arena);
   }, precision);
   reg.add_fused(FusedPass::kGather, kind, [](const LaunchArgs& a) {
     aprod1_fused<Exec, CoefT>(*a.view, a.in, a.out, a.config);
   }, precision);
   reg.add_fused(FusedPass::kScatter, kind, [](const LaunchArgs& a) {
     aprod2_shared_fused<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                     a.atomic_mode, a.arena);
+                                     a.arena);
   }, precision);
   reg.add_fused(FusedPass::kStep, kind, [](const LaunchArgs& a) {
-    aprod_step<Exec, CoefT>(*a.view, step_operands(a), a.config,
-                            a.atomic_mode, a.arena);
+    aprod_step<Exec, CoefT>(*a.view, step_operands(a), a.config, a.arena);
   }, precision);
 }
 
@@ -179,14 +174,6 @@ std::uint64_t kernel_flops(const SystemView& v, KernelId id) {
          static_cast<std::uint64_t>(nnz_per_row(id)) * 2;
 }
 
-std::uint64_t kernel_atomic_updates(const SystemView& v, KernelId id,
-                                    backends::ScatterStrategy strategy,
-                                    int workers) {
-  if (strategy != backends::ScatterStrategy::kAtomic) return 0;
-  return static_cast<std::uint64_t>(workers) *
-         static_cast<std::uint64_t>(scatter_section(v, id).len);
-}
-
 const char* pass_region_name(const AprodPass& pass) {
   if (!pass.fused) return kernel_region_name(pass.id);
   static const char* kNames[] = {"aprod1_fused", "aprod2_fused",
@@ -265,15 +252,6 @@ std::uint64_t pass_flops(const SystemView& v, const AprodPass& pass) {
   for (KernelId part : pass_parts(pass))
     if (part_runs(v, part)) flops += kernel_flops(v, part);
   return flops;
-}
-
-std::uint64_t pass_atomic_updates(const SystemView& v, const AprodPass& pass,
-                                  backends::ScatterStrategy strategy,
-                                  int workers) {
-  std::uint64_t updates = 0;
-  for (KernelId part : pass_parts(pass))
-    updates += kernel_atomic_updates(v, part, strategy, workers);
-  return updates;
 }
 
 }  // namespace gaia::core

@@ -54,15 +54,6 @@ void ensure_kernel_catalog();
 [[nodiscard]] std::uint64_t kernel_flops(const SystemView& view,
                                          backends::KernelId id);
 
-/// Atomic read-modify-write updates a launch issues: each of the
-/// `workers` private slices commits its whole column section, so W x
-/// section length for the aprod2 scatter kernels under the atomic
-/// strategy; zero for gather kernels, for aprod2_astro and for the
-/// privatized strategy (which commits through a deterministic fold).
-[[nodiscard]] std::uint64_t kernel_atomic_updates(
-    const SystemView& view, backends::KernelId id,
-    backends::ScatterStrategy strategy, int workers);
-
 /// Span/series name of a pass: "aprod1_fused", "aprod2_fused",
 /// "aprod_step", or the kernel's own name.
 [[nodiscard]] const char* pass_region_name(const tuning::AprodPass& pass);
@@ -84,11 +75,8 @@ void ensure_kernel_catalog();
     const SystemView& view, const tuning::AprodPass& pass,
     backends::Precision precision);
 
-/// The parts' flops and atomic updates (both add up across parts).
+/// The parts' flops (they add up across parts).
 [[nodiscard]] std::uint64_t pass_flops(const SystemView& view,
                                        const tuning::AprodPass& pass);
-[[nodiscard]] std::uint64_t pass_atomic_updates(
-    const SystemView& view, const tuning::AprodPass& pass,
-    backends::ScatterStrategy strategy, int workers);
 
 }  // namespace gaia::core

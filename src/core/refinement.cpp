@@ -82,7 +82,7 @@ RefinementReport refine_corrections(const matrix::SystemMatrix& A,
   Aprod aprod(A, device, residual_opts);
 
   // Correction solves reuse the reduced configuration (same precision
-  // and strategy winners) but never checkpoint/monitor — they are short
+  // and shape winners) but never checkpoint/monitor — they are short
   // inner solves against a small right-hand side.
   LsqrOptions correction = reduced;
   correction.aprod.autotuner = nullptr;

@@ -25,25 +25,6 @@
 
 namespace gaia::core {
 
-std::string to_string(ScatterMode mode) {
-  switch (mode) {
-    case ScatterMode::kAtomic:
-      return "atomic";
-    case ScatterMode::kPrivatized:
-      return "privatized";
-    case ScatterMode::kAuto:
-      return "auto";
-  }
-  return "atomic";
-}
-
-std::optional<ScatterMode> parse_scatter_mode(const std::string& name) {
-  if (name == "atomic") return ScatterMode::kAtomic;
-  if (name == "privatized") return ScatterMode::kPrivatized;
-  if (name == "auto") return ScatterMode::kAuto;
-  return std::nullopt;
-}
-
 std::string to_string(PrecisionMode mode) {
   switch (mode) {
     case PrecisionMode::kFp64:
@@ -77,20 +58,8 @@ std::optional<PrecisionMode> parse_precision_mode(const std::string& name) {
 
 namespace {
 
-/// Installs `strategy` on every atomic kernel's table entry, leaving the
-/// launch shapes and the gather kernels untouched.
-void force_scatter_strategy(backends::TuningTable& table,
-                            backends::ScatterStrategy strategy) {
-  for (backends::KernelId id : backends::all_kernels()) {
-    if (!backends::kernel_uses_atomics(id)) continue;
-    backends::KernelConfig cfg = table.get(id);
-    cfg.strategy = strategy;
-    table.set(id, cfg);
-  }
-}
-
-/// Installs `precision` on every kernel's table entry, leaving shapes
-/// and strategies untouched.
+/// Installs `precision` on every kernel's table entry, leaving the
+/// launch shapes untouched.
 void force_precision(backends::TuningTable& table,
                      backends::Precision precision) {
   for (backends::KernelId id : backends::all_kernels()) {
@@ -136,28 +105,6 @@ void apply_model_preferred_precision(const matrix::GeneratorConfig& gen_cfg,
   }
 }
 
-/// The no-measurement arm of `--scatter=auto`: asks the cost model's
-/// contention-vs-bandwidth crossover per atomic kernel. A100 is the
-/// representative device (mid-pack bandwidth and atomic throughput among
-/// the paper's five platforms); the *sign* of the crossover, not the
-/// absolute times, is what this decides.
-void apply_model_preferred(const matrix::GeneratorConfig& gen_cfg,
-                           const AprodOptions& aprod,
-                           backends::TuningTable& table) {
-  const perfmodel::ProblemShape shape =
-      perfmodel::ProblemShape::from_config(gen_cfg);
-  const perfmodel::KernelCostModel model(
-      perfmodel::gpu_spec(perfmodel::Platform::kA100));
-  for (backends::KernelId id : backends::all_kernels()) {
-    if (!backends::kernel_uses_atomics(id)) continue;
-    backends::KernelConfig cfg = table.get(id);
-    cfg.strategy = model.preferred_strategy(id, shape, cfg,
-                                            aprod.atomic_mode,
-                                            aprod.coherence);
-    table.set(id, cfg);
-  }
-}
-
 /// Resolves the launch shapes the solve will run with: a complete cache
 /// entry for this (backend, shape bucket) skips the search outright;
 /// otherwise a warm-up search runs on a scoped device (its residency is
@@ -178,17 +125,9 @@ void run_autotune(const SolverRunConfig& config,
       cache.complete_for(backend, bucket)) {
     report.kernels_tuned = cache.apply(backend, bucket, lsqr.aprod.tuning);
     report.autotune_cache_hit = true;
-    // A cached winner may record the other strategy arm (sealed by an
-    // earlier --scatter=auto run); a pinned mode overrides it — pinning
-    // is a correctness/reproducibility request, not a speed hint.
-    if (config.scatter == ScatterMode::kAtomic)
-      force_scatter_strategy(lsqr.aprod.tuning,
-                             backends::ScatterStrategy::kAtomic);
-    else if (config.scatter == ScatterMode::kPrivatized)
-      force_scatter_strategy(lsqr.aprod.tuning,
-                             backends::ScatterStrategy::kPrivatized);
-    // Same for the precision axis: a pinned mode overrides cached
-    // winners.
+    // A cached winner may record another precision arm (sealed by an
+    // earlier --precision=auto run); a pinned mode overrides it —
+    // pinning is a correctness/reproducibility request, not a speed hint.
     if (config.precision != PrecisionMode::kAuto)
       force_precision(lsqr.aprod.tuning,
                       pinned_precision(config.precision));
@@ -199,17 +138,6 @@ void run_autotune(const SolverRunConfig& config,
   if (!backends::honors_kernel_config(backend)) return;
 
   tuning::AutotuneOptions search = config.autotune.search;
-  switch (config.scatter) {
-    case ScatterMode::kAtomic:
-      search.scatter = backends::ScatterStrategy::kAtomic;
-      break;
-    case ScatterMode::kPrivatized:
-      search.scatter = backends::ScatterStrategy::kPrivatized;
-      break;
-    case ScatterMode::kAuto:
-      search.scatter = std::nullopt;  // measure both arms per kernel
-      break;
-  }
   search.precision =
       config.precision == PrecisionMode::kAuto
           ? std::nullopt  // measure every precision arm
@@ -322,7 +250,7 @@ void finish_observability(const matrix::GeneratorConfig& gen_cfg,
     for (backends::KernelId part : pass_parts(pass))
       predicted += model.kernel_seconds(
           part, shape, report.tuning_used.get(pass.id),
-          lsqr.aprod.atomic_mode, lsqr.aprod.coherence);
+          backends::AtomicMode::kNativeRmw, lsqr.aprod.coherence);
     if (predicted <= 0) continue;
     eff.push_back(predicted / measured);
   }
@@ -368,7 +296,6 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
   obs::set_postmortem_context("backend",
                               backends::to_string(lsqr.aprod.backend));
   obs::set_postmortem_context("seed", std::to_string(config.seed));
-  obs::set_postmortem_context("scatter", to_string(config.scatter));
   obs::set_postmortem_context("precision", to_string(config.precision));
   obs::set_postmortem_context("n_obs", std::to_string(report.n_obs));
   obs::set_postmortem_context("n_unknowns",
@@ -379,20 +306,10 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
                     std::to_string(report.n_obs) + " obs, " +
                         std::to_string(report.layout.n_unknowns()) +
                         " unknowns");
-  // Resolve the scatter policy before tuning. Pinned modes force the
-  // strategy up front (the search then only walks that arm); kAuto
-  // without a measuring search — autotune off, or a backend that
-  // ignores launch shapes — falls back to the cost model's prediction.
-  if (config.scatter == ScatterMode::kPrivatized)
-    force_scatter_strategy(lsqr.aprod.tuning,
-                           backends::ScatterStrategy::kPrivatized);
-  else if (config.scatter == ScatterMode::kAuto &&
-           (!config.autotune.enabled ||
-            !backends::honors_kernel_config(lsqr.aprod.backend)))
-    apply_model_preferred(gen_cfg, lsqr.aprod, lsqr.aprod.tuning);
-  // Precision policy mirrors the scatter resolution: pinned reduced
-  // modes force the storage precision up front; kAuto without a
-  // measuring search falls back to the cost model's
+  // Resolve the precision policy before tuning: pinned reduced modes
+  // force the storage precision up front (the search then only walks
+  // that arm); kAuto without a measuring search — autotune off, or a
+  // backend that ignores launch shapes — falls back to the cost model's
   // bandwidth-vs-refinement crossover.
   if (config.precision == PrecisionMode::kFp32 ||
       config.precision == PrecisionMode::kBf16s)
@@ -411,8 +328,8 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
   }
   report.tuning_used = lsqr.aprod.tuning;
   {
-    // Tuning fingerprint: the resolved (shape, strategy, precision) per
-    // kernel — the first question a postmortem asks.
+    // Tuning fingerprint: the resolved (shape, precision) per kernel —
+    // the first question a postmortem asks.
     std::ostringstream fp;
     bool first = true;
     for (backends::KernelId id : backends::all_kernels()) {
@@ -420,8 +337,7 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
       if (!first) fp << ' ';
       first = false;
       fp << backends::to_string(id) << '=' << cfg.blocks << 'x' << cfg.threads
-         << '/' << backends::to_string(cfg.strategy) << '/'
-         << backends::to_string(cfg.precision);
+         << '/' << backends::to_string(cfg.precision);
     }
     obs::set_postmortem_context("tuning", fp.str());
   }
@@ -496,12 +412,10 @@ std::string SolverRunReport::summary() const {
       os << "backend ignores launch shapes; nothing to tune";
     os << '\n';
   }
-  // The config lines report the one pass the solve launches, under the
+  // The config line reports the one pass the solve launches, under the
   // tuning entry it runs with.
   const char* step_name = pass_region_name(tuning::kStepPass);
   const backends::KernelConfig step = tuning_used.get(tuning::kStepPass.id);
-  os << "scatter: " << step_name << '='
-     << backends::to_string(step.strategy) << '\n';
   os << "precision: " << backends::to_string(step.precision) << " ("
      << step_name << ")\n";
   if (refinement_ran) {

@@ -21,21 +21,13 @@
 
 namespace gaia::core {
 
-/// Scatter-strategy policy for the three atomic aprod2 kernels
-/// (att/instr/glob). `kAtomic` is today's behaviour bit-for-bit;
-/// `kPrivatized` forces the contention-free privatized reduction;
-/// `kAuto` lets the autotuner measure both arms per kernel (when
-/// enabled and the backend honours launch shapes) and otherwise asks
-/// the cost model's contention-vs-bandwidth crossover.
+/// The retired scatter policies, kept for SolverRunConfig::scatter: every
+/// scatter runs the one commit whatever the field says. Stays until
+/// ROADMAP item 8, for the end-to-end benchmark's workloads.
 enum class ScatterMode : std::uint8_t {
   kAtomic = 0,
   kPrivatized,
-  kAuto,
 };
-
-[[nodiscard]] std::string to_string(ScatterMode mode);
-[[nodiscard]] std::optional<ScatterMode> parse_scatter_mode(
-    const std::string& name);
 
 /// Storage-precision policy for all eight kernels. `kFp64` is today's
 /// double-precision planes bit-for-bit; `kFp32`/`kBf16s` store the
@@ -87,15 +79,13 @@ struct SolverRunConfig {
   /// 40 % of the iteration time and the optimum is device-dependent).
   AutotuneRunConfig autotune{};
 
-  /// Scatter policy for the atomic aprod2 kernels. Authoritative over
-  /// `autotune.search.scatter`: the autotune path derives its strategy
-  /// axis from this mode.
+  /// Ignored (see ScatterMode). Stays until ROADMAP item 8.
   ScatterMode scatter = ScatterMode::kAtomic;
 
   /// Storage-precision policy for the kernels. Authoritative over
-  /// `autotune.search.precision` the same way `scatter` is over its
-  /// axis. Any resolved reduced precision arms the iterative-
-  /// refinement loop after the solve.
+  /// `autotune.search.precision`: the autotune path derives its
+  /// precision axis from this mode. Any resolved reduced precision arms
+  /// the iterative-refinement loop after the solve.
   PrecisionMode precision = PrecisionMode::kFp64;
 
   /// Refinement loop knobs (only consulted when the resolved tuning

@@ -19,7 +19,9 @@ namespace gaia::metrics {
 struct KernelTiming {
   std::string kernel;    ///< "aprod1_astro", ... (catalog region name)
   std::string backend;   ///< "serial" | "openmp" | "pstl" | "gpusim"
-  std::string strategy;  ///< "atomic" | "privatized" | "none"
+  /// "privatized" | "none" ("atomic" in baselines sealed while the
+  /// atomic commit existed).
+  std::string strategy;
   /// Storage-layout label: "seed_aos", the row records every series now
   /// runs on. Defaulted on parse so baselines sealed before the layout
   /// axis existed stay loadable; baselines sealed while it existed may

@@ -55,7 +55,6 @@ void record_kernel_sample(const KernelSample& s) {
   reg.counter(field("launches")).add(1);
   reg.counter(field("bytes")).add(s.bytes);
   reg.counter(field("flops")).add(s.flops);
-  reg.counter(field("atomic_updates")).add(s.atomic_updates);
   reg.histogram(field("time_seconds")).record(s.seconds);
   if (s.seconds > 0)
     reg.gauge(field("bandwidth_bytes_per_s"))

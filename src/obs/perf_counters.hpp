@@ -1,8 +1,8 @@
 /// \file perf_counters.hpp
 /// \brief Derived hardware-style counters per (kernel, backend, strategy).
 ///
-/// A vendor profiler reports bytes moved, FLOPs, atomic traffic and
-/// achieved bandwidth per kernel; this layer derives the same numbers
+/// A vendor profiler reports bytes moved, FLOPs and achieved bandwidth
+/// per kernel; this layer derives the same numbers
 /// for every registry-dispatched launch from the cost-model shapes
 /// (rows x nnz structure of the live system) plus the measured wall
 /// time, and records them into the global MetricsRegistry under a
@@ -11,12 +11,12 @@
 ///   kernel.<kernel>.<backend>.<strategy>.launches        counter
 ///   kernel.<kernel>.<backend>.<strategy>.bytes           counter
 ///   kernel.<kernel>.<backend>.<strategy>.flops           counter
-///   kernel.<kernel>.<backend>.<strategy>.atomic_updates  counter
 ///   kernel.<kernel>.<backend>.<strategy>.time_seconds    histogram
 ///   kernel.<kernel>.<backend>.<strategy>.bandwidth_bytes_per_s  gauge
 ///
-/// `strategy` is "atomic"/"privatized" for the scatter kernels and
-/// "none" for the gathers. Every entry point is enabled-gated: with the
+/// `strategy` is "privatized" for the passes that commit private slices
+/// into shared columns and "none" for the rest (the host runs no atomic
+/// commit; the label keeps the series names stable). Every entry point is enabled-gated: with the
 /// registry off the cost is one relaxed load at the call site.
 #pragma once
 
@@ -29,11 +29,10 @@ namespace gaia::obs {
 struct KernelSample {
   std::string kernel;    ///< region name, e.g. "aprod2_att"
   std::string backend;   ///< e.g. "gpusim"
-  std::string strategy;  ///< "atomic" | "privatized" | "none"
-  std::uint64_t bytes = 0;           ///< HBM traffic estimate
-  std::uint64_t flops = 0;           ///< FP operations
-  std::uint64_t atomic_updates = 0;  ///< hardware atomic RMWs issued
-  double seconds = 0;                ///< measured wall time
+  std::string strategy;  ///< "privatized" | "none"
+  std::uint64_t bytes = 0;  ///< HBM traffic estimate
+  std::uint64_t flops = 0;  ///< FP operations
+  double seconds = 0;       ///< measured wall time
 };
 
 /// Records a launch: bumps the counters, records the time histogram and

@@ -1,10 +1,8 @@
 #include "perfmodel/cost_model.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
-#include "backends/backend.hpp"
 #include "util/error.hpp"
 
 namespace gaia::perfmodel {
@@ -259,9 +257,6 @@ double KernelCostModel::atomic_seconds(KernelId id, const ProblemShape& p,
   if (info.atomic_updates_per_row == 0) return 0.0;
 
   const KernelConfig c = resolve(id, cfg);
-  // The privatized path executes no atomics; its scratch-reduction cost
-  // is priced by privatized_seconds instead.
-  if (c.strategy == backends::ScatterStrategy::kPrivatized) return 0.0;
   const double lanes = static_cast<double>(std::max<std::int64_t>(
       1, std::min<std::int64_t>(c.total_threads(),
                                 spec_.max_concurrent_lanes)));
@@ -287,42 +282,6 @@ double KernelCostModel::atomic_seconds(KernelId id, const ProblemShape& p,
   return effective_updates * cost_ns * 1e-9 / commit_parallelism;
 }
 
-double KernelCostModel::privatized_seconds(KernelId id, const ProblemShape& p,
-                                           KernelConfig cfg) const {
-  const KernelShapeInfo info = shape_info(id);
-  if (info.atomic_updates_per_row == 0) return 0.0;
-
-  const KernelConfig c = resolve(id, cfg);
-  // Worker count mirrors Exec::scatter_workers: one private slice per
-  // block, capped so scratch stays bounded.
-  const double workers = static_cast<double>(std::clamp<std::int32_t>(
-      std::max<std::int32_t>(1, c.blocks), 1, backends::kMaxScatterWorkers));
-  const double section = distinct_columns(id, p);
-  // Zero-fill (1 write pass) + pairwise tree fold (~1 read + ~1 write
-  // pass over the slices in total): ~3 streaming passes over W*section
-  // doubles. Contiguous slices stream at full (non-SpMV) efficiency.
-  const double scratch_bytes = 3.0 * workers * section * sizeof(real);
-  const double scratch_s =
-      scratch_bytes / (spec_.peak_bw_gbs * 1e9 * kStreamEff);
-  // One launch per fold level plus the final fold-into-x launch.
-  const double levels = static_cast<double>(
-      std::bit_width(static_cast<std::uint32_t>(workers)) );
-  return scratch_s + (levels + 1.0) * spec_.launch_overhead_us * 1e-6;
-}
-
-backends::ScatterStrategy KernelCostModel::preferred_strategy(
-    KernelId id, const ProblemShape& p, KernelConfig cfg, AtomicMode mode,
-    backends::CoherenceMode coherence) const {
-  if (!backends::kernel_uses_atomics(id))
-    return backends::ScatterStrategy::kAtomic;
-  KernelConfig atomic_cfg = resolve(id, cfg);
-  atomic_cfg.strategy = backends::ScatterStrategy::kAtomic;
-  const double atomic_s = atomic_seconds(id, p, atomic_cfg, mode, coherence);
-  const double priv_s = privatized_seconds(id, p, atomic_cfg);
-  return priv_s < atomic_s ? backends::ScatterStrategy::kPrivatized
-                           : backends::ScatterStrategy::kAtomic;
-}
-
 double KernelCostModel::kernel_seconds(KernelId id, const ProblemShape& p,
                                        KernelConfig cfg, AtomicMode mode,
                                        backends::CoherenceMode coherence)
@@ -335,11 +294,8 @@ double KernelCostModel::kernel_seconds(KernelId id, const ProblemShape& p,
                     shape_efficiency(c) * lane_utilization(c) * coherence_bw;
   const double mem_s = kernel_traffic_bytes(id, p) / bw;
   const double flop_s = kernel_flops(id, p) / (spec_.fp64_tflops * 1e12);
-  const double scatter_s =
-      c.strategy == backends::ScatterStrategy::kPrivatized
-          ? privatized_seconds(id, p, c)
-          : atomic_seconds(id, p, c, mode, coherence);
-  return std::max(mem_s, flop_s) + scatter_s +
+  return std::max(mem_s, flop_s) +
+         atomic_seconds(id, p, c, mode, coherence) +
          spec_.launch_overhead_us * 1e-6;
 }
 
@@ -380,13 +336,7 @@ double KernelCostModel::iteration_seconds(const ProblemShape& p,
         kernel_flops(id, p) / (spec_.fp64_tflops * 1e12));
     const double atm_s =
         atomic_seconds(id, p, c, plan.atomic_mode, plan.coherence);
-    // Privatized scratch traffic is bandwidth, not latency: streams
-    // cannot hide it behind the other kernels' memory phases.
-    const double priv_s =
-        c.strategy == backends::ScatterStrategy::kPrivatized
-            ? privatized_seconds(id, p, c)
-            : 0.0;
-    mem_sum += mem_s + priv_s;
+    mem_sum += mem_s;
     atomic_sum += atm_s;
     atomic_max = std::max(atomic_max, atm_s);
   }
@@ -413,7 +363,7 @@ double KernelCostModel::step_iteration_seconds(
   const double rows = static_cast<double>(p.n_rows);
   const double launch_s = spec_.launch_overhead_us * 1e-6;
   const KernelConfig c = resolve(kAprod2Att, plan.tuning.get(kAprod2Att));
-  double bytes = 0.0, flops = 0.0, atomic_s = 0.0, priv_s = 0.0;
+  double bytes = 0.0, flops = 0.0, atomic_s = 0.0;
   int gather_parts = 0;
   for (KernelId id : backends::all_kernels()) {
     if (!kernel_active(id, p, plan)) continue;
@@ -426,8 +376,6 @@ double KernelCostModel::step_iteration_seconds(
     const KernelShapeInfo info = shape_info(id);
     bytes += rows * info.gather_bytes * info.miss;
     atomic_s += atomic_seconds(id, p, c, plan.atomic_mode, plan.coherence);
-    if (c.strategy == backends::ScatterStrategy::kPrivatized)
-      priv_s += privatized_seconds(id, p, c);
   }
   // Each gather part charges a y read-modify-write per row; the pass
   // reads and writes u[r] once.
@@ -440,9 +388,9 @@ double KernelCostModel::step_iteration_seconds(
                     shape_efficiency(c) * lane_utilization(c) * coherence_bw;
   const double mem_s =
       std::max(bytes / bw, flops / (spec_.fp64_tflops * 1e12));
-  // The commits' serialization overlaps the pass's memory traffic, as
+  // The atomics' serialization overlaps the pass's memory traffic, as
   // the streamed aprod2 scatters' does in iteration_seconds.
-  const double pass_s = std::max(mem_s, atomic_s) + priv_s + launch_s;
+  const double pass_s = std::max(mem_s, atomic_s) + launch_s;
 
   // BLAS-1 on v/w/x only: u is never rescaled, its norm is the pass's.
   const double vec_bytes =

@@ -87,28 +87,9 @@ class KernelCostModel {
   /// FP operations of a kernel.
   [[nodiscard]] double kernel_flops(KernelId id, const ProblemShape& p) const;
 
-  /// Atomic-update serialization time (non-zero only for the aprod2
-  /// att/instr/glob kernels). Zero when `cfg` selects the privatized
-  /// scatter strategy — that path executes no atomics at all; its cost
-  /// shows up in `privatized_seconds` instead.
+  /// Atomic-update serialization time of the paper's per-row device
+  /// atomics (non-zero only for the aprod2 att/instr/glob kernels).
   [[nodiscard]] double atomic_seconds(
-      KernelId id, const ProblemShape& p, KernelConfig cfg, AtomicMode mode,
-      backends::CoherenceMode coherence =
-          backends::CoherenceMode::kCoarseGrain) const;
-
-  /// Scratch-reduction overhead of the privatized scatter path (zero for
-  /// atomic-free kernels): W private copies of the kernel's column
-  /// section cost ~3 streaming passes over W*section doubles (zero-fill,
-  /// tree-fold read+write) plus a log2(W)-deep ladder of extra launches.
-  [[nodiscard]] double privatized_seconds(KernelId id, const ProblemShape& p,
-                                          KernelConfig cfg) const;
-
-  /// The contention-vs-bandwidth crossover: which scatter strategy the
-  /// model predicts faster for `id` at shape `cfg`. Atomics win while
-  /// the conflict ratio lanes/columns is low; privatization wins when
-  /// serialization (or CAS retries) dominates the modest scratch
-  /// traffic. Always kAtomic for atomic-free kernels.
-  [[nodiscard]] backends::ScatterStrategy preferred_strategy(
       KernelId id, const ProblemShape& p, KernelConfig cfg, AtomicMode mode,
       backends::CoherenceMode coherence =
           backends::CoherenceMode::kCoarseGrain) const;
@@ -127,7 +108,7 @@ class KernelCostModel {
   /// Wall time of one LSQR iteration run as the library's one-pass step
   /// (core::aprod_step) instead of the paper's eight kernels: one launch
   /// at the aprod2_att shape that reads each coefficient and index once,
-  /// u once per row, and adds only the scatters' x traffic and commits of
+  /// u once per row, and adds only the scatters' x traffic and atomics of
   /// the aprod2 half; the BLAS-1 work shrinks to the n-length vectors.
   /// The eight-kernel iteration reads A twice.
   [[nodiscard]] double step_iteration_seconds(

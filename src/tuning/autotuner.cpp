@@ -38,7 +38,6 @@ void note_winner(KernelId id, KernelConfig cfg, double median_s) {
                 {{"kernel", backends::to_string(id)},
                  {"blocks", static_cast<std::int64_t>(cfg.blocks)},
                  {"threads", static_cast<std::int64_t>(cfg.threads)},
-                 {"strategy", backends::to_string(cfg.strategy)},
                  {"precision", backends::to_string(cfg.precision)},
                  {"median_us", median_s * 1e6}});
   }
@@ -83,8 +82,6 @@ bool Autotuner::searching(KernelId id) const {
 KernelConfig Autotuner::config_of(Candidate c) const {
   return {options_.block_grid[static_cast<std::size_t>(c.bi)],
           options_.thread_grid[static_cast<std::size_t>(c.ti)],
-          c.si == 1 ? backends::ScatterStrategy::kPrivatized
-                    : backends::ScatterStrategy::kAtomic,
           static_cast<backends::Precision>(c.pi)};
 }
 
@@ -100,43 +97,29 @@ int Autotuner::nearest_index(const std::vector<std::int32_t>& grid,
 
 void Autotuner::seed_locked(KernelId id, KernelSearch& s) {
   // The paper's prior: atomic scatters want few threads in flight
-  // (collision avoidance), gathers want occupancy. The privatized
-  // strategy has no collisions, so its arm seeds wide.
-  const bool atomic = backends::kernel_uses_atomics(id);
-  const auto seed_of = [&](int si, int pi) {
-    const bool narrow = atomic && si == 0;
+  // (collision avoidance; on the host, fewer slices to fold), gathers
+  // want occupancy.
+  const bool narrow = backends::kernel_uses_atomics(id);
+  const auto seed_of = [&](int pi) {
     Candidate c;
     c.bi = nearest_index(options_.block_grid, narrow ? 32 : 128);
     c.ti = nearest_index(options_.thread_grid, narrow ? 32 : 128);
-    c.si = si;
     c.pi = pi;
     return c;
   };
-  // Arm list = strategy axis x precision axis. The strategy axis only
-  // exists for the atomic scatters; the precision axis exists for every
-  // kernel. The first combo descends now, the rest are queued (stack, so
-  // they are pushed in reverse).
-  std::vector<int> strategy_arms{0};
-  if (atomic) {
-    if (!options_.scatter.has_value())
-      strategy_arms = {0, 1};
-    else if (*options_.scatter == backends::ScatterStrategy::kPrivatized)
-      strategy_arms = {1};
-  }
-  std::vector<int> precision_arms;
+  // One arm per searched precision. The first descends now, the rest are
+  // queued (stack, so they are pushed in reverse).
+  std::vector<Candidate> arms;
   if (options_.precision.has_value())
-    precision_arms = {static_cast<int>(*options_.precision)};
+    arms.push_back(seed_of(static_cast<int>(*options_.precision)));
   else
     for (int pi = 0; pi < backends::kNumPrecisions; ++pi)
-      precision_arms.push_back(pi);
-  std::vector<Candidate> combos;
-  for (int si : strategy_arms)
-    for (int pi : precision_arms) combos.push_back(seed_of(si, pi));
-  for (std::size_t i = combos.size(); i > 1; --i)
-    s.arm_seeds.push_back(combos[i - 1]);
-  const Candidate start = combos.front();
+      arms.push_back(seed_of(pi));
+  for (std::size_t i = arms.size(); i > 1; --i)
+    s.arm_seeds.push_back(arms[i - 1]);
+  const Candidate start = arms.front();
   s.current = start;
-  s.visited.insert({start.si, start.pi, start.bi, start.ti});
+  s.visited.insert({start.pi, start.bi, start.ti});
   s.started = true;
 }
 
@@ -146,12 +129,11 @@ void Autotuner::push_neighbors_locked(KernelSearch& s, Candidate c) {
         bi >= static_cast<int>(options_.block_grid.size()) ||
         ti >= static_cast<int>(options_.thread_grid.size()))
       return;
-    if (!s.visited.insert({c.si, c.pi, bi, ti}).second) return;
-    s.pending.push_back({bi, ti, c.si, c.pi});
+    if (!s.visited.insert({c.pi, bi, ti}).second) return;
+    s.pending.push_back({bi, ti, c.pi});
   };
-  // Axis moves only — this is the coordinate-descent step set. Strategy
-  // and precision are not descent axes: each arm descends from its own
-  // seed.
+  // Axis moves only — this is the coordinate-descent step set. Precision
+  // is not a descent axis: each arm descends from its own seed.
   try_push(c.bi - 1, c.ti);
   try_push(c.bi + 1, c.ti);
   try_push(c.bi, c.ti - 1);
@@ -183,11 +165,10 @@ bool Autotuner::report(KernelId id, KernelConfig cfg, double seconds) {
   s.samples.clear();
   s.evaluated++;
   s.arm_evaluated++;
-  // The descent is per strategy arm: neighbors expand when the *arm's*
-  // best improves (an arm whose seed loses to the other arm still
+  // The descent is per precision arm: neighbors expand when the *arm's*
+  // best improves (an arm whose seed loses to another arm still
   // deserves its local search). The overall winner is tracked alongside.
-  const auto arm = static_cast<std::size_t>(
-      s.current.si * backends::kNumPrecisions + s.current.pi);
+  const auto arm = static_cast<std::size_t>(s.current.pi);
   if (!s.arm_scored[arm] || med < s.arm_median[arm]) {
     s.arm_best[arm] = s.current;
     s.arm_median[arm] = med;
@@ -202,13 +183,13 @@ bool Autotuner::report(KernelId id, KernelConfig cfg, double seconds) {
   if (s.pending.empty() ||
       s.arm_evaluated >= options_.max_configs_per_kernel) {
     if (!s.arm_seeds.empty()) {
-      // This arm is done; start the next (strategy, precision) arm's seed.
+      // This arm is done; start the next precision arm's seed.
       const Candidate seed = s.arm_seeds.back();
       s.arm_seeds.pop_back();
       s.pending.clear();
       s.arm_evaluated = 0;
       s.current = seed;
-      s.visited.insert({seed.si, seed.pi, seed.bi, seed.ti});
+      s.visited.insert({seed.pi, seed.bi, seed.ti});
       return false;
     }
     s.finished = true;
@@ -232,67 +213,21 @@ double Autotuner::best_median_s(KernelId id) const {
   return s.scored ? s.best_median : std::numeric_limits<double>::infinity();
 }
 
-namespace {
-
-/// Lowest-median arm among those `keep` selects; -1 when none scored.
-template <typename Search, typename Keep>
-int best_arm(const Search& s, Keep&& keep) {
-  int best = -1;
-  for (int a = 0; a < Search::kNumArms; ++a) {
-    if (!s.arm_scored[static_cast<std::size_t>(a)] || !keep(a)) continue;
-    if (best < 0 || s.arm_median[static_cast<std::size_t>(a)] <
-                        s.arm_median[static_cast<std::size_t>(best)])
-      best = a;
-  }
-  return best;
-}
-
-/// Inverse of the si * kNumPrecisions + pi arm index.
-int arm_strategy(int a) { return a / backends::kNumPrecisions; }
-int arm_precision(int a) { return a % backends::kNumPrecisions; }
-
-}  // namespace
-
-KernelConfig Autotuner::best_for(KernelId id,
-                                 backends::ScatterStrategy strategy) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const KernelSearch& s = search_[static_cast<std::size_t>(id)];
-  const int want = static_cast<int>(strategy);
-  const int arm = best_arm(s, [&](int a) { return arm_strategy(a) == want; });
-  return arm >= 0 ? config_of(s.arm_best[static_cast<std::size_t>(arm)])
-                  : KernelConfig{};
-}
-
-double Autotuner::best_median_for(KernelId id,
-                                  backends::ScatterStrategy strategy) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const KernelSearch& s = search_[static_cast<std::size_t>(id)];
-  const int want = static_cast<int>(strategy);
-  const int arm = best_arm(s, [&](int a) { return arm_strategy(a) == want; });
-  return arm >= 0 ? s.arm_median[static_cast<std::size_t>(arm)]
-                  : std::numeric_limits<double>::infinity();
-}
-
 KernelConfig Autotuner::best_for_precision(
     KernelId id, backends::Precision precision) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const KernelSearch& s = search_[static_cast<std::size_t>(id)];
-  const int want = static_cast<int>(precision);
-  const int arm =
-      best_arm(s, [&](int a) { return arm_precision(a) == want; });
-  return arm >= 0 ? config_of(s.arm_best[static_cast<std::size_t>(arm)])
-                  : KernelConfig{};
+  const auto arm = static_cast<std::size_t>(precision);
+  return s.arm_scored[arm] ? config_of(s.arm_best[arm]) : KernelConfig{};
 }
 
 double Autotuner::best_median_for_precision(
     KernelId id, backends::Precision precision) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const KernelSearch& s = search_[static_cast<std::size_t>(id)];
-  const int want = static_cast<int>(precision);
-  const int arm =
-      best_arm(s, [&](int a) { return arm_precision(a) == want; });
-  return arm >= 0 ? s.arm_median[static_cast<std::size_t>(arm)]
-                  : std::numeric_limits<double>::infinity();
+  const auto arm = static_cast<std::size_t>(precision);
+  return s.arm_scored[arm] ? s.arm_median[arm]
+                           : std::numeric_limits<double>::infinity();
 }
 
 std::uint64_t Autotuner::trials() const {
@@ -330,7 +265,6 @@ std::vector<real> encode_table(const backends::TuningTable& table) {
     const KernelConfig cfg = table.get(id);
     out.push_back(static_cast<real>(cfg.blocks));
     out.push_back(static_cast<real>(cfg.threads));
-    out.push_back(static_cast<real>(static_cast<int>(cfg.strategy)));
     out.push_back(static_cast<real>(static_cast<int>(cfg.precision)));
   }
   return out;
@@ -342,18 +276,14 @@ backends::TuningTable decode_table(std::span<const real> data) {
   backends::TuningTable table;
   std::size_t i = 0;
   for (backends::KernelId id : backends::all_kernels()) {
-    const auto strategy = static_cast<int>(data[i + 2]);
-    GAIA_CHECK(strategy >= 0 && strategy < backends::kNumScatterStrategies,
-               "decode_table: unknown scatter strategy");
-    const auto precision = static_cast<int>(data[i + 3]);
+    const auto precision = static_cast<int>(data[i + 2]);
     GAIA_CHECK(precision >= 0 && precision < backends::kNumPrecisions,
                "decode_table: unknown storage precision");
     KernelConfig cfg{static_cast<std::int32_t>(data[i]),
                      static_cast<std::int32_t>(data[i + 1]),
-                     static_cast<backends::ScatterStrategy>(strategy),
                      static_cast<backends::Precision>(precision)};
     table.set(id, cfg);
-    i += 4;
+    i += 3;
   }
   return table;
 }

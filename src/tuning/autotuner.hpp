@@ -14,8 +14,8 @@
 ///
 /// Atomic kernels (`kernel_uses_atomics`) start the descent at a narrow
 /// shape — the paper's core tuning insight is that fewer concurrent
-/// threads mean fewer atomic collisions — while gather kernels start
-/// wide. Backends whose launch shape is a no-op (serial, PSTL) are
+/// threads mean fewer atomic collisions; on the host, fewer workers mean
+/// fewer private slices to fold — while gather kernels start wide. Backends whose launch shape is a no-op (serial, PSTL) are
 /// never searched: `active()` is false and the solver runs as if no
 /// tuner were attached.
 #pragma once
@@ -37,24 +37,15 @@ namespace gaia::tuning {
 struct AutotuneOptions {
   /// Launches timed per candidate shape; the median is the score.
   int samples_per_config = 3;
-  /// Budget: candidate shapes evaluated per kernel *per strategy arm*
+  /// Budget: candidate shapes evaluated per kernel *per precision arm*
   /// before that arm is cut off (the greedy descent usually converges
   /// well under this).
   int max_configs_per_kernel = 12;
   /// The pow-2 axes of the search grid.
   std::vector<std::int32_t> block_grid{8, 16, 32, 64, 128, 256};
   std::vector<std::int32_t> thread_grid{32, 64, 128, 256, 512};
-  /// The scatter-strategy axis for the atomic aprod2 kernels. Pinned to
-  /// kAtomic (the default) the search varies only (blocks, threads) —
-  /// today's behaviour. Pinned to kPrivatized every atomic kernel
-  /// searches the privatized path only. nullopt searches *both*: the
-  /// atomic arm seeds narrow (collision avoidance) and the privatized
-  /// arm seeds wide (collisions are gone, bandwidth wants occupancy),
-  /// and the lower measured median wins. Gather kernels ignore this.
-  std::optional<backends::ScatterStrategy> scatter =
-      backends::ScatterStrategy::kAtomic;
-  /// The storage-precision axis. Pinned to kFp64 (the default) nothing
-  /// changes; pinned to a reduced precision every kernel searches that
+  /// The storage-precision axis. Pinned to kFp64 (the default) the
+  /// search varies only (blocks, threads); pinned to a reduced precision every kernel searches that
   /// precision's bodies only; nullopt opens the axis: each precision is
   /// its own descent arm (halving the coefficient bytes moves the
   /// bandwidth/occupancy balance, so the winning shape moves with it)
@@ -95,24 +86,15 @@ class Autotuner {
               double seconds);
 
   /// Best shape found so far ({0,0} until the first candidate scored).
-  /// For atomic kernels the config's `strategy` field records which
-  /// scatter strategy won.
+  /// The config's `precision` field records which precision arm won.
   [[nodiscard]] backends::KernelConfig best(backends::KernelId id) const;
   /// Median launch seconds of the best shape (inf until scored).
   [[nodiscard]] double best_median_s(backends::KernelId id) const;
 
-  /// Best shape / median measured *within one strategy arm* — the
-  /// atomic-vs-privatized comparison the tuner report and the
-  /// experiments table are built from. ({0,0} / inf until that arm
-  /// scored a candidate.)
-  [[nodiscard]] backends::KernelConfig best_for(
-      backends::KernelId id, backends::ScatterStrategy strategy) const;
-  [[nodiscard]] double best_median_for(
-      backends::KernelId id, backends::ScatterStrategy strategy) const;
-
   /// Best shape / median measured *within one precision arm* — the
   /// fp64-vs-reduced comparison the experiments tables and the
-  /// precision-smoke CI assertion are built from.
+  /// precision-smoke CI assertion are built from. ({0,0} / inf until
+  /// that arm scored a candidate.)
   [[nodiscard]] backends::KernelConfig best_for_precision(
       backends::KernelId id, backends::Precision precision) const;
   [[nodiscard]] double best_median_for_precision(
@@ -134,7 +116,6 @@ class Autotuner {
   struct Candidate {
     int bi = 0;  ///< index into options_.block_grid
     int ti = 0;  ///< index into options_.thread_grid
-    int si = 0;  ///< strategy arm: 0 = atomic, 1 = privatized
     int pi = 0;  ///< precision arm: Precision enum value
   };
   struct KernelSearch {
@@ -143,21 +124,18 @@ class Autotuner {
     Candidate current{};
     std::vector<double> samples;   ///< of the current candidate
     std::vector<Candidate> pending;
-    std::set<std::tuple<int, int, int, int>> visited;
-    /// Seeds of (strategy, precision) arms not yet descended (an arm
-    /// runs to convergence or budget before the next seed starts, so
-    /// every arm is guaranteed its descent).
+    std::set<std::tuple<int, int, int>> visited;
+    /// Seeds of precision arms not yet descended (an arm runs to
+    /// convergence or budget before the next seed starts, so every arm
+    /// is guaranteed its descent).
     std::vector<Candidate> arm_seeds;
     int arm_evaluated = 0;  ///< candidates scored in the current arm
     Candidate best{};
     double best_median = 0;  ///< valid iff scored
     bool scored = false;
-    /// Per-(strategy, precision) arm best — the descent criterion, and
-    /// the base of the atomic-vs-privatized and fp64-vs-reduced reports
-    /// (each a minimum over the other axis). Indexed
-    /// si * kNumPrecisions + pi.
-    static constexpr int kNumArms =
-        backends::kNumScatterStrategies * backends::kNumPrecisions;
+    /// Per-precision arm best — the descent criterion, and the base of
+    /// the fp64-vs-reduced report. Indexed by the Precision value.
+    static constexpr int kNumArms = backends::kNumPrecisions;
     std::array<Candidate, kNumArms> arm_best{};
     std::array<double, kNumArms> arm_median{};
     std::array<bool, kNumArms> arm_scored{};
@@ -178,13 +156,13 @@ class Autotuner {
   std::uint64_t trials_ = 0;
 };
 
-/// Flat encoding of a TuningTable as 4*kNumKernels reals (blocks,
-/// threads, scatter strategy, storage precision per kernel in enum
-/// order) — the dist layer broadcasts rank 0's winners to all ranks
-/// through the existing Comm::bcast(span<real>) so every rank runs
-/// identical shapes, strategies and precisions.
+/// Flat encoding of a TuningTable as 3*kNumKernels reals (blocks,
+/// threads, storage precision per kernel in enum order) — the dist layer
+/// broadcasts rank 0's winners to all ranks through the existing
+/// Comm::bcast(span<real>) so every rank runs identical shapes and
+/// precisions.
 inline constexpr std::size_t kEncodedTableSize =
-    4 * static_cast<std::size_t>(backends::kNumKernels);
+    3 * static_cast<std::size_t>(backends::kNumKernels);
 [[nodiscard]] std::vector<real> encode_table(
     const backends::TuningTable& table);
 [[nodiscard]] backends::TuningTable decode_table(std::span<const real> data);

@@ -16,7 +16,7 @@
 /// slot (or a view without the converted records attached) clamps to
 /// the fp64 launcher of the same (kernel, backend) — reduced precision
 /// degrades to full precision, never to a fault. `args.config.layout`
-/// is ignored.
+/// and `args.config.strategy` are ignored.
 ///
 /// The launchers are type-erased `std::function`s over a flat argument
 /// struct so the registry depends only on forward declarations — the
@@ -45,10 +45,8 @@ namespace gaia::tuning {
 /// aprod2 kernels in = y, out = x. The LSQR step reads in = v and
 /// overwrites out = u with p = A v - alpha (sigma u), `q` with A^T p and
 /// `*pnorm_sq` with ||p||^2; the other passes ignore those four fields.
-/// atomic_mode is ignored by the atomic-free kernels. `arena` is the
-/// scratch pool the aprod2 scatters draw their per-worker slices from
-/// (null = the backend's process-wide arena); config.strategy selects
-/// the scatters' commit step.
+/// `arena` is the scratch pool the aprod2 scatters draw their per-worker
+/// slices from (null = the backend's process-wide arena).
 struct LaunchArgs {
   const core::SystemView* view = nullptr;
   const real* in = nullptr;
@@ -58,7 +56,6 @@ struct LaunchArgs {
   real alpha = 0;
   real* pnorm_sq = nullptr;
   backends::KernelConfig config{};
-  backends::AtomicMode atomic_mode = backends::AtomicMode::kNativeRmw;
   backends::ScratchArena* arena = nullptr;
 };
 
@@ -117,9 +114,7 @@ class KernelRegistry {
 
   /// Dispatches through the registered launcher; throws gaia::Error
   /// naming the (kernel, backend) pair when nothing is registered —
-  /// a registration bug, not a user error. The scatter strategy is not a
-  /// dispatch axis: one body serves both, reading args.config.strategy
-  /// for its commit step.
+  /// a registration bug, not a user error.
   void launch(backends::KernelId id, backends::BackendKind backend,
               const LaunchArgs& args) const;
   void launch_fused(FusedPass pass, backends::BackendKind backend,

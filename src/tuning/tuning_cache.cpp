@@ -74,8 +74,7 @@ std::string TuningCache::to_json() const {
        << ",\"cols_log2\":" << cols_log2 << ",\"kernel\":\""
        << backends::to_string(static_cast<KernelId>(kernel))
        << "\",\"blocks\":" << cfg.blocks << ",\"threads\":" << cfg.threads
-       << ",\"strategy\":\"" << backends::to_string(cfg.strategy)
-       << "\",\"precision\":\"" << backends::to_string(cfg.precision)
+       << ",\"precision\":\"" << backends::to_string(cfg.precision)
        << "\"}";
   }
   os << "]}";
@@ -143,7 +142,6 @@ class JsonCursor {
 struct RawEntry {
   std::string backend;
   std::string kernel;
-  std::string strategy = "atomic";
   std::string precision = "fp64";
   std::int64_t rows_log2 = 0;
   std::int64_t cols_log2 = 0;
@@ -163,8 +161,6 @@ bool parse_entry(JsonCursor& cur, RawEntry& entry) {
       if (!cur.parse_string(entry.backend)) return false;
     } else if (key == "kernel") {
       if (!cur.parse_string(entry.kernel)) return false;
-    } else if (key == "strategy") {
-      if (!cur.parse_string(entry.strategy)) return false;
     } else if (key == "precision") {
       if (!cur.parse_string(entry.precision)) return false;
     } else if (key == "rows_log2") {
@@ -217,7 +213,8 @@ std::optional<TuningCache> TuningCache::parse_json(const std::string& text,
       // An honest file of another schema version is a clean miss, not
       // corruption — report it as such without trusting its entries
       // (v1 predates the strategy axis, v2 the layout axis, v3 the
-      // precision axis, and v4 still carries the layout axis).
+      // precision axis, v4 still carries the layout axis and v5 the
+      // strategy axis).
       if (v != kSchemaVersion) return fail(ParseStatus::kVersionMismatch);
     } else if (key == "entries") {
       saw_entries = true;
@@ -231,16 +228,15 @@ std::optional<TuningCache> TuningCache::parse_json(const std::string& text,
         if (!parse_entry(cur, raw)) return fail(ParseStatus::kMalformed);
         const auto backend = backends::parse_backend(raw.backend);
         const auto kernel = backends::parse_kernel_id(raw.kernel);
-        const auto strategy = backends::parse_scatter_strategy(raw.strategy);
         const auto precision = backends::parse_precision(raw.precision);
-        if (!backend || !kernel || !strategy || !precision)
+        if (!backend || !kernel || !precision)
           return fail(ParseStatus::kMalformed);
         if (raw.rows_log2 < 0 || raw.rows_log2 > 62 || raw.cols_log2 < 0 ||
             raw.cols_log2 > 62)
           return fail(ParseStatus::kMalformed);
         const KernelConfig cfg{static_cast<std::int32_t>(raw.blocks),
                                static_cast<std::int32_t>(raw.threads),
-                               *strategy, *precision};
+                               *precision};
         if (!backends::is_valid_kernel_config(cfg))
           return fail(ParseStatus::kMalformed);
         cache.put(*backend,

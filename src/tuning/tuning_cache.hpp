@@ -58,12 +58,13 @@ class TuningCache {
 
   /// Schema version this build reads and writes. v2 added the per-entry
   /// scatter "strategy"; v3 added the storage "layout"; v4 added the
-  /// storage "precision"; v5 dropped "layout" with the layout axis.
-  /// Files of another schema are rejected as a *version miss*, not
-  /// corruption — a v3 winner was found in a precision-less search and
-  /// must not silently pin the new axis to fp64, and a v4 winner may
-  /// carry a layout this build no longer runs.
-  static constexpr std::int64_t kSchemaVersion = 5;
+  /// storage "precision"; v5 dropped "layout" with the layout axis; v6
+  /// dropped "strategy" with the scatter-strategy axis. Files of another
+  /// schema are rejected as a *version miss*, not corruption — a v3
+  /// winner was found in a precision-less search and must not silently
+  /// pin the new axis to fp64, and a v4 or v5 winner was measured under
+  /// a commit strategy this build no longer runs.
+  static constexpr std::int64_t kSchemaVersion = 6;
 
   /// Why a parse produced no cache (kOk when it did).
   enum class ParseStatus {
@@ -73,12 +74,13 @@ class TuningCache {
   };
 
   /// JSON document (schema below); stable entry order for diffing.
-  /// {"version":5,"entries":[{"backend":"gpusim","rows_log2":8,
+  /// {"version":6,"entries":[{"backend":"gpusim","rows_log2":8,
   ///   "cols_log2":7,"kernel":"aprod2_att","blocks":32,"threads":32,
-  ///   "strategy":"privatized","precision":"fp32"}]}
+  ///   "precision":"fp32"}]}
   [[nodiscard]] std::string to_json() const;
-  /// Strict parse: any malformed syntax, unknown backend/kernel/strategy
-  /// name, invalid launch shape or wrong version yields nullopt (the
+  /// Strict parse: any malformed syntax, unknown key, unknown
+  /// backend/kernel/precision name, invalid launch shape or wrong
+  /// version yields nullopt (the
   /// caller treats it like a missing cache). `status`, when non-null,
   /// distinguishes a clean version miss from corruption.
   [[nodiscard]] static std::optional<TuningCache> parse_json(

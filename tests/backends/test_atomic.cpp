@@ -5,6 +5,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace gaia::backends {
 namespace {
 
@@ -71,6 +73,36 @@ INSTANTIATE_TEST_SUITE_P(BothLowerings, AtomicContention,
                          [](const auto& info) {
                            return to_string(info.param);
                          });
+
+TEST(Atomic, CasOpsAreCountedWhenMetricsAreEnabled) {
+  // The CAS lowering records one op per call (and its retries) while the
+  // registry is on, and nothing while it is off.
+  auto& reg = obs::MetricsRegistry::global();
+  reg.set_enabled(false);
+  reg.reset();
+  double x = 0;
+  atomic_add_cas(x, 1.0);
+  EXPECT_EQ(reg.counter("atomic.cas_ops").value(), 0u);
+
+  reg.set_enabled(true);
+  constexpr int kThreads = 4;
+  constexpr int kAddsPerThread = 5000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&x] {
+      for (int i = 0; i < kAddsPerThread; ++i) atomic_add_cas(x, 1.0);
+    });
+  for (auto& t : threads) t.join();
+  atomic_add(x, 1.0, AtomicMode::kCasLoop);
+  atomic_add(x, 1.0, AtomicMode::kNativeRmw);  // no CAS op
+  EXPECT_EQ(reg.counter("atomic.cas_ops").value(),
+            static_cast<std::uint64_t>(kThreads) * kAddsPerThread + 1);
+  // Retries exist as a metric (their count is contention-dependent).
+  EXPECT_GE(reg.counter("atomic.cas_retries").value(), 0u);
+  EXPECT_DOUBLE_EQ(x, 1.0 + kThreads * kAddsPerThread + 2);
+  reg.set_enabled(false);
+  reg.reset();
+}
 
 TEST(Atomic, ToStringNames) {
   EXPECT_EQ(to_string(AtomicMode::kNativeRmw), "rmw");

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "backends/atomic.hpp"
+
 #include <atomic>
 #include <numeric>
 #include <vector>
@@ -54,28 +56,23 @@ TEST_P(ExecPolicy, HonorsExplicitKernelConfigIfClaimed) {
   }
 }
 
+// No kernel commits through atomics any more; the two lowerings of
+// backends::atomic_add (the host analogue the cost model prices for the
+// paper's GPU kernels) must still be exact under every launch's threads.
 TEST_P(ExecPolicy, AtomicAddAccumulatesUnderParallelism) {
-  const BackendKind kind = GetParam();
   double target = 0.0;
   constexpr std::int64_t n = 50000;
-  dispatch(kind, [&](auto exec) {
-    using Exec = decltype(exec);
-    Exec::launch(n, {}, [&target](std::int64_t) {
-      Exec::atomic_add(target, 1.0, AtomicMode::kNativeRmw);
-    });
+  launch(n, {}, [&target](std::int64_t) {
+    atomic_add(target, 1.0, AtomicMode::kNativeRmw);
   });
   EXPECT_DOUBLE_EQ(target, static_cast<double>(n));
 }
 
 TEST_P(ExecPolicy, AtomicAddCasModeAlsoExact) {
-  const BackendKind kind = GetParam();
   double target = 0.0;
   constexpr std::int64_t n = 50000;
-  dispatch(kind, [&](auto exec) {
-    using Exec = decltype(exec);
-    Exec::launch(n, {}, [&target](std::int64_t) {
-      Exec::atomic_add(target, 1.0, AtomicMode::kCasLoop);
-    });
+  launch(n, {}, [&target](std::int64_t) {
+    atomic_add(target, 1.0, AtomicMode::kCasLoop);
   });
   EXPECT_DOUBLE_EQ(target, static_cast<double>(n));
 }

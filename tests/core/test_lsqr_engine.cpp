@@ -108,35 +108,18 @@ TEST_P(LsqrCheckpoint, ResumedRunIsBitIdentical) {
   const auto resumed = second.result();
 
   ASSERT_EQ(resumed.iterations, expected.iterations);
-  // The serial backend is deterministic -> bitwise identical. Parallel
-  // backends have a non-deterministic aprod2 accumulation order whose
-  // roundoff the Krylov recurrence amplifies, so the resumed run may
-  // only agree as well as two *uninterrupted* runs agree with each
-  // other — measure that baseline and require the same level.
-  if (GetParam() == backends::BackendKind::kSerial) {
-    for (std::size_t i = 0; i < expected.x.size(); ++i)
-      ASSERT_EQ(resumed.x[i], expected.x[i]) << i;
-    EXPECT_EQ(resumed.rnorm, expected.rnorm);
-  } else {
-    // The elementwise divergence between two parallel runs is chaotic
-    // (atomic-order roundoff amplified by the Krylov recurrence), so the
-    // meaningful resume invariant is solution *quality*: the resumed run
-    // must land on an equally good least-squares solution. The observed
-    // run-to-run rnorm spread of this problem is ~1e-4 relative (the
-    // old 1e-6 bound flaked roughly one run in seven), so the bound is
-    // set an order of magnitude above the spread. Bit-exactness of the
-    // checkpoint mechanism itself is covered by the serial branch above
-    // and by SingleLaneGpusimResumeIsBitIdentical below.
-    EXPECT_NEAR(resumed.rnorm, expected.rnorm,
-                1e-3 * std::max<real>(1, expected.rnorm));
-    EXPECT_LT(gaia::testing::rel_l2_error(resumed.x, expected.x), 1e-2);
-  }
+  // Every backend combines in an order fixed by the launch shape (the
+  // scatters fold their private slices in worker order), so the resumed
+  // run equals the uninterrupted one bit for bit on gpusim's
+  // multi-block tuned table too.
+  for (std::size_t i = 0; i < expected.x.size(); ++i)
+    ASSERT_EQ(resumed.x[i], expected.x[i]) << i;
+  EXPECT_EQ(resumed.rnorm, expected.rnorm);
 }
 
-// With a single block and a single thread per block the gpusim backend
-// has a deterministic accumulation order, so resume must be bitwise
-// exact — this isolates checkpoint-state completeness from the
-// atomic-order roundoff the stochastic bound above tolerates.
+// A single block and a single thread per block: one scatter worker, so
+// the gpusim resume equals the serial row order's bits — checkpoint-state
+// completeness at the degenerate launch shape.
 TEST(LsqrCheckpointDeterministic, SingleLaneGpusimResumeIsBitIdentical) {
   const auto gen = matrix::generate_system(gaia::testing::small_config(135));
   auto opts = engine_options(backends::BackendKind::kGpuSim);
@@ -344,18 +327,13 @@ TEST(LsqrStepStart, StartPassMatchesTheApply2Start) {
   EXPECT_LT(gaia::testing::rel_l2_error(start.v, v), 1e-14);
 }
 
-/// Options whose runs repeat bit for bit: the serial backend, and the
-/// privatized commit on a parallel backend at a fixed launch shape.
+/// Options whose runs repeat bit for bit: the serial backend, and a
+/// parallel backend at a fixed launch shape.
 std::vector<LsqrOptions> deterministic_options() {
   std::vector<LsqrOptions> all = {engine_options()};
-  LsqrOptions privatized = engine_options(backends::BackendKind::kOpenMP);
-  privatized.aprod.tuning = backends::TuningTable::untuned({2, 2});
-  for (backends::KernelId id : backends::all_kernels()) {
-    auto cfg = privatized.aprod.tuning.get(id);
-    cfg.strategy = backends::ScatterStrategy::kPrivatized;
-    privatized.aprod.tuning.set(id, cfg);
-  }
-  all.push_back(privatized);
+  LsqrOptions parallel = engine_options(backends::BackendKind::kOpenMP);
+  parallel.aprod.tuning = backends::TuningTable::untuned({2, 2});
+  all.push_back(parallel);
   return all;
 }
 

@@ -1,9 +1,10 @@
 /// Numerics contract of the mixed-precision axis: every reduced storage
-/// precision, on every strategy and backend, converges (with FP64
-/// iterative refinement) to the FP64 serial seed solution within the
-/// refinement tolerance, whatever retired layout value the table
-/// carries (KernelConfig::layout is inert); a starved correction budget
-/// reports the stall instead of pretending.
+/// precision, on every backend and at two launch shapes, converges (with
+/// FP64 iterative refinement) to the FP64 serial seed solution within
+/// the refinement tolerance, whatever retired layout or scatter-strategy
+/// value the table carries (KernelConfig::layout and ::strategy are
+/// inert); a starved correction budget reports the stall instead of
+/// pretending.
 #include "core/refinement.hpp"
 
 #include <gtest/gtest.h>
@@ -44,12 +45,27 @@ void force_axes(backends::TuningTable& table, Precision p,
   }
 }
 
+/// One case: a backend, a reduced precision, the inert layout and
+/// strategy values its table carries, and a launch shape. The case names
+/// keep the strategy value (stable until ROADMAP item 8 deletes the
+/// shim); the kAtomic cases run the tuned table and the kPrivatized cases
+/// a 2x2 table, so the scatter's worker count and fold order vary.
 struct Combo {
   BackendKind backend;
   Precision precision;
   StorageLayout layout;
   ScatterStrategy strategy;
+
+  [[nodiscard]] backends::TuningTable table() const {
+    return strategy == ScatterStrategy::kAtomic
+               ? backends::TuningTable::tuned_default()
+               : backends::TuningTable::untuned({2, 2});
+  }
 };
+
+std::string to_string(ScatterStrategy strategy) {
+  return strategy == ScatterStrategy::kAtomic ? "atomic" : "privatized";
+}
 
 class RefinedSolve : public ::testing::TestWithParam<Combo> {};
 
@@ -61,6 +77,7 @@ TEST_P(RefinedSolve, MatchesTheFp64SerialSeedWithinTolerance) {
   const auto reference = lsqr_solve(gen.A, solve_options(BackendKind::kSerial));
 
   LsqrOptions reduced = solve_options(c.backend);
+  reduced.aprod.tuning = c.table();
   force_axes(reduced.aprod.tuning, c.precision, c.layout, c.strategy);
   auto result = lsqr_solve(gen.A, reduced);
   const double unrefined =
@@ -72,7 +89,8 @@ TEST_P(RefinedSolve, MatchesTheFp64SerialSeedWithinTolerance) {
   const double refined = gaia::testing::rel_l2_error(result.x, reference.x);
   const std::string tag = backends::to_string(c.backend) + "/" +
                           backends::to_string(c.precision) + "/" +
-                          backends::to_string(c.layout);
+                          backends::to_string(c.layout) + "/" +
+                          to_string(c.strategy);
 
   if (c.precision == Precision::kFp32) {
     // fp32 storage keeps ~7 significant digits; FP64 refinement closes
@@ -113,8 +131,7 @@ INSTANTIATE_TEST_SUITE_P(
       const Combo& c = info.param;
       return backends::to_string(c.backend) + "_" +
              backends::to_string(c.precision) + "_" +
-             backends::to_string(c.layout) + "_" +
-             backends::to_string(c.strategy);
+             backends::to_string(c.layout) + "_" + to_string(c.strategy);
     });
 
 TEST(Refinement, TrueResidualMatchesHandComputedNorms) {

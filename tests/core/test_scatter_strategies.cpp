@@ -1,15 +1,16 @@
 /// \file test_scatter_strategies.cpp
-/// \brief Property suite for the aprod2 scatter skeleton and its two
-/// commit steps: the atomic commit (each worker adds its private slice
-/// into x with atomics) and the privatized commit (fixed-order fold).
-/// Covers equivalence with the serial reference on every backend and
-/// precision, the fused slot on both strategies, worker-count sweeps
-/// and degenerate shapes, bit-reproducibility of the fold, the adjoint
-/// identity through every registered launcher, the atomic-update
-/// accounting, and the scratch-arena reuse contract (allocator goes
-/// silent after the first iteration).
+/// \brief Property suite for the aprod2 scatter commit: every worker
+/// accumulates a row chunk into a private slice, and one launch folds the
+/// slices into x in worker order. Covers equivalence with the serial
+/// reference on every backend and precision, explicit worker counts
+/// (the bits depend on W alone), the fused slot, shape sweeps and
+/// degenerate shapes, bit-reproducibility, the inert scatter-strategy
+/// field, the adjoint identity through every registered launcher, the
+/// perf-counter labels, and the scratch-arena reuse contract (allocator
+/// goes silent after the first iteration).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 
@@ -53,12 +54,29 @@ std::vector<real> random_vector(std::size_t n, std::uint64_t seed) {
 template <typename Exec>
 void run_scatters(const SystemView& view, const real* y, std::vector<real>& x,
                   KernelConfig cfg, backends::ScratchArena* arena = nullptr) {
-  aprod2_att<Exec>(view, y, x.data(), cfg, backends::AtomicMode::kNativeRmw,
-                   arena);
-  aprod2_instr<Exec>(view, y, x.data(), cfg, backends::AtomicMode::kNativeRmw,
-                     arena);
-  aprod2_glob<Exec>(view, y, x.data(), cfg, backends::AtomicMode::kNativeRmw,
-                    arena);
+  aprod2_att<Exec>(view, y, x.data(), cfg, arena);
+  aprod2_instr<Exec>(view, y, x.data(), cfg, arena);
+  aprod2_glob<Exec>(view, y, x.data(), cfg, arena);
+}
+
+/// The fused scatter at an explicit worker count: row_scatter's W equal
+/// row chunks, committed by section_scatter, without asking
+/// Exec::scatter_workers — so every backend can run any W.
+template <typename Exec, typename CoefT>
+std::vector<real> fused_scatter_at(const SystemView& view,
+                                   const std::vector<real>& y, int workers) {
+  std::vector<real> x(static_cast<std::size_t>(view.n_cols), 0.0);
+  const auto rows = detail::seed_shared_rows<CoefT>(view, y.data());
+  const std::int64_t n = view.n_rows;
+  const std::int64_t chunk = (n + workers - 1) / workers;
+  detail::section_scatter<Exec>(
+      workers, x.data(), fused_scatter_section(view), KernelConfig{}, nullptr,
+      [&](int w, real* slice) {
+        const std::int64_t begin = static_cast<std::int64_t>(w) * chunk;
+        const std::int64_t end = std::min(n, begin + chunk);
+        for (std::int64_t r = begin; r < end; ++r) rows(slice, r);
+      });
+  return x;
 }
 
 /// The shared-section scatters through the registry at one (backend,
@@ -95,17 +113,12 @@ class ScatterStrategies : public ::testing::TestWithParam<BackendKind> {
     run_scatters<backends::SerialExec>(view_, y_.data(), reference_, {});
   }
 
-  std::vector<real> result(ScatterStrategy strategy, KernelConfig cfg) const {
+  std::vector<real> result(KernelConfig cfg) const {
     std::vector<real> x(reference_.size(), 0.0);
     backends::dispatch(GetParam(), [&](auto exec) {
-      run_scatters<decltype(exec)>(view_, y_.data(), x,
-                                   with_strategy(cfg, strategy));
+      run_scatters<decltype(exec)>(view_, y_.data(), x, cfg);
     });
     return x;
-  }
-
-  std::vector<real> privatized_result(KernelConfig cfg) const {
-    return result(ScatterStrategy::kPrivatized, cfg);
   }
 
   matrix::GeneratedSystem gen_;
@@ -115,32 +128,31 @@ class ScatterStrategies : public ::testing::TestWithParam<BackendKind> {
 };
 
 TEST_P(ScatterStrategies, PrivatizedMatchesSerialAtomicReference) {
-  const auto x = privatized_result({});
+  // The backend-default shape against the serial (one-worker) reference.
+  const auto x = result({});
   EXPECT_LT(gaia::testing::rel_l2_error(x, reference_), 1e-12);
 }
 
 TEST_P(ScatterStrategies, PrivatizedMatchesAtomicOnSameBackend) {
+  // KernelConfig::strategy is inert: a config carrying either retired
+  // value runs the one commit, so both give the same bits.
   const KernelConfig cfg{64, 32};
-  const auto atomic = result(ScatterStrategy::kAtomic, cfg);
-  const auto priv = privatized_result(cfg);
-  EXPECT_LT(gaia::testing::rel_l2_error(priv, atomic), 1e-12);
+  const auto atomic = result(with_strategy(cfg, ScatterStrategy::kAtomic));
+  const auto priv = result(with_strategy(cfg, ScatterStrategy::kPrivatized));
+  EXPECT_EQ(priv, atomic);
 }
 
 TEST_P(ScatterStrategies, WorkerCountSweepPreservesResults) {
   // scatter_workers is a pure function of the launch shape; every shape
   // (1 worker, odd counts, the kMaxScatterWorkers cap) must agree with
-  // the reference under both commit steps.
-  for (const ScatterStrategy strategy :
-       {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
-    for (const KernelConfig cfg :
-         {KernelConfig{1, 1}, KernelConfig{2, 3}, KernelConfig{7, 5},
-          KernelConfig{64, 32}, KernelConfig{300, 64},
-          KernelConfig{1024, 256}}) {
-      const auto x = result(strategy, cfg);
-      EXPECT_LT(gaia::testing::rel_l2_error(x, reference_), 1e-12)
-          << backends::to_string(strategy) << " cfg " << cfg.blocks << "x"
-          << cfg.threads;
-    }
+  // the reference.
+  for (const KernelConfig cfg :
+       {KernelConfig{1, 1}, KernelConfig{2, 3}, KernelConfig{7, 5},
+        KernelConfig{64, 32}, KernelConfig{300, 64},
+        KernelConfig{1024, 256}}) {
+    const auto x = result(cfg);
+    EXPECT_LT(gaia::testing::rel_l2_error(x, reference_), 1e-12)
+        << "cfg " << cfg.blocks << "x" << cfg.threads;
   }
 }
 
@@ -149,9 +161,9 @@ TEST_P(ScatterStrategies, BitIdenticalAcrossRepeatedRuns) {
   // accumulates its row chunk sequentially — repeated runs at the same
   // shape must agree to the last bit, on every backend.
   const KernelConfig cfg{64, 32};
-  const auto first = privatized_result(cfg);
+  const auto first = result(cfg);
   for (int repeat = 0; repeat < 3; ++repeat) {
-    const auto again = privatized_result(cfg);
+    const auto again = result(cfg);
     for (std::size_t i = 0; i < first.size(); ++i)
       ASSERT_EQ(first[i], again[i]) << "element " << i << " run " << repeat;
   }
@@ -160,7 +172,7 @@ TEST_P(ScatterStrategies, BitIdenticalAcrossRepeatedRuns) {
 TEST_P(ScatterStrategies, DegenerateSingleStarSystem) {
   // A dozen rows: wide shapes give more workers than rows on the
   // backends that honour the launch shape, so most workers accumulate
-  // an empty chunk and commit a zero slice.
+  // an empty chunk and fold a zero slice.
   auto cfg = gaia::testing::small_config(29);
   cfg.n_stars = 1;
   const auto gen = matrix::generate_system(cfg);
@@ -174,17 +186,12 @@ TEST_P(ScatterStrategies, DegenerateSingleStarSystem) {
   if (GetParam() == BackendKind::kGpuSim) {
     ASSERT_GT(backends::scatter_workers(GetParam(), wide), gen.A.n_rows());
   }
-  for (const ScatterStrategy strategy :
-       {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
-    for (const KernelConfig shape : {KernelConfig{128, 64}, wide}) {
-      std::vector<real> x(ref.size(), 0.0);
-      backends::dispatch(GetParam(), [&](auto exec) {
-        run_scatters<decltype(exec)>(view, y.data(), x,
-                                     with_strategy(shape, strategy));
-      });
-      EXPECT_LT(gaia::testing::rel_l2_error(x, ref), 1e-12)
-          << backends::to_string(strategy) << " " << shape.blocks;
-    }
+  for (const KernelConfig shape : {KernelConfig{128, 64}, wide}) {
+    std::vector<real> x(ref.size(), 0.0);
+    backends::dispatch(GetParam(), [&](auto exec) {
+      run_scatters<decltype(exec)>(view, y.data(), x, shape);
+    });
+    EXPECT_LT(gaia::testing::rel_l2_error(x, ref), 1e-12) << shape.blocks;
   }
 }
 
@@ -195,12 +202,10 @@ TEST_P(ScatterStrategies, NoGlobalSectionIsANoop) {
   const SystemView view = SystemView::from(gen.A);
   EXPECT_EQ(scatter_section(view, KernelId::kAprod2Glob).len, 0);
   std::vector<real> ones(static_cast<std::size_t>(gen.A.n_rows()), 1.0);
-  for (const ScatterStrategy strategy :
-       {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
+  for (const KernelConfig shape : {KernelConfig{}, KernelConfig{16, 32}}) {
     std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
     backends::dispatch(GetParam(), [&](auto exec) {
-      aprod2_glob<decltype(exec)>(view, ones.data(), x.data(),
-                                  with_strategy({}, strategy));
+      aprod2_glob<decltype(exec)>(view, ones.data(), x.data(), shape);
     });
     for (real v : x) ASSERT_EQ(v, 0.0);
   }
@@ -213,12 +218,12 @@ TEST_P(ScatterStrategies, FusedSlotWithoutGlobalSectionMatchesSeparate) {
   const SystemView view = SystemView::from(gen.A);
   const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 3);
   const auto ref = registry_scatter(view, y, BackendKind::kSerial, {}, false);
-  for (const ScatterStrategy strategy :
-       {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
-    const auto fused = registry_scatter(
-        view, y, GetParam(), with_strategy({16, 32}, strategy), true);
+  for (const KernelConfig shape : {KernelConfig{16, 32}, KernelConfig{3, 7}}) {
+    const auto fused = registry_scatter(view, y, GetParam(), shape, true);
     EXPECT_LT(gaia::testing::rel_l2_error(fused, ref), 1e-12)
-        << backends::to_string(strategy);
+        << shape.blocks << "x" << shape.threads;
+    const auto separate = registry_scatter(view, y, GetParam(), shape, false);
+    EXPECT_EQ(fused, separate) << shape.blocks << "x" << shape.threads;
   }
 }
 
@@ -238,11 +243,31 @@ struct AttachedSystem {
 constexpr std::array<Precision, 3> kPrecisions = {
     Precision::kFp64, Precision::kFp32, Precision::kBf16s};
 
+/// fused_scatter_at on `backend` at `precision`'s storage scalar.
+std::vector<real> fused_at(BackendKind backend, const SystemView& view,
+                           const std::vector<real>& y, Precision precision,
+                           int workers) {
+  return backends::dispatch(backend, [&](auto exec) {
+    using Exec = decltype(exec);
+    switch (precision) {
+      case Precision::kFp32:
+        return fused_scatter_at<Exec, float>(view, y, workers);
+      case Precision::kBf16s:
+        return fused_scatter_at<Exec, matrix::bf16s>(view, y, workers);
+      case Precision::kFp64:
+        break;
+    }
+    return fused_scatter_at<Exec, real>(view, y, workers);
+  });
+}
+
 TEST_P(ScatterStrategies, AtomicCommitMatchesSeedOnAllLayoutsAndPrecisions) {
-  // Reference per precision: the serial backend at the same storage
-  // precision (accumulation is FP64 everywhere). The atomic scatters and
-  // the fused slot on both strategies must all agree with it; the fused
-  // privatized result equals the separate privatized kernels bit for
+  // The one commit against the serial seed at every storage precision
+  // (accumulation is FP64 everywhere), with W = 1, 2, 3, 5 and 256
+  // private slices forced on this backend. The fold order depends on W
+  // alone, so each result also equals the serial backend's fold of the
+  // same W chunks bit for bit, and W = 1 is the seed's row order. Through
+  // the registry the fused slot equals the three separate kernels bit for
   // bit, since each column sees the same adds in the same order.
   const AttachedSystem sys(gen_.A);
   for (const Precision precision : kPrecisions) {
@@ -250,24 +275,22 @@ TEST_P(ScatterStrategies, AtomicCommitMatchesSeedOnAllLayoutsAndPrecisions) {
     seed_cfg.precision = precision;
     const auto ref =
         registry_scatter(sys.view, y_, BackendKind::kSerial, seed_cfg, false);
+    const std::string label = backends::to_string(precision);
+    for (const int workers : {1, 2, 3, 5, 256}) {
+      const auto x = fused_at(GetParam(), sys.view, y_, precision, workers);
+      EXPECT_LT(gaia::testing::rel_l2_error(x, ref), 1e-12)
+          << label << " W=" << workers;
+      EXPECT_EQ(x, fused_at(BackendKind::kSerial, sys.view, y_, precision,
+                            workers))
+          << label << " W=" << workers;
+      if (workers == 1) EXPECT_EQ(x, ref) << label;
+    }
     KernelConfig cfg{16, 32};
     cfg.precision = precision;
-    const std::string label = backends::to_string(precision);
-    const auto atomic = registry_scatter(
-        sys.view, y_, GetParam(),
-        with_strategy(cfg, ScatterStrategy::kAtomic), false);
-    EXPECT_LT(gaia::testing::rel_l2_error(atomic, ref), 1e-12) << label;
-    for (const ScatterStrategy strategy :
-         {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
-      const auto fused = registry_scatter(
-          sys.view, y_, GetParam(), with_strategy(cfg, strategy), true);
-      EXPECT_LT(gaia::testing::rel_l2_error(fused, ref), 1e-12)
-          << label << " fused " << backends::to_string(strategy);
-    }
-    const auto priv = with_strategy(cfg, ScatterStrategy::kPrivatized);
     const auto separate =
-        registry_scatter(sys.view, y_, GetParam(), priv, false);
-    const auto fused = registry_scatter(sys.view, y_, GetParam(), priv, true);
+        registry_scatter(sys.view, y_, GetParam(), cfg, false);
+    const auto fused = registry_scatter(sys.view, y_, GetParam(), cfg, true);
+    EXPECT_LT(gaia::testing::rel_l2_error(fused, ref), 1e-12) << label;
     for (std::size_t i = 0; i < fused.size(); ++i)
       ASSERT_EQ(fused[i], separate[i]) << label << " at " << i;
   }
@@ -323,58 +346,55 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ScatterStrategies,
                          });
 
 TEST(ScatterStrategyCommit, SerialAtomicBitIdenticalToPrivatized) {
-  // One worker: the atomic commit adds the single slice into x, the
-  // privatized fold has nothing to combine — the same adds in the same
-  // order, for the separate kernels and the fused slot alike.
+  // One worker: the serial commit adds the rows into one slice in row
+  // order and folds nothing, so it equals a plain row-order accumulation
+  // bit for bit — the separate kernels and the fused slot alike, whatever
+  // retired strategy value the config carries.
   ensure_kernel_catalog();
   const auto gen = matrix::generate_system(gaia::testing::medium_config(71));
   const SystemView view = SystemView::from(gen.A);
   const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 73);
+  std::vector<real> plain(static_cast<std::size_t>(view.n_cols), 0.0);
+  const auto rows = detail::seed_shared_rows<real>(view, y.data());
+  real* shared = plain.data() + fused_scatter_section(view).offset;
+  for (std::int64_t r = 0; r < view.n_rows; ++r) rows(shared, r);
   for (const bool fused : {false, true}) {
-    const auto atomic = registry_scatter(
-        view, y, BackendKind::kSerial,
-        with_strategy({}, ScatterStrategy::kAtomic), fused);
-    const auto priv = registry_scatter(
-        view, y, BackendKind::kSerial,
-        with_strategy({}, ScatterStrategy::kPrivatized), fused);
-    for (std::size_t i = 0; i < atomic.size(); ++i)
-      ASSERT_EQ(atomic[i], priv[i]) << (fused ? "fused " : "") << "at " << i;
+    for (const ScatterStrategy strategy :
+         {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
+      const auto got = registry_scatter(view, y, BackendKind::kSerial,
+                                        with_strategy({}, strategy), fused);
+      for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i], plain[i]) << (fused ? "fused " : "") << "at " << i;
+    }
   }
 }
 
 TEST(ScatterStrategyCommit, PstlAtomicUnderTheGrainCommitsInRowOrder) {
-  // PSTL's worker count is the pool size whatever the launch; the atomic
-  // commit caps it at the chunks a PSTL loop over the rows would form,
-  // so a launch under the grain runs one worker and equals the serial
-  // result bit for bit, while a large launch keeps every worker.
+  // PSTL's worker count is the pool size whatever the launch, also for a
+  // launch under the pstl grain: it folds W slices like any other launch,
+  // so it equals the serial backend's fold of the same W row chunks bit
+  // for bit (the bits depend on W alone), separate kernels and fused
+  // slot alike.
   ensure_kernel_catalog();
-  const KernelConfig cfg = with_strategy({}, ScatterStrategy::kAtomic);
-  EXPECT_EQ(backends::atomic_scatter_workers(BackendKind::kPstl, 200, cfg), 1);
-  EXPECT_EQ(
-      backends::atomic_scatter_workers(BackendKind::kPstl, 1 << 24, cfg),
-      backends::scatter_workers(BackendKind::kPstl, cfg));
-  EXPECT_EQ(
-      backends::atomic_scatter_workers(BackendKind::kGpuSim, 10, {300, 64}),
-      backends::scatter_workers(BackendKind::kGpuSim, {300, 64}));
-
+  const int workers = backends::scatter_workers(BackendKind::kPstl, {});
   auto small = gaia::testing::small_config(29);
   small.n_stars = 4;
   const auto gen = matrix::generate_system(small);
   ASSERT_LE(gen.A.n_rows(), 256);
   const SystemView view = SystemView::from(gen.A);
   const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 7);
+  const auto expected =
+      fused_scatter_at<backends::SerialExec, real>(view, y, workers);
   for (const bool fused : {false, true}) {
-    const auto serial =
-        registry_scatter(view, y, BackendKind::kSerial, cfg, fused);
-    const auto pstl = registry_scatter(view, y, BackendKind::kPstl, cfg, fused);
-    for (std::size_t i = 0; i < serial.size(); ++i)
-      ASSERT_EQ(pstl[i], serial[i]) << (fused ? "fused" : "separate") << " at "
-                                    << i;
+    const auto pstl = registry_scatter(view, y, BackendKind::kPstl, {}, fused);
+    for (std::size_t i = 0; i < expected.size(); ++i)
+      ASSERT_EQ(pstl[i], expected[i])
+          << (fused ? "fused" : "separate") << " at " << i;
   }
 }
 
-/// Installs `strategy` on the three atomic kernels of a tuned table,
-/// and optionally the inert `layout` on every kernel.
+/// A tuned table carrying the inert `strategy` on the three scatter
+/// kernels and the inert `layout` on every kernel.
 backends::TuningTable strategy_table(
     ScatterStrategy strategy,
     StorageLayout layout = StorageLayout::kSeedAos) {
@@ -389,91 +409,86 @@ backends::TuningTable strategy_table(
 }
 
 TEST(ScatterStrategyCommit, AtomicUpdatesCountCommitsNotRowEntries) {
-  // The atomic commit issues W x section-length atomics per launch.
-  // kernel_atomic_updates and the kernel.*.atomic_updates counters must
-  // report exactly that — not the rows x nnz of a per-row atomic body.
+  // The commit issues no atomics at all, so no pass records an
+  // atomic_updates series; the passes that fold private slices run under
+  // the "privatized" label and the rest under "none".
   const auto gen = matrix::generate_system(gaia::testing::medium_config(79));
-  const SystemView host = SystemView::from(gen.A);
-  for (KernelId id : kSharedScatters) {
-    const auto len = static_cast<std::uint64_t>(scatter_section(host, id).len);
-    EXPECT_EQ(kernel_atomic_updates(host, id, ScatterStrategy::kAtomic, 7),
-              7 * len);
-    EXPECT_EQ(kernel_atomic_updates(host, id, ScatterStrategy::kPrivatized, 7),
-              0u);
-  }
-  EXPECT_EQ(kernel_atomic_updates(host, KernelId::kAprod2Astro,
-                                  ScatterStrategy::kAtomic, 7),
-            0u);
-
   auto& reg = obs::MetricsRegistry::global();
   reg.set_enabled(true);
   reg.reset();
-  const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 83);
-  auto counter = [&](const std::string& kernel, const char* strategy) {
-    return reg
-        .counter(obs::kernel_series_name(kernel, "gpusim", strategy,
-                                         "atomic_updates"))
-        .value();
-  };
-  // Aprod's aprod2 runs the fused scatter, which commits the whole
-  // shared span per worker.
-  for (const ScatterStrategy strategy :
-       {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
+  {
     backends::DeviceContext device;
     AprodOptions opts;
     opts.backend = BackendKind::kGpuSim;
-    opts.tuning = strategy_table(strategy);
     Aprod aprod(gen.A, device, opts);
-    std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
-    aprod.apply2(y, x);
-    aprod.apply2(y, x);
+    const auto x_in =
+        random_vector(static_cast<std::size_t>(gen.A.n_cols()), 81);
+    auto u = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 83);
+    std::vector<real> y(u.size(), 0.0), x(x_in.size(), 0.0), q(x.size());
+    for (int i = 0; i < 2; ++i) {
+      aprod.apply1(x_in, y);
+      aprod.apply2(u, x);
+    }
+    aprod.step(x_in, u, q, 1.0, 0.5);
   }
-  const backends::TuningTable table = backends::TuningTable::tuned_default();
-  const auto workers = [&](KernelId id) {
-    return static_cast<std::uint64_t>(backends::atomic_scatter_workers(
-        BackendKind::kGpuSim, gen.A.n_rows(), table.get(id)));
+  for (const obs::MetricRow& row : reg.snapshot()) {
+    obs::KernelSeriesName series;
+    if (!obs::parse_kernel_series(row.name, series)) continue;
+    EXPECT_NE(series.field, "atomic_updates") << row.name;
+    EXPECT_NE(series.strategy, "atomic") << row.name;
+  }
+  const auto launches = [&](const char* kernel, const char* label) {
+    return reg
+        .counter(obs::kernel_series_name(kernel, "gpusim", label, "launches"))
+        .value();
   };
-  // The fused slot follows the strategy and shares kAprod2Att's shape.
-  const auto fused_len =
-      static_cast<std::uint64_t>(fused_scatter_section(host).len);
-  EXPECT_EQ(counter("aprod2_fused", "atomic"),
-            2 * workers(KernelId::kAprod2Att) * fused_len);
-  EXPECT_EQ(reg.counter(obs::kernel_series_name("aprod2_fused", "gpusim",
-                                                "privatized", "launches"))
-                .value(),
-            2u);
+  EXPECT_EQ(launches("aprod1_fused", "none"), 2u);
+  EXPECT_EQ(launches("aprod2_astro", "none"), 2u);
+  EXPECT_EQ(launches("aprod2_fused", "privatized"), 2u);
+  EXPECT_EQ(launches("aprod_step", "privatized"), 1u);
   reg.set_enabled(false);
   reg.reset();
 }
 
 TEST(ScatterStrategyDriver, PrivatizedTableMatchesAtomicThroughAprod) {
-  // End-to-end through the registry routing: an Aprod whose tuning table
-  // selects kPrivatized must produce the same apply2 as the atomic one.
+  // KernelConfig::strategy is inert through the driver: tables carrying
+  // either retired value run the same commit at the same shapes, so
+  // apply2 and the step agree bit for bit on a multi-worker backend.
   const auto gen = matrix::generate_system(gaia::testing::medium_config(37));
   const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 11);
+  const auto v = random_vector(static_cast<std::size_t>(gen.A.n_cols()), 12);
 
-  auto apply2_with = [&](ScatterStrategy strategy) {
+  struct Run {
+    std::vector<real> x, u, q;
+    real pnorm_sq = 0;
+  };
+  auto run_with = [&](ScatterStrategy strategy) {
     backends::DeviceContext device;
     AprodOptions opts;
     opts.backend = BackendKind::kGpuSim;
     opts.tuning = strategy_table(strategy);
     Aprod aprod(gen.A, device, opts);
-    std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
-    aprod.apply2(y, x);
-    return x;
+    Run run;
+    run.x.assign(v.size(), 0.0);
+    aprod.apply2(y, run.x);
+    run.u = y;
+    run.q.assign(v.size(), 0.0);
+    run.pnorm_sq = aprod.step(v, run.u, run.q, 1.0, 0.5);
+    return run;
   };
-  const auto atomic = apply2_with(ScatterStrategy::kAtomic);
-  const auto priv = apply2_with(ScatterStrategy::kPrivatized);
-  EXPECT_LT(gaia::testing::rel_l2_error(priv, atomic), 1e-12);
+  const Run atomic = run_with(ScatterStrategy::kAtomic);
+  const Run priv = run_with(ScatterStrategy::kPrivatized);
+  EXPECT_EQ(priv.x, atomic.x);
+  EXPECT_EQ(priv.u, atomic.u);
+  EXPECT_EQ(priv.q, atomic.q);
+  EXPECT_EQ(priv.pnorm_sq, atomic.pnorm_sq);
 }
 
 TEST(ScatterStrategyDriver, DerivedLayoutsMatchSeedThroughAprod) {
   // KernelConfig::layout is inert: a table carrying a retired layout runs
   // the row-record bodies, so both aprod directions and the LSQR step
-  // equal the seed-layout table's bit for bit, for either scatter
-  // strategy, and the driver allocates no device bytes beyond the seed
-  // run's. The serial backend commits its one worker's slice in a fixed
-  // order, so the atomic strategy is deterministic too.
+  // equal the seed-layout table's bit for bit, and the driver allocates
+  // no device bytes beyond the seed run's.
   const auto gen = matrix::generate_system(gaia::testing::medium_config(53));
   const auto x_in = random_vector(static_cast<std::size_t>(gen.A.n_cols()), 19);
   const auto y_in = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 20);
@@ -483,11 +498,11 @@ TEST(ScatterStrategyDriver, DerivedLayoutsMatchSeedThroughAprod) {
     real pnorm_sq = 0;
     byte_size device_bytes = 0;
   };
-  auto run_with = [&](ScatterStrategy strategy, StorageLayout layout) {
+  auto run_with = [&](StorageLayout layout) {
     backends::DeviceContext device;
     AprodOptions opts;
     opts.backend = BackendKind::kSerial;
-    opts.tuning = strategy_table(strategy, layout);
+    opts.tuning = strategy_table(ScatterStrategy::kAtomic, layout);
     Aprod aprod(gen.A, device, opts);
     Run run;
     run.y.assign(y_in.size(), 0.0);
@@ -501,36 +516,33 @@ TEST(ScatterStrategyDriver, DerivedLayoutsMatchSeedThroughAprod) {
     return run;
   };
 
-  for (const auto strategy :
-       {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
-    const Run seed = run_with(strategy, StorageLayout::kSeedAos);
-    for (const auto layout :
-         {StorageLayout::kSoaTiled, StorageLayout::kSlicedInstr}) {
-      const Run got = run_with(strategy, layout);
-      const std::string label = backends::to_string(layout) + "/" +
-                                backends::to_string(strategy);
-      EXPECT_EQ(got.y, seed.y) << label;
-      EXPECT_EQ(got.x, seed.x) << label;
-      EXPECT_EQ(got.u, seed.u) << label;
-      EXPECT_EQ(got.q, seed.q) << label;
-      EXPECT_EQ(got.pnorm_sq, seed.pnorm_sq) << label;
-      EXPECT_EQ(got.device_bytes, seed.device_bytes) << label;
-    }
+  const Run seed = run_with(StorageLayout::kSeedAos);
+  for (const auto layout :
+       {StorageLayout::kSoaTiled, StorageLayout::kSlicedInstr}) {
+    const Run got = run_with(layout);
+    const std::string label = backends::to_string(layout);
+    EXPECT_EQ(got.y, seed.y) << label;
+    EXPECT_EQ(got.x, seed.x) << label;
+    EXPECT_EQ(got.u, seed.u) << label;
+    EXPECT_EQ(got.q, seed.q) << label;
+    EXPECT_EQ(got.pnorm_sq, seed.pnorm_sq) << label;
+    EXPECT_EQ(got.device_bytes, seed.device_bytes) << label;
   }
 }
 
 TEST(ScatterStrategyDriver, ArenaAllocatorSilentAfterFirstIteration) {
   // The pool contract: every buffer the scatters need is allocated during
   // the first apply2; after that the miss counter must not move —
-  // iterations run allocation-free, whichever commit step runs.
+  // iterations run allocation-free, at either launch shape.
   const auto gen = matrix::generate_system(gaia::testing::medium_config(41));
   const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 13);
-  for (const ScatterStrategy strategy :
-       {ScatterStrategy::kPrivatized, ScatterStrategy::kAtomic}) {
+  for (const backends::TuningTable& table :
+       {backends::TuningTable::tuned_default(),
+        backends::TuningTable::untuned({2, 2})}) {
     backends::DeviceContext device;
     AprodOptions opts;
     opts.backend = BackendKind::kGpuSim;
-    opts.tuning = strategy_table(strategy);
+    opts.tuning = table;
     Aprod aprod(gen.A, device, opts);
     std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
 
@@ -541,7 +553,7 @@ TEST(ScatterStrategyDriver, ArenaAllocatorSilentAfterFirstIteration) {
 
     for (int iter = 0; iter < 5; ++iter) aprod.apply2(y, x);
     EXPECT_EQ(aprod.scratch_arena().misses(), misses_after_warmup)
-        << backends::to_string(strategy);
+        << table.get(KernelId::kAprod2Att).blocks;
     EXPECT_GT(aprod.scratch_arena().hits(), 0u);
   }
 }
@@ -555,7 +567,6 @@ TEST(ScatterStrategyDriver, ArenaBytesSurfaceInObsMetrics) {
   backends::DeviceContext device;
   AprodOptions opts;
   opts.backend = BackendKind::kGpuSim;
-  opts.tuning = strategy_table(ScatterStrategy::kPrivatized);
   Aprod aprod(gen.A, device, opts);
   const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 17);
   std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()), 0.0);

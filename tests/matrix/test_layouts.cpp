@@ -106,36 +106,45 @@ class LayoutEquivalence : public ::testing::TestWithParam<BackendKind> {
   }
 };
 
-/// `{64, 32}` on `strategy`, carrying `layout`.
-KernelConfig shape(ScatterStrategy strategy, StorageLayout layout) {
-  KernelConfig cfg{64, 32, strategy};
+/// `blocks x threads` (default {64, 32}), carrying `layout`.
+KernelConfig shape(StorageLayout layout, std::int32_t blocks = 64,
+                   std::int32_t threads = 32) {
+  KernelConfig cfg{blocks, threads};
   cfg.layout = layout;
   return cfg;
 }
 
 TEST_P(LayoutEquivalence, AllLayoutsAndStrategiesMatchSerialSeed) {
+  // Every retired layout and scatter-strategy value is inert: each
+  // (layout, strategy) config matches the serial seed, at two launch
+  // shapes (different worker counts, so a different slice fold).
   for (int li = 0; li < kNumStorageLayouts; ++li) {
-    for (const ScatterStrategy strategy :
-         {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
-      const KernelConfig cfg =
-          shape(strategy, static_cast<StorageLayout>(li));
-      const auto y = run_aprod1(GetParam(), cfg);
-      const auto x = run_aprod2(GetParam(), cfg);
-      const std::string what = to_string(cfg.layout) + "/" +
-                               backends::to_string(strategy) + "/" +
-                               backends::to_string(GetParam());
-      EXPECT_LT(gaia::testing::rel_l2_error(y, ref_y_), 1e-12) << what;
-      EXPECT_LT(gaia::testing::rel_l2_error(x, ref_x_), 1e-12) << what;
+    for (const KernelConfig base :
+         {shape(static_cast<StorageLayout>(li)),
+          shape(static_cast<StorageLayout>(li), 2, 2)}) {
+      for (const ScatterStrategy strategy :
+           {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
+        KernelConfig cfg = base;
+        cfg.strategy = strategy;
+        const auto y = run_aprod1(GetParam(), cfg);
+        const auto x = run_aprod2(GetParam(), cfg);
+        const std::string what =
+            to_string(cfg.layout) + "/" + std::to_string(cfg.blocks) + "x" +
+            std::to_string(cfg.threads) + "/" +
+            std::to_string(static_cast<int>(strategy)) + "/" +
+            backends::to_string(GetParam());
+        EXPECT_LT(gaia::testing::rel_l2_error(y, ref_y_), 1e-12) << what;
+        EXPECT_LT(gaia::testing::rel_l2_error(x, ref_x_), 1e-12) << what;
+      }
     }
   }
 }
 
 TEST_P(LayoutEquivalence, FixedConfigRepeatsAreBitIdentical) {
-  // A fixed (shape, strategy) config is a reproducibility contract:
-  // repeats agree to the last bit.
+  // A fixed launch shape is a reproducibility contract: repeats agree to
+  // the last bit.
   for (int li = 0; li < kNumStorageLayouts; ++li) {
-    const KernelConfig cfg =
-        shape(ScatterStrategy::kPrivatized, static_cast<StorageLayout>(li));
+    const KernelConfig cfg = shape(static_cast<StorageLayout>(li));
     const auto y0 = run_aprod1(GetParam(), cfg);
     const auto x0 = run_aprod2(GetParam(), cfg);
     for (int repeat = 0; repeat < 3; ++repeat) {
@@ -152,16 +161,12 @@ TEST_P(LayoutEquivalence, FixedConfigRepeatsAreBitIdentical) {
 TEST_P(LayoutEquivalence, UnattachedLayoutClampsToSeedSemantics) {
   // A config carrying a retired layout launches the row-record bodies:
   // both directions equal the seed-layout launch of the same shape bit
-  // for bit (the privatized commit fixes the scatter's combine order).
-  const auto seed_y =
-      run_aprod1(GetParam(), shape(ScatterStrategy::kPrivatized,
-                                   StorageLayout::kSeedAos));
-  const auto seed_x =
-      run_aprod2(GetParam(), shape(ScatterStrategy::kPrivatized,
-                                   StorageLayout::kSeedAos));
+  // for bit (the launch shape fixes the scatter's combine order).
+  const auto seed_y = run_aprod1(GetParam(), shape(StorageLayout::kSeedAos));
+  const auto seed_x = run_aprod2(GetParam(), shape(StorageLayout::kSeedAos));
   for (const StorageLayout layout :
        {StorageLayout::kSoaTiled, StorageLayout::kSlicedInstr}) {
-    const KernelConfig cfg = shape(ScatterStrategy::kPrivatized, layout);
+    const KernelConfig cfg = shape(layout);
     const auto y = run_aprod1(GetParam(), cfg);
     const auto x = run_aprod2(GetParam(), cfg);
     for (std::size_t i = 0; i < y.size(); ++i)

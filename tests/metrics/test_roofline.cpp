@@ -20,7 +20,7 @@ RooflineMachine machine() { return {"a100-sim", 1555.0, 9700.0, 0.8}; }
 std::vector<obs::MetricRow> series(const std::string& kernel,
                                    std::uint64_t launches, double bytes,
                                    double flops, double seconds_p50) {
-  const std::string base = "kernel." + kernel + ".openmp.atomic.";
+  const std::string base = "kernel." + kernel + ".openmp.privatized.";
   obs::MetricRow l;
   l.name = base + "launches";
   l.type = "counter";
@@ -59,7 +59,7 @@ TEST(RooflineTest, MemoryBoundKernelPlacement) {
   const RooflinePoint& p = points[0];
   EXPECT_EQ(p.kernel, "aprod1_att");
   EXPECT_EQ(p.backend, "openmp");
-  EXPECT_EQ(p.strategy, "atomic");
+  EXPECT_EQ(p.strategy, "privatized");
   EXPECT_EQ(p.launches, 10u);
   EXPECT_NEAR(p.bytes_per_launch, 1e9, 1e-3);
   EXPECT_NEAR(p.flops_per_launch, 0.25e9, 1e-3);
@@ -116,7 +116,7 @@ TEST(RooflineTest, GaugesPublishedUnderKernelSeriesNames) {
   publish_roofline_gauges(roofline_points(rows, machine()));
   const auto snap = reg.snapshot();
   auto value_of = [&](const std::string& field) -> double {
-    const std::string name = "kernel.aprod1_att.openmp.atomic." + field;
+    const std::string name = "kernel.aprod1_att.openmp.privatized." + field;
     for (const auto& r : snap)
       if (r.name == name) return r.last;
     ADD_FAILURE() << "missing gauge " << name;
@@ -141,7 +141,7 @@ TEST(RooflineTest, ConsistentWithRecordedBandwidthGauge) {
   obs::KernelSample s;
   s.kernel = "aprod2_att";
   s.backend = "openmp";
-  s.strategy = "atomic";
+  s.strategy = "privatized";
   s.bytes = 800'000'000;
   s.flops = 400'000'000;
   s.seconds = 1e-3;
@@ -151,7 +151,7 @@ TEST(RooflineTest, ConsistentWithRecordedBandwidthGauge) {
   ASSERT_EQ(points.size(), 1u);
   double recorded_bw = -1;
   for (const auto& r : snap)
-    if (r.name == "kernel.aprod2_att.openmp.atomic.bandwidth_bytes_per_s")
+    if (r.name == "kernel.aprod2_att.openmp.privatized.bandwidth_bytes_per_s")
       recorded_bw = r.last;
   ASSERT_GT(recorded_bw, 0);
   // Same number, different units (gauge is B/s, placement GB/s).

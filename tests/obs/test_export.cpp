@@ -74,19 +74,20 @@ TEST_F(ExportTest, RecordKernelSampleFillsAllSeries) {
   KernelSample s;
   s.kernel = "aprod2_att";
   s.backend = "openmp";
-  s.strategy = "atomic";
+  s.strategy = "privatized";
   s.bytes = 1000;
   s.flops = 500;
-  s.atomic_updates = 250;
   s.seconds = 0.5;
   record_kernel_sample(s);
   record_kernel_sample(s);
 
-  const auto prefix = std::string("kernel.aprod2_att.openmp.atomic.");
+  const auto prefix = std::string("kernel.aprod2_att.openmp.privatized.");
+  // No launch issues host atomics, so there is no atomic_updates series.
+  for (const MetricRow& row : reg.snapshot())
+    EXPECT_NE(row.name, prefix + "atomic_updates");
   EXPECT_EQ(reg.counter(prefix + "launches").value(), 2u);
   EXPECT_EQ(reg.counter(prefix + "bytes").value(), 2000u);
   EXPECT_EQ(reg.counter(prefix + "flops").value(), 1000u);
-  EXPECT_EQ(reg.counter(prefix + "atomic_updates").value(), 500u);
   EXPECT_EQ(reg.histogram(prefix + "time_seconds").summary().count, 2u);
   // Effective bandwidth of the last launch: 1000 B / 0.5 s.
   EXPECT_DOUBLE_EQ(reg.gauge(prefix + "bandwidth_bytes_per_s").value(),

@@ -122,31 +122,10 @@ TEST(ObsIntegration, TracedLsqrRunEmitsFullTimelineAndExactByteTotals) {
   EXPECT_EQ(static_cast<std::uint64_t>(sums.at("lsqr.iterations")), 100u);
   // One step launch per LSQR step: the bidiagonalization start plus one
   // per iteration.
-  ASSERT_TRUE(sums.count("kernel.aprod_step.gpusim.atomic.launches"));
+  ASSERT_TRUE(sums.count("kernel.aprod_step.gpusim.privatized.launches"));
   EXPECT_EQ(static_cast<std::uint64_t>(
-                sums.at("kernel.aprod_step.gpusim.atomic.launches")),
+                sums.at("kernel.aprod_step.gpusim.privatized.launches")),
             101u);
-}
-
-TEST(ObsIntegration, CasRetriesAreCountedUnderCasLoopMode) {
-  const ScopedFile metrics_file("obs_cas_metrics.csv");
-  const auto gen = matrix::generate_system(gaia::testing::medium_config(641));
-  {
-    Session session("", metrics_file.path);
-    core::LsqrOptions opts;
-    // gpusim honors the atomic mode; OpenMPExec lowers to `omp atomic`
-    // regardless (that *is* its native RMW), so it never counts CAS ops.
-    opts.aprod.backend = backends::BackendKind::kGpuSim;
-    opts.aprod.atomic_mode = backends::AtomicMode::kCasLoop;
-    opts.max_iterations = 3;
-    opts.compute_std_errors = false;
-    core::lsqr_solve(gen.A, opts);
-  }
-  const auto sums = csv_sums(metrics_file.path);
-  ASSERT_TRUE(sums.count("atomic.cas_ops"));
-  EXPECT_GT(sums.at("atomic.cas_ops"), 0.0);
-  // Retries exist as a metric (their count is contention-dependent).
-  EXPECT_TRUE(sums.count("atomic.cas_retries"));
 }
 
 TEST(ObsIntegration, UntracedRunLeavesGlobalsUntouched) {

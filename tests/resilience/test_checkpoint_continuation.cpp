@@ -1,7 +1,7 @@
 /// Checkpoint -> restore -> continue must be bit-identical to an
-/// uninterrupted run of the same configuration — including when the run
-/// uses the privatized (contention-free, deterministic) scatter path
-/// and launch shapes loaded from a sealed tuning cache. This is the
+/// uninterrupted run of the same configuration — including on a
+/// multi-worker backend (the scatter commit folds its slices in a fixed
+/// order) with launch shapes loaded from a sealed tuning cache. This is the
 /// property the SDC rollback/repair loop stands on: a restored snapshot
 /// replays the exact trajectory, so "repaired" means "the fault-free
 /// solve", not "a nearby solve".
@@ -34,9 +34,8 @@ class CheckpointContinuation : public ::testing::Test {
     cfg.generator = gaia::testing::small_config(55);
     cfg.lsqr.aprod.backend = backends::BackendKind::kGpuSim;
     cfg.lsqr.max_iterations = iterations;
-    // The deterministic contention-free scatter arm, with its launch
-    // shapes persisted: restore must reproduce both choices.
-    cfg.scatter = ScatterMode::kPrivatized;
+    // Launch shapes persisted: restore must reproduce them, and with
+    // them the scatter's fold order.
     cfg.autotune.enabled = true;
     cfg.autotune.cache_path = (dir_ / "tuning.json").string();
     cfg.autotune.search.samples_per_config = 1;
@@ -79,8 +78,8 @@ TEST_F(CheckpointContinuation,
   EXPECT_TRUE(reference.autotune_cache_hit);
   EXPECT_EQ(reference.tuning_used, continued.tuning_used);
 
-  // Bit-for-bit: solution, scalars, stop state. The privatized scatter
-  // is deterministic and the snapshot carries the full recurrence
+  // Bit-for-bit: solution, scalars, stop state. The scatter commit is
+  // deterministic and the snapshot carries the full recurrence
   // state, so not one ULP of drift is tolerated.
   ASSERT_EQ(continued.result.x.size(), reference.result.x.size());
   for (std::size_t i = 0; i < reference.result.x.size(); ++i)

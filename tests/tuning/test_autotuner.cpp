@@ -1,6 +1,7 @@
 /// The search contract: greedy coordinate descent over the pow-2 grid,
-/// medians as scores, atomic kernels seeded narrow, shape-blind backends
-/// never searched, stale measurements ignored, budget respected.
+/// medians as scores, atomic kernels seeded narrow, one arm per searched
+/// precision, shape-blind backends never searched, stale measurements
+/// ignored, budget respected.
 #include "tuning/autotuner.hpp"
 
 #include <gtest/gtest.h>
@@ -172,87 +173,85 @@ TEST(Autotuner, InvalidSearchOptionsAreRejected) {
 }
 
 TEST(Autotuner, PinnedPrivatizedSearchesOnlyThatArm) {
-  AutotuneOptions opts = one_sample();
-  opts.scatter = backends::ScatterStrategy::kPrivatized;
-  Autotuner tuner(BackendKind::kGpuSim, opts);
+  // A scatter kernel has no strategy arm left: at the pinned precision
+  // it runs one descent from its narrow seed, and every candidate carries
+  // the default (inert) strategy field and fp64.
+  Autotuner tuner(BackendKind::kGpuSim, one_sample());
   const KernelId id = KernelId::kAprod2Att;
-  // The privatized arm has no collisions to avoid: it seeds wide.
-  EXPECT_EQ(tuner.propose(id),
-            (KernelConfig{128, 128, backends::ScatterStrategy::kPrivatized}));
-  search_kernel(tuner, id, 64, 128);
-  EXPECT_EQ(tuner.best(id).strategy,
-            backends::ScatterStrategy::kPrivatized);
-  // Gather kernels are strategy-blind and keep their wide atomic seed.
-  EXPECT_EQ(tuner.propose(KernelId::kAprod1Astro).strategy,
-            backends::ScatterStrategy::kAtomic);
+  EXPECT_EQ(tuner.propose(id), (KernelConfig{32, 32}));
+  for (int step = 0; step < 1000 && tuner.searching(id); ++step) {
+    const KernelConfig cfg = tuner.propose(id);
+    EXPECT_EQ(cfg.strategy, KernelConfig{}.strategy);
+    EXPECT_EQ(cfg.precision, backends::Precision::kFp64);
+    tuner.report(id, cfg, oracle_seconds(cfg, 64, 128));
+  }
+  ASSERT_FALSE(tuner.searching(id));
+  EXPECT_EQ(tuner.best(id), (KernelConfig{64, 128}));
+  // The grid holds 6 x 5 shapes; one descent scores each at most once.
+  EXPECT_LE(tuner.trials(), 30u);
 }
 
 TEST(Autotuner, OpenStrategyAxisMeasuresBothArmsAndKeepsTheFaster) {
+  // The arms a scatter kernel's search can open are the precision arms:
+  // every precision is descended from its own seed, and the faster arm
+  // wins. Oracle: fp32 launches are uniformly 3x faster.
   AutotuneOptions opts = one_sample();
-  opts.scatter = std::nullopt;
+  opts.precision = std::nullopt;
   Autotuner tuner(BackendKind::kGpuSim, opts);
   const KernelId id = KernelId::kAprod2Att;
-  // Oracle: privatized launches are uniformly 3x faster (a contended
-  // scatter) — the winner must carry the privatized strategy.
   for (int step = 0; step < 2000 && tuner.searching(id); ++step) {
     const KernelConfig cfg = tuner.propose(id);
     const double base = oracle_seconds(cfg, 64, 128);
-    tuner.report(
-        id, cfg,
-        cfg.strategy == backends::ScatterStrategy::kPrivatized ? base / 3
-                                                               : base);
+    tuner.report(id, cfg,
+                 cfg.precision == backends::Precision::kFp32 ? base / 3
+                                                             : base);
   }
   ASSERT_FALSE(tuner.searching(id));
-  EXPECT_EQ(tuner.best(id).strategy,
-            backends::ScatterStrategy::kPrivatized);
-  // Both arms were genuinely descended: each holds a scored best, and
-  // the per-arm medians reproduce the 3x oracle gap at the optimum.
-  const double atomic_med =
-      tuner.best_median_for(id, backends::ScatterStrategy::kAtomic);
-  const double priv_med =
-      tuner.best_median_for(id, backends::ScatterStrategy::kPrivatized);
-  EXPECT_LT(atomic_med, std::numeric_limits<double>::infinity());
-  EXPECT_NEAR(priv_med, atomic_med / 3, 1e-9);
-  EXPECT_EQ(tuner.best_for(id, backends::ScatterStrategy::kAtomic).strategy,
-            backends::ScatterStrategy::kAtomic);
+  EXPECT_EQ(tuner.best(id),
+            (KernelConfig{64, 128, backends::Precision::kFp32}));
+  // Every arm was genuinely descended: each holds a scored best, and the
+  // per-arm medians reproduce the 3x oracle gap at the optimum.
+  const double fp64_med =
+      tuner.best_median_for_precision(id, backends::Precision::kFp64);
+  const double fp32_med =
+      tuner.best_median_for_precision(id, backends::Precision::kFp32);
+  EXPECT_LT(tuner.best_median_for_precision(id, backends::Precision::kBf16s),
+            std::numeric_limits<double>::infinity());
+  EXPECT_NEAR(fp32_med, fp64_med / 3, 1e-9);
+  EXPECT_EQ(tuner.best_for_precision(id, backends::Precision::kFp64),
+            (KernelConfig{64, 128}));
 }
 
 TEST(Autotuner, OpenStrategyAxisKeepsAtomicWhenItWins) {
+  // With the precision axis open, the seed arm (fp64) keeps the win when
+  // the reduced arms are slower.
   AutotuneOptions opts = one_sample();
-  opts.scatter = std::nullopt;
+  opts.precision = std::nullopt;
   Autotuner tuner(BackendKind::kGpuSim, opts);
   const KernelId id = KernelId::kAprod2Glob;
   for (int step = 0; step < 2000 && tuner.searching(id); ++step) {
     const KernelConfig cfg = tuner.propose(id);
     const double base = oracle_seconds(cfg, 32, 64);
-    // Here the scratch reduction costs more than the atomics save.
-    tuner.report(
-        id, cfg,
-        cfg.strategy == backends::ScatterStrategy::kPrivatized ? base * 2
-                                                               : base);
+    tuner.report(id, cfg,
+                 cfg.precision == backends::Precision::kFp64 ? base
+                                                             : base * 2);
   }
   ASSERT_FALSE(tuner.searching(id));
-  EXPECT_EQ(tuner.best(id).strategy, backends::ScatterStrategy::kAtomic);
   EXPECT_EQ(tuner.best(id), (KernelConfig{32, 64}));
 }
 
 TEST(AutotunerEncoding, TableRoundTripsThroughTheBroadcastEncoding) {
   backends::TuningTable table = backends::TuningTable::tuned_default();
   table.set(KernelId::kAprod1Glob, {3, 7});
-  table.set(KernelId::kAprod2Att,
-            {16, 32, backends::ScatterStrategy::kPrivatized});
-  table.set(KernelId::kAprod2Instr,
-            {8, 64, backends::ScatterStrategy::kAtomic});
-  // Mixed precisions must survive the 4-real-per-kernel wire format the
+  table.set(KernelId::kAprod2Att, {16, 32});
+  table.set(KernelId::kAprod2Instr, {8, 64});
+  // Mixed precisions must survive the 3-real-per-kernel wire format the
   // rank-0 broadcast uses.
-  table.set(KernelId::kAprod1Astro,
-            {64, 128, backends::ScatterStrategy::kAtomic,
-             backends::Precision::kFp32});
-  table.set(KernelId::kAprod1Att,
-            {64, 128, backends::ScatterStrategy::kAtomic,
-             backends::Precision::kBf16s});
+  table.set(KernelId::kAprod1Astro, {64, 128, backends::Precision::kFp32});
+  table.set(KernelId::kAprod1Att, {64, 128, backends::Precision::kBf16s});
   const std::vector<real> wire = encode_table(table);
   EXPECT_EQ(wire.size(), kEncodedTableSize);
+  EXPECT_EQ(kEncodedTableSize, 3u * backends::kNumKernels);
   EXPECT_EQ(decode_table(wire), table);
 }
 
@@ -262,16 +261,23 @@ TEST(AutotunerEncoding, WrongElementCountThrows) {
 }
 
 TEST(AutotunerEncoding, UnknownStrategyCodeThrows) {
+  // The wire carries no strategy slot: the old 4-real-per-kernel form
+  // (blocks, threads, strategy, precision) is rejected by its size, and
+  // a table carrying the inert strategy value encodes like the default.
+  std::vector<real> old_wire(4 * backends::kNumKernels, 0.0);
+  EXPECT_THROW((void)decode_table(old_wire), Error);
   backends::TuningTable table = backends::TuningTable::tuned_default();
-  std::vector<real> wire = encode_table(table);
-  wire[2] = 9;  // not a ScatterStrategy enumerator
-  EXPECT_THROW((void)decode_table(wire), Error);
+  backends::KernelConfig cfg = table.get(KernelId::kAprod2Att);
+  cfg.strategy = backends::ScatterStrategy::kPrivatized;
+  table.set(KernelId::kAprod2Att, cfg);
+  EXPECT_EQ(encode_table(table),
+            encode_table(backends::TuningTable::tuned_default()));
 }
 
 TEST(AutotunerEncoding, UnknownPrecisionCodeThrows) {
   backends::TuningTable table = backends::TuningTable::tuned_default();
   std::vector<real> wire = encode_table(table);
-  wire[3] = 9;  // not a Precision enumerator
+  wire[2] = 9;  // not a Precision enumerator
   EXPECT_THROW((void)decode_table(wire), Error);
 }
 

@@ -13,6 +13,7 @@
 #include "core/aprod_kernels.hpp"
 #include "core/kernel_catalog.hpp"
 #include "matrix/generator.hpp"
+#include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -20,7 +21,6 @@
 namespace gaia::tuning {
 namespace {
 
-using backends::AtomicMode;
 using backends::BackendKind;
 using backends::KernelConfig;
 using backends::KernelId;
@@ -30,7 +30,7 @@ using backends::KernelId;
 /// is checked against.
 template <typename Exec>
 void direct_launch(KernelId id, const core::SystemView& view, const real* in,
-                   real* out, KernelConfig cfg, AtomicMode mode) {
+                   real* out, KernelConfig cfg) {
   switch (id) {
     case KernelId::kAprod1Astro:
       core::aprod1_astro<Exec>(view, in, out, cfg);
@@ -48,13 +48,13 @@ void direct_launch(KernelId id, const core::SystemView& view, const real* in,
       core::aprod2_astro<Exec>(view, in, out, cfg);
       break;
     case KernelId::kAprod2Att:
-      core::aprod2_att<Exec>(view, in, out, cfg, mode);
+      core::aprod2_att<Exec>(view, in, out, cfg);
       break;
     case KernelId::kAprod2Instr:
-      core::aprod2_instr<Exec>(view, in, out, cfg, mode);
+      core::aprod2_instr<Exec>(view, in, out, cfg);
       break;
     case KernelId::kAprod2Glob:
-      core::aprod2_glob<Exec>(view, in, out, cfg, mode);
+      core::aprod2_glob<Exec>(view, in, out, cfg);
       break;
   }
 }
@@ -111,12 +111,11 @@ TEST_F(KernelRegistryDispatch, BitIdenticalToDirectCallOnEveryPair) {
       args.in = in.data();
       args.out = via_registry.data();
       args.config = cfg;
-      args.atomic_mode = AtomicMode::kNativeRmw;
       reg.launch(id, kind, args);
 
       backends::dispatch(kind, [&](auto exec) {
         direct_launch<decltype(exec)>(id, view_, in.data(), via_direct.data(),
-                                      cfg, AtomicMode::kNativeRmw);
+                                      cfg);
       });
 
       for (std::size_t i = 0; i < out_n; ++i)
@@ -138,13 +137,11 @@ TEST_F(KernelRegistryDispatch, FusedLauncherMatchesDirectFusedCall) {
     args.in = y_.data();
     args.out = via_registry.data();
     args.config = cfg;
-    args.atomic_mode = AtomicMode::kNativeRmw;
     reg.launch_fused(FusedPass::kScatter, kind, args);
 
     backends::dispatch(kind, [&](auto exec) {
       core::aprod2_shared_fused<decltype(exec)>(view_, y_.data(),
-                                                via_direct.data(), cfg,
-                                                AtomicMode::kNativeRmw);
+                                                via_direct.data(), cfg);
     });
 
     for (std::size_t i = 0; i < via_direct.size(); ++i)
@@ -154,8 +151,13 @@ TEST_F(KernelRegistryDispatch, FusedLauncherMatchesDirectFusedCall) {
 }
 
 TEST_F(KernelRegistryDispatch, CasModeFlowsThroughTheLaunchArgs) {
-  // The atomic lowering is part of LaunchArgs; both lowerings must reach
-  // the kernel and agree with the direct call exactly (serialized).
+  // LaunchArgs carries no atomic lowering any more: a multi-worker
+  // scatter through the registry issues no CAS operation (the metrics
+  // registry counts every one) and equals the direct call exactly, since
+  // both fold the same slices in the same order.
+  auto& metrics = obs::MetricsRegistry::global();
+  metrics.set_enabled(true);
+  metrics.reset();
   const KernelRegistry& reg = KernelRegistry::global();
   std::vector<real> via_registry(x_.size(), 0.0);
   std::vector<real> via_direct(x_.size(), 0.0);
@@ -163,11 +165,13 @@ TEST_F(KernelRegistryDispatch, CasModeFlowsThroughTheLaunchArgs) {
   args.view = &view_;
   args.in = y_.data();
   args.out = via_registry.data();
-  args.config = {1, 1};
-  args.atomic_mode = AtomicMode::kCasLoop;
-  reg.launch(KernelId::kAprod2Att, BackendKind::kOpenMP, args);
-  core::aprod2_att<backends::OpenMPExec>(view_, y_.data(), via_direct.data(),
-                                         {1, 1}, AtomicMode::kCasLoop);
+  args.config = {2, 2};
+  reg.launch(KernelId::kAprod2Att, BackendKind::kGpuSim, args);
+  core::aprod2_att<backends::GpuSimExec>(view_, y_.data(), via_direct.data(),
+                                         {2, 2});
+  EXPECT_EQ(metrics.counter("atomic.cas_ops").value(), 0u);
+  metrics.set_enabled(false);
+  metrics.reset();
   for (std::size_t i = 0; i < via_direct.size(); ++i)
     ASSERT_EQ(via_registry[i], via_direct[i]) << i;
 }

@@ -153,14 +153,13 @@ TEST_F(TuningCacheTest, BucketMismatchForcesAReTune) {
 TEST(TuningCacheJson, DocumentRoundTripsAndIsStable) {
   TuningCache cache;
   cache.put(BackendKind::kGpuSim, {8, 7}, KernelId::kAprod2Att,
-            {32, 32, backends::ScatterStrategy::kPrivatized,
-             backends::Precision::kFp32});
+            {32, 32, backends::Precision::kFp32});
   cache.put(BackendKind::kOpenMP, {8, 7}, KernelId::kAprod1Astro, {16, 128});
   const std::string json = cache.to_json();
-  EXPECT_NE(json.find("\"version\":5"), std::string::npos);
+  EXPECT_NE(json.find("\"version\":6"), std::string::npos);
   EXPECT_NE(json.find("\"kernel\":\"aprod2_att\""), std::string::npos);
-  EXPECT_NE(json.find("\"strategy\":\"privatized\""), std::string::npos);
   EXPECT_NE(json.find("\"precision\":\"fp32\""), std::string::npos);
+  EXPECT_EQ(json.find("\"strategy\""), std::string::npos);
   EXPECT_EQ(json.find("\"layout\""), std::string::npos);
   const auto parsed = TuningCache::parse_json(json);
   ASSERT_TRUE(parsed.has_value());
@@ -168,18 +167,17 @@ TEST(TuningCacheJson, DocumentRoundTripsAndIsStable) {
   const auto hit =
       parsed->find(BackendKind::kGpuSim, {8, 7}, KernelId::kAprod2Att);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit,
-            (KernelConfig{32, 32, backends::ScatterStrategy::kPrivatized,
-                          backends::Precision::kFp32}));
+  EXPECT_EQ(*hit, (KernelConfig{32, 32, backends::Precision::kFp32}));
   // Serialization is deterministic (diffable caches).
   EXPECT_EQ(parsed->to_json(), json);
 }
 
 TEST(TuningCacheJson, MissingStrategyAndLayoutKeysDefaultToSeed) {
-  // Readers accept entries without the optional keys (a hand-edited
-  // file); absent means atomic + fp64, the pre-axis behaviour.
+  // v6 entries carry no strategy or layout key, and the precision key is
+  // optional (a hand-edited file): absent means fp64, and the inert
+  // fields keep their defaults.
   const std::string json =
-      "{\"version\":5,\"entries\":[{\"backend\":\"gpusim\","
+      "{\"version\":6,\"entries\":[{\"backend\":\"gpusim\","
       "\"rows_log2\":8,\"cols_log2\":7,\"kernel\":\"aprod2_att\","
       "\"blocks\":32,\"threads\":32}]}";
   const auto parsed = TuningCache::parse_json(json);
@@ -187,18 +185,17 @@ TEST(TuningCacheJson, MissingStrategyAndLayoutKeysDefaultToSeed) {
   const auto hit =
       parsed->find(BackendKind::kGpuSim, {8, 7}, KernelId::kAprod2Att);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->strategy, backends::ScatterStrategy::kAtomic);
-  EXPECT_EQ(hit->precision, backends::Precision::kFp64);
+  EXPECT_EQ(*hit, (KernelConfig{32, 32}));
 }
 
 TEST(TuningCacheJson, StrictParserRejectsEveryMalformation) {
   const auto entry = [](const std::string& backend, const std::string& kernel,
                         int blocks, int threads) {
-    return "{\"version\":5,\"entries\":[{\"backend\":\"" + backend +
+    return "{\"version\":6,\"entries\":[{\"backend\":\"" + backend +
            "\",\"rows_log2\":8,\"cols_log2\":7,\"kernel\":\"" + kernel +
            "\",\"blocks\":" + std::to_string(blocks) +
            ",\"threads\":" + std::to_string(threads) +
-           ",\"strategy\":\"atomic\",\"precision\":\"fp64\"}]}";
+           ",\"precision\":\"fp64\"}]}";
   };
   // The control: the generator above produces a parsable document.
   ASSERT_TRUE(TuningCache::parse_json(entry("gpusim", "aprod2_att", 32, 32))
@@ -213,7 +210,7 @@ TEST(TuningCacheJson, StrictParserRejectsEveryMalformation) {
   // Other schema versions: rejected, but as a *version miss*, not
   // corruption — the entries are never trusted. v1 predates the
   // strategy axis, v2 the layout axis, v3 the precision axis; v4 still
-  // carries the layout axis.
+  // carries the layout axis and v5 the strategy axis.
   EXPECT_FALSE(
       TuningCache::parse_json("{\"version\":1,\"entries\":[]}", &status)
           .has_value());
@@ -230,16 +227,22 @@ TEST(TuningCacheJson, StrictParserRejectsEveryMalformation) {
       TuningCache::parse_json("{\"version\":4,\"entries\":[]}", &status)
           .has_value());
   EXPECT_EQ(status, Status::kVersionMismatch);
-  // Unknown backend / kernel / strategy / precision names.
+  EXPECT_FALSE(
+      TuningCache::parse_json("{\"version\":5,\"entries\":[]}", &status)
+          .has_value());
+  EXPECT_EQ(status, Status::kVersionMismatch);
+  // Unknown backend / kernel / precision names.
   EXPECT_FALSE(TuningCache::parse_json(entry("cuda11", "aprod2_att", 32, 32))
                    .has_value());
   EXPECT_FALSE(TuningCache::parse_json(entry("gpusim", "aprod9_att", 32, 32))
                    .has_value());
-  std::string bad_strategy = entry("gpusim", "aprod2_att", 32, 32);
-  bad_strategy.replace(bad_strategy.find("atomic"), 6, "quantum");
-  EXPECT_FALSE(TuningCache::parse_json(bad_strategy, &status).has_value());
+  // A v6 entry carrying the retired strategy or layout key is an
+  // unknown key.
+  std::string with_strategy = entry("gpusim", "aprod2_att", 32, 32);
+  with_strategy.insert(with_strategy.find(",\"precision\""),
+                       ",\"strategy\":\"atomic\"");
+  EXPECT_FALSE(TuningCache::parse_json(with_strategy, &status).has_value());
   EXPECT_EQ(status, Status::kMalformed);
-  // A v5 entry carrying the retired layout key is an unknown key.
   std::string with_layout = entry("gpusim", "aprod2_att", 32, 32);
   with_layout.insert(with_layout.find(",\"precision\""),
                      ",\"layout\":\"seed_aos\"");
@@ -298,9 +301,8 @@ TEST(TuningCacheJson, OldVersionFileBumpsTheVersionMissCounter) {
   EXPECT_FALSE(cache.load(p));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(reg.counter("tuning.cache.version_miss").value(), 3u);
-  // A sealed v4 cache (layout and precision axes) — the file this
-  // release's upgrade encounters: its "layout" key is never parsed, the
-  // file is a clean version miss.
+  // A sealed v4 cache (layout and precision axes): its "layout" key is
+  // never parsed, the file is a clean version miss.
   resilience::write_framed_file(
       p, "{\"version\":4,\"entries\":[{\"backend\":\"gpusim\","
          "\"rows_log2\":8,\"cols_log2\":7,\"kernel\":\"aprod2_att\","
@@ -309,10 +311,21 @@ TEST(TuningCacheJson, OldVersionFileBumpsTheVersionMissCounter) {
   EXPECT_FALSE(cache.load(p));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(reg.counter("tuning.cache.version_miss").value(), 4u);
+  // A sealed v5 cache (strategy and precision axes) — the file this
+  // release's upgrade encounters: its "strategy" key is never parsed, the
+  // file is a clean version miss.
+  resilience::write_framed_file(
+      p, "{\"version\":5,\"entries\":[{\"backend\":\"gpusim\","
+         "\"rows_log2\":8,\"cols_log2\":7,\"kernel\":\"aprod2_att\","
+         "\"blocks\":32,\"threads\":32,\"strategy\":\"atomic\","
+         "\"precision\":\"fp64\"}]}");
+  EXPECT_FALSE(cache.load(p));
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(reg.counter("tuning.cache.version_miss").value(), 5u);
   // Plain corruption does not touch the version-miss counter.
   resilience::write_framed_file(p, "not json");
   EXPECT_FALSE(cache.load(p));
-  EXPECT_EQ(reg.counter("tuning.cache.version_miss").value(), 4u);
+  EXPECT_EQ(reg.counter("tuning.cache.version_miss").value(), 5u);
   fs::remove(p);
   reg.set_enabled(false);
   reg.reset();
