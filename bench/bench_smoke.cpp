@@ -3,9 +3,8 @@
 /// perf baseline — the producer side of the `gaia-perfgate` CI gate.
 ///
 /// Launches each of the eight aprod kernels, the fused gather, the fused
-/// scatter and the LSQR step (the one pass the solver launches), at
-/// every storage precision, directly through the KernelRegistry on a
-/// small host-resident system.
+/// scatter and the LSQR step (the one pass the solver launches) directly
+/// through the KernelRegistry on a small host-resident system.
 /// Every series gets one untimed launch, then the timed repetitions run
 /// round-robin — repetition r of every series before repetition r + 1 of
 /// any — so neither the process's start-up transient nor its position
@@ -17,7 +16,6 @@
 ///   bench_smoke --out BENCH_smoke.json
 ///   bench_smoke --out slow.json --slowdown aprod2_att=2.0
 ///   gaia-perfgate BENCH_smoke.json slow.json   # exits 1
-#include <array>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -29,7 +27,6 @@
 #include "core/kernel_catalog.hpp"
 #include "core/system_view.hpp"
 #include "matrix/generator.hpp"
-#include "matrix/layouted_system.hpp"
 #include "metrics/perf_baseline.hpp"
 #include "tuning/kernel_registry.hpp"
 #include "util/cli.hpp"
@@ -78,8 +75,7 @@ int main(int argc, char** argv) {
   cli.add_option("backend", "openmp", "serial | openmp | pstl | gpusim");
   cli.add_option("stars", "1500",
                  "synthetic system size in stars (large enough that the "
-                 "system leaves L2 and the precision comparison is a "
-                 "bandwidth story, still well under a second)");
+                 "system leaves L2, still well under a second)");
   cli.add_option("slowdown", "",
                  "KERNEL=FACTOR: artificially slow one kernel "
                  "(regression-injection for gate tests)");
@@ -113,13 +109,7 @@ int main(int argc, char** argv) {
     cfg.n_stars = cli.get_int("stars");
     const matrix::GeneratedSystem gen = matrix::generate_system(cfg);
     core::ensure_kernel_catalog();
-    core::SystemView view = core::SystemView::from(gen.A);
-    // Reduced-precision records, so every series is timed at every
-    // storage precision on the same system.
-    matrix::LayoutedSystem stores(gen.A);
-    stores.build_precision(backends::Precision::kFp32);
-    stores.build_precision(backends::Precision::kBf16s);
-    view.attach_precision(stores);
+    const core::SystemView view = core::SystemView::from(gen.A);
     const tuning::KernelRegistry& registry = tuning::KernelRegistry::global();
     const backends::TuningTable table = backends::TuningTable::tuned_default();
     backends::ScratchArena arena;
@@ -136,9 +126,8 @@ int main(int argc, char** argv) {
     std::vector<real> q(x.size());
     real pnorm_sq = 0;
 
-    // The timed series, per precision: the eight per-section kernels at
-    // the tuned table (the per-kernel totals below sum these), then the
-    // fused gather, the fused scatter and the step.
+    // The timed series: the eight per-section kernels at the tuned
+    // table, then the fused gather, the fused scatter and the step.
     std::vector<tuning::AprodPass> passes;
     for (backends::KernelId id : backends::all_kernels())
       passes.push_back({id, std::nullopt});
@@ -154,39 +143,33 @@ int main(int argc, char** argv) {
       std::vector<double> samples;
     };
     std::vector<Series> series;
-    for (int pi = 0; pi < backends::kNumPrecisions; ++pi) {
-      const auto precision = static_cast<backends::Precision>(pi);
-      for (const tuning::AprodPass& pass : passes) {
-        const backends::KernelId id = pass.id;
-        const bool is_aprod1 = id < backends::KernelId::kAprod2Astro;
-        Series s;
-        s.pass = pass;
-        s.args.view = &view;
-        if (pass.fused == tuning::FusedPass::kStep) {
-          s.args.in = x.data();
-          s.args.out = u.data();
-          s.args.q = q.data();
-          s.args.alpha = 0.5;
-          s.args.pnorm_sq = &pnorm_sq;
-        } else {
-          s.args.in = is_aprod1 ? x.data() : y.data();
-          s.args.out = is_aprod1 ? y.data() : x.data();
-        }
-        s.args.config = table.get(id);
-        s.args.config.precision = precision;
-        s.args.arena = &arena;
-        s.timing.kernel = core::pass_region_name(pass);
-        s.timing.backend = backends::to_string(backend);
-        // The perf counters' label: the scatters commit private slices.
-        s.timing.strategy =
-            backends::kernel_uses_atomics(id) ? "privatized" : "none";
-        s.timing.precision = backends::to_string(precision);
-        s.spin_factor = s.timing.kernel == slowdown.kernel
-                            ? slowdown.factor - 1.0
-                            : 0.0;
-        s.samples.reserve(static_cast<std::size_t>(reps));
-        series.push_back(std::move(s));
+    for (const tuning::AprodPass& pass : passes) {
+      const backends::KernelId id = pass.id;
+      const bool is_aprod1 = id < backends::KernelId::kAprod2Astro;
+      Series s;
+      s.pass = pass;
+      s.args.view = &view;
+      if (pass.fused == tuning::FusedPass::kStep) {
+        s.args.in = x.data();
+        s.args.out = u.data();
+        s.args.q = q.data();
+        s.args.alpha = 0.5;
+        s.args.pnorm_sq = &pnorm_sq;
+      } else {
+        s.args.in = is_aprod1 ? x.data() : y.data();
+        s.args.out = is_aprod1 ? y.data() : x.data();
       }
+      s.args.config = table.get(id);
+      s.args.arena = &arena;
+      s.timing.kernel = core::pass_region_name(pass);
+      s.timing.backend = backends::to_string(backend);
+      // The perf counters' label: the scatters commit private slices.
+      s.timing.strategy =
+          backends::kernel_uses_atomics(id) ? "privatized" : "none";
+      s.spin_factor =
+          s.timing.kernel == slowdown.kernel ? slowdown.factor - 1.0 : 0.0;
+      s.samples.reserve(static_cast<std::size_t>(reps));
+      series.push_back(std::move(s));
     }
 
     for (Series& s : series)
@@ -203,31 +186,15 @@ int main(int argc, char** argv) {
 
     metrics::PerfBaseline baseline;
     baseline.name = "smoke";
-    std::array<double, backends::kNumPrecisions> aprod_total{};
     for (Series& s : series) {
       s.timing.median_seconds = util::median(s.samples);
       s.timing.samples = s.samples.size();
       baseline.kernels.push_back(s.timing);
-      if (!s.pass.fused)
-        aprod_total[static_cast<std::size_t>(s.args.config.precision)] +=
-            s.timing.median_seconds;
-      std::cout << s.timing.kernel << " [" << s.timing.strategy << '/'
-                << s.timing.precision << "]: median "
+      std::cout << s.timing.kernel << " [" << s.timing.strategy
+                << "]: median "
                 << s.timing.median_seconds * 1e3 << " ms over " << reps
                 << " rep(s)\n";
     }
-    // Precision verdict: per-precision totals of the eight per-kernel
-    // medians against the fp64 total — the precision-smoke CI job greps
-    // "(beats fp64)" to assert the reduced storage actually buys
-    // bandwidth on a parallel host backend.
-    for (int pi = 1; pi < backends::kNumPrecisions; ++pi) {
-      const auto precision = static_cast<backends::Precision>(pi);
-      const double total = aprod_total[static_cast<std::size_t>(pi)];
-      std::cout << "precision total [" << backends::to_string(precision)
-                << "]: " << total * 1e3 << " ms"
-                << (total < aprod_total[0] ? " (beats fp64)" : "") << '\n';
-    }
-
     metrics::save_baseline(cli.get("out"), baseline);
     std::cout << "wrote " << baseline.kernels.size() << " series to "
               << cli.get("out") << '\n';

@@ -50,11 +50,6 @@ int main(int argc, char** argv) {
     opts.lsqr.max_iterations = 300;
     opts.lsqr.atol = 1e-13;
     opts.lsqr.btol = 1e-13;
-    // Mixed-precision gate (§V-C numerics): each reduced storage
-    // precision must match the FP64 reference within the accuracy goal
-    // after FP64 iterative refinement.
-    opts.precisions = {backends::Precision::kFp32,
-                       backends::Precision::kBf16s};
 
     std::cout << "=== Fig. 6: port-vs-reference validation ===\n\n";
     const auto campaign = validation::run_validation(opts);
@@ -106,16 +101,6 @@ int main(int argc, char** argv) {
                 << " uas -> "
                 << (port.std_errors.below_accuracy_goal ? "PASS" : "FAIL")
                 << '\n';
-    }
-    for (const auto& pv : campaign.precisions) {
-      std::cout << "  precision " << backends::to_string(pv.precision)
-                << "+refinement: " << pv.refinement.corrections
-                << " correction(s), max |dx| = "
-                << pv.solution.max_abs_diff / kMicroArcsecInRad
-                << " uas vs fp64 -> "
-                << (pv.solution.below_accuracy_goal ? "PASS" : "FAIL");
-      if (pv.fell_back) std::cout << " (refinement stalled; fell back to fp64)";
-      std::cout << '\n';
     }
     std::cout << (campaign.all_passed ? "\nALL PORTS VALIDATED\n\n"
                                       : "\nVALIDATION FAILURES\n\n");

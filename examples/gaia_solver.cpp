@@ -49,16 +49,6 @@ int main(int argc, char** argv) {
                  "CRC-sealed tuning cache file: loaded on startup (a "
                  "complete entry skips the search), winners sealed back "
                  "after a fresh search");
-  cli.add_option("precision", "fp64",
-                 "coefficient storage precision: fp64 (seed planes, "
-                 "default) | fp32 | bf16s (truncated fp32) | auto "
-                 "(measured with --autotune, cost-model predicted "
-                 "otherwise); reduced precisions arm FP64 iterative "
-                 "refinement after the solve; also honored via "
-                 "GAIA_PRECISION");
-  cli.add_option("refine-max", "6",
-                 "outer refinement corrections before falling back to a "
-                 "full fp64 re-solve");
   cli.add_option("shape", "",
                  "force one BLOCKSxTHREADS launch shape for all kernels "
                  "(e.g. 64x128); validated at parse time");
@@ -173,18 +163,6 @@ int main(int argc, char** argv) {
           backends::parse_kernel_config(cli.get("shape")));
     config.autotune.enabled = cli.get_flag("autotune");
     config.autotune.cache_path = cli.get("tuning-cache");
-    // Precision: flag wins over GAIA_PRECISION wins over the default,
-    // and a bad token's error names where the token actually came from.
-    std::string precision_source;
-    const std::string precision_name =
-        cli.get_or_env("precision", "GAIA_PRECISION", &precision_source);
-    const auto precision_mode = core::parse_precision_mode(precision_name);
-    GAIA_CHECK(precision_mode.has_value(), "unknown precision mode (from " +
-                                               precision_source +
-                                               "): " + precision_name);
-    config.precision = *precision_mode;
-    config.refine.max_corrections =
-        static_cast<int>(cli.get_int("refine-max"));
     config.lsqr.max_iterations = cli.get_int("iterations");
     config.checkpoint.directory = cli.get("checkpoint-dir");
     config.checkpoint.every = cli.get_int("checkpoint-every");
@@ -237,28 +215,16 @@ int main(int argc, char** argv) {
       dopts.autotune_search = config.autotune.search;
       dopts.trace_dir = cli.get("trace-dir");
       dopts.trace_capacity = trace_capacity;
-      // Mirror the single-rank precision policy: rank 0's winners carry
-      // the precision field through the 3-real encoded broadcast.
-      if (config.precision == core::PrecisionMode::kAuto) {
-        dopts.autotune_search.precision = std::nullopt;
-      } else if (config.precision != core::PrecisionMode::kFp64) {
-        const backends::Precision forced =
-            config.precision == core::PrecisionMode::kFp32
-                ? backends::Precision::kFp32
-                : backends::Precision::kBf16s;
-        for (backends::KernelId id : backends::all_kernels()) {
-          backends::KernelConfig kcfg = dopts.lsqr.aprod.tuning.get(id);
-          kcfg.precision = forced;
-          dopts.lsqr.aprod.tuning.set(id, kcfg);
-        }
-        dopts.autotune_search.precision = forced;
-      }
       const dist::DistLsqrResult result = dist::dist_lsqr_solve(gen.A, dopts);
       std::cout << "dist solve: " << result.iterations
                 << " iterations on " << result.final_ranks << " ranks\n"
                 << "  mean iteration time (max over ranks): "
                 << util::format_seconds(result.mean_iteration_s) << '\n'
-                << "  |r| = " << result.rnorm << '\n';
+                << "  "
+                << core::format_estimates(result.anorm, result.acond,
+                                          result.rnorm, result.arnorm,
+                                          result.xnorm)
+                << '\n';
       if (result.restarts > 0)
         std::cout << "  resilience: " << result.restarts
                   << " restart(s) after rank death, resumed from iteration "

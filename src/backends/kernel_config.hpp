@@ -13,7 +13,6 @@
 #include <optional>
 #include <string>
 
-#include "matrix/precision.hpp"
 #include "matrix/storage_layout.hpp"
 #include "util/types.hpp"
 
@@ -28,20 +27,13 @@ using matrix::kNumStorageLayouts;
   return matrix::to_string(layout);
 }
 
-/// Storage precision the kernel body reads its coefficients through.
-/// The enum lives in `matrix` (header-only — backends does not link
-/// gaia_matrix) next to the down-converters, and rides on KernelConfig
-/// through the tuning stack; accumulation is FP64 for every precision.
-using matrix::Precision;
-using matrix::kNumPrecisions;
-
-[[nodiscard]] inline std::string to_string(Precision p) {
-  return matrix::to_string(p);
-}
-[[nodiscard]] inline std::optional<Precision> parse_precision(
-    const std::string& name) {
-  return matrix::parse_precision(name);
-}
+/// The retired storage-precision enum, kept for KernelConfig::precision:
+/// every kernel reads the fp64 row records, whatever the field says.
+/// Stays until ROADMAP item 8, for the end-to-end benchmark's traffic
+/// accounting.
+enum class Precision : std::uint8_t {
+  kFp64 = 0,
+};
 
 /// The retired scatter-strategy names, kept for KernelConfig::strategy.
 /// Every shared-section scatter commits one way (core/aprod_kernels.hpp,
@@ -56,11 +48,8 @@ enum class ScatterStrategy : std::uint8_t {
 struct KernelConfig {
   std::int32_t blocks = 0;
   std::int32_t threads = 0;
-  /// Coefficient storage precision the kernel body loads through. kFp64
-  /// is the seed behaviour bit for bit; reduced precisions require the
-  /// matching down-converted records to be attached to the SystemView
-  /// (the launcher clamps to kFp64 when they are not). Accumulation is
-  /// FP64 regardless.
+  /// Ignored: every kernel reads the fp64 row records. Stays until
+  /// ROADMAP item 8, for the end-to-end benchmark's traffic accounting.
   Precision precision = Precision::kFp64;
   /// Ignored, like AprodOptions::use_streams: every layout launches the
   /// row-record bodies. Stays until ROADMAP item 8, for the end-to-end

@@ -36,9 +36,7 @@ std::vector<obs::TraceArg> pass_trace_args(BackendKind backend,
   args.emplace_back("backend", backends::to_string(backend));
   args.emplace_back("blocks", static_cast<std::int64_t>(cfg.blocks));
   args.emplace_back("threads", static_cast<std::int64_t>(cfg.threads));
-  args.emplace_back("bytes", pass_traffic_bytes(view, pass, cfg.precision));
-  if (cfg.precision != backends::Precision::kFp64)
-    args.emplace_back("precision", backends::to_string(cfg.precision));
+  args.emplace_back("bytes", pass_traffic_bytes(view, pass));
   if (trial) args.emplace_back("tuning_trial", std::int64_t{1});
   return args;
 }
@@ -55,14 +53,14 @@ const char* strategy_label(const tuning::AprodPass& pass) {
 /// the launch stopwatch.
 void record_launch_sample(const SystemView& view,
                           const tuning::AprodPass& pass, BackendKind backend,
-                          const backends::KernelConfig& cfg, double seconds) {
+                          double seconds) {
   if (!obs::MetricsRegistry::global().enabled()) return;
   obs::KernelSample s;
   s.kernel = pass_region_name(pass);
   s.backend = backends::to_string(backend);
   s.strategy = strategy_label(pass);
   s.seconds = seconds;
-  s.bytes = pass_traffic_bytes(view, pass, cfg.precision);
+  s.bytes = pass_traffic_bytes(view, pass);
   s.flops = pass_flops(view, pass);
   obs::record_kernel_sample(s);
 }
@@ -85,27 +83,12 @@ void note_failover(const char* kernel, BackendKind from, BackendKind to) {
                         backends::to_string(to));
 }
 
-/// A launch that asked for a reduced precision whose copy does not fit
-/// the device runs fp64 instead: the one degrade left on the launch path.
-void note_precision_clamp(const char* kernel, backends::Precision precision,
-                          const char* why) {
-  auto& reg = obs::MetricsRegistry::global();
-  if (reg.enabled()) {
-    static obs::Counter& clamps = reg.counter("aprod.precision_clamps");
-    clamps.add(1);
-  }
-  obs::flight_event("degrade", kernel,
-                    backends::to_string(precision) + " -> fp64: " + why);
-}
-
 }  // namespace
 
 Aprod::Aprod(const matrix::SystemMatrix& A, backends::DeviceContext& device,
              AprodOptions options, std::span<const real> col_scale)
     : options_(options),
       active_backend_(options.backend),
-      matrix_(&A),
-      device_(&device),
       d_values_(device, A.values(), options.coherence),
       d_idx_astro_(device, A.matrix_index_astro(), options.coherence),
       d_idx_att_(device, A.matrix_index_att(), options.coherence),
@@ -120,37 +103,6 @@ Aprod::Aprod(const matrix::SystemMatrix& A, backends::DeviceContext& device,
       A, {d_values_.data(), d_idx_astro_.data(), d_idx_att_.data(),
           d_instr_col_.data(), d_star_row_start_.data()});
 }
-
-void Aprod::ensure_precision(backends::Precision precision) {
-  if (precision == backends::Precision::kFp64) return;
-  std::lock_guard<std::mutex> lock(precision_mutex_);
-  if (view_.has_precision(precision)) return;
-  if (!stores_)
-    stores_ = std::make_unique<matrix::LayoutedSystem>(*matrix_,
-                                                       d_values_.span());
-  stores_->build_precision(precision);
-  // Upload the converted records once (the "resident before the main
-  // loop" contract of paper SIV-a applies to them like the seed arrays)
-  // and point the view at the device copy.
-  switch (precision) {
-    case backends::Precision::kFp64:
-      break;
-    case backends::Precision::kFp32:
-      d_values_f32_ = std::make_unique<backends::DeviceBuffer<float>>(
-          *device_, std::span<const float>(stores_->f32().values),
-          options_.coherence);
-      view_.values_f32 = d_values_f32_->data();
-      break;
-    case backends::Precision::kBf16s:
-      d_values_b16_ = std::make_unique<backends::DeviceBuffer<matrix::bf16s>>(
-          *device_, std::span<const matrix::bf16s>(stores_->b16().values),
-          options_.coherence);
-      view_.values_b16 = d_values_b16_->data();
-      break;
-  }
-}
-
-Aprod::~Aprod() = default;
 
 void Aprod::launch_pass(const tuning::AprodPass& pass,
                         tuning::LaunchArgs args) {
@@ -169,25 +121,8 @@ void Aprod::launch_pass(const tuning::AprodPass& pass,
     const bool trial = tuner && backend == tuner->backend() &&
                        pass.fused != tuning::FusedPass::kStep &&
                        tuner->searching(id);
-    backends::KernelConfig cfg =
+    const backends::KernelConfig cfg =
         trial ? tuner->propose(id) : options_.tuning.get(id);
-    // Convert + upload the reduced-precision records on first use; if
-    // the copy cannot fit the device, run full precision instead of
-    // aborting the solve, and record the degrade.
-    if (cfg.precision != backends::Precision::kFp64 &&
-        !view_.has_precision(cfg.precision)) {
-      bool& clamped =
-          precision_clamped_[static_cast<std::size_t>(cfg.precision)];
-      if (!clamped) {
-        try {
-          ensure_precision(cfg.precision);
-        } catch (const Error& e) {
-          clamped = true;
-          note_precision_clamp(name, cfg.precision, e.what());
-        }
-      }
-      if (clamped) cfg.precision = backends::Precision::kFp64;
-    }
     try {
       resilience::with_retry(name, options_.retry, [&] {
         obs::ScopedTrace span(name, "kernel");
@@ -215,7 +150,7 @@ void Aprod::launch_pass(const tuning::AprodPass& pass,
           if (tuner->report(id, cfg, seconds))
             options_.tuning.set(id, tuner->best(id));
         } else {
-          record_launch_sample(view_, pass, backend, cfg, seconds);
+          record_launch_sample(view_, pass, backend, seconds);
         }
       });
       return;

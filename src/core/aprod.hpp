@@ -22,11 +22,8 @@
 /// into the live TuningTable the moment a search closes.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 
 #include "backends/backend.hpp"
@@ -34,7 +31,6 @@
 #include "backends/kernel_config.hpp"
 #include "backends/scratch_arena.hpp"
 #include "core/system_view.hpp"
-#include "matrix/layouted_system.hpp"
 #include "matrix/system_matrix.hpp"
 #include "tuning/kernel_registry.hpp"
 #include "util/backoff.hpp"
@@ -73,11 +69,9 @@ class Aprod {
   /// keeps it resident for the driver's lifetime. A non-empty
   /// `col_scale` column-scales the device copy right after the upload
   /// (apply_column_scaling), so a preconditioned solve needs no second
-  /// host copy of the system; every reduced-precision copy is built from
-  /// the scaled copy.
+  /// host copy of the system.
   Aprod(const matrix::SystemMatrix& A, backends::DeviceContext& device,
         AprodOptions options, std::span<const real> col_scale = {});
-  ~Aprod();
 
   Aprod(const Aprod&) = delete;
   Aprod& operator=(const Aprod&) = delete;
@@ -130,15 +124,6 @@ class Aprod {
     return scratch_arena_;
   }
 
-  /// Down-converts the coefficient records to `precision`, uploads the
-  /// converted copy, and attaches it to the view (idempotent; kFp64 is a
-  /// no-op — the seed arrays *are* the fp64 records). Called lazily by
-  /// the launch path the first time a config carries the precision, so
-  /// fp64-pinned runs convert and allocate nothing; callable eagerly to
-  /// move the conversion out of the first timed iteration. Throws
-  /// gaia::Error when the copy does not fit the device.
-  void ensure_precision(backends::Precision precision);
-
  private:
   /// The single launch path: resolves the shape (tuner candidate or
   /// installed table entry of `pass.id`), dispatches through the
@@ -153,31 +138,16 @@ class Aprod {
   AprodOptions options_;
   std::atomic<backends::BackendKind> active_backend_;
   std::atomic<std::uint64_t> failover_count_{0};
-  /// Source matrix (not owned; outlives the driver — it backs the
-  /// reduced-precision conversions, which are lazy).
-  const matrix::SystemMatrix* matrix_;
-  backends::DeviceContext* device_;
   backends::DeviceBuffer<real> d_values_;
   backends::DeviceBuffer<col_index> d_idx_astro_;
   backends::DeviceBuffer<col_index> d_idx_att_;
   backends::DeviceBuffer<std::int32_t> d_instr_col_;
   backends::DeviceBuffer<row_index> d_star_row_start_;
   SystemView view_{};
-  /// Lazily-converted precision stores + their device-resident copies.
-  /// Guarded by precision_mutex_ (ensure_precision is public and may be
-  /// called from any thread); the view's precision pointers are only
-  /// ever written under the mutex.
-  std::mutex precision_mutex_;
-  std::unique_ptr<matrix::LayoutedSystem> stores_;
-  std::unique_ptr<backends::DeviceBuffer<float>> d_values_f32_;
-  std::unique_ptr<backends::DeviceBuffer<matrix::bf16s>> d_values_b16_;
   /// Pooled scratch for the aprod2 scatters' private slices; owned per
   /// driver so its hit/miss accounting tracks this solve alone.
   backends::ScratchArena scratch_arena_;
   std::uint64_t launches_ = 0;
-  /// Precisions whose copy did not fit the device: launches asking for
-  /// one run fp64 for the driver's lifetime (recorded once, on the first).
-  std::array<bool, backends::kNumPrecisions> precision_clamped_{};
 };
 
 }  // namespace gaia::core

@@ -30,16 +30,9 @@
 /// every backend while the launch mechanics (grid-stride virtual threads,
 /// OpenMP directives, parallel algorithms, plain loop) differ — this is
 /// the library's equivalent of maintaining one kernel source per
-/// programming model.
-///
-/// Every body additionally takes the coefficient storage scalar `CoefT`
-/// (real | float | matrix::bf16s — the Precision axis). Coefficients
-/// are converted on load (`matrix::load_real`) and all arithmetic and
-/// accumulation stays FP64, whatever the storage precision: the solver
-/// needs ~1e-11 rad in the solution and LSQR amplifies accumulator
-/// rounding, while storage rounding only perturbs A — a nearby system
-/// that outer iterative refinement corrects. The CoefT = real
-/// instantiation reads the exact same arrays as the pre-precision code.
+/// programming model. Every body reads the fp64 row records
+/// (`SystemView::values`) and accumulates in fp64, as the production
+/// solver does.
 #pragma once
 
 #include <algorithm>
@@ -54,7 +47,6 @@
 namespace gaia::core {
 
 using backends::KernelConfig;
-using matrix::load_real;
 
 // ---------------------------------------------------------------------------
 // aprod1: y += A x (row-parallel gathers; no atomics anywhere)
@@ -103,112 +95,107 @@ void fused_gather(std::int64_t n_rows, real* y, KernelConfig cfg,
 
 // Row dots over the row records.
 
-template <typename CoefT>
-auto astro_dot(const SystemView& A, const real* x) {
-  const CoefT* vals = A.coefs<CoefT>();
+inline auto astro_dot(const SystemView& A, const real* x) {
+  const real* vals = A.values;
   const col_index* idx_astro = A.idx_astro;
   return [=](std::int64_t r) {
-    const CoefT* GAIA_RESTRICT rv =
+    const real* GAIA_RESTRICT rv =
         vals + r * kNnzPerRow + matrix::kAstroCoeffOffset;
     const real* GAIA_RESTRICT xs = x + idx_astro[r];
     real sum = 0;
     GAIA_OMP_SIMD_REDUCTION(sum)
-    for (int i = 0; i < kAstroNnzPerRow; ++i) sum += load_real(rv[i]) * xs[i];
+    for (int i = 0; i < kAstroNnzPerRow; ++i) sum += rv[i] * xs[i];
     return sum;
   };
 }
 
-template <typename CoefT>
-auto att_dot(const SystemView& A, const real* x) {
-  const CoefT* vals = A.coefs<CoefT>();
+inline auto att_dot(const SystemView& A, const real* x) {
+  const real* vals = A.values;
   const col_index* idx_att = A.idx_att;
   const real* xa = x + A.att_offset;
   const col_index stride = A.att_stride;
   return [=](std::int64_t r) {
-    const CoefT* GAIA_RESTRICT rv =
+    const real* GAIA_RESTRICT rv =
         vals + r * kNnzPerRow + matrix::kAttCoeffOffset;
     const col_index base = idx_att[r];
     real sum = 0;
     for (int blk = 0; blk < kAttBlocks; ++blk) {
       const real* GAIA_RESTRICT xb = xa + base + blk * stride;
-      const CoefT* GAIA_RESTRICT rb = rv + blk * kAttBlockSize;
+      const real* GAIA_RESTRICT rb = rv + blk * kAttBlockSize;
       GAIA_OMP_SIMD_REDUCTION(sum)
       for (int i = 0; i < kAttBlockSize; ++i)
-        sum += load_real(rb[i]) * xb[i];
+        sum += rb[i] * xb[i];
     }
     return sum;
   };
 }
 
-template <typename CoefT>
-auto instr_dot(const SystemView& A, const real* x) {
-  const CoefT* vals = A.coefs<CoefT>();
+inline auto instr_dot(const SystemView& A, const real* x) {
+  const real* vals = A.values;
   const std::int32_t* instr_col = A.instr_col;
   const real* xi = x + A.instr_offset;
   return [=](std::int64_t r) {
-    const CoefT* GAIA_RESTRICT rv =
+    const real* GAIA_RESTRICT rv =
         vals + r * kNnzPerRow + matrix::kInstrCoeffOffset;
     const std::int32_t* GAIA_RESTRICT cols = instr_col + r * kInstrNnzPerRow;
     const real* GAIA_RESTRICT xs = xi;
     real sum = 0;
     GAIA_OMP_SIMD_REDUCTION(sum)
     for (int i = 0; i < kInstrNnzPerRow; ++i)
-      sum += load_real(rv[i]) * xs[cols[i]];
+      sum += rv[i] * xs[cols[i]];
     return sum;
   };
 }
 
 /// Without a global block there is no x entry to read; the dot is never
 /// called then (the glob kernel returns early, the fused gather skips it).
-template <typename CoefT>
-auto glob_dot(const SystemView& A, const real* x) {
-  const CoefT* vals = A.coefs<CoefT>();
+inline auto glob_dot(const SystemView& A, const real* x) {
+  const real* vals = A.values;
   const real xg = A.has_global ? x[A.glob_offset] : real{0};
   return [=](std::int64_t r) {
-    return load_real(vals[r * kNnzPerRow + matrix::kGlobCoeffOffset]) * xg;
+    return vals[r * kNnzPerRow + matrix::kGlobCoeffOffset] * xg;
   };
 }
 
-template <typename CoefT>
-auto seed_gather_row(const SystemView& A, const real* x) {
-  return gather_row(A, astro_dot<CoefT>(A, x), att_dot<CoefT>(A, x),
-                    instr_dot<CoefT>(A, x), glob_dot<CoefT>(A, x));
+inline auto seed_gather_row(const SystemView& A, const real* x) {
+  return gather_row(A, astro_dot(A, x), att_dot(A, x), instr_dot(A, x),
+                    glob_dot(A, x));
 }
 
 }  // namespace detail
 
-template <typename Exec, typename CoefT = real>
+template <typename Exec>
 void aprod1_astro(const SystemView& A, const real* x, real* y,
                   KernelConfig cfg) {
-  detail::row_gather<Exec>(A.n_rows, y, cfg, detail::astro_dot<CoefT>(A, x));
+  detail::row_gather<Exec>(A.n_rows, y, cfg, detail::astro_dot(A, x));
 }
 
-template <typename Exec, typename CoefT = real>
+template <typename Exec>
 void aprod1_att(const SystemView& A, const real* x, real* y,
                 KernelConfig cfg) {
-  detail::row_gather<Exec>(A.n_rows, y, cfg, detail::att_dot<CoefT>(A, x));
+  detail::row_gather<Exec>(A.n_rows, y, cfg, detail::att_dot(A, x));
 }
 
-template <typename Exec, typename CoefT = real>
+template <typename Exec>
 void aprod1_instr(const SystemView& A, const real* x, real* y,
                   KernelConfig cfg) {
-  detail::row_gather<Exec>(A.n_rows, y, cfg, detail::instr_dot<CoefT>(A, x));
+  detail::row_gather<Exec>(A.n_rows, y, cfg, detail::instr_dot(A, x));
 }
 
-template <typename Exec, typename CoefT = real>
+template <typename Exec>
 void aprod1_glob(const SystemView& A, const real* x, real* y,
                  KernelConfig cfg) {
   if (!A.has_global) return;
-  detail::row_gather<Exec>(A.n_rows, y, cfg, detail::glob_dot<CoefT>(A, x));
+  detail::row_gather<Exec>(A.n_rows, y, cfg, detail::glob_dot(A, x));
 }
 
 /// Fused single-pass aprod1: the whole row record is read once and y[r]
 /// is read and written once, instead of once per section kernel.
-template <typename Exec, typename CoefT = real>
+template <typename Exec>
 void aprod1_fused(const SystemView& A, const real* x, real* y,
                   KernelConfig cfg) {
   detail::fused_gather<Exec>(A.n_rows, y, cfg,
-                             detail::seed_gather_row<CoefT>(A, x));
+                             detail::seed_gather_row(A, x));
 }
 
 // ---------------------------------------------------------------------------
@@ -236,23 +223,22 @@ void star_scatter(const SystemView& A, real* x, KernelConfig cfg,
 }
 
 /// Astrometric row accumulator, shared by aprod2_astro and the LSQR step.
-template <typename CoefT>
-auto astro_rows(const SystemView& A, const real* y) {
-  const CoefT* vals = A.coefs<CoefT>();
+inline auto astro_rows(const SystemView& A, const real* y) {
+  const real* vals = A.values;
   return [=](real* GAIA_RESTRICT acc, std::int64_t r) {
-    const CoefT* rv = vals + r * kNnzPerRow + matrix::kAstroCoeffOffset;
+    const real* rv = vals + r * kNnzPerRow + matrix::kAstroCoeffOffset;
     const real yr = y[r];
     for (int i = 0; i < kAstroNnzPerRow; ++i)
-      acc[i] += load_real(rv[i]) * yr;
+      acc[i] += rv[i] * yr;
   };
 }
 
 }  // namespace detail
 
-template <typename Exec, typename CoefT = real>
+template <typename Exec>
 void aprod2_astro(const SystemView& A, const real* y, real* x,
                   KernelConfig cfg) {
-  detail::star_scatter<Exec>(A, x, cfg, detail::astro_rows<CoefT>(A, y));
+  detail::star_scatter<Exec>(A, x, cfg, detail::astro_rows(A, y));
 }
 
 /// Column section [offset, offset + len) of x that an aprod2 scatter
@@ -369,51 +355,46 @@ void fused_scatter(const SystemView& A, real* x, KernelConfig cfg,
 
 // Row accumulators, one per shared-section kernel.
 
-template <typename CoefT>
-auto att_rows(const SystemView& A, const real* y) {
-  const CoefT* vals = A.coefs<CoefT>();
+inline auto att_rows(const SystemView& A, const real* y) {
+  const real* vals = A.values;
   const col_index* idx_att = A.idx_att;
   const col_index stride = A.att_stride;
   return [=](real* GAIA_RESTRICT slice, std::int64_t r) {
-    const CoefT* GAIA_RESTRICT rv =
+    const real* GAIA_RESTRICT rv =
         vals + r * kNnzPerRow + matrix::kAttCoeffOffset;
     const real yr = y[r];
     const col_index base = idx_att[r];
     for (int blk = 0; blk < kAttBlocks; ++blk) {
       const col_index c0 = base + blk * stride;
       for (int i = 0; i < kAttBlockSize; ++i)
-        slice[c0 + i] += load_real(rv[blk * kAttBlockSize + i]) * yr;
+        slice[c0 + i] += rv[blk * kAttBlockSize + i] * yr;
     }
   };
 }
 
-template <typename CoefT>
-auto instr_rows(const SystemView& A, const real* y) {
-  const CoefT* vals = A.coefs<CoefT>();
+inline auto instr_rows(const SystemView& A, const real* y) {
+  const real* vals = A.values;
   const std::int32_t* instr_col = A.instr_col;
   return [=](real* GAIA_RESTRICT slice, std::int64_t r) {
-    const CoefT* GAIA_RESTRICT rv =
+    const real* GAIA_RESTRICT rv =
         vals + r * kNnzPerRow + matrix::kInstrCoeffOffset;
     const std::int32_t* GAIA_RESTRICT cols = instr_col + r * kInstrNnzPerRow;
     const real yr = y[r];
     for (int i = 0; i < kInstrNnzPerRow; ++i)
-      slice[cols[i]] += load_real(rv[i]) * yr;
+      slice[cols[i]] += rv[i] * yr;
   };
 }
 
-template <typename CoefT>
-auto glob_rows(const SystemView& A, const real* y) {
-  const CoefT* vals = A.coefs<CoefT>();
+inline auto glob_rows(const SystemView& A, const real* y) {
+  const real* vals = A.values;
   return [=](real* GAIA_RESTRICT slice, std::int64_t r) {
     slice[0] +=
-        load_real(vals[r * kNnzPerRow + matrix::kGlobCoeffOffset]) * y[r];
+        vals[r * kNnzPerRow + matrix::kGlobCoeffOffset] * y[r];
   };
 }
 
-template <typename CoefT>
-auto seed_shared_rows(const SystemView& A, const real* y) {
-  return shared_rows(A, att_rows<CoefT>(A, y), instr_rows<CoefT>(A, y),
-                     glob_rows<CoefT>(A, y));
+inline auto seed_shared_rows(const SystemView& A, const real* y) {
+  return shared_rows(A, att_rows(A, y), instr_rows(A, y), glob_rows(A, y));
 }
 
 }  // namespace detail
@@ -421,31 +402,31 @@ auto seed_shared_rows(const SystemView& A, const real* y) {
 /// Attitude scatter: neighbouring observations hit the same spline knots
 /// (the collision hot spot the paper tunes thread counts down for); each
 /// worker's slice spans the full attitude section.
-template <typename Exec, typename CoefT = real>
+template <typename Exec>
 void aprod2_att(const SystemView& A, const real* y, real* x,
                 KernelConfig cfg, backends::ScratchArena* arena = nullptr) {
   detail::row_scatter<Exec>(
       A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Att), cfg,
-      arena, detail::att_rows<CoefT>(A, y));
+      arena, detail::att_rows(A, y));
 }
 
-template <typename Exec, typename CoefT = real>
+template <typename Exec>
 void aprod2_instr(const SystemView& A, const real* y, real* x,
                   KernelConfig cfg, backends::ScratchArena* arena = nullptr) {
   detail::row_scatter<Exec>(
       A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Instr), cfg,
-      arena, detail::instr_rows<CoefT>(A, y));
+      arena, detail::instr_rows(A, y));
 }
 
 /// Every row contributes to the single PPN-gamma unknown — the most
 /// contended column of the system. Its section degenerates to one
 /// partial sum per worker; without a global block it is empty (no-op).
-template <typename Exec, typename CoefT = real>
+template <typename Exec>
 void aprod2_glob(const SystemView& A, const real* y, real* x,
                  KernelConfig cfg, backends::ScratchArena* arena = nullptr) {
   detail::row_scatter<Exec>(
       A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Glob), cfg,
-      arena, detail::glob_rows<CoefT>(A, y));
+      arena, detail::glob_rows(A, y));
 }
 
 /// Fused single-pass aprod2 over the shared sections (attitude +
@@ -453,12 +434,12 @@ void aprod2_glob(const SystemView& A, const real* y, real* x,
 /// — stdpar has no stream/queue concept, so splitting the scatter into
 /// four kernels buys nothing, while fusing reads each row's record once.
 /// The astrometric block still goes through the star-parallel kernel.
-template <typename Exec, typename CoefT = real>
+template <typename Exec>
 void aprod2_shared_fused(const SystemView& A, const real* y, real* x,
                          KernelConfig cfg,
                          backends::ScratchArena* arena = nullptr) {
   detail::fused_scatter<Exec>(A, x, cfg, arena,
-                              detail::seed_shared_rows<CoefT>(A, y));
+                              detail::seed_shared_rows(A, y));
 }
 
 // ---------------------------------------------------------------------------
@@ -555,13 +536,13 @@ void fused_step(const SystemView& A, const StepOperands& op,
 
 /// The LSQR step: the fused gather's row, the
 /// aprod2_astro accumulator and the fused scatter's row in one pass.
-template <typename Exec, typename CoefT = real>
+template <typename Exec>
 void aprod_step(const SystemView& A, const StepOperands& op,
                 KernelConfig cfg, backends::ScratchArena* arena = nullptr) {
   detail::fused_step<Exec>(A, op, cfg, arena,
-                           detail::seed_gather_row<CoefT>(A, op.v),
-                           detail::astro_rows<CoefT>(A, op.u),
-                           detail::seed_shared_rows<CoefT>(A, op.u));
+                           detail::seed_gather_row(A, op.v),
+                           detail::astro_rows(A, op.u),
+                           detail::seed_shared_rows(A, op.u));
 }
 
 }  // namespace gaia::core

@@ -10,7 +10,6 @@ namespace gaia::core {
 
 using backends::BackendKind;
 using backends::KernelId;
-using backends::Precision;
 using tuning::AprodPass;
 using tuning::FusedPass;
 using tuning::KernelRegistry;
@@ -24,57 +23,46 @@ StepOperands step_operands(const LaunchArgs& a) {
 }
 
 /// Instantiates all launchers, the three fused passes included, for one
-/// (execution policy, coefficient storage scalar) pair and hands them to
-/// the registry.
+/// execution policy and hands them to the registry.
 /// Each launcher captures nothing: the full launch state travels in
 /// LaunchArgs, so the registry entries are valid for the process
-/// lifetime. The CoefT = real instantiation registered at kFp64 is the
-/// pre-precision catalog, bit for bit.
-template <typename Exec, typename CoefT>
-void register_kernels(KernelRegistry& reg, Precision precision) {
-  constexpr BackendKind kind = Exec::kKind;
-  reg.add(KernelId::kAprod1Astro, kind, [](const LaunchArgs& a) {
-    aprod1_astro<Exec, CoefT>(*a.view, a.in, a.out, a.config);
-  }, precision);
-  reg.add(KernelId::kAprod1Att, kind, [](const LaunchArgs& a) {
-    aprod1_att<Exec, CoefT>(*a.view, a.in, a.out, a.config);
-  }, precision);
-  reg.add(KernelId::kAprod1Instr, kind, [](const LaunchArgs& a) {
-    aprod1_instr<Exec, CoefT>(*a.view, a.in, a.out, a.config);
-  }, precision);
-  reg.add(KernelId::kAprod1Glob, kind, [](const LaunchArgs& a) {
-    aprod1_glob<Exec, CoefT>(*a.view, a.in, a.out, a.config);
-  }, precision);
-  reg.add(KernelId::kAprod2Astro, kind, [](const LaunchArgs& a) {
-    aprod2_astro<Exec, CoefT>(*a.view, a.in, a.out, a.config);
-  }, precision);
-  reg.add(KernelId::kAprod2Att, kind, [](const LaunchArgs& a) {
-    aprod2_att<Exec, CoefT>(*a.view, a.in, a.out, a.config, a.arena);
-  }, precision);
-  reg.add(KernelId::kAprod2Instr, kind, [](const LaunchArgs& a) {
-    aprod2_instr<Exec, CoefT>(*a.view, a.in, a.out, a.config, a.arena);
-  }, precision);
-  reg.add(KernelId::kAprod2Glob, kind, [](const LaunchArgs& a) {
-    aprod2_glob<Exec, CoefT>(*a.view, a.in, a.out, a.config, a.arena);
-  }, precision);
-  reg.add_fused(FusedPass::kGather, kind, [](const LaunchArgs& a) {
-    aprod1_fused<Exec, CoefT>(*a.view, a.in, a.out, a.config);
-  }, precision);
-  reg.add_fused(FusedPass::kScatter, kind, [](const LaunchArgs& a) {
-    aprod2_shared_fused<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                     a.arena);
-  }, precision);
-  reg.add_fused(FusedPass::kStep, kind, [](const LaunchArgs& a) {
-    aprod_step<Exec, CoefT>(*a.view, step_operands(a), a.config, a.arena);
-  }, precision);
-}
-
-/// Full (kernels x precisions) catalog of one execution policy.
+/// lifetime.
 template <typename Exec>
 void register_backend(KernelRegistry& reg) {
-  register_kernels<Exec, real>(reg, Precision::kFp64);
-  register_kernels<Exec, float>(reg, Precision::kFp32);
-  register_kernels<Exec, matrix::bf16s>(reg, Precision::kBf16s);
+  constexpr BackendKind kind = Exec::kKind;
+  reg.add(KernelId::kAprod1Astro, kind, [](const LaunchArgs& a) {
+    aprod1_astro<Exec>(*a.view, a.in, a.out, a.config);
+  });
+  reg.add(KernelId::kAprod1Att, kind, [](const LaunchArgs& a) {
+    aprod1_att<Exec>(*a.view, a.in, a.out, a.config);
+  });
+  reg.add(KernelId::kAprod1Instr, kind, [](const LaunchArgs& a) {
+    aprod1_instr<Exec>(*a.view, a.in, a.out, a.config);
+  });
+  reg.add(KernelId::kAprod1Glob, kind, [](const LaunchArgs& a) {
+    aprod1_glob<Exec>(*a.view, a.in, a.out, a.config);
+  });
+  reg.add(KernelId::kAprod2Astro, kind, [](const LaunchArgs& a) {
+    aprod2_astro<Exec>(*a.view, a.in, a.out, a.config);
+  });
+  reg.add(KernelId::kAprod2Att, kind, [](const LaunchArgs& a) {
+    aprod2_att<Exec>(*a.view, a.in, a.out, a.config, a.arena);
+  });
+  reg.add(KernelId::kAprod2Instr, kind, [](const LaunchArgs& a) {
+    aprod2_instr<Exec>(*a.view, a.in, a.out, a.config, a.arena);
+  });
+  reg.add(KernelId::kAprod2Glob, kind, [](const LaunchArgs& a) {
+    aprod2_glob<Exec>(*a.view, a.in, a.out, a.config, a.arena);
+  });
+  reg.add_fused(FusedPass::kGather, kind, [](const LaunchArgs& a) {
+    aprod1_fused<Exec>(*a.view, a.in, a.out, a.config);
+  });
+  reg.add_fused(FusedPass::kScatter, kind, [](const LaunchArgs& a) {
+    aprod2_shared_fused<Exec>(*a.view, a.in, a.out, a.config, a.arena);
+  });
+  reg.add_fused(FusedPass::kStep, kind, [](const LaunchArgs& a) {
+    aprod_step<Exec>(*a.view, step_operands(a), a.config, a.arena);
+  });
 }
 
 }  // namespace
@@ -120,12 +108,7 @@ int nnz_per_row(KernelId id) {
 
 }  // namespace
 
-std::uint64_t kernel_traffic_bytes(const SystemView& v, KernelId id,
-                                   Precision precision) {
-  // The x/y vector gathers/scatters stay FP64 whatever the storage
-  // precision — only A's entries shrink.
-  const auto coef_size =
-      static_cast<std::uint64_t>(matrix::precision_bytes(precision));
+std::uint64_t kernel_traffic_bytes(const SystemView& v, KernelId id) {
   const auto rows = static_cast<std::uint64_t>(v.n_rows);
   const bool is_aprod1 = id < KernelId::kAprod2Astro;
   int nnz = 0;
@@ -152,8 +135,9 @@ std::uint64_t kernel_traffic_bytes(const SystemView& v, KernelId id,
       idx_bytes = 0;
       break;
   }
-  const auto store_bytes = static_cast<std::uint64_t>(nnz) * coef_size;
-  const auto vec_bytes = static_cast<std::uint64_t>(nnz) * sizeof(real);
+  // The coefficients and the x/y entries they meet are all fp64.
+  const auto store_bytes = static_cast<std::uint64_t>(nnz) * sizeof(real);
+  const auto vec_bytes = store_bytes;
   // aprod1 gathers x (nnz reads) and read-modify-writes y once; aprod2
   // reads y once and read-modify-writes nnz entries of x.
   const std::uint64_t vector_bytes =
@@ -164,8 +148,8 @@ std::uint64_t kernel_traffic_bytes(const SystemView& v, KernelId id,
 
 std::uint64_t kernel_traffic_bytes(const SystemView& v, KernelId id,
                                    backends::StorageLayout /*layout*/,
-                                   Precision precision) {
-  return kernel_traffic_bytes(v, id, precision);
+                                   backends::Precision /*precision*/) {
+  return kernel_traffic_bytes(v, id);
 }
 
 std::uint64_t kernel_flops(const SystemView& v, KernelId id) {
@@ -212,8 +196,8 @@ bool part_runs(const SystemView& v, KernelId id) {
 
 }  // namespace
 
-std::uint64_t pass_traffic_bytes(const SystemView& v, const AprodPass& pass,
-                                 Precision precision) {
+std::uint64_t pass_traffic_bytes(const SystemView& v,
+                                 const AprodPass& pass) {
   const auto rows = static_cast<std::uint64_t>(v.n_rows);
   if (pass.fused == FusedPass::kStep) {
     // The gather parts' coefficient, index and v bytes (each without its
@@ -224,7 +208,7 @@ std::uint64_t pass_traffic_bytes(const SystemView& v, const AprodPass& pass,
     for (KernelId part : pass_parts(pass)) {
       if (!part_runs(v, part)) continue;
       if (part < KernelId::kAprod2Astro)
-        bytes += kernel_traffic_bytes(v, part, precision) -
+        bytes += kernel_traffic_bytes(v, part) -
                  2 * sizeof(real) * rows;
       else
         bytes += 2 * sizeof(real) * rows *
@@ -236,7 +220,7 @@ std::uint64_t pass_traffic_bytes(const SystemView& v, const AprodPass& pass,
   std::uint64_t parts = 0;
   for (KernelId part : pass_parts(pass)) {
     if (!part_runs(v, part)) continue;
-    bytes += kernel_traffic_bytes(v, part, precision);
+    bytes += kernel_traffic_bytes(v, part);
     ++parts;
   }
   if (parts == 0) return 0;

@@ -4,9 +4,8 @@
 /// The tuning library owns the dispatch *mechanism* (a type-erased
 /// (KernelId, Backend) table); this file owns the dispatch *content*:
 /// the eight templated aprod kernels instantiated for every compiled
-/// backend and storage precision, plus the fused aprod1 gather, the
-/// fused aprod2 scatter and the LSQR step, and their cost shapes (per
-/// kernel and per pass). Registration is idempotent and runs on first
+/// backend, plus the fused aprod1 gather, the fused aprod2 scatter and
+/// the LSQR step, and their cost shapes (per kernel and per pass). Registration is idempotent and runs on first
 /// Aprod construction, so any binary that launches a kernel has a fully
 /// populated registry without global-initializer ordering games across
 /// libraries.
@@ -33,16 +32,13 @@ void ensure_kernel_catalog();
 /// vendor profiler reports): coefficient values + index arrays + vector
 /// gathers/scatters, per row. An estimate with the same structure as
 /// perfmodel::KernelCostModel::kernel_traffic_bytes, computed from the
-/// live system dimensions. The coefficient bytes scale with the storage
-/// precision while the index arrays and the FP64 x/y vector traffic stay
-/// unchanged — the bandwidth lever reduced-precision storage pulls, and
-/// what KernelCostModel::precision_traffic_bytes prices per GPU spec.
-[[nodiscard]] std::uint64_t kernel_traffic_bytes(
-    const SystemView& view, backends::KernelId id,
-    backends::Precision precision = backends::Precision::kFp64);
+/// live system dimensions.
+[[nodiscard]] std::uint64_t kernel_traffic_bytes(const SystemView& view,
+                                                 backends::KernelId id);
 
-/// The same bytes whatever `layout` says: every layout runs the row
-/// records. Stays until ROADMAP item 8, for the end-to-end benchmark.
+/// The same bytes whatever `layout` and `precision` say: every kernel
+/// runs the fp64 row records. Stays until ROADMAP item 8, for the
+/// end-to-end benchmark.
 [[nodiscard]] std::uint64_t kernel_traffic_bytes(
     const SystemView& view, backends::KernelId id,
     backends::StorageLayout layout, backends::Precision precision);
@@ -72,8 +68,7 @@ void ensure_kernel_catalog();
 /// u read and written once per row. Glob parts are left out on a system
 /// without a global block (they do not run).
 [[nodiscard]] std::uint64_t pass_traffic_bytes(
-    const SystemView& view, const tuning::AprodPass& pass,
-    backends::Precision precision);
+    const SystemView& view, const tuning::AprodPass& pass);
 
 /// The parts' flops (they add up across parts).
 [[nodiscard]] std::uint64_t pass_flops(const SystemView& view,

@@ -1,5 +1,7 @@
 #include "core/lsqr.hpp"
 
+#include <sstream>
+
 #include "core/lsqr_engine.hpp"
 
 namespace gaia::core {
@@ -28,6 +30,14 @@ std::string to_string(LsqrStop stop) {
       return "silent data corruption detected";
   }
   return "unknown";
+}
+
+std::string format_estimates(real anorm, real acond, real rnorm, real arnorm,
+                             real xnorm) {
+  std::ostringstream os;
+  os << "estimates: |A|=" << anorm << " cond(A)=" << acond << " |r|=" << rnorm
+     << " |A'r|=" << arnorm << " |x|=" << xnorm;
+  return os.str();
 }
 
 LsqrStop stop_test(const LsqrOptions& options, real bnorm, real anorm,

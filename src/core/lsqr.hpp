@@ -122,6 +122,14 @@ struct LsqrResult {
   resilience::HealthReport health{};
 };
 
+/// "estimates: |A|=.. cond(A)=.. |r|=.. |A'r|=.. |x|=..", the exit
+/// estimates as the single-rank and the distributed summaries both print
+/// them (no indent, no newline), so the two can be compared line for
+/// line.
+[[nodiscard]] std::string format_estimates(real anorm, real acond,
+                                           real rnorm, real arnorm,
+                                           real xnorm);
+
 /// The reference code's stopping tests on one iteration's estimates.
 /// Later tests override earlier ones, as in the reference code, so codes
 /// 1/2/3 win over 4/5/6. Returns kIterationLimit when none holds, and

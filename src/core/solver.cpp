@@ -25,85 +25,7 @@
 
 namespace gaia::core {
 
-std::string to_string(PrecisionMode mode) {
-  switch (mode) {
-    case PrecisionMode::kFp64:
-      return "fp64";
-    case PrecisionMode::kFp32:
-      return "fp32";
-    case PrecisionMode::kBf16s:
-      return "bf16s";
-    case PrecisionMode::kAuto:
-      return "auto";
-  }
-  return "fp64";
-}
-
-std::optional<PrecisionMode> parse_precision_mode(const std::string& name) {
-  if (name == "auto") return PrecisionMode::kAuto;
-  // The pinned modes accept the same grammar as the precision tokens
-  // themselves, so `--precision` and the tuning-cache JSON agree.
-  if (const auto p = backends::parse_precision(name)) {
-    switch (*p) {
-      case backends::Precision::kFp64:
-        return PrecisionMode::kFp64;
-      case backends::Precision::kFp32:
-        return PrecisionMode::kFp32;
-      case backends::Precision::kBf16s:
-        return PrecisionMode::kBf16s;
-    }
-  }
-  return std::nullopt;
-}
-
 namespace {
-
-/// Installs `precision` on every kernel's table entry, leaving the
-/// launch shapes untouched.
-void force_precision(backends::TuningTable& table,
-                     backends::Precision precision) {
-  for (backends::KernelId id : backends::all_kernels()) {
-    backends::KernelConfig cfg = table.get(id);
-    cfg.precision = precision;
-    table.set(id, cfg);
-  }
-}
-
-/// The fixed precision a pinned PrecisionMode means (never for kAuto).
-backends::Precision pinned_precision(PrecisionMode mode) {
-  switch (mode) {
-    case PrecisionMode::kFp32:
-      return backends::Precision::kFp32;
-    case PrecisionMode::kBf16s:
-      return backends::Precision::kBf16s;
-    default:
-      return backends::Precision::kFp64;
-  }
-}
-
-/// True when any kernel's resolved entry stores coefficients reduced —
-/// the condition that arms the post-solve refinement loop.
-bool table_has_reduced_precision(const backends::TuningTable& table) {
-  for (backends::KernelId id : backends::all_kernels())
-    if (table.get(id).precision != backends::Precision::kFp64) return true;
-  return false;
-}
-
-/// The no-measurement arm of `--precision=auto`: the cost model's
-/// bandwidth-vs-refinement crossover per kernel (same representative
-/// A100 spec as the other crossovers — the sign is what matters).
-void apply_model_preferred_precision(const matrix::GeneratorConfig& gen_cfg,
-                                     backends::TuningTable& table) {
-  const perfmodel::ProblemShape shape =
-      perfmodel::ProblemShape::from_config(gen_cfg);
-  const perfmodel::KernelCostModel model(
-      perfmodel::gpu_spec(perfmodel::Platform::kA100));
-  for (backends::KernelId id : backends::all_kernels()) {
-    backends::KernelConfig cfg = table.get(id);
-    cfg.precision = model.preferred_precision(id, shape);
-    table.set(id, cfg);
-  }
-}
 
 /// Resolves the launch shapes the solve will run with: a complete cache
 /// entry for this (backend, shape bucket) skips the search outright;
@@ -125,24 +47,13 @@ void run_autotune(const SolverRunConfig& config,
       cache.complete_for(backend, bucket)) {
     report.kernels_tuned = cache.apply(backend, bucket, lsqr.aprod.tuning);
     report.autotune_cache_hit = true;
-    // A cached winner may record another precision arm (sealed by an
-    // earlier --precision=auto run); a pinned mode overrides it —
-    // pinning is a correctness/reproducibility request, not a speed hint.
-    if (config.precision != PrecisionMode::kAuto)
-      force_precision(lsqr.aprod.tuning,
-                      pinned_precision(config.precision));
     if (metrics.enabled()) metrics.counter("tuning.cache_hits").add(1);
     return;
   }
   if (metrics.enabled()) metrics.counter("tuning.cache_misses").add(1);
   if (!backends::honors_kernel_config(backend)) return;
 
-  tuning::AutotuneOptions search = config.autotune.search;
-  search.precision =
-      config.precision == PrecisionMode::kAuto
-          ? std::nullopt  // measure every precision arm
-          : std::optional(pinned_precision(config.precision));
-  tuning::Autotuner tuner(backend, search);
+  tuning::Autotuner tuner(backend, config.autotune.search);
   {
     backends::DeviceContext device(lsqr.device_capacity, "autotune");
     AprodOptions opts = lsqr.aprod;
@@ -162,36 +73,6 @@ void run_autotune(const SolverRunConfig& config,
       cache.put(backend, bucket, id, lsqr.aprod.tuning.get(id));
     cache.save(config.autotune.cache_path);
   }
-}
-
-/// Post-solve mixed-precision refinement: when the resolved table stores
-/// any coefficient plane reduced, the solve converged to the *perturbed*
-/// system's solution; correct it against the FP64 residual until the
-/// §V-C tolerance (core/refinement.hpp). A stalled refinement — the
-/// correction budget ran out above tolerance — falls back to a complete
-/// FP64 re-solve: reduced precision may cost its speedup, never accuracy.
-void run_refinement(const SolverRunConfig& config,
-                    const matrix::SystemMatrix& A, LsqrOptions& lsqr,
-                    SolverRunReport& report) {
-  if (!table_has_reduced_precision(lsqr.aprod.tuning)) return;
-  obs::ProgressBoard::global().set_phase(obs::ProgressBoard::thread_rank(),
-                                         "refine");
-  report.refinement_ran = true;
-  report.refinement = refine_corrections(A, A.known_terms(),
-                                         report.result.x, lsqr,
-                                         config.refine);
-  if (report.refinement.converged) return;
-
-  auto& reg = obs::MetricsRegistry::global();
-  if (reg.enabled()) reg.counter("refine.fallbacks").add(1);
-  obs::flight_event("state", "solver.precision_fallback",
-                    "refinement stalled; full fp64 re-solve");
-  report.precision_fell_back = true;
-  force_precision(lsqr.aprod.tuning, backends::Precision::kFp64);
-  report.tuning_used = lsqr.aprod.tuning;
-  LsqrOptions fp64 = lsqr;
-  fp64.aprod.autotuner = nullptr;
-  report.result = lsqr_solve(A, fp64);
 }
 
 /// Post-solve observability digest: Pennycook P across the passes that
@@ -225,7 +106,7 @@ void finish_observability(const matrix::GeneratorConfig& gen_cfg,
   report.roofline = metrics::roofline_points(rows, report.roofline_machine);
   metrics::publish_roofline_gauges(report.roofline);
   // The step is the solve's pass; the apply passes run where health
-  // checks or refinement ask for a plain product.
+  // checks ask for a plain product.
   const std::array<tuning::AprodPass, 4> passes = {
       tuning::kStepPass, tuning::kAprodPasses[0], tuning::kAprodPasses[1],
       tuning::kAprodPasses[2]};
@@ -296,7 +177,6 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
   obs::set_postmortem_context("backend",
                               backends::to_string(lsqr.aprod.backend));
   obs::set_postmortem_context("seed", std::to_string(config.seed));
-  obs::set_postmortem_context("precision", to_string(config.precision));
   obs::set_postmortem_context("n_obs", std::to_string(report.n_obs));
   obs::set_postmortem_context("n_unknowns",
                               std::to_string(report.layout.n_unknowns()));
@@ -306,18 +186,6 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
                     std::to_string(report.n_obs) + " obs, " +
                         std::to_string(report.layout.n_unknowns()) +
                         " unknowns");
-  // Resolve the precision policy before tuning: pinned reduced modes
-  // force the storage precision up front (the search then only walks
-  // that arm); kAuto without a measuring search — autotune off, or a
-  // backend that ignores launch shapes — falls back to the cost model's
-  // bandwidth-vs-refinement crossover.
-  if (config.precision == PrecisionMode::kFp32 ||
-      config.precision == PrecisionMode::kBf16s)
-    force_precision(lsqr.aprod.tuning, pinned_precision(config.precision));
-  else if (config.precision == PrecisionMode::kAuto &&
-           (!config.autotune.enabled ||
-            !backends::honors_kernel_config(lsqr.aprod.backend)))
-    apply_model_preferred_precision(gen_cfg, lsqr.aprod.tuning);
   if (config.autotune.enabled) {
     board.set_phase(prank, "autotune");
     run_autotune(config, generated.A, lsqr, report);
@@ -328,16 +196,15 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
   }
   report.tuning_used = lsqr.aprod.tuning;
   {
-    // Tuning fingerprint: the resolved (shape, precision) per kernel —
-    // the first question a postmortem asks.
+    // Tuning fingerprint: the resolved shape per kernel — the first
+    // question a postmortem asks.
     std::ostringstream fp;
     bool first = true;
     for (backends::KernelId id : backends::all_kernels()) {
       const backends::KernelConfig cfg = lsqr.aprod.tuning.get(id);
       if (!first) fp << ' ';
       first = false;
-      fp << backends::to_string(id) << '=' << cfg.blocks << 'x' << cfg.threads
-         << '/' << backends::to_string(cfg.precision);
+      fp << backends::to_string(id) << '=' << cfg.blocks << 'x' << cfg.threads;
     }
     obs::set_postmortem_context("tuning", fp.str());
   }
@@ -354,7 +221,6 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
   report.result = engine.result();
   report.result.resumed_from_iteration = report.resumed_from_iteration;
   report.checkpoints_written = manager.written();
-  run_refinement(config, generated.A, lsqr, report);
   report.solve_seconds = watch.elapsed_s();
   finish_observability(gen_cfg, lsqr, report);
   return report;
@@ -412,27 +278,13 @@ std::string SolverRunReport::summary() const {
       os << "backend ignores launch shapes; nothing to tune";
     os << '\n';
   }
-  // The config line reports the one pass the solve launches, under the
-  // tuning entry it runs with.
-  const char* step_name = pass_region_name(tuning::kStepPass);
-  const backends::KernelConfig step = tuning_used.get(tuning::kStepPass.id);
-  os << "precision: " << backends::to_string(step.precision) << " ("
-     << step_name << ")\n";
-  if (refinement_ran) {
-    os << "refine: " << refinement.corrections << " correction(s), "
-       << (refinement.converged ? "converged" : "stalled")
-       << "; true |r|=" << refinement.true_rnorm
-       << " |A'r|=" << refinement.true_arnorm;
-    if (precision_fell_back)
-      os << "; fell back to fp64 (full re-solve)";
-    os << '\n';
-  }
   os << "        mean iteration time "
      << util::format_seconds(result.mean_iteration_s) << ", total solve "
      << util::format_seconds(solve_seconds) << '\n';
-  os << "        estimates: |A|=" << result.anorm
-     << " cond(A)=" << result.acond << " |r|=" << result.rnorm
-     << " |A'r|=" << result.arnorm << " |x|=" << result.xnorm << '\n';
+  os << "        "
+     << format_estimates(result.anorm, result.acond, result.rnorm,
+                         result.arnorm, result.xnorm)
+     << '\n';
   if (pennycook_kernels > 0)
     os << "perf:   Pennycook P=" << pennycook_p << " over "
        << pennycook_kernels

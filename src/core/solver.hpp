@@ -13,7 +13,6 @@
 #include <string>
 
 #include "core/lsqr.hpp"
-#include "core/refinement.hpp"
 #include "matrix/generator.hpp"
 #include "metrics/roofline.hpp"
 #include "resilience/checkpoint.hpp"
@@ -28,24 +27,6 @@ enum class ScatterMode : std::uint8_t {
   kAtomic = 0,
   kPrivatized,
 };
-
-/// Storage-precision policy for all eight kernels. `kFp64` is today's
-/// double-precision planes bit-for-bit; `kFp32`/`kBf16s` store the
-/// coefficient planes reduced (FP64 accumulation everywhere) and wrap
-/// the solve in outer iterative refinement (core/refinement.hpp);
-/// `kAuto` lets the autotuner measure every precision arm (when enabled
-/// and the backend honours launch shapes) and otherwise asks the cost
-/// model's bandwidth-vs-refinement crossover per kernel.
-enum class PrecisionMode : std::uint8_t {
-  kFp64 = 0,
-  kFp32,
-  kBf16s,
-  kAuto,
-};
-
-[[nodiscard]] std::string to_string(PrecisionMode mode);
-[[nodiscard]] std::optional<PrecisionMode> parse_precision_mode(
-    const std::string& name);
 
 /// Launch-shape autotuning for a solver run (off by default).
 struct AutotuneRunConfig {
@@ -81,16 +62,6 @@ struct SolverRunConfig {
 
   /// Ignored (see ScatterMode). Stays until ROADMAP item 8.
   ScatterMode scatter = ScatterMode::kAtomic;
-
-  /// Storage-precision policy for the kernels. Authoritative over
-  /// `autotune.search.precision`: the autotune path derives its
-  /// precision axis from this mode. Any resolved reduced precision arms
-  /// the iterative-refinement loop after the solve.
-  PrecisionMode precision = PrecisionMode::kFp64;
-
-  /// Refinement loop knobs (only consulted when the resolved tuning
-  /// table carries a reduced precision).
-  RefinementOptions refine{};
 };
 
 struct SolverRunReport {
@@ -114,14 +85,6 @@ struct SolverRunReport {
   std::uint64_t tuning_trials = 0;
   /// Launch shapes the solve actually ran with.
   backends::TuningTable tuning_used{};
-
-  /// Iterative-refinement outcome. `refinement_ran` is true exactly when
-  /// the resolved table carried a reduced precision (the report is then
-  /// meaningful); `precision_fell_back` means refinement stalled within
-  /// its correction budget and the solve was redone fully in FP64.
-  bool refinement_ran = false;
-  bool precision_fell_back = false;
-  RefinementReport refinement{};
 
   /// Pennycook-P digest over the kernels that recorded timing samples
   /// (0 when metrics were off or no kernel timed): per-kernel efficiency

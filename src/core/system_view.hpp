@@ -10,10 +10,8 @@
 #pragma once
 
 #include <cstdint>
-#include <type_traits>
 
 #include "matrix/layouted_system.hpp"
-#include "matrix/precision.hpp"
 #include "matrix/system_matrix.hpp"
 #include "util/types.hpp"
 
@@ -54,29 +52,6 @@ struct SystemView {
   col_index glob_offset = 0;
   bool has_global = false;
 
-  // --- Reduced-precision coefficient records (null until
-  // attach_precision) ---------------------------------------------------
-  // The row records down-converted per storage scalar; indices stay
-  // shared with the FP64 arrays above, only the values shrink.
-  const float* values_f32 = nullptr;
-  const matrix::bf16s* values_b16 = nullptr;
-
-  /// The coefficient records at storage scalar `T` (real | float |
-  /// bf16s). The `real` records are `values`, so a body templated on
-  /// CoefT reads the exact same memory as the fp64 code at CoefT = real.
-  template <typename T>
-  [[nodiscard]] const T* coefs() const {
-    if constexpr (std::is_same_v<T, real>) {
-      return values;
-    } else if constexpr (std::is_same_v<T, float>) {
-      return values_f32;
-    } else {
-      static_assert(std::is_same_v<T, matrix::bf16s>,
-                    "unsupported coefficient storage scalar");
-      return values_b16;
-    }
-  }
-
   /// Shared construction path: scalar fields from the matrix
   /// metadata, data pointers from wherever the arrays live (host spans
   /// or device buffers).
@@ -109,30 +84,6 @@ struct SystemView {
   /// No-op: there are no derived layouts to attach. Stays until ROADMAP
   /// item 8, for the end-to-end benchmark's layout sweep.
   void attach_layout(const matrix::LayoutedSystem&) {}
-
-  /// Points the reduced-precision pointers at `layouts`' converted
-  /// stores (only those already converted; build_precision is the
-  /// owner's call). The LayoutedSystem must outlive every kernel launch
-  /// through this view.
-  void attach_precision(const matrix::LayoutedSystem& layouts) {
-    if (layouts.f32().built()) values_f32 = layouts.f32().values.data();
-    if (layouts.b16().built()) values_b16 = layouts.b16().values.data();
-  }
-
-  /// True when the records are attached at precision `p` — the launcher
-  /// clamps a config's precision to kFp64 otherwise, so a view without
-  /// converted records keeps fp64 semantics instead of faulting.
-  [[nodiscard]] bool has_precision(matrix::Precision p) const {
-    switch (p) {
-      case matrix::Precision::kFp64:
-        return true;
-      case matrix::Precision::kFp32:
-        return values_f32 != nullptr;
-      case matrix::Precision::kBf16s:
-        return values_b16 != nullptr;
-    }
-    return false;
-  }
 };
 
 }  // namespace gaia::core

@@ -167,9 +167,8 @@ std::vector<obs::MetricRow> build_rank_rows(
   };
   // Bytes this rank's kernels moved: the catalog's traffic of the LSQR
   // step over the rank's slice, once per iteration.
-  const backends::KernelConfig cfg = aprod.tuning().get(tuning::kStepPass.id);
-  const std::uint64_t bytes_per_iteration = core::pass_traffic_bytes(
-      aprod.view(), tuning::kStepPass, cfg.precision);
+  const std::uint64_t bytes_per_iteration =
+      core::pass_traffic_bytes(aprod.view(), tuning::kStepPass);
   rows.push_back(counter("dist.rank.kernel_bytes",
                          bytes_per_iteration *
                              static_cast<std::uint64_t>(itn)));
@@ -426,9 +425,11 @@ DistLsqrResult dist_lsqr_solve(const matrix::SystemMatrix& A,
     result.std_errors = std::move(solved.std_errors);
     result.istop = solved.istop;
     result.iterations = solved.iterations;
-    result.rnorm = solved.rnorm;
     result.anorm = solved.anorm;
     result.acond = solved.acond;
+    result.rnorm = solved.rnorm;
+    result.arnorm = solved.arnorm;
+    result.xnorm = solved.xnorm;
     result.iteration_seconds = std::move(solved.iteration_seconds);
     result.mean_iteration_s = solved.mean_iteration_s;
     result.health = solved.health;

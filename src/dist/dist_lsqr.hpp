@@ -66,9 +66,13 @@ struct DistLsqrResult {
   std::vector<real> std_errors;
   core::LsqrStop istop = core::LsqrStop::kIterationLimit;
   std::int64_t iterations = 0;
-  real rnorm = 0;
+  /// Rank 0's exit estimates (every rank follows the same scalar
+  /// trajectory), as in core::LsqrResult.
   real anorm = 0;
   real acond = 0;
+  real rnorm = 0;
+  real arnorm = 0;
+  real xnorm = 0;
   /// Mean over iterations of the per-iteration wall time maximized over
   /// ranks (paper: "iteration time maximized among all MPI processes").
   double mean_iteration_s = 0;

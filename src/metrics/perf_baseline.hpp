@@ -27,8 +27,9 @@ struct KernelTiming {
   /// axis existed stay loadable; baselines sealed while it existed may
   /// carry the retired layouts' names.
   std::string layout = "seed_aos";
-  /// "fp64" | "fp32" | "bf16s". Defaulted the same way: baselines sealed
-  /// before the precision axis existed measured full-precision planes.
+  /// Storage-precision label: "fp64", the records every series reads.
+  /// Defaulted the same way; baselines sealed while the precision axis
+  /// existed may carry the reduced precisions' names.
   std::string precision = "fp64";
   double median_seconds = 0;
   std::uint64_t samples = 0;

@@ -77,36 +77,6 @@ KernelShapeInfo shape_info(KernelId id) {
   throw Error("unknown kernel id");
 }
 
-/// Exact coefficient bytes of a kernel's block, and the cache lines the
-/// row-record fetch actually touches for it. The 24-double record
-/// is 3 lines: [0,8) holds astro + the first att doubles, [8,16) att,
-/// [16,24) the att tail + instr + glob. Astro reads line 0 (64 B for
-/// 40 B of payload); attitude straddles all three (192 B for 96 B);
-/// instrumental and global each sit inside line 2.
-struct CoeffBlock {
-  double exact;
-  double record_lines;
-};
-
-CoeffBlock coeff_block(KernelId id) {
-  using enum KernelId;
-  switch (id) {
-    case kAprod1Astro:
-    case kAprod2Astro:
-      return {40, 64};
-    case kAprod1Att:
-    case kAprod2Att:
-      return {96, 192};
-    case kAprod1Instr:
-    case kAprod2Instr:
-      return {48, 64};
-    case kAprod1Glob:
-    case kAprod2Glob:
-      return {8, 64};
-  }
-  throw Error("unknown kernel id");
-}
-
 /// Distinct target columns of an atomic kernel.
 double distinct_columns(KernelId id, const ProblemShape& p) {
   switch (id) {
@@ -135,64 +105,6 @@ double KernelCostModel::kernel_traffic_bytes(KernelId id,
   const KernelShapeInfo info = shape_info(id);
   const double rows = static_cast<double>(p.n_rows);
   return rows * (info.per_row_bytes + info.gather_bytes * info.miss);
-}
-
-namespace {
-
-/// Amortized refinement surcharge of a storage precision: reduced
-/// precision perturbs A, so the solve needs outer FP64 residual
-/// corrections (each a pair of full-precision aprod passes plus a short
-/// correction solve). Spread over the ~100-iteration production solve,
-/// fp32's typical 1–2 corrections cost ~5 % extra traffic and bf16s's
-/// 3–5 corrections ~15 % — the crossover constants, not testbed
-/// numbers.
-double refinement_surcharge(backends::Precision precision) {
-  switch (precision) {
-    case backends::Precision::kFp64:
-      return 0.0;
-    case backends::Precision::kFp32:
-      return 0.05;
-    case backends::Precision::kBf16s:
-      return 0.15;
-  }
-  return 0.0;
-}
-
-}  // namespace
-
-double KernelCostModel::precision_traffic_bytes(
-    KernelId id, const ProblemShape& p,
-    backends::Precision precision) const {
-  const KernelShapeInfo info = shape_info(id);
-  const double rows = static_cast<double>(std::max<row_index>(1, p.n_rows));
-  const CoeffBlock cb = coeff_block(id);
-  const double coef_scale =
-      static_cast<double>(matrix::precision_bytes(precision)) /
-      static_cast<double>(sizeof(real));
-  // The shrunken record still fetches line-granular: scale the line
-  // coverage but never below one 64 B line per row touched. Index
-  // payload + y traffic is everything in per_row_bytes that is not the
-  // coefficient block itself.
-  const double coeff_total =
-      rows * std::max(64.0, cb.record_lines * coef_scale);
-  const double idx_y = info.per_row_bytes - cb.exact;
-  return coeff_total + rows * (idx_y + info.gather_bytes * info.miss);
-}
-
-backends::Precision KernelCostModel::preferred_precision(
-    KernelId id, const ProblemShape& p) const {
-  auto best = backends::Precision::kFp64;
-  double best_bytes = precision_traffic_bytes(id, p, best);
-  for (int pr = 1; pr < backends::kNumPrecisions; ++pr) {
-    const auto cand = static_cast<backends::Precision>(pr);
-    const double bytes = precision_traffic_bytes(id, p, cand) *
-                         (1.0 + refinement_surcharge(cand));
-    if (bytes < best_bytes) {
-      best = cand;
-      best_bytes = bytes;
-    }
-  }
-  return best;
 }
 
 double KernelCostModel::kernel_flops(KernelId id,

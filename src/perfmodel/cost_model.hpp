@@ -59,31 +59,6 @@ class KernelCostModel {
   [[nodiscard]] double kernel_traffic_bytes(KernelId id,
                                             const ProblemShape& p) const;
 
-  /// Bytes a kernel moves under a given *storage precision*. Unlike
-  /// `kernel_traffic_bytes` (which charges exact coefficient bytes),
-  /// this charges what the memory system actually fetches: the 24-double
-  /// row record is 3 cache lines, so a kernel reading one block of it
-  /// pays line-granular overfetch (64 B for a 40 B astro block, the full
-  /// 192 B record for the straddling attitude block). The coefficient
-  /// fetch shrinks with the storage scalar, but never below one 64 B
-  /// line per row, while the index arrays and the FP64 x/y vector
-  /// traffic stay unchanged — reduced precision is a
-  /// coefficient-bandwidth lever only.
-  [[nodiscard]] double precision_traffic_bytes(
-      KernelId id, const ProblemShape& p,
-      backends::Precision precision) const;
-
-  /// The bandwidth-vs-refinement crossover: which storage precision the
-  /// model predicts fastest for `id` on this problem *per converged
-  /// solve*. Reduced precision cuts the coefficient traffic of every
-  /// iteration but buys outer iterative-refinement corrections (extra
-  /// FP64 residual passes plus correction solves); the model charges an
-  /// amortized surcharge per precision (calibration documented in the
-  /// implementation) and picks the lowest effective bytes, ties to the
-  /// earlier enum value (fp64).
-  [[nodiscard]] backends::Precision preferred_precision(
-      KernelId id, const ProblemShape& p) const;
-
   /// FP operations of a kernel.
   [[nodiscard]] double kernel_flops(KernelId id, const ProblemShape& p) const;
 

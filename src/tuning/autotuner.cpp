@@ -38,7 +38,6 @@ void note_winner(KernelId id, KernelConfig cfg, double median_s) {
                 {{"kernel", backends::to_string(id)},
                  {"blocks", static_cast<std::int64_t>(cfg.blocks)},
                  {"threads", static_cast<std::int64_t>(cfg.threads)},
-                 {"precision", backends::to_string(cfg.precision)},
                  {"median_us", median_s * 1e6}});
   }
 }
@@ -81,8 +80,7 @@ bool Autotuner::searching(KernelId id) const {
 
 KernelConfig Autotuner::config_of(Candidate c) const {
   return {options_.block_grid[static_cast<std::size_t>(c.bi)],
-          options_.thread_grid[static_cast<std::size_t>(c.ti)],
-          static_cast<backends::Precision>(c.pi)};
+          options_.thread_grid[static_cast<std::size_t>(c.ti)]};
 }
 
 int Autotuner::nearest_index(const std::vector<std::int32_t>& grid,
@@ -100,26 +98,9 @@ void Autotuner::seed_locked(KernelId id, KernelSearch& s) {
   // (collision avoidance; on the host, fewer slices to fold), gathers
   // want occupancy.
   const bool narrow = backends::kernel_uses_atomics(id);
-  const auto seed_of = [&](int pi) {
-    Candidate c;
-    c.bi = nearest_index(options_.block_grid, narrow ? 32 : 128);
-    c.ti = nearest_index(options_.thread_grid, narrow ? 32 : 128);
-    c.pi = pi;
-    return c;
-  };
-  // One arm per searched precision. The first descends now, the rest are
-  // queued (stack, so they are pushed in reverse).
-  std::vector<Candidate> arms;
-  if (options_.precision.has_value())
-    arms.push_back(seed_of(static_cast<int>(*options_.precision)));
-  else
-    for (int pi = 0; pi < backends::kNumPrecisions; ++pi)
-      arms.push_back(seed_of(pi));
-  for (std::size_t i = arms.size(); i > 1; --i)
-    s.arm_seeds.push_back(arms[i - 1]);
-  const Candidate start = arms.front();
-  s.current = start;
-  s.visited.insert({start.pi, start.bi, start.ti});
+  s.current.bi = nearest_index(options_.block_grid, narrow ? 32 : 128);
+  s.current.ti = nearest_index(options_.thread_grid, narrow ? 32 : 128);
+  s.visited.insert({s.current.bi, s.current.ti});
   s.started = true;
 }
 
@@ -129,11 +110,10 @@ void Autotuner::push_neighbors_locked(KernelSearch& s, Candidate c) {
         bi >= static_cast<int>(options_.block_grid.size()) ||
         ti >= static_cast<int>(options_.thread_grid.size()))
       return;
-    if (!s.visited.insert({c.pi, bi, ti}).second) return;
-    s.pending.push_back({bi, ti, c.pi});
+    if (!s.visited.insert({bi, ti}).second) return;
+    s.pending.push_back({bi, ti});
   };
-  // Axis moves only — this is the coordinate-descent step set. Precision
-  // is not a descent axis: each arm descends from its own seed.
+  // Axis moves only — this is the coordinate-descent step set.
   try_push(c.bi - 1, c.ti);
   try_push(c.bi + 1, c.ti);
   try_push(c.bi, c.ti - 1);
@@ -164,34 +144,14 @@ bool Autotuner::report(KernelId id, KernelConfig cfg, double seconds) {
   const double med = util::median(s.samples);
   s.samples.clear();
   s.evaluated++;
-  s.arm_evaluated++;
-  // The descent is per precision arm: neighbors expand when the *arm's*
-  // best improves (an arm whose seed loses to another arm still
-  // deserves its local search). The overall winner is tracked alongside.
-  const auto arm = static_cast<std::size_t>(s.current.pi);
-  if (!s.arm_scored[arm] || med < s.arm_median[arm]) {
-    s.arm_best[arm] = s.current;
-    s.arm_median[arm] = med;
-    s.arm_scored[arm] = true;
-    push_neighbors_locked(s, s.current);
-  }
+  // Neighbors expand only around an improvement: greedy descent.
   if (!s.scored || med < s.best_median) {
     s.best = s.current;
     s.best_median = med;
     s.scored = true;
+    push_neighbors_locked(s, s.current);
   }
-  if (s.pending.empty() ||
-      s.arm_evaluated >= options_.max_configs_per_kernel) {
-    if (!s.arm_seeds.empty()) {
-      // This arm is done; start the next precision arm's seed.
-      const Candidate seed = s.arm_seeds.back();
-      s.arm_seeds.pop_back();
-      s.pending.clear();
-      s.arm_evaluated = 0;
-      s.current = seed;
-      s.visited.insert({seed.pi, seed.bi, seed.ti});
-      return false;
-    }
+  if (s.pending.empty() || s.evaluated >= options_.max_configs_per_kernel) {
     s.finished = true;
     note_winner(id, config_of(s.best), s.best_median);
     return true;
@@ -211,23 +171,6 @@ double Autotuner::best_median_s(KernelId id) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const KernelSearch& s = search_[static_cast<std::size_t>(id)];
   return s.scored ? s.best_median : std::numeric_limits<double>::infinity();
-}
-
-KernelConfig Autotuner::best_for_precision(
-    KernelId id, backends::Precision precision) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const KernelSearch& s = search_[static_cast<std::size_t>(id)];
-  const auto arm = static_cast<std::size_t>(precision);
-  return s.arm_scored[arm] ? config_of(s.arm_best[arm]) : KernelConfig{};
-}
-
-double Autotuner::best_median_for_precision(
-    KernelId id, backends::Precision precision) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const KernelSearch& s = search_[static_cast<std::size_t>(id)];
-  const auto arm = static_cast<std::size_t>(precision);
-  return s.arm_scored[arm] ? s.arm_median[arm]
-                           : std::numeric_limits<double>::infinity();
 }
 
 std::uint64_t Autotuner::trials() const {
@@ -265,7 +208,6 @@ std::vector<real> encode_table(const backends::TuningTable& table) {
     const KernelConfig cfg = table.get(id);
     out.push_back(static_cast<real>(cfg.blocks));
     out.push_back(static_cast<real>(cfg.threads));
-    out.push_back(static_cast<real>(static_cast<int>(cfg.precision)));
   }
   return out;
 }
@@ -276,14 +218,9 @@ backends::TuningTable decode_table(std::span<const real> data) {
   backends::TuningTable table;
   std::size_t i = 0;
   for (backends::KernelId id : backends::all_kernels()) {
-    const auto precision = static_cast<int>(data[i + 2]);
-    GAIA_CHECK(precision >= 0 && precision < backends::kNumPrecisions,
-               "decode_table: unknown storage precision");
-    KernelConfig cfg{static_cast<std::int32_t>(data[i]),
-                     static_cast<std::int32_t>(data[i + 1]),
-                     static_cast<backends::Precision>(precision)};
-    table.set(id, cfg);
-    i += 3;
+    table.set(id, {static_cast<std::int32_t>(data[i]),
+                   static_cast<std::int32_t>(data[i + 1])});
+    i += 2;
   }
   return table;
 }

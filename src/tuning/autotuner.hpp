@@ -23,10 +23,9 @@
 #include <array>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <span>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "backends/backend.hpp"
@@ -37,22 +36,12 @@ namespace gaia::tuning {
 struct AutotuneOptions {
   /// Launches timed per candidate shape; the median is the score.
   int samples_per_config = 3;
-  /// Budget: candidate shapes evaluated per kernel *per precision arm*
-  /// before that arm is cut off (the greedy descent usually converges
-  /// well under this).
+  /// Budget: candidate shapes evaluated per kernel before its search is
+  /// cut off (the greedy descent usually converges well under this).
   int max_configs_per_kernel = 12;
   /// The pow-2 axes of the search grid.
   std::vector<std::int32_t> block_grid{8, 16, 32, 64, 128, 256};
   std::vector<std::int32_t> thread_grid{32, 64, 128, 256, 512};
-  /// The storage-precision axis. Pinned to kFp64 (the default) the
-  /// search varies only (blocks, threads); pinned to a reduced precision every kernel searches that
-  /// precision's bodies only; nullopt opens the axis: each precision is
-  /// its own descent arm (halving the coefficient bytes moves the
-  /// bandwidth/occupancy balance, so the winning shape moves with it)
-  /// and the lowest measured median across arms wins. Reduced-precision
-  /// arms time the reduced *storage* bodies — accumulation stays FP64,
-  /// so the arms are numerically comparable.
-  std::optional<backends::Precision> precision = backends::Precision::kFp64;
 };
 
 /// Per-(backend) search state over all eight kernel identities.
@@ -86,19 +75,9 @@ class Autotuner {
               double seconds);
 
   /// Best shape found so far ({0,0} until the first candidate scored).
-  /// The config's `precision` field records which precision arm won.
   [[nodiscard]] backends::KernelConfig best(backends::KernelId id) const;
   /// Median launch seconds of the best shape (inf until scored).
   [[nodiscard]] double best_median_s(backends::KernelId id) const;
-
-  /// Best shape / median measured *within one precision arm* — the
-  /// fp64-vs-reduced comparison the experiments tables and the
-  /// precision-smoke CI assertion are built from. ({0,0} / inf until
-  /// that arm scored a candidate.)
-  [[nodiscard]] backends::KernelConfig best_for_precision(
-      backends::KernelId id, backends::Precision precision) const;
-  [[nodiscard]] double best_median_for_precision(
-      backends::KernelId id, backends::Precision precision) const;
 
   /// Timed launches consumed so far (all kernels).
   [[nodiscard]] std::uint64_t trials() const;
@@ -116,7 +95,6 @@ class Autotuner {
   struct Candidate {
     int bi = 0;  ///< index into options_.block_grid
     int ti = 0;  ///< index into options_.thread_grid
-    int pi = 0;  ///< precision arm: Precision enum value
   };
   struct KernelSearch {
     bool started = false;
@@ -124,21 +102,10 @@ class Autotuner {
     Candidate current{};
     std::vector<double> samples;   ///< of the current candidate
     std::vector<Candidate> pending;
-    std::set<std::tuple<int, int, int>> visited;
-    /// Seeds of precision arms not yet descended (an arm runs to
-    /// convergence or budget before the next seed starts, so every arm
-    /// is guaranteed its descent).
-    std::vector<Candidate> arm_seeds;
-    int arm_evaluated = 0;  ///< candidates scored in the current arm
+    std::set<std::pair<int, int>> visited;
     Candidate best{};
     double best_median = 0;  ///< valid iff scored
     bool scored = false;
-    /// Per-precision arm best — the descent criterion, and the base of
-    /// the fp64-vs-reduced report. Indexed by the Precision value.
-    static constexpr int kNumArms = backends::kNumPrecisions;
-    std::array<Candidate, kNumArms> arm_best{};
-    std::array<double, kNumArms> arm_median{};
-    std::array<bool, kNumArms> arm_scored{};
     int evaluated = 0;
   };
 
@@ -156,13 +123,12 @@ class Autotuner {
   std::uint64_t trials_ = 0;
 };
 
-/// Flat encoding of a TuningTable as 3*kNumKernels reals (blocks,
-/// threads, storage precision per kernel in enum order) — the dist layer
-/// broadcasts rank 0's winners to all ranks through the existing
-/// Comm::bcast(span<real>) so every rank runs identical shapes and
-/// precisions.
+/// Flat encoding of a TuningTable as 2*kNumKernels reals (blocks,
+/// threads per kernel in enum order) — the dist layer broadcasts rank
+/// 0's winners to all ranks through the existing Comm::bcast(span<real>)
+/// so every rank runs identical shapes.
 inline constexpr std::size_t kEncodedTableSize =
-    3 * static_cast<std::size_t>(backends::kNumKernels);
+    2 * static_cast<std::size_t>(backends::kNumKernels);
 [[nodiscard]] std::vector<real> encode_table(
     const backends::TuningTable& table);
 [[nodiscard]] backends::TuningTable decode_table(std::span<const real> data);

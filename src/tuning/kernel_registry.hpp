@@ -1,6 +1,5 @@
 /// \file kernel_registry.hpp
-/// \brief Type-erased kernel dispatch:
-/// (KernelId, BackendKind, Precision) -> launcher.
+/// \brief Type-erased kernel dispatch: (KernelId, BackendKind) -> launcher.
 ///
 /// Before this subsystem, every launch site in `core/aprod.cpp` carried
 /// its own `switch (id)` over the eight kernels — three copies of the
@@ -10,13 +9,9 @@
 /// kernel instantiations once (see `core/kernel_catalog.cpp`), and
 /// aprod, failover and bench all launch through `launch()`.
 ///
-/// Storage precision is the third axis, carried by
-/// `args.config.precision`: the catalog registers each body's float and
-/// bf16s instantiations next to the fp64 one, and an empty precision
-/// slot (or a view without the converted records attached) clamps to
-/// the fp64 launcher of the same (kernel, backend) — reduced precision
-/// degrades to full precision, never to a fault. `args.config.layout`
-/// and `args.config.strategy` are ignored.
+/// `args.config.precision`, `args.config.layout` and
+/// `args.config.strategy` are ignored: every launcher reads the fp64 row
+/// records and commits its scatter one way.
 ///
 /// The launchers are type-erased `std::function`s over a flat argument
 /// struct so the registry depends only on forward declarations — the
@@ -92,25 +87,21 @@ inline constexpr std::array<AprodPass, 3> kAprodPasses = {{
 inline constexpr AprodPass kStepPass = {backends::KernelId::kAprod2Att,
                                         FusedPass::kStep};
 
-/// Dense (KernelId x BackendKind x Precision) table of launchers plus
-/// one launcher per fused pass on the same axes.
+/// Dense (KernelId x BackendKind) table of launchers plus one launcher
+/// per (fused pass, backend).
 ///
 /// Registration happens once at startup (core::ensure_kernel_catalog());
 /// after that the table is read-only, so launches need no locking.
 class KernelRegistry {
  public:
   void add(backends::KernelId id, backends::BackendKind backend,
-           KernelLauncher launcher,
-           backends::Precision precision = backends::Precision::kFp64);
+           KernelLauncher launcher);
   void add_fused(FusedPass pass, backends::BackendKind backend,
-                 KernelLauncher launcher,
-                 backends::Precision precision = backends::Precision::kFp64);
-  [[nodiscard]] bool has(
-      backends::KernelId id, backends::BackendKind backend,
-      backends::Precision precision = backends::Precision::kFp64) const;
-  [[nodiscard]] bool has_fused(
-      FusedPass pass, backends::BackendKind backend,
-      backends::Precision precision = backends::Precision::kFp64) const;
+                 KernelLauncher launcher);
+  [[nodiscard]] bool has(backends::KernelId id,
+                         backends::BackendKind backend) const;
+  [[nodiscard]] bool has_fused(FusedPass pass,
+                               backends::BackendKind backend) const;
 
   /// Dispatches through the registered launcher; throws gaia::Error
   /// naming the (kernel, backend) pair when nothing is registered —
@@ -123,8 +114,7 @@ class KernelRegistry {
   void launch(const AprodPass& pass, backends::BackendKind backend,
               const LaunchArgs& args) const;
 
-  /// Registered (kernel, backend) entries in the fp64 plane; fused and
-  /// reduced-precision slots excluded.
+  /// Registered (kernel, backend) entries; fused slots excluded.
   [[nodiscard]] std::size_t size() const;
 
   /// Process-wide registry the solver dispatches through.
@@ -136,10 +126,8 @@ class KernelRegistry {
       static_cast<std::size_t>(backends::kNumBackends);
 
   [[nodiscard]] static std::size_t index(backends::KernelId id,
-                                         backends::BackendKind backend,
-                                         backends::Precision precision) {
-    return static_cast<std::size_t>(precision) * kPlane +
-           static_cast<std::size_t>(id) *
+                                         backends::BackendKind backend) {
+    return static_cast<std::size_t>(id) *
                static_cast<std::size_t>(backends::kNumBackends) +
            static_cast<std::size_t>(backend);
   }
@@ -147,18 +135,14 @@ class KernelRegistry {
       static_cast<std::size_t>(kNumFusedPasses) *
       static_cast<std::size_t>(backends::kNumBackends);
   [[nodiscard]] static std::size_t fused_index(
-      FusedPass pass, backends::BackendKind backend,
-      backends::Precision precision) {
-    return static_cast<std::size_t>(precision) * kFusedPlane +
-           static_cast<std::size_t>(pass) *
+      FusedPass pass, backends::BackendKind backend) {
+    return static_cast<std::size_t>(pass) *
                static_cast<std::size_t>(backends::kNumBackends) +
            static_cast<std::size_t>(backend);
   }
 
-  static constexpr std::size_t kPrecisionPlanes =
-      static_cast<std::size_t>(backends::kNumPrecisions);
-  std::array<KernelLauncher, kPlane * kPrecisionPlanes> table_{};
-  std::array<KernelLauncher, kFusedPlane * kPrecisionPlanes> fused_{};
+  std::array<KernelLauncher, kPlane> table_{};
+  std::array<KernelLauncher, kFusedPlane> fused_{};
 };
 
 }  // namespace gaia::tuning

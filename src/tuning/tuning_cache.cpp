@@ -74,8 +74,7 @@ std::string TuningCache::to_json() const {
        << ",\"cols_log2\":" << cols_log2 << ",\"kernel\":\""
        << backends::to_string(static_cast<KernelId>(kernel))
        << "\",\"blocks\":" << cfg.blocks << ",\"threads\":" << cfg.threads
-       << ",\"precision\":\"" << backends::to_string(cfg.precision)
-       << "\"}";
+       << '}';
   }
   os << "]}";
   return os.str();
@@ -142,7 +141,6 @@ class JsonCursor {
 struct RawEntry {
   std::string backend;
   std::string kernel;
-  std::string precision = "fp64";
   std::int64_t rows_log2 = 0;
   std::int64_t cols_log2 = 0;
   std::int64_t blocks = 0;
@@ -161,8 +159,6 @@ bool parse_entry(JsonCursor& cur, RawEntry& entry) {
       if (!cur.parse_string(entry.backend)) return false;
     } else if (key == "kernel") {
       if (!cur.parse_string(entry.kernel)) return false;
-    } else if (key == "precision") {
-      if (!cur.parse_string(entry.precision)) return false;
     } else if (key == "rows_log2") {
       if (!cur.parse_int(entry.rows_log2)) return false;
     } else if (key == "cols_log2") {
@@ -213,8 +209,8 @@ std::optional<TuningCache> TuningCache::parse_json(const std::string& text,
       // An honest file of another schema version is a clean miss, not
       // corruption — report it as such without trusting its entries
       // (v1 predates the strategy axis, v2 the layout axis, v3 the
-      // precision axis, v4 still carries the layout axis and v5 the
-      // strategy axis).
+      // precision axis, v4 still carries the layout axis, v5 the
+      // strategy axis and v6 the precision axis).
       if (v != kSchemaVersion) return fail(ParseStatus::kVersionMismatch);
     } else if (key == "entries") {
       saw_entries = true;
@@ -228,15 +224,12 @@ std::optional<TuningCache> TuningCache::parse_json(const std::string& text,
         if (!parse_entry(cur, raw)) return fail(ParseStatus::kMalformed);
         const auto backend = backends::parse_backend(raw.backend);
         const auto kernel = backends::parse_kernel_id(raw.kernel);
-        const auto precision = backends::parse_precision(raw.precision);
-        if (!backend || !kernel || !precision)
-          return fail(ParseStatus::kMalformed);
+        if (!backend || !kernel) return fail(ParseStatus::kMalformed);
         if (raw.rows_log2 < 0 || raw.rows_log2 > 62 || raw.cols_log2 < 0 ||
             raw.cols_log2 > 62)
           return fail(ParseStatus::kMalformed);
         const KernelConfig cfg{static_cast<std::int32_t>(raw.blocks),
-                               static_cast<std::int32_t>(raw.threads),
-                               *precision};
+                               static_cast<std::int32_t>(raw.threads)};
         if (!backends::is_valid_kernel_config(cfg))
           return fail(ParseStatus::kMalformed);
         cache.put(*backend,

@@ -59,12 +59,13 @@ class TuningCache {
   /// Schema version this build reads and writes. v2 added the per-entry
   /// scatter "strategy"; v3 added the storage "layout"; v4 added the
   /// storage "precision"; v5 dropped "layout" with the layout axis; v6
-  /// dropped "strategy" with the scatter-strategy axis. Files of another
-  /// schema are rejected as a *version miss*, not corruption — a v3
-  /// winner was found in a precision-less search and must not silently
-  /// pin the new axis to fp64, and a v4 or v5 winner was measured under
-  /// a commit strategy this build no longer runs.
-  static constexpr std::int64_t kSchemaVersion = 6;
+  /// dropped "strategy" with the scatter-strategy axis; v7 dropped
+  /// "precision" with the storage-precision axis. Files of another
+  /// schema are rejected as a *version miss*, not corruption — a v6
+  /// winner may record a reduced-precision arm this build no longer
+  /// runs, and an older winner was measured under a commit strategy it
+  /// no longer runs either.
+  static constexpr std::int64_t kSchemaVersion = 7;
 
   /// Why a parse produced no cache (kOk when it did).
   enum class ParseStatus {
@@ -74,12 +75,11 @@ class TuningCache {
   };
 
   /// JSON document (schema below); stable entry order for diffing.
-  /// {"version":6,"entries":[{"backend":"gpusim","rows_log2":8,
-  ///   "cols_log2":7,"kernel":"aprod2_att","blocks":32,"threads":32,
-  ///   "precision":"fp32"}]}
+  /// {"version":7,"entries":[{"backend":"gpusim","rows_log2":8,
+  ///   "cols_log2":7,"kernel":"aprod2_att","blocks":32,"threads":32}]}
   [[nodiscard]] std::string to_json() const;
   /// Strict parse: any malformed syntax, unknown key, unknown
-  /// backend/kernel/precision name, invalid launch shape or wrong
+  /// backend/kernel name, invalid launch shape or wrong
   /// version yields nullopt (the
   /// caller treats it like a missing cache). `status`, when non-null,
   /// distinguishes a clean version miss from corruption.

@@ -1,6 +1,5 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 
@@ -61,24 +60,6 @@ std::string Cli::get(const std::string& name) const {
   GAIA_CHECK(opt != options_.end(), "undeclared option: " + name);
   const auto val = values_.find(name);
   return val != values_.end() ? val->second : opt->second.default_value;
-}
-
-std::string Cli::get_or_env(const std::string& name,
-                            const std::string& env_var,
-                            std::string* source) const {
-  const auto opt = options_.find(name);
-  GAIA_CHECK(opt != options_.end(), "undeclared option: " + name);
-  if (const auto val = values_.find(name); val != values_.end()) {
-    if (source) *source = "--" + name;
-    return val->second;
-  }
-  if (const char* env = std::getenv(env_var.c_str());
-      env != nullptr && *env != '\0') {
-    if (source) *source = env_var;
-    return env;
-  }
-  if (source) *source = "default";
-  return opt->second.default_value;
 }
 
 long long Cli::get_int(const std::string& name) const {

@@ -31,15 +31,6 @@ class Cli {
   bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string get(const std::string& name) const;
-  /// Like get(), but when the option was not given on the command line a
-  /// non-empty environment variable `env_var` overrides the declared
-  /// default (the flag wins over the env). `source`, when non-null,
-  /// receives where the value came from — "--name", "ENV_VAR" or
-  /// "default" — so a validation error can point at the actual origin
-  /// of a bad value instead of guessing.
-  [[nodiscard]] std::string get_or_env(const std::string& name,
-                                       const std::string& env_var,
-                                       std::string* source = nullptr) const;
   [[nodiscard]] long long get_int(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/lsqr.hpp"
-#include "core/refinement.hpp"
 #include "matrix/generator.hpp"
 #include "validation/compare.hpp"
 
@@ -23,25 +22,10 @@ struct BackendValidation {
   core::LsqrResult result;
 };
 
-/// One reduced-precision + iterative-refinement run against the FP64
-/// reference — the numerics gate of the mixed-precision axis.
-struct PrecisionValidation {
-  backends::Precision precision = backends::Precision::kFp64;
-  SolutionComparison solution;
-  OneToOneFit one_to_one;
-  core::RefinementReport refinement;
-  /// Refinement stalled and the run was redone fully in FP64 (the
-  /// comparison then trivially measures FP64-vs-FP64 noise).
-  bool fell_back = false;
-  core::LsqrResult result;
-};
-
 struct ValidationCampaign {
   matrix::ParameterLayout layout;
   core::LsqrResult reference;               ///< serial backend, FP64
   std::vector<BackendValidation> ports;     ///< every other backend
-  /// One entry per requested reduced precision (empty when none asked).
-  std::vector<PrecisionValidation> precisions;
   bool all_passed = false;
 };
 
@@ -53,12 +37,6 @@ struct ValidationOptions {
   /// micro-arcsecond threshold is meaningful (the paper's datasets are
   /// real astrometric quantities of order 1e-6 rad).
   real solution_scale = 1e-6;
-  /// Reduced storage precisions to validate (each solved with refinement
-  /// on the reference backend, compared against the FP64 reference and
-  /// gated by the same accuracy goal). kFp64 entries are skipped.
-  std::vector<backends::Precision> precisions{};
-  /// Refinement knobs for the reduced-precision runs.
-  core::RefinementOptions refine{};
 };
 
 ValidationCampaign run_validation(const ValidationOptions& options);

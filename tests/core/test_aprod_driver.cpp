@@ -201,37 +201,26 @@ TEST_P(AprodDriver, FusedAprod2MatchesSplitKernels) {
 
 TEST_P(AprodDriver, AdjointIdentityOnEveryLayoutPrecisionAndStrategy) {
   // The matrix-free oracle at the driver level, where the passes are
-  // composed: <A x, y> = <x, A^T y> through apply1/apply2 for every
-  // precision, on the tuned table and on a 2x2 table (other worker
-  // counts, so another slice fold). Both products read the same
-  // stored coefficients, so reduced precision perturbs A but not the
-  // identity; the gap is judged against the summed magnitude of the
+  // composed: <A x, y> = <x, A^T y> through apply1/apply2 on the tuned
+  // table and on a 2x2 table (other worker counts, so another slice
+  // fold); the gap is judged against the summed magnitude of the
   // products. No dense expansion is needed.
-  for (const auto precision :
-       {backends::Precision::kFp64, backends::Precision::kFp32,
-        backends::Precision::kBf16s}) {
-    for (const bool tuned : {true, false}) {
-      AprodOptions o = opts();
-      if (!tuned) o.tuning = backends::TuningTable::untuned({2, 2});
-      for (backends::KernelId id : backends::all_kernels()) {
-        backends::KernelConfig cfg = o.tuning.get(id);
-        cfg.precision = precision;
-        o.tuning.set(id, cfg);
-      }
-      backends::DeviceContext device;
-      Aprod aprod(gen_.A, device, o);
-      std::vector<real> ax(y_.size(), 0.0), aty(x_.size(), 0.0);
-      aprod.apply1(x_, ax);
-      aprod.apply2(y_, aty);
-      real lhs = 0, rhs = 0, scale = 0;
-      for (std::size_t i = 0; i < ax.size(); ++i) {
-        lhs += ax[i] * y_[i];
-        scale += std::abs(ax[i] * y_[i]);
-      }
-      for (std::size_t i = 0; i < aty.size(); ++i) rhs += aty[i] * x_[i];
-      EXPECT_LT(std::abs(lhs - rhs), 1e-12 * scale)
-          << backends::to_string(precision) << (tuned ? "/tuned" : "/2x2");
+  for (const bool tuned : {true, false}) {
+    AprodOptions o = opts();
+    if (!tuned) o.tuning = backends::TuningTable::untuned({2, 2});
+    backends::DeviceContext device;
+    Aprod aprod(gen_.A, device, o);
+    std::vector<real> ax(y_.size(), 0.0), aty(x_.size(), 0.0);
+    aprod.apply1(x_, ax);
+    aprod.apply2(y_, aty);
+    real lhs = 0, rhs = 0, scale = 0;
+    for (std::size_t i = 0; i < ax.size(); ++i) {
+      lhs += ax[i] * y_[i];
+      scale += std::abs(ax[i] * y_[i]);
     }
+    for (std::size_t i = 0; i < aty.size(); ++i) rhs += aty[i] * x_[i];
+    EXPECT_LT(std::abs(lhs - rhs), 1e-12 * scale)
+        << (tuned ? "tuned" : "2x2");
   }
 }
 
@@ -250,10 +239,11 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, AprodDriver,
                          });
 
 TEST(AprodPrecisionClamp, OversizedCopyRunsFp64AndIsRecorded) {
-  // A device that holds the fp64 arrays but not the fp32 copy: an fp32
-  // table runs every pass at fp64, bit for bit, and the degrade is
-  // recorded once — an `aprod.precision_clamps` count and a `degrade`
-  // flight event naming the first pass that asked.
+  // The fp64 row records are the only device copy. A device that holds
+  // exactly them runs apply1, apply2 and the step bit for bit like a
+  // roomy one, allocates nothing past them and records no degrade; one
+  // byte less and the driver refuses the system at construction, with
+  // an error naming the device, instead of running anything reduced.
   const auto gen = matrix::generate_system(gaia::testing::medium_config(6));
   util::Xoshiro256 rng(9);
   std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()));
@@ -277,10 +267,10 @@ TEST(AprodPrecisionClamp, OversizedCopyRunsFp64AndIsRecorded) {
       r.pnorm_sq = aprod.step(x, r.u, r.q, 1.0, 0.5);
     return r;
   };
-  AprodOptions fp64;
-  fp64.backend = BackendKind::kSerial;
+  AprodOptions opts;
+  opts.backend = BackendKind::kSerial;
   backends::DeviceContext roomy;
-  Aprod reference(gen.A, roomy, fp64);
+  Aprod reference(gen.A, roomy, opts);
   const byte_size seed_bytes = roomy.allocated();
   const Run want = run(reference);
 
@@ -288,18 +278,11 @@ TEST(AprodPrecisionClamp, OversizedCopyRunsFp64AndIsRecorded) {
   reg.set_enabled(true);
   reg.reset();
   obs::FlightRecorder::global().reset();
-  AprodOptions fp32 = fp64;
-  for (backends::KernelId id : backends::all_kernels()) {
-    backends::KernelConfig cfg = fp32.tuning.get(id);
-    cfg.precision = backends::Precision::kFp32;
-    fp32.tuning.set(id, cfg);
-  }
-  const byte_size fp32_bytes = gen.A.values().size() * sizeof(float);
-  backends::DeviceContext tight(seed_bytes + fp32_bytes - 1, "tight");
-  Aprod clamped(gen.A, tight, fp32);
-  const Run got = run(clamped);
-  const std::uint64_t clamps =
-      reg.counter("aprod.precision_clamps").value();
+  backends::DeviceContext exact(seed_bytes, "exact");
+  Aprod fitted(gen.A, exact, opts);
+  const Run got = run(fitted);
+  std::vector<std::string> counters;
+  for (const obs::MetricRow& row : reg.snapshot()) counters.push_back(row.name);
   reg.set_enabled(false);
   reg.reset();
 
@@ -308,16 +291,22 @@ TEST(AprodPrecisionClamp, OversizedCopyRunsFp64AndIsRecorded) {
   EXPECT_EQ(got.u, want.u);
   EXPECT_EQ(got.q, want.q);
   EXPECT_EQ(got.pnorm_sq, want.pnorm_sq);
-  EXPECT_EQ(tight.allocated(), seed_bytes);
-  EXPECT_EQ(clamps, 1u);
-  int degrades = 0;
-  for (const obs::FlightEvent& e : obs::FlightRecorder::global().events()) {
-    if (e.category != "degrade") continue;
-    ++degrades;
-    EXPECT_EQ(e.name, "aprod1_fused");
-    EXPECT_NE(e.detail.find("fp32 -> fp64"), std::string::npos) << e.detail;
+  EXPECT_EQ(exact.allocated(), seed_bytes);
+  for (const std::string& name : counters)
+    EXPECT_EQ(name.find("precision"), std::string::npos) << name;
+  for (const obs::FlightEvent& e : obs::FlightRecorder::global().events())
+    EXPECT_NE(e.category, "degrade") << e.name << ": " << e.detail;
+
+  backends::DeviceContext tight(seed_bytes - 1, "tight");
+  try {
+    Aprod refused(gen.A, tight, opts);
+    ADD_FAILURE() << "a system one byte over capacity was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("device 'tight' out of memory"),
+              std::string::npos)
+        << e.what();
   }
-  EXPECT_EQ(degrades, 1);
+  EXPECT_EQ(tight.allocated(), 0u);
 }
 
 }  // namespace

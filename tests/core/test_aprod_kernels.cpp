@@ -2,13 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-
 #include "core/kernel_catalog.hpp"
 #include "core/vector_ops.hpp"
 #include "matrix/dense.hpp"
 #include "matrix/generator.hpp"
-#include "matrix/layouted_system.hpp"
 #include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 #include "tuning/kernel_registry.hpp"
@@ -19,24 +16,12 @@ namespace {
 
 using backends::BackendKind;
 using backends::KernelId;
-using backends::Precision;
 
-constexpr std::array<Precision, 3> kPrecisions = {
-    Precision::kFp64, Precision::kFp32, Precision::kBf16s};
-
-/// A generated system with every reduced precision built and attached to
-/// its host view.
+/// A generated system and its host view.
 struct AttachedSystem {
   explicit AttachedSystem(const matrix::GeneratorConfig& cfg)
-      : gen(matrix::generate_system(cfg)),
-        stores(gen.A),
-        view(SystemView::from(gen.A)) {
-    stores.build_precision(Precision::kFp32);
-    stores.build_precision(Precision::kBf16s);
-    view.attach_precision(stores);
-  }
+      : gen(matrix::generate_system(cfg)), view(SystemView::from(gen.A)) {}
   matrix::GeneratedSystem gen;
-  matrix::LayoutedSystem stores;
   SystemView view;
 };
 using matrix::dense_matvec;
@@ -211,8 +196,8 @@ TEST_P(AprodKernels, GlobalKernelsNoopWithoutGlobalSection) {
 TEST_P(AprodKernels, FusedGatherBitIdenticalToTheFourGathers) {
   // The fused gather adds the four section dots into y[r] in the order
   // the separate kernels add them: through the registry it equals the
-  // four launches bit for bit at every precision, onto a non-zero y,
-  // with and without a global block.
+  // four launches bit for bit, onto a non-zero y, with and without a
+  // global block.
   ensure_kernel_catalog();
   const tuning::KernelRegistry& reg = tuning::KernelRegistry::global();
   for (const bool has_global : {true, false}) {
@@ -224,25 +209,21 @@ TEST_P(AprodKernels, FusedGatherBitIdenticalToTheFourGathers) {
     std::vector<real> y0(static_cast<std::size_t>(sys.gen.A.n_rows()));
     for (auto& v : x) v = rng.normal();
     for (auto& v : y0) v = rng.normal();
-    for (const Precision precision : kPrecisions) {
-      tuning::LaunchArgs args;
-      args.view = &sys.view;
-      args.in = x.data();
-      args.config = {16, 32};
-      args.config.precision = precision;
-      std::vector<real> separate = y0;
-      args.out = separate.data();
-      for (KernelId id : {KernelId::kAprod1Astro, KernelId::kAprod1Att,
-                          KernelId::kAprod1Instr, KernelId::kAprod1Glob})
-        reg.launch(id, GetParam(), args);
-      std::vector<real> fused = y0;
-      args.out = fused.data();
-      reg.launch_fused(tuning::FusedPass::kGather, GetParam(), args);
-      for (std::size_t r = 0; r < fused.size(); ++r)
-        ASSERT_EQ(fused[r], separate[r])
-            << backends::to_string(precision)
-            << (has_global ? "" : " no-global") << " row " << r;
-    }
+    tuning::LaunchArgs args;
+    args.view = &sys.view;
+    args.in = x.data();
+    args.config = {16, 32};
+    std::vector<real> separate = y0;
+    args.out = separate.data();
+    for (KernelId id : {KernelId::kAprod1Astro, KernelId::kAprod1Att,
+                        KernelId::kAprod1Instr, KernelId::kAprod1Glob})
+      reg.launch(id, GetParam(), args);
+    std::vector<real> fused = y0;
+    args.out = fused.data();
+    reg.launch_fused(tuning::FusedPass::kGather, GetParam(), args);
+    for (std::size_t r = 0; r < fused.size(); ++r)
+      ASSERT_EQ(fused[r], separate[r])
+          << (has_global ? "" : "no-global ") << "row " << r;
   }
 }
 
@@ -275,8 +256,8 @@ TEST_P(AprodKernels, StepMatchesGatherAstroAndFusedScatter) {
   // row, so p equals the fused gather onto (sigma u)(-alpha) bit for
   // bit. q = A^T p and ||p||^2 accumulate in another order than
   // aprod2_astro + the fused scatter + a norm, so they agree to
-  // rounding. Every precision, at one and at several workers, with and
-  // without a global block.
+  // rounding. At one and at several workers, with and without a global
+  // block.
   ensure_kernel_catalog();
   const tuning::KernelRegistry& reg = tuning::KernelRegistry::global();
   const real sigma = 0.75, alpha = 1.3;
@@ -289,40 +270,36 @@ TEST_P(AprodKernels, StepMatchesGatherAstroAndFusedScatter) {
     std::vector<real> u0(static_cast<std::size_t>(sys.gen.A.n_rows()));
     for (auto& e : v) e = rng.normal();
     for (auto& e : u0) e = rng.normal();
-    for (const Precision precision : kPrecisions) {
-      for (const backends::KernelConfig shape :
-           {backends::KernelConfig{16, 32}, backends::KernelConfig{1, 1}}) {
-        tuning::LaunchArgs args;
-        args.view = &sys.view;
-        args.config = shape;
-        args.config.precision = precision;
-        const std::string label = backends::to_string(precision) + "/" +
-                                  std::to_string(shape.blocks) + "x" +
-                                  std::to_string(shape.threads) +
-                                  (has_global ? "" : " no-global");
+    for (const backends::KernelConfig shape :
+         {backends::KernelConfig{16, 32}, backends::KernelConfig{1, 1}}) {
+      tuning::LaunchArgs args;
+      args.view = &sys.view;
+      args.config = shape;
+      const std::string label = std::to_string(shape.blocks) + "x" +
+                                std::to_string(shape.threads) +
+                                (has_global ? "" : " no-global");
 
-        std::vector<real> p_ref(u0.size());
-        for (std::size_t r = 0; r < u0.size(); ++r)
-          p_ref[r] = (sigma * u0[r]) * -alpha;
-        args.in = v.data();
-        args.out = p_ref.data();
-        reg.launch_fused(tuning::FusedPass::kGather, GetParam(), args);
-        std::vector<real> q_ref(v.size(), 0.0);
-        args.in = p_ref.data();
-        args.out = q_ref.data();
-        reg.launch(KernelId::kAprod2Astro, GetParam(), args);
-        reg.launch_fused(tuning::FusedPass::kScatter, GetParam(), args);
-        const real pnorm_sq_ref = vdot(p_ref, p_ref);
+      std::vector<real> p_ref(u0.size());
+      for (std::size_t r = 0; r < u0.size(); ++r)
+        p_ref[r] = (sigma * u0[r]) * -alpha;
+      args.in = v.data();
+      args.out = p_ref.data();
+      reg.launch_fused(tuning::FusedPass::kGather, GetParam(), args);
+      std::vector<real> q_ref(v.size(), 0.0);
+      args.in = p_ref.data();
+      args.out = q_ref.data();
+      reg.launch(KernelId::kAprod2Astro, GetParam(), args);
+      reg.launch_fused(tuning::FusedPass::kScatter, GetParam(), args);
+      const real pnorm_sq_ref = vdot(p_ref, p_ref);
 
-        const StepOutputs step =
-            launch_step(GetParam(), args, v, u0, sigma, alpha);
-        for (std::size_t r = 0; r < p_ref.size(); ++r)
-          ASSERT_EQ(step.p[r], p_ref[r]) << label << " row " << r;
-        EXPECT_LT(gaia::testing::rel_l2_error(step.q, q_ref), 1e-13)
-            << label;
-        EXPECT_NEAR(step.pnorm_sq, pnorm_sq_ref, 1e-13 * pnorm_sq_ref)
-            << label;
-      }
+      const StepOutputs step =
+          launch_step(GetParam(), args, v, u0, sigma, alpha);
+      for (std::size_t r = 0; r < p_ref.size(); ++r)
+        ASSERT_EQ(step.p[r], p_ref[r]) << label << " row " << r;
+      EXPECT_LT(gaia::testing::rel_l2_error(step.q, q_ref), 1e-13)
+          << label;
+      EXPECT_NEAR(step.pnorm_sq, pnorm_sq_ref, 1e-13 * pnorm_sq_ref)
+          << label;
     }
   }
 }
@@ -369,8 +346,9 @@ TEST(KernelCatalog, PassTrafficCountsYOncePerRow) {
   // touches y[r] once: the parts' sum minus (parts - 1) x rows x y bytes
   // (aprod1 reads and writes y[r], aprod2 reads it). Without a global
   // block the glob part does not run and is not charged. aprod2_astro is
-  // its own single part. Every layout runs the row records, so the
-  // layout-taking overload charges exactly their bytes.
+  // its own single part. Every kernel runs the fp64 row records, so the
+  // overload that takes the inert layout and precision charges exactly
+  // their bytes.
   for (const bool has_global : {true, false}) {
     auto cfg = gaia::testing::medium_config(21);
     cfg.has_global = has_global;
@@ -380,37 +358,28 @@ TEST(KernelCatalog, PassTrafficCountsYOncePerRow) {
     const std::uint64_t gather_parts = has_global ? 4 : 3;
     const std::uint64_t scatter_parts = has_global ? 3 : 2;
     const auto& [gather, astro, scatter] = tuning::kAprodPasses;
-    for (const Precision precision : kPrecisions) {
-      const auto bytes = [&](KernelId id) {
-        return kernel_traffic_bytes(v, id, precision);
-      };
-      std::uint64_t gather_sum = bytes(KernelId::kAprod1Astro) +
-                                 bytes(KernelId::kAprod1Att) +
-                                 bytes(KernelId::kAprod1Instr);
-      std::uint64_t scatter_sum =
-          bytes(KernelId::kAprod2Att) + bytes(KernelId::kAprod2Instr);
-      if (has_global) {
-        gather_sum += bytes(KernelId::kAprod1Glob);
-        scatter_sum += bytes(KernelId::kAprod2Glob);
-      }
-      const std::string label = backends::to_string(precision);
-      for (KernelId id : backends::all_kernels())
-        for (int li = 0; li < backends::kNumStorageLayouts; ++li)
-          EXPECT_EQ(kernel_traffic_bytes(
-                        v, id, static_cast<backends::StorageLayout>(li),
-                        precision),
-                    bytes(id))
-              << label << " layout " << li;
-      EXPECT_EQ(pass_traffic_bytes(v, gather, precision),
-                gather_sum - (gather_parts - 1) * rows * 2 * sizeof(real))
-          << label;
-      EXPECT_EQ(pass_traffic_bytes(v, scatter, precision),
-                scatter_sum - (scatter_parts - 1) * rows * sizeof(real))
-          << label;
-      EXPECT_EQ(pass_traffic_bytes(v, astro, precision),
-                bytes(KernelId::kAprod2Astro))
-          << label;
+    const auto bytes = [&](KernelId id) { return kernel_traffic_bytes(v, id); };
+    std::uint64_t gather_sum = bytes(KernelId::kAprod1Astro) +
+                               bytes(KernelId::kAprod1Att) +
+                               bytes(KernelId::kAprod1Instr);
+    std::uint64_t scatter_sum =
+        bytes(KernelId::kAprod2Att) + bytes(KernelId::kAprod2Instr);
+    if (has_global) {
+      gather_sum += bytes(KernelId::kAprod1Glob);
+      scatter_sum += bytes(KernelId::kAprod2Glob);
     }
+    for (KernelId id : backends::all_kernels())
+      for (int li = 0; li < backends::kNumStorageLayouts; ++li)
+        EXPECT_EQ(kernel_traffic_bytes(
+                      v, id, static_cast<backends::StorageLayout>(li),
+                      backends::Precision::kFp64),
+                  bytes(id))
+            << "layout " << li;
+    EXPECT_EQ(pass_traffic_bytes(v, gather),
+              gather_sum - (gather_parts - 1) * rows * 2 * sizeof(real));
+    EXPECT_EQ(pass_traffic_bytes(v, scatter),
+              scatter_sum - (scatter_parts - 1) * rows * sizeof(real));
+    EXPECT_EQ(pass_traffic_bytes(v, astro), bytes(KernelId::kAprod2Astro));
     EXPECT_EQ(pass_flops(v, gather),
               kernel_flops(v, KernelId::kAprod1Astro) +
                   kernel_flops(v, KernelId::kAprod1Att) +
@@ -434,12 +403,9 @@ TEST(KernelCatalog, StepTrafficReadsTheCoefficientsOnce) {
         kAstroNnzPerRow + kAttNnzPerRow + kInstrNnzPerRow +
         (has_global ? kGlobNnzPerRow : 0);
     const auto& [gather, astro, scatter] = tuning::kAprodPasses;
-    for (const Precision precision : kPrecisions) {
-      EXPECT_EQ(pass_traffic_bytes(v, tuning::kStepPass, precision),
-                pass_traffic_bytes(v, gather, precision) +
-                    rows * 2 * sizeof(real) * scatter_nnz)
-          << backends::to_string(precision);
-    }
+    EXPECT_EQ(pass_traffic_bytes(v, tuning::kStepPass),
+              pass_traffic_bytes(v, gather) +
+                  rows * 2 * sizeof(real) * scatter_nnz);
     EXPECT_EQ(pass_flops(v, tuning::kStepPass),
               pass_flops(v, gather) + pass_flops(v, astro) +
                   pass_flops(v, scatter));

@@ -94,22 +94,18 @@ TEST(Preconditioner, SizeMismatchRejected) {
 
 TEST(Preconditioner, ScaledDeviceCopyIsBitIdenticalToScaledMatrixCopy) {
   // A preconditioned solve scales the Aprod's device-resident copy
-  // instead of a second host copy of the system. The seed values and
-  // every reduced-precision copy built from them must be bit-identical
-  // to those built from a scaled copy of the matrix, and the source
+  // instead of a second host copy of the system. The device values must
+  // be bit-identical to a scaled copy of the matrix, and the source
   // matrix must stay untouched.
   const auto gen = matrix::generate_system(gaia::testing::small_config(45));
   const auto norms = column_norms(gen.A);
   matrix::SystemMatrix scaled = gen.A;
   apply_column_scaling(scaled, norms);
-  matrix::LayoutedSystem expected(scaled);
-  expected.build_precision(backends::Precision::kFp32);
 
   backends::DeviceContext device;
   AprodOptions opts;
   opts.backend = backends::BackendKind::kSerial;
   Aprod aprod(gen.A, device, opts, norms);
-  aprod.ensure_precision(backends::Precision::kFp32);
   const SystemView& view = aprod.view();
 
   auto same = [](const real* got, std::span<const real> want) {
@@ -120,9 +116,6 @@ TEST(Preconditioner, ScaledDeviceCopyIsBitIdenticalToScaledMatrixCopy) {
     return true;
   };
   EXPECT_TRUE(same(view.values, scaled.values()));
-  const auto& f32 = expected.f32().values;
-  for (std::size_t i = 0; i < f32.size(); ++i)
-    ASSERT_EQ(view.values_f32[i], f32[i]) << i;
   const auto fresh = matrix::generate_system(gaia::testing::small_config(45));
   EXPECT_TRUE(same(gen.A.values().data(), fresh.A.values()));
 }

@@ -2,7 +2,7 @@
 /// \brief Property suite for the aprod2 scatter commit: every worker
 /// accumulates a row chunk into a private slice, and one launch folds the
 /// slices into x in worker order. Covers equivalence with the serial
-/// reference on every backend and precision, explicit worker counts
+/// reference on every backend, explicit worker counts
 /// (the bits depend on W alone), the fused slot, shape sweeps and
 /// degenerate shapes, bit-reproducibility, the inert scatter-strategy
 /// field, the adjoint identity through every registered launcher, the
@@ -31,7 +31,6 @@ namespace {
 using backends::BackendKind;
 using backends::KernelConfig;
 using backends::KernelId;
-using backends::Precision;
 using backends::ScatterStrategy;
 using backends::StorageLayout;
 
@@ -62,11 +61,11 @@ void run_scatters(const SystemView& view, const real* y, std::vector<real>& x,
 /// The fused scatter at an explicit worker count: row_scatter's W equal
 /// row chunks, committed by section_scatter, without asking
 /// Exec::scatter_workers — so every backend can run any W.
-template <typename Exec, typename CoefT>
+template <typename Exec>
 std::vector<real> fused_scatter_at(const SystemView& view,
                                    const std::vector<real>& y, int workers) {
   std::vector<real> x(static_cast<std::size_t>(view.n_cols), 0.0);
-  const auto rows = detail::seed_shared_rows<CoefT>(view, y.data());
+  const auto rows = detail::seed_shared_rows(view, y.data());
   const std::int64_t n = view.n_rows;
   const std::int64_t chunk = (n + workers - 1) / workers;
   detail::section_scatter<Exec>(
@@ -227,115 +226,70 @@ TEST_P(ScatterStrategies, FusedSlotWithoutGlobalSectionMatchesSeparate) {
   }
 }
 
-/// A view of the fixture system with every reduced precision built and
-/// attached.
-struct AttachedSystem {
-  explicit AttachedSystem(const matrix::SystemMatrix& A)
-      : stores(A), view(SystemView::from(A)) {
-    stores.build_precision(Precision::kFp32);
-    stores.build_precision(Precision::kBf16s);
-    view.attach_precision(stores);
-  }
-  matrix::LayoutedSystem stores;
-  SystemView view;
-};
-
-constexpr std::array<Precision, 3> kPrecisions = {
-    Precision::kFp64, Precision::kFp32, Precision::kBf16s};
-
-/// fused_scatter_at on `backend` at `precision`'s storage scalar.
+/// fused_scatter_at on `backend`.
 std::vector<real> fused_at(BackendKind backend, const SystemView& view,
-                           const std::vector<real>& y, Precision precision,
-                           int workers) {
+                           const std::vector<real>& y, int workers) {
   return backends::dispatch(backend, [&](auto exec) {
-    using Exec = decltype(exec);
-    switch (precision) {
-      case Precision::kFp32:
-        return fused_scatter_at<Exec, float>(view, y, workers);
-      case Precision::kBf16s:
-        return fused_scatter_at<Exec, matrix::bf16s>(view, y, workers);
-      case Precision::kFp64:
-        break;
-    }
-    return fused_scatter_at<Exec, real>(view, y, workers);
+    return fused_scatter_at<decltype(exec)>(view, y, workers);
   });
 }
 
 TEST_P(ScatterStrategies, AtomicCommitMatchesSeedOnAllLayoutsAndPrecisions) {
-  // The one commit against the serial seed at every storage precision
-  // (accumulation is FP64 everywhere), with W = 1, 2, 3, 5 and 256
+  // The one commit against the serial seed, with W = 1, 2, 3, 5 and 256
   // private slices forced on this backend. The fold order depends on W
   // alone, so each result also equals the serial backend's fold of the
   // same W chunks bit for bit, and W = 1 is the seed's row order. Through
   // the registry the fused slot equals the three separate kernels bit for
   // bit, since each column sees the same adds in the same order.
-  const AttachedSystem sys(gen_.A);
-  for (const Precision precision : kPrecisions) {
-    KernelConfig seed_cfg;
-    seed_cfg.precision = precision;
-    const auto ref =
-        registry_scatter(sys.view, y_, BackendKind::kSerial, seed_cfg, false);
-    const std::string label = backends::to_string(precision);
-    for (const int workers : {1, 2, 3, 5, 256}) {
-      const auto x = fused_at(GetParam(), sys.view, y_, precision, workers);
-      EXPECT_LT(gaia::testing::rel_l2_error(x, ref), 1e-12)
-          << label << " W=" << workers;
-      EXPECT_EQ(x, fused_at(BackendKind::kSerial, sys.view, y_, precision,
-                            workers))
-          << label << " W=" << workers;
-      if (workers == 1) EXPECT_EQ(x, ref) << label;
-    }
-    KernelConfig cfg{16, 32};
-    cfg.precision = precision;
-    const auto separate =
-        registry_scatter(sys.view, y_, GetParam(), cfg, false);
-    const auto fused = registry_scatter(sys.view, y_, GetParam(), cfg, true);
-    EXPECT_LT(gaia::testing::rel_l2_error(fused, ref), 1e-12) << label;
-    for (std::size_t i = 0; i < fused.size(); ++i)
-      ASSERT_EQ(fused[i], separate[i]) << label << " at " << i;
+  const auto ref = registry_scatter(view_, y_, BackendKind::kSerial, {}, false);
+  for (const int workers : {1, 2, 3, 5, 256}) {
+    const auto x = fused_at(GetParam(), view_, y_, workers);
+    EXPECT_LT(gaia::testing::rel_l2_error(x, ref), 1e-12) << "W=" << workers;
+    EXPECT_EQ(x, fused_at(BackendKind::kSerial, view_, y_, workers))
+        << "W=" << workers;
+    if (workers == 1) EXPECT_EQ(x, ref);
   }
+  const KernelConfig cfg{16, 32};
+  const auto separate = registry_scatter(view_, y_, GetParam(), cfg, false);
+  const auto fused = registry_scatter(view_, y_, GetParam(), cfg, true);
+  EXPECT_LT(gaia::testing::rel_l2_error(fused, ref), 1e-12);
+  for (std::size_t i = 0; i < fused.size(); ++i)
+    ASSERT_EQ(fused[i], separate[i]) << "at " << i;
 }
 
 TEST_P(ScatterStrategies, AdjointIdentityThroughEveryRegisteredScatter) {
-  // <A x, y> = <x, A^T y> through the registry, for every precision
-  // slot of this backend, with the three atomic scatters and with the
-  // fused slot. No dense expansion: the gap is judged against the summed
-  // magnitude of the products.
-  const AttachedSystem sys(gen_.A);
+  // <A x, y> = <x, A^T y> through the registry, with the three shared
+  // scatters and with the fused slot. No dense expansion: the gap is
+  // judged against the summed magnitude of the products.
   const tuning::KernelRegistry& reg = tuning::KernelRegistry::global();
   const auto x = random_vector(reference_.size(), 61);
-  for (const Precision precision : kPrecisions) {
-    KernelConfig cfg{16, 32};
-    cfg.precision = precision;
-    tuning::LaunchArgs args;
-    args.view = &sys.view;
-    args.config = cfg;
-    std::vector<real> Ax(y_.size(), 0.0);
-    args.in = x.data();
-    args.out = Ax.data();
-    for (KernelId id : {KernelId::kAprod1Astro, KernelId::kAprod1Att,
-                        KernelId::kAprod1Instr, KernelId::kAprod1Glob})
-      reg.launch(id, GetParam(), args);
-    real lhs = 0, scale = 0;
-    for (std::size_t i = 0; i < Ax.size(); ++i) {
-      lhs += Ax[i] * y_[i];
-      scale += std::abs(Ax[i] * y_[i]);
+  tuning::LaunchArgs args;
+  args.view = &view_;
+  args.config = {16, 32};
+  std::vector<real> Ax(y_.size(), 0.0);
+  args.in = x.data();
+  args.out = Ax.data();
+  for (KernelId id : {KernelId::kAprod1Astro, KernelId::kAprod1Att,
+                      KernelId::kAprod1Instr, KernelId::kAprod1Glob})
+    reg.launch(id, GetParam(), args);
+  real lhs = 0, scale = 0;
+  for (std::size_t i = 0; i < Ax.size(); ++i) {
+    lhs += Ax[i] * y_[i];
+    scale += std::abs(Ax[i] * y_[i]);
+  }
+  for (const bool fused : {false, true}) {
+    std::vector<real> Aty(x.size(), 0.0);
+    args.in = y_.data();
+    args.out = Aty.data();
+    reg.launch(KernelId::kAprod2Astro, GetParam(), args);
+    if (fused) {
+      reg.launch_fused(tuning::FusedPass::kScatter, GetParam(), args);
+    } else {
+      for (KernelId id : kSharedScatters) reg.launch(id, GetParam(), args);
     }
-    for (const bool fused : {false, true}) {
-      std::vector<real> Aty(x.size(), 0.0);
-      args.in = y_.data();
-      args.out = Aty.data();
-      reg.launch(KernelId::kAprod2Astro, GetParam(), args);
-      if (fused) {
-        reg.launch_fused(tuning::FusedPass::kScatter, GetParam(), args);
-      } else {
-        for (KernelId id : kSharedScatters) reg.launch(id, GetParam(), args);
-      }
-      real rhs = 0;
-      for (std::size_t i = 0; i < Aty.size(); ++i) rhs += Aty[i] * x[i];
-      EXPECT_LT(std::abs(lhs - rhs), 1e-12 * scale)
-          << backends::to_string(precision) << (fused ? " fused" : "");
-    }
+    real rhs = 0;
+    for (std::size_t i = 0; i < Aty.size(); ++i) rhs += Aty[i] * x[i];
+    EXPECT_LT(std::abs(lhs - rhs), 1e-12 * scale) << (fused ? "fused" : "");
   }
 }
 
@@ -355,7 +309,7 @@ TEST(ScatterStrategyCommit, SerialAtomicBitIdenticalToPrivatized) {
   const SystemView view = SystemView::from(gen.A);
   const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 73);
   std::vector<real> plain(static_cast<std::size_t>(view.n_cols), 0.0);
-  const auto rows = detail::seed_shared_rows<real>(view, y.data());
+  const auto rows = detail::seed_shared_rows(view, y.data());
   real* shared = plain.data() + fused_scatter_section(view).offset;
   for (std::int64_t r = 0; r < view.n_rows; ++r) rows(shared, r);
   for (const bool fused : {false, true}) {
@@ -384,7 +338,7 @@ TEST(ScatterStrategyCommit, PstlAtomicUnderTheGrainCommitsInRowOrder) {
   const SystemView view = SystemView::from(gen.A);
   const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 7);
   const auto expected =
-      fused_scatter_at<backends::SerialExec, real>(view, y, workers);
+      fused_scatter_at<backends::SerialExec>(view, y, workers);
   for (const bool fused : {false, true}) {
     const auto pstl = registry_scatter(view, y, BackendKind::kPstl, {}, fused);
     for (std::size_t i = 0; i < expected.size(); ++i)

@@ -59,77 +59,73 @@ TEST(Solver, SameSeedSameSolution) {
 }
 
 TEST(Solver, PrecisionModeGrammarMirrorsTheLayoutGrammar) {
-  // Canonical tokens plus the CLI short forms, exactly the grammar the
-  // cache JSON and --precision share.
-  EXPECT_EQ(parse_precision_mode("fp64"), PrecisionMode::kFp64);
-  EXPECT_EQ(parse_precision_mode("double"), PrecisionMode::kFp64);
-  EXPECT_EQ(parse_precision_mode("f64"), PrecisionMode::kFp64);
-  EXPECT_EQ(parse_precision_mode("fp32"), PrecisionMode::kFp32);
-  EXPECT_EQ(parse_precision_mode("single"), PrecisionMode::kFp32);
-  EXPECT_EQ(parse_precision_mode("float"), PrecisionMode::kFp32);
-  EXPECT_EQ(parse_precision_mode("bf16s"), PrecisionMode::kBf16s);
-  EXPECT_EQ(parse_precision_mode("bf16"), PrecisionMode::kBf16s);
-  EXPECT_EQ(parse_precision_mode("bfloat16"), PrecisionMode::kBf16s);
-  EXPECT_EQ(parse_precision_mode("auto"), PrecisionMode::kAuto);
-  // Bad tokens: nullopt, so the caller can report the value *and* its
-  // origin (flag vs env) — the positioned-error contract.
-  EXPECT_FALSE(parse_precision_mode("fp16").has_value());
-  EXPECT_FALSE(parse_precision_mode("FP32").has_value());
-  EXPECT_FALSE(parse_precision_mode("").has_value());
-  EXPECT_FALSE(parse_precision_mode("mixed").has_value());
-  for (PrecisionMode m : {PrecisionMode::kFp64, PrecisionMode::kFp32,
-                          PrecisionMode::kBf16s, PrecisionMode::kAuto})
-    EXPECT_EQ(parse_precision_mode(to_string(m)), m);
+  // The precision axis is retired the way the layout and scatter axes
+  // were: the summary names none of them, and a table whose entries
+  // carry retired layout and strategy values solves bit for bit like
+  // the default table.
+  SolverRunConfig cfg;
+  cfg.generator = gaia::testing::small_config(83);
+  cfg.lsqr.max_iterations = 20;
+  cfg.lsqr.aprod.backend = backends::BackendKind::kSerial;
+  const auto plain = run_solver(cfg);
+  for (backends::KernelId id : backends::all_kernels()) {
+    backends::KernelConfig k = cfg.lsqr.aprod.tuning.get(id);
+    k.layout = backends::StorageLayout::kSlicedInstr;
+    k.strategy = backends::ScatterStrategy::kPrivatized;
+    cfg.lsqr.aprod.tuning.set(id, k);
+  }
+  const auto inert = run_solver(cfg);
+  EXPECT_EQ(inert.result.x, plain.result.x);
+  const std::string s = plain.summary();
+  for (const char* token : {"layout:", "precision:", "scatter:", "refine:"})
+    EXPECT_EQ(s.find(token), std::string::npos) << token;
 }
 
 TEST(Solver, ReducedPrecisionRunRefinesAndReportsIt) {
+  // A run reports what it ran: the table it was given, and the estimates
+  // line of the solution it returns — lsqr_solve's, bit for bit, since
+  // nothing corrects the solution after the solve.
   SolverRunConfig cfg;
   cfg.generator = gaia::testing::small_config(83);
   cfg.lsqr.max_iterations = 200;
   cfg.lsqr.atol = 1e-12;
   cfg.lsqr.btol = 1e-12;
   cfg.lsqr.aprod.backend = backends::BackendKind::kSerial;
-  cfg.precision = PrecisionMode::kFp32;
   const auto report = run_solver(cfg);
-  EXPECT_TRUE(report.refinement_ran);
-  EXPECT_TRUE(report.refinement.converged);
-  EXPECT_FALSE(report.precision_fell_back);
-  for (backends::KernelId id : backends::all_kernels())
-    EXPECT_EQ(report.tuning_used.get(id).precision,
-              backends::Precision::kFp32);
-  const std::string s = report.summary();
-  EXPECT_NE(s.find("precision: fp32"), std::string::npos);
-  EXPECT_NE(s.find("refine:"), std::string::npos);
-  EXPECT_NE(s.find("converged"), std::string::npos);
-
-  // The refined solution matches a pure-FP64 run of the same problem.
-  SolverRunConfig fp64_cfg = cfg;
-  fp64_cfg.precision = PrecisionMode::kFp64;
-  const auto fp64_report = run_solver(fp64_cfg);
-  EXPECT_FALSE(fp64_report.refinement_ran);
-  EXPECT_LT(gaia::testing::rel_l2_error(report.result.x,
-                                        fp64_report.result.x),
-            1e-6);
+  EXPECT_EQ(report.tuning_used, cfg.lsqr.aprod.tuning);
+  const LsqrResult& r = report.result;
+  EXPECT_NE(report.summary().find(
+                "        " +
+                format_estimates(r.anorm, r.acond, r.rnorm, r.arnorm,
+                                 r.xnorm) +
+                "\n"),
+            std::string::npos);
+  const auto gen = matrix::generate_system(*cfg.generator);
+  const auto direct = lsqr_solve(gen.A, cfg.lsqr);
+  EXPECT_EQ(r.x, direct.x);
+  EXPECT_EQ(r.rnorm, direct.rnorm);
 }
 
 TEST(Solver, StalledRefinementFallsBackToFp64AndSaysSo) {
+  // A solve whose iteration budget runs out above its tolerance says so
+  // in the report and the summary's stop line; the table it reports is
+  // the fp64 one it ran, and its solution is still the fp64 iterate.
   SolverRunConfig cfg;
   cfg.generator = gaia::testing::small_config(84);
-  cfg.lsqr.max_iterations = 150;
+  cfg.lsqr.max_iterations = 5;
+  cfg.lsqr.atol = 1e-12;
+  cfg.lsqr.btol = 1e-12;
   cfg.lsqr.aprod.backend = backends::BackendKind::kSerial;
-  cfg.precision = PrecisionMode::kBf16s;
-  cfg.refine.max_corrections = 1;
-  cfg.refine.tolerance = 1e-300;  // unreachable -> guaranteed stall
   const auto report = run_solver(cfg);
-  EXPECT_TRUE(report.refinement_ran);
-  EXPECT_FALSE(report.refinement.converged);
-  EXPECT_TRUE(report.precision_fell_back);
-  // The fallback re-solve runs — and is reported — in full precision.
+  EXPECT_EQ(report.result.istop, LsqrStop::kIterationLimit);
+  EXPECT_EQ(report.result.iterations, 5);
   for (backends::KernelId id : backends::all_kernels())
     EXPECT_EQ(report.tuning_used.get(id).precision,
               backends::Precision::kFp64);
-  const std::string s = report.summary();
-  EXPECT_NE(s.find("fell back to fp64"), std::string::npos);
+  EXPECT_NE(report.summary().find("stop: \"iteration limit reached\""),
+            std::string::npos);
+  const auto gen = matrix::generate_system(*cfg.generator);
+  EXPECT_EQ(report.result.x, lsqr_solve(gen.A, cfg.lsqr).x);
 }
 
 }  // namespace

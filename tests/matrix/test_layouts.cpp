@@ -26,28 +26,65 @@ using backends::KernelConfig;
 using backends::KernelId;
 using backends::ScatterStrategy;
 
+/// Every data pointer and scalar of a view.
+void expect_same_view(const core::SystemView& got,
+                      const core::SystemView& want) {
+  EXPECT_EQ(got.values, want.values);
+  EXPECT_EQ(got.idx_astro, want.idx_astro);
+  EXPECT_EQ(got.idx_att, want.idx_att);
+  EXPECT_EQ(got.instr_col, want.instr_col);
+  EXPECT_EQ(got.star_row_start, want.star_row_start);
+  EXPECT_EQ(got.n_rows, want.n_rows);
+  EXPECT_EQ(got.n_cols, want.n_cols);
+}
+
 TEST(LayoutedSystem, SeedBuildIsANoop) {
+  // Building any layout and attaching it leaves the view on the
+  // matrix's own fp64 records: nothing is derived or converted.
   const auto gen = generate_system(gaia::testing::small_config(61));
+  const core::SystemView seed = core::SystemView::from(gen.A);
   LayoutedSystem layouts(gen.A);
   for (int li = 0; li < kNumStorageLayouts; ++li)
     layouts.build(static_cast<StorageLayout>(li));
-  EXPECT_EQ(layouts.derived_bytes(), 0u);
-  EXPECT_FALSE(layouts.has_precision(Precision::kFp32));
+  core::SystemView view = seed;
+  view.attach_layout(layouts);
+  expect_same_view(view, seed);
+  EXPECT_EQ(view.values, gen.A.values().data());
 }
 
 TEST(LayoutedSystem, BuildIsIdempotentAndDeterministic) {
+  // Repeated builds and attaches, from one owner or two, keep every
+  // launch on the same records: a fixed config gives the same bits.
+  core::ensure_kernel_catalog();
   const auto gen = generate_system(gaia::testing::medium_config(64));
+  const core::SystemView seed = core::SystemView::from(gen.A);
   LayoutedSystem a(gen.A);
-  a.build_precision(Precision::kFp32);
-  const byte_size bytes_once = a.derived_bytes();
-  a.build_precision(Precision::kFp32);  // idempotent: no growth
   a.build(StorageLayout::kSlicedInstr);
-  EXPECT_EQ(a.derived_bytes(), bytes_once);
-
-  // Same matrix -> bit-identical converted records.
+  a.build(StorageLayout::kSlicedInstr);
   LayoutedSystem b(gen.A);
-  b.build_precision(Precision::kFp32);
-  EXPECT_EQ(a.f32().values, b.f32().values);
+  b.build(StorageLayout::kSoaTiled);
+  core::SystemView va = seed, vb = seed;
+  va.attach_layout(a);
+  vb.attach_layout(b);
+  expect_same_view(va, seed);
+  expect_same_view(vb, seed);
+
+  util::Xoshiro256 rng(65);
+  std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()));
+  for (auto& v : x) v = rng.normal();
+  const auto gather = [&](const core::SystemView& view) {
+    std::vector<real> y(static_cast<std::size_t>(gen.A.n_rows()), 0.0);
+    tuning::LaunchArgs args;
+    args.view = &view;
+    args.in = x.data();
+    args.out = y.data();
+    args.config = {16, 32};
+    tuning::KernelRegistry::global().launch_fused(
+        tuning::FusedPass::kGather, BackendKind::kSerial, args);
+    return y;
+  };
+  EXPECT_EQ(gather(va), gather(seed));
+  EXPECT_EQ(gather(vb), gather(seed));
 }
 
 /// Fixture for the registry sweep: one medium system and the serial

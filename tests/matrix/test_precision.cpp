@@ -1,120 +1,115 @@
-/// Down-conversion contract of the precision stores: the scalar
-/// converters are deterministic pure bit operations with bounded
-/// relative error, and LayoutedSystem::build_precision converts the
-/// coefficient records once, idempotently, bit-identically across
-/// rebuilds.
-#include "matrix/precision.hpp"
-
+/// Contract of the one storage precision: every kernel reads the fp64
+/// row records, the traffic accounting charges 8 bytes per coefficient,
+/// baselines label every series "fp64", and the device copy a driver
+/// makes is the matrix's records, element for element and bit for bit,
+/// however often it is made.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <span>
 
+#include "core/aprod.hpp"
+#include "core/kernel_catalog.hpp"
+#include "matrix/generator.hpp"
 #include "matrix/layouted_system.hpp"
-#include "matrix/system_matrix.hpp"
+#include "metrics/perf_baseline.hpp"
 #include "test_helpers.hpp"
-#include "util/rng.hpp"
 
 namespace gaia::matrix {
 namespace {
 
-TEST(PrecisionScalars, Bf16sRoundTripIsExactOnRepresentables) {
-  // A value already representable in 8-exp/7-mantissa bits survives the
-  // down/up trip bit for bit; the second trip is always the identity.
-  for (real v : {0.0, 1.0, -2.0, 0.5, -0.09375, 1.5e20, -3.0e-20}) {
-    const real once = from_bf16s(to_bf16s(v));
-    EXPECT_EQ(from_bf16s(to_bf16s(once)), once) << v;
-  }
-  EXPECT_EQ(from_bf16s(to_bf16s(0.0)), 0.0);
-  EXPECT_EQ(from_bf16s(to_bf16s(1.0)), 1.0);
-  EXPECT_EQ(from_bf16s(to_bf16s(-1.0)), -1.0);
-}
-
-TEST(PrecisionScalars, Bf16sTruncationErrorIsBoundedByitsMantissa) {
-  // Truncating 16 low bits of FP32 keeps 7 mantissa bits: the relative
-  // error of one conversion is below 2^-7 (plus the fp64->fp32 step,
-  // well inside that bound).
-  util::Xoshiro256 rng(11);
-  for (int i = 0; i < 10000; ++i) {
-    const real v = rng.normal() * std::pow(10.0, (i % 17) - 8);
-    if (v == 0.0) continue;
-    const real back = from_bf16s(to_bf16s(v));
-    EXPECT_LE(std::abs(back - v) / std::abs(v), 1.0 / 128.0) << v;
-    // Truncation never changes sign.
-    EXPECT_GE(back * v, 0.0) << v;
-  }
-}
-
-TEST(PrecisionScalars, Fp32LoadIsRoundToNearest) {
-  util::Xoshiro256 rng(12);
-  for (int i = 0; i < 10000; ++i) {
-    const real v = rng.normal();
-    const real back = load_real(static_cast<float>(v));
-    EXPECT_LE(std::abs(back - v),
-              std::abs(v) * std::numeric_limits<float>::epsilon());
-  }
-  // The fp64 load is the identity — the seed kernel bodies are
-  // unchanged at CoefT = real.
-  EXPECT_EQ(load_real(real{0.1}), real{0.1});
-}
+using backends::KernelId;
 
 TEST(PrecisionScalars, BytesNamesAndParsingAgree) {
-  EXPECT_EQ(precision_bytes(Precision::kFp64), 8);
-  EXPECT_EQ(precision_bytes(Precision::kFp32), 4);
-  EXPECT_EQ(precision_bytes(Precision::kBf16s), 2);
-  for (Precision p :
-       {Precision::kFp64, Precision::kFp32, Precision::kBf16s}) {
-    const auto parsed = parse_precision(to_string(p));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, p);
-  }
-  EXPECT_EQ(parse_precision("double"), Precision::kFp64);
-  EXPECT_EQ(parse_precision("single"), Precision::kFp32);
-  EXPECT_EQ(parse_precision("bfloat16"), Precision::kBf16s);
-  EXPECT_FALSE(parse_precision("fp16").has_value());
-  EXPECT_FALSE(parse_precision("").has_value());
+  // The one enumerator is the default of every launch config, and the
+  // traffic accounting charges it at sizeof(real): the global gather
+  // moves one coefficient, one x entry and a y read-modify-write per
+  // row, and the layout/precision overload charges the same bytes.
+  EXPECT_EQ(backends::KernelConfig{}.precision, backends::Precision::kFp64);
+  const auto gen = generate_system(gaia::testing::small_config(96));
+  const core::SystemView view = core::SystemView::from(gen.A);
+  const auto rows = static_cast<std::uint64_t>(view.n_rows);
+  EXPECT_EQ(core::kernel_traffic_bytes(view, KernelId::kAprod1Glob),
+            rows * 4 * sizeof(real));
+  for (KernelId id : backends::all_kernels())
+    EXPECT_EQ(core::kernel_traffic_bytes(view, id, StorageLayout::kSeedAos,
+                                         backends::Precision::kFp64),
+              core::kernel_traffic_bytes(view, id));
+
+  // A baseline series is labelled "fp64" by default, keeps the label
+  // through the JSON round trip, and is found under it.
+  metrics::PerfBaseline base;
+  base.name = "precision";
+  metrics::KernelTiming t;
+  t.kernel = "aprod_step";
+  t.backend = "openmp";
+  t.strategy = "privatized";
+  t.median_seconds = 1e-3;
+  t.samples = 3;
+  base.kernels.push_back(t);
+  const metrics::PerfBaseline parsed = metrics::parse_baseline(base.to_json());
+  ASSERT_EQ(parsed.kernels.size(), 1u);
+  EXPECT_EQ(parsed.kernels[0].precision, "fp64");
+  EXPECT_NE(parsed.find("aprod_step", "openmp", "privatized"), nullptr);
 }
 
 class PrecisionStoreTest : public ::testing::Test {
  protected:
   PrecisionStoreTest()
       : gen_(generate_system(gaia::testing::small_config(97))) {}
+
+  /// Whether the first `want.size()` elements at `got` equal `want` bit
+  /// for bit.
+  template <typename T>
+  static bool same_bits(const T* got, std::span<const T> want) {
+    for (std::size_t i = 0; i < want.size(); ++i)
+      if (std::bit_cast<std::array<unsigned char, sizeof(T)>>(got[i]) !=
+          std::bit_cast<std::array<unsigned char, sizeof(T)>>(want[i]))
+        return false;
+    return true;
+  }
+
   GeneratedSystem gen_;
 };
 
 TEST_F(PrecisionStoreTest, BuildConvertsEveryBuiltStreamElementwise) {
-  LayoutedSystem layouts(gen_.A);
-  layouts.build_precision(Precision::kFp32);
-  layouts.build_precision(Precision::kBf16s);
-
-  ASSERT_TRUE(layouts.has_precision(Precision::kFp32));
-  ASSERT_TRUE(layouts.has_precision(Precision::kBf16s));
-  // kFp64 needs no store: the seed records are the conversion.
-  EXPECT_TRUE(layouts.has_precision(Precision::kFp64));
-
-  // Same length as the records, per-element converted values.
-  const auto seed = gen_.A.values();
-  ASSERT_EQ(layouts.f32().values.size(), seed.size());
-  ASSERT_EQ(layouts.b16().values.size(), seed.size());
-  for (std::size_t i = 0; i < seed.size(); ++i) {
-    EXPECT_EQ(layouts.f32().values[i], static_cast<float>(seed[i]));
-    EXPECT_EQ(layouts.b16().values[i].bits, to_bf16s(seed[i]).bits);
-  }
+  // The driver's device copy is the row records unconverted: all five
+  // streams equal the matrix's elementwise, and the device holds
+  // exactly their bytes — no reduced-precision copy beside them.
+  backends::DeviceContext device;
+  core::AprodOptions opts;
+  opts.backend = backends::BackendKind::kSerial;
+  const core::Aprod aprod(gen_.A, device, opts);
+  const core::SystemView& view = aprod.view();
+  const SystemMatrix& A = gen_.A;
+  EXPECT_TRUE(same_bits(view.values, A.values()));
+  EXPECT_TRUE(same_bits(view.idx_astro, A.matrix_index_astro()));
+  EXPECT_TRUE(same_bits(view.idx_att, A.matrix_index_att()));
+  EXPECT_TRUE(same_bits(view.instr_col, A.instr_col()));
+  EXPECT_TRUE(same_bits(view.star_row_start, A.star_row_start()));
+  EXPECT_EQ(device.allocated(),
+            A.values().size_bytes() + A.matrix_index_astro().size_bytes() +
+                A.matrix_index_att().size_bytes() +
+                A.instr_col().size_bytes() +
+                A.star_row_start().size_bytes());
 }
 
 TEST_F(PrecisionStoreTest, RebuildIsBitIdenticalAndIdempotent) {
-  LayoutedSystem a(gen_.A);
-  a.build_precision(Precision::kBf16s);
-  const auto first = a.b16().values;
-  a.build_precision(Precision::kBf16s);  // idempotent: no re-conversion
-  EXPECT_EQ(a.b16().values.size(), first.size());
-  for (std::size_t i = 0; i < first.size(); ++i)
-    EXPECT_EQ(a.b16().values[i].bits, first[i].bits);
-
-  LayoutedSystem b(gen_.A);
-  b.build_precision(Precision::kBf16s);
-  for (std::size_t i = 0; i < first.size(); ++i)
-    EXPECT_EQ(b.b16().values[i].bits, first[i].bits);
+  // Two drivers on the same system hold bit-identical coefficients, and
+  // the retired layout owner's build leaves them so.
+  backends::DeviceContext d1, d2;
+  core::AprodOptions opts;
+  opts.backend = backends::BackendKind::kSerial;
+  const core::Aprod a(gen_.A, d1, opts);
+  LayoutedSystem layouts(gen_.A);
+  layouts.build(StorageLayout::kSoaTiled);
+  layouts.build(StorageLayout::kSoaTiled);
+  const core::Aprod b(gen_.A, d2, opts);
+  const std::span<const real> first(a.view().values, gen_.A.values().size());
+  EXPECT_TRUE(same_bits(b.view().values, first));
+  EXPECT_EQ(d1.allocated(), d2.allocated());
 }
 
 }  // namespace

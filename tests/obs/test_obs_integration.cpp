@@ -89,8 +89,7 @@ TEST(ObsIntegration, TracedLsqrRunEmitsFullTimelineAndExactByteTotals) {
   const core::SystemView view = core::SystemView::from(gen.A);
   std::map<std::string, std::uint64_t> expected;
   expected[core::pass_region_name(tuning::kStepPass)] =
-      core::pass_traffic_bytes(view, tuning::kStepPass,
-                               backends::Precision::kFp64);
+      core::pass_traffic_bytes(view, tuning::kStepPass);
   std::set<std::string> seen;
   for (const auto& e : events) {
     if (e.phase != 'X' || e.cat != "kernel") continue;

@@ -1,7 +1,7 @@
-/// The search contract: greedy coordinate descent over the pow-2 grid,
-/// medians as scores, atomic kernels seeded narrow, one arm per searched
-/// precision, shape-blind backends never searched, stale measurements
-/// ignored, budget respected.
+/// The search contract: one greedy coordinate descent per kernel over
+/// the pow-2 grid, medians as scores, atomic kernels seeded narrow,
+/// shape-blind backends never searched, stale measurements ignored,
+/// budget respected.
 #include "tuning/autotuner.hpp"
 
 #include <gtest/gtest.h>
@@ -173,9 +173,9 @@ TEST(Autotuner, InvalidSearchOptionsAreRejected) {
 }
 
 TEST(Autotuner, PinnedPrivatizedSearchesOnlyThatArm) {
-  // A scatter kernel has no strategy arm left: at the pinned precision
-  // it runs one descent from its narrow seed, and every candidate carries
-  // the default (inert) strategy field and fp64.
+  // A scatter kernel has no strategy or precision arm left: it runs one
+  // descent from its narrow seed, and every candidate carries the
+  // default (inert) strategy and precision fields.
   Autotuner tuner(BackendKind::kGpuSim, one_sample());
   const KernelId id = KernelId::kAprod2Att;
   EXPECT_EQ(tuner.propose(id), (KernelConfig{32, 32}));
@@ -192,52 +192,38 @@ TEST(Autotuner, PinnedPrivatizedSearchesOnlyThatArm) {
 }
 
 TEST(Autotuner, OpenStrategyAxisMeasuresBothArmsAndKeepsTheFaster) {
-  // The arms a scatter kernel's search can open are the precision arms:
-  // every precision is descended from its own seed, and the faster arm
-  // wins. Oracle: fp32 launches are uniformly 3x faster.
-  AutotuneOptions opts = one_sample();
-  opts.precision = std::nullopt;
-  Autotuner tuner(BackendKind::kGpuSim, opts);
+  // There is one arm per kernel: the descent measures the seed's
+  // neighbours and keeps whichever shape measured faster, so the winner
+  // and its median are the fastest shape scored. Oracle: a single
+  // faster shape next to the seed, everything else uniformly slow.
+  Autotuner tuner(BackendKind::kGpuSim, one_sample());
   const KernelId id = KernelId::kAprod2Att;
-  for (int step = 0; step < 2000 && tuner.searching(id); ++step) {
+  const KernelConfig faster{64, 32};
+  std::vector<KernelConfig> scored;
+  for (int step = 0; step < 1000 && tuner.searching(id); ++step) {
     const KernelConfig cfg = tuner.propose(id);
-    const double base = oracle_seconds(cfg, 64, 128);
-    tuner.report(id, cfg,
-                 cfg.precision == backends::Precision::kFp32 ? base / 3
-                                                             : base);
+    scored.push_back(cfg);
+    tuner.report(id, cfg, cfg == faster ? 1e-3 / 3 : 1e-3);
   }
   ASSERT_FALSE(tuner.searching(id));
-  EXPECT_EQ(tuner.best(id),
-            (KernelConfig{64, 128, backends::Precision::kFp32}));
-  // Every arm was genuinely descended: each holds a scored best, and the
-  // per-arm medians reproduce the 3x oracle gap at the optimum.
-  const double fp64_med =
-      tuner.best_median_for_precision(id, backends::Precision::kFp64);
-  const double fp32_med =
-      tuner.best_median_for_precision(id, backends::Precision::kFp32);
-  EXPECT_LT(tuner.best_median_for_precision(id, backends::Precision::kBf16s),
-            std::numeric_limits<double>::infinity());
-  EXPECT_NEAR(fp32_med, fp64_med / 3, 1e-9);
-  EXPECT_EQ(tuner.best_for_precision(id, backends::Precision::kFp64),
-            (KernelConfig{64, 128}));
+  EXPECT_EQ(tuner.best(id), faster);
+  EXPECT_NEAR(tuner.best_median_s(id), 1e-3 / 3, 1e-12);
+  // The seed, its three neighbours (it sits on the thread grid's
+  // lower edge), then the faster shape's two unvisited neighbours: each
+  // scored once, none twice.
+  EXPECT_EQ(scored.size(), 6u);
+  EXPECT_EQ(tuner.trials(), 6u);
 }
 
 TEST(Autotuner, OpenStrategyAxisKeepsAtomicWhenItWins) {
-  // With the precision axis open, the seed arm (fp64) keeps the win when
-  // the reduced arms are slower.
-  AutotuneOptions opts = one_sample();
-  opts.precision = std::nullopt;
-  Autotuner tuner(BackendKind::kGpuSim, opts);
+  // When the narrow seed of a scatter kernel is the fastest shape, the
+  // search keeps it: its three neighbours are scored, none improves,
+  // and the search closes on the seed.
+  Autotuner tuner(BackendKind::kGpuSim, one_sample());
   const KernelId id = KernelId::kAprod2Glob;
-  for (int step = 0; step < 2000 && tuner.searching(id); ++step) {
-    const KernelConfig cfg = tuner.propose(id);
-    const double base = oracle_seconds(cfg, 32, 64);
-    tuner.report(id, cfg,
-                 cfg.precision == backends::Precision::kFp64 ? base
-                                                             : base * 2);
-  }
-  ASSERT_FALSE(tuner.searching(id));
-  EXPECT_EQ(tuner.best(id), (KernelConfig{32, 64}));
+  search_kernel(tuner, id, 32, 32);
+  EXPECT_EQ(tuner.best(id), (KernelConfig{32, 32}));
+  EXPECT_EQ(tuner.trials(), 4u);
 }
 
 TEST(AutotunerEncoding, TableRoundTripsThroughTheBroadcastEncoding) {
@@ -245,13 +231,12 @@ TEST(AutotunerEncoding, TableRoundTripsThroughTheBroadcastEncoding) {
   table.set(KernelId::kAprod1Glob, {3, 7});
   table.set(KernelId::kAprod2Att, {16, 32});
   table.set(KernelId::kAprod2Instr, {8, 64});
-  // Mixed precisions must survive the 3-real-per-kernel wire format the
-  // rank-0 broadcast uses.
-  table.set(KernelId::kAprod1Astro, {64, 128, backends::Precision::kFp32});
-  table.set(KernelId::kAprod1Att, {64, 128, backends::Precision::kBf16s});
+  // Shapes survive the 2-real-per-kernel wire format the rank-0
+  // broadcast uses.
+  table.set(KernelId::kAprod1Astro, {64, 128});
   const std::vector<real> wire = encode_table(table);
   EXPECT_EQ(wire.size(), kEncodedTableSize);
-  EXPECT_EQ(kEncodedTableSize, 3u * backends::kNumKernels);
+  EXPECT_EQ(kEncodedTableSize, 2u * backends::kNumKernels);
   EXPECT_EQ(decode_table(wire), table);
 }
 
@@ -275,10 +260,19 @@ TEST(AutotunerEncoding, UnknownStrategyCodeThrows) {
 }
 
 TEST(AutotunerEncoding, UnknownPrecisionCodeThrows) {
+  // The wire carries no precision slot either: the old 3-real form
+  // (blocks, threads, precision) is rejected by its size whatever its
+  // precision codes say, and a precision code is never decoded.
   backends::TuningTable table = backends::TuningTable::tuned_default();
-  std::vector<real> wire = encode_table(table);
-  wire[2] = 9;  // not a Precision enumerator
-  EXPECT_THROW((void)decode_table(wire), Error);
+  std::vector<real> old_wire;
+  for (real v : encode_table(table)) old_wire.push_back(v);
+  old_wire.resize(3 * backends::kNumKernels, 0.0);
+  EXPECT_THROW((void)decode_table(old_wire), Error);
+  old_wire.assign(3 * backends::kNumKernels, 9.0);  // no Precision
+  EXPECT_THROW((void)decode_table(old_wire), Error);
+  const std::vector<real> wire = encode_table(table);
+  EXPECT_EQ(wire.size(), 2u * backends::kNumKernels);
+  EXPECT_EQ(decode_table(wire), table);
 }
 
 }  // namespace

@@ -152,13 +152,12 @@ TEST_F(TuningCacheTest, BucketMismatchForcesAReTune) {
 
 TEST(TuningCacheJson, DocumentRoundTripsAndIsStable) {
   TuningCache cache;
-  cache.put(BackendKind::kGpuSim, {8, 7}, KernelId::kAprod2Att,
-            {32, 32, backends::Precision::kFp32});
+  cache.put(BackendKind::kGpuSim, {8, 7}, KernelId::kAprod2Att, {32, 32});
   cache.put(BackendKind::kOpenMP, {8, 7}, KernelId::kAprod1Astro, {16, 128});
   const std::string json = cache.to_json();
-  EXPECT_NE(json.find("\"version\":6"), std::string::npos);
+  EXPECT_NE(json.find("\"version\":7"), std::string::npos);
   EXPECT_NE(json.find("\"kernel\":\"aprod2_att\""), std::string::npos);
-  EXPECT_NE(json.find("\"precision\":\"fp32\""), std::string::npos);
+  EXPECT_EQ(json.find("\"precision\""), std::string::npos);
   EXPECT_EQ(json.find("\"strategy\""), std::string::npos);
   EXPECT_EQ(json.find("\"layout\""), std::string::npos);
   const auto parsed = TuningCache::parse_json(json);
@@ -167,17 +166,16 @@ TEST(TuningCacheJson, DocumentRoundTripsAndIsStable) {
   const auto hit =
       parsed->find(BackendKind::kGpuSim, {8, 7}, KernelId::kAprod2Att);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, (KernelConfig{32, 32, backends::Precision::kFp32}));
+  EXPECT_EQ(*hit, (KernelConfig{32, 32}));
   // Serialization is deterministic (diffable caches).
   EXPECT_EQ(parsed->to_json(), json);
 }
 
 TEST(TuningCacheJson, MissingStrategyAndLayoutKeysDefaultToSeed) {
-  // v6 entries carry no strategy or layout key, and the precision key is
-  // optional (a hand-edited file): absent means fp64, and the inert
+  // v7 entries carry no strategy, layout or precision key: the inert
   // fields keep their defaults.
   const std::string json =
-      "{\"version\":6,\"entries\":[{\"backend\":\"gpusim\","
+      "{\"version\":7,\"entries\":[{\"backend\":\"gpusim\","
       "\"rows_log2\":8,\"cols_log2\":7,\"kernel\":\"aprod2_att\","
       "\"blocks\":32,\"threads\":32}]}";
   const auto parsed = TuningCache::parse_json(json);
@@ -191,11 +189,10 @@ TEST(TuningCacheJson, MissingStrategyAndLayoutKeysDefaultToSeed) {
 TEST(TuningCacheJson, StrictParserRejectsEveryMalformation) {
   const auto entry = [](const std::string& backend, const std::string& kernel,
                         int blocks, int threads) {
-    return "{\"version\":6,\"entries\":[{\"backend\":\"" + backend +
+    return "{\"version\":7,\"entries\":[{\"backend\":\"" + backend +
            "\",\"rows_log2\":8,\"cols_log2\":7,\"kernel\":\"" + kernel +
            "\",\"blocks\":" + std::to_string(blocks) +
-           ",\"threads\":" + std::to_string(threads) +
-           ",\"precision\":\"fp64\"}]}";
+           ",\"threads\":" + std::to_string(threads) + "}]}";
   };
   // The control: the generator above produces a parsable document.
   ASSERT_TRUE(TuningCache::parse_json(entry("gpusim", "aprod2_att", 32, 32))
@@ -210,7 +207,8 @@ TEST(TuningCacheJson, StrictParserRejectsEveryMalformation) {
   // Other schema versions: rejected, but as a *version miss*, not
   // corruption — the entries are never trusted. v1 predates the
   // strategy axis, v2 the layout axis, v3 the precision axis; v4 still
-  // carries the layout axis and v5 the strategy axis.
+  // carries the layout axis, v5 the strategy axis and v6 the precision
+  // axis.
   EXPECT_FALSE(
       TuningCache::parse_json("{\"version\":1,\"entries\":[]}", &status)
           .has_value());
@@ -231,27 +229,26 @@ TEST(TuningCacheJson, StrictParserRejectsEveryMalformation) {
       TuningCache::parse_json("{\"version\":5,\"entries\":[]}", &status)
           .has_value());
   EXPECT_EQ(status, Status::kVersionMismatch);
-  // Unknown backend / kernel / precision names.
+  EXPECT_FALSE(
+      TuningCache::parse_json("{\"version\":6,\"entries\":[]}", &status)
+          .has_value());
+  EXPECT_EQ(status, Status::kVersionMismatch);
+  // Unknown backend / kernel names.
   EXPECT_FALSE(TuningCache::parse_json(entry("cuda11", "aprod2_att", 32, 32))
                    .has_value());
   EXPECT_FALSE(TuningCache::parse_json(entry("gpusim", "aprod9_att", 32, 32))
                    .has_value());
-  // A v6 entry carrying the retired strategy or layout key is an
-  // unknown key.
-  std::string with_strategy = entry("gpusim", "aprod2_att", 32, 32);
-  with_strategy.insert(with_strategy.find(",\"precision\""),
-                       ",\"strategy\":\"atomic\"");
-  EXPECT_FALSE(TuningCache::parse_json(with_strategy, &status).has_value());
-  EXPECT_EQ(status, Status::kMalformed);
-  std::string with_layout = entry("gpusim", "aprod2_att", 32, 32);
-  with_layout.insert(with_layout.find(",\"precision\""),
-                     ",\"layout\":\"seed_aos\"");
-  EXPECT_FALSE(TuningCache::parse_json(with_layout, &status).has_value());
-  EXPECT_EQ(status, Status::kMalformed);
-  std::string bad_precision = entry("gpusim", "aprod2_att", 32, 32);
-  bad_precision.replace(bad_precision.find("fp64"), 4, "fp13");
-  EXPECT_FALSE(TuningCache::parse_json(bad_precision, &status).has_value());
-  EXPECT_EQ(status, Status::kMalformed);
+  // A v7 entry carrying the retired strategy, layout or precision key is
+  // an unknown key, whatever its value.
+  for (const std::string retired :
+       {",\"strategy\":\"atomic\"", ",\"layout\":\"seed_aos\"",
+        ",\"precision\":\"fp64\"", ",\"precision\":\"fp32\""}) {
+    std::string with_key = entry("gpusim", "aprod2_att", 32, 32);
+    with_key.insert(with_key.find(",\"threads\""), retired);
+    EXPECT_FALSE(TuningCache::parse_json(with_key, &status).has_value())
+        << retired;
+    EXPECT_EQ(status, Status::kMalformed) << retired;
+  }
   // Unlaunchable shapes: negative, zero-paired, absurd.
   EXPECT_FALSE(TuningCache::parse_json(entry("gpusim", "aprod2_att", -1, 32))
                    .has_value());
@@ -311,9 +308,8 @@ TEST(TuningCacheJson, OldVersionFileBumpsTheVersionMissCounter) {
   EXPECT_FALSE(cache.load(p));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(reg.counter("tuning.cache.version_miss").value(), 4u);
-  // A sealed v5 cache (strategy and precision axes) — the file this
-  // release's upgrade encounters: its "strategy" key is never parsed, the
-  // file is a clean version miss.
+  // A sealed v5 cache (strategy and precision axes): its "strategy" key
+  // is never parsed, the file is a clean version miss.
   resilience::write_framed_file(
       p, "{\"version\":5,\"entries\":[{\"backend\":\"gpusim\","
          "\"rows_log2\":8,\"cols_log2\":7,\"kernel\":\"aprod2_att\","
@@ -322,10 +318,20 @@ TEST(TuningCacheJson, OldVersionFileBumpsTheVersionMissCounter) {
   EXPECT_FALSE(cache.load(p));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(reg.counter("tuning.cache.version_miss").value(), 5u);
+  // A sealed v6 cache (precision axis) — the file this release's upgrade
+  // encounters: its fp32 winner is never trusted, the file is a clean
+  // version miss.
+  resilience::write_framed_file(
+      p, "{\"version\":6,\"entries\":[{\"backend\":\"gpusim\","
+         "\"rows_log2\":8,\"cols_log2\":7,\"kernel\":\"aprod2_att\","
+         "\"blocks\":32,\"threads\":32,\"precision\":\"fp32\"}]}");
+  EXPECT_FALSE(cache.load(p));
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(reg.counter("tuning.cache.version_miss").value(), 6u);
   // Plain corruption does not touch the version-miss counter.
   resilience::write_framed_file(p, "not json");
   EXPECT_FALSE(cache.load(p));
-  EXPECT_EQ(reg.counter("tuning.cache.version_miss").value(), 5u);
+  EXPECT_EQ(reg.counter("tuning.cache.version_miss").value(), 6u);
   fs::remove(p);
   reg.set_enabled(false);
   reg.reset();

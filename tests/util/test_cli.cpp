@@ -91,47 +91,5 @@ TEST(Cli, UndeclaredGetThrows) {
   EXPECT_THROW(cli.get("nope"), Error);
 }
 
-// get_or_env precedence contract (--precision/GAIA_PRECISION): flag >
-// env > default, and `source` names where the value actually came from
-// so a validation error can point at the true origin of a bad token.
-TEST(Cli, GetOrEnvFlagWinsOverEnvironment) {
-  Cli cli("p", "d");
-  cli.add_option("precision", "fp64", "h");
-  ::setenv("GAIA_TEST_PRECISION", "bf16s", 1);
-  const char* argv[] = {"prog", "--precision", "fp32"};
-  EXPECT_TRUE(cli.parse(3, argv));
-  std::string source;
-  EXPECT_EQ(cli.get_or_env("precision", "GAIA_TEST_PRECISION", &source),
-            "fp32");
-  EXPECT_EQ(source, "--precision");
-  ::unsetenv("GAIA_TEST_PRECISION");
-}
-
-TEST(Cli, GetOrEnvEnvironmentWinsOverDefault) {
-  Cli cli("p", "d");
-  cli.add_option("precision", "fp64", "h");
-  ::setenv("GAIA_TEST_PRECISION", "bf16s", 1);
-  const char* argv[] = {"prog"};
-  EXPECT_TRUE(cli.parse(1, argv));
-  std::string source;
-  EXPECT_EQ(cli.get_or_env("precision", "GAIA_TEST_PRECISION", &source),
-            "bf16s");
-  EXPECT_EQ(source, "GAIA_TEST_PRECISION");
-  ::unsetenv("GAIA_TEST_PRECISION");
-}
-
-TEST(Cli, GetOrEnvEmptyEnvironmentFallsThroughToDefault) {
-  Cli cli("p", "d");
-  cli.add_option("precision", "fp64", "h");
-  ::setenv("GAIA_TEST_PRECISION", "", 1);
-  const char* argv[] = {"prog"};
-  EXPECT_TRUE(cli.parse(1, argv));
-  std::string source;
-  EXPECT_EQ(cli.get_or_env("precision", "GAIA_TEST_PRECISION", &source),
-            "fp64");
-  EXPECT_EQ(source, "default");
-  ::unsetenv("GAIA_TEST_PRECISION");
-}
-
 }  // namespace
 }  // namespace gaia::util
