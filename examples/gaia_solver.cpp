@@ -8,8 +8,8 @@
 ///   $ ./gaia_solver --size 128MB --backend openmp --autotune
 ///   $ ./gaia_solver --size 32MB --backend serial --ranks 4
 ///   $ ./gaia_solver --trace trace.json --metrics metrics.csv
-///   $ ./gaia_solver --ranks 3 --trace-dir traces && gaia-critpath \
-///         traces/trace.merged.json
+///   $ ./gaia_solver --ranks 3 --trace-dir traces
+///   $ gaia-critpath traces/trace.merged.json
 ///   $ GAIA_TRACE=trace.json GAIA_METRICS=metrics.csv ./gaia_solver
 ///   $ ./gaia_solver --checkpoint-dir ckpt --checkpoint-every 20
 ///   $ GAIA_FAULTS='kernel:p=0.01' ./gaia_solver --backend gpusim

@@ -10,6 +10,7 @@
 /// assert the solver's "copy once, iterate device-resident" property.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -17,10 +18,12 @@
 #include <string>
 #include <vector>
 
+#include "backends/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "resilience/retry.hpp"
 #include "util/crc32.hpp"
+#include "util/default_init_allocator.hpp"
 #include "util/error.hpp"
 #include "util/types.hpp"
 
@@ -88,16 +91,18 @@ class DeviceBuffer {
  public:
   DeviceBuffer() = default;
 
+  /// Zero-filled allocation.
   DeviceBuffer(DeviceContext& ctx, std::size_t count,
                CoherenceMode coherence = CoherenceMode::kCoarseGrain)
-      : ctx_(&ctx), coherence_(coherence), data_(count) {
-    ctx_->on_alloc(bytes());
+      : DeviceBuffer(ctx, count, coherence, Uninitialized{}) {
+    std::fill(data_.begin(), data_.end(), T{});
   }
 
-  /// Allocate and copy from host in one step.
+  /// Allocate and copy from host in one step. The copy is the first
+  /// touch: nothing zero-fills the buffer first.
   DeviceBuffer(DeviceContext& ctx, std::span<const T> host,
                CoherenceMode coherence = CoherenceMode::kCoarseGrain)
-      : DeviceBuffer(ctx, host.size(), coherence) {
+      : DeviceBuffer(ctx, host.size(), coherence, Uninitialized{}) {
     copy_from_host(host);
   }
 
@@ -186,13 +191,20 @@ class DeviceBuffer {
   }
 
  private:
+  struct Uninitialized {};
+  DeviceBuffer(DeviceContext& ctx, std::size_t count,
+               CoherenceMode coherence, Uninitialized)
+      : ctx_(&ctx), coherence_(coherence), data_(count) {
+    ctx_->on_alloc(bytes());
+  }
+
   void transfer_h2d(std::span<const T> host) {
     obs::ScopedTrace span("h2d", "transfer");
     if (span.armed() && ctx_) {
       span.add_arg({"bytes", static_cast<std::uint64_t>(host.size_bytes())});
       span.add_arg({"device", ctx_->name()});
     }
-    std::memcpy(data_.data(), host.data(), host.size_bytes());
+    first_touch_copy(data_.data(), host.data(), host.size_bytes());
     if (ctx_) {
       ctx_->on_h2d(host.size_bytes());
       // Same increment point and amount as the device accounting, so
@@ -222,7 +234,7 @@ class DeviceBuffer {
 
   DeviceContext* ctx_ = nullptr;
   CoherenceMode coherence_ = CoherenceMode::kCoarseGrain;
-  std::vector<T> data_;
+  std::vector<T, util::DefaultInitAllocator<T>> data_;
 };
 
 }  // namespace gaia::backends

@@ -137,16 +137,32 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
+namespace {
+
+// 256 KiB chunks: large enough to amortize the chunk counter, small
+// enough that pages interleave across however many workers show up.
+constexpr std::int64_t kFirstTouchChunk = 256 * 1024;
+
+}  // namespace
+
 void first_touch_zero(void* p, std::size_t bytes) {
   if (p == nullptr || bytes == 0) return;
-  // 256 KiB chunks: large enough to amortize the chunk counter, small
-  // enough that pages interleave across however many workers show up.
-  constexpr std::int64_t kChunk = 256 * 1024;
   auto* base = static_cast<char*>(p);
   ThreadPool::global().parallel_for(
-      static_cast<std::int64_t>(bytes), kChunk,
+      static_cast<std::int64_t>(bytes), kFirstTouchChunk,
       [base](std::int64_t lo, std::int64_t hi) {
         std::memset(base + lo, 0, static_cast<std::size_t>(hi - lo));
+      });
+}
+
+void first_touch_copy(void* dst, const void* src, std::size_t bytes) {
+  if (bytes == 0) return;
+  auto* to = static_cast<char*>(dst);
+  const auto* from = static_cast<const char*>(src);
+  ThreadPool::global().parallel_for(
+      static_cast<std::int64_t>(bytes), kFirstTouchChunk,
+      [to, from](std::int64_t lo, std::int64_t hi) {
+        std::memcpy(to + lo, from + lo, static_cast<std::size_t>(hi - lo));
       });
 }
 

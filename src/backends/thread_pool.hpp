@@ -113,4 +113,9 @@ class ThreadPool {
 /// data (it zeroes).
 void first_touch_zero(void* p, std::size_t bytes);
 
+/// `memcpy` of `bytes` from `src` to `dst` in the same chunks on the
+/// same pool: the copy into a fresh (uninitialized) region is its first
+/// touch. The regions must not overlap.
+void first_touch_copy(void* dst, const void* src, std::size_t bytes);
+
 }  // namespace gaia::backends

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "backends/thread_pool.hpp"
+
 namespace gaia::core {
 
 using matrix::kAstroCoeffOffset;
@@ -11,15 +13,20 @@ using matrix::kInstrCoeffOffset;
 
 namespace {
 
-/// Visits every (column, coefficient reference) pair of A, reading the
-/// coefficients from `vals` (A's own array or a copy shaped like it).
+/// Rows per pool task of the column scaling.
+constexpr std::int64_t kScalingRows = 4096;
+
+/// Visits every (column, coefficient reference) pair of rows
+/// [begin, end) of A, reading the coefficients from `vals` (A's own
+/// array or a copy shaped like it).
 template <typename V, typename F>
-void for_each_entry(const matrix::SystemMatrix& A, std::span<V> vals, F&& f) {
+void for_each_entry(const matrix::SystemMatrix& A, std::span<V> vals,
+                    row_index begin, row_index end, F&& f) {
   const matrix::ParameterLayout& lay = A.layout();
   const auto ia = A.matrix_index_astro();
   const auto it = A.matrix_index_att();
   const auto ic = A.instr_col();
-  for (row_index r = 0; r < A.n_rows(); ++r) {
+  for (row_index r = begin; r < end; ++r) {
     const auto ri = static_cast<std::size_t>(r);
     V* rv = vals.data() + ri * kNnzPerRow;
     for (int i = 0; i < kAstroNnzPerRow; ++i)
@@ -39,7 +46,8 @@ void for_each_entry(const matrix::SystemMatrix& A, std::span<V> vals, F&& f) {
 
 std::vector<real> column_norms(const matrix::SystemMatrix& A) {
   std::vector<real> norms(static_cast<std::size_t>(A.n_cols()), real{0});
-  for_each_entry(A, A.values(), [&](col_index c, real v) {
+  // Serial: the shared columns' sums depend on the row order.
+  for_each_entry(A, A.values(), 0, A.n_rows(), [&](col_index c, real v) {
     norms[static_cast<std::size_t>(c)] += v * v;
   });
   for (auto& n : norms) n = n > real{0} ? std::sqrt(n) : real{1};
@@ -58,9 +66,14 @@ void apply_column_scaling(const matrix::SystemMatrix& A,
              "column-norm vector size mismatch");
   GAIA_CHECK(values.size() == A.values().size(),
              "coefficient array size mismatch");
-  for_each_entry(A, values, [&](col_index c, real& v) {
-    v /= norms[static_cast<std::size_t>(c)];
-  });
+  // Each entry is one independent division, so row blocks on the pool
+  // give the serial bits.
+  backends::ThreadPool::global().parallel_for(
+      A.n_rows(), kScalingRows, [&](std::int64_t lo, std::int64_t hi) {
+        for_each_entry(A, values, lo, hi, [&](col_index c, real& v) {
+          v /= norms[static_cast<std::size_t>(c)];
+        });
+      });
 }
 
 void unscale_solution(std::span<real> x, std::span<const real> norms) {

@@ -216,6 +216,9 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
   // off), then step to completion, sealing on the cadence.
   resilience::CheckpointManager manager(config.checkpoint);
   core::LsqrEngine engine(generated.A, lsqr);
+  // The engine solves on its own device copy and keeps no pointer into
+  // the host system, and the report already holds its sizes: free it.
+  generated = {};
   report.resumed_from_iteration = engine.use_checkpoints(manager);
   engine.run_to_completion();
   report.result = engine.result();
@@ -263,7 +266,8 @@ std::string SolverRunReport::summary() const {
   os << "system: " << n_obs << " observations + " << n_constraints
      << " constraints x " << layout.n_unknowns() << " unknowns ("
      << layout.n_stars() << " stars), footprint "
-     << util::format_bytes(system_bytes) << '\n';
+     << util::format_bytes(system_bytes) << ", generated in "
+     << util::format_seconds(generation_seconds) << '\n';
   os << "solve:  " << result.iterations << " iterations, stop: \""
      << to_string(result.istop) << "\"\n";
   if (autotune_enabled) {

@@ -61,7 +61,9 @@ struct GeneratedSystem {
 };
 
 /// Deterministically generates a system from the configuration: equal
-/// seeds produce bit-identical systems.
+/// seeds produce bit-identical systems. The rows fill in fixed blocks on
+/// the shared pool, each from the state one serial stream has at the
+/// block's start, so the bits do not depend on the pool size.
 GeneratedSystem generate_system(const GeneratorConfig& config);
 
 /// Computes a configuration whose generated system occupies approximately

@@ -4,6 +4,8 @@
 #include <array>
 #include <string>
 
+#include "backends/thread_pool.hpp"
+
 namespace gaia::matrix {
 
 SystemMatrix::SystemMatrix(ParameterLayout layout, row_index n_obs,
@@ -12,12 +14,17 @@ SystemMatrix::SystemMatrix(ParameterLayout layout, row_index n_obs,
   GAIA_CHECK(n_obs_ > 0, "system needs at least one observation row");
   GAIA_CHECK(n_constraints_ >= 0, "negative constraint count");
   const auto rows = static_cast<std::size_t>(n_rows());
-  values_.assign(rows * kNnzPerRow, real{0});
-  matrix_index_astro_.assign(rows, 0);
-  matrix_index_att_.assign(rows, 0);
-  instr_col_.assign(rows * kInstrNnzPerRow, 0);
-  known_terms_.assign(rows, real{0});
-  star_row_start_.assign(static_cast<std::size_t>(layout_.n_stars()) + 1, 0);
+  const auto zeroed = [](auto& array, std::size_t count) {
+    array.resize(count);
+    backends::first_touch_zero(array.data(),
+                               count * sizeof(array.front()));
+  };
+  zeroed(values_, rows * kNnzPerRow);
+  zeroed(matrix_index_astro_, rows);
+  zeroed(matrix_index_att_, rows);
+  zeroed(instr_col_, rows * kInstrNnzPerRow);
+  zeroed(known_terms_, rows);
+  zeroed(star_row_start_, static_cast<std::size_t>(layout_.n_stars()) + 1);
 }
 
 byte_size SystemMatrix::footprint_bytes() const {

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "matrix/layout.hpp"
+#include "util/default_init_allocator.hpp"
 #include "util/types.hpp"
 
 namespace gaia::matrix {
@@ -49,7 +50,8 @@ class SystemMatrix {
   /// Allocates storage for `n_obs` observation rows plus `n_constraints`
   /// constraint rows over the given unknown layout. Coefficients start
   /// zeroed; index arrays start at 0 and must be filled by the caller
-  /// (normally the generator).
+  /// (normally the generator). The zeroing runs on the shared pool, so
+  /// it is also each page's first touch.
   SystemMatrix(ParameterLayout layout, row_index n_obs,
                row_index n_constraints);
 
@@ -134,15 +136,18 @@ class SystemMatrix {
   void validate_structure() const;
 
  private:
+  template <typename T>
+  using Array = std::vector<T, util::DefaultInitAllocator<T>>;
+
   ParameterLayout layout_{};
   row_index n_obs_ = 0;
   row_index n_constraints_ = 0;
-  std::vector<real> values_;
-  std::vector<col_index> matrix_index_astro_;
-  std::vector<col_index> matrix_index_att_;
-  std::vector<std::int32_t> instr_col_;
-  std::vector<real> known_terms_;
-  std::vector<row_index> star_row_start_;
+  Array<real> values_;
+  Array<col_index> matrix_index_astro_;
+  Array<col_index> matrix_index_att_;
+  Array<std::int32_t> instr_col_;
+  Array<real> known_terms_;
+  Array<row_index> star_row_start_;
 };
 
 }  // namespace gaia::matrix

@@ -37,4 +37,19 @@ double Xoshiro256::normal() {
   return r * std::cos(theta);
 }
 
+void Xoshiro256::discard_normals(std::uint64_t k) {
+  if (k > 0 && has_cached_normal_) {
+    has_cached_normal_ = false;
+    --k;
+  }
+  // Each pair redraws u1 while it would be 0, as normal() does, then
+  // draws u2.
+  for (; k >= 2; k -= 2) {
+    while ((next() >> 11) == 0) {
+    }
+    next();
+  }
+  if (k == 1) normal();
+}
+
 }  // namespace gaia::util

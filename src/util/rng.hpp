@@ -81,6 +81,12 @@ class Xoshiro256 {
   /// Standard normal via Box-Muller (cached second value).
   double normal();
 
+  /// Advances the state exactly as `k` calls of normal() would, without
+  /// the Box-Muller arithmetic except for a final pair whose second value
+  /// stays cached. Lets a serial replay find where a block of draws
+  /// starts, so the blocks can then be drawn in parallel.
+  void discard_normals(std::uint64_t k);
+
   /// Normal with given mean and standard deviation.
   double normal(double mean, double sigma) { return mean + sigma * normal(); }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <vector>
+
+#include "resilience/fault_injector.hpp"
 
 namespace gaia::backends {
 namespace {
@@ -97,6 +101,39 @@ TEST(DeviceBuffer, CoherenceModeCarried) {
   DeviceBuffer<double> fine(ctx, 4, CoherenceMode::kFineGrain);
   EXPECT_EQ(coarse.coherence(), CoherenceMode::kCoarseGrain);
   EXPECT_EQ(fine.coherence(), CoherenceMode::kFineGrain);
+}
+
+/// 2 MiB plus a ragged tail: several of the pool's 256 KiB copy chunks.
+std::vector<double> multi_chunk_source() {
+  std::vector<double> host(2 * kMiB / sizeof(double) + 7);
+  for (std::size_t i = 0; i < host.size(); ++i)
+    host[i] = std::sin(static_cast<double>(i)) * 1e3;
+  return host;
+}
+
+TEST(DeviceBuffer, FromHostCopySpanningChunksIsExactAndCountedOnce) {
+  DeviceContext ctx;
+  const std::vector<double> host = multi_chunk_source();
+  const std::size_t bytes = host.size() * sizeof(double);
+  DeviceBuffer<double> buf(ctx, std::span<const double>(host));
+  EXPECT_EQ(std::memcmp(buf.data(), host.data(), bytes), 0);
+  EXPECT_EQ(ctx.h2d_bytes(), bytes);
+}
+
+TEST(DeviceBuffer, ArmedCorruptH2DRetriesUntilExact) {
+  auto& injector = resilience::FaultInjector::global();
+  injector.configure("h2d:p=1,mode=corrupt,count=2");
+  DeviceContext ctx;
+  const std::vector<double> host = multi_chunk_source();
+  const std::size_t bytes = host.size() * sizeof(double);
+  DeviceBuffer<double> buf(ctx, std::span<const double>(host));
+  const std::uint64_t corrupted =
+      injector.injected(resilience::FaultSite::kH2D);
+  injector.disarm();
+  EXPECT_EQ(corrupted, 2u);
+  EXPECT_EQ(std::memcmp(buf.data(), host.data(), bytes), 0);
+  // Every attempt's transfer is counted, the two corrupt ones included.
+  EXPECT_EQ(ctx.h2d_bytes(), 3 * bytes);
 }
 
 TEST(DeviceBuffer, DefaultConstructedIsEmpty) {

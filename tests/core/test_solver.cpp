@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_helpers.hpp"
+#include "util/string_utils.hpp"
 
 namespace gaia::core {
 namespace {
@@ -44,6 +45,13 @@ TEST(Solver, SummaryMentionsKeyQuantities) {
   EXPECT_NE(s.find("iterations"), std::string::npos);
   EXPECT_NE(s.find("observations"), std::string::npos);
   EXPECT_NE(s.find("mean iteration time"), std::string::npos);
+  // The system line ends with the measured generation time.
+  const std::string system_line = s.substr(0, s.find('\n'));
+  const std::string generated =
+      ", generated in " + util::format_seconds(report.generation_seconds);
+  ASSERT_GE(system_line.size(), generated.size());
+  EXPECT_EQ(system_line.substr(system_line.size() - generated.size()),
+            generated);
 }
 
 TEST(Solver, SameSeedSameSolution) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "matrix/dense.hpp"
 #include "test_helpers.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 
 namespace gaia::matrix {
@@ -19,6 +23,81 @@ TEST(Generator, DeterministicForEqualSeeds) {
                          b.A.known_terms().begin()));
   EXPECT_TRUE(std::equal(a.A.instr_col().begin(), a.A.instr_col().end(),
                          b.A.instr_col().begin()));
+}
+
+template <typename T>
+std::string crc_hex(std::span<const T> array) {
+  char buf[9];
+  std::snprintf(buf, sizeof buf, "%08x",
+                util::crc32(array.data(), array.size_bytes()));
+  return buf;
+}
+
+/// CRC-32s of every array a generated system carries, in the order
+/// values, astro index, attitude index, instrumental columns, known
+/// terms, star partition, ground truth ("-" when there is none).
+std::string system_crcs(const GeneratedSystem& g) {
+  const SystemMatrix& A = g.A;
+  return crc_hex(A.values()) + ' ' + crc_hex(A.matrix_index_astro()) + ' ' +
+         crc_hex(A.matrix_index_att()) + ' ' + crc_hex(A.instr_col()) + ' ' +
+         crc_hex(A.known_terms()) + ' ' + crc_hex(A.star_row_start()) + ' ' +
+         (g.ground_truth ? crc_hex<real>(*g.ground_truth) : "-");
+}
+
+// The generator fills on the shared pool from replayed stream states;
+// these CRCs were taken from the single-stream serial generator, so any
+// bit that moves — at any pool size (CI reruns this test with
+// GAIA_POOL_THREADS=0 and 7) — fails here.
+TEST(Generator, GoldenCrcsPinEveryBit) {
+  struct Case {
+    const char* name;
+    GeneratorConfig config;
+    const char* crcs;
+  };
+  const auto with = [](std::uint64_t seed, auto&& edit) {
+    GeneratorConfig cfg = gaia::testing::medium_config(seed);
+    edit(cfg);
+    return cfg;
+  };
+  const auto truth = [](GeneratorConfig& c, real sigma) {
+    c.rhs_mode = RhsMode::kFromGroundTruth;
+    c.noise_sigma = sigma;
+  };
+  const Case cases[] = {
+      {"random rhs", with(7, [](GeneratorConfig&) {}),
+       "f9723a63 5d545a24 741bac9d b24c67f4 1c647eac beaec4b5 -"},
+      // 1001 stars: an odd count of star-count draws leaves a cached
+      // normal pending at every block start (24 normals per row).
+      {"truth, noise 0.1, 1001 stars",
+       with(8,
+            [&](GeneratorConfig& c) {
+              truth(c, 0.1);
+              c.n_stars = 1001;
+            }),
+       "b7222105 375c6c4a 38bb2edf 1c58ebf8 ae1f4434 712df6d7 27db579c"},
+      {"truth, noise 0, 1001 stars",
+       with(9,
+            [&](GeneratorConfig& c) {
+              truth(c, 0.0);
+              c.n_stars = 1001;
+            }),
+       "86cc7a4b 54712b3d c5e684d0 061fd591 013f1637 5b8e5585 1d7de7c9"},
+      // 23 normals per row: whether a block starts with a cached normal
+      // depends on the parity of the rows before it.
+      {"no global",
+       with(10, [](GeneratorConfig& c) { c.has_global = false; }),
+       "fb6627e3 5eb2a6db 742bb3de a36e622d aab1c880 bbc80c4d -"},
+      // att_span 0: no jitter draw.
+      {"attitude span 0",
+       with(11, [](GeneratorConfig& c) { c.att_dof_per_axis = 4; }),
+       "ae2c59fc d10398d6 556d37d9 f6a40ba9 753eacd2 cb6406e3 -"},
+      {"257 stars", with(12, [](GeneratorConfig& c) { c.n_stars = 257; }),
+       "096a585c 4500cda6 92920524 67dc2cf6 bf33b2ab c2728292 -"},
+      {"24 MiB footprint", config_for_footprint(24 * kMiB),
+       "72c6f3b9 10df9e53 fb3edbbd 9ce39031 109ead35 d9aaa42f -"},
+  };
+  for (const Case& c : cases)
+    EXPECT_EQ(system_crcs(generate_system(c.config)), c.crcs) << c.name;
 }
 
 TEST(Generator, DifferentSeedsDiffer) {

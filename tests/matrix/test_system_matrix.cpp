@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "matrix/generator.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -22,6 +24,34 @@ TEST(SystemMatrix, AllocatesExpectedShapes) {
   EXPECT_EQ(A.instr_col().size(), 23u * kInstrNnzPerRow);
   EXPECT_EQ(A.known_terms().size(), 23u);
   EXPECT_EQ(A.star_row_start().size(), 5u);
+}
+
+TEST(SystemMatrix, ArraysLargerThanOneZeroingChunkStartZeroed) {
+  // Every array spans several of the pool's 256 KiB zeroing chunks. The
+  // first round dirties memory that the second may be handed again.
+  const ParameterLayout lay(70000, 3, 8, 6, true);
+  const auto all_zero = [](auto array) {
+    return std::all_of(array.begin(), array.end(),
+                       [](auto v) { return v == 0; });
+  };
+  const auto dirty = [](auto array) {
+    std::fill(array.begin(), array.end(), 7);
+  };
+  for (int round = 0; round < 2; ++round) {
+    SystemMatrix A(lay, 100000, 3);
+    EXPECT_TRUE(all_zero(A.values())) << round;
+    EXPECT_TRUE(all_zero(A.matrix_index_astro())) << round;
+    EXPECT_TRUE(all_zero(A.matrix_index_att())) << round;
+    EXPECT_TRUE(all_zero(A.instr_col())) << round;
+    EXPECT_TRUE(all_zero(A.known_terms())) << round;
+    EXPECT_TRUE(all_zero(A.star_row_start())) << round;
+    dirty(A.values());
+    dirty(A.matrix_index_astro());
+    dirty(A.matrix_index_att());
+    dirty(A.instr_col());
+    dirty(A.known_terms());
+    dirty(A.star_row_start());
+  }
 }
 
 TEST(SystemMatrix, CoefficientRecordLayoutConstants) {

@@ -97,6 +97,27 @@ TEST(Rng, JumpProducesDisjointStream) {
   EXPECT_EQ(same, 0);
 }
 
+// The generator's replay relies on this: discarding k normals leaves the
+// stream exactly where k normal() calls would, cached value included.
+TEST(Rng, DiscardNormalsMatchesDrawingThem) {
+  for (const bool cached : {false, true}) {
+    for (const std::uint64_t k : {0, 1, 2, 3, 23, 24, 25}) {
+      Xoshiro256 drawn(2024);
+      Xoshiro256 discarded(2024);
+      if (cached) {
+        (void)drawn.normal();
+        (void)discarded.normal();
+      }
+      for (std::uint64_t i = 0; i < k; ++i) (void)drawn.normal();
+      discarded.discard_normals(k);
+      EXPECT_EQ(discarded.normal(), drawn.normal())
+          << "k=" << k << " cached=" << cached;
+      EXPECT_EQ(discarded.next(), drawn.next())
+          << "k=" << k << " cached=" << cached;
+    }
+  }
+}
+
 TEST(Rng, SplitMixDeterministic) {
   SplitMix64 a(5), b(5);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(a.next(), b.next());
