@@ -58,6 +58,14 @@ class DeviceContext {
     d2h_.store(0);
   }
 
+  /// Throws the out-of-memory error an allocation of `bytes` would throw
+  /// now, without allocating: lets a caller that adopts several arrays
+  /// refuse before it takes any of them.
+  void require_room(byte_size bytes) const {
+    const byte_size in_use = allocated_.load();
+    if (in_use + bytes > capacity_) throw out_of_memory(bytes, in_use);
+  }
+
  private:
   template <typename T>
   friend class DeviceBuffer;
@@ -66,12 +74,15 @@ class DeviceContext {
     const byte_size now = allocated_.fetch_add(bytes) + bytes;
     if (now > capacity_) {
       allocated_.fetch_sub(bytes);
-      throw Error("device '" + name_ + "' out of memory: need " +
-                  std::to_string(bytes) + " B on top of " +
-                  std::to_string(now - bytes) + " B, capacity " +
-                  std::to_string(capacity_) + " B");
+      throw out_of_memory(bytes, now - bytes);
     }
     allocs_.fetch_add(1);
+  }
+  [[nodiscard]] Error out_of_memory(byte_size bytes, byte_size in_use) const {
+    return Error("device '" + name_ + "' out of memory: need " +
+                 std::to_string(bytes) + " B on top of " +
+                 std::to_string(in_use) + " B, capacity " +
+                 std::to_string(capacity_) + " B");
   }
   void on_free(byte_size bytes) { allocated_.fetch_sub(bytes); }
   void on_h2d(byte_size bytes) { h2d_.fetch_add(bytes); }
@@ -104,6 +115,20 @@ class DeviceBuffer {
                CoherenceMode coherence = CoherenceMode::kCoarseGrain)
       : DeviceBuffer(ctx, host.size(), coherence, Uninitialized{}) {
     copy_from_host(host);
+  }
+
+  /// Adopts `host` as the device storage. On the host backends the
+  /// device is host RAM, so an owner that no longer needs its array hands
+  /// it over instead of keeping it beside a copy. The bytes are charged
+  /// first (a device too small throws and leaves `host` untouched), then
+  /// the storage is taken as is: nothing is copied and no H2D traffic is
+  /// counted.
+  DeviceBuffer(DeviceContext& ctx,
+               std::vector<T, util::DefaultInitAllocator<T>>&& host,
+               CoherenceMode coherence = CoherenceMode::kCoarseGrain)
+      : ctx_(&ctx), coherence_(coherence) {
+    ctx_->on_alloc(static_cast<byte_size>(host.size()) * sizeof(T));
+    data_ = std::move(host);
   }
 
   ~DeviceBuffer() {

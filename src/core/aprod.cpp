@@ -1,5 +1,7 @@
 #include "core/aprod.hpp"
 
+#include <utility>
+
 #include "core/kernel_catalog.hpp"
 #include "core/preconditioner.hpp"
 #include "obs/flight_recorder.hpp"
@@ -85,23 +87,60 @@ void note_failover(const char* kernel, BackendKind from, BackendKind to) {
 
 }  // namespace
 
+Aprod::DeviceRecords Aprod::upload(const matrix::SystemMatrix& A,
+                                   backends::DeviceContext& device,
+                                   backends::CoherenceMode coherence,
+                                   std::span<const real> col_scale) {
+  DeviceRecords records{{device, A.values(), coherence},
+                        {device, A.matrix_index_astro(), coherence},
+                        {device, A.matrix_index_att(), coherence},
+                        {device, A.instr_col(), coherence},
+                        {device, A.star_row_start(), coherence}};
+  if (!col_scale.empty())
+    apply_column_scaling(A, records.values.span(), col_scale);
+  return records;
+}
+
+Aprod::DeviceRecords Aprod::adopt(matrix::SystemMatrix&& A,
+                                  backends::DeviceContext& device,
+                                  backends::CoherenceMode coherence,
+                                  std::span<const real> col_scale) {
+  // Refuse the whole set before scaling or taking any array, so a device
+  // too small leaves the caller's system as it was.
+  device.require_room(A.footprint_bytes() - A.known_terms().size_bytes());
+  // The scaling reads the index arrays, so it runs before the release.
+  if (!col_scale.empty()) apply_column_scaling(A, col_scale);
+  matrix::SystemMatrix::Records arrays = std::move(A).release_records();
+  return {{device, std::move(arrays.values), coherence},
+          {device, std::move(arrays.matrix_index_astro), coherence},
+          {device, std::move(arrays.matrix_index_att), coherence},
+          {device, std::move(arrays.instr_col), coherence},
+          {device, std::move(arrays.star_row_start), coherence}};
+}
+
 Aprod::Aprod(const matrix::SystemMatrix& A, backends::DeviceContext& device,
              AprodOptions options, std::span<const real> col_scale)
+    : Aprod(A, upload(A, device, options.coherence, col_scale), options) {}
+
+// The first argument only binds A for its dimensions, which the release
+// leaves in place; adopt() does the scaling and the release in order.
+Aprod::Aprod(matrix::SystemMatrix&& A, backends::DeviceContext& device,
+             AprodOptions options, std::span<const real> col_scale)
+    : Aprod(A, adopt(std::move(A), device, options.coherence, col_scale),
+            options) {}
+
+Aprod::Aprod(const matrix::SystemMatrix& A, DeviceRecords records,
+             AprodOptions options)
     : options_(options),
       active_backend_(options.backend),
-      d_values_(device, A.values(), options.coherence),
-      d_idx_astro_(device, A.matrix_index_astro(), options.coherence),
-      d_idx_att_(device, A.matrix_index_att(), options.coherence),
-      d_instr_col_(device, A.instr_col(), options.coherence),
-      d_star_row_start_(device, A.star_row_start(), options.coherence) {
+      records_(std::move(records)) {
   ensure_kernel_catalog();
-  if (!col_scale.empty())
-    apply_column_scaling(A, d_values_.span(), col_scale);
   // Same construction path as the host view, fed the device-resident
-  // copies — the scalar fields can't drift.
+  // arrays — the scalar fields can't drift.
   view_ = SystemView::from(
-      A, {d_values_.data(), d_idx_astro_.data(), d_idx_att_.data(),
-          d_instr_col_.data(), d_star_row_start_.data()});
+      A, {records_.values.data(), records_.idx_astro.data(),
+          records_.idx_att.data(), records_.instr_col.data(),
+          records_.star_row_start.data()});
 }
 
 void Aprod::launch_pass(const tuning::AprodPass& pass,

@@ -2,9 +2,12 @@
 /// \brief Runtime driver for the aprod products: backend selection,
 /// device residency, kernel tuning, failover.
 ///
-/// Owns the device-resident copy of the system (made once, at
+/// Owns the device-resident row records of the system, set up once, at
 /// construction — the "matrices are copied to the GPU before the main
-/// loop and remain there until the end" contract of paper SIV-a).
+/// loop and remain there until the end" contract of paper SIV-a. A
+/// borrowed system is uploaded; an owned one (passed by rvalue) is
+/// adopted, since on the host backends the device is host RAM and a
+/// second copy would only double the memory a solve needs.
 ///
 /// One row pass per product: apply1 launches the fused gather, apply2
 /// launches aprod2_astro and then the fused shared-section scatter
@@ -73,6 +76,15 @@ class Aprod {
   Aprod(const matrix::SystemMatrix& A, backends::DeviceContext& device,
         AprodOptions options, std::span<const real> col_scale = {});
 
+  /// Takes the system's five row-record arrays as the device buffers
+  /// (SystemMatrix::release_records): no copy and no H2D traffic. A
+  /// non-empty `col_scale` scales A's coefficients in place first, with
+  /// the same per-entry divisions as the upload path, so both give the
+  /// same bits. A device too small for the records throws before A is
+  /// touched; otherwise A keeps only its known terms and dimensions.
+  Aprod(matrix::SystemMatrix&& A, backends::DeviceContext& device,
+        AprodOptions options, std::span<const real> col_scale = {});
+
   Aprod(const Aprod&) = delete;
   Aprod& operator=(const Aprod&) = delete;
 
@@ -135,14 +147,32 @@ class Aprod {
   /// the view, shape and arena are filled in here.
   void launch_pass(const tuning::AprodPass& pass, tuning::LaunchArgs args);
 
+  /// The device-resident row records, column-scaled when preconditioned.
+  struct DeviceRecords {
+    backends::DeviceBuffer<real> values;
+    backends::DeviceBuffer<col_index> idx_astro;
+    backends::DeviceBuffer<col_index> idx_att;
+    backends::DeviceBuffer<std::int32_t> instr_col;
+    backends::DeviceBuffer<row_index> star_row_start;
+  };
+  static DeviceRecords upload(const matrix::SystemMatrix& A,
+                              backends::DeviceContext& device,
+                              backends::CoherenceMode coherence,
+                              std::span<const real> col_scale);
+  static DeviceRecords adopt(matrix::SystemMatrix&& A,
+                             backends::DeviceContext& device,
+                             backends::CoherenceMode coherence,
+                             std::span<const real> col_scale);
+
+  /// The one construction path both public constructors end in: `A`
+  /// supplies the view's dimensions only, `records` its arrays.
+  Aprod(const matrix::SystemMatrix& A, DeviceRecords records,
+        AprodOptions options);
+
   AprodOptions options_;
   std::atomic<backends::BackendKind> active_backend_;
   std::atomic<std::uint64_t> failover_count_{0};
-  backends::DeviceBuffer<real> d_values_;
-  backends::DeviceBuffer<col_index> d_idx_astro_;
-  backends::DeviceBuffer<col_index> d_idx_att_;
-  backends::DeviceBuffer<std::int32_t> d_instr_col_;
-  backends::DeviceBuffer<row_index> d_star_row_start_;
+  DeviceRecords records_;
   SystemView view_{};
   /// Pooled scratch for the aprod2 scatters' private slices; owned per
   /// driver so its hit/miss accounting tracks this solve alone.

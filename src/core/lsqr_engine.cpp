@@ -8,6 +8,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "core/preconditioner.hpp"
 #include "core/rank_reducer.hpp"
@@ -75,8 +76,9 @@ struct LsqrEngine::Impl {
   RankReducer* reducer = nullptr;
   int rank = 0;
   /// Column norms when preconditioning (empty otherwise). The scaling
-  /// is applied to the Aprod's device-resident coefficient copy only —
-  /// no second host copy of the system lives through the solve.
+  /// is applied to the Aprod's device-resident coefficients only (the
+  /// uploaded copy, or the adopted records) — no scaled host copy of the
+  /// system lives beside them.
   std::vector<real> col_scale;
   /// Rows/columns of this engine's system: a rank's slice when
   /// distributed.
@@ -126,9 +128,12 @@ struct LsqrEngine::Impl {
   real col_check_norm = 0, row_check_norm = 0;
   real sum_u = 0;
 
-  Impl(const matrix::SystemMatrix& A_in, std::span<const real> b,
-       const LsqrOptions& opts, RankReducer* reducer_in,
-       std::span<const real> given_col_scale)
+  /// The one construction path. `System` is `const SystemMatrix&`
+  /// (Aprod uploads A) or `SystemMatrix` (Aprod adopts A's records, and
+  /// nothing below the Aprod reads A).
+  template <typename System>
+  Impl(System&& A_in, std::span<const real> b, const LsqrOptions& opts,
+       RankReducer* reducer_in, std::span<const real> given_col_scale)
       : options(opts),
         reducer(reducer_in),
         rank(reducer_in ? reducer_in->rank() : 0),
@@ -146,7 +151,8 @@ struct LsqrEngine::Impl {
     m = static_cast<std::size_t>(A_in.n_rows());
     n = static_cast<std::size_t>(A_in.n_cols());
 
-    aprod = std::make_unique<Aprod>(A_in, device, options.aprod, col_scale);
+    aprod = std::make_unique<Aprod>(std::forward<System>(A_in), device,
+                                    options.aprod, col_scale);
     d_u = backends::DeviceBuffer<real>(device, b);
     d_v = backends::DeviceBuffer<real>(device, n);
     d_w = backends::DeviceBuffer<real>(device, n);
@@ -774,6 +780,15 @@ LsqrEngine::LsqrEngine(const matrix::SystemMatrix& A,
 LsqrEngine::LsqrEngine(const matrix::SystemMatrix& A,
                        const LsqrOptions& options)
     : LsqrEngine(A, A.known_terms(), options) {}
+
+// std::move only casts here: the records leave A inside the Aprod
+// constructor, and the known terms b views stay in A.
+LsqrEngine::LsqrEngine(matrix::SystemMatrix&& A, const LsqrOptions& options,
+                       RankReducer* reducer, std::span<const real> col_scale)
+    : impl_(std::make_unique<Impl>(std::move(A), A.known_terms(), options,
+                                   reducer, col_scale)) {
+  sync_mirrors();
+}
 
 LsqrEngine::~LsqrEngine() = default;
 

@@ -34,7 +34,8 @@ class LsqrEngine {
  public:
   /// Prepares the solve: preconditions (if configured), copies the
   /// system to the device, and runs the bidiagonalization start. The
-  /// system must outlive the engine.
+  /// engine keeps no pointer into `A` or `b`: it solves on its device
+  /// copy, so the caller may free or change them once it is built.
   ///
   /// Distributed, `A` and `b` are this rank's row slice, `reducer` (not
   /// owned, outlives the engine) performs the cross-rank reductions, and
@@ -47,6 +48,15 @@ class LsqrEngine {
   /// b defaults to A.known_terms().
   explicit LsqrEngine(const matrix::SystemMatrix& A,
                       const LsqrOptions& options = {});
+  /// The same solve on a system the engine takes over: its row records
+  /// become the device buffers in place (Aprod's adopting constructor),
+  /// so the solve holds one copy of the system instead of two. b is
+  /// A.known_terms(), copied as on the borrowing path; A keeps its known
+  /// terms and dimensions, no longer its records. A device too small for
+  /// the records throws before A is touched.
+  LsqrEngine(matrix::SystemMatrix&& A, const LsqrOptions& options,
+             RankReducer* reducer = nullptr,
+             std::span<const real> col_scale = {});
   ~LsqrEngine();
 
   LsqrEngine(const LsqrEngine&) = delete;

@@ -215,10 +215,10 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
   // verifies and matches this problem (a no-op when checkpointing is
   // off), then step to completion, sealing on the cadence.
   resilience::CheckpointManager manager(config.checkpoint);
-  core::LsqrEngine engine(generated.A, lsqr);
-  // The engine solves on its own device copy and keeps no pointer into
-  // the host system, and the report already holds its sizes: free it.
-  generated = {};
+  // The engine adopts the generated records as its device buffers: the
+  // solve holds one copy of the system, and the report already has its
+  // sizes.
+  core::LsqrEngine engine(std::move(generated.A), lsqr);
   report.resumed_from_iteration = engine.use_checkpoints(manager);
   engine.run_to_completion();
   report.result = engine.result();

@@ -21,6 +21,7 @@ std::int32_t rank_track(int rank) { return 1000 + rank; }
 World::World(int size) : size_(size) {
   GAIA_CHECK(size_ >= 1, "world needs at least one rank");
   barrier_ = std::make_unique<std::barrier<>>(size_);
+  reduce_spans_.resize(static_cast<std::size_t>(size_));
 }
 
 void World::arrive_barrier() {
@@ -52,25 +53,29 @@ void World::poison(std::exception_ptr error) {
 
 void World::collective_reduce(int rank, std::span<real> data, ReduceOp op,
                               double* wait_seconds) {
+  const auto ranks = static_cast<std::size_t>(size_);
+  const auto self = static_cast<std::size_t>(rank);
   const std::size_t n = data.size();
+  // Every rank publishes its span; the entry barrier makes all of them
+  // visible, and no staging copy is made.
+  reduce_spans_[self] = data;
   {
     util::Stopwatch entry;
     arrive_barrier();
     if (wait_seconds) *wait_seconds = entry.elapsed_s();
   }
-  if (rank == 0) reduce_buffer_.assign(static_cast<std::size_t>(size_) * n,
-                                       real{0});
-  arrive_barrier();
-  // Each rank publishes its contribution in its own slice: no locking,
-  // and the subsequent rank-ordered reduction is deterministic (the
-  // production MPI_Allreduce is reproducible for a fixed rank count).
-  std::copy(data.begin(), data.end(),
-            reduce_buffer_.begin() + static_cast<std::size_t>(rank) * n);
-  arrive_barrier();
-  for (std::size_t i = 0; i < n; ++i) {
-    real acc = reduce_buffer_[i];
-    for (int r = 1; r < size_; ++r) {
-      const real v = reduce_buffer_[static_cast<std::size_t>(r) * n + i];
+  for (const std::span<real> other : reduce_spans_)
+    GAIA_CHECK(other.size() == n, "allreduce length differs across ranks");
+  // Rank k owns elements [k n / P, (k + 1) n / P): it folds them across
+  // the spans in rank order into its own span, so each sum has the bits
+  // of a serial rank-ordered fold (the production MPI_Allreduce is
+  // reproducible for a fixed rank count) and the ranks' writes never
+  // overlap a range another rank reads.
+  const auto range_begin = [&](std::size_t k) { return k * n / ranks; };
+  for (std::size_t i = range_begin(self); i < range_begin(self + 1); ++i) {
+    real acc = reduce_spans_[0][i];
+    for (std::size_t r = 1; r < ranks; ++r) {
+      const real v = reduce_spans_[r][i];
       switch (op) {
         case ReduceOp::kSum:
           acc += v;
@@ -85,6 +90,16 @@ void World::collective_reduce(int rank, std::span<real> data, ReduceOp op,
     }
     data[i] = acc;
   }
+  arrive_barrier();
+  // Gather the other ranks' reduced ranges from their owners.
+  for (std::size_t k = 0; k < ranks; ++k) {
+    if (k == self) continue;
+    const std::span<const real> owner = reduce_spans_[k];
+    std::copy(owner.begin() + static_cast<std::ptrdiff_t>(range_begin(k)),
+              owner.begin() + static_cast<std::ptrdiff_t>(range_begin(k + 1)),
+              data.begin() + static_cast<std::ptrdiff_t>(range_begin(k)));
+  }
+  // No rank may return (and change its span) while a peer still reads it.
   arrive_barrier();
 }
 

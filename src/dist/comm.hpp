@@ -146,8 +146,8 @@ class World {
   std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();
   std::unique_ptr<std::barrier<>> barrier_;
-  std::mutex reduce_mutex_;
-  std::vector<real> reduce_buffer_;
+  /// Each rank's allreduce operand, published in its own slot.
+  std::vector<std::span<real>> reduce_spans_;
   std::span<real> bcast_source_;
   std::atomic<bool> poisoned_{false};
   std::mutex error_mutex_;

@@ -319,12 +319,14 @@ DistLsqrResult dist_lsqr_solve(const matrix::SystemMatrix& A,
         // (postmortem.rank<N>.json) before the exception reaches
         // World::run's poison path.
         try {
-          const matrix::SystemMatrix& local = slices[slot];
           core::LsqrOptions lsqr = options.lsqr;
           if (options.autotune)
-            lsqr.aprod.tuning = broadcast_autotuned(comm, local, options);
+            lsqr.aprod.tuning =
+                broadcast_autotuned(comm, slices[slot], options);
           CommReducer reducer(comm, partition, A, verdicts);
-          core::LsqrEngine engine(local, local.known_terms(), lsqr, &reducer,
+          // The engine adopts this rank's slice as its device buffers; a
+          // restart rebuilds the slices, so the move is per attempt.
+          core::LsqrEngine engine(std::move(slices[slot]), lsqr, &reducer,
                                   col_scale);
           // Auto-resume: also the recovery path after a restart.
           const std::int64_t resumed = engine.use_checkpoints(manager);
@@ -354,7 +356,7 @@ DistLsqrResult dist_lsqr_solve(const matrix::SystemMatrix& A,
           // degrades to a partial (local) result — never a hang.
           std::vector<obs::MetricRow> local_rows = build_rank_rows(
               reducer.local_seconds(), engine.aprod(), engine.iteration(),
-              static_cast<std::size_t>(local.n_rows()), comm_used,
+              static_cast<std::size_t>(engine.aprod().n_rows()), comm_used,
               loop_seconds,
               tracing ? recorders[slot]->dropped_events() : 0);
           AggregatedMetrics agg = aggregate_metrics(comm, local_rows);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <string>
+#include <utility>
 
 #include "backends/thread_pool.hpp"
 
@@ -25,6 +26,12 @@ SystemMatrix::SystemMatrix(ParameterLayout layout, row_index n_obs,
   zeroed(instr_col_, rows * kInstrNnzPerRow);
   zeroed(known_terms_, rows);
   zeroed(star_row_start_, static_cast<std::size_t>(layout_.n_stars()) + 1);
+}
+
+SystemMatrix::Records SystemMatrix::release_records() && {
+  return {std::move(values_), std::move(matrix_index_astro_),
+          std::move(matrix_index_att_), std::move(instr_col_),
+          std::move(star_row_start_)};
 }
 
 byte_size SystemMatrix::footprint_bytes() const {

@@ -45,6 +45,20 @@ inline constexpr int kGlobCoeffOffset =
 /// whole system here).
 class SystemMatrix {
  public:
+  /// Storage of every array: `resize` leaves elements uninitialized, so
+  /// the first write is each page's first touch.
+  template <typename T>
+  using Array = std::vector<T, util::DefaultInitAllocator<T>>;
+
+  /// The five row-record arrays the kernels read.
+  struct Records {
+    Array<real> values;
+    Array<col_index> matrix_index_astro;
+    Array<col_index> matrix_index_att;
+    Array<std::int32_t> instr_col;
+    Array<row_index> star_row_start;
+  };
+
   SystemMatrix() = default;
 
   /// Allocates storage for `n_obs` observation rows plus `n_constraints`
@@ -135,10 +149,12 @@ class SystemMatrix {
   /// gaia::Error describing the first violation.
   void validate_structure() const;
 
- private:
-  template <typename T>
-  using Array = std::vector<T, util::DefaultInitAllocator<T>>;
+  /// Hands the five row-record arrays over without copying them and
+  /// leaves them empty here. The known terms and the dimensions stay, but
+  /// what is left is no longer a system: no kernel may read it.
+  [[nodiscard]] Records release_records() &&;
 
+ private:
   ParameterLayout layout_{};
   row_index n_obs_ = 0;
   row_index n_constraints_ = 0;

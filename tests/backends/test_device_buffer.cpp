@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "resilience/fault_injector.hpp"
@@ -134,6 +135,41 @@ TEST(DeviceBuffer, ArmedCorruptH2DRetriesUntilExact) {
   EXPECT_EQ(std::memcmp(buf.data(), host.data(), bytes), 0);
   // Every attempt's transfer is counted, the two corrupt ones included.
   EXPECT_EQ(ctx.h2d_bytes(), 3 * bytes);
+}
+
+using HostArray = std::vector<double, util::DefaultInitAllocator<double>>;
+
+TEST(DeviceBuffer, AdoptingTakesTheStorageWithoutATransfer) {
+  DeviceContext ctx(1 * kMiB, "adopter");
+  {
+    HostArray host(100, 1.5);
+    const double* storage = host.data();
+    DeviceBuffer<double> buf(ctx, std::move(host));
+    EXPECT_EQ(buf.data(), storage);
+    EXPECT_EQ(buf.size(), 100u);
+    EXPECT_DOUBLE_EQ(buf.span()[99], 1.5);
+    EXPECT_EQ(ctx.allocated(), 800u);
+    EXPECT_EQ(ctx.alloc_count(), 1u);
+    EXPECT_EQ(ctx.h2d_bytes(), 0u);
+  }
+  EXPECT_EQ(ctx.allocated(), 0u);
+}
+
+TEST(DeviceBuffer, AdoptingOnATooSmallDeviceLeavesTheArray) {
+  DeviceContext ctx(799, "tiny-adopter");
+  EXPECT_NO_THROW(ctx.require_room(799));
+  EXPECT_THROW(ctx.require_room(800), gaia::Error);
+  HostArray host(100, 1.5);
+  const double* storage = host.data();
+  try {
+    DeviceBuffer<double> buf(ctx, std::move(host));
+    FAIL() << "expected capacity error";
+  } catch (const gaia::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("tiny-adopter"), std::string::npos);
+  }
+  EXPECT_EQ(host.data(), storage);
+  EXPECT_EQ(host.size(), 100u);
+  EXPECT_EQ(ctx.allocated(), 0u);
 }
 
 TEST(DeviceBuffer, DefaultConstructedIsEmpty) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <filesystem>
@@ -11,6 +12,7 @@
 #include "core/aprod.hpp"
 #include "core/vector_ops.hpp"
 #include "matrix/generator.hpp"
+#include "resilience/fault_injector.hpp"
 #include "test_helpers.hpp"
 
 namespace gaia::core {
@@ -386,6 +388,128 @@ TEST(LsqrPendingScale, DeepChecksMaterializeWithoutMovingTheSolve) {
         ASSERT_EQ(checked.x[i], plain.x[i]) << "check_every " << every;
     }
   }
+}
+
+LsqrResult solve_borrowed(const matrix::SystemMatrix& A,
+                          const LsqrOptions& opts) {
+  LsqrEngine engine(A, opts);
+  engine.run_to_completion();
+  return engine.result();
+}
+
+LsqrResult solve_owned(matrix::SystemMatrix A, const LsqrOptions& opts) {
+  LsqrEngine engine(std::move(A), opts);
+  engine.run_to_completion();
+  return engine.result();
+}
+
+TEST(OwnedSystem, SolvesBitForBitLikeTheBorrowedSystem) {
+  // Adoption scales the host coefficients in place with the divisions
+  // the upload path applies to its copy, so the kernels read the same
+  // bits. Repair runs meet one injected flip, so the rollback and the
+  // residual recompute also run on the adopted records.
+  const auto gen = matrix::generate_system(gaia::testing::small_config(146));
+  auto& injector = resilience::FaultInjector::global();
+  struct Disarm {
+    ~Disarm() { resilience::FaultInjector::global().disarm(); }
+  } disarm_on_exit;
+  for (const backends::BackendKind backend : backends::all_backends()) {
+    for (const bool precondition : {false, true}) {
+      for (const auto mode : {resilience::HealthMode::kOff,
+                              resilience::HealthMode::kRepair}) {
+        LsqrOptions opts = engine_options(backend);
+        opts.max_iterations = 24;
+        opts.precondition = precondition;
+        opts.health.mode = mode;
+        opts.health.check_every = 5;
+        const auto arm = [&] {
+          if (mode == resilience::HealthMode::kRepair)
+            injector.configure("sdc:kernel=aprod2,iter=8,bit=51", 1746);
+        };
+        arm();
+        const LsqrResult borrowed = solve_borrowed(gen.A, opts);
+        arm();
+        const LsqrResult owned = solve_owned(gen.A, opts);
+        injector.disarm();
+        SCOPED_TRACE(backends::to_string(backend) +
+                     (precondition ? " preconditioned" : " unscaled") +
+                     (mode == resilience::HealthMode::kRepair ? " repair"
+                                                              : " off"));
+        EXPECT_EQ(owned.iterations, borrowed.iterations);
+        EXPECT_EQ(owned.istop, borrowed.istop);
+        EXPECT_EQ(owned.x, borrowed.x);
+        EXPECT_EQ(owned.rnorm, borrowed.rnorm);
+        EXPECT_EQ(owned.arnorm, borrowed.arnorm);
+        const std::uint64_t repairs =
+            mode == resilience::HealthMode::kRepair ? 1 : 0;
+        EXPECT_EQ(borrowed.health.repairs, repairs);
+        EXPECT_EQ(owned.health.repairs, repairs);
+      }
+    }
+  }
+}
+
+TEST(OwnedSystem, HoldsOneCopyAndUploadsOnlyTheRhs) {
+  const auto gen = matrix::generate_system(gaia::testing::small_config(147));
+  LsqrOptions opts = engine_options();
+  opts.max_iterations = 5;
+  const LsqrResult borrowed = solve_borrowed(gen.A, opts);
+
+  matrix::SystemMatrix A = gen.A;
+  const real* values = A.values().data();
+  const col_index* idx_astro = A.matrix_index_astro().data();
+  const col_index* idx_att = A.matrix_index_att().data();
+  const std::int32_t* instr_col = A.instr_col().data();
+  const row_index* star_row_start = A.star_row_start().data();
+  LsqrEngine engine(std::move(A), opts);
+  const SystemView& view = engine.aprod().view();
+  EXPECT_EQ(view.values, values);
+  EXPECT_EQ(view.idx_astro, idx_astro);
+  EXPECT_EQ(view.idx_att, idx_att);
+  EXPECT_EQ(view.instr_col, instr_col);
+  EXPECT_EQ(view.star_row_start, star_row_start);
+  // What stays behind: the known terms and the dimensions, no records.
+  EXPECT_TRUE(A.values().empty());
+  EXPECT_TRUE(A.matrix_index_astro().empty());
+  EXPECT_TRUE(A.matrix_index_att().empty());
+  EXPECT_TRUE(A.instr_col().empty());
+  EXPECT_TRUE(A.star_row_start().empty());
+  EXPECT_TRUE(std::ranges::equal(A.known_terms(), gen.A.known_terms()));
+  EXPECT_EQ(A.n_rows(), gen.A.n_rows());
+
+  engine.run_to_completion();
+  const LsqrResult owned = engine.result();
+  EXPECT_EQ(owned.x, borrowed.x);
+  EXPECT_EQ(owned.device_allocated_bytes, borrowed.device_allocated_bytes);
+  // The one transfer left is b into u.
+  const byte_size rhs_bytes = gen.A.known_terms().size_bytes();
+  EXPECT_EQ(owned.h2d_bytes, rhs_bytes);
+  EXPECT_EQ(borrowed.h2d_bytes, gen.A.footprint_bytes());
+}
+
+TEST(OwnedSystem, TooSmallDeviceRefusesAndLeavesTheSystemWhole) {
+  const auto gen = matrix::generate_system(gaia::testing::small_config(148));
+  LsqrOptions opts = engine_options();  // preconditioned: nothing scaled
+  opts.device_capacity =
+      gen.A.footprint_bytes() - gen.A.known_terms().size_bytes() - 1;
+  matrix::SystemMatrix A = gen.A;
+  try {
+    LsqrEngine engine(std::move(A), opts);
+    ADD_FAILURE() << "records one byte over capacity were adopted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("device 'serial-device' out of "
+                                         "memory"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(std::ranges::equal(A.values(), gen.A.values()));
+  EXPECT_TRUE(
+      std::ranges::equal(A.matrix_index_astro(), gen.A.matrix_index_astro()));
+  EXPECT_TRUE(
+      std::ranges::equal(A.matrix_index_att(), gen.A.matrix_index_att()));
+  EXPECT_TRUE(std::ranges::equal(A.instr_col(), gen.A.instr_col()));
+  EXPECT_TRUE(std::ranges::equal(A.star_row_start(), gen.A.star_row_start()));
+  EXPECT_TRUE(std::ranges::equal(A.known_terms(), gen.A.known_terms()));
 }
 
 }  // namespace

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <string>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace gaia::dist {
 namespace {
@@ -74,6 +80,47 @@ TEST(Comm, AllreduceIsDeterministicAcrossRuns) {
   world.run(body(first));
   world.run(body(second));
   EXPECT_EQ(first, second);
+}
+
+TEST(Comm, AllreduceMatchesASerialRankOrderedFoldBitwise) {
+  // Each rank folds its own share of the elements across every rank's
+  // span, still in rank order, so each element has the bits of one
+  // serial fold. Lengths: none, fewer than the ranks, not a multiple of
+  // them, and several thousand. Magnitudes spread over 2^-40..2^40, so a
+  // sum folded in another order would differ in its low bits.
+  for (const int ranks : {3, 4}) {
+    World world(ranks);
+    for (const std::size_t n : {std::size_t{0}, std::size_t{2},
+                                std::size_t{7}, std::size_t{4099}}) {
+      std::vector<std::vector<real>> in(static_cast<std::size_t>(ranks),
+                                        std::vector<real>(n));
+      util::Xoshiro256 rng(1000 * n + static_cast<std::uint64_t>(ranks));
+      for (auto& contribution : in)
+        for (real& e : contribution)
+          e = std::ldexp(rng.normal(),
+                         static_cast<int>(rng.uniform_index(81)) - 40);
+      for (const ReduceOp op :
+           {ReduceOp::kSum, ReduceOp::kMax, ReduceOp::kMin}) {
+        std::vector<real> want = in[0];
+        for (std::size_t r = 1; r < in.size(); ++r)
+          for (std::size_t i = 0; i < n; ++i)
+            want[i] = op == ReduceOp::kSum   ? want[i] + in[r][i]
+                      : op == ReduceOp::kMax ? std::max(want[i], in[r][i])
+                                             : std::min(want[i], in[r][i]);
+        std::vector<std::vector<real>> out = in;
+        world.run([&](Comm& comm) {
+          comm.allreduce(out[static_cast<std::size_t>(comm.rank())], op);
+        });
+        for (std::size_t r = 0; r < out.size(); ++r)
+          for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(out[r][i]),
+                      std::bit_cast<std::uint64_t>(want[i]))
+                << ranks << " ranks, n " << n << ", op "
+                << static_cast<int>(op) << ", rank " << r << ", element "
+                << i;
+      }
+    }
+  }
 }
 
 TEST(Comm, BcastDistributesRootData) {
