@@ -14,8 +14,9 @@
 /// injected-slowdown run to prove the gate trips:
 ///
 ///   bench_smoke --out BENCH_smoke.json
-///   bench_smoke --out slow.json --slowdown aprod2_att=2.0
+///   bench_smoke --out slow.json --slowdown aprod_step=2.0
 ///   gaia-perfgate BENCH_smoke.json slow.json   # exits 1
+#include <algorithm>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -39,9 +40,10 @@ namespace {
 
 using namespace gaia;
 
-/// `--slowdown KERNEL=FACTOR`: busy-spin after the named kernel inside
+/// `--slowdown KERNEL=FACTOR`: busy-spin after the named series inside
 /// the timed region until its launch appears FACTOR times slower. CI
-/// uses this to prove the gate actually trips on a regression.
+/// uses this to prove the gate actually trips on a regression; a name
+/// that matches no series is an error, so a typo cannot pass the gate.
 struct Slowdown {
   std::string kernel;
   double factor = 1.0;
@@ -171,6 +173,12 @@ int main(int argc, char** argv) {
       s.samples.reserve(static_cast<std::size_t>(reps));
       series.push_back(std::move(s));
     }
+    GAIA_CHECK(slowdown.kernel.empty() ||
+                   std::any_of(series.begin(), series.end(),
+                               [&](const Series& s) {
+                                 return s.timing.kernel == slowdown.kernel;
+                               }),
+               "--slowdown names no series: '" + slowdown.kernel + "'");
 
     for (Series& s : series)
       registry.launch(s.pass, backend, s.args);  // warm-up, untimed
@@ -199,7 +207,7 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << baseline.kernels.size() << " series to "
               << cli.get("out") << '\n';
     return 0;
-  } catch (const gaia::Error& e) {
+  } catch (const std::exception& e) {  // also std::stod's bad factor
     std::cerr << "bench_smoke: " << e.what() << '\n';
     return 1;
   }

@@ -5,7 +5,7 @@
 /// time — the paper's measurement binary.
 ///
 ///   $ ./gaia_solver --size 64MB --iterations 100 --backend gpusim
-///   $ ./gaia_solver --size 128MB --backend openmp --autotune
+///   $ ./gaia_solver --size 128MB --backend openmp --shape 8x1
 ///   $ ./gaia_solver --size 32MB --backend serial --ranks 4
 ///   $ ./gaia_solver --trace trace.json --metrics metrics.csv
 ///   $ ./gaia_solver --ranks 3 --trace-dir traces
@@ -42,13 +42,6 @@ int main(int argc, char** argv) {
   cli.add_option("seed", "1746", "dataset seed");
   cli.add_option("ranks", "1", "simulated MPI ranks (>1 uses dist solver)");
   cli.add_flag("untuned", "use naive 256x256 kernel shapes");
-  cli.add_flag("autotune",
-               "search (blocks, threads) per kernel during warm-up "
-               "launches and run the solve with the winners");
-  cli.add_option("tuning-cache", "",
-                 "CRC-sealed tuning cache file: loaded on startup (a "
-                 "complete entry skips the search), winners sealed back "
-                 "after a fresh search");
   cli.add_option("shape", "",
                  "force one BLOCKSxTHREADS launch shape for all kernels "
                  "(e.g. 64x128); validated at parse time");
@@ -161,8 +154,6 @@ int main(int argc, char** argv) {
     if (!cli.get("shape").empty())
       config.lsqr.aprod.tuning = backends::TuningTable::untuned(
           backends::parse_kernel_config(cli.get("shape")));
-    config.autotune.enabled = cli.get_flag("autotune");
-    config.autotune.cache_path = cli.get("tuning-cache");
     config.lsqr.max_iterations = cli.get_int("iterations");
     config.checkpoint.directory = cli.get("checkpoint-dir");
     config.checkpoint.every = cli.get_int("checkpoint-every");
@@ -211,8 +202,6 @@ int main(int argc, char** argv) {
       dopts.lsqr = config.lsqr;
       dopts.checkpoint = config.checkpoint;
       dopts.max_restarts = static_cast<int>(cli.get_int("max-restarts"));
-      dopts.autotune = config.autotune.enabled;
-      dopts.autotune_search = config.autotune.search;
       dopts.trace_dir = cli.get("trace-dir");
       dopts.trace_capacity = trace_capacity;
       const dist::DistLsqrResult result = dist::dist_lsqr_solve(gen.A, dopts);

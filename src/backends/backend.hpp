@@ -50,7 +50,7 @@ inline constexpr int kNumBackends = 4;
 
 /// Runtime view of Exec::kHonorsKernelConfig: whether launch shapes
 /// change execution on this backend (true for OpenMP and GpuSim). The
-/// autotuner refuses to search backends where the knob is a no-op.
+/// Autotuner refuses to search backends where the knob is a no-op.
 [[nodiscard]] bool honors_kernel_config(BackendKind kind);
 
 // ---------------------------------------------------------------------------
@@ -193,8 +193,8 @@ struct GpuSimExec {
   }
 
   /// One private slice per virtual block (blocks are the gpusim
-  /// scheduling unit), capped so scratch stays bounded when the tuner
-  /// probes very wide grids.
+  /// scheduling unit), capped so scratch stays bounded when a shape asks
+  /// for a very wide grid.
   static int scatter_workers(KernelConfig cfg) {
     const std::int32_t blocks = resolve(cfg).blocks;
     return blocks > kMaxScatterWorkers ? kMaxScatterWorkers

@@ -102,8 +102,7 @@ enum class KernelId : std::uint8_t {
 inline constexpr int kNumKernels = 8;
 
 [[nodiscard]] std::string to_string(KernelId id);
-/// Inverse of to_string(KernelId); nullopt for unknown names. Used by
-/// the tuning cache to validate kernel keys on load.
+/// Inverse of to_string(KernelId); nullopt for unknown names.
 [[nodiscard]] std::optional<KernelId> parse_kernel_id(
     const std::string& name);
 /// All eight kernel ids in enum order (for registry/tuning iteration).

@@ -11,7 +11,6 @@
 #include "resilience/failover.hpp"
 #include "resilience/fault_injector.hpp"
 #include "resilience/retry.hpp"
-#include "tuning/autotuner.hpp"
 #include "tuning/kernel_registry.hpp"
 #include "util/profiler.hpp"
 #include "util/stopwatch.hpp"
@@ -19,40 +18,29 @@
 namespace gaia::core {
 
 using backends::BackendKind;
-using backends::KernelId;
 
 namespace {
 
 /// Span annotations of one launch: backend, launch shape (resolved to
-/// the actual grid for the gpusim backend), bytes the pass moves, and
-/// whether this launch was an autotuner trial.
+/// the actual grid for the gpusim backend) and bytes the pass moves.
 std::vector<obs::TraceArg> pass_trace_args(BackendKind backend,
                                            backends::KernelConfig cfg,
                                            const SystemView& view,
-                                           const tuning::AprodPass& pass,
-                                           bool trial) {
+                                           const tuning::AprodPass& pass) {
   if (backend == BackendKind::kGpuSim)
     cfg = backends::GpuSimExec::resolve(cfg);
   std::vector<obs::TraceArg> args;
-  args.reserve(6);
+  args.reserve(4);
   args.emplace_back("backend", backends::to_string(backend));
   args.emplace_back("blocks", static_cast<std::int64_t>(cfg.blocks));
   args.emplace_back("threads", static_cast<std::int64_t>(cfg.threads));
   args.emplace_back("bytes", pass_traffic_bytes(view, pass));
-  if (trial) args.emplace_back("tuning_trial", std::int64_t{1});
   return args;
 }
 
-/// Strategy label of a pass's series: "privatized" for the passes that
-/// commit private slices into shared columns (kAprod2Att's identity: the
-/// fused scatter and the step), "none" for the rest.
-const char* strategy_label(const tuning::AprodPass& pass) {
-  return backends::kernel_uses_atomics(pass.id) ? "privatized" : "none";
-}
-
-/// Derived performance counters for one completed (non-trial) launch:
-/// the pass-level cost shapes from the kernel catalog, the wall time from
-/// the launch stopwatch.
+/// Derived performance counters for one completed launch: the pass-level
+/// cost shapes from the kernel catalog, the wall time from the launch
+/// stopwatch.
 void record_launch_sample(const SystemView& view,
                           const tuning::AprodPass& pass, BackendKind backend,
                           double seconds) {
@@ -60,7 +48,9 @@ void record_launch_sample(const SystemView& view,
   obs::KernelSample s;
   s.kernel = pass_region_name(pass);
   s.backend = backends::to_string(backend);
-  s.strategy = strategy_label(pass);
+  // "privatized" for the passes that commit private slices into shared
+  // columns (kAprod2Att's identity: the fused scatter and the step).
+  s.strategy = backends::kernel_uses_atomics(pass.id) ? "privatized" : "none";
   s.seconds = seconds;
   s.bytes = pass_traffic_bytes(view, pass);
   s.flops = pass_flops(view, pass);
@@ -147,26 +137,15 @@ void Aprod::launch_pass(const tuning::AprodPass& pass,
                         tuning::LaunchArgs args) {
   const tuning::KernelRegistry& registry = tuning::KernelRegistry::global();
   auto& injector = resilience::FaultInjector::global();
-  const KernelId id = pass.id;
   const char* name = pass_region_name(pass);
+  const backends::KernelConfig cfg = options_.tuning.get(pass.id);
   for (;;) {
     const BackendKind backend = active_backend();
-    // Trial launches only happen on the tuner's own backend: after a
-    // failover the shapes being searched no longer describe the backend
-    // actually executing, so the run falls back to the installed table.
-    // The step inherits kAprod2Att's entry and is never a trial: the
-    // search measures the apply passes.
-    tuning::Autotuner* tuner = options_.autotuner;
-    const bool trial = tuner && backend == tuner->backend() &&
-                       pass.fused != tuning::FusedPass::kStep &&
-                       tuner->searching(id);
-    const backends::KernelConfig cfg =
-        trial ? tuner->propose(id) : options_.tuning.get(id);
     try {
       resilience::with_retry(name, options_.retry, [&] {
         obs::ScopedTrace span(name, "kernel");
         if (span.armed())
-          for (auto& a : pass_trace_args(backend, cfg, view_, pass, trial))
+          for (auto& a : pass_trace_args(backend, cfg, view_, pass))
             span.add_arg(std::move(a));
         util::ScopedRegion region(name);
         if (injector.armed() &&
@@ -178,19 +157,7 @@ void Aprod::launch_pass(const tuning::AprodPass& pass,
         args.arena = &scratch_arena_;
         util::Stopwatch watch;
         registry.launch(pass, backend, args);
-        const double seconds = watch.elapsed_s();
-        if (trial) {
-          // A trial's shape is a search candidate, not the production
-          // config: its time feeds the latency histogram only.
-          obs::record_kernel_time(name, backends::to_string(backend),
-                                  strategy_label(pass), seconds);
-          // Closing a search installs its measured winner into the live
-          // table, so the remaining iterations already run tuned.
-          if (tuner->report(id, cfg, seconds))
-            options_.tuning.set(id, tuner->best(id));
-        } else {
-          record_launch_sample(view_, pass, backend, seconds);
-        }
+        record_launch_sample(view_, pass, backend, watch.elapsed_s());
       });
       return;
     } catch (const resilience::PersistentFault&) {

@@ -17,12 +17,9 @@
 /// aprod2 scatters stays a modeled GPU effect (perfmodel); on the host
 /// every extra kernel streams the row records and y again.
 ///
-/// Every launch — normal, failover re-dispatch, and autotuner trial —
-/// goes through one path (`launch_pass`) that dispatches via
-/// `tuning::KernelRegistry`. When an `Autotuner` is attached, launches
-/// whose identity is still under search run the tuner's candidate shape,
-/// are timed, and feed the measurement back; the winner is installed
-/// into the live TuningTable the moment a search closes.
+/// Every launch — normal and failover re-dispatch — goes through one
+/// path (`launch_pass`) that dispatches via `tuning::KernelRegistry` at
+/// the shape the TuningTable fixed at construction.
 #pragma once
 
 #include <atomic>
@@ -37,10 +34,6 @@
 #include "matrix/system_matrix.hpp"
 #include "tuning/kernel_registry.hpp"
 #include "util/backoff.hpp"
-
-namespace gaia::tuning {
-class Autotuner;
-}
 
 namespace gaia::core {
 
@@ -60,10 +53,6 @@ struct AprodOptions {
   /// degradation chain (gpusim -> openmp -> serial) for the remainder
   /// of the run instead of aborting.
   bool failover = true;
-  /// Online launch-shape search: when set (and its backend matches the
-  /// active one), kernels still under search launch trial shapes and
-  /// report their timings. Not owned; must outlive the Aprod.
-  tuning::Autotuner* autotuner = nullptr;
 };
 
 class Aprod {
@@ -92,14 +81,6 @@ class Aprod {
   [[nodiscard]] const SystemView& view() const { return view_; }
   [[nodiscard]] row_index n_rows() const { return view_.n_rows; }
   [[nodiscard]] col_index n_cols() const { return view_.n_cols; }
-
-  /// Live launch shapes (updated by the autotuner as searches close).
-  [[nodiscard]] const backends::TuningTable& tuning() const {
-    return options_.tuning;
-  }
-  void set_tuning(const backends::TuningTable& table) {
-    options_.tuning = table;
-  }
 
   /// Backend currently executing kernels. Equals options().backend until
   /// a persistent launch fault triggers failover down the chain.
@@ -137,14 +118,14 @@ class Aprod {
   }
 
  private:
-  /// The single launch path: resolves the shape (tuner candidate or
-  /// installed table entry of `pass.id`), dispatches through the
-  /// KernelRegistry under the retry budget with fault injection, and on a
-  /// persistent fault fails over to the next backend in the chain and
-  /// re-dispatches — through the same registry. A fused pass shares
-  /// `pass.id`'s tuning and fault identity but is traced and counted
-  /// under its own name (pass_region_name). `args` carries the operands;
-  /// the view, shape and arena are filled in here.
+  /// The single launch path: takes the table entry of `pass.id` as the
+  /// shape, dispatches through the KernelRegistry under the retry budget
+  /// with fault injection, and on a persistent fault fails over to the
+  /// next backend in the chain and re-dispatches — through the same
+  /// registry. A fused pass shares `pass.id`'s tuning and fault
+  /// identity but is traced and counted under its own name
+  /// (pass_region_name). `args` carries the operands; the view, shape and
+  /// arena are filled in here.
   void launch_pass(const tuning::AprodPass& pass, tuning::LaunchArgs args);
 
   /// The device-resident row records, column-scaled when preconditioned.

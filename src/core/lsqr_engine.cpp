@@ -286,10 +286,11 @@ struct LsqrEngine::Impl {
     mix(static_cast<std::uint64_t>(n));
     // max_iterations is deliberately NOT part of the fingerprint: the
     // iteration budget does not change the trajectory, so a resumed run
-    // may extend it (rerun with a larger --iterations). Launch-shape
-    // tuning (AprodOptions::tuning, the autotuner) is excluded for the
-    // same reason: shapes change kernel timing, never the numerics, so a
-    // checkpoint taken untuned may be resumed autotuned and vice versa.
+    // may extend it (rerun with a larger --iterations). The launch-shape
+    // table (AprodOptions::tuning) is excluded too: a shape changes only
+    // the scatter's fold order, which moves results by rounding (ROADMAP
+    // item 9), so a checkpoint taken under one table may resume under
+    // another.
     mix(static_cast<std::uint64_t>(options.precondition));
     mix(static_cast<std::uint64_t>(options.compute_std_errors));
     mix(std::bit_cast<std::uint64_t>(options.damp));

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <vector>
 
-#include "core/autotune_driver.hpp"
 #include "core/kernel_catalog.hpp"
 #include "core/lsqr_engine.hpp"
 #include "metrics/pennycook.hpp"
@@ -19,61 +18,12 @@
 #include "obs/trace.hpp"
 #include "perfmodel/cost_model.hpp"
 #include "perfmodel/problem_shape.hpp"
-#include "tuning/tuning_cache.hpp"
 #include "util/stopwatch.hpp"
 #include "util/string_utils.hpp"
 
 namespace gaia::core {
 
 namespace {
-
-/// Resolves the launch shapes the solve will run with: a complete cache
-/// entry for this (backend, shape bucket) skips the search outright;
-/// otherwise a warm-up search runs on a scoped device (its residency is
-/// released before the real solve allocates), and fresh winners are
-/// sealed back to the cache file.
-void run_autotune(const SolverRunConfig& config,
-                  const matrix::SystemMatrix& A, LsqrOptions& lsqr,
-                  SolverRunReport& report) {
-  report.autotune_enabled = true;
-  const backends::BackendKind backend = lsqr.aprod.backend;
-  const tuning::ShapeBucket bucket =
-      tuning::bucket_for(A.n_rows(), A.n_cols());
-
-  tuning::TuningCache cache;
-  auto& metrics = obs::MetricsRegistry::global();
-  if (!config.autotune.cache_path.empty() &&
-      cache.load(config.autotune.cache_path) &&
-      cache.complete_for(backend, bucket)) {
-    report.kernels_tuned = cache.apply(backend, bucket, lsqr.aprod.tuning);
-    report.autotune_cache_hit = true;
-    if (metrics.enabled()) metrics.counter("tuning.cache_hits").add(1);
-    return;
-  }
-  if (metrics.enabled()) metrics.counter("tuning.cache_misses").add(1);
-  if (!backends::honors_kernel_config(backend)) return;
-
-  tuning::Autotuner tuner(backend, config.autotune.search);
-  {
-    backends::DeviceContext device(lsqr.device_capacity, "autotune");
-    AprodOptions opts = lsqr.aprod;
-    opts.autotuner = &tuner;
-    Aprod aprod(A, device, opts);
-    const AutotuneWarmupReport warm =
-        autotune_warmup(aprod, tuner, config.autotune.max_warmup_rounds);
-    lsqr.aprod.tuning = aprod.tuning();
-    report.kernels_tuned = warm.kernels_tuned;
-    report.tuning_trials = warm.trials;
-  }
-  if (!config.autotune.cache_path.empty()) {
-    // Seal the *full* table for this key — including kernels the search
-    // left at their prior shape — so the next run's complete_for() check
-    // can skip the search without re-deriving anything.
-    for (backends::KernelId id : backends::all_kernels())
-      cache.put(backend, bucket, id, lsqr.aprod.tuning.get(id));
-    cache.save(config.autotune.cache_path);
-  }
-}
 
 /// Post-solve observability digest: Pennycook P across the passes that
 /// recorded production timing samples, plus the armed snapshot path.
@@ -113,8 +63,8 @@ void finish_observability(const matrix::GeneratorConfig& gen_cfg,
   std::vector<double> eff;
   for (const tuning::AprodPass& pass : passes) {
     const std::string kname = pass_region_name(pass);
-    // Several series can exist per pass (trial shapes, failover
-    // backends); the one with the most samples is the production config.
+    // Several series can exist per pass (one per backend after a
+    // failover); the one with the most samples ran the solve.
     double measured = 0;
     std::uint64_t best_count = 0;
     for (const obs::MetricRow& row : rows) {
@@ -171,11 +121,9 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
   report.n_constraints = generated.A.n_constraints();
   report.system_bytes = generated.A.footprint_bytes();
 
-  LsqrOptions lsqr = config.lsqr;
-
   // Config fingerprint for any postmortem bundle this run flushes.
   obs::set_postmortem_context("backend",
-                              backends::to_string(lsqr.aprod.backend));
+                              backends::to_string(config.lsqr.aprod.backend));
   obs::set_postmortem_context("seed", std::to_string(config.seed));
   obs::set_postmortem_context("n_obs", std::to_string(report.n_obs));
   obs::set_postmortem_context("n_unknowns",
@@ -186,22 +134,14 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
                     std::to_string(report.n_obs) + " obs, " +
                         std::to_string(report.layout.n_unknowns()) +
                         " unknowns");
-  if (config.autotune.enabled) {
-    board.set_phase(prank, "autotune");
-    run_autotune(config, generated.A, lsqr, report);
-    obs::flight_event("state", "solver.autotuned",
-                      report.autotune_cache_hit
-                          ? "cache hit"
-                          : std::to_string(report.tuning_trials) + " trials");
-  }
-  report.tuning_used = lsqr.aprod.tuning;
+  report.tuning_used = config.lsqr.aprod.tuning;
   {
     // Tuning fingerprint: the resolved shape per kernel — the first
     // question a postmortem asks.
     std::ostringstream fp;
     bool first = true;
     for (backends::KernelId id : backends::all_kernels()) {
-      const backends::KernelConfig cfg = lsqr.aprod.tuning.get(id);
+      const backends::KernelConfig cfg = config.lsqr.aprod.tuning.get(id);
       if (!first) fp << ' ';
       first = false;
       fp << backends::to_string(id) << '=' << cfg.blocks << 'x' << cfg.threads;
@@ -218,14 +158,14 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
   // The engine adopts the generated records as its device buffers: the
   // solve holds one copy of the system, and the report already has its
   // sizes.
-  core::LsqrEngine engine(std::move(generated.A), lsqr);
+  core::LsqrEngine engine(std::move(generated.A), config.lsqr);
   report.resumed_from_iteration = engine.use_checkpoints(manager);
   engine.run_to_completion();
   report.result = engine.result();
   report.result.resumed_from_iteration = report.resumed_from_iteration;
   report.checkpoints_written = manager.written();
   report.solve_seconds = watch.elapsed_s();
-  finish_observability(gen_cfg, lsqr, report);
+  finish_observability(gen_cfg, config.lsqr, report);
   return report;
 }
 
@@ -270,18 +210,6 @@ std::string SolverRunReport::summary() const {
      << util::format_seconds(generation_seconds) << '\n';
   os << "solve:  " << result.iterations << " iterations, stop: \""
      << to_string(result.istop) << "\"\n";
-  if (autotune_enabled) {
-    os << "tuning: ";
-    if (autotune_cache_hit)
-      os << "loaded " << kernels_tuned
-         << " kernel shape(s) from cache (search skipped)";
-    else if (tuning_trials > 0)
-      os << "autotuned " << kernels_tuned << " kernel(s) in "
-         << tuning_trials << " trial launch(es)";
-    else
-      os << "backend ignores launch shapes; nothing to tune";
-    os << '\n';
-  }
   os << "        mean iteration time "
      << util::format_seconds(result.mean_iteration_s) << ", total solve "
      << util::format_seconds(solve_seconds) << '\n';

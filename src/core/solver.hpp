@@ -16,7 +16,6 @@
 #include "matrix/generator.hpp"
 #include "metrics/roofline.hpp"
 #include "resilience/checkpoint.hpp"
-#include "tuning/autotuner.hpp"
 
 namespace gaia::core {
 
@@ -26,18 +25,6 @@ namespace gaia::core {
 enum class ScatterMode : std::uint8_t {
   kAtomic = 0,
   kPrivatized,
-};
-
-/// Launch-shape autotuning for a solver run (off by default).
-struct AutotuneRunConfig {
-  bool enabled = false;
-  /// CRC-framed JSON cache file. When the file already holds winners for
-  /// this (backend, problem-shape bucket) the search is skipped; after a
-  /// fresh search the winners are sealed back. Empty = no persistence.
-  std::string cache_path;
-  tuning::AutotuneOptions search{};
-  /// Upper bound on warm-up apply1+apply2 rounds used by the search.
-  int max_warmup_rounds = 256;
 };
 
 struct SolverRunConfig {
@@ -54,11 +41,6 @@ struct SolverRunConfig {
   /// directory already holds checkpoints of the same run, auto-resumes
   /// from the newest one that verifies.
   resilience::CheckpointConfig checkpoint{};
-
-  /// Online (blocks, threads) search before the solve, with a persistent
-  /// cache (paper SIV/SV-B: per-kernel launch shapes are worth up to
-  /// 40 % of the iteration time and the optimum is device-dependent).
-  AutotuneRunConfig autotune{};
 
   /// Ignored (see ScatterMode). Stays until ROADMAP item 8.
   ScatterMode scatter = ScatterMode::kAtomic;
@@ -77,13 +59,7 @@ struct SolverRunReport {
   std::int64_t resumed_from_iteration = -1;
   std::uint64_t checkpoints_written = 0;
 
-  /// Autotuning outcome (all zero/false unless autotune.enabled).
-  bool autotune_enabled = false;
-  /// All shapes came from the cache; no search ran.
-  bool autotune_cache_hit = false;
-  int kernels_tuned = 0;
-  std::uint64_t tuning_trials = 0;
-  /// Launch shapes the solve actually ran with.
+  /// Launch shapes the solve ran with: config.lsqr.aprod.tuning.
   backends::TuningTable tuning_used{};
 
   /// Pennycook-P digest over the kernels that recorded timing samples

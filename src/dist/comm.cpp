@@ -103,21 +103,6 @@ void World::collective_reduce(int rank, std::span<real> data, ReduceOp op,
   arrive_barrier();
 }
 
-void World::collective_bcast(int rank, std::span<real> data, int root,
-                             double* wait_seconds) {
-  GAIA_CHECK(root >= 0 && root < size_, "bcast root out of range");
-  {
-    util::Stopwatch entry;
-    arrive_barrier();
-    if (wait_seconds) *wait_seconds = entry.elapsed_s();
-  }
-  if (rank == root) bcast_source_ = data;
-  arrive_barrier();
-  if (rank != root)
-    std::copy(bcast_source_.begin(), bcast_source_.end(), data.begin());
-  arrive_barrier();
-}
-
 CommStats Comm::timed_collective(const char* name, std::uint64_t bytes,
                                  const std::function<double()>& body) {
   auto& rec = obs::TraceRecorder::current();
@@ -198,20 +183,10 @@ real Comm::allreduce(real value, ReduceOp op) {
   return value;
 }
 
-void Comm::bcast(std::span<real> data, int root) {
-  const auto bytes = static_cast<std::uint64_t>(data.size_bytes());
-  timed_collective("bcast", bytes, [&] {
-    double wait_s = 0;
-    world_->collective_bcast(rank_, data, root, &wait_s);
-    return wait_s;
-  });
-}
-
 void World::run(const std::function<void(Comm&)>& body) {
   // Fresh barrier and poison state per collective epoch: a previous run
   // may have dropped participants on error.
   barrier_ = std::make_unique<std::barrier<>>(size_);
-  bcast_source_ = {};
   poisoned_.store(false, std::memory_order_release);
   first_error_ = nullptr;
   std::vector<std::thread> threads;

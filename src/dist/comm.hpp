@@ -6,8 +6,8 @@
 /// partial results with allreduce (paper SIV). The paper's P runs use a
 /// single GPU (= one rank), but the solver keeps the distributed
 /// structure, so we reproduce it: a `World` spawns N ranks as threads,
-/// and `Comm` gives each rank the usual rank/size/allreduce/bcast/
-/// barrier primitives over shared memory.
+/// and `Comm` gives each rank the rank/size/allreduce/barrier primitives
+/// the solver uses, over shared memory.
 ///
 /// Every collective is traced as a span on the rank's comm track, split
 /// into a *wait* child (time at the entry barrier until the last rank
@@ -52,8 +52,8 @@ class World;
 /// spans are: `wait_seconds` is time spent at entry barriers waiting for
 /// the slowest peer, the rest of `seconds` is transfer/reduce work.
 struct CommStats {
-  std::uint64_t collectives = 0;  ///< allreduce + bcast + barrier calls
-  std::uint64_t bytes = 0;        ///< payload bytes moved (allreduce+bcast)
+  std::uint64_t collectives = 0;  ///< allreduce + barrier calls
+  std::uint64_t bytes = 0;        ///< allreduce payload bytes moved
   double seconds = 0;             ///< total wall time inside collectives
   double wait_seconds = 0;        ///< entry-barrier (skew) share of seconds
 
@@ -78,9 +78,6 @@ class Comm {
 
   /// Allreduce of one scalar (returns the reduced value on every rank).
   real allreduce(real value, ReduceOp op);
-
-  /// Broadcast from `root` into `data` on every rank.
-  void bcast(std::span<real> data, int root);
 
   /// This rank's accumulated collective timing (monotonic over the
   /// Comm's lifetime; snapshot-and-diff to scope a region).
@@ -130,13 +127,10 @@ class World {
  private:
   friend class Comm;
 
-  // Reduction scratch shared by the collectives. The reduce/bcast
-  // bodies report the duration of their *entry* barrier via
+  // The reduce body reports the duration of its *entry* barrier via
   // `wait_seconds` (the skew share the comm spans and stats split out).
   void collective_reduce(int rank, std::span<real> data, ReduceOp op,
                          double* wait_seconds);
-  void collective_bcast(int rank, std::span<real> data, int root,
-                        double* wait_seconds);
   void arrive_barrier();
   /// Records `error` (first wins) and flips the poison flag that every
   /// barrier crossing checks.
@@ -148,7 +142,6 @@ class World {
   std::unique_ptr<std::barrier<>> barrier_;
   /// Each rank's allreduce operand, published in its own slot.
   std::vector<std::span<real>> reduce_spans_;
-  std::span<real> bcast_source_;
   std::atomic<bool> poisoned_{false};
   std::mutex error_mutex_;
   std::exception_ptr first_error_;

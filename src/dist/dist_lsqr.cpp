@@ -5,7 +5,6 @@
 #include <iostream>
 #include <memory>
 
-#include "core/autotune_driver.hpp"
 #include "core/kernel_catalog.hpp"
 #include "core/lsqr_engine.hpp"
 #include "core/preconditioner.hpp"
@@ -108,29 +107,6 @@ class CommReducer final : public core::RankReducer {
   std::size_t global_rows_, n_obs_, row_offset_, obs_rows_;
   std::vector<double> local_seconds_;
 };
-
-/// Rank 0 searches launch shapes on its own slice while every other rank
-/// waits in the broadcast; all ranks then run the same winning table —
-/// identical shapes keep the max-over-ranks iteration time meaningful
-/// and the per-rank kernel timelines comparable.
-backends::TuningTable broadcast_autotuned(Comm& comm,
-                                          const matrix::SystemMatrix& local,
-                                          const DistLsqrOptions& options) {
-  std::vector<real> encoded(tuning::kEncodedTableSize, real{0});
-  if (comm.rank() == 0) {
-    tuning::Autotuner tuner(options.lsqr.aprod.backend,
-                            options.autotune_search);
-    core::AprodOptions tune_opts = options.lsqr.aprod;
-    tune_opts.autotuner = &tuner;
-    backends::DeviceContext tune_device(options.lsqr.device_capacity,
-                                        "rank0-autotune");
-    core::Aprod tune_aprod(local, tune_device, tune_opts);
-    core::autotune_warmup(tune_aprod, tuner);
-    encoded = tuning::encode_table(tune_aprod.tuning());
-  }
-  comm.bcast(encoded, 0);
-  return tuning::decode_table(encoded);
-}
 
 /// Rank-local observatory rows. Built from genuinely per-rank data (the
 /// rank's iteration times, its Aprod launch counter, its row slice) —
@@ -319,15 +295,11 @@ DistLsqrResult dist_lsqr_solve(const matrix::SystemMatrix& A,
         // (postmortem.rank<N>.json) before the exception reaches
         // World::run's poison path.
         try {
-          core::LsqrOptions lsqr = options.lsqr;
-          if (options.autotune)
-            lsqr.aprod.tuning =
-                broadcast_autotuned(comm, slices[slot], options);
           CommReducer reducer(comm, partition, A, verdicts);
           // The engine adopts this rank's slice as its device buffers; a
           // restart rebuilds the slices, so the move is per attempt.
-          core::LsqrEngine engine(std::move(slices[slot]), lsqr, &reducer,
-                                  col_scale);
+          core::LsqrEngine engine(std::move(slices[slot]), options.lsqr,
+                                  &reducer, col_scale);
           // Auto-resume: also the recovery path after a restart.
           const std::int64_t resumed = engine.use_checkpoints(manager);
           if (rank == 0 && resumed >= 0)

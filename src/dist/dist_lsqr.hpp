@@ -20,7 +20,6 @@
 #include "dist/metrics_reduce.hpp"
 #include "dist/partition.hpp"
 #include "resilience/checkpoint.hpp"
-#include "tuning/autotuner.hpp"
 
 namespace gaia::dist {
 
@@ -45,12 +44,6 @@ struct DistLsqrOptions {
   /// recovery drops the dead rank, re-partitions over the survivors and
   /// resumes from the newest valid checkpoint.
   int max_restarts = 3;
-  /// Launch-shape search before the iteration loop: rank 0 tunes on its
-  /// local slice and broadcasts the winning table, so every rank runs
-  /// identical shapes (the production rule — mismatched shapes would
-  /// skew the max-over-ranks iteration time).
-  bool autotune = false;
-  tuning::AutotuneOptions autotune_search{};
   /// Per-rank distributed tracing: when non-empty, every rank records
   /// into its own TraceRecorder (clock-aligned against the World epoch)
   /// and writes `<trace_dir>/trace.rank<N>.json`; the driver then merges

@@ -34,9 +34,9 @@ void append_escaped(std::ostringstream& os, const std::string& s) {
 }
 
 /// Minimal strict cursor over the baseline grammar (objects, arrays,
-/// strings, numbers) — same shape as the tuning-cache reader. Baselines
-/// are written by our own tools; anything unexpected is an error, not a
-/// guess.
+/// strings, numbers): one character of lookahead, no backtracking.
+/// Baselines are written by our own tools; anything unexpected is an
+/// error, not a guess.
 class JsonCursor {
  public:
   explicit JsonCursor(const std::string& text) : text_(text) {}

@@ -56,9 +56,8 @@ std::vector<RooflinePoint> roofline_points(
   const double bw_roof_gbs = machine.effective_bw_gbs();
   std::vector<RooflinePoint> points;
   for (const auto& [key, acc] : series) {
-    // A placement needs real traffic and a real timing; autotuner-only
-    // series (timed trials without counted launches) and untimed
-    // series are skipped.
+    // A placement needs counted launches with traffic and a timing;
+    // partial series are skipped.
     if (acc.launches == 0 || acc.timed == 0 || acc.seconds_p50 <= 0)
       continue;
     if (acc.bytes <= 0 && acc.flops <= 0) continue;

@@ -72,7 +72,7 @@ double percentile(std::vector<double> values, double p) {
   return values[lo] * (1 - frac) + values[hi] * frac;
 }
 
-/// Top-level collective spans carry bare names ("allreduce", "bcast",
+/// Top-level collective spans carry bare names ("allreduce",
 /// "barrier"); their wait/exchange children are dotted.
 bool is_comm_parent(const ParsedEvent& e) {
   return e.phase == 'X' && e.cat == "comm" &&

@@ -251,10 +251,10 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// Strict cursor over the snapshot's own JSON subset (the framing
-/// already guarantees the bytes are what we wrote; this guards logical
-/// corruption and version skew) — the tuning-cache parser's idiom with
-/// doubles added.
+/// Strict cursor over the snapshot's own JSON subset (objects, arrays,
+/// strings, numbers and booleans; one character of lookahead). The
+/// framing already guarantees the bytes are what we wrote; this guards
+/// logical corruption and version skew.
 class JsonCursor {
  public:
   explicit JsonCursor(const std::string& text) : text_(text) {}

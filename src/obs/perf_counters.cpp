@@ -61,12 +61,4 @@ void record_kernel_sample(const KernelSample& s) {
         .set(static_cast<double>(s.bytes) / s.seconds);
 }
 
-void record_kernel_time(const std::string& kernel, const std::string& backend,
-                        const std::string& strategy, double seconds) {
-  auto& reg = MetricsRegistry::global();
-  if (!reg.enabled()) return;
-  reg.histogram(kernel_series_name(kernel, backend, strategy, "time_seconds"))
-      .record(seconds);
-}
-
 }  // namespace gaia::obs

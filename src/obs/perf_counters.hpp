@@ -40,13 +40,6 @@ struct KernelSample {
 /// while the registry is disabled.
 void record_kernel_sample(const KernelSample& sample);
 
-/// Wall time only — autotuner trial launches feed the same per-pass
-/// time histograms without contributing traffic counters (a trial's
-/// shape is not the shape the solve runs, but its timing is a real
-/// launch of the real pass).
-void record_kernel_time(const std::string& kernel, const std::string& backend,
-                        const std::string& strategy, double seconds);
-
 /// Structured decomposition of a `kernel.*` metric name.
 struct KernelSeriesName {
   std::string kernel;

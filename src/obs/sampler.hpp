@@ -51,7 +51,7 @@ class ProgressBoard {
  public:
   struct Row {
     int rank = -1;
-    std::string phase;  ///< "generate"|"autotune"|"solve"|...
+    std::string phase;  ///< "generate"|"solve"|...
     std::int64_t iteration = 0;
     std::int64_t max_iterations = 0;
     double rnorm = 0;
@@ -70,7 +70,7 @@ class ProgressBoard {
   void begin(int rank, std::int64_t max_iterations, std::string phase);
   /// Per-iteration update. No-op while disabled or before begin(rank).
   void update(int rank, std::int64_t iteration, double rnorm, double arnorm);
-  /// Phase transition ("autotune" -> "solve", ...).
+  /// Phase transition ("generate" -> "solve", ...).
   void set_phase(int rank, std::string phase);
   /// Drops the row (a finished or dead rank disappears from samples).
   void end(int rank);

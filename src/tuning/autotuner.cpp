@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "tuning/kernel_registry.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
@@ -16,37 +14,8 @@ namespace gaia::tuning {
 using backends::KernelConfig;
 using backends::KernelId;
 
-namespace {
-
-void note_trial() {
-  auto& reg = obs::MetricsRegistry::global();
-  if (reg.enabled()) {
-    static obs::Counter& trials = reg.counter("tuning.trials");
-    trials.add(1);
-  }
-}
-
-void note_winner(KernelId id, KernelConfig cfg, double median_s) {
-  auto& reg = obs::MetricsRegistry::global();
-  if (reg.enabled()) {
-    static obs::Counter& tuned = reg.counter("tuning.kernels_tuned");
-    tuned.add(1);
-  }
-  auto& rec = obs::TraceRecorder::current();
-  if (rec.enabled()) {
-    rec.instant("tuning_winner", "tuning", obs::TraceRecorder::kMainTrack,
-                {{"kernel", backends::to_string(id)},
-                 {"blocks", static_cast<std::int64_t>(cfg.blocks)},
-                 {"threads", static_cast<std::int64_t>(cfg.threads)},
-                 {"median_us", median_s * 1e6}});
-  }
-}
-
-}  // namespace
-
 Autotuner::Autotuner(backends::BackendKind backend, AutotuneOptions options)
-    : backend_(backend),
-      options_(std::move(options)),
+    : options_(std::move(options)),
       enabled_(backends::honors_kernel_config(backend)) {
   GAIA_CHECK(options_.samples_per_config >= 1,
              "autotuner needs at least one sample per config");
@@ -95,8 +64,7 @@ int Autotuner::nearest_index(const std::vector<std::int32_t>& grid,
 
 void Autotuner::seed_locked(KernelId id, KernelSearch& s) {
   // The paper's prior: atomic scatters want few threads in flight
-  // (collision avoidance; on the host, fewer slices to fold), gathers
-  // want occupancy.
+  // (collision avoidance), gathers want occupancy.
   const bool narrow = backends::kernel_uses_atomics(id);
   s.current.bi = nearest_index(options_.block_grid, narrow ? 32 : 128);
   s.current.ti = nearest_index(options_.thread_grid, narrow ? 32 : 128);
@@ -136,7 +104,6 @@ bool Autotuner::report(KernelId id, KernelConfig cfg, double seconds) {
   if (s.finished || !s.started) return false;
   if (cfg != config_of(s.current)) return false;  // stale (e.g. failover)
   trials_++;
-  note_trial();
   s.samples.push_back(seconds);
   if (static_cast<int>(s.samples.size()) < options_.samples_per_config)
     return false;
@@ -153,7 +120,6 @@ bool Autotuner::report(KernelId id, KernelConfig cfg, double seconds) {
   }
   if (s.pending.empty() || s.evaluated >= options_.max_configs_per_kernel) {
     s.finished = true;
-    note_winner(id, config_of(s.best), s.best_median);
     return true;
   }
   s.current = s.pending.back();
@@ -178,14 +144,6 @@ std::uint64_t Autotuner::trials() const {
   return trials_;
 }
 
-int Autotuner::kernels_tuned() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  int n = 0;
-  for (const KernelSearch& s : search_)
-    if (s.finished && s.scored) ++n;
-  return n;
-}
-
 backends::TuningTable Autotuner::apply_winners(
     backends::TuningTable base) const {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -199,30 +157,6 @@ backends::TuningTable Autotuner::apply_winners(
 void Autotuner::finish() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (KernelSearch& s : search_) s.finished = true;
-}
-
-std::vector<real> encode_table(const backends::TuningTable& table) {
-  std::vector<real> out;
-  out.reserve(kEncodedTableSize);
-  for (backends::KernelId id : backends::all_kernels()) {
-    const KernelConfig cfg = table.get(id);
-    out.push_back(static_cast<real>(cfg.blocks));
-    out.push_back(static_cast<real>(cfg.threads));
-  }
-  return out;
-}
-
-backends::TuningTable decode_table(std::span<const real> data) {
-  GAIA_CHECK(data.size() == kEncodedTableSize,
-             "decode_table: wrong element count");
-  backends::TuningTable table;
-  std::size_t i = 0;
-  for (backends::KernelId id : backends::all_kernels()) {
-    table.set(id, {static_cast<std::int32_t>(data[i]),
-                   static_cast<std::int32_t>(data[i + 1])});
-    i += 2;
-  }
-  return table;
 }
 
 }  // namespace gaia::tuning

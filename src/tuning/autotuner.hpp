@@ -1,40 +1,39 @@
 /// \file autotuner.hpp
-/// \brief Online (blocks, threads) search over live kernel launches.
+/// \brief (blocks, threads) search per kernel against a caller-supplied
+/// measurement.
 ///
 /// The paper finds the winning launch shapes empirically — nsys sweeps
 /// per GPU, with *small* thread counts winning the atomic-heavy aprod2
 /// kernels — and its exascale follow-up (Cesare et al. 2023) shows the
-/// optimum moves with both the device and the problem size. So the
-/// search has to happen at runtime, on the user's actual system: during
-/// warm-up launches the `Aprod` driver asks this class to `propose()` a
-/// candidate shape, times the launch, and `report()`s the measurement
-/// back; the tuner walks a pow-2 grid by greedy coordinate descent and
-/// keeps the shape with the lowest *median* launch time (medians resist
-/// the scheduler noise of a shared host).
+/// optimum moves with both the device and the problem size. The caller
+/// asks this class to `propose()` a candidate shape, measures it, and
+/// `report()`s the measurement back; the tuner walks a pow-2 grid by
+/// greedy coordinate descent and keeps the shape with the lowest
+/// *median* score (medians resist the noise of a timed measurement).
+/// `bench/ablation_tuning` scores candidates with the calibrated cost
+/// model of each GPU. The solver itself runs a fixed TuningTable: on the
+/// host no shape beat the tuned default (DESIGN §8).
 ///
 /// Atomic kernels (`kernel_uses_atomics`) start the descent at a narrow
 /// shape — the paper's core tuning insight is that fewer concurrent
-/// threads mean fewer atomic collisions; on the host, fewer workers mean
-/// fewer private slices to fold — while gather kernels start wide. Backends whose launch shape is a no-op (serial, PSTL) are
-/// never searched: `active()` is false and the solver runs as if no
-/// tuner were attached.
+/// threads mean fewer atomic collisions — while gather kernels start
+/// wide. Backends whose launch shape is a no-op (serial, PSTL) are never
+/// searched: `active()` is false.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <mutex>
 #include <set>
-#include <span>
 #include <utility>
 #include <vector>
 
 #include "backends/backend.hpp"
-#include "util/types.hpp"
 
 namespace gaia::tuning {
 
 struct AutotuneOptions {
-  /// Launches timed per candidate shape; the median is the score.
+  /// Measurements per candidate shape; the median is the score.
   int samples_per_config = 3;
   /// Budget: candidate shapes evaluated per kernel before its search is
   /// cut off (the greedy descent usually converges well under this).
@@ -45,20 +44,17 @@ struct AutotuneOptions {
 };
 
 /// Per-(backend) search state over all eight kernel identities.
-/// Thread-safe: propose/report lock, so concurrent launchers cannot
+/// Thread-safe: propose/report lock, so concurrent callers cannot
 /// corrupt a search.
 class Autotuner {
  public:
   explicit Autotuner(backends::BackendKind backend,
                      AutotuneOptions options = {});
 
-  [[nodiscard]] backends::BackendKind backend() const { return backend_; }
-
-  /// True while the search of an identity the solve launches
-  /// (kAprodPasses) is still open. A KernelId the Aprod driver never
-  /// launches never scores, so it does not hold warm-up open; it can
-  /// still be searched by driving propose/report directly. Permanently
-  /// false on backends that ignore launch shapes.
+  /// True while the search of an identity the engine's passes run under
+  /// (kAprodPasses) is still open; the other KernelIds are searched by
+  /// driving propose/report while this holds. Permanently false on
+  /// backends that ignore launch shapes.
   [[nodiscard]] bool active() const;
   /// True while `id`'s search is still open.
   [[nodiscard]] bool searching(backends::KernelId id) const;
@@ -67,10 +63,9 @@ class Autotuner {
   /// best-known shape once the search is closed.
   [[nodiscard]] backends::KernelConfig propose(backends::KernelId id);
 
-  /// Feed back one timed launch of `id` at shape `cfg`. Measurements for
-  /// a shape other than the current candidate (failover ran the launch
-  /// elsewhere, or the caller used the installed table) are ignored.
-  /// Returns true exactly when this report *closes* `id`'s search.
+  /// Feed back one measurement of `id` at shape `cfg`. Measurements for
+  /// a shape other than the current candidate are ignored. Returns true
+  /// exactly when this report *closes* `id`'s search.
   bool report(backends::KernelId id, backends::KernelConfig cfg,
               double seconds);
 
@@ -79,10 +74,8 @@ class Autotuner {
   /// Median launch seconds of the best shape (inf until scored).
   [[nodiscard]] double best_median_s(backends::KernelId id) const;
 
-  /// Timed launches consumed so far (all kernels).
+  /// Measurements consumed so far (all kernels).
   [[nodiscard]] std::uint64_t trials() const;
-  /// Kernels whose search closed with a measured winner.
-  [[nodiscard]] int kernels_tuned() const;
 
   /// `base` with every measured winner installed.
   [[nodiscard]] backends::TuningTable apply_winners(
@@ -115,22 +108,11 @@ class Autotuner {
   [[nodiscard]] int nearest_index(const std::vector<std::int32_t>& grid,
                                   std::int32_t value) const;
 
-  backends::BackendKind backend_;
   AutotuneOptions options_;
   bool enabled_;  ///< honors_kernel_config(backend_)
   mutable std::mutex mutex_;
   std::array<KernelSearch, backends::kNumKernels> search_{};
   std::uint64_t trials_ = 0;
 };
-
-/// Flat encoding of a TuningTable as 2*kNumKernels reals (blocks,
-/// threads per kernel in enum order) — the dist layer broadcasts rank
-/// 0's winners to all ranks through the existing Comm::bcast(span<real>)
-/// so every rank runs identical shapes.
-inline constexpr std::size_t kEncodedTableSize =
-    2 * static_cast<std::size_t>(backends::kNumKernels);
-[[nodiscard]] std::vector<real> encode_table(
-    const backends::TuningTable& table);
-[[nodiscard]] backends::TuningTable decode_table(std::span<const real> data);
 
 }  // namespace gaia::tuning

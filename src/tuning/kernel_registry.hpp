@@ -3,8 +3,8 @@
 ///
 /// Before this subsystem, every launch site in `core/aprod.cpp` carried
 /// its own `switch (id)` over the eight kernels — three copies of the
-/// same dispatch, and anything new (the failover re-dispatch, the
-/// autotuner's trial launches, benches) grew a fourth. The registry
+/// same dispatch, and anything new (the failover re-dispatch, benches)
+/// grew a fourth. The registry
 /// replaces them with one table: each backend registers its templated
 /// kernel instantiations once (see `core/kernel_catalog.cpp`), and
 /// aprod, failover and bench all launch through `launch()`.
@@ -72,9 +72,8 @@ struct AprodPass {
 
 /// What one aprod pair launches, in launch order: apply1's fused gather
 /// (kAprod1Astro's identity), then apply2's aprod2_astro and fused
-/// scatter (kAprod2Att's identity). The autotuner searches exactly these
-/// three identities; the other KernelIds stay registry slots for the
-/// benches and the per-kernel baseline.
+/// scatter (kAprod2Att's identity). The other KernelIds stay registry
+/// slots for the benches and the per-kernel baseline.
 inline constexpr std::array<AprodPass, 3> kAprodPasses = {{
     {backends::KernelId::kAprod1Astro, FusedPass::kGather},
     {backends::KernelId::kAprod2Astro, std::nullopt},
@@ -82,8 +81,8 @@ inline constexpr std::array<AprodPass, 3> kAprodPasses = {{
 }};
 
 /// The one pass LsqrEngine launches, under kAprod2Att's tuning-table
-/// entry and fault identity like the fused scatter: it inherits the
-/// shape the warm-up search found for the apply passes.
+/// entry and fault identity like the fused scatter: it runs the table's
+/// kAprod2Att shape.
 inline constexpr AprodPass kStepPass = {backends::KernelId::kAprod2Att,
                                         FusedPass::kStep};
 

@@ -1,13 +1,13 @@
 /// \file framed_file.hpp
 /// \brief CRC32-sealed file framing: payload + footer, atomic replace.
 ///
-/// The on-disk contract shared by checkpoints, the tuning cache and the
-/// metrics snapshots: the payload bytes are followed by a fixed footer
+/// The on-disk contract shared by checkpoints and the metrics
+/// snapshots: the payload bytes are followed by a fixed footer
 /// (magic "GAIAFTR1", payload size, CRC32), the file is written to
 /// `<path>.tmp` and renamed into place so readers never observe a torn
 /// write, and the reader rejects anything whose footer does not verify.
 /// Lives in util (no dependencies) so every layer above — obs,
-/// resilience, tuning — can seal files without cycles; resilience keeps
+/// resilience — can seal files without cycles; resilience keeps
 /// thin forwarders for its historical call sites.
 #pragma once
 

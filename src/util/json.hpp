@@ -1,7 +1,7 @@
 /// \file json.hpp
 /// \brief Minimal strict JSON document parser (RFC 8259 subset).
 ///
-/// The repo's sealed formats (tuning cache, metrics snapshot) use
+/// The repo's sealed formats (metrics snapshot, perf baseline) use
 /// purpose-built cursor parsers because their schemas are fixed. Trace
 /// documents are different: span `args` objects carry arbitrary keys and
 /// nesting, so the trace merger and the critical-path analyzer need a

@@ -123,24 +123,6 @@ TEST(Comm, AllreduceMatchesASerialRankOrderedFoldBitwise) {
   }
 }
 
-TEST(Comm, BcastDistributesRootData) {
-  World world(3);
-  world.run([&](Comm& comm) {
-    std::vector<real> v(3, comm.rank() == 1 ? 7.5 : 0.0);
-    comm.bcast(v, 1);
-    for (real x : v) EXPECT_DOUBLE_EQ(x, 7.5);
-  });
-}
-
-TEST(Comm, BcastBadRootThrows) {
-  World world(2);
-  EXPECT_THROW(world.run([&](Comm& comm) {
-                 std::vector<real> v(1);
-                 comm.bcast(v, 5);
-               }),
-               gaia::Error);
-}
-
 TEST(Comm, SequentialCollectivesStayCoherent) {
   World world(3);
   world.run([&](Comm& comm) {
@@ -234,24 +216,21 @@ TEST(Comm, EmptySpanCollectivesAreSafe) {
   world.run([&](Comm& comm) {
     std::vector<real> empty;
     comm.allreduce(empty, ReduceOp::kSum);  // must not deadlock or crash
-    comm.bcast(empty, 0);
     comm.barrier();
   });
   SUCCEED();
 }
 
 TEST(Comm, MixedCollectiveSequenceStaysOrdered) {
-  // Alternating allreduce/bcast/barrier across ranks exercises the
-  // shared-buffer reuse between different collective types.
+  // Alternating allreduce/barrier across ranks exercises the
+  // shared-span reuse between different collective types.
   World world(4);
   world.run([&](Comm& comm) {
     for (int round = 0; round < 20; ++round) {
       std::vector<real> v(3, static_cast<real>(comm.rank()));
       comm.allreduce(v, ReduceOp::kSum);
       ASSERT_DOUBLE_EQ(v[0], 6.0);  // 0+1+2+3
-      std::vector<real> b(2, comm.rank() == 0 ? 42.0 : 0.0);
-      comm.bcast(b, 0);
-      ASSERT_DOUBLE_EQ(b[1], 42.0);
+      comm.barrier();
       const real mx = comm.allreduce(
           static_cast<real>(comm.rank() * round), ReduceOp::kMax);
       ASSERT_DOUBLE_EQ(mx, 3.0 * round);

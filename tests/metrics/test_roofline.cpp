@@ -85,8 +85,8 @@ TEST(RooflineTest, ComputeBoundKernelHitsTheFlopCeiling) {
 }
 
 TEST(RooflineTest, SkipsUntimedAndTrafficlessSeries) {
-  // Autotuner-style series: timings exist but launches were never
-  // counted -> no placement. Same for a counted series with no traffic.
+  // A timed series whose launches were never counted -> no
+  // placement. Same for a counted series with no traffic.
   auto rows = series("aprod1_att", 0, 0, 0, 1e-3);
   auto more = series("aprod1_ast", 5, 0, 0, 1e-3);
   rows.insert(rows.end(), more.begin(), more.end());

@@ -104,7 +104,6 @@ TEST_F(ExportTest, RecordingIsDisabledGated) {
   s.bytes = 10;
   s.seconds = 1;
   record_kernel_sample(s);
-  record_kernel_time("aprod1_astro", "serial", "none", 1.0);
   // A disabled registry must not even grow new entries.
   const auto rows = reg.snapshot();
   EXPECT_EQ(rows.size(), entries_before);

@@ -1,16 +1,20 @@
 /// Checkpoint -> restore -> continue must be bit-identical to an
 /// uninterrupted run of the same configuration — including on a
-/// multi-worker backend (the scatter commit folds its slices in a fixed
-/// order) with launch shapes loaded from a sealed tuning cache. This is the
-/// property the SDC rollback/repair loop stands on: a restored snapshot
-/// replays the exact trajectory, so "repaired" means "the fault-free
-/// solve", not "a nearby solve".
+/// multi-worker backend at a fixed launch shape (the scatter commit
+/// folds its slices in a fixed order). This is the property the SDC
+/// rollback/repair loop stands on: a restored snapshot replays the exact
+/// trajectory, so "repaired" means "the fault-free solve", not "a nearby
+/// solve". Launch shapes stay outside the checkpoint fingerprint, so a
+/// checkpoint also resumes under another tuning table.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <sstream>
 
+#include "core/lsqr_engine.hpp"
 #include "core/solver.hpp"
 #include "test_helpers.hpp"
+#include "util/error.hpp"
 
 namespace gaia::core {
 namespace {
@@ -34,12 +38,9 @@ class CheckpointContinuation : public ::testing::Test {
     cfg.generator = gaia::testing::small_config(55);
     cfg.lsqr.aprod.backend = backends::BackendKind::kGpuSim;
     cfg.lsqr.max_iterations = iterations;
-    // Launch shapes persisted: restore must reproduce them, and with
-    // them the scatter's fold order.
-    cfg.autotune.enabled = true;
-    cfg.autotune.cache_path = (dir_ / "tuning.json").string();
-    cfg.autotune.search.samples_per_config = 1;
-    cfg.autotune.search.max_configs_per_kernel = 3;
+    // A fixed multi-worker table: every scatter folds W = 3 private
+    // slices, so restore must reproduce the fold order with the state.
+    cfg.lsqr.aprod.tuning = backends::TuningTable::untuned({3, 7});
     return cfg;
   }
 
@@ -48,34 +49,31 @@ class CheckpointContinuation : public ::testing::Test {
 
 TEST_F(CheckpointContinuation,
        RestoreContinueMatchesUninterruptedRunBitForBit) {
-  // Leg 1: a "crashed" run — searches + seals the tuning cache and the
-  // iteration-4 checkpoint, then stops at 8.
+  // Leg 1: a "crashed" run — seals the iteration-4 checkpoint, then
+  // stops at 8.
   SolverRunConfig first = config(8);
   first.checkpoint.directory = (dir_ / "ckpt").string();
   first.checkpoint.every = 4;
   const SolverRunReport seeded = run_solver(first);
-  EXPECT_FALSE(seeded.autotune_cache_hit);
+  EXPECT_EQ(seeded.tuning_used, backends::TuningTable::untuned({3, 7}));
   // Checkpoints seal after non-final steps: an 8-iteration run with
   // every=4 seals exactly the iteration-4 snapshot.
   EXPECT_EQ(seeded.checkpoints_written, 1u);
   EXPECT_EQ(seeded.resumed_from_iteration, -1);
 
-  // Leg 2: the continuation — loads the cache (no fresh search, so the
-  // shapes are exactly leg 1's) and auto-resumes from the newest
-  // checkpoint, then runs out the remaining iterations.
+  // Leg 2: the continuation — the same shapes as leg 1; auto-resumes
+  // from the newest checkpoint, then runs out the remaining iterations.
   SolverRunConfig second = config(16);
   second.checkpoint.directory = first.checkpoint.directory;
   second.checkpoint.every = 4;
   const SolverRunReport continued = run_solver(second);
-  EXPECT_TRUE(continued.autotune_cache_hit);
   EXPECT_EQ(continued.resumed_from_iteration, 4);
   EXPECT_EQ(continued.tuning_used, seeded.tuning_used);
   EXPECT_EQ(continued.result.iterations, 16);
 
-  // Reference: the same 16 iterations uninterrupted, same cached
-  // shapes, no checkpoint machinery in the loop.
+  // Reference: the same 16 iterations uninterrupted, same shapes, no
+  // checkpoint machinery in the loop.
   const SolverRunReport reference = run_solver(config(16));
-  EXPECT_TRUE(reference.autotune_cache_hit);
   EXPECT_EQ(reference.tuning_used, continued.tuning_used);
 
   // Bit-for-bit: solution, scalars, stop state. The scatter commit is
@@ -95,6 +93,36 @@ TEST_F(CheckpointContinuation,
     ASSERT_EQ(continued.result.std_errors[i],
               reference.result.std_errors[i])
         << "std error " << i;
+}
+
+TEST_F(CheckpointContinuation, CheckpointsCrossTuningBoundaries) {
+  // A checkpoint sealed under one launch-shape table must restore into
+  // an engine running another (and vice versa): launch-shape tuning is
+  // deliberately outside the problem fingerprint.
+  auto gen = matrix::generate_system(gaia::testing::small_config(7));
+
+  LsqrOptions untuned;
+  untuned.aprod.backend = backends::BackendKind::kGpuSim;
+  untuned.aprod.tuning = backends::TuningTable::untuned({256, 256});
+  untuned.max_iterations = 6;
+  LsqrEngine writer(gen.A, untuned);
+  writer.step();
+  writer.step();
+  std::ostringstream payload(std::ios::binary);
+  writer.checkpoint(payload);
+
+  LsqrOptions tuned = untuned;
+  tuned.aprod.tuning = backends::TuningTable::tuned_default();
+  LsqrEngine reader(gen.A, tuned);
+  std::istringstream in(payload.str(), std::ios::binary);
+  EXPECT_NO_THROW(reader.restore(in));
+  EXPECT_EQ(reader.iteration(), 2);
+
+  // The control: an actually different problem still refuses to load.
+  auto other = matrix::generate_system(gaia::testing::small_config(8));
+  LsqrEngine stranger(other.A, tuned);
+  std::istringstream in2(payload.str(), std::ios::binary);
+  EXPECT_THROW(stranger.restore(in2), Error);
 }
 
 TEST_F(CheckpointContinuation, HealthRepairSnapshotSurvivesRestore) {
