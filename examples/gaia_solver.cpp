@@ -13,8 +13,12 @@
 ///   $ GAIA_TRACE=trace.json GAIA_METRICS=metrics.csv ./gaia_solver
 ///   $ ./gaia_solver --checkpoint-dir ckpt --checkpoint-every 20
 ///   $ GAIA_FAULTS='kernel:p=0.01' ./gaia_solver --backend gpusim
+#include <algorithm>
 #include <iostream>
+#include <string_view>
+#include <vector>
 
+#include "core/lsqr_engine.hpp"
 #include "core/solver.hpp"
 #include "dist/dist_lsqr.hpp"
 #include "metrics/roofline.hpp"
@@ -24,9 +28,53 @@
 #include "perfmodel/gpu_spec.hpp"
 #include "resilience/fault_injector.hpp"
 #include "util/cli.hpp"
-#include "util/profiler.hpp"
 #include "util/stats.hpp"
 #include "util/string_utils.hpp"
+#include "util/table.hpp"
+
+namespace gaia {
+namespace {
+
+/// The --profile record, read back from the registry over all ranks: the
+/// LSQR steps' layer rows, then the kernel launches' time rows, each as
+/// a share of the summed step time.
+void print_profile(std::ostream& os) {
+  using util::Table;
+  const std::vector<obs::MetricRow> rows =
+      obs::MetricsRegistry::global().snapshot();
+  const auto row = [&rows](const std::string& name) {
+    const auto it = std::find_if(
+        rows.begin(), rows.end(),
+        [&name](const obs::MetricRow& r) { return r.name == name; });
+    return it == rows.end() ? obs::MetricRow{} : *it;
+  };
+  std::vector<obs::MetricRow> layers;
+  double whole = 0;
+  for (const std::string_view layer : core::kLayerRows) {
+    layers.push_back(row(core::layer_metric_name(layer)));
+    whole += layers.back().sum;
+  }
+  const auto share = [whole](double seconds) {
+    return Table::num(whole > 0 ? 100 * seconds / whole : 0, 1) + " %";
+  };
+  Table table({"row", "calls", "total (ms)", "share"});
+  const auto add = [&](std::string name, const obs::MetricRow& r) {
+    table.add_row({std::move(name), std::to_string(r.count),
+                   Table::num(r.sum * 1e3), share(r.sum)});
+  };
+  for (std::size_t i = 0; i < layers.size(); ++i)
+    add(std::string(core::kLayerRows[i]), layers[i]);
+  for (const obs::MetricRow& r : rows)
+    if (r.name.starts_with("kernel.") && r.name.ends_with(".time_seconds"))
+      add(r.name, r);
+  os << "\nlayer record of the LSQR steps (all ranks):\n"
+     << table.str() << "aprod share: " << share(layers.front().sum)
+     << " of the summed step time (the step row; paper SV-A finds the "
+        "products dominate)\n";
+}
+
+}  // namespace
+}  // namespace gaia
 
 int main(int argc, char** argv) {
   using namespace gaia;
@@ -47,8 +95,8 @@ int main(int argc, char** argv) {
                  "(e.g. 64x128); validated at parse time");
   cli.add_flag("validate", "solve from a ground truth and report recovery");
   cli.add_flag("profile",
-               "collect and print the per-kernel time breakdown (the "
-               "nsys/rocprof-style view of paper SV-A)");
+               "print the LSQR steps' layer record and the kernel launch "
+               "times (the nsys/rocprof-style view of paper SV-A)");
   cli.add_option("trace", "",
                  "write a Chrome/Perfetto kernel timeline here (also "
                  "honored via GAIA_TRACE)");
@@ -64,8 +112,7 @@ int main(int argc, char** argv) {
                  "honored via GAIA_TRACE_CAPACITY for --trace)");
   cli.add_option("metrics", "",
                  "write transfer/atomic/convergence counters as CSV here "
-                 "(also honored via GAIA_METRICS; format switchable with "
-                 "GAIA_METRICS_FMT=csv|openmetrics|json)");
+                 "(also honored via GAIA_METRICS)");
   cli.add_option("metrics-openmetrics", "",
                  "write the per-kernel counters as an OpenMetrics text "
                  "exposition here (also honored via "
@@ -96,10 +143,8 @@ int main(int argc, char** argv) {
   cli.add_option("faults", "",
                  "deterministic fault-injection spec, e.g. "
                  "'kernel:p=0.01;h2d:p=0.005;rank:iter=200,rank=1;"
-                 "ckpt:truncate' (also honored via GAIA_FAULTS)");
-  cli.add_option("fault-seed", "1746",
-                 "seed of the fault-injection decision stream (also "
-                 "honored via GAIA_FAULT_SEED)");
+                 "ckpt:truncate'; a 'seed=N' clause picks the decision "
+                 "stream (also honored via GAIA_FAULTS)");
   cli.add_option("checkpoint-every", "0",
                  "seal a checkpoint every N iterations (0 = off)");
   cli.add_option("checkpoint-dir", "",
@@ -137,9 +182,7 @@ int main(int argc, char** argv) {
       obs::TraceRecorder::global().set_capacity(trace_capacity);
 
     // Arm deterministic fault injection (flag wins over GAIA_FAULTS).
-    resilience::FaultInjector::global().configure_from_env(
-        cli.get("faults"),
-        static_cast<std::uint64_t>(cli.get_int("fault-seed")));
+    resilience::FaultInjector::global().configure_from_env(cli.get("faults"));
 
     const auto backend = backends::parse_backend(cli.get("backend"));
     GAIA_CHECK(backend.has_value(), "unknown backend: " + cli.get("backend"));
@@ -172,10 +215,9 @@ int main(int argc, char** argv) {
       config.generator = gen_cfg;
     }
 
-    if (cli.get_flag("profile")) {
-      util::Profiler::global().reset();
-      util::Profiler::global().set_enabled(true);
-    }
+    // The profile is the registry's layer record: arm it, file or not.
+    if (cli.get_flag("profile"))
+      obs::MetricsRegistry::global().set_enabled(true);
 
     const int ranks = static_cast<int>(cli.get_int("ranks"));
     std::cout << "backend: " << backends::to_string(*backend)
@@ -269,14 +311,7 @@ int main(int argc, char** argv) {
                     << " event(s) dropped by the capacity cap\n";
       }
     }
-    if (cli.get_flag("profile")) {
-      std::cout << "\nper-region time breakdown (all ranks):\n"
-                << util::Profiler::global().report();
-      std::cout << "aprod share: "
-                << util::Profiler::global().fraction_of("aprod") * 100
-                << " % (paper SV-A: the products dominate)\n";
-      util::Profiler::global().set_enabled(false);
-    }
+    if (cli.get_flag("profile")) print_profile(std::cout);
     if (obs_session.tracing())
       std::cout << "trace timeline: " << obs_session.trace_path()
                 << " (open in chrome://tracing or ui.perfetto.dev)\n";

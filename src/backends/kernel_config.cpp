@@ -34,13 +34,6 @@ std::string to_string(AtomicMode mode) {
   return mode == AtomicMode::kNativeRmw ? "rmw" : "cas";
 }
 
-std::optional<KernelId> parse_kernel_id(const std::string& name) {
-  for (KernelId id : all_kernels()) {
-    if (name == to_string(id)) return id;
-  }
-  return std::nullopt;
-}
-
 const std::array<KernelId, kNumKernels>& all_kernels() {
   static const std::array<KernelId, kNumKernels> ids = {
       KernelId::kAprod1Astro, KernelId::kAprod1Att, KernelId::kAprod1Instr,

@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "matrix/storage_layout.hpp"
@@ -102,9 +101,6 @@ enum class KernelId : std::uint8_t {
 inline constexpr int kNumKernels = 8;
 
 [[nodiscard]] std::string to_string(KernelId id);
-/// Inverse of to_string(KernelId); nullopt for unknown names.
-[[nodiscard]] std::optional<KernelId> parse_kernel_id(
-    const std::string& name);
 /// All eight kernel ids in enum order (for registry/tuning iteration).
 [[nodiscard]] const std::array<KernelId, kNumKernels>& all_kernels();
 

@@ -12,8 +12,6 @@
 #include "resilience/fault_injector.hpp"
 #include "resilience/retry.hpp"
 #include "tuning/kernel_registry.hpp"
-#include "util/profiler.hpp"
-#include "util/stopwatch.hpp"
 
 namespace gaia::core {
 
@@ -39,12 +37,11 @@ std::vector<obs::TraceArg> pass_trace_args(BackendKind backend,
 }
 
 /// Derived performance counters for one completed launch: the pass-level
-/// cost shapes from the kernel catalog, the wall time from the launch
-/// stopwatch.
+/// cost shapes from the kernel catalog, the wall time from the launch's
+/// span.
 void record_launch_sample(const SystemView& view,
                           const tuning::AprodPass& pass, BackendKind backend,
                           double seconds) {
-  if (!obs::MetricsRegistry::global().enabled()) return;
   obs::KernelSample s;
   s.kernel = pass_region_name(pass);
   s.backend = backends::to_string(backend);
@@ -143,11 +140,15 @@ void Aprod::launch_pass(const tuning::AprodPass& pass,
     const BackendKind backend = active_backend();
     try {
       resilience::with_retry(name, options_.retry, [&] {
-        obs::ScopedTrace span(name, "kernel");
+        // One clock pair per attempt, read only when the trace or the
+        // registry is armed: the span's duration is the sample's seconds.
+        // A failed attempt leaves its span and records no sample.
+        const bool metered = obs::MetricsRegistry::global().enabled();
+        obs::ScopedTrace span(name, "kernel", obs::TraceRecorder::kMainTrack,
+                              metered);
         if (span.armed())
           for (auto& a : pass_trace_args(backend, cfg, view_, pass))
             span.add_arg(std::move(a));
-        util::ScopedRegion region(name);
         if (injector.armed() &&
             injector.should_fail_kernel(name, backends::to_string(backend)))
           throw resilience::TransientFault(
@@ -155,9 +156,9 @@ void Aprod::launch_pass(const tuning::AprodPass& pass,
         args.view = &view_;
         args.config = cfg;
         args.arena = &scratch_arena_;
-        util::Stopwatch watch;
         registry.launch(pass, backend, args);
-        record_launch_sample(view_, pass, backend, watch.elapsed_s());
+        const double seconds = span.stop();
+        if (metered) record_launch_sample(view_, pass, backend, seconds);
       });
       return;
     } catch (const resilience::PersistentFault&) {

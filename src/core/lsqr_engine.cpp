@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <bit>
+#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -18,7 +19,6 @@
 #include "obs/trace.hpp"
 #include "resilience/checkpoint.hpp"
 #include "resilience/fault_injector.hpp"
-#include "util/profiler.hpp"
 #include "util/stopwatch.hpp"
 
 namespace gaia::core {
@@ -66,7 +66,81 @@ void read_vec(std::istream& is, std::span<real> v) {
              "checkpoint vector size mismatch");
   read_values(is, v);
 }
+
+/// Indices into kLayerRows.
+enum LayerRow : std::size_t {
+  kLayerStep,
+  kLayerTail,
+  kLayerHealth,
+  kLayerComm,
+  kLayerCheckpoint,
+  kLayerUnattributed,
+};
+static_assert(kLayerRows.size() == kLayerUnattributed + 1 &&
+              kLayerRows[kLayerStep] == "step" &&
+              kLayerRows[kLayerTail] == "tail" &&
+              kLayerRows[kLayerHealth] == "health" &&
+              kLayerRows[kLayerComm] == "comm" &&
+              kLayerRows[kLayerCheckpoint] == "checkpoint" &&
+              kLayerRows[kLayerUnattributed] == "unattributed");
+
+/// One step() call's layer record. Armed only while the registry is
+/// enabled: it then reads the clock where the call starts and ends and
+/// where each timed phase starts and ends, and records one sample per
+/// row when the call leaves, on every path. Time outside every phase is
+/// the unattributed row, so the rows sum to the call's wall time.
+class LayerRecord {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  /// Charges the time until its scope ends to one row.
+  class Phase {
+   public:
+    Phase(LayerRecord& record, LayerRow row)
+        : spent_(record.armed_ ? &record.spent_[row] : nullptr),
+          start_(spent_ ? Clock::now() : Clock::time_point{}) {}
+    ~Phase() {
+      if (spent_) *spent_ += Clock::now() - start_;
+    }
+    Phase(const Phase&) = delete;
+    Phase& operator=(const Phase&) = delete;
+
+   private:
+    Clock::duration* spent_;
+    Clock::time_point start_;
+  };
+
+  LayerRecord()
+      : armed_(obs::MetricsRegistry::global().enabled()),
+        start_(armed_ ? Clock::now() : Clock::time_point{}) {}
+  ~LayerRecord() {
+    if (!armed_) return;
+    Clock::duration& rest = spent_[kLayerUnattributed];
+    rest = Clock::now() - start_;
+    for (std::size_t r = 0; r < kLayerUnattributed; ++r) rest -= spent_[r];
+    static const auto rows = [] {
+      std::array<obs::Histogram*, kLayerRows.size()> out{};
+      for (std::size_t r = 0; r < out.size(); ++r)
+        out[r] = &obs::MetricsRegistry::global().histogram(
+            layer_metric_name(kLayerRows[r]));
+      return out;
+    }();
+    for (std::size_t r = 0; r < rows.size(); ++r)
+      rows[r]->record(std::chrono::duration<double>(spent_[r]).count());
+  }
+  LayerRecord(const LayerRecord&) = delete;
+  LayerRecord& operator=(const LayerRecord&) = delete;
+
+ private:
+  bool armed_;
+  Clock::time_point start_;
+  std::array<Clock::duration, kLayerRows.size()> spent_{};
+};
 }  // namespace
+
+std::string layer_metric_name(std::string_view row) {
+  return "lsqr.layer." + std::string(row) + "_seconds";
+}
 
 struct LsqrEngine::Impl {
   LsqrOptions options;
@@ -239,18 +313,9 @@ struct LsqrEngine::Impl {
     const auto backend = aprod->active_backend();
     auto v = d_v.span();
     sigma = real{1} / beta;
-    {
-      util::ScopedRegion region("blas1_scale");
-      vaxpby(backend, v, sigma, d_q.span().first(n), -beta);
-    }
-    {
-      util::ScopedRegion region("reduction_norm");
-      alpha = vnorm(backend, v);
-    }
-    if (alpha > 0) {
-      util::ScopedRegion region("blas1_scale");
-      vscale(backend, v, real{1} / alpha);
-    }
+    vaxpby(backend, v, sigma, d_q.span().first(n), -beta);
+    alpha = vnorm(backend, v);
+    if (alpha > 0) vscale(backend, v, real{1} / alpha);
   }
 
   /// u <- sigma u, sigma <- 1. The step pass multiplies u by sigma
@@ -553,6 +618,7 @@ struct LsqrEngine::Impl {
     // stays coherent (aprod kernels and BLAS1 on the same executor).
     const auto backend = aprod->active_backend();
     const real damp = options.damp;
+    LayerRecord layers;
     util::Stopwatch watch;
     ++itn;
     obs::ScopedTrace iter_span("lsqr.iteration", "lsqr");
@@ -570,17 +636,23 @@ struct LsqrEngine::Impl {
     resilience::HealthVerdict abft;
 
     // One row pass: u <- p = A v - alpha u, q = A^T p, ||p||^2.
-    run_step_pass(alpha);
+    {
+      const LayerRecord::Phase timed(layers, kLayerStep);
+      run_step_pass(alpha);
+    }
     maybe_inject_sdc("aprod1", u);
     // One collective sums q and ||p||^2, so every replica of v is
     // updated from the same sum. A distributed flip lands after it: only
     // this rank's replica of q diverges, which its own checksum catches.
-    if (reducer) reducer->sum(d_q.span());
+    if (reducer) {
+      const LayerRecord::Phase timed(layers, kLayerComm);
+      reducer->sum(d_q.span());
+    }
     maybe_inject_sdc("aprod2", q);
     beta = std::sqrt(d_q.span()[n]);
     real s_p = 0;
     if (health) {
-      util::ScopedRegion region("health_checksums");
+      const LayerRecord::Phase timed(layers, kLayerHealth);
       // The sum of p must equal col_check . v - alpha sum(u_old) to
       // rounding. Summed over the outputs, not inside the pass, so a
       // flip after the pass still shows.
@@ -603,6 +675,7 @@ struct LsqrEngine::Impl {
     if (beta > 0) {
       anorm = std::sqrt(anorm * anorm + alpha * alpha + beta * beta +
                         damp * damp);
+      const LayerRecord::Phase timed(layers, kLayerTail);
       update_v();
       if (health) sum_u = s_p / beta;
     } else {
@@ -631,7 +704,7 @@ struct LsqrEngine::Impl {
     const real tau = sn * phi;
 
     if (rho > 0) {
-      util::ScopedRegion region("blas1_updates");
+      const LayerRecord::Phase timed(layers, kLayerTail);
       if (options.compute_std_errors)
         vaccumulate_sq(backend, d_var.span(), real{1} / rho, w);
       ddnorm += (real{1} / rho) * (real{1} / rho) * vdot(backend, w, w);
@@ -663,12 +736,17 @@ struct LsqrEngine::Impl {
     const double iteration_s = watch.elapsed_s();
     // Distributed, the reported time is the maximum over ranks (paper
     // App. B).
-    iteration_seconds.push_back(
-        reducer ? reducer->max_iteration_seconds(iteration_s) : iteration_s);
+    if (reducer) {
+      const LayerRecord::Phase timed(layers, kLayerComm);
+      iteration_seconds.push_back(reducer->max_iteration_seconds(iteration_s));
+    } else {
+      iteration_seconds.push_back(iteration_s);
+    }
     record_iteration_telemetry(iter_span, iteration_s);
 
     // --- silent-corruption defense -----------------------------------
     if (health) {
+      const LayerRecord::Phase timed(layers, kLayerHealth);
       auto verdict = abft;  // the same-iteration detector reports first
       if (verdict.healthy())
         verdict =
@@ -717,7 +795,10 @@ struct LsqrEngine::Impl {
     istop = stop_test(options, bnorm, anorm, acond, rnorm, arnorm, xnorm);
     if (istop != LsqrStop::kIterationLimit) finished = true;
     if (itn >= options.max_iterations) finished = true;
-    if (!finished && checkpoints && checkpoints->due(itn)) seal_checkpoint();
+    if (!finished && checkpoints && checkpoints->due(itn)) {
+      const LayerRecord::Phase timed(layers, kLayerCheckpoint);
+      seal_checkpoint();
+    }
     return !finished;
   }
 

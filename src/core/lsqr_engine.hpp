@@ -18,7 +18,10 @@
 ///    (core/rank_reducer.hpp).
 #pragma once
 
+#include <array>
 #include <iosfwd>
+#include <string>
+#include <string_view>
 
 #include "core/lsqr.hpp"
 
@@ -29,6 +32,25 @@ class CheckpointManager;
 namespace gaia::core {
 
 class RankReducer;
+
+/// The rows of the layer record `LsqrEngine::step()` publishes while the
+/// metrics registry is enabled (paper SV-A's profile, measured once):
+/// every call that runs an iteration adds one sample to each row's
+/// histogram (`layer_metric_name`), and the six samples sum to the
+/// call's wall time.
+///  * step — the step-pass launch;
+///  * tail — the n-length BLAS-1 updates and reductions;
+///  * health — ABFT checksums, scalar and window checks, deep checks
+///    (their products and collectives included) and rollback;
+///  * comm — the step's own collectives: the q/||p||^2 allreduce and the
+///    iteration-time max (0 single-process);
+///  * checkpoint — the seal;
+///  * unattributed — the call's wall time minus the five above.
+inline constexpr std::array<std::string_view, 6> kLayerRows = {
+    "step", "tail", "health", "comm", "checkpoint", "unattributed"};
+
+/// The registry histogram of one layer row: `lsqr.layer.<row>_seconds`.
+[[nodiscard]] std::string layer_metric_name(std::string_view row);
 
 class LsqrEngine {
  public:
@@ -64,6 +86,8 @@ class LsqrEngine {
 
   /// Runs one LSQR iteration. Returns false once finished (stopping
   /// test hit or iteration limit reached); further calls are no-ops.
+  /// With the metrics registry enabled, a call that runs an iteration
+  /// records its layer split (kLayerRows).
   bool step();
 
   /// Runs until finished; returns the number of iterations executed by

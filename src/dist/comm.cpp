@@ -7,7 +7,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/stopwatch.hpp"
 
 namespace gaia::dist {
 
@@ -51,19 +50,16 @@ void World::poison(std::exception_ptr error) {
   obs::flight_event("comm", "world.poisoned", what);
 }
 
-void World::collective_reduce(int rank, std::span<real> data, ReduceOp op,
-                              double* wait_seconds) {
+std::chrono::steady_clock::time_point World::collective_reduce(
+    int rank, std::span<real> data, ReduceOp op) {
   const auto ranks = static_cast<std::size_t>(size_);
   const auto self = static_cast<std::size_t>(rank);
   const std::size_t n = data.size();
   // Every rank publishes its span; the entry barrier makes all of them
   // visible, and no staging copy is made.
   reduce_spans_[self] = data;
-  {
-    util::Stopwatch entry;
-    arrive_barrier();
-    if (wait_seconds) *wait_seconds = entry.elapsed_s();
-  }
+  arrive_barrier();
+  const auto released = std::chrono::steady_clock::now();
   for (const std::span<real> other : reduce_spans_)
     GAIA_CHECK(other.size() == n, "allreduce length differs across ranks");
   // Rank k owns elements [k n / P, (k + 1) n / P): it folds them across
@@ -101,22 +97,25 @@ void World::collective_reduce(int rank, std::span<real> data, ReduceOp op,
   }
   // No rank may return (and change its span) while a peer still reads it.
   arrive_barrier();
+  return released;
 }
 
-CommStats Comm::timed_collective(const char* name, std::uint64_t bytes,
-                                 const std::function<double()>& body) {
+CommStats Comm::timed_collective(
+    const char* name, std::uint64_t bytes,
+    const std::function<std::chrono::steady_clock::time_point()>& body) {
   auto& rec = obs::TraceRecorder::current();
-  const bool traced = rec.enabled();
-  if (traced)
+  if (rec.enabled())
     rec.name_track(rank_track(rank_), "rank-" + std::to_string(rank_) +
                                           " comm");
-  obs::ScopedTrace span(name, "comm", rank_track(rank_));
+  // CommStats are always on, so the span is always timed: its one clock
+  // pair is the span, the stats and the comm.* histograms alike.
+  obs::ScopedTrace span(name, "comm", rank_track(rank_), /*timed=*/true);
   span.add_arg({"rank", static_cast<std::int64_t>(rank_)});
   span.add_arg({"bytes", bytes});
-  const double t0_us = traced ? rec.now_us() : 0;
-  util::Stopwatch watch;
-  const double wait_s = body();
-  const double total_s = watch.elapsed_s();
+  const auto released = body();
+  const double total_s = span.stop();
+  const double wait_s =
+      std::chrono::duration<double>(released - span.start()).count();
 
   stats_.collectives += 1;
   stats_.bytes += bytes;
@@ -124,11 +123,12 @@ CommStats Comm::timed_collective(const char* name, std::uint64_t bytes,
   stats_.wait_seconds += wait_s;
   span.add_arg({"wait_us", wait_s * 1e6});
 
-  if (traced) {
+  if (span.armed()) {
     // The wait/exchange split as nested child spans: wait ends when the
     // last rank has arrived at the entry barrier, exchange covers the
     // actual transfer/reduce work. [t0, t0+wait][t0+wait, end] tiles
     // the parent span exactly, so Perfetto renders a two-level lane.
+    const double t0_us = rec.to_us(span.start());
     const double wait_us = wait_s * 1e6;
     const double total_us = total_s * 1e6;
     const std::string prefix = name;
@@ -151,18 +151,15 @@ CommStats Comm::timed_collective(const char* name, std::uint64_t bytes,
 
 void Comm::barrier() {
   timed_collective("barrier", 0, [&] {
-    util::Stopwatch entry;
     world_->arrive_barrier();
-    return entry.elapsed_s();
+    return std::chrono::steady_clock::now();
   });
 }
 
 void Comm::allreduce(std::span<real> data, ReduceOp op) {
   const auto bytes = static_cast<std::uint64_t>(data.size_bytes());
   const CommStats call = timed_collective("allreduce", bytes, [&] {
-    double wait_s = 0;
-    world_->collective_reduce(rank_, data, op, &wait_s);
-    return wait_s;
+    return world_->collective_reduce(rank_, data, op);
   });
   auto& reg = obs::MetricsRegistry::global();
   if (reg.enabled()) {

@@ -13,9 +13,10 @@
 /// into a *wait* child (time at the entry barrier until the last rank
 /// arrives — pure skew) and an *exchange* child (the transfer/reduce
 /// work after everyone is present). The same split is accumulated in
-/// per-rank `CommStats` (always on; two clock reads per collective) —
-/// the raw material for the comm-exposure rows the distributed solver
-/// publishes and the critical-path analyzer cross-checks.
+/// per-rank `CommStats` (always on), from the same clock reads: one pair
+/// per collective plus the entry barrier's release — the raw material
+/// for the comm-exposure rows the distributed solver publishes and the
+/// critical-path analyzer cross-checks.
 #pragma once
 
 #include <atomic>
@@ -89,11 +90,13 @@ class Comm {
       : world_(world), rank_(rank), size_(size) {}
 
   /// Shared trace/metrics/stats bookkeeping around one collective.
-  /// `body` runs the collective and returns the entry-barrier seconds.
-  /// Returns this call's {1, bytes, total, wait} delta so the wrappers
-  /// can record per-collective metric series.
-  CommStats timed_collective(const char* name, std::uint64_t bytes,
-                             const std::function<double()>& body);
+  /// `body` runs the collective and returns the time its entry barrier
+  /// released (every rank present). Returns this call's {1, bytes,
+  /// total, wait} delta so the wrappers can record per-collective metric
+  /// series.
+  CommStats timed_collective(
+      const char* name, std::uint64_t bytes,
+      const std::function<std::chrono::steady_clock::time_point()>& body);
 
   World* world_;
   int rank_;
@@ -127,10 +130,10 @@ class World {
  private:
   friend class Comm;
 
-  // The reduce body reports the duration of its *entry* barrier via
-  // `wait_seconds` (the skew share the comm spans and stats split out).
-  void collective_reduce(int rank, std::span<real> data, ReduceOp op,
-                         double* wait_seconds);
+  // Returns when the *entry* barrier released: the end of the skew
+  // share the comm spans and stats split out.
+  std::chrono::steady_clock::time_point collective_reduce(
+      int rank, std::span<real> data, ReduceOp op);
   void arrive_barrier();
   /// Records `error` (first wins) and flips the poison flag that every
   /// barrier crossing checks.

@@ -56,6 +56,5 @@
 
 // Utilities commonly used alongside the API.
 #include "util/cli.hpp"
-#include "util/profiler.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"

@@ -2,8 +2,8 @@
 /// \brief Predicted-vs-measured kernel time comparison ("model drift").
 ///
 /// The performance model (src/perfmodel) predicts where the iteration
-/// time goes; the observability layer (src/obs, util::Profiler) measures
-/// where it actually went on the host backends. This report confronts
+/// time goes; the observability layer (src/obs) measures where it
+/// actually went on the host backends. This report confronts
 /// the two: per kernel, the predicted and measured seconds, their ratio,
 /// and — the portable signal — the *share* each kernel takes of its
 /// campaign's total. Host-measured absolute times cannot match GPU

@@ -478,11 +478,6 @@ void set_global_snapshot_meta(const SnapshotMeta& meta) {
   sink().meta = meta;
 }
 
-SnapshotMeta global_snapshot_meta() {
-  std::lock_guard<std::mutex> lock(sink().mutex);
-  return sink().meta;
-}
-
 void flush_global_snapshot() {
   std::string path;
   SnapshotMeta meta;

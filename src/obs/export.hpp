@@ -105,7 +105,6 @@ void set_global_snapshot_path(const std::string& path);
 /// Overrides the meta stamped on subsequent global-snapshot flushes
 /// (the distributed solver sets ranks/completeness after aggregating).
 void set_global_snapshot_meta(const SnapshotMeta& meta);
-[[nodiscard]] SnapshotMeta global_snapshot_meta();
 
 /// Writes the current registry snapshot to the armed path. No-op when
 /// no path is armed; errors go to stderr, never throw (runs from

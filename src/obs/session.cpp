@@ -16,12 +16,11 @@ namespace gaia::obs {
 
 Session::Session(std::string trace_path, std::string metrics_path,
                  std::string openmetrics_path, std::string snapshot_path,
-                 MetricsFormat metrics_format, SessionExtras extras)
+                 SessionExtras extras)
     : trace_path_(std::move(trace_path)),
       metrics_path_(std::move(metrics_path)),
       openmetrics_path_(std::move(openmetrics_path)),
       snapshot_path_(std::move(snapshot_path)),
-      metrics_format_(metrics_format),
       extras_(std::move(extras)),
       armed_(true) {
   // Unconditional, like the registry reset below: a fresh session must
@@ -112,23 +111,10 @@ Session Session::from_env(std::string trace_override,
     extras.metrics_every_s = positive_env_number(kMetricsEverySEnv);
   extras.postmortem_dir =
       env_or(kPostmortemEnv, std::move(extras.postmortem_dir));
-  MetricsFormat format = MetricsFormat::kCsv;
-  if (const char* fmt = std::getenv(kMetricsFmtEnv); fmt && *fmt) {
-    const std::string f(fmt);
-    if (f == "csv")
-      format = MetricsFormat::kCsv;
-    else if (f == "openmetrics")
-      format = MetricsFormat::kOpenMetrics;
-    else if (f == "json")
-      format = MetricsFormat::kJson;
-    else
-      throw Error("unknown " + std::string(kMetricsFmtEnv) + " value '" + f +
-                  "' (expected csv | openmetrics | json)");
-  }
   return Session(env_or(kTraceEnv, std::move(trace_override)),
                  env_or(kMetricsEnv, std::move(metrics_override)),
                  env_or(kOpenMetricsEnv, std::move(openmetrics_override)),
-                 env_or(kSnapshotEnv, std::move(snapshot_override)), format,
+                 env_or(kSnapshotEnv, std::move(snapshot_override)),
                  std::move(extras));
 }
 
@@ -137,7 +123,6 @@ Session::Session(Session&& other) noexcept
       metrics_path_(std::move(other.metrics_path_)),
       openmetrics_path_(std::move(other.openmetrics_path_)),
       snapshot_path_(std::move(other.snapshot_path_)),
-      metrics_format_(other.metrics_format_),
       extras_(std::move(other.extras_)),
       sampler_(std::move(other.sampler_)),
       armed_(other.armed_) {
@@ -149,20 +134,7 @@ void Session::flush() {
   try {
     if (tracing()) TraceRecorder::global().write(trace_path_);
     auto& reg = MetricsRegistry::global();
-    if (!metrics_path_.empty()) {
-      switch (metrics_format_) {
-        case MetricsFormat::kCsv:
-          reg.write_csv(metrics_path_);
-          break;
-        case MetricsFormat::kOpenMetrics:
-          reg.write_openmetrics(metrics_path_);
-          break;
-        case MetricsFormat::kJson:
-          write_snapshot_file(metrics_path_, reg.snapshot(),
-                              global_snapshot_meta());
-          break;
-      }
-    }
+    if (!metrics_path_.empty()) reg.write_csv(metrics_path_);
     if (!openmetrics_path_.empty()) reg.write_openmetrics(openmetrics_path_);
     if (!snapshot_path_.empty()) flush_global_snapshot();
   } catch (const std::exception& e) {

@@ -8,13 +8,12 @@
 ///
 /// A `Session` placed at the top of main() reads the environment (or
 /// explicit CLI-provided paths), arms the global recorder/registry, and
-/// writes the output files when it goes out of scope. Four metric
-/// outputs exist: the CSV (`GAIA_METRICS`, whose format can be switched
-/// with `GAIA_METRICS_FMT=csv|openmetrics|json`), a dedicated
-/// OpenMetrics exposition (`--metrics-openmetrics` /
-/// `GAIA_METRICS_OPENMETRICS`), and a CRC-sealed JSON snapshot
-/// (`--metrics-snapshot` / `GAIA_METRICS_SNAPSHOT`) that is also
-/// re-sealed on every checkpoint via the global snapshot sink.
+/// writes the output files when it goes out of scope. Three metric
+/// outputs exist: the CSV (`GAIA_METRICS`), an OpenMetrics exposition
+/// (`--metrics-openmetrics` / `GAIA_METRICS_OPENMETRICS`), and a
+/// CRC-sealed JSON snapshot (`--metrics-snapshot` /
+/// `GAIA_METRICS_SNAPSHOT`) that is also re-sealed on every checkpoint
+/// via the global snapshot sink.
 #pragma once
 
 #include <memory>
@@ -28,7 +27,6 @@ class TelemetrySampler;
 inline constexpr const char* kTraceEnv = "GAIA_TRACE";
 inline constexpr const char* kTraceCapacityEnv = "GAIA_TRACE_CAPACITY";
 inline constexpr const char* kMetricsEnv = "GAIA_METRICS";
-inline constexpr const char* kMetricsFmtEnv = "GAIA_METRICS_FMT";
 inline constexpr const char* kOpenMetricsEnv = "GAIA_METRICS_OPENMETRICS";
 inline constexpr const char* kSnapshotEnv = "GAIA_METRICS_SNAPSHOT";
 inline constexpr const char* kTelemetryEnv = "GAIA_TELEMETRY";
@@ -49,9 +47,6 @@ struct SessionExtras {
   std::string postmortem_dir;   ///< arm obs::flush_postmortem ("" = off)
 };
 
-/// Format of the `GAIA_METRICS` output file.
-enum class MetricsFormat { kCsv, kOpenMetrics, kJson };
-
 /// RAII enablement + flush of the global TraceRecorder/MetricsRegistry.
 /// Empty paths leave the corresponding subsystem untouched, so an
 /// un-instrumented run stays at the one-relaxed-load cost. Construction
@@ -63,12 +58,10 @@ class Session {
   /// Explicit paths (CLI flags). Empty string = off.
   Session(std::string trace_path, std::string metrics_path,
           std::string openmetrics_path = "", std::string snapshot_path = "",
-          MetricsFormat metrics_format = MetricsFormat::kCsv,
           SessionExtras extras = {});
 
   /// Paths from GAIA_TRACE / GAIA_METRICS / GAIA_METRICS_OPENMETRICS /
-  /// GAIA_METRICS_SNAPSHOT (unset/empty = off), format from
-  /// GAIA_METRICS_FMT (unknown value throws), telemetry/postmortem from
+  /// GAIA_METRICS_SNAPSHOT (unset/empty = off), telemetry/postmortem from
   /// GAIA_TELEMETRY / GAIA_TELEMETRY_EVERY_MS / GAIA_PROGRESS /
   /// GAIA_METRICS_EVERY_S / GAIA_POSTMORTEM. Explicit paths/extras
   /// passed here override the environment.
@@ -102,9 +95,6 @@ class Session {
   [[nodiscard]] const std::string& snapshot_path() const {
     return snapshot_path_;
   }
-  [[nodiscard]] MetricsFormat metrics_format() const {
-    return metrics_format_;
-  }
   [[nodiscard]] const SessionExtras& extras() const { return extras_; }
   /// The sampler thread this session owns (nullptr when no telemetry,
   /// progress line or periodic seal was requested).
@@ -119,7 +109,6 @@ class Session {
   std::string metrics_path_;
   std::string openmetrics_path_;
   std::string snapshot_path_;
-  MetricsFormat metrics_format_ = MetricsFormat::kCsv;
   SessionExtras extras_;
   std::unique_ptr<TelemetrySampler> sampler_;
   bool armed_ = false;

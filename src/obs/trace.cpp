@@ -77,9 +77,11 @@ void TraceRecorder::set_enabled(bool enabled) {
 }
 
 double TraceRecorder::now_us() const {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
+  return to_us(std::chrono::steady_clock::now());
+}
+
+double TraceRecorder::to_us(std::chrono::steady_clock::time_point t) const {
+  return std::chrono::duration<double, std::micro>(t - epoch_).count();
 }
 
 std::chrono::steady_clock::time_point TraceRecorder::epoch() const {

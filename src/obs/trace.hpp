@@ -28,7 +28,7 @@
 ///
 /// Cost contract: while disabled (the default), every instrumentation
 /// site pays one relaxed atomic load plus one thread-local read — the
-/// same discipline as `util::Profiler`.
+/// same discipline as the metrics registry.
 #pragma once
 
 #include <atomic>
@@ -95,6 +95,8 @@ class TraceRecorder {
 
   /// Microseconds since construction/reset — the trace time base.
   [[nodiscard]] double now_us() const;
+  /// `t` on the trace time base (now_us() is to_us of the clock's now).
+  [[nodiscard]] double to_us(std::chrono::steady_clock::time_point t) const;
   /// The time base itself (clock-alignment anchor for the merger).
   [[nodiscard]] std::chrono::steady_clock::time_point epoch() const;
 
@@ -202,20 +204,25 @@ class ThreadRecorderScope {
 /// only materialized by the caller when tracing is on (check `armed()` /
 /// use the two-phase pattern below); the disabled path is one relaxed
 /// atomic load plus a thread-local read.
+///
+/// The span is also the one measurement of the region it covers: a
+/// `timed` span reads its clock pair even with tracing off, and `stop()`
+/// hands the caller the interval the span records, so a launch or a
+/// collective feeds its span, its metrics and its stats from one pair of
+/// clock reads.
 class ScopedTrace {
  public:
+  using Clock = std::chrono::steady_clock;
+
   ScopedTrace(const char* name, const char* cat,
-              std::int32_t tid = TraceRecorder::kMainTrack)
+              std::int32_t tid = TraceRecorder::kMainTrack,
+              bool timed = false)
       : rec_(&TraceRecorder::current()),
         name_(rec_->enabled() ? name : nullptr),
         cat_(cat),
         tid_(tid),
-        start_us_(name_ ? rec_->now_us() : 0) {}
-
-  ScopedTrace(const char* name, const char* cat, std::int32_t tid,
-              std::vector<TraceArg> args)
-      : ScopedTrace(name, cat, tid) {
-    if (name_) args_ = std::move(args);
+        timed_(timed || name_ != nullptr) {
+    if (timed_) start_ = Clock::now();
   }
 
   /// True when the span will actually be recorded — gate any expensive
@@ -228,11 +235,29 @@ class ScopedTrace {
     if (name_) args_.push_back(std::move(arg));
   }
 
+  /// Ends the interval (the first call reads the clock, later calls
+  /// return the same value) and returns its seconds; 0 when the span is
+  /// neither armed nor timed. An armed span is still recorded at scope
+  /// exit, over this interval.
+  double stop() {
+    if (!timed_) return 0;
+    if (!stopped_) {
+      end_ = Clock::now();
+      stopped_ = true;
+    }
+    return std::chrono::duration<double>(end_ - start_).count();
+  }
+
+  /// The clock read that opened the interval (armed or timed spans).
+  [[nodiscard]] Clock::time_point start() const { return start_; }
+
   ~ScopedTrace() {
     if (!name_) return;
-    const double end = rec_->now_us();
-    rec_->complete(name_, cat_, start_us_, end - start_us_, tid_,
-                   std::move(args_));
+    if (!stopped_) end_ = Clock::now();
+    rec_->complete(name_, cat_, rec_->to_us(start_),
+                   std::chrono::duration<double, std::micro>(end_ - start_)
+                       .count(),
+                   tid_, std::move(args_));
   }
 
   ScopedTrace(const ScopedTrace&) = delete;
@@ -243,7 +268,9 @@ class ScopedTrace {
   const char* name_;
   const char* cat_;
   std::int32_t tid_;
-  double start_us_;
+  bool timed_;
+  bool stopped_ = false;
+  Clock::time_point start_{}, end_{};
   std::vector<TraceArg> args_;
 };
 

@@ -222,13 +222,7 @@ void FaultInjector::configure(const std::string& spec, std::uint64_t seed) {
   configure(parse_fault_spec(spec, seed));
 }
 
-void FaultInjector::configure_from_env(const std::string& spec_override,
-                                       std::uint64_t default_seed) {
-  std::uint64_t seed = default_seed;
-  if (const char* env_seed = std::getenv(kFaultSeedEnv);
-      env_seed != nullptr && *env_seed != '\0') {
-    seed = static_cast<std::uint64_t>(std::strtoull(env_seed, nullptr, 10));
-  }
+void FaultInjector::configure_from_env(const std::string& spec_override) {
   std::string spec = spec_override;
   if (spec.empty()) {
     if (const char* env_spec = std::getenv(kFaultsEnv);
@@ -237,7 +231,7 @@ void FaultInjector::configure_from_env(const std::string& spec_override,
     }
   }
   if (spec.empty()) return;
-  configure(spec, seed);
+  configure(spec);
 }
 
 void FaultInjector::disarm() {

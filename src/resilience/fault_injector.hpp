@@ -160,9 +160,8 @@ struct FaultSpec {
 [[nodiscard]] FaultSpec parse_fault_spec(std::string_view spec,
                                          std::uint64_t default_seed = 1746);
 
-/// Environment variables honored by `configure_from_env()`.
+/// Environment variable honored by `configure_from_env()`.
 inline constexpr const char* kFaultsEnv = "GAIA_FAULTS";
-inline constexpr const char* kFaultSeedEnv = "GAIA_FAULT_SEED";
 
 /// Process-wide injector. All query methods are thread-safe.
 class FaultInjector {
@@ -170,11 +169,11 @@ class FaultInjector {
   /// Arms the injector with a parsed spec. Resets all event counters.
   void configure(const FaultSpec& spec);
   void configure(const std::string& spec, std::uint64_t seed = 1746);
-  /// Reads GAIA_FAULTS / GAIA_FAULT_SEED; an explicit non-empty
-  /// `spec_override` wins over the environment. Empty everything leaves
-  /// the injector disarmed.
-  void configure_from_env(const std::string& spec_override = "",
-                          std::uint64_t default_seed = 1746);
+  /// Reads GAIA_FAULTS; an explicit non-empty `spec_override` wins over
+  /// the environment. The spec's `seed=` clause chooses the decision
+  /// stream (default 1746). Empty everything leaves the injector
+  /// disarmed.
+  void configure_from_env(const std::string& spec_override = "");
   /// Disarms and clears all clauses and counters.
   void disarm();
 

@@ -108,17 +108,6 @@ TEST(KernelConfig, ParseRejectsMalformedAndOutOfRange) {
   }
 }
 
-TEST(KernelId, ParseIsTheInverseOfToString) {
-  for (int k = 0; k < kNumKernels; ++k) {
-    const auto id = static_cast<KernelId>(k);
-    const auto parsed = parse_kernel_id(to_string(id));
-    ASSERT_TRUE(parsed.has_value()) << to_string(id);
-    EXPECT_EQ(*parsed, id);
-  }
-  EXPECT_FALSE(parse_kernel_id("aprod3_astro").has_value());
-  EXPECT_FALSE(parse_kernel_id("").has_value());
-}
-
 TEST(KernelId, AllKernelsEnumeratesInOrder) {
   const auto& all = all_kernels();
   for (int k = 0; k < kNumKernels; ++k)

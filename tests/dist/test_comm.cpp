@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace gaia::dist {
@@ -236,6 +238,46 @@ TEST(Comm, MixedCollectiveSequenceStaysOrdered) {
       ASSERT_DOUBLE_EQ(mx, 3.0 * round);
     }
   });
+}
+
+TEST(Comm, AllreduceSpansSumToTheRankStats) {
+  // With the trace and the registry armed, a collective's span, its
+  // CommStats and its comm.* sample come from one clock pair, so each
+  // rank's allreduce spans sum to its stats to rounding.
+  constexpr int kRanks = 3;
+  std::array<obs::TraceRecorder, kRanks> recorders;
+  std::array<double, kRanks> stats_s{};
+  auto& reg = obs::MetricsRegistry::global();
+  reg.reset_all();
+  reg.set_enabled(true);
+  World world(kRanks);
+  world.run([&](Comm& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    recorders[r].set_enabled(true);
+    obs::ThreadRecorderScope scope(&recorders[r]);
+    std::vector<real> v(1024, real{1});
+    for (int i = 0; i < 20; ++i) comm.allreduce(v, ReduceOp::kSum);
+    stats_s[r] = comm.stats().seconds;
+  });
+  reg.set_enabled(false);
+  double all_ranks_s = 0;
+  for (std::size_t r = 0; r < kRanks; ++r) {
+    double span_s = 0;
+    int spans = 0;
+    for (const obs::TraceEvent& e : recorders[r].events())
+      if (e.phase == 'X' && e.name == "allreduce") {
+        span_s += e.dur_us * 1e-6;
+        ++spans;
+      }
+    EXPECT_EQ(spans, 20) << "rank " << r;
+    EXPECT_GT(stats_s[r], 0.0) << "rank " << r;
+    EXPECT_NEAR(span_s, stats_s[r], 1e-9 * stats_s[r]) << "rank " << r;
+    all_ranks_s += stats_s[r];
+  }
+  const auto sample = reg.histogram("comm.allreduce_seconds").summary();
+  EXPECT_EQ(sample.count, 3u * 20u);
+  EXPECT_NEAR(sample.sum, all_ranks_s, 1e-9 * all_ranks_s);
+  reg.reset_all();
 }
 
 }  // namespace

