@@ -27,9 +27,53 @@ namespace {
 constexpr char kCheckpointMagic[8] = {'G', 'A', 'I', 'A', 'C', 'K', 'P',
                                       '2'};
 
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
+/// The byte sinks of the one checkpoint serializer (`write_state`):
+/// `into(x)` is a callable `put(data, bytes)` that appends to a stream,
+/// a sealed file or the repair snapshot's string.
+auto into(std::ostream& os) {
+  return [&os](const void* data, std::size_t bytes) {
+    os.write(static_cast<const char*>(data),
+             static_cast<std::streamsize>(bytes));
+  };
+}
+auto into(util::FramedFileWriter& out) {
+  return [&out](const void* data, std::size_t bytes) {
+    out.append(data, bytes);
+  };
+}
+auto into(std::string& s) {
+  return [&s](const void* data, std::size_t bytes) {
+    s.append(static_cast<const char*>(data), bytes);
+  };
+}
+template <typename Put, typename T>
+void put_pod(Put& put, const T& v) {
+  put(&v, sizeof(T));
+}
+template <typename Put>
+void put_vec(Put& put, std::span<const real> v) {
+  put_pod(put, static_cast<std::uint64_t>(v.size()));
+  put(v.data(), v.size_bytes());
+}
+/// put_vec of scale * u, where u is given as consecutive row segments,
+/// converted block by block (no second copy).
+template <typename Put>
+void put_scaled_rows(Put& put, RankReducer::RowSegments u, real scale) {
+  std::uint64_t size = 0;
+  for (const std::span<const real> segment : u) size += segment.size();
+  put_pod(put, size);
+  std::array<real, 512> block;
+  for (const std::span<const real> segment : u) {
+    if (scale == real{1}) {
+      put(segment.data(), segment.size_bytes());
+      continue;
+    }
+    for (std::size_t i = 0; i < segment.size(); i += block.size()) {
+      const std::size_t len = std::min(block.size(), segment.size() - i);
+      for (std::size_t k = 0; k < len; ++k) block[k] = scale * segment[i + k];
+      put(block.data(), len * sizeof(real));
+    }
+  }
 }
 template <typename T>
 T read_pod(std::istream& is) {
@@ -37,24 +81,6 @@ T read_pod(std::istream& is) {
   is.read(reinterpret_cast<char*>(&v), sizeof(T));
   GAIA_CHECK(is.good(), "truncated checkpoint");
   return v;
-}
-void write_vec(std::ostream& os, std::span<const real> v) {
-  write_pod(os, static_cast<std::uint64_t>(v.size()));
-  os.write(reinterpret_cast<const char*>(v.data()),
-           static_cast<std::streamsize>(v.size_bytes()));
-}
-/// write_vec of scale * v, converted block by block (no second copy).
-void write_scaled_vec(std::ostream& os, std::span<const real> v,
-                      real scale) {
-  if (scale == real{1}) return write_vec(os, v);
-  write_pod(os, static_cast<std::uint64_t>(v.size()));
-  std::array<real, 512> block;
-  for (std::size_t i = 0; i < v.size(); i += block.size()) {
-    const std::size_t len = std::min(block.size(), v.size() - i);
-    for (std::size_t k = 0; k < len; ++k) block[k] = scale * v[i + k];
-    os.write(reinterpret_cast<const char*>(block.data()),
-             static_cast<std::streamsize>(len * sizeof(real)));
-  }
 }
 void read_values(std::istream& is, std::span<real> v) {
   is.read(reinterpret_cast<char*>(v.data()),
@@ -365,46 +391,42 @@ struct LsqrEngine::Impl {
     return h;
   }
 
-  /// Raw checkpoint stream (no file framing) holding `u_scale * u` as
-  /// the basis vector: the on-disk format of LsqrEngine::checkpoint (u
-  /// assembled globally when distributed) *and* the in-memory rollback
-  /// snapshot of repair mode (this rank's slice). Storing the normalized
-  /// u keeps the format free of the pending scale.
-  void save_state(std::ostream& os, std::span<const real> u,
-                  real u_scale) const {
-    os.write(kCheckpointMagic, sizeof(kCheckpointMagic));
-    write_pod(os, fingerprint);
-    write_pod(os, itn);
-    write_pod(os, static_cast<std::uint8_t>(finished ? 1 : 0));
-    write_pod(os, static_cast<std::int32_t>(istop));
+  /// The one checkpoint serializer (GAIACKP2, no file framing), into
+  /// any byte sink `put` (see `into`): it holds `sigma * u` as the basis
+  /// vector, so the format is free of the pending scale. `u` is this
+  /// engine's u (single-process, and the in-memory rollback snapshot of
+  /// repair mode) or the ranks' slices in global row order (a
+  /// distributed checkpoint, on rank 0).
+  template <typename Put>
+  void write_state(Put&& put, RankReducer::RowSegments u) const {
+    put(kCheckpointMagic, sizeof(kCheckpointMagic));
+    put_pod(put, fingerprint);
+    put_pod(put, itn);
+    put_pod(put, static_cast<std::uint8_t>(finished ? 1 : 0));
+    put_pod(put, static_cast<std::int32_t>(istop));
     for (real v : {alpha, beta, bnorm, rhobar, phibar, rnorm, arnorm,
                    anorm, acond, ddnorm, res2, xnorm, xxnorm, z, cs2, sn2})
-      write_pod(os, v);
-    write_scaled_vec(os, u, u_scale);
-    write_vec(os, d_v.span());
-    write_vec(os, d_w.span());
-    write_vec(os, d_x.span());
-    write_vec(os, d_var.span());
-    write_pod(os, static_cast<std::uint64_t>(iteration_seconds.size()));
-    os.write(reinterpret_cast<const char*>(iteration_seconds.data()),
-             static_cast<std::streamsize>(iteration_seconds.size() *
-                                          sizeof(double)));
+      put_pod(put, v);
+    put_scaled_rows(put, u, sigma);
+    put_vec(put, d_v.span());
+    put_vec(put, d_w.span());
+    put_vec(put, d_x.span());
+    put_vec(put, d_var.span());
+    put_vec(put, std::span<const double>(iteration_seconds));
     for (const auto* hist :
          {&rnorm_history, &arnorm_history, &xnorm_history})
-      write_vec(os, std::span<const real>(hist->data(), hist->size()));
-    GAIA_CHECK(os.good(), "checkpoint write failed");
+      put_vec(put, std::span<const real>(*hist));
   }
 
-  /// The checkpoint stream; distributed, u is first assembled across
-  /// ranks (collective), so the stream is the same for every rank count.
-  void save_checkpoint(std::ostream& os) const {
-    if (!reducer) {
-      save_state(os, d_u.span(), sigma);
-      return;
-    }
-    std::vector<real> u_global(reducer->global_rows());
-    reducer->gather_rows(d_u.span(), u_global);
-    save_state(os, u_global, sigma);
+  /// Runs `seal(u)` on the global u as RowSegments: single-process, on
+  /// this engine's u; distributed, on rank 0 with the ranks' slices
+  /// gathered to it (collective: the other ranks wait and never run
+  /// `seal`).
+  void with_global_u(const std::function<void(RankReducer::RowSegments)>& seal)
+      const {
+    if (reducer) return reducer->gather_rows(d_u.span(), seal);
+    const std::span<const real> u = d_u.span();
+    seal(RankReducer::RowSegments(&u, 1));
   }
 
   /// Reads u: this rank's slice as a rollback snapshot stores it or —
@@ -461,10 +483,11 @@ struct LsqrEngine::Impl {
     if (health) sum_u = vsum(aprod->active_backend(), d_u.span());
   }
 
+  /// Refreshes the rollback snapshot in the capacity it already has.
   void refresh_good_state() {
-    std::ostringstream os(std::ios::binary);
-    save_state(os, d_u.span(), sigma);
-    good_state = std::move(os).str();
+    good_state.clear();
+    const std::span<const real> u = d_u.span();
+    write_state(into(good_state), RankReducer::RowSegments(&u, 1));
     good_itn = itn;
   }
 
@@ -802,12 +825,15 @@ struct LsqrEngine::Impl {
     return !finished;
   }
 
-  /// Seals the current state into the rotation. Distributed, every rank
-  /// takes part in assembling u and rank 0 writes the file.
+  /// Seals the current state into the rotation in one pass: the
+  /// serializer streams into the sealed file. Distributed, u is gathered
+  /// to rank 0, which serializes and writes while the others wait.
   void seal_checkpoint() {
-    std::ostringstream payload(std::ios::binary);
-    save_checkpoint(payload);
-    if (rank == 0) checkpoints->write(itn, payload.view());
+    with_global_u([this](RankReducer::RowSegments u) {
+      checkpoints->write(itn, [&](util::FramedFileWriter& out) {
+        write_state(into(out), u);
+      });
+    });
   }
 
   LsqrResult make_result() const {
@@ -903,16 +929,21 @@ LsqrResult LsqrEngine::result() const { return impl_->make_result(); }
 const Aprod& LsqrEngine::aprod() const { return *impl_->aprod; }
 
 void LsqrEngine::checkpoint(std::ostream& os) const {
-  impl_->save_checkpoint(os);
+  impl_->with_global_u([&](RankReducer::RowSegments u) {
+    impl_->write_state(into(os), u);
+    GAIA_CHECK(os.good(), "checkpoint write failed");
+  });
 }
 
 void LsqrEngine::checkpoint(const std::string& path) const {
   // File checkpoints get the durable framing on top of the raw stream
   // format: write-temp-then-rename plus a CRC32 footer, so a crash
   // mid-write can never leave a half-checkpoint under the final name.
-  std::ostringstream payload(std::ios::binary);
-  checkpoint(payload);
-  resilience::write_framed_file(path, payload.view());
+  impl_->with_global_u([&](RankReducer::RowSegments u) {
+    util::FramedFileWriter out(path, "checkpoint");
+    impl_->write_state(into(out), u);
+    out.commit();
+  });
 }
 
 void LsqrEngine::restore(std::istream& is) {

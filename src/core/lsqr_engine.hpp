@@ -110,8 +110,12 @@ class LsqrEngine {
 
   /// Serializes the complete solver state (versioned binary). The
   /// checkpoint embeds the problem fingerprint; `restore` validates it.
-  /// Distributed, the stream holds the globally assembled u, so it
-  /// restores on any rank count; writing it is then collective.
+  /// Both forms and the rotation's seals share one serializer, which
+  /// writes straight into its sink; the file form streams into a sealed
+  /// (framed) file. Distributed, writing is collective and the stream
+  /// or file is rank 0's: u is gathered to rank 0, which writes the
+  /// global u (so the checkpoint restores on any rank count), and the
+  /// other ranks write nothing.
   void checkpoint(std::ostream& os) const;
   void checkpoint(const std::string& path) const;
 
@@ -126,8 +130,9 @@ class LsqrEngine {
   /// resumes from the newest checkpoint in its rotation that verifies
   /// and restores, then seals one at every due iteration a step does
   /// not finish on — inside that iteration's trace span. Distributed,
-  /// rank 0 writes and reports. Returns the iteration resumed from, or
-  /// -1 for a fresh start.
+  /// each seal gathers u to rank 0, which writes and reports while the
+  /// other ranks wait. Returns the iteration resumed from, or -1 for a
+  /// fresh start.
   std::int64_t use_checkpoints(resilience::CheckpointManager& manager);
 
  private:

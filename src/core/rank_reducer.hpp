@@ -12,8 +12,8 @@
 ///  * the replicated-state hash agreement and the worst-verdict
 ///    agreement of the health monitor;
 ///  * the per-iteration time maximum (paper App. B);
-///  * assembling u globally (and re-slicing it) for checkpoints, so one
-///    checkpoint format serves every rank count.
+///  * gathering u to rank 0 for checkpoints (and re-slicing a restored
+///    one), so one checkpoint format serves every rank count.
 ///
 /// `LsqrEngine` takes a reducer as an optional constructor argument and
 /// calls it only at those points; without one the engine is the
@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <span>
 
 #include "resilience/health_monitor.hpp"
@@ -58,9 +59,17 @@ class RankReducer {
 
   /// Rows of the global system (the length of an assembled u).
   [[nodiscard]] virtual std::size_t global_rows() const = 0;
-  /// Assembles this rank's row slice `local` into `global` on every rank.
-  virtual void gather_rows(std::span<const real> local,
-                           std::span<real> global) = 0;
+
+  /// The global rows as consecutive segments, in global row order.
+  using RowSegments = std::span<const std::span<const real>>;
+  /// Gathers u to rank 0 without assembling it: every rank publishes
+  /// its row slice `local`, rank 0 runs `at_root` on the ranks' slices
+  /// as RowSegments while the others wait, and all ranks return once
+  /// it is done. `at_root` never runs on the other ranks, and no rank
+  /// copies a slice.
+  virtual void gather_rows(
+      std::span<const real> local,
+      const std::function<void(RowSegments)>& at_root) = 0;
   /// Copies this rank's slice of the assembled `global` into `local`
   /// (local, not collective).
   virtual void slice_rows(std::span<const real> global,

@@ -20,7 +20,7 @@ std::int32_t rank_track(int rank) { return 1000 + rank; }
 World::World(int size) : size_(size) {
   GAIA_CHECK(size_ >= 1, "world needs at least one rank");
   barrier_ = std::make_unique<std::barrier<>>(size_);
-  reduce_spans_.resize(static_cast<std::size_t>(size_));
+  published_.resize(static_cast<std::size_t>(size_));
 }
 
 void World::arrive_barrier() {
@@ -57,10 +57,10 @@ std::chrono::steady_clock::time_point World::collective_reduce(
   const std::size_t n = data.size();
   // Every rank publishes its span; the entry barrier makes all of them
   // visible, and no staging copy is made.
-  reduce_spans_[self] = data;
+  published_[self] = data;
   arrive_barrier();
   const auto released = std::chrono::steady_clock::now();
-  for (const std::span<real> other : reduce_spans_)
+  for (const std::span<const real> other : published_)
     GAIA_CHECK(other.size() == n, "allreduce length differs across ranks");
   // Rank k owns elements [k n / P, (k + 1) n / P): it folds them across
   // the spans in rank order into its own span, so each sum has the bits
@@ -69,9 +69,9 @@ std::chrono::steady_clock::time_point World::collective_reduce(
   // overlap a range another rank reads.
   const auto range_begin = [&](std::size_t k) { return k * n / ranks; };
   for (std::size_t i = range_begin(self); i < range_begin(self + 1); ++i) {
-    real acc = reduce_spans_[0][i];
+    real acc = published_[0][i];
     for (std::size_t r = 1; r < ranks; ++r) {
-      const real v = reduce_spans_[r][i];
+      const real v = published_[r][i];
       switch (op) {
         case ReduceOp::kSum:
           acc += v;
@@ -90,12 +90,23 @@ std::chrono::steady_clock::time_point World::collective_reduce(
   // Gather the other ranks' reduced ranges from their owners.
   for (std::size_t k = 0; k < ranks; ++k) {
     if (k == self) continue;
-    const std::span<const real> owner = reduce_spans_[k];
+    const std::span<const real> owner = published_[k];
     std::copy(owner.begin() + static_cast<std::ptrdiff_t>(range_begin(k)),
               owner.begin() + static_cast<std::ptrdiff_t>(range_begin(k + 1)),
               data.begin() + static_cast<std::ptrdiff_t>(range_begin(k)));
   }
   // No rank may return (and change its span) while a peer still reads it.
+  arrive_barrier();
+  return released;
+}
+
+std::chrono::steady_clock::time_point World::collective_gather(
+    int rank, std::span<const real> local, const Comm::GatherRoot& at_root) {
+  published_[static_cast<std::size_t>(rank)] = local;
+  arrive_barrier();
+  const auto released = std::chrono::steady_clock::now();
+  if (rank == 0) at_root(published_);
+  // The others hold their slices until rank 0 is done reading them.
   arrive_barrier();
   return released;
 }
@@ -178,6 +189,13 @@ void Comm::allreduce(std::span<real> data, ReduceOp op) {
 real Comm::allreduce(real value, ReduceOp op) {
   allreduce(std::span<real>(&value, 1), op);
   return value;
+}
+
+void Comm::gather(std::span<const real> local, const GatherRoot& at_root) {
+  timed_collective("gather", static_cast<std::uint64_t>(local.size_bytes()),
+                   [&] {
+                     return world_->collective_gather(rank_, local, at_root);
+                   });
 }
 
 void World::run(const std::function<void(Comm&)>& body) {

@@ -6,8 +6,8 @@
 /// partial results with allreduce (paper SIV). The paper's P runs use a
 /// single GPU (= one rank), but the solver keeps the distributed
 /// structure, so we reproduce it: a `World` spawns N ranks as threads,
-/// and `Comm` gives each rank the rank/size/allreduce/barrier primitives
-/// the solver uses, over shared memory.
+/// and `Comm` gives each rank the rank/size/allreduce/gather/barrier
+/// primitives the solver uses, over shared memory.
 ///
 /// Every collective is traced as a span on the rank's comm track, split
 /// into a *wait* child (time at the entry barrier until the last rank
@@ -53,8 +53,8 @@ class World;
 /// spans are: `wait_seconds` is time spent at entry barriers waiting for
 /// the slowest peer, the rest of `seconds` is transfer/reduce work.
 struct CommStats {
-  std::uint64_t collectives = 0;  ///< allreduce + barrier calls
-  std::uint64_t bytes = 0;        ///< allreduce payload bytes moved
+  std::uint64_t collectives = 0;  ///< allreduce + gather + barrier calls
+  std::uint64_t bytes = 0;        ///< allreduce/gather payload bytes
   double seconds = 0;             ///< total wall time inside collectives
   double wait_seconds = 0;        ///< entry-barrier (skew) share of seconds
 
@@ -79,6 +79,16 @@ class Comm {
 
   /// Allreduce of one scalar (returns the reduced value on every rank).
   real allreduce(real value, ReduceOp op);
+
+  /// What rank 0 runs in a gather: the ranks' spans, in rank order.
+  using GatherRoot =
+      std::function<void(std::span<const std::span<const real>>)>;
+  /// Gather to rank 0: every rank publishes `local` (no copy is made),
+  /// rank 0 runs `at_root` on the published spans while the others
+  /// wait, and every rank returns once `at_root` has. Two barrier
+  /// crossings. An `at_root` that throws fails rank 0 like any other
+  /// rank failure: the world is poisoned and the others unwind.
+  void gather(std::span<const real> local, const GatherRoot& at_root);
 
   /// This rank's accumulated collective timing (monotonic over the
   /// Comm's lifetime; snapshot-and-diff to scope a region).
@@ -134,6 +144,8 @@ class World {
   // share the comm spans and stats split out.
   std::chrono::steady_clock::time_point collective_reduce(
       int rank, std::span<real> data, ReduceOp op);
+  std::chrono::steady_clock::time_point collective_gather(
+      int rank, std::span<const real> local, const Comm::GatherRoot& at_root);
   void arrive_barrier();
   /// Records `error` (first wins) and flips the poison flag that every
   /// barrier crossing checks.
@@ -143,8 +155,8 @@ class World {
   std::chrono::steady_clock::time_point epoch_ =
       std::chrono::steady_clock::now();
   std::unique_ptr<std::barrier<>> barrier_;
-  /// Each rank's allreduce operand, published in its own slot.
-  std::vector<std::span<real>> reduce_spans_;
+  /// Each rank's allreduce or gather operand, published in its own slot.
+  std::vector<std::span<const real>> published_;
   std::atomic<bool> poisoned_{false};
   std::mutex error_mutex_;
   std::exception_ptr first_error_;

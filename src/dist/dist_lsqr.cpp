@@ -34,6 +34,7 @@ class CommReducer final : public core::RankReducer {
               const matrix::SystemMatrix& A,
               std::vector<resilience::HealthVerdict>& verdicts)
       : comm_(comm),
+        partition_(partition),
         verdicts_(verdicts),
         global_rows_(static_cast<std::size_t>(A.n_rows())),
         n_obs_(static_cast<std::size_t>(A.n_obs())),
@@ -77,12 +78,18 @@ class CommReducer final : public core::RankReducer {
   std::size_t global_rows() const override { return global_rows_; }
 
   void gather_rows(std::span<const real> local,
-                   std::span<real> global) override {
-    std::fill(global.begin(), global.end(), real{0});
-    std::copy_n(local.begin(), obs_rows_, global.begin() + offset(row_offset_));
-    std::copy(local.begin() + offset(obs_rows_), local.end(),
-              global.begin() + offset(n_obs_));
-    comm_.allreduce(global, ReduceOp::kSum);
+                   const std::function<void(RowSegments)>& at_root) override {
+    comm_.gather(local, [&](std::span<const std::span<const real>> slices) {
+      // Global row order: every rank's observation rows in rank order,
+      // then the constraint rows, which only the last rank holds.
+      std::vector<std::span<const real>> rows;
+      rows.reserve(slices.size() + 1);
+      for (std::size_t r = 0; r < slices.size(); ++r)
+        rows.push_back(slices[r].first(static_cast<std::size_t>(
+            partition_.rows_of(static_cast<int>(r)))));
+      rows.push_back(slices.back().subspan(rows.back().size()));
+      at_root(rows);
+    });
   }
 
   void slice_rows(std::span<const real> global,
@@ -103,6 +110,7 @@ class CommReducer final : public core::RankReducer {
   }
 
   Comm& comm_;
+  const RowPartition& partition_;
   std::vector<resilience::HealthVerdict>& verdicts_;
   std::size_t global_rows_, n_obs_, row_offset_, obs_rows_;
   std::vector<double> local_seconds_;

@@ -79,6 +79,12 @@ CheckpointManager::CheckpointManager(CheckpointConfig config)
 
 std::string CheckpointManager::write(std::int64_t iteration,
                                      std::string_view payload) {
+  return write(iteration,
+               [payload](util::FramedFileWriter& out) { out.append(payload); });
+}
+
+std::string CheckpointManager::write(std::int64_t iteration,
+                                     const Body& body) {
   GAIA_CHECK(!config_.directory.empty(),
              "checkpoint manager has no directory configured");
   char name[64];
@@ -87,10 +93,24 @@ std::string CheckpointManager::write(std::int64_t iteration,
                 static_cast<long long>(iteration));
   const std::string path = (fs::path(config_.directory) / name).string();
   {
-    obs::ScopedTrace span("checkpoint.write", "resilience");
+    auto& reg = obs::MetricsRegistry::global();
+    const bool armed = reg.enabled();
+    obs::ScopedTrace span("checkpoint.write", "resilience",
+                          obs::TraceRecorder::kMainTrack, /*timed=*/armed);
     span.add_arg({"iteration", static_cast<std::int64_t>(iteration)});
-    span.add_arg({"bytes", static_cast<std::uint64_t>(payload.size())});
-    write_framed_file(path, payload);
+    util::FramedFileWriter out(path, "checkpoint");
+    body(out);
+    out.commit();
+    span.add_arg({"bytes", out.size()});
+    const double seconds = span.stop();
+    if (armed) {
+      static obs::Histogram& times =
+          reg.histogram("resilience.checkpoint.seconds");
+      static obs::Histogram& sizes =
+          reg.histogram("resilience.checkpoint.bytes");
+      times.record(seconds);
+      sizes.record(static_cast<double>(out.size()));
+    }
   }
   ++written_;
   note_resilience_event("checkpoint.written", path);

@@ -5,10 +5,11 @@
 /// that dies with the job (torn write) or rots on disk (bit flip) must
 /// never be resumed from silently. Two layers:
 ///
-///  * **Framing** — `write_framed_file` writes payload + CRC32 footer to
-///    `<path>.tmp` and renames (atomic on POSIX), `read_framed_file`
-///    verifies the footer and rejects truncated/corrupt files with a
-///    `gaia::Error` naming the path and reason.
+///  * **Framing** — `util::FramedFileWriter` streams payload + CRC32
+///    footer to `<path>.tmp` and renames (atomic on POSIX),
+///    `read_framed_file` verifies the footer and rejects
+///    truncated/corrupt files with a `gaia::Error` naming the path and
+///    reason.
 ///  * **`CheckpointManager`** — rotates `basename.<iteration>.ckpt`
 ///    files in a directory, keeps the last K, and on resume hands the
 ///    newest file that still verifies *and* restores to the caller,
@@ -27,6 +28,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/framed_file.hpp"
 
 namespace gaia::resilience {
 
@@ -74,9 +77,19 @@ class CheckpointManager {
     return enabled() && iteration > 0 && iteration % config_.every == 0;
   }
 
-  /// Seals `payload` into `basename.<iteration>.ckpt` (atomic
-  /// write+rename), applies any injected corruption, prunes beyond
-  /// keep_last, and returns the final path.
+  /// Streams a checkpoint's payload into its sealed file.
+  using Body = std::function<void(util::FramedFileWriter&)>;
+
+  /// Seals what `body` streams into `basename.<iteration>.ckpt` in one
+  /// pass (the CRC is taken as the bytes go out; temp file, then
+  /// rename), applies any injected corruption, prunes beyond keep_last,
+  /// and returns the final path. A body that throws leaves no file
+  /// behind, and an older file of that name survives. With the metrics
+  /// registry armed, each seal records `resilience.checkpoint.seconds`
+  /// (the `checkpoint.write` span's interval) and
+  /// `resilience.checkpoint.bytes` (the payload size).
+  std::string write(std::int64_t iteration, const Body& body);
+  /// The same seal of a payload held in memory: one append.
   std::string write(std::int64_t iteration, std::string_view payload);
 
   /// All checkpoints in the directory, newest (highest iteration) first.

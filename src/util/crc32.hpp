@@ -14,7 +14,8 @@
 namespace gaia::util {
 
 /// Incremental update: feed chunks in order, starting from `crc32_init()`,
-/// and finish with `crc32_final()`.
+/// and finish with `crc32_final()`. Runs eight bytes per step
+/// (slicing-by-8); any split of the input yields the same state.
 [[nodiscard]] constexpr std::uint32_t crc32_init() { return 0xffffffffu; }
 [[nodiscard]] std::uint32_t crc32_update(std::uint32_t state,
                                          const void* data, std::size_t size);

@@ -12,6 +12,8 @@
 #include "core/aprod.hpp"
 #include "core/vector_ops.hpp"
 #include "matrix/generator.hpp"
+#include "obs/metrics.hpp"
+#include "resilience/checkpoint.hpp"
 #include "resilience/fault_injector.hpp"
 #include "test_helpers.hpp"
 
@@ -267,6 +269,88 @@ TEST(LsqrCheckpointFiles, BitFlippedFileRejectedNamingPathAndReason) {
     EXPECT_NE(what.find("CRC mismatch"), std::string::npos) << what;
   }
   std::remove(path.c_str());
+}
+
+/// A rotation sealing every 5 iterations in a fresh directory, removed
+/// with the fixture.
+class LsqrCheckpointSeals : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::path(::testing::TempDir()) /
+           (std::string("gaia_seals_") + info->name());
+    std::filesystem::remove_all(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  [[nodiscard]] resilience::CheckpointConfig rotation(int keep) const {
+    return {dir_.string(), "gaia", 5, keep};
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(LsqrCheckpointSeals, SealedPayloadEqualsTheCheckpointStream) {
+  // The streamed seal and checkpoint(std::ostream&) run one serializer:
+  // at the sealed iteration the file's payload is the stream, byte for
+  // byte (its iteration times included: they are the same values).
+  const auto gen = matrix::generate_system(gaia::testing::small_config(144));
+  auto opts = engine_options();
+  opts.health.mode = resilience::HealthMode::kRepair;
+  resilience::CheckpointManager manager(rotation(3));
+  LsqrEngine engine(gen.A, opts);
+  ASSERT_EQ(engine.use_checkpoints(manager), -1);
+  for (int i = 0; i < 5; ++i) engine.step();
+  ASSERT_EQ(manager.written(), 1u);
+  const auto sealed = manager.list();
+  ASSERT_EQ(sealed.size(), 1u);
+  EXPECT_EQ(sealed[0].iteration, 5);
+
+  std::ostringstream stream(std::ios::binary);
+  engine.checkpoint(stream);
+  const std::string payload = resilience::read_framed_file(sealed[0].path);
+  EXPECT_EQ(payload.substr(0, 8), "GAIACKP2");
+  EXPECT_EQ(payload.size(), stream.view().size());
+  EXPECT_TRUE(payload == stream.view());
+}
+
+TEST_F(LsqrCheckpointSeals, EachSealRecordsItsBytesAndSeconds) {
+  auto& reg = obs::MetricsRegistry::global();
+  reg.reset_all();
+  reg.set_enabled(true);
+  const auto gen = matrix::generate_system(gaia::testing::small_config(145));
+  auto opts = engine_options();
+  opts.atol = 0;
+  opts.btol = 0;
+  opts.max_iterations = 27;
+  resilience::CheckpointManager manager(rotation(5));
+  LsqrEngine engine(gen.A, opts);
+  (void)engine.use_checkpoints(manager);
+  engine.run_to_completion();
+  reg.set_enabled(false);
+  ASSERT_EQ(engine.iteration(), 27);
+
+  // Newest first; each file is its payload plus the 20-byte footer
+  // (GAIAFTR1, size, CRC), and the payload grows by the iteration times.
+  const auto files = manager.list();
+  ASSERT_EQ(files.size(), 5u);
+  std::vector<double> payload_bytes;
+  for (const auto& f : files)
+    payload_bytes.push_back(
+        static_cast<double>(std::filesystem::file_size(f.path) - 20));
+  const auto bytes = reg.histogram("resilience.checkpoint.bytes").summary();
+  const auto seconds =
+      reg.histogram("resilience.checkpoint.seconds").summary();
+  EXPECT_EQ(bytes.count, 5u);
+  EXPECT_EQ(seconds.count, 5u);
+  EXPECT_EQ(bytes.sum, payload_bytes[0] + payload_bytes[1] +
+                           payload_bytes[2] + payload_bytes[3] +
+                           payload_bytes[4]);
+  EXPECT_EQ(bytes.min, payload_bytes.back());
+  EXPECT_EQ(bytes.max, payload_bytes.front());
+  EXPECT_EQ(bytes.last, payload_bytes.front());
+  EXPECT_GT(seconds.min, 0.0);
+  reg.reset_all();
 }
 
 /// The Golub-Kahan state a checkpoint stream records: alpha, beta and

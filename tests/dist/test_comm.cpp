@@ -6,10 +6,12 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -237,6 +239,94 @@ TEST(Comm, MixedCollectiveSequenceStaysOrdered) {
           static_cast<real>(comm.rank() * round), ReduceOp::kMax);
       ASSERT_DOUBLE_EQ(mx, 3.0 * round);
     }
+  });
+}
+
+TEST(CommGather, RankZeroSeesTheSlicesInRankOrder) {
+  for (const int ranks : {1, 2, 3, 7}) {
+    // Uneven slices, rank 1's empty: rank r holds 3 r + 2 values
+    // r * 1000 + i.
+    const auto length = [](int r) {
+      return r == 1 ? std::size_t{0} : static_cast<std::size_t>(3 * r + 2);
+    };
+    std::atomic<int> root_calls{0};
+    std::atomic<bool> root_done{false};
+    std::vector<std::vector<real>> seen;
+    World world(ranks);
+    world.run([&](Comm& comm) {
+      std::vector<real> slice(length(comm.rank()));
+      for (std::size_t i = 0; i < slice.size(); ++i)
+        slice[i] = comm.rank() * 1000.0 + static_cast<double>(i);
+      comm.gather(slice, [&](std::span<const std::span<const real>> all) {
+        root_calls.fetch_add(1);
+        EXPECT_EQ(comm.rank(), 0);
+        for (const std::span<const real> s : all)
+          seen.emplace_back(s.begin(), s.end());
+        // A slow root (a seal's write): the others must still wait.
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        root_done.store(true);
+      });
+      // No rank leaves the gather before rank 0 is done with it.
+      EXPECT_TRUE(root_done.load()) << "rank " << comm.rank();
+    });
+    ASSERT_EQ(root_calls.load(), 1) << ranks << " ranks";
+    ASSERT_EQ(seen.size(), static_cast<std::size_t>(ranks));
+    for (int r = 0; r < ranks; ++r) {
+      const auto& s = seen[static_cast<std::size_t>(r)];
+      ASSERT_EQ(s.size(), length(r)) << ranks << " ranks, rank " << r;
+      for (std::size_t i = 0; i < s.size(); ++i)
+        EXPECT_EQ(s[i], r * 1000.0 + static_cast<double>(i));
+    }
+  }
+}
+
+TEST(CommGather, RankFailingBeforeTheGatherPoisonsTheOthers) {
+  World world(3);
+  std::atomic<int> poisoned_seen{0};
+  std::atomic<int> root_calls{0};
+  try {
+    world.run([&](Comm& comm) {
+      if (comm.rank() == 1) throw gaia::Error("rank 1 died before the seal");
+      const std::vector<real> slice(4, real{1});
+      try {
+        comm.gather(slice, [&](auto) { root_calls.fetch_add(1); });
+      } catch (const WorldPoisoned&) {
+        poisoned_seen.fetch_add(1);
+        throw;
+      }
+    });
+    FAIL() << "expected the rank failure to propagate";
+  } catch (const gaia::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("rank 1 died before the seal"),
+              std::string::npos);
+  }
+  EXPECT_EQ(poisoned_seen.load(), 2);
+  EXPECT_EQ(root_calls.load(), 0);
+}
+
+TEST(CommGather, RootFailureReleasesTheWaitingRanks) {
+  // Rank 0 fails inside the gather (a seal whose write throws): the
+  // ranks waiting for it unwind instead of hanging, and the world runs
+  // again afterwards.
+  World world(3);
+  std::atomic<int> poisoned_seen{0};
+  try {
+    world.run([&](Comm& comm) {
+      const std::vector<real> slice(2, real{1});
+      try {
+        comm.gather(slice, [](auto) { throw gaia::Error("seal failed"); });
+      } catch (const WorldPoisoned&) {
+        poisoned_seen.fetch_add(1);
+        throw;
+      }
+    });
+    FAIL() << "expected the root's failure to propagate";
+  } catch (const gaia::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("seal failed"), std::string::npos);
+  }
+  EXPECT_EQ(poisoned_seen.load(), 2);
+  world.run([&](Comm& comm) {
+    EXPECT_DOUBLE_EQ(comm.allreduce(real{1}, ReduceOp::kSum), 3.0);
   });
 }
 

@@ -210,6 +210,25 @@ TEST_F(CheckpointTest, ResumeIsEmptyWhenNothingSurvives) {
   EXPECT_FALSE(CheckpointManager(CheckpointConfig{}).resume(never).has_value());
 }
 
+TEST_F(CheckpointTest, ThrowingBodyLeavesTheRotationAsItWas) {
+  CheckpointManager manager(config());
+  const std::string older = manager.write(5, "state@5");
+  const auto failing = [](util::FramedFileWriter& out) {
+    out.append(std::string(4096, 'h'));
+    throw Error("serializer failed mid-seal");
+  };
+  // Over an older file of the same name: it survives intact.
+  EXPECT_THROW((void)manager.write(5, failing), Error);
+  EXPECT_EQ(read_framed_file(older), "state@5");
+  EXPECT_FALSE(fs::exists(older + ".tmp"));
+  // At a new iteration: neither the file nor its temp file appears.
+  EXPECT_THROW((void)manager.write(10, failing), Error);
+  EXPECT_FALSE(fs::exists(path("gaia.00000010.ckpt")));
+  EXPECT_FALSE(fs::exists(path("gaia.00000010.ckpt.tmp")));
+  EXPECT_EQ(manager.written(), 1u);
+  EXPECT_EQ(manager.list().size(), 1u);
+}
+
 TEST_F(CheckpointTest, InjectedTruncationCorruptsExactlyTheNthWrite) {
   FaultInjector::global().configure("ckpt:truncate,nth=2", 1);
   CheckpointManager manager(config());
