@@ -85,8 +85,6 @@ int main(int argc, char** argv) {
                  "run the telemetry sampler during the sweep, streaming "
                  "JSONL here — compare kernel medians with/without to "
                  "measure sampler overhead");
-  cli.add_option("telemetry-every-ms", "0",
-                 "sampling period for --telemetry-file (0 = default 250)");
   try {
     if (!cli.parse(argc, argv)) return 0;
     const auto backend_opt = backends::parse_backend(cli.get("backend"));
@@ -101,8 +99,6 @@ int main(int argc, char** argv) {
     if (!cli.get("telemetry-file").empty()) {
       obs::SamplerConfig scfg;
       scfg.path = cli.get("telemetry-file");
-      const int every = static_cast<int>(cli.get_int("telemetry-every-ms"));
-      if (every > 0) scfg.period_ms = every;
       sampler = std::make_unique<obs::TelemetrySampler>(scfg);
     }
 

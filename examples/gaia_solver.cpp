@@ -89,7 +89,6 @@ int main(int argc, char** argv) {
                  "sycl, stdpar, omp)");
   cli.add_option("seed", "1746", "dataset seed");
   cli.add_option("ranks", "1", "simulated MPI ranks (>1 uses dist solver)");
-  cli.add_flag("untuned", "use naive 256x256 kernel shapes");
   cli.add_option("shape", "",
                  "force one BLOCKSxTHREADS launch shape for all kernels "
                  "(e.g. 64x128); validated at parse time");
@@ -125,9 +124,6 @@ int main(int argc, char** argv) {
                  "stream live JSONL telemetry samples (solver progress, "
                  "ETA, headline metrics) here; also honored via "
                  "GAIA_TELEMETRY");
-  cli.add_option("telemetry-every-ms", "0",
-                 "sampling period in milliseconds (0 = default 250; "
-                 "also honored via GAIA_TELEMETRY_EVERY_MS)");
   cli.add_flag("progress",
                "live single-line progress/ETA display on stderr "
                "(also honored via GAIA_PROGRESS=1)");
@@ -168,8 +164,6 @@ int main(int argc, char** argv) {
     // Arms tracing/metrics when requested; flushed at scope exit.
     obs::SessionExtras extras;
     extras.telemetry_path = cli.get("telemetry-file");
-    extras.telemetry_every_ms =
-        static_cast<int>(cli.get_int("telemetry-every-ms"));
     extras.progress_stderr = cli.get_flag("progress");
     extras.metrics_every_s = cli.get_double("metrics-every-s");
     extras.postmortem_dir = cli.get("postmortem-dir");
@@ -191,9 +185,7 @@ int main(int argc, char** argv) {
     config.footprint_bytes = cli.get_size("size");
     config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     config.lsqr.aprod.backend = *backend;
-    config.lsqr.aprod.tuning =
-        cli.get_flag("untuned") ? backends::TuningTable::untuned()
-                                : backends::TuningTable::tuned_default();
+    config.lsqr.aprod.tuning = backends::TuningTable::tuned_default();
     if (!cli.get("shape").empty())
       config.lsqr.aprod.tuning = backends::TuningTable::untuned(
           backends::parse_kernel_config(cli.get("shape")));

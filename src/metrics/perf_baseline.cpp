@@ -1,11 +1,14 @@
 #include "metrics/perf_baseline.hpp"
 
-#include <cctype>
-#include <cstdlib>
+#include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace gaia::metrics {
 
@@ -24,120 +27,75 @@ const KernelTiming* PerfBaseline::find(const std::string& kernel,
 
 namespace {
 
-void append_escaped(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
+/// The label members of a series, in their key order.
+constexpr std::pair<std::string_view, std::string KernelTiming::*> kLabels[] =
+    {{"kernel", &KernelTiming::kernel},
+     {"backend", &KernelTiming::backend},
+     {"strategy", &KernelTiming::strategy},
+     {"layout", &KernelTiming::layout},
+     {"precision", &KernelTiming::precision}};
+
+KernelTiming parse_timing(const util::JsonValue& v) {
+  if (!v.is_object()) throw Error("series is not an object");
+  KernelTiming t;
+  for (const auto& [key, value] : v.object) {
+    const auto* label =
+        std::find_if(std::begin(kLabels), std::end(kLabels),
+                     [&key](const auto& kv) { return kv.first == key; });
+    if (label != std::end(kLabels)) {
+      if (!value.is_string())
+        throw Error("series key '" + key + "' is not a string");
+      t.*(label->second) = value.string;
+    } else if (key == "median_seconds") {
+      t.median_seconds = value.number_or_nan(key);
+    } else if (key == "samples") {
+      if (!value.is_number() || !(value.number >= 0))
+        throw Error("series 'samples' is not a non-negative number");
+      t.samples = static_cast<std::uint64_t>(value.number);
+    } else {
+      throw Error("unknown series key '" + key + "'");
+    }
   }
-  os << '"';
+  if (t.kernel.empty()) throw Error("series without a kernel");
+  return t;
 }
 
-/// Minimal strict cursor over the baseline grammar (objects, arrays,
-/// strings, numbers): one character of lookahead, no backtracking.
-/// Baselines are written by our own tools; anything unexpected is an
-/// error, not a guess.
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : text_(text) {}
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-  void consume(char c, const char* what) {
-    skip_ws();
-    GAIA_CHECK(pos_ < text_.size() && text_[pos_] == c,
-               std::string("perf baseline: expected ") + what);
-    ++pos_;
-  }
-  [[nodiscard]] bool peek(char c) {
-    skip_ws();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-  std::string parse_string() {
-    consume('"', "string");
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) c = text_[pos_++];
-      out.push_back(c);
+PerfBaseline walk_baseline(const util::JsonValue& doc) {
+  if (!doc.is_object()) throw Error("document is not an object");
+  PerfBaseline out;
+  bool saw_version = false;
+  for (const auto& [key, value] : doc.object) {
+    if (key == "version") {
+      if (!value.is_number() || value.number != PerfBaseline::kVersion)
+        throw Error("unsupported version " + value.dump());
+      saw_version = true;
+    } else if (key == "name") {
+      if (!value.is_string()) throw Error("'name' is not a string");
+      out.name = value.string;
+    } else if (key == "kernels") {
+      if (!value.is_array()) throw Error("'kernels' is not an array");
+      for (const util::JsonValue& series : value.array)
+        out.kernels.push_back(parse_timing(series));
+    } else {
+      throw Error("unknown key '" + key + "'");
     }
-    consume('"', "closing quote");
-    return out;
   }
-  double parse_number() {
-    skip_ws();
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    GAIA_CHECK(end != start, "perf baseline: expected number");
-    pos_ += static_cast<std::size_t>(end - start);
-    return v;
-  }
-  [[nodiscard]] bool at_end() {
-    skip_ws();
-    return pos_ >= text_.size();
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-KernelTiming parse_timing(JsonCursor& cur) {
-  KernelTiming t;
-  cur.consume('{', "'{'");
-  bool first = true;
-  while (!cur.peek('}')) {
-    if (!first) cur.consume(',', "','");
-    first = false;
-    const std::string key = cur.parse_string();
-    cur.consume(':', "':'");
-    if (key == "kernel")
-      t.kernel = cur.parse_string();
-    else if (key == "backend")
-      t.backend = cur.parse_string();
-    else if (key == "strategy")
-      t.strategy = cur.parse_string();
-    else if (key == "layout")
-      t.layout = cur.parse_string();
-    else if (key == "precision")
-      t.precision = cur.parse_string();
-    else if (key == "median_seconds")
-      t.median_seconds = cur.parse_number();
-    else if (key == "samples")
-      t.samples = static_cast<std::uint64_t>(cur.parse_number());
-    else
-      GAIA_CHECK(false, "perf baseline: unknown series key '" + key + "'");
-  }
-  cur.consume('}', "'}'");
-  GAIA_CHECK(!t.kernel.empty(), "perf baseline: series without a kernel");
-  return t;
+  if (!saw_version) throw Error("missing version");
+  return out;
 }
 
 }  // namespace
 
 std::string PerfBaseline::to_json() const {
   std::ostringstream os;
-  os.precision(17);
-  os << "{\n  \"version\": " << kVersion << ",\n  \"name\": ";
-  append_escaped(os, name);
-  os << ",\n  \"kernels\": [";
+  os << "{\n  \"version\": " << kVersion
+     << ",\n  \"name\": " << util::json_quote(name) << ",\n  \"kernels\": [";
   bool first = true;
   for (const KernelTiming& t : kernels) {
-    os << (first ? "\n" : ",\n") << "    {\"kernel\": ";
-    append_escaped(os, t.kernel);
-    os << ", \"backend\": ";
-    append_escaped(os, t.backend);
-    os << ", \"strategy\": ";
-    append_escaped(os, t.strategy);
-    os << ", \"layout\": ";
-    append_escaped(os, t.layout);
-    os << ", \"precision\": ";
-    append_escaped(os, t.precision);
-    os << ", \"median_seconds\": " << t.median_seconds
+    os << (first ? "\n" : ",\n") << "    {";
+    for (const auto& [key, field] : kLabels)
+      os << '"' << key << "\": " << util::json_quote(t.*field) << ", ";
+    os << "\"median_seconds\": " << util::json_number(t.median_seconds)
        << ", \"samples\": " << t.samples << '}';
     first = false;
   }
@@ -146,41 +104,11 @@ std::string PerfBaseline::to_json() const {
 }
 
 PerfBaseline parse_baseline(const std::string& json) {
-  JsonCursor cur(json);
-  PerfBaseline out;
-  bool saw_version = false;
-  cur.consume('{', "'{'");
-  bool first = true;
-  while (!cur.peek('}')) {
-    if (!first) cur.consume(',', "','");
-    first = false;
-    const std::string key = cur.parse_string();
-    cur.consume(':', "':'");
-    if (key == "version") {
-      const int version = static_cast<int>(cur.parse_number());
-      GAIA_CHECK(version == PerfBaseline::kVersion,
-                 "perf baseline: unsupported version " +
-                     std::to_string(version));
-      saw_version = true;
-    } else if (key == "name") {
-      out.name = cur.parse_string();
-    } else if (key == "kernels") {
-      cur.consume('[', "'['");
-      bool first_item = true;
-      while (!cur.peek(']')) {
-        if (!first_item) cur.consume(',', "','");
-        first_item = false;
-        out.kernels.push_back(parse_timing(cur));
-      }
-      cur.consume(']', "']'");
-    } else {
-      GAIA_CHECK(false, "perf baseline: unknown key '" + key + "'");
-    }
+  try {
+    return walk_baseline(util::parse_json(json));
+  } catch (const Error& e) {
+    throw Error(std::string("perf baseline: ") + e.what());
   }
-  cur.consume('}', "'}'");
-  GAIA_CHECK(cur.at_end(), "perf baseline: trailing content");
-  GAIA_CHECK(saw_version, "perf baseline: missing version");
-  return out;
 }
 
 PerfBaseline load_baseline(const std::string& path) {

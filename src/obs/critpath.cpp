@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace gaia::obs {
 
@@ -264,12 +265,7 @@ std::string to_string(const CritpathReport& report) {
 }
 
 std::string to_json(const CritpathReport& report) {
-  auto num = [](double v) {
-    util::JsonValue j;
-    j.kind = util::JsonValue::Kind::kNumber;
-    j.number = v;
-    return j.dump();
-  };
+  using util::json_number;
   std::ostringstream os;
   os << "{\"ranks\":" << report.n_ranks << ",\"ranks_present\":[";
   for (std::size_t i = 0; i < report.ranks_present.size(); ++i) {
@@ -278,27 +274,29 @@ std::string to_json(const CritpathReport& report) {
   }
   os << "],\"complete\":" << (report.complete ? "true" : "false")
      << ",\"dropped_events\":" << report.dropped_events
-     << ",\"total_critical_path_us\":" << num(report.total_critical_path_us)
-     << ",\"total_exposed_us\":" << num(report.total_exposed_us)
-     << ",\"exposure_fraction\":" << num(report.exposure_fraction)
-     << ",\"max_skew_us\":" << num(report.max_skew_us)
-     << ",\"wait_p50_us\":" << num(report.wait_p50_us)
-     << ",\"wait_p95_us\":" << num(report.wait_p95_us) << ",\"iterations\":[";
+     << ",\"total_critical_path_us\":"
+     << json_number(report.total_critical_path_us)
+     << ",\"total_exposed_us\":" << json_number(report.total_exposed_us)
+     << ",\"exposure_fraction\":" << json_number(report.exposure_fraction)
+     << ",\"max_skew_us\":" << json_number(report.max_skew_us)
+     << ",\"wait_p50_us\":" << json_number(report.wait_p50_us)
+     << ",\"wait_p95_us\":" << json_number(report.wait_p95_us)
+     << ",\"iterations\":[";
   for (std::size_t i = 0; i < report.iterations.size(); ++i) {
     const IterationStats& s = report.iterations[i];
     if (i) os << ',';
     os << "{\"itn\":" << s.itn << ",\"ranks_seen\":" << s.ranks_seen
-       << ",\"start_us\":" << num(s.start_us)
-       << ",\"end_us\":" << num(s.end_us)
-       << ",\"critical_path_us\":" << num(s.critical_path_us)
-       << ",\"skew_us\":" << num(s.skew_us)
-       << ",\"comm_us_max\":" << num(s.comm_us_max)
-       << ",\"exposed_us_max\":" << num(s.exposed_us_max)
-       << ",\"exposure_fraction\":" << num(s.exposure_fraction)
-       << ",\"imbalance\":" << num(s.imbalance)
-       << ",\"overlap_headroom_us\":" << num(s.overlap_headroom_us)
-       << ",\"wait_p50_us\":" << num(s.wait_p50_us)
-       << ",\"wait_p95_us\":" << num(s.wait_p95_us) << '}';
+       << ",\"start_us\":" << json_number(s.start_us)
+       << ",\"end_us\":" << json_number(s.end_us)
+       << ",\"critical_path_us\":" << json_number(s.critical_path_us)
+       << ",\"skew_us\":" << json_number(s.skew_us)
+       << ",\"comm_us_max\":" << json_number(s.comm_us_max)
+       << ",\"exposed_us_max\":" << json_number(s.exposed_us_max)
+       << ",\"exposure_fraction\":" << json_number(s.exposure_fraction)
+       << ",\"imbalance\":" << json_number(s.imbalance)
+       << ",\"overlap_headroom_us\":" << json_number(s.overlap_headroom_us)
+       << ",\"wait_p50_us\":" << json_number(s.wait_p50_us)
+       << ",\"wait_p95_us\":" << json_number(s.wait_p95_us) << '}';
   }
   os << "]}";
   return os.str();

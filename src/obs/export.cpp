@@ -1,12 +1,15 @@
 #include "obs/export.hpp"
 
-#include <cctype>
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "obs/perf_counters.hpp"
 #include "util/error.hpp"
@@ -241,122 +244,49 @@ std::optional<std::vector<OpenMetricsSample>> parse_openmetrics(
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
+/// The measurements of a MetricRow, in their key order.
+constexpr std::pair<std::string_view, double MetricRow::*> kMeasurements[] = {
+    {"sum", &MetricRow::sum}, {"min", &MetricRow::min},
+    {"max", &MetricRow::max}, {"last", &MetricRow::last},
+    {"p50", &MetricRow::p50}, {"p95", &MetricRow::p95},
+    {"p99", &MetricRow::p99}};
 
-/// Strict cursor over the snapshot's own JSON subset (objects, arrays,
-/// strings, numbers and booleans; one character of lookahead). The
-/// framing already guarantees the bytes are what we wrote; this guards
-/// logical corruption and version skew.
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : text_(text) {}
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-  bool at_end() {
-    skip_ws();
-    return pos_ >= text_.size();
-  }
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        c = text_[pos_++];
-        if (c != '"' && c != '\\') return false;
-      }
-      out.push_back(c);
-    }
-    return pos_ < text_.size() && text_[pos_++] == '"';
-  }
-  bool parse_number(double& out) {
-    skip_ws();
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    out = std::strtod(start, &end);
-    if (end == start) return false;
-    pos_ += static_cast<std::size_t>(end - start);
-    return true;
-  }
-  bool parse_bool(bool& out) {
-    skip_ws();
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out = true;
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out = false;
-      pos_ += 5;
-      return true;
-    }
-    return false;
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-bool parse_metric_object(JsonCursor& cur, MetricRow& row) {
-  if (!cur.consume('{')) return false;
-  bool first = true;
-  while (!cur.peek('}')) {
-    if (!first && !cur.consume(',')) return false;
-    first = false;
-    std::string key;
-    if (!cur.parse_string(key) || !cur.consume(':')) return false;
-    double num = 0;
-    if (key == "name") {
-      if (!cur.parse_string(row.name)) return false;
-    } else if (key == "type") {
-      if (!cur.parse_string(row.type)) return false;
-    } else if (key == "count") {
-      if (!cur.parse_number(num) || num < 0) return false;
-      row.count = static_cast<std::uint64_t>(num);
-    } else if (key == "sum") {
-      if (!cur.parse_number(row.sum)) return false;
-    } else if (key == "min") {
-      if (!cur.parse_number(row.min)) return false;
-    } else if (key == "max") {
-      if (!cur.parse_number(row.max)) return false;
-    } else if (key == "last") {
-      if (!cur.parse_number(row.last)) return false;
-    } else if (key == "p50") {
-      if (!cur.parse_number(row.p50)) return false;
-    } else if (key == "p95") {
-      if (!cur.parse_number(row.p95)) return false;
-    } else if (key == "p99") {
-      if (!cur.parse_number(row.p99)) return false;
+/// Strict walk of a snapshot document; throws gaia::Error naming the
+/// first violation.
+std::vector<MetricRow> parse_snapshot(const std::string& text,
+                                      SnapshotMeta* meta) {
+  const util::JsonValue doc = util::parse_json(text);
+  if (!doc.is_object()) throw Error("snapshot is not a JSON object");
+  SnapshotMeta parsed_meta;
+  std::vector<MetricRow> rows;
+  bool saw_version = false;
+  bool saw_metrics = false;
+  for (const auto& [key, value] : doc.object) {
+    if (key == "version") {
+      if (!value.is_number() || value.number != kSnapshotVersion)
+        throw Error("snapshot version is not " +
+                    std::to_string(kSnapshotVersion));
+      saw_version = true;
+    } else if (key == "rank" || key == "ranks") {
+      if (!value.is_number()) throw Error("'" + key + "' is not a number");
+      (key == "rank" ? parsed_meta.rank : parsed_meta.ranks) =
+          static_cast<int>(value.number);
+    } else if (key == "complete") {
+      if (!value.is_bool()) throw Error("'complete' is not a boolean");
+      parsed_meta.complete = value.boolean;
+    } else if (key == "metrics") {
+      if (!value.is_array()) throw Error("'metrics' is not an array");
+      saw_metrics = true;
+      for (const util::JsonValue& row : value.array)
+        rows.push_back(parse_metric_row(row));
     } else {
-      return false;  // unknown key: strict
+      throw Error("unknown snapshot key '" + key + "'");
     }
   }
-  return cur.consume('}') && !row.name.empty() && !row.type.empty();
+  if (!saw_version || !saw_metrics)
+    throw Error("snapshot lacks 'version' or 'metrics'");
+  if (meta) *meta = parsed_meta;
+  return rows;
 }
 
 constexpr const char* kSnapshotKind = "metrics snapshot";
@@ -374,75 +304,67 @@ GlobalSink& sink() {
 
 }  // namespace
 
+std::string metric_row_json(const MetricRow& row) {
+  std::string out = "{\"name\":" + util::json_quote(row.name) +
+                    ",\"type\":" + util::json_quote(row.type) +
+                    ",\"count\":" + std::to_string(row.count);
+  for (const auto& [key, field] : kMeasurements) {
+    out += ",\"";
+    out += key;
+    out += "\":" + util::json_number(row.*field);
+  }
+  out += '}';
+  return out;
+}
+
+MetricRow parse_metric_row(const util::JsonValue& value) {
+  if (!value.is_object()) throw Error("metric row is not an object");
+  MetricRow row;
+  for (const auto& [key, member] : value.object) {
+    if (key == "name" || key == "type") {
+      if (!member.is_string() || member.string.empty())
+        throw Error("metric row '" + key + "' is not a non-empty string");
+      (key == "name" ? row.name : row.type) = member.string;
+    } else if (key == "count") {
+      if (!member.is_number() || !(member.number >= 0))
+        throw Error("metric row 'count' is not a non-negative number");
+      row.count = static_cast<std::uint64_t>(member.number);
+    } else {
+      const auto* m = std::find_if(
+          std::begin(kMeasurements), std::end(kMeasurements),
+          [&key](const auto& kv) { return kv.first == key; });
+      if (m == std::end(kMeasurements))
+        throw Error("unknown metric row key '" + key + "'");
+      row.*(m->second) = member.number_or_nan(key);
+    }
+  }
+  if (row.name.empty() || row.type.empty())
+    throw Error("metric row without a name or type");
+  return row;
+}
+
 std::string snapshot_json(const std::vector<MetricRow>& rows,
                           const SnapshotMeta& meta) {
-  std::ostringstream os;
-  os.precision(17);
-  os << "{\"version\":" << kSnapshotVersion << ",\"rank\":" << meta.rank
-     << ",\"ranks\":" << meta.ranks << ",\"complete\":"
-     << (meta.complete ? "true" : "false") << ",\"metrics\":[";
-  bool first = true;
-  for (const MetricRow& r : rows) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"name\":\"" << json_escape(r.name) << "\",\"type\":\"" << r.type
-       << "\",\"count\":" << r.count << ",\"sum\":" << r.sum
-       << ",\"min\":" << r.min << ",\"max\":" << r.max
-       << ",\"last\":" << r.last << ",\"p50\":" << r.p50
-       << ",\"p95\":" << r.p95 << ",\"p99\":" << r.p99 << '}';
+  std::string out = "{\"version\":" + std::to_string(kSnapshotVersion) +
+                    ",\"rank\":" + std::to_string(meta.rank) +
+                    ",\"ranks\":" + std::to_string(meta.ranks) +
+                    ",\"complete\":" + (meta.complete ? "true" : "false") +
+                    ",\"metrics\":[";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i) out += ',';
+    out += metric_row_json(rows[i]);
   }
-  os << "]}";
-  return os.str();
+  out += "]}";
+  return out;
 }
 
 std::optional<std::vector<MetricRow>> parse_snapshot_json(
     const std::string& text, SnapshotMeta* meta) {
-  JsonCursor cur(text);
-  if (!cur.consume('{')) return std::nullopt;
-  std::optional<double> version;
-  SnapshotMeta parsed_meta;
-  std::vector<MetricRow> rows;
-  bool saw_metrics = false;
-  bool first = true;
-  while (!cur.peek('}')) {
-    if (!first && !cur.consume(',')) return std::nullopt;
-    first = false;
-    std::string key;
-    if (!cur.parse_string(key) || !cur.consume(':')) return std::nullopt;
-    double num = 0;
-    if (key == "version") {
-      if (!cur.parse_number(num)) return std::nullopt;
-      version = num;
-    } else if (key == "rank") {
-      if (!cur.parse_number(num)) return std::nullopt;
-      parsed_meta.rank = static_cast<int>(num);
-    } else if (key == "ranks") {
-      if (!cur.parse_number(num)) return std::nullopt;
-      parsed_meta.ranks = static_cast<int>(num);
-    } else if (key == "complete") {
-      if (!cur.parse_bool(parsed_meta.complete)) return std::nullopt;
-    } else if (key == "metrics") {
-      if (!cur.consume('[')) return std::nullopt;
-      saw_metrics = true;
-      bool first_row = true;
-      while (!cur.peek(']')) {
-        if (!first_row && !cur.consume(',')) return std::nullopt;
-        first_row = false;
-        MetricRow row;
-        if (!parse_metric_object(cur, row)) return std::nullopt;
-        rows.push_back(std::move(row));
-      }
-      if (!cur.consume(']')) return std::nullopt;
-    } else {
-      return std::nullopt;
-    }
-  }
-  if (!cur.consume('}') || !cur.at_end()) return std::nullopt;
-  if (!version || static_cast<int>(*version) != kSnapshotVersion ||
-      !saw_metrics)
+  try {
+    return parse_snapshot(text, meta);
+  } catch (const Error&) {
     return std::nullopt;
-  if (meta) *meta = parsed_meta;
-  return rows;
+  }
 }
 
 void write_snapshot_file(const std::string& path,
@@ -454,12 +376,11 @@ void write_snapshot_file(const std::string& path,
 std::vector<MetricRow> read_snapshot_file(const std::string& path,
                                           SnapshotMeta* meta) {
   const std::string payload = util::read_framed_file(path, kSnapshotKind);
-  auto rows = parse_snapshot_json(payload, meta);
-  GAIA_CHECK(rows.has_value(), "corrupt metrics snapshot '" + path +
-                                   "': framed payload is not a version-" +
-                                   std::to_string(kSnapshotVersion) +
-                                   " snapshot");
-  return std::move(*rows);
+  try {
+    return parse_snapshot(payload, meta);
+  } catch (const Error& e) {
+    throw Error("corrupt metrics snapshot '" + path + "': " + e.what());
+  }
 }
 
 void set_global_snapshot_path(const std::string& path) {

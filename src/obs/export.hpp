@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 
 namespace gaia::obs {
 
@@ -62,6 +63,17 @@ struct OpenMetricsSample {
 
 inline constexpr int kSnapshotVersion = 1;
 
+/// One MetricRow as a JSON object, the one encoding snapshots and
+/// postmortem bundles share: `name`, `type`, `count`, `sum`, `min`,
+/// `max`, `last`, `p50`, `p95`, `p99`, in that order, spelled through
+/// util/json (so a non-finite value is `null`).
+[[nodiscard]] std::string metric_row_json(const MetricRow& row);
+
+/// The strict inverse of `metric_row_json`: an object holding only those
+/// ten keys, a non-empty string `name` and `type`, a non-negative numeric
+/// `count`; `null` in a measurement reads back as NaN. Throws gaia::Error.
+[[nodiscard]] MetricRow parse_metric_row(const util::JsonValue& value);
+
 /// Provenance carried in the snapshot header. `rank` is -1 for a
 /// process-wide (or cluster-aggregated) snapshot; `complete` is false
 /// when a cross-rank aggregation degraded to rank-local data because a
@@ -76,8 +88,10 @@ struct SnapshotMeta {
 [[nodiscard]] std::string snapshot_json(const std::vector<MetricRow>& rows,
                                         const SnapshotMeta& meta);
 
-/// Strict parse of `snapshot_json` output. nullopt on malformed input or
-/// a version mismatch; `meta` (optional) receives the header.
+/// Strict parse of `snapshot_json` output: an object holding only
+/// `version` (required, 1), `rank`, `ranks`, `complete` and `metrics`
+/// (required, an array of `parse_metric_row` rows). nullopt on malformed
+/// input or a version mismatch; `meta` (optional) receives the header.
 [[nodiscard]] std::optional<std::vector<MetricRow>> parse_snapshot_json(
     const std::string& text, SnapshotMeta* meta = nullptr);
 

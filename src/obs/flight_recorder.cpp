@@ -1,13 +1,12 @@
 #include "obs/flight_recorder.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <iostream>
 #include <sstream>
 #include <utility>
 
+#include "obs/export.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -19,39 +18,6 @@ namespace fs = std::filesystem;
 namespace gaia::obs {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void append_number(std::ostringstream& os, double v) {
-  if (!std::isfinite(v)) v = 0;  // JSON has no inf/nan
-  os << v;
-}
 
 /// Postmortem arming state (process-wide, mutex-protected — flushes run
 /// from failure paths on arbitrary threads).
@@ -227,12 +193,13 @@ PostmortemBundle collect_postmortem(const PostmortemInfo& info,
 // ---------------------------------------------------------------------------
 
 std::string postmortem_json(const PostmortemBundle& bundle) {
+  using util::json_number;
+  using util::json_quote;
   std::ostringstream os;
-  os.precision(17);
   os << "{\"version\":" << bundle.version << ",\"kind\":\"postmortem\"";
-  os << ",\"info\":{\"reason\":\"" << json_escape(bundle.info.reason)
-     << "\",\"detail\":\"" << json_escape(bundle.info.detail)
-     << "\",\"rank\":" << bundle.info.rank
+  os << ",\"info\":{\"reason\":" << json_quote(bundle.info.reason)
+     << ",\"detail\":" << json_quote(bundle.info.detail)
+     << ",\"rank\":" << bundle.info.rank
      << ",\"ranks\":" << bundle.info.ranks << '}';
 
   os << ",\"context\":{";
@@ -240,7 +207,7 @@ std::string postmortem_json(const PostmortemBundle& bundle) {
   for (const auto& [key, value] : bundle.context) {
     if (!first) os << ',';
     first = false;
-    os << '"' << json_escape(key) << "\":\"" << json_escape(value) << '"';
+    os << json_quote(key) << ':' << json_quote(value);
   }
   os << '}';
 
@@ -249,12 +216,11 @@ std::string postmortem_json(const PostmortemBundle& bundle) {
   for (const FlightEvent& e : bundle.events) {
     if (!first) os << ',';
     first = false;
-    os << "{\"t_s\":";
-    append_number(os, e.t_s);
-    os << ",\"seq\":" << e.seq << ",\"rank\":" << e.rank
-       << ",\"iteration\":" << e.iteration << ",\"category\":\""
-       << json_escape(e.category) << "\",\"name\":\"" << json_escape(e.name)
-       << "\",\"detail\":\"" << json_escape(e.detail) << "\"}";
+    os << "{\"t_s\":" << json_number(e.t_s) << ",\"seq\":" << e.seq
+       << ",\"rank\":" << e.rank << ",\"iteration\":" << e.iteration
+       << ",\"category\":" << json_quote(e.category)
+       << ",\"name\":" << json_quote(e.name)
+       << ",\"detail\":" << json_quote(e.detail) << '}';
   }
   os << ']';
 
@@ -263,22 +229,7 @@ std::string postmortem_json(const PostmortemBundle& bundle) {
   for (const MetricRow& m : bundle.metrics) {
     if (!first) os << ',';
     first = false;
-    os << "{\"name\":\"" << json_escape(m.name) << "\",\"type\":\""
-       << json_escape(m.type) << "\",\"count\":" << m.count << ",\"sum\":";
-    append_number(os, m.sum);
-    os << ",\"min\":";
-    append_number(os, m.min);
-    os << ",\"max\":";
-    append_number(os, m.max);
-    os << ",\"last\":";
-    append_number(os, m.last);
-    os << ",\"p50\":";
-    append_number(os, m.p50);
-    os << ",\"p95\":";
-    append_number(os, m.p95);
-    os << ",\"p99\":";
-    append_number(os, m.p99);
-    os << '}';
+    os << metric_row_json(m);
   }
   os << ']';
 
@@ -287,12 +238,11 @@ std::string postmortem_json(const PostmortemBundle& bundle) {
   for (const PostmortemTraceEvent& t : bundle.trace_tail) {
     if (!first) os << ',';
     first = false;
-    os << "{\"name\":\"" << json_escape(t.name) << "\",\"cat\":\""
-       << json_escape(t.cat) << "\",\"ph\":\"" << t.phase << "\",\"ts\":";
-    append_number(os, t.ts_us);
-    os << ",\"dur\":";
-    append_number(os, t.dur_us);
-    os << '}';
+    os << "{\"name\":" << json_quote(t.name)
+       << ",\"cat\":" << json_quote(t.cat)
+       << ",\"ph\":" << json_quote({&t.phase, 1})
+       << ",\"ts\":" << json_number(t.ts_us)
+       << ",\"dur\":" << json_number(t.dur_us) << '}';
   }
   os << ']';
 
@@ -301,7 +251,7 @@ std::string postmortem_json(const PostmortemBundle& bundle) {
   for (const std::string& line : bundle.telemetry_tail) {
     if (!first) os << ',';
     first = false;
-    os << '"' << json_escape(line) << '"';
+    os << json_quote(line);
   }
   os << "]}";
   return std::move(os).str();
@@ -362,22 +312,8 @@ PostmortemBundle parse_postmortem_json(const std::string& text) {
   if (const util::JsonValue* metrics = doc.find("metrics");
       metrics != nullptr && metrics->is_array()) {
     bundle.metrics.reserve(metrics->array.size());
-    for (const util::JsonValue& m : metrics->array) {
-      if (!m.is_object())
-        throw Error("postmortem bundle: metric row is not an object");
-      MetricRow row;
-      row.name = expect_string(m, "name", "metric row");
-      row.type = expect_string(m, "type", "metric row");
-      row.count = static_cast<std::uint64_t>(m.number_or("count", 0));
-      row.sum = m.number_or("sum", 0);
-      row.min = m.number_or("min", 0);
-      row.max = m.number_or("max", 0);
-      row.last = m.number_or("last", 0);
-      row.p50 = m.number_or("p50", 0);
-      row.p95 = m.number_or("p95", 0);
-      row.p99 = m.number_or("p99", 0);
-      bundle.metrics.push_back(std::move(row));
-    }
+    for (const util::JsonValue& m : metrics->array)
+      bundle.metrics.push_back(parse_metric_row(m));
   }
 
   bundle.trace_dropped =

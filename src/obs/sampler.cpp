@@ -1,8 +1,6 @@
 #include "obs/sampler.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -10,6 +8,7 @@
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 
 namespace gaia::obs {
 
@@ -21,36 +20,6 @@ thread_local int t_progress_rank = -1;
 /// the owning thread, reads from failure paths may race a destructor —
 /// keep it a plain atomic pointer and never dereference after stop()).
 std::atomic<TelemetrySampler*> g_active{nullptr};
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-double finite_or_zero(double v) { return std::isfinite(v) ? v : 0.0; }
 
 }  // namespace
 
@@ -203,9 +172,11 @@ void TelemetrySampler::tick(bool final_tick) {
   const std::vector<ProgressBoard::Row> progress =
       ProgressBoard::global().snapshot();
 
+  using util::json_number;
+  using util::json_quote;
   std::ostringstream os;
-  os.precision(12);
-  os << "{\"t_s\":" << t_s << ",\"sample\":" << seq << ",\"progress\":[";
+  os << "{\"t_s\":" << json_number(t_s) << ",\"sample\":" << seq
+     << ",\"progress\":[";
   // The rank whose solve lags furthest drives the ETA (a dist solve is
   // done when its slowest rank is).
   double eta_s = -1;
@@ -219,13 +190,14 @@ void TelemetrySampler::tick(bool final_tick) {
         row.elapsed_s > 0)
       row_eta = row.elapsed_s / static_cast<double>(row.iteration) *
                 static_cast<double>(row.max_iterations - row.iteration);
-    os << "{\"rank\":" << row.rank << ",\"phase\":\""
-       << json_escape(row.phase) << "\",\"iteration\":" << row.iteration
+    os << "{\"rank\":" << row.rank
+       << ",\"phase\":" << json_quote(row.phase)
+       << ",\"iteration\":" << row.iteration
        << ",\"max_iterations\":" << row.max_iterations
-       << ",\"rnorm\":" << finite_or_zero(row.rnorm)
-       << ",\"arnorm\":" << finite_or_zero(row.arnorm)
-       << ",\"elapsed_s\":" << row.elapsed_s << ",\"eta_s\":" << row_eta
-       << '}';
+       << ",\"rnorm\":" << json_number(row.rnorm)
+       << ",\"arnorm\":" << json_number(row.arnorm)
+       << ",\"elapsed_s\":" << json_number(row.elapsed_s)
+       << ",\"eta_s\":" << json_number(row_eta) << '}';
     if (row_eta > eta_s) {
       eta_s = row_eta;
       lead = &row;
@@ -243,7 +215,7 @@ void TelemetrySampler::tick(bool final_tick) {
       const double value = m.type == "counter" ? m.sum
                            : m.type == "gauge" ? m.last
                                                : m.p50;
-      os << '"' << json_escape(m.name) << "\":" << finite_or_zero(value);
+      os << json_quote(m.name) << ':' << json_number(value);
     }
     os << '}';
   }
@@ -275,7 +247,7 @@ void TelemetrySampler::tick(bool final_tick) {
                                          lead->max_iterations, 1))
          << "%)";
     }
-    ps << " |r|=" << finite_or_zero(lead->rnorm);
+    ps << " |r|=" << lead->rnorm;
     if (eta_s >= 0) ps << " eta " << eta_s << "s";
     ps << "   ";
     if (final_tick) ps << '\n';

@@ -62,8 +62,6 @@ Session::Session(std::string trace_path, std::string metrics_path,
   if (wants_sampler) {
     SamplerConfig cfg;
     cfg.path = extras_.telemetry_path;
-    cfg.period_ms = extras_.telemetry_every_ms > 0 ? extras_.telemetry_every_ms
-                                                   : 250;
     cfg.progress_stderr = extras_.progress_stderr;
     cfg.snapshot_every_s = extras_.metrics_every_s;
     sampler_ = std::make_unique<TelemetrySampler>(cfg);
@@ -100,9 +98,6 @@ Session Session::from_env(std::string trace_override,
   SessionExtras extras = std::move(extras_override);
   extras.telemetry_path =
       env_or(kTelemetryEnv, std::move(extras.telemetry_path));
-  if (extras.telemetry_every_ms <= 0)
-    extras.telemetry_every_ms =
-        static_cast<int>(positive_env_number(kTelemetryEveryMsEnv));
   if (!extras.progress_stderr) {
     const char* v = std::getenv(kProgressEnv);
     extras.progress_stderr = v && *v && std::string(v) != "0";

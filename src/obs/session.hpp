@@ -30,7 +30,6 @@ inline constexpr const char* kMetricsEnv = "GAIA_METRICS";
 inline constexpr const char* kOpenMetricsEnv = "GAIA_METRICS_OPENMETRICS";
 inline constexpr const char* kSnapshotEnv = "GAIA_METRICS_SNAPSHOT";
 inline constexpr const char* kTelemetryEnv = "GAIA_TELEMETRY";
-inline constexpr const char* kTelemetryEveryMsEnv = "GAIA_TELEMETRY_EVERY_MS";
 inline constexpr const char* kProgressEnv = "GAIA_PROGRESS";
 inline constexpr const char* kMetricsEverySEnv = "GAIA_METRICS_EVERY_S";
 inline constexpr const char* kPostmortemEnv = "GAIA_POSTMORTEM";
@@ -38,10 +37,9 @@ inline constexpr const char* kPostmortemEnv = "GAIA_POSTMORTEM";
 /// The continuous-telemetry half of a session (PR 10): live JSONL
 /// sampling, the stderr progress line, periodic snapshot re-sealing and
 /// the postmortem bundle directory. All off by default; the sampler
-/// thread starts only when one of the first four is requested.
+/// thread starts only when one of the first three is requested.
 struct SessionExtras {
   std::string telemetry_path;   ///< JSONL stream (--telemetry-file)
-  int telemetry_every_ms = 0;   ///< 0 = env/default (250 ms)
   bool progress_stderr = false; ///< live \r progress/ETA line
   double metrics_every_s = 0;   ///< periodic snapshot seal (0 = off)
   std::string postmortem_dir;   ///< arm obs::flush_postmortem ("" = off)
@@ -62,9 +60,9 @@ class Session {
 
   /// Paths from GAIA_TRACE / GAIA_METRICS / GAIA_METRICS_OPENMETRICS /
   /// GAIA_METRICS_SNAPSHOT (unset/empty = off), telemetry/postmortem from
-  /// GAIA_TELEMETRY / GAIA_TELEMETRY_EVERY_MS / GAIA_PROGRESS /
-  /// GAIA_METRICS_EVERY_S / GAIA_POSTMORTEM. Explicit paths/extras
-  /// passed here override the environment.
+  /// GAIA_TELEMETRY / GAIA_PROGRESS / GAIA_METRICS_EVERY_S /
+  /// GAIA_POSTMORTEM. Explicit paths/extras passed here override the
+  /// environment.
   static Session from_env(std::string trace_override = "",
                           std::string metrics_override = "",
                           std::string openmetrics_override = "",

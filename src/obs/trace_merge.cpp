@@ -192,25 +192,12 @@ TraceDoc merge_traces(const std::vector<TraceDoc>& docs) {
 }
 
 std::string trace_json(const TraceDoc& doc) {
-  // Reuse the JSON value renderer for string escaping and number
-  // formatting so merged files obey the same conventions as the
-  // per-rank writer.
-  auto str = [](const std::string& s) {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kString;
-    v.string = s;
-    return v.dump();
-  };
-  auto num = [](double v) {
-    JsonValue j;
-    j.kind = JsonValue::Kind::kNumber;
-    j.number = v;
-    return j.dump();
-  };
+  using util::json_number;
+  using util::json_quote;
   std::ostringstream os;
   os << "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"rank\":" << doc.rank
      << ",\"ranks\":" << doc.n_ranks
-     << ",\"epoch_offset_us\":" << num(doc.epoch_offset_us)
+     << ",\"epoch_offset_us\":" << json_number(doc.epoch_offset_us)
      << ",\"dropped_events\":" << doc.dropped_events;
   if (doc.merged) {
     os << ",\"merged\":true,\"source_ranks\":[";
@@ -224,10 +211,12 @@ std::string trace_json(const TraceDoc& doc) {
   for (std::size_t i = 0; i < doc.events.size(); ++i) {
     const ParsedEvent& e = doc.events[i];
     if (i) os << ',';
-    os << "{\"name\":" << str(e.name) << ",\"cat\":" << str(e.cat)
-       << ",\"ph\":\"" << e.phase << "\",\"ts\":" << num(e.ts_us)
-       << ",\"pid\":" << e.pid << ",\"tid\":" << e.tid;
-    if (e.phase == 'X') os << ",\"dur\":" << num(e.dur_us);
+    os << "{\"name\":" << json_quote(e.name)
+       << ",\"cat\":" << json_quote(e.cat)
+       << ",\"ph\":" << json_quote({&e.phase, 1})
+       << ",\"ts\":" << json_number(e.ts_us) << ",\"pid\":" << e.pid
+       << ",\"tid\":" << e.tid;
+    if (e.phase == 'X') os << ",\"dur\":" << json_number(e.dur_us);
     if (e.args.is_object()) os << ",\"args\":" << e.args.dump();
     os << '}';
   }

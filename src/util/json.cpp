@@ -1,10 +1,11 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -17,7 +18,7 @@ class Parser {
   explicit Parser(const std::string& text) : text_(text) {}
 
   JsonValue parse_document() {
-    JsonValue v = parse_value();
+    JsonValue v = parse_value(0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing garbage after JSON document");
     return v;
@@ -52,14 +53,18 @@ class Parser {
     pos_ += n;
   }
 
-  JsonValue parse_value() {
+  /// `depth` counts the arrays and objects enclosing this value.
+  JsonValue parse_value(int depth) {
     const char c = peek();
+    if ((c == '{' || c == '[') && depth == kJsonMaxDepth)
+      fail("nesting deeper than " + std::to_string(kJsonMaxDepth) +
+           " levels");
     JsonValue v;
     switch (c) {
       case '{':
-        return parse_object();
+        return parse_object(depth + 1);
       case '[':
-        return parse_array();
+        return parse_array(depth + 1);
       case '"':
         v.kind = JsonValue::Kind::kString;
         v.string = parse_string();
@@ -82,7 +87,7 @@ class Parser {
     }
   }
 
-  JsonValue parse_object() {
+  JsonValue parse_object(int depth) {
     expect('{');
     JsonValue v;
     v.kind = JsonValue::Kind::kObject;
@@ -94,7 +99,7 @@ class Parser {
       if (peek() != '"') fail("object key must be a string");
       std::string key = parse_string();
       expect(':');
-      v.object.emplace_back(std::move(key), parse_value());
+      v.object.emplace_back(std::move(key), parse_value(depth));
       const char c = peek();
       ++pos_;
       if (c == '}') return v;
@@ -102,7 +107,7 @@ class Parser {
     }
   }
 
-  JsonValue parse_array() {
+  JsonValue parse_array(int depth) {
     expect('[');
     JsonValue v;
     v.kind = JsonValue::Kind::kArray;
@@ -111,7 +116,7 @@ class Parser {
       return v;
     }
     for (;;) {
-      v.array.push_back(parse_value());
+      v.array.push_back(parse_value(depth));
       const char c = peek();
       ++pos_;
       if (c == ']') return v;
@@ -226,9 +231,12 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-std::string escape(const std::string& s) {
+}  // namespace
+
+std::string json_quote(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
+  out += '"';
   for (const char c : s) {
     switch (c) {
       case '"':
@@ -236,6 +244,12 @@ std::string escape(const std::string& s) {
         break;
       case '\\':
         out += "\\\\";
+        break;
+      case '\b':
+        out += "\\b";
+        break;
+      case '\f':
+        out += "\\f";
         break;
       case '\n':
         out += "\\n";
@@ -249,17 +263,34 @@ std::string escape(const std::string& s) {
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(c));
           out += buf;
         } else {
           out += c;
         }
     }
   }
+  out += '"';
   return out;
 }
 
-}  // namespace
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  // to_chars/from_chars: locale-free, and several times cheaper than a
+  // stream (the solver formats span args even with tracing off).
+  char buf[32];
+  char* end = buf;
+  for (const int digits : {15, 16, 17}) {
+    end = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                        digits)
+              .ptr;
+    double back = 0;
+    std::from_chars(buf, end, back);
+    if (back == v) break;
+  }
+  return {buf, end};
+}
 
 const JsonValue* JsonValue::find(const std::string& key) const {
   if (kind != Kind::kObject) return nullptr;
@@ -273,24 +304,23 @@ double JsonValue::number_or(const std::string& key, double fallback) const {
   return v && v->is_number() ? v->number : fallback;
 }
 
+double JsonValue::number_or_nan(std::string_view key) const {
+  if (is_number()) return number;
+  if (is_null()) return std::numeric_limits<double>::quiet_NaN();
+  throw Error("JSON member '" + std::string(key) +
+              "' is not a number or null");
+}
+
 std::string JsonValue::dump() const {
   switch (kind) {
     case Kind::kNull:
       return "null";
     case Kind::kBool:
       return boolean ? "true" : "false";
-    case Kind::kNumber: {
-      if (!std::isfinite(number)) return "0";
-      // Shortest representation that round-trips exactly: 15 significant
-      // digits when they reproduce the value, 17 otherwise.
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.15g", number);
-      if (std::strtod(buf, nullptr) != number)
-        std::snprintf(buf, sizeof(buf), "%.17g", number);
-      return buf;
-    }
+    case Kind::kNumber:
+      return json_number(number);
     case Kind::kString:
-      return '"' + escape(string) + '"';
+      return json_quote(string);
     case Kind::kArray: {
       std::string out = "[";
       for (std::size_t i = 0; i < array.size(); ++i) {
@@ -303,7 +333,7 @@ std::string JsonValue::dump() const {
       std::string out = "{";
       for (std::size_t i = 0; i < object.size(); ++i) {
         if (i) out += ',';
-        out += '"' + escape(object[i].first) + "\":" + object[i].second.dump();
+        out += json_quote(object[i].first) + ':' + object[i].second.dump();
       }
       return out + '}';
     }

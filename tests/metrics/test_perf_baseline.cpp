@@ -7,6 +7,7 @@
 #include <string>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace gaia::metrics {
 namespace {
@@ -62,6 +63,55 @@ TEST(PerfBaseline, ParseRejectsMalformedInput) {
   // Truncated document.
   const std::string good = baseline_of({timing("a", 1.0)}).to_json();
   EXPECT_THROW(parse_baseline(good.substr(0, good.size() / 2)), Error);
+}
+
+TEST(PerfBaseline, EscapedStringsRoundTripAsJson) {
+  PerfBaseline b = baseline_of({timing("k\"q\\b\nn\tt", 2.5e-4)});
+  b.name = "smoke \"q\" \\ line\nbreak\ttab";
+  const std::string text = b.to_json();
+  EXPECT_NO_THROW((void)util::parse_json(text)) << text;
+  const PerfBaseline back = parse_baseline(text);
+  EXPECT_EQ(back.name, b.name);
+  ASSERT_EQ(back.kernels.size(), 1u);
+  EXPECT_EQ(back.kernels[0].kernel, b.kernels[0].kernel);
+  EXPECT_EQ(back.kernels[0].median_seconds, 2.5e-4);
+
+  // Escapes any JSON tool may write decode as JSON defines them.
+  EXPECT_EQ(parse_baseline(R"({"version":1,"name":"a\nb","kernels":[]})").name,
+            "a\nb");
+  EXPECT_EQ(
+      parse_baseline(R"({"version":1,"name":"\u00e9\/","kernels":[]})").name,
+      "\xc3\xa9/");
+}
+
+TEST(PerfBaseline, ParseKeepsEveryCheckUnderItsPrefix) {
+  for (const std::string& bad : {
+           std::string(R"({"name":"x","kernels":[]})"),
+           std::string(R"({"version":1,"kernels":[{"backend":"openmp"}]})"),
+           std::string(R"({"version":1,"kernels":[{"kernel":"a","x":1}]})"),
+           std::string(R"({"version":1,"kernels":[{"kernel":7}]})"),
+           std::string(R"({"version":1,"kernels":[]} trailing)"),
+           std::string(R"({"version":1,"name":3,"kernels":[]})"),
+       }) {
+    try {
+      (void)parse_baseline(bad);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("perf baseline: ", 0), 0u)
+          << e.what();
+    }
+  }
+}
+
+TEST(PerfBaseline, CommittedSmokeBaselineLoads) {
+  const PerfBaseline b = load_baseline(GAIA_SMOKE_BASELINE);
+  EXPECT_EQ(b.name, "smoke");
+  ASSERT_FALSE(b.kernels.empty());
+  const KernelTiming* step = b.find("aprod_step", "openmp", "privatized");
+  ASSERT_NE(step, nullptr);
+  EXPECT_GT(step->median_seconds, 0);
+  EXPECT_EQ(step->layout, "seed_aos");
+  EXPECT_EQ(step->precision, "fp64");
 }
 
 TEST(PerfGate, IdenticalRunsPass) {

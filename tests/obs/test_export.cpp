@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "obs/perf_counters.hpp"
 #include "obs/session.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace gaia::obs {
 namespace {
@@ -280,6 +283,80 @@ TEST_F(ExportTest, SnapshotJsonRoundTrip) {
   bumped.replace(bumped.find("\"version\":1"),
                  std::string("\"version\":1").size(), "\"version\":9");
   EXPECT_FALSE(parse_snapshot_json(bumped).has_value());
+}
+
+TEST_F(ExportTest, NonFiniteSnapshotIsJsonAndReadsBackAsNan) {
+  // A solve that goes non-finite must still seal a snapshot any JSON
+  // reader can load: the poisoned values are null, not nan/inf text.
+  std::vector<MetricRow> rows(2);
+  rows[0].name = "lsqr.arnorm";
+  rows[0].type = "gauge";
+  rows[0].count = 3;
+  rows[0].sum = std::nan("");
+  rows[0].last = std::nan("");
+  rows[1].name = "iteration_seconds";
+  rows[1].type = "histogram";
+  rows[1].count = 2;
+  rows[1].sum = std::numeric_limits<double>::infinity();
+  const std::string json = snapshot_json(rows, SnapshotMeta{});
+
+  util::JsonValue doc;
+  ASSERT_NO_THROW(doc = util::parse_json(json)) << json;
+  const auto& metrics = doc.find("metrics")->array;
+  ASSERT_EQ(metrics.size(), 2u);
+  EXPECT_TRUE(metrics[0].find("last")->is_null()) << json;
+  EXPECT_TRUE(metrics[1].find("sum")->is_null()) << json;
+
+  const auto parsed = parse_snapshot_json(json);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_TRUE(std::isnan((*parsed)[0].last));
+  EXPECT_TRUE(std::isnan((*parsed)[1].sum));
+  EXPECT_EQ((*parsed)[1].count, 2u);
+}
+
+TEST_F(ExportTest, SnapshotSpelledWithSeventeenDigitsStillLoads) {
+  // Snapshots sealed before the shortest round-trip rule wrote 17
+  // significant digits.
+  const std::string text =
+      R"({"version":1,"rank":-1,"ranks":3,"complete":true,"metrics":[)"
+      R"({"name":"lsqr.rnorm","type":"gauge","count":3,)"
+      R"("sum":0.30000000000000004,"min":0.10000000000000001,)"
+      R"("max":0.10000000000000001,"last":0.10000000000000001,)"
+      R"("p50":0,"p95":0,"p99":0}]})";
+  SnapshotMeta meta;
+  const auto rows = parse_snapshot_json(text, &meta);
+  ASSERT_TRUE(rows.has_value());
+  EXPECT_EQ(meta.ranks, 3);
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ((*rows)[0].last, 0.1);
+  EXPECT_EQ((*rows)[0].sum, 0.1 + 0.2);
+}
+
+TEST_F(ExportTest, SnapshotParserRejectsEverySchemaViolation) {
+  const std::string head =
+      R"({"version":1,"rank":0,"ranks":1,"complete":true,"metrics":[)";
+  const std::string good_row =
+      R"({"name":"x","type":"gauge","count":1,"sum":1,"min":1,"max":1,)"
+      R"("last":1,"p50":1,"p95":1,"p99":1})";
+  ASSERT_TRUE(parse_snapshot_json(head + good_row + "]}").has_value());
+  for (const std::string& bad : {
+           head + R"({"name":"x","type":"gauge","extra":1})]})",
+           head + R"({"type":"gauge"})]})",
+           head + R"({"name":"","type":"gauge"})]})",
+           head + R"({"name":"x","type":""})]})",
+           head + R"({"name":"x","type":"gauge","count":-1})]})",
+           head + R"({"name":"x","type":"gauge","count":null})]})",
+           head + R"({"name":"x","type":"gauge","sum":"1"})]})",
+           head + R"(7]})",
+           head + good_row + R"(],"extra":1})",
+           head + good_row + "]} trailing",
+           std::string(R"({"version":1,"rank":0})"),
+           std::string(R"({"rank":0,"metrics":[]})"),
+           std::string(R"({"version":1,"metrics":{}})"),
+           std::string(R"({"version":1,"complete":1,"metrics":[]})"),
+           std::string(R"([1])"),
+       })
+    EXPECT_FALSE(parse_snapshot_json(bad).has_value()) << bad;
 }
 
 TEST_F(ExportTest, SnapshotFileSealsAndRejectsCorruption) {

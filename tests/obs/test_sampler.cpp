@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "json_checker.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "util/json.hpp"
@@ -122,7 +121,7 @@ TEST_F(SamplerTest, StreamsJsonlSamplesAndRegistersActive) {
     ASSERT_FALSE(tail.empty());
     EXPECT_LE(tail.size(), 4u);
     for (const auto& line : tail)
-      EXPECT_TRUE(gaia::testing::JsonChecker(line).valid()) << line;
+      EXPECT_NO_THROW((void)util::parse_json(line)) << line;
   }
   EXPECT_EQ(TelemetrySampler::active(), nullptr);
 

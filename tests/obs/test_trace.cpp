@@ -10,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/json_checker.hpp"
+#include "util/json.hpp"
 
 namespace gaia::obs {
 namespace {
@@ -76,8 +76,7 @@ TEST_F(TraceTest, JsonDocumentIsWellFormed) {
   rec.instant("marker", "mark", 0);
   rec.counter("lsqr.rnorm", 10.0, 42.5);
   const std::string doc = rec.json();
-  gaia::testing::JsonChecker checker(doc);
-  EXPECT_TRUE(checker.valid()) << doc;
+  EXPECT_NO_THROW((void)util::parse_json(doc)) << doc;
   EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(doc.find("\"displayTimeUnit\""), std::string::npos);
 }
@@ -87,8 +86,16 @@ TEST_F(TraceTest, NonFiniteArgValuesStayValidJson) {
   rec.set_enabled(true);
   rec.complete("k", "kernel", 0, 1, 0,
                {{"nan", std::nan("")}, {"inf", 1e308 * 10}});
-  gaia::testing::JsonChecker checker(rec.json());
-  EXPECT_TRUE(checker.valid()) << rec.json();
+  const std::string doc = rec.json();
+  util::JsonValue parsed;
+  ASSERT_NO_THROW(parsed = util::parse_json(doc)) << doc;
+  // JSON cannot spell NaN or inf: both are written as null, not as 0.
+  const util::JsonValue* args = nullptr;
+  for (const util::JsonValue& e : parsed.find("traceEvents")->array)
+    if (e.find("args") != nullptr) args = e.find("args");
+  ASSERT_NE(args, nullptr) << doc;
+  EXPECT_TRUE(args->find("nan")->is_null()) << doc;
+  EXPECT_TRUE(args->find("inf")->is_null()) << doc;
 }
 
 TEST_F(TraceTest, SpansNestWithinTheirTrack) {
@@ -173,8 +180,7 @@ TEST_F(TraceTest, ConcurrentSpansAreAllRecorded) {
   for (const auto& e : rec.events())
     if (e.phase == 'X') ++spans;
   EXPECT_EQ(spans, kThreads * kSpans);
-  gaia::testing::JsonChecker checker(rec.json());
-  EXPECT_TRUE(checker.valid());
+  EXPECT_NO_THROW((void)util::parse_json(rec.json()));
 }
 
 TEST_F(TraceTest, CapacityCapDropsOldestAndCounts) {
@@ -229,8 +235,7 @@ TEST_F(TraceTest, RankIdentityBecomesPidAndHeader) {
   EXPECT_EQ(rec.rank(), 2);
   EXPECT_EQ(rec.n_ranks(), 4);
   const std::string doc = rec.json();
-  gaia::testing::JsonChecker checker(doc);
-  EXPECT_TRUE(checker.valid()) << doc;
+  EXPECT_NO_THROW((void)util::parse_json(doc)) << doc;
   EXPECT_NE(doc.find("\"rank\":2"), std::string::npos);
   EXPECT_NE(doc.find("\"ranks\":4"), std::string::npos);
   EXPECT_NE(doc.find("\"epoch_offset_us\":123.5"), std::string::npos);
