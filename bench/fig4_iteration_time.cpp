@@ -5,7 +5,6 @@
 #include <iostream>
 
 #include "model_drift_helper.hpp"
-#include "obs/session.hpp"
 #include "perfmodel/simulator.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -20,7 +19,6 @@ int main(int argc, char** argv) {
   try {
     if (!cli.parse(argc, argv)) return 0;
     const std::string csv_dir = cli.get("csv-dir");
-    obs::Session obs_session = obs::Session::from_env();
 
     PlatformSimulator sim;
     const double sizes[] = {10.0, 30.0, 60.0};

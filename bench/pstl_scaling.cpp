@@ -198,11 +198,8 @@ int main(int argc, char** argv) {
         {"scatter", pattern_scatter},
     };
 
-    std::cout << "pool workers: " << backends::ThreadPool::global().workers()
-              << " (+1 submitter), pinning "
-              << (backends::ThreadPool::pin_threads_requested() ? "on"
-                                                                : "off")
-              << '\n';
+    const unsigned pool_workers = backends::ThreadPool::global().workers();
+    std::cout << "pool workers: " << pool_workers << " (+1 submitter)\n";
     util::Table t({"pattern", "n", "openmp (us)", "pstl (us)",
                    "pstl-fixed (us)", "pstl/omp", "fixed/omp"});
     volatile double sink = 0;

@@ -9,14 +9,12 @@
 
 #include "matrix/generator.hpp"
 #include "model_drift_helper.hpp"
-#include "obs/session.hpp"
 #include "perfmodel/simulator.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace gaia;
   using namespace gaia::perfmodel;
-  obs::Session obs_session = obs::Session::from_env();
 
   // --- model decomposition --------------------------------------------
   // The paper compared on a 42 GB problem on Leonardo's 64 GB A100s; our

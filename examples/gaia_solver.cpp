@@ -10,24 +10,35 @@
 ///   $ ./gaia_solver --trace trace.json --metrics metrics.csv
 ///   $ ./gaia_solver --ranks 3 --trace-dir traces
 ///   $ gaia-critpath traces/trace.merged.json
-///   $ GAIA_TRACE=trace.json GAIA_METRICS=metrics.csv ./gaia_solver
 ///   $ ./gaia_solver --checkpoint-dir ckpt --checkpoint-every 20
-///   $ GAIA_FAULTS='kernel:p=0.01' ./gaia_solver --backend gpusim
+///   $ ./gaia_solver --faults 'kernel:p=0.01' --backend gpusim
+///
+/// Every setting comes from the command line and resolves once, before
+/// the solve: the run prints it as one `config:` line and seals the same
+/// key/value pairs as the fingerprint of any postmortem bundle it
+/// flushes. The environment sizes the shared pool (`GAIA_POOL_THREADS`)
+/// and nothing else.
 #include <algorithm>
 #include <iostream>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "backends/thread_pool.hpp"
 #include "core/lsqr_engine.hpp"
 #include "core/solver.hpp"
 #include "dist/dist_lsqr.hpp"
 #include "metrics/roofline.hpp"
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/session.hpp"
 #include "obs/trace.hpp"
 #include "perfmodel/gpu_spec.hpp"
 #include "resilience/fault_injector.hpp"
+#include "resilience/health_monitor.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/string_utils.hpp"
 #include "util/table.hpp"
@@ -73,6 +84,33 @@ void print_profile(std::ostream& os) {
         "products dominate)\n";
 }
 
+/// The resolved configuration: ordered key/value pairs, printed once
+/// and sealed as the postmortem fingerprint.
+using ConfigRecord = std::vector<std::pair<std::string, std::string>>;
+
+/// The launch shape per kernel, e.g. "aprod1_astro=32x256 ...".
+std::string tuning_string(const backends::TuningTable& tuning) {
+  std::string out;
+  for (backends::KernelId id : backends::all_kernels()) {
+    const backends::KernelConfig cfg = tuning.get(id);
+    if (!out.empty()) out += ' ';
+    out += backends::to_string(id) + '=' + std::to_string(cfg.blocks) + 'x' +
+           std::to_string(cfg.threads);
+  }
+  return out;
+}
+
+/// One `config:` line: `key=value` pairs, a value quoted as a JSON
+/// string when it holds a space, a quote or a backslash.
+std::string config_line(const ConfigRecord& record) {
+  std::string line = "config:";
+  for (const auto& [key, value] : record) {
+    const bool plain = value.find_first_of(" \"\\") == std::string::npos;
+    line += ' ' + key + '=' + (plain ? value : util::json_quote(value));
+  }
+  return line;
+}
+
 }  // namespace
 }  // namespace gaia
 
@@ -97,50 +135,41 @@ int main(int argc, char** argv) {
                "print the LSQR steps' layer record and the kernel launch "
                "times (the nsys/rocprof-style view of paper SV-A)");
   cli.add_option("trace", "",
-                 "write a Chrome/Perfetto kernel timeline here (also "
-                 "honored via GAIA_TRACE)");
+                 "write a Chrome/Perfetto kernel timeline here");
   cli.add_option("trace-dir", "",
                  "distributed tracing (with --ranks > 1): write one "
                  "trace.rank<N>.json per rank plus a clock-aligned "
                  "trace.merged.json into this directory; feed the merged "
                  "file to gaia-critpath for critical-path / comm-exposure "
                  "analysis");
-  cli.add_option("trace-capacity", "0",
+  cli.add_option("trace-capacity",
+                 std::to_string(obs::TraceRecorder::kDefaultCapacity),
                  "event cap per trace buffer; past it the oldest events "
-                 "are dropped (sliding window; 0 = default 1M; also "
-                 "honored via GAIA_TRACE_CAPACITY for --trace)");
+                 "are dropped (sliding window)");
   cli.add_option("metrics", "",
-                 "write transfer/atomic/convergence counters as CSV here "
-                 "(also honored via GAIA_METRICS)");
+                 "write transfer/atomic/convergence counters as CSV here");
   cli.add_option("metrics-openmetrics", "",
                  "write the per-kernel counters as an OpenMetrics text "
-                 "exposition here (also honored via "
-                 "GAIA_METRICS_OPENMETRICS)");
+                 "exposition here");
   cli.add_option("metrics-snapshot", "",
                  "write a CRC-sealed JSON metrics snapshot here, "
-                 "refreshed on every checkpoint (also honored via "
-                 "GAIA_METRICS_SNAPSHOT)");
+                 "refreshed on every checkpoint");
   cli.add_option("telemetry-file", "",
                  "stream live JSONL telemetry samples (solver progress, "
-                 "ETA, headline metrics) here; also honored via "
-                 "GAIA_TELEMETRY");
-  cli.add_flag("progress",
-               "live single-line progress/ETA display on stderr "
-               "(also honored via GAIA_PROGRESS=1)");
+                 "ETA, headline metrics) here");
+  cli.add_flag("progress", "live single-line progress/ETA display on stderr");
   cli.add_option("metrics-every-s", "0",
                  "re-seal the --metrics-snapshot file every N seconds "
-                 "while solving (0 = off; also honored via "
-                 "GAIA_METRICS_EVERY_S)");
+                 "while solving (0 = off)");
   cli.add_option("postmortem-dir", "",
                  "arm the flight recorder: any failure escaping the "
                  "solver seals a postmortem bundle into this directory "
-                 "(read it with gaia-postmortem; also honored via "
-                 "GAIA_POSTMORTEM)");
+                 "(read it with gaia-postmortem)");
   cli.add_option("faults", "",
                  "deterministic fault-injection spec, e.g. "
                  "'kernel:p=0.01;h2d:p=0.005;rank:iter=200,rank=1;"
                  "ckpt:truncate'; a 'seed=N' clause picks the decision "
-                 "stream (also honored via GAIA_FAULTS)");
+                 "stream");
   cli.add_option("checkpoint-every", "0",
                  "seal a checkpoint every N iterations (0 = off)");
   cli.add_option("checkpoint-dir", "",
@@ -153,33 +182,33 @@ int main(int argc, char** argv) {
                  "silent-data-corruption defense: off (default) | detect "
                  "(stop with a diagnosis on an invariant trip) | repair "
                  "(roll back to a validated snapshot and replay, bounded "
-                 "by the repair budget); also honored via GAIA_HEALTH");
-  cli.add_option("health-every", "0",
+                 "by the repair budget)");
+  cli.add_option("health-every",
+                 std::to_string(resilience::HealthConfig{}.check_every),
                  "deep-check cadence in iterations (segment checksums, "
-                 "true-residual recompute, cross-rank state hash); 0 = "
-                 "default 25; also honored via GAIA_HEALTH_EVERY");
+                 "true-residual recompute, cross-rank state hash)");
   try {
     if (!cli.parse(argc, argv)) return 0;
 
-    // Arms tracing/metrics when requested; flushed at scope exit.
-    obs::SessionExtras extras;
-    extras.telemetry_path = cli.get("telemetry-file");
-    extras.progress_stderr = cli.get_flag("progress");
-    extras.metrics_every_s = cli.get_double("metrics-every-s");
-    extras.postmortem_dir = cli.get("postmortem-dir");
-    obs::Session obs_session = obs::Session::from_env(
-        cli.get("trace"), cli.get("metrics"), cli.get("metrics-openmetrics"),
-        cli.get("metrics-snapshot"), extras);
-    const auto trace_capacity =
-        static_cast<std::size_t>(cli.get_int("trace-capacity"));
-    if (trace_capacity > 0)
-      obs::TraceRecorder::global().set_capacity(trace_capacity);
-
-    // Arm deterministic fault injection (flag wins over GAIA_FAULTS).
-    resilience::FaultInjector::global().configure_from_env(cli.get("faults"));
-
+    // Every setting resolves here, once, into the configs the library
+    // takes. Nothing below reads an option again.
     const auto backend = backends::parse_backend(cli.get("backend"));
     GAIA_CHECK(backend.has_value(), "unknown backend: " + cli.get("backend"));
+    const std::string health_name =
+        cli.get("health").empty() ? "off" : cli.get("health");
+    const auto health = resilience::parse_health_mode(health_name);
+    GAIA_CHECK(health.has_value(), "unknown health mode '" + health_name +
+                                       "' (expected off|detect|repair)");
+    const long long health_every = cli.get_int("health-every");
+    GAIA_CHECK(health_every > 0, "--health-every must be positive");
+    const long long trace_capacity = cli.get_int("trace-capacity");
+    GAIA_CHECK(trace_capacity > 0, "--trace-capacity must be positive");
+    const std::string fault_spec = cli.get("faults");
+    const resilience::FaultSpec faults =
+        resilience::parse_fault_spec(fault_spec);
+    const int ranks = std::max(1, static_cast<int>(cli.get_int("ranks")));
+    const bool profile = cli.get_flag("profile");
+    const unsigned pool_workers = backends::ThreadPool::global().workers();
 
     core::SolverRunConfig config;
     config.footprint_bytes = cli.get_size("size");
@@ -190,16 +219,16 @@ int main(int argc, char** argv) {
       config.lsqr.aprod.tuning = backends::TuningTable::untuned(
           backends::parse_kernel_config(cli.get("shape")));
     config.lsqr.max_iterations = cli.get_int("iterations");
+    config.lsqr.health.mode = *health;
+    config.lsqr.health.check_every = health_every;
     config.checkpoint.directory = cli.get("checkpoint-dir");
     config.checkpoint.every = cli.get_int("checkpoint-every");
     config.checkpoint.keep_last =
         static_cast<int>(cli.get_int("checkpoint-keep"));
     if (config.checkpoint.every > 0 && config.checkpoint.directory.empty())
       config.checkpoint.directory = "gaia-checkpoints";
-    config.lsqr.health = resilience::health_config_from_env(
-        cli.get("health"), cli.get_int("health-every"));
-
-    if (cli.get_flag("validate")) {
+    const bool validate = cli.get_flag("validate");
+    if (validate) {
       auto gen_cfg =
           matrix::config_for_footprint(config.footprint_bytes, config.seed);
       gen_cfg.rhs_mode = matrix::RhsMode::kFromGroundTruth;
@@ -207,15 +236,77 @@ int main(int argc, char** argv) {
       config.generator = gen_cfg;
     }
 
+    dist::DistLsqrOptions dopts;
+    dopts.n_ranks = ranks;
+    dopts.lsqr = config.lsqr;
+    dopts.checkpoint = config.checkpoint;
+    dopts.max_restarts = static_cast<int>(cli.get_int("max-restarts"));
+    dopts.trace_dir = cli.get("trace-dir");
+    dopts.trace_capacity = static_cast<std::size_t>(trace_capacity);
+
+    obs::SessionExtras extras;
+    extras.telemetry_path = cli.get("telemetry-file");
+    extras.progress_stderr = cli.get_flag("progress");
+    extras.metrics_every_s = cli.get_double("metrics-every-s");
+    extras.postmortem_dir = cli.get("postmortem-dir");
+    const std::string trace_path = cli.get("trace");
+    const std::string metrics_path = cli.get("metrics");
+    const std::string openmetrics_path = cli.get("metrics-openmetrics");
+    const std::string snapshot_path = cli.get("metrics-snapshot");
+
+    const auto or_off = [](const std::string& v) {
+      return v.empty() ? std::string("off") : v;
+    };
+    ConfigRecord record = {
+        {"backend", backends::to_string(*backend)},
+        {"ranks", std::to_string(ranks)},
+        {"size", std::to_string(config.footprint_bytes)},
+        {"seed", std::to_string(config.seed)},
+        {"iterations", std::to_string(config.lsqr.max_iterations)},
+        {"validate", validate ? "on" : "off"},
+        {"tuning", tuning_string(config.lsqr.aprod.tuning)},
+        {"health", resilience::to_string(*health)},
+        {"health_every", std::to_string(health_every)},
+        {"checkpoint_every", std::to_string(config.checkpoint.every)},
+        {"checkpoint_dir", or_off(config.checkpoint.directory)},
+        {"checkpoint_keep", std::to_string(config.checkpoint.keep_last)},
+        {"max_restarts", std::to_string(dopts.max_restarts)},
+        {"faults", or_off(fault_spec)},
+        {"pool_workers", std::to_string(pool_workers)},
+        {"trace_capacity", std::to_string(trace_capacity)},
+    };
+    // The armed outputs only (per-rank traces exist only with ranks).
+    const std::pair<const char*, std::string> outputs[] = {
+        {"trace", trace_path},
+        {"trace_dir", ranks > 1 ? dopts.trace_dir : ""},
+        {"metrics", metrics_path},
+        {"metrics_openmetrics", openmetrics_path},
+        {"metrics_snapshot", snapshot_path},
+        {"telemetry_file", extras.telemetry_path},
+        {"progress", extras.progress_stderr ? "on" : ""},
+        {"metrics_every_s", extras.metrics_every_s > 0
+                                ? util::json_number(extras.metrics_every_s)
+                                : ""},
+        {"postmortem_dir", extras.postmortem_dir},
+        {"profile", profile ? "on" : ""},
+    };
+    for (const auto& [key, value] : outputs)
+      if (!value.empty()) record.emplace_back(key, value);
+
+    // Arms tracing/metrics when requested; flushed at scope exit.
+    obs::Session obs_session(trace_path, metrics_path, openmetrics_path,
+                             snapshot_path, extras);
+    obs::TraceRecorder::global().set_capacity(dopts.trace_capacity);
+    resilience::FaultInjector::global().configure(faults);
+    // After the session, whose constructor clears the fingerprint; the
+    // solver adds the system's dimensions.
+    for (const auto& [key, value] : record)
+      obs::set_postmortem_context(key, value);
     // The profile is the registry's layer record: arm it, file or not.
-    if (cli.get_flag("profile"))
-      obs::MetricsRegistry::global().set_enabled(true);
+    if (profile) obs::MetricsRegistry::global().set_enabled(true);
+    std::cout << config_line(record) << '\n';
 
-    const int ranks = static_cast<int>(cli.get_int("ranks"));
-    std::cout << "backend: " << backends::to_string(*backend)
-              << ", ranks: " << ranks << "\n";
-
-    if (ranks <= 1) {
+    if (ranks == 1) {
       const core::SolverRunReport report = core::run_solver(config);
       std::cout << report.summary();
       std::cout << "        median iteration time "
@@ -231,13 +322,6 @@ int main(int argc, char** argv) {
       auto gen_cfg = config.generator.value_or(
           matrix::config_for_footprint(config.footprint_bytes, config.seed));
       matrix::GeneratedSystem gen = matrix::generate_system(gen_cfg);
-      dist::DistLsqrOptions dopts;
-      dopts.n_ranks = ranks;
-      dopts.lsqr = config.lsqr;
-      dopts.checkpoint = config.checkpoint;
-      dopts.max_restarts = static_cast<int>(cli.get_int("max-restarts"));
-      dopts.trace_dir = cli.get("trace-dir");
-      dopts.trace_capacity = trace_capacity;
       const dist::DistLsqrResult result = dist::dist_lsqr_solve(gen.A, dopts);
       std::cout << "dist solve: " << result.iterations
                 << " iterations on " << result.final_ranks << " ranks\n"
@@ -303,7 +387,7 @@ int main(int argc, char** argv) {
                     << " event(s) dropped by the capacity cap\n";
       }
     }
-    if (cli.get_flag("profile")) print_profile(std::cout);
+    if (profile) print_profile(std::cout);
     if (obs_session.tracing())
       std::cout << "trace timeline: " << obs_session.trace_path()
                 << " (open in chrome://tracing or ui.perfetto.dev)\n";

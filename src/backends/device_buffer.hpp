@@ -225,12 +225,10 @@ class DeviceBuffer {
 
   void transfer_h2d(std::span<const T> host) {
     obs::ScopedTrace span("h2d", "transfer");
-    if (span.armed() && ctx_) {
-      span.add_arg({"bytes", static_cast<std::uint64_t>(host.size_bytes())});
-      span.add_arg({"device", ctx_->name()});
-    }
     first_touch_copy(data_.data(), host.data(), host.size_bytes());
     if (ctx_) {
+      span.add_arg("bytes", static_cast<std::uint64_t>(host.size_bytes()));
+      span.add_arg("device", ctx_->name());
       ctx_->on_h2d(host.size_bytes());
       // Same increment point and amount as the device accounting, so
       // the metrics CSV totals match DeviceContext::h2d_bytes exactly.
@@ -240,12 +238,10 @@ class DeviceBuffer {
 
   void transfer_d2h(std::span<T> host) const {
     obs::ScopedTrace span("d2h", "transfer");
-    if (span.armed() && ctx_) {
-      span.add_arg({"bytes", static_cast<std::uint64_t>(host.size_bytes())});
-      span.add_arg({"device", ctx_->name()});
-    }
     std::memcpy(host.data(), data_.data(), host.size_bytes());
     if (ctx_) {
+      span.add_arg("bytes", static_cast<std::uint64_t>(host.size_bytes()));
+      span.add_arg("device", ctx_->name());
       ctx_->on_d2h(host.size_bytes());
       obs::count_d2h(host.size_bytes());
     }

@@ -1,59 +1,35 @@
 #include "backends/thread_pool.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
+#include <string_view>
 
 #include "util/error.hpp"
 
 namespace gaia::backends {
 
-namespace {
-
-/// Pins the calling thread to one CPU. Slot 0 is left to the submitting
-/// thread (worker i takes CPU i+1 mod ncpu), so the main thread and the
-/// first worker do not fight over a core. Best-effort: a failed
-/// affinity call (cgroup-restricted CPU set, exotic platform) is simply
-/// ignored — pinning is an optimization, never a correctness need.
-void pin_current_thread(unsigned worker_index) {
-#ifdef __linux__
-  const unsigned ncpu = std::thread::hardware_concurrency();
-  if (ncpu == 0) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET((worker_index + 1) % ncpu, &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)worker_index;
-#endif
-}
-
-}  // namespace
-
-bool ThreadPool::pin_threads_requested() {
-  static const bool requested = [] {
-    const char* env = std::getenv("GAIA_PIN_THREADS");
-    if (!env) return false;
-    const std::string v(env);
-    return v == "1" || v == "on" || v == "true";
-  }();
-  return requested;
+unsigned pool_threads(const char* value) {
+  if (value == nullptr) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return std::max(3u, hw > 0 ? hw - 1 : 3u);
+  }
+  const std::string_view text(value);
+  unsigned workers = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), workers);
+  if (ec != std::errc{} || end != text.data() + text.size() || workers > 1024)
+    throw Error("invalid " + std::string(kPoolThreadsEnv) + " value '" +
+                std::string(text) + "' (expected an integer in [0, 1024])");
+  return workers;
 }
 
 ThreadPool::ThreadPool(unsigned n_workers) {
-  const bool pin = pin_threads_requested();
   threads_.reserve(n_workers);
   for (unsigned i = 0; i < n_workers; ++i)
-    threads_.emplace_back([this, i, pin] {
-      if (pin) pin_current_thread(i);
-      worker_loop();
-    });
+    threads_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -126,14 +102,7 @@ void ThreadPool::worker_loop() {
 }
 
 ThreadPool& ThreadPool::global() {
-  static ThreadPool pool([] {
-    if (const char* env = std::getenv("GAIA_POOL_THREADS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v >= 0 && v <= 1024) return static_cast<unsigned>(v);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return std::max(3u, hw > 0 ? hw - 1 : 3u);
-  }());
+  static ThreadPool pool(pool_threads(std::getenv(kPoolThreadsEnv)));
   return pool;
 }
 

@@ -25,6 +25,18 @@
 
 namespace gaia::backends {
 
+/// The one environment variable the library reads: the worker count of
+/// the process-wide pool.
+inline constexpr const char* kPoolThreadsEnv = "GAIA_POOL_THREADS";
+
+/// Worker count for a `GAIA_POOL_THREADS` value: an integer in
+/// [0, 1024], where 0 runs every job on its submitting thread. Unset
+/// (nullptr) gives max(3, hardware_concurrency - 1), so concurrency is
+/// exercised even on small CI machines. Anything else — empty, trailing
+/// characters, out of range — throws gaia::Error naming the variable
+/// and the value.
+[[nodiscard]] unsigned pool_threads(const char* value);
+
 class ThreadPool {
  public:
   /// Range chunk callback: body(begin, end).
@@ -47,18 +59,9 @@ class ThreadPool {
   /// running chunks.
   void parallel_for(std::int64_t n, std::int64_t grain, RangeBody body);
 
-  /// Process-wide pool. Size from GAIA_POOL_THREADS (default:
-  /// max(3, hardware_concurrency - 1) so concurrency is exercised even on
-  /// small CI machines). Workers pin to distinct CPUs when
-  /// GAIA_PIN_THREADS=1 (see `pin_threads_requested`).
+  /// Process-wide pool, sized on first use by `pool_threads` of the
+  /// `GAIA_POOL_THREADS` value.
   static ThreadPool& global();
-
-  /// True when GAIA_PIN_THREADS asks for worker affinity (1/on/true).
-  /// Pinning fixes the first-touch NUMA story: a worker that faults a
-  /// page in stays on the socket that owns it, so the page's bandwidth
-  /// is local for the rest of the run. Off by default — on a laptop or
-  /// an oversubscribed CI box pinning hurts more than it helps.
-  [[nodiscard]] static bool pin_threads_requested();
 
  private:
   struct Job {
@@ -105,8 +108,8 @@ class ThreadPool {
 
 /// First-touch initialization: zero-fills `bytes` at `p` in page-sized
 /// chunks *in parallel over the global pool*, so under Linux's default
-/// first-touch NUMA policy each page lands on the node of the worker
-/// that will (with pinning and the same chunking) stream it later.
+/// first-touch NUMA policy the pages spread over the nodes of the
+/// workers that stream them later.
 /// Serial zero-fill — what `std::vector`'s allocator does — places every
 /// page on the allocating thread's node and remote-access penalties
 /// follow. Safe on any freshly allocated region; do not call on live

@@ -21,19 +21,15 @@ namespace {
 
 /// Span annotations of one launch: backend, launch shape (resolved to
 /// the actual grid for the gpusim backend) and bytes the pass moves.
-std::vector<obs::TraceArg> pass_trace_args(BackendKind backend,
-                                           backends::KernelConfig cfg,
-                                           const SystemView& view,
-                                           const tuning::AprodPass& pass) {
+void add_pass_trace_args(obs::ScopedTrace& span, BackendKind backend,
+                         backends::KernelConfig cfg, const SystemView& view,
+                         const tuning::AprodPass& pass) {
   if (backend == BackendKind::kGpuSim)
     cfg = backends::GpuSimExec::resolve(cfg);
-  std::vector<obs::TraceArg> args;
-  args.reserve(4);
-  args.emplace_back("backend", backends::to_string(backend));
-  args.emplace_back("blocks", static_cast<std::int64_t>(cfg.blocks));
-  args.emplace_back("threads", static_cast<std::int64_t>(cfg.threads));
-  args.emplace_back("bytes", pass_traffic_bytes(view, pass));
-  return args;
+  span.add_arg("backend", backends::to_string(backend));
+  span.add_arg("blocks", static_cast<std::int64_t>(cfg.blocks));
+  span.add_arg("threads", static_cast<std::int64_t>(cfg.threads));
+  span.add_arg("bytes", pass_traffic_bytes(view, pass));
 }
 
 /// Derived performance counters for one completed launch: the pass-level
@@ -146,9 +142,7 @@ void Aprod::launch_pass(const tuning::AprodPass& pass,
         const bool metered = obs::MetricsRegistry::global().enabled();
         obs::ScopedTrace span(name, "kernel", obs::TraceRecorder::kMainTrack,
                               metered);
-        if (span.armed())
-          for (auto& a : pass_trace_args(backend, cfg, view_, pass))
-            span.add_arg(std::move(a));
+        add_pass_trace_args(span, backend, cfg, view_, pass);
         if (injector.armed() &&
             injector.should_fail_kernel(name, backends::to_string(backend)))
           throw resilience::TransientFault(

@@ -47,7 +47,7 @@ struct AprodOptions {
   bool use_streams = true;
   backends::CoherenceMode coherence = backends::CoherenceMode::kCoarseGrain;
   /// Retry budget for transient kernel-launch faults (injected via
-  /// GAIA_FAULTS or real): bounded exponential backoff per launch.
+  /// --faults or real): bounded exponential backoff per launch.
   util::BackoffPolicy retry{};
   /// When a launch fault survives the retry budget, step down the
   /// degradation chain (gpusim -> openmp -> serial) for the remainder

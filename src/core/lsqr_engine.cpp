@@ -607,8 +607,8 @@ struct LsqrEngine::Impl {
   /// args for the timeline, counter tracks for Perfetto's counter view,
   /// and registry metrics for the CSV export.
   void record_iteration_telemetry(obs::ScopedTrace& span, double seconds) {
-    span.add_arg({"rnorm", static_cast<double>(rnorm)});
-    span.add_arg({"arnorm", static_cast<double>(arnorm)});
+    span.add_arg("rnorm", static_cast<double>(rnorm));
+    span.add_arg("arnorm", static_cast<double>(arnorm));
     auto& rec = obs::TraceRecorder::current();
     if (rec.enabled()) {
       const double now = rec.now_us();
@@ -645,7 +645,7 @@ struct LsqrEngine::Impl {
     util::Stopwatch watch;
     ++itn;
     obs::ScopedTrace iter_span("lsqr.iteration", "lsqr");
-    iter_span.add_arg({"itn", static_cast<std::int64_t>(itn)});
+    iter_span.add_arg("itn", static_cast<std::int64_t>(itn));
 
     auto u = d_u.span();
     auto v = d_v.span();

@@ -121,33 +121,16 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
   report.n_constraints = generated.A.n_constraints();
   report.system_bytes = generated.A.footprint_bytes();
 
-  // Config fingerprint for any postmortem bundle this run flushes.
-  obs::set_postmortem_context("backend",
-                              backends::to_string(config.lsqr.aprod.backend));
-  obs::set_postmortem_context("seed", std::to_string(config.seed));
+  // The system this run solves joins the caller's config fingerprint in
+  // any postmortem bundle the run flushes.
   obs::set_postmortem_context("n_obs", std::to_string(report.n_obs));
   obs::set_postmortem_context("n_unknowns",
                               std::to_string(report.layout.n_unknowns()));
-  obs::set_postmortem_context(
-      "max_iterations", std::to_string(config.lsqr.max_iterations));
   obs::flight_event("state", "solver.generated",
                     std::to_string(report.n_obs) + " obs, " +
                         std::to_string(report.layout.n_unknowns()) +
                         " unknowns");
   report.tuning_used = config.lsqr.aprod.tuning;
-  {
-    // Tuning fingerprint: the resolved shape per kernel — the first
-    // question a postmortem asks.
-    std::ostringstream fp;
-    bool first = true;
-    for (backends::KernelId id : backends::all_kernels()) {
-      const backends::KernelConfig cfg = config.lsqr.aprod.tuning.get(id);
-      if (!first) fp << ' ';
-      first = false;
-      fp << backends::to_string(id) << '=' << cfg.blocks << 'x' << cfg.threads;
-    }
-    obs::set_postmortem_context("tuning", fp.str());
-  }
 
   board.set_phase(prank, "solve");
   watch.reset();

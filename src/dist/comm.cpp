@@ -121,8 +121,8 @@ CommStats Comm::timed_collective(
   // CommStats are always on, so the span is always timed: its one clock
   // pair is the span, the stats and the comm.* histograms alike.
   obs::ScopedTrace span(name, "comm", rank_track(rank_), /*timed=*/true);
-  span.add_arg({"rank", static_cast<std::int64_t>(rank_)});
-  span.add_arg({"bytes", bytes});
+  span.add_arg("rank", static_cast<std::int64_t>(rank_));
+  span.add_arg("bytes", bytes);
   const auto released = body();
   const double total_s = span.stop();
   const double wait_s =
@@ -132,7 +132,7 @@ CommStats Comm::timed_collective(
   stats_.bytes += bytes;
   stats_.seconds += total_s;
   stats_.wait_seconds += wait_s;
-  span.add_arg({"wait_us", wait_s * 1e6});
+  span.add_arg("wait_us", wait_s * 1e6);
 
   if (span.armed()) {
     // The wait/exchange split as nested child spans: wait ends when the

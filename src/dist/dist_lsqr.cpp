@@ -221,6 +221,11 @@ DistLsqrResult dist_lsqr_solve(const matrix::SystemMatrix& A,
                                const DistLsqrOptions& options) {
   GAIA_CHECK(options.lsqr.max_iterations > 0, "need positive iterations");
   GAIA_CHECK(options.max_restarts >= 0, "max_restarts must be >= 0");
+  // The system joins the caller's config fingerprint in every bundle
+  // this solve seals (the same two keys run_solver records).
+  obs::set_postmortem_context("n_obs", std::to_string(A.n_obs()));
+  obs::set_postmortem_context("n_unknowns",
+                              std::to_string(A.layout().n_unknowns()));
   // Global column norms, once: every rank's engine scales its own device
   // copy of its slice by them.
   const std::vector<real> col_scale = options.lsqr.precondition

@@ -1,10 +1,12 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -33,7 +35,11 @@ std::string sanitize(const std::string& name) {
   return out;
 }
 
+/// A sample value as the OpenMetrics grammar spells it: `NaN`, `+Inf`
+/// and `-Inf` when non-finite, 17 significant digits otherwise.
 std::string fmt(double v) {
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
   std::ostringstream os;
   os.precision(17);
   os << v;
@@ -229,9 +235,23 @@ std::optional<std::vector<OpenMetricsSample>> parse_openmetrics(
     }
     while (pos < line.size() && line[pos] == ' ') ++pos;
     if (pos >= line.size()) return std::nullopt;
-    char* parse_end = nullptr;
-    sample.value = std::strtod(line.c_str() + pos, &parse_end);
-    if (parse_end == line.c_str() + pos) return std::nullopt;
+    // The value token: a finite number read whole, or one of the
+    // grammar's three non-finite spellings (strtod's `nan`, `-nan` and
+    // `inf` are not among them).
+    const std::size_t value_end = std::min(line.find(' ', pos), line.size());
+    const std::string token = line.substr(pos, value_end - pos);
+    if (token == "NaN") {
+      sample.value = std::numeric_limits<double>::quiet_NaN();
+    } else if (token == "+Inf" || token == "-Inf") {
+      sample.value = token[0] == '+' ? std::numeric_limits<double>::infinity()
+                                     : -std::numeric_limits<double>::infinity();
+    } else {
+      char* parse_end = nullptr;
+      sample.value = std::strtod(token.c_str(), &parse_end);
+      if (token.empty() || parse_end != token.c_str() + token.size() ||
+          !std::isfinite(sample.value))
+        return std::nullopt;
+    }
     out.push_back(std::move(sample));
   }
   if (!saw_eof) return std::nullopt;

@@ -21,7 +21,7 @@
 ///  * `gaia-chaos` — flushes one bundle per campaign so every injected
 ///    failure mode leaves a diagnosable artifact.
 ///
-/// Arming is explicit (`--postmortem-dir` / `GAIA_POSTMORTEM`); while
+/// Arming is explicit (`--postmortem-dir`); while
 /// disarmed the flush is a no-op and the ring still serves tests.
 /// `tools/gaia-postmortem` loads a bundle and prints timeline +
 /// diagnosis under the shared 0/1/2 exit contract.

@@ -11,11 +11,10 @@
 ///    per update, the same contract as MetricsRegistry.
 ///  * `TelemetrySampler` — a background thread that every N ms snapshots
 ///    the board plus the MetricsRegistry into a bounded ring and streams
-///    each sample as one JSONL object (`--telemetry-file` /
-///    `GAIA_TELEMETRY`). The ring tail survives into postmortem bundles
-///    (obs/flight_recorder), and the same cadence machinery drives the
-///    periodic snapshot re-seal (`--metrics-every-s` /
-///    `GAIA_METRICS_EVERY_S`) and the live stderr progress/ETA line.
+///    each sample as one JSONL object (`--telemetry-file`). The ring
+///    tail survives into postmortem bundles (obs/flight_recorder), and
+///    the same cadence machinery drives the periodic snapshot re-seal
+///    (`--metrics-every-s`) and the live stderr progress/ETA line.
 ///
 /// One JSONL sample:
 ///   {"t_s":1.25,"sample":5,"progress":[{"rank":-1,"phase":"solve",

@@ -1,6 +1,5 @@
 #include "obs/session.hpp"
 
-#include <cstdlib>
 #include <exception>
 #include <iostream>
 #include <utility>
@@ -10,7 +9,6 @@
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
-#include "util/error.hpp"
 
 namespace gaia::obs {
 
@@ -21,21 +19,12 @@ Session::Session(std::string trace_path, std::string metrics_path,
       metrics_path_(std::move(metrics_path)),
       openmetrics_path_(std::move(openmetrics_path)),
       snapshot_path_(std::move(snapshot_path)),
-      extras_(std::move(extras)),
-      armed_(true) {
+      extras_(std::move(extras)) {
   // Unconditional, like the registry reset below: a fresh session must
   // restart the trace time base even when tracing stays off — otherwise
   // a later session that *does* trace inherits events and a clock epoch
   // from before this one.
   TraceRecorder::global().reset();
-  if (const char* cap = std::getenv(kTraceCapacityEnv); cap && *cap) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(cap, &end, 10);
-    if (end == cap || *end != '\0' || v == 0)
-      throw Error("invalid " + std::string(kTraceCapacityEnv) + " value '" +
-                  std::string(cap) + "' (expected a positive event count)");
-    TraceRecorder::global().set_capacity(static_cast<std::size_t>(v));
-  }
   if (tracing()) TraceRecorder::global().set_enabled(true);
   // Unconditional: a fresh session never inherits metric values from a
   // previous run in this process, even when no output is armed yet.
@@ -68,64 +57,7 @@ Session::Session(std::string trace_path, std::string metrics_path,
   }
 }
 
-namespace {
-
-/// Strictly-positive numeric env value; throws naming the variable on
-/// garbage (the kTraceCapacityEnv discipline).
-double positive_env_number(const char* var) {
-  const char* v = std::getenv(var);
-  if (!v || !*v) return 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0' || !(parsed > 0))
-    throw Error("invalid " + std::string(var) + " value '" + std::string(v) +
-                "' (expected a positive number)");
-  return parsed;
-}
-
-}  // namespace
-
-Session Session::from_env(std::string trace_override,
-                          std::string metrics_override,
-                          std::string openmetrics_override,
-                          std::string snapshot_override,
-                          SessionExtras extras_override) {
-  auto env_or = [](const char* var, std::string explicit_path) {
-    if (!explicit_path.empty()) return explicit_path;
-    const char* v = std::getenv(var);
-    return std::string(v ? v : "");
-  };
-  SessionExtras extras = std::move(extras_override);
-  extras.telemetry_path =
-      env_or(kTelemetryEnv, std::move(extras.telemetry_path));
-  if (!extras.progress_stderr) {
-    const char* v = std::getenv(kProgressEnv);
-    extras.progress_stderr = v && *v && std::string(v) != "0";
-  }
-  if (extras.metrics_every_s <= 0)
-    extras.metrics_every_s = positive_env_number(kMetricsEverySEnv);
-  extras.postmortem_dir =
-      env_or(kPostmortemEnv, std::move(extras.postmortem_dir));
-  return Session(env_or(kTraceEnv, std::move(trace_override)),
-                 env_or(kMetricsEnv, std::move(metrics_override)),
-                 env_or(kOpenMetricsEnv, std::move(openmetrics_override)),
-                 env_or(kSnapshotEnv, std::move(snapshot_override)),
-                 std::move(extras));
-}
-
-Session::Session(Session&& other) noexcept
-    : trace_path_(std::move(other.trace_path_)),
-      metrics_path_(std::move(other.metrics_path_)),
-      openmetrics_path_(std::move(other.openmetrics_path_)),
-      snapshot_path_(std::move(other.snapshot_path_)),
-      extras_(std::move(other.extras_)),
-      sampler_(std::move(other.sampler_)),
-      armed_(other.armed_) {
-  other.armed_ = false;
-}
-
 void Session::flush() {
-  if (!armed_) return;
   try {
     if (tracing()) TraceRecorder::global().write(trace_path_);
     auto& reg = MetricsRegistry::global();
@@ -138,7 +70,6 @@ void Session::flush() {
 }
 
 Session::~Session() {
-  if (!armed_) return;
   // Stop the sampler first: its final tick must still see an enabled
   // registry, and the outputs below should include its last seal.
   sampler_.reset();
@@ -147,7 +78,6 @@ Session::~Session() {
   if (metrics()) MetricsRegistry::global().set_enabled(false);
   set_global_snapshot_path("");
   set_postmortem_dir("");
-  armed_ = false;
 }
 
 }  // namespace gaia::obs

@@ -4,15 +4,14 @@
 /// The paper's measurement flow is "run the solver under nsys, open the
 /// timeline". Ours is:
 ///
-///   $ GAIA_TRACE=trace.json GAIA_METRICS=metrics.csv ./gaia_solver ...
+///   $ ./gaia_solver --trace trace.json --metrics metrics.csv ...
 ///
-/// A `Session` placed at the top of main() reads the environment (or
-/// explicit CLI-provided paths), arms the global recorder/registry, and
-/// writes the output files when it goes out of scope. Three metric
-/// outputs exist: the CSV (`GAIA_METRICS`), an OpenMetrics exposition
-/// (`--metrics-openmetrics` / `GAIA_METRICS_OPENMETRICS`), and a
-/// CRC-sealed JSON snapshot (`--metrics-snapshot` /
-/// `GAIA_METRICS_SNAPSHOT`) that is also re-sealed on every checkpoint
+/// A `Session` placed at the top of main() takes the output paths the
+/// binary's command line resolved, arms the global recorder/registry,
+/// and writes the output files when it goes out of scope. Three metric
+/// outputs exist: the CSV (`--metrics`), an OpenMetrics exposition
+/// (`--metrics-openmetrics`), and a CRC-sealed JSON snapshot
+/// (`--metrics-snapshot`) that is also re-sealed on every checkpoint
 /// via the global snapshot sink.
 #pragma once
 
@@ -22,17 +21,6 @@
 namespace gaia::obs {
 
 class TelemetrySampler;
-
-/// Environment variables honored by `Session::from_env()`.
-inline constexpr const char* kTraceEnv = "GAIA_TRACE";
-inline constexpr const char* kTraceCapacityEnv = "GAIA_TRACE_CAPACITY";
-inline constexpr const char* kMetricsEnv = "GAIA_METRICS";
-inline constexpr const char* kOpenMetricsEnv = "GAIA_METRICS_OPENMETRICS";
-inline constexpr const char* kSnapshotEnv = "GAIA_METRICS_SNAPSHOT";
-inline constexpr const char* kTelemetryEnv = "GAIA_TELEMETRY";
-inline constexpr const char* kProgressEnv = "GAIA_PROGRESS";
-inline constexpr const char* kMetricsEverySEnv = "GAIA_METRICS_EVERY_S";
-inline constexpr const char* kPostmortemEnv = "GAIA_POSTMORTEM";
 
 /// The continuous-telemetry half of a session (PR 10): live JSONL
 /// sampling, the stderr progress line, periodic snapshot re-sealing and
@@ -57,17 +45,6 @@ class Session {
   Session(std::string trace_path, std::string metrics_path,
           std::string openmetrics_path = "", std::string snapshot_path = "",
           SessionExtras extras = {});
-
-  /// Paths from GAIA_TRACE / GAIA_METRICS / GAIA_METRICS_OPENMETRICS /
-  /// GAIA_METRICS_SNAPSHOT (unset/empty = off), telemetry/postmortem from
-  /// GAIA_TELEMETRY / GAIA_PROGRESS / GAIA_METRICS_EVERY_S /
-  /// GAIA_POSTMORTEM. Explicit paths/extras passed here override the
-  /// environment.
-  static Session from_env(std::string trace_override = "",
-                          std::string metrics_override = "",
-                          std::string openmetrics_override = "",
-                          std::string snapshot_override = "",
-                          SessionExtras extras_override = {});
 
   /// Writes the outputs and disables collection. Errors are reported to
   /// stderr, never thrown (runs from destructors).
@@ -100,7 +77,6 @@ class Session {
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
-  Session(Session&& other) noexcept;
 
  private:
   std::string trace_path_;
@@ -109,7 +85,6 @@ class Session {
   std::string snapshot_path_;
   SessionExtras extras_;
   std::unique_ptr<TelemetrySampler> sampler_;
-  bool armed_ = false;
 };
 
 }  // namespace gaia::obs

@@ -225,14 +225,16 @@ class ScopedTrace {
     if (timed_) start_ = Clock::now();
   }
 
-  /// True when the span will actually be recorded — gate any expensive
-  /// argument construction on this.
+  /// True when the span will actually be recorded.
   [[nodiscard]] bool armed() const { return name_ != nullptr; }
 
   /// Attach/extend args after construction (e.g. values only known at
-  /// scope end, like the iteration's residual norm).
-  void add_arg(TraceArg arg) {
-    if (name_) args_.push_back(std::move(arg));
+  /// scope end, like the iteration's residual norm). The value is
+  /// rendered only when the span is armed, so a disarmed span formats
+  /// nothing.
+  template <typename Value>
+  void add_arg(const char* key, const Value& value) {
+    if (name_) args_.emplace_back(key, value);
   }
 
   /// Ends the interval (the first call reads the clock, later calls

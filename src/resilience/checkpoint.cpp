@@ -97,11 +97,11 @@ std::string CheckpointManager::write(std::int64_t iteration,
     const bool armed = reg.enabled();
     obs::ScopedTrace span("checkpoint.write", "resilience",
                           obs::TraceRecorder::kMainTrack, /*timed=*/armed);
-    span.add_arg({"iteration", static_cast<std::int64_t>(iteration)});
+    span.add_arg("iteration", static_cast<std::int64_t>(iteration));
     util::FramedFileWriter out(path, "checkpoint");
     body(out);
     out.commit();
-    span.add_arg({"bytes", out.size()});
+    span.add_arg("bytes", out.size());
     const double seconds = span.stop();
     if (armed) {
       static obs::Histogram& times =

@@ -33,7 +33,7 @@ double event_uniform(std::uint64_t seed, FaultSite site,
 
 /// Positioned parse failure: every grammar error names the offending
 /// clause *and* its byte offset within the spec, so a typo in a
-/// GAIA_FAULTS campaign dies loudly instead of running healthy.
+/// --faults campaign dies loudly instead of running healthy.
 [[noreturn]] void fail_at(std::size_t offset, const std::string& clause_text,
                           const std::string& why) {
   throw Error("fault spec error at offset " + std::to_string(offset) +
@@ -220,18 +220,6 @@ void FaultInjector::configure(const FaultSpec& spec) {
 
 void FaultInjector::configure(const std::string& spec, std::uint64_t seed) {
   configure(parse_fault_spec(spec, seed));
-}
-
-void FaultInjector::configure_from_env(const std::string& spec_override) {
-  std::string spec = spec_override;
-  if (spec.empty()) {
-    if (const char* env_spec = std::getenv(kFaultsEnv);
-        env_spec != nullptr) {
-      spec = env_spec;
-    }
-  }
-  if (spec.empty()) return;
-  configure(spec);
 }
 
 void FaultInjector::disarm() {

@@ -4,8 +4,8 @@
 /// A production AVU-GSR solve occupies a large machine for hours; the
 /// follow-up exascale papers (arXiv:2308.00778, arXiv:2503.22863) name
 /// fault tolerance and checkpointing as prerequisites. This injector
-/// makes failure a first-class, reproducible scenario: armed via the
-/// `GAIA_FAULTS` environment variable or the `--faults` CLI flag, it can
+/// makes failure a first-class, reproducible scenario: armed by the
+/// `--faults` CLI flag (`configure(spec)`), it can
 /// fail kernel launches, fail or corrupt simulated H2D/D2H transfers,
 /// kill a rank at a chosen iteration, truncate or bit-flip checkpoint
 /// files, and — the silent-data-corruption scenario — flip a single bit
@@ -160,20 +160,12 @@ struct FaultSpec {
 [[nodiscard]] FaultSpec parse_fault_spec(std::string_view spec,
                                          std::uint64_t default_seed = 1746);
 
-/// Environment variable honored by `configure_from_env()`.
-inline constexpr const char* kFaultsEnv = "GAIA_FAULTS";
-
 /// Process-wide injector. All query methods are thread-safe.
 class FaultInjector {
  public:
   /// Arms the injector with a parsed spec. Resets all event counters.
   void configure(const FaultSpec& spec);
   void configure(const std::string& spec, std::uint64_t seed = 1746);
-  /// Reads GAIA_FAULTS; an explicit non-empty `spec_override` wins over
-  /// the environment. The spec's `seed=` clause chooses the decision
-  /// stream (default 1746). Empty everything leaves the injector
-  /// disarmed.
-  void configure_from_env(const std::string& spec_override = "");
   /// Disarms and clears all clauses and counters.
   void disarm();
 

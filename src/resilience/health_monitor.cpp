@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 
@@ -30,36 +29,6 @@ std::optional<HealthMode> parse_health_mode(const std::string& name) {
   if (name == "detect") return HealthMode::kDetect;
   if (name == "repair") return HealthMode::kRepair;
   return std::nullopt;
-}
-
-HealthConfig health_config_from_env(const std::string& mode_override,
-                                    std::int64_t every_override) {
-  HealthConfig config;
-  std::string mode_name = mode_override;
-  if (mode_name.empty()) {
-    if (const char* env = std::getenv(kHealthEnv);
-        env != nullptr && *env != '\0')
-      mode_name = env;
-  }
-  if (!mode_name.empty()) {
-    const auto mode = parse_health_mode(mode_name);
-    GAIA_CHECK(mode.has_value(),
-               "unknown health mode '" + mode_name +
-                   "' (expected off|detect|repair)");
-    config.mode = *mode;
-  }
-  if (every_override > 0) {
-    config.check_every = every_override;
-  } else if (const char* env = std::getenv(kHealthEveryEnv);
-             env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const long long every = std::strtoll(env, &end, 10);
-    GAIA_CHECK(end != env && *end == '\0' && every > 0,
-               std::string("bad ") + kHealthEveryEnv + " value '" + env +
-                   "'");
-    config.check_every = every;
-  }
-  return config;
 }
 
 std::string to_string(HealthInvariant invariant) {

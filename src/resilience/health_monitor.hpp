@@ -70,10 +70,6 @@ enum class HealthMode : std::uint8_t { kOff = 0, kDetect, kRepair };
 [[nodiscard]] std::optional<HealthMode> parse_health_mode(
     const std::string& name);
 
-/// Environment knobs honored by `health_config_from_env()`.
-inline constexpr const char* kHealthEnv = "GAIA_HEALTH";
-inline constexpr const char* kHealthEveryEnv = "GAIA_HEALTH_EVERY";
-
 struct HealthConfig {
   HealthMode mode = HealthMode::kOff;
   /// Deep-check cadence in iterations (segment checksums, residual
@@ -116,13 +112,6 @@ struct HealthConfig {
            iteration % check_every == 0;
   }
 };
-
-/// Config from GAIA_HEALTH / GAIA_HEALTH_EVERY; a non-empty
-/// `mode_override` (CLI) wins over the environment, `every_override > 0`
-/// likewise. Throws gaia::Error on an unknown mode name.
-[[nodiscard]] HealthConfig health_config_from_env(
-    const std::string& mode_override = "",
-    std::int64_t every_override = 0);
 
 /// Which invariant a detection tripped.
 enum class HealthInvariant : std::uint8_t {

@@ -62,22 +62,28 @@ std::string Cli::get(const std::string& name) const {
   return val != values_.end() ? val->second : opt->second.default_value;
 }
 
+// Both number getters accept a value only when it parses whole: "1e3"
+// is not an integer, and "2x" is not 2.
 long long Cli::get_int(const std::string& name) const {
   const std::string v = get(name);
+  std::size_t used = 0;
   try {
-    return std::stoll(v);
-  } catch (...) {
-    throw Error("option --" + name + " is not an integer: " + v);
+    const long long n = std::stoll(v, &used);
+    if (used == v.size()) return n;
+  } catch (const std::exception&) {
   }
+  throw Error("option --" + name + " is not an integer: " + v);
 }
 
 double Cli::get_double(const std::string& name) const {
   const std::string v = get(name);
+  std::size_t used = 0;
   try {
-    return std::stod(v);
-  } catch (...) {
-    throw Error("option --" + name + " is not a number: " + v);
+    const double x = std::stod(v, &used);
+    if (used == v.size()) return x;
+  } catch (const std::exception&) {
   }
+  throw Error("option --" + name + " is not a number: " + v);
 }
 
 bool Cli::get_flag(const std::string& name) const {

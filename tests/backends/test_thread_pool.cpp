@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -95,6 +96,26 @@ TEST(ThreadPool, GlobalPoolIsSingleton) {
   ThreadPool& a = ThreadPool::global();
   ThreadPool& b = ThreadPool::global();
   EXPECT_EQ(&a, &b);
+}
+
+TEST(ThreadPool, PoolThreadsTakesOnlyAnIntegerInRange) {
+  EXPECT_EQ(pool_threads("0"), 0u);
+  EXPECT_EQ(pool_threads("7"), 7u);
+  EXPECT_EQ(pool_threads("1024"), 1024u);
+  EXPECT_GE(pool_threads(nullptr), 3u);  // unset: the default
+  // Each of these once sized the pool silently: "abc" to 0 workers, "4x"
+  // to 4, and "2000" and "-3" to the default.
+  for (const char* bad : {"abc", "4x", "2000", "-3", "", "1.5", " 2"}) {
+    try {
+      (void)pool_threads(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(kPoolThreadsEnv), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(ThreadPool, UnevenChunkBoundariesCoverTail) {

@@ -123,6 +123,11 @@ TEST_F(ExportTest, OpenMetricsRoundTrip) {
   h.record(1.0);
   h.record(2.0);
   h.record(3.0);
+  // A poisoned solve's values: spelled NaN and +Inf, as the grammar
+  // spells them (a stream writes `-nan` and `inf`).
+  reg.gauge("lsqr.arnorm").set(-std::numeric_limits<double>::quiet_NaN());
+  reg.histogram("poisoned.seconds")
+      .record(std::numeric_limits<double>::infinity());
   KernelSample s;
   s.kernel = "aprod1_astro";
   s.backend = "openmp";
@@ -137,8 +142,20 @@ TEST_F(ExportTest, OpenMetricsRoundTrip) {
   EXPECT_NE(text.find("# TYPE gaia_kernel_bytes counter"),
             std::string::npos);
 
+  EXPECT_NE(text.find("\ngaia_lsqr_arnorm NaN\n"), std::string::npos);
+  EXPECT_NE(text.find("\ngaia_poisoned_seconds_sum +Inf\n"),
+            std::string::npos);
+  for (const char* stream_spelling : {" -nan\n", " nan\n", " inf\n"})
+    EXPECT_EQ(text.find(stream_spelling), std::string::npos);
+
   const auto parsed = parse_openmetrics(text);
   ASSERT_TRUE(parsed.has_value());
+  const auto* arnorm = find_sample(*parsed, "gaia_lsqr_arnorm");
+  ASSERT_NE(arnorm, nullptr);
+  EXPECT_TRUE(std::isnan(arnorm->value));
+  const auto* inf_sum = find_sample(*parsed, "gaia_poisoned_seconds_sum");
+  ASSERT_NE(inf_sum, nullptr);
+  EXPECT_EQ(inf_sum->value, std::numeric_limits<double>::infinity());
 
   // Select by labels: other tests may have registered zeroed kernel
   // series in the same family for other backends.
@@ -192,6 +209,16 @@ TEST_F(ExportTest, OpenMetricsParserRejectsMalformedInput) {
       parse_openmetrics("gaia_x{oops 1\n# EOF\n").has_value());  // labels
   EXPECT_FALSE(
       parse_openmetrics("gaia_x notanumber\n# EOF\n").has_value());
+  // Non-finite values take only the grammar's spellings; a number is
+  // read whole.
+  for (const char* value : {"-nan", "nan", "inf", "-inf", "Inf", "1.5x"})
+    EXPECT_FALSE(parse_openmetrics(std::string("gaia_x ") + value +
+                                   "\n# EOF\n")
+                     .has_value())
+        << value;
+  const auto minus_inf = parse_openmetrics("gaia_x -Inf\n# EOF\n");
+  ASSERT_TRUE(minus_inf.has_value());
+  EXPECT_EQ(minus_inf->front().value, -std::numeric_limits<double>::infinity());
   const auto empty = parse_openmetrics("# EOF\n");
   ASSERT_TRUE(empty.has_value());
   EXPECT_TRUE(empty->empty());

@@ -167,26 +167,5 @@ TEST(ObsIntegration, SessionResetsBothRegistryAndTraceTimeBase) {
   }
 }
 
-TEST(ObsIntegration, SessionHonorsTraceCapacityEnv) {
-  const ScopedFile trace_file("obs_session_capacity_trace.json");
-  setenv(kTraceCapacityEnv, "8", 1);
-  {
-    Session session = Session::from_env(trace_file.path);
-    EXPECT_EQ(TraceRecorder::global().capacity(), 8u);
-    for (int i = 0; i < 32; ++i)
-      TraceRecorder::global().complete("s", "kernel", i, 1, 0);
-    EXPECT_EQ(TraceRecorder::global().event_count(), 8u);
-    EXPECT_GT(TraceRecorder::global().dropped_events(), 0u);
-  }
-  unsetenv(kTraceCapacityEnv);
-  // Malformed values are rejected loudly, not ignored.
-  setenv(kTraceCapacityEnv, "zero", 1);
-  EXPECT_THROW(Session("", ""), Error);
-  unsetenv(kTraceCapacityEnv);
-  TraceRecorder::global().set_capacity(TraceRecorder::kDefaultCapacity);
-  TraceRecorder::global().set_enabled(false);
-  TraceRecorder::global().reset();
-}
-
 }  // namespace
 }  // namespace gaia::obs

@@ -36,7 +36,7 @@ TEST_F(TraceTest, DisabledRecorderAddsZeroEvents) {
   {
     ScopedTrace span("scoped", "kernel");
     EXPECT_FALSE(span.armed());
-    span.add_arg({"ignored", 1.0});
+    span.add_arg("ignored", 1.0);
   }
   EXPECT_EQ(rec.event_count(), 0u);
 }
@@ -47,8 +47,8 @@ TEST_F(TraceTest, ScopedSpanRecordsCompleteEvent) {
   {
     ScopedTrace span("aprod1_astro", "kernel", 3);
     ASSERT_TRUE(span.armed());
-    span.add_arg({"blocks", std::int64_t{64}});
-    span.add_arg({"backend", "gpusim"});
+    span.add_arg("blocks", std::int64_t{64});
+    span.add_arg("backend", "gpusim");
   }
   const auto events = rec.events();
   // set_enabled stamps the main-track name metadata; find the 'X' span.

@@ -34,14 +34,15 @@ TEST(HealthConfig, ModeParsingRoundTrips) {
     EXPECT_EQ(parse_health_mode(to_string(m)), m);
 }
 
-TEST(HealthConfig, OverridesWinAndBadModesThrow) {
-  const HealthConfig cfg = health_config_from_env("repair", 7);
-  EXPECT_EQ(cfg.mode, HealthMode::kRepair);
-  EXPECT_EQ(cfg.check_every, 7);
+TEST(HealthConfig, DueOnlyOnTheCadenceWhenEnabled) {
+  EXPECT_EQ(parse_health_mode("sometimes"), std::nullopt);
+  const HealthConfig cfg{HealthMode::kRepair, 7};
   EXPECT_TRUE(cfg.enabled());
-  EXPECT_THROW((void)health_config_from_env("sometimes"), Error);
+  EXPECT_TRUE(cfg.due(14));
+  EXPECT_FALSE(cfg.due(15));
 
-  const HealthConfig off = health_config_from_env();
+  const HealthConfig off;
+  EXPECT_FALSE(off.enabled());
   EXPECT_FALSE(off.due(25));  // off mode: never due
   EXPECT_TRUE(HealthConfig{HealthMode::kDetect}.due(25));
   EXPECT_FALSE(HealthConfig{HealthMode::kDetect}.due(24));

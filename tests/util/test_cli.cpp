@@ -63,10 +63,24 @@ TEST(Cli, FlagWithValueThrows) {
 }
 
 TEST(Cli, NonNumericIntThrows) {
+  // A value counts only when it parses whole: "1e3" must not run 1
+  // iteration, nor "10x" run 10.
+  for (const char* value : {"many", "1e3", "10x", "2.5"}) {
+    Cli cli = make_cli();
+    const char* argv[] = {"prog", "--iterations", value};
+    EXPECT_TRUE(cli.parse(3, argv));
+    EXPECT_THROW((void)cli.get_int("iterations"), Error) << value;
+  }
+  for (const char* value : {"1.5x", "x"}) {
+    Cli cli = make_cli();
+    const char* argv[] = {"prog", "--factor", value};
+    EXPECT_TRUE(cli.parse(3, argv));
+    EXPECT_THROW((void)cli.get_double("factor"), Error) << value;
+  }
   Cli cli = make_cli();
-  const char* argv[] = {"prog", "--iterations", "many"};
+  const char* argv[] = {"prog", "--factor", "1e3"};
   EXPECT_TRUE(cli.parse(3, argv));
-  EXPECT_THROW((void)cli.get_int("iterations"), Error);
+  EXPECT_DOUBLE_EQ(cli.get_double("factor"), 1000.0);
 }
 
 TEST(Cli, HelpReturnsFalseAndListsOptions) {

@@ -56,8 +56,9 @@ options:
                       deterministic and normally match bit-for-bit)
   --campaign NAME     run only the named built-in campaign (repeatable)
   --faults SPEC       run a custom campaign with this injector spec
-                      instead of the built-ins (repeatable; grammar of
-                      GAIA_FAULTS, see resilience/fault_injector.hpp)
+                      instead of the built-ins (repeatable; the
+                      gaia_solver --faults grammar, see
+                      resilience/fault_injector.hpp)
   --report PATH       write the JSON campaign report to PATH
   --postmortem-dir D  arm the flight recorder: every campaign seals a
                       postmortem.<name>.json bundle into D (plus the
@@ -77,7 +78,7 @@ exit status: 0 all campaigns repaired + within tolerance,
 
 struct Campaign {
   std::string name;
-  std::string spec;           ///< injector clause(s), GAIA_FAULTS grammar
+  std::string spec;           ///< injector clause(s), --faults grammar
   std::int64_t injected_iteration = -1;  ///< -1 = not iteration-pinned
   bool needs_ranks = false;   ///< only meaningful with --ranks > 1
   bool expects_detection = true;  ///< health monitor must trip (sdc);
@@ -342,8 +343,9 @@ int main(int argc, char** argv) {
               << " iterations, backend " << opt.backend << ")\n";
     const auto reference = run_solve(generated.A, lsqr, opt.ranks);
 
-    lsqr.health = gaia::resilience::health_config_from_env(opt.health_mode,
-                                                           opt.health_every);
+    // parse_args admitted only detect|repair and a positive cadence.
+    lsqr.health.mode = *gaia::resilience::parse_health_mode(opt.health_mode);
+    lsqr.health.check_every = opt.health_every;
     const bool repair_mode =
         lsqr.health.mode == gaia::resilience::HealthMode::kRepair;
 
