@@ -38,6 +38,7 @@
 #include "resilience/fault_injector.hpp"
 #include "resilience/health_monitor.hpp"
 #include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
 #include "util/string_utils.hpp"
@@ -82,6 +83,19 @@ void print_profile(std::ostream& os) {
      << table.str() << "aprod share: " << share(layers.front().sum)
      << " of the summed step time (the step row; paper SV-A finds the "
         "products dominate)\n";
+}
+
+/// An integer option of at least `min` (0 or 1), rejected in the form
+/// of util::Cli's own parse errors: `option --seed must be a
+/// non-negative integer: -1`.
+long long int_at_least(const util::Cli& cli, const std::string& name,
+                       long long min) {
+  const long long value = cli.get_int(name);
+  if (value < min)
+    throw Error("option --" + name + " must be a " +
+                (min > 0 ? "positive" : "non-negative") +
+                " integer: " + cli.get(name));
+  return value;
 }
 
 /// The resolved configuration: ordered key/value pairs, printed once
@@ -191,40 +205,42 @@ int main(int argc, char** argv) {
     if (!cli.parse(argc, argv)) return 0;
 
     // Every setting resolves here, once, into the configs the library
-    // takes. Nothing below reads an option again.
+    // takes, and a value out of its domain is a user error where it
+    // enters. Nothing below reads an option again.
     const auto backend = backends::parse_backend(cli.get("backend"));
-    GAIA_CHECK(backend.has_value(), "unknown backend: " + cli.get("backend"));
+    if (!backend)
+      throw Error("option --backend must be serial, openmp, pstl or "
+                  "gpusim: " + cli.get("backend"));
     const std::string health_name =
         cli.get("health").empty() ? "off" : cli.get("health");
     const auto health = resilience::parse_health_mode(health_name);
-    GAIA_CHECK(health.has_value(), "unknown health mode '" + health_name +
-                                       "' (expected off|detect|repair)");
-    const long long health_every = cli.get_int("health-every");
-    GAIA_CHECK(health_every > 0, "--health-every must be positive");
-    const long long trace_capacity = cli.get_int("trace-capacity");
-    GAIA_CHECK(trace_capacity > 0, "--trace-capacity must be positive");
+    if (!health)
+      throw Error("option --health must be off, detect or repair: " +
+                  health_name);
+    const long long health_every = int_at_least(cli, "health-every", 1);
+    const long long trace_capacity = int_at_least(cli, "trace-capacity", 1);
     const std::string fault_spec = cli.get("faults");
     const resilience::FaultSpec faults =
         resilience::parse_fault_spec(fault_spec);
-    const int ranks = std::max(1, static_cast<int>(cli.get_int("ranks")));
+    const int ranks = static_cast<int>(int_at_least(cli, "ranks", 1));
     const bool profile = cli.get_flag("profile");
     const unsigned pool_workers = backends::ThreadPool::global().workers();
 
     core::SolverRunConfig config;
     config.footprint_bytes = cli.get_size("size");
-    config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+    config.seed = static_cast<std::uint64_t>(int_at_least(cli, "seed", 0));
     config.lsqr.aprod.backend = *backend;
     config.lsqr.aprod.tuning = backends::TuningTable::tuned_default();
     if (!cli.get("shape").empty())
       config.lsqr.aprod.tuning = backends::TuningTable::untuned(
           backends::parse_kernel_config(cli.get("shape")));
-    config.lsqr.max_iterations = cli.get_int("iterations");
+    config.lsqr.max_iterations = int_at_least(cli, "iterations", 1);
     config.lsqr.health.mode = *health;
     config.lsqr.health.check_every = health_every;
     config.checkpoint.directory = cli.get("checkpoint-dir");
-    config.checkpoint.every = cli.get_int("checkpoint-every");
+    config.checkpoint.every = int_at_least(cli, "checkpoint-every", 0);
     config.checkpoint.keep_last =
-        static_cast<int>(cli.get_int("checkpoint-keep"));
+        static_cast<int>(int_at_least(cli, "checkpoint-keep", 1));
     if (config.checkpoint.every > 0 && config.checkpoint.directory.empty())
       config.checkpoint.directory = "gaia-checkpoints";
     const bool validate = cli.get_flag("validate");
@@ -240,7 +256,8 @@ int main(int argc, char** argv) {
     dopts.n_ranks = ranks;
     dopts.lsqr = config.lsqr;
     dopts.checkpoint = config.checkpoint;
-    dopts.max_restarts = static_cast<int>(cli.get_int("max-restarts"));
+    dopts.max_restarts =
+        static_cast<int>(int_at_least(cli, "max-restarts", 0));
     dopts.trace_dir = cli.get("trace-dir");
     dopts.trace_capacity = static_cast<std::size_t>(trace_capacity);
 
@@ -248,6 +265,9 @@ int main(int argc, char** argv) {
     extras.telemetry_path = cli.get("telemetry-file");
     extras.progress_stderr = cli.get_flag("progress");
     extras.metrics_every_s = cli.get_double("metrics-every-s");
+    if (!(extras.metrics_every_s >= 0))
+      throw Error("option --metrics-every-s must be a non-negative "
+                  "number: " + cli.get("metrics-every-s"));
     extras.postmortem_dir = cli.get("postmortem-dir");
     const std::string trace_path = cli.get("trace");
     const std::string metrics_path = cli.get("metrics");

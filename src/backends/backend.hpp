@@ -17,6 +17,8 @@
 /// runtime backend selection dispatches once per kernel launch.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -57,10 +59,19 @@ inline constexpr int kNumBackends = 4;
 // Execution policies
 // ---------------------------------------------------------------------------
 
-/// Upper bound on scatter workers per launch. Each worker privatizes a
-/// full column section, so scratch grows linearly with the worker count;
-/// past a few hundred host workers the ordered fold dominates anyway.
-inline constexpr int kMaxScatterWorkers = 256;
+namespace detail {
+/// body(k) for every block k in [0, blocks), one shared-pool chunk each
+/// (the pool backends' `launch_blocks`).
+template <typename F>
+void pool_blocks(std::size_t blocks, F& body) {
+  ThreadPool::global().parallel_for(
+      static_cast<std::int64_t>(blocks), 1,
+      [&](std::int64_t begin, std::int64_t end) {
+        for (std::int64_t k = begin; k < end; ++k)
+          body(static_cast<std::size_t>(k));
+      });
+}
+}  // namespace detail
 
 /// Reference backend: sequential, deterministic; plays the role of the
 /// "production code" the paper validates every port against (SV-C).
@@ -73,17 +84,14 @@ struct SerialExec {
     for (std::int64_t i = 0; i < n; ++i) body(i);
   }
 
-  /// Scatter workers (private slices) a launch at `cfg` uses. A pure
-  /// function of the launch shape (and the fixed machine), so a fixed
-  /// config always folds the slices in the same order — the determinism
-  /// contract of the scatter commit.
-  static int scatter_workers(KernelConfig /*cfg*/) { return 1; }
-
-  /// Runs body(w) once per worker w in [0, workers). Worker w owns slice
-  /// w of the scatter commit; serial runs them in order.
+  /// Runs body(k) once per block k in [0, blocks). The blocks of a sum
+  /// are fixed by its length (core::block_partition) and each writes its
+  /// own partial, so a backend decides only which thread runs which
+  /// block, never the bits; serial runs them in order.
   template <typename F>
-  static void launch_workers(int workers, KernelConfig /*cfg*/, F&& body) {
-    for (int w = 0; w < workers; ++w) body(w);
+  static void launch_blocks(std::size_t blocks, KernelConfig /*cfg*/,
+                            F&& body) {
+    for (std::size_t k = 0; k < blocks; ++k) body(k);
   }
 };
 
@@ -109,19 +117,19 @@ struct OpenMPExec {
 #endif
   }
 
-  /// One private slice per OpenMP thread of this launch shape.
-  static int scatter_workers(KernelConfig cfg) {
-    const int nt = resolve_threads(cfg);
-    return nt < 1 ? 1 : (nt > kMaxScatterWorkers ? kMaxScatterWorkers : nt);
-  }
-
+  /// The launch shape's threads, at most one per block, each on a fixed
+  /// contiguous block range (static: a thread meets the same rows step
+  /// after step).
   template <typename F>
-  static void launch_workers(int workers, KernelConfig /*cfg*/, F&& body) {
+  static void launch_blocks(std::size_t blocks, KernelConfig cfg, F&& body) {
 #if defined(GAIA_HAS_OPENMP)
-#pragma omp parallel for schedule(static) num_threads(workers)
-    for (int w = 0; w < workers; ++w) body(w);
+    const auto nt = static_cast<int>(std::clamp<std::size_t>(
+        blocks, 1, static_cast<std::size_t>(resolve_threads(cfg))));
+#pragma omp parallel for schedule(static) num_threads(nt)
+    for (std::size_t k = 0; k < blocks; ++k) body(k);
 #else
-    for (int w = 0; w < workers; ++w) body(w);
+    (void)cfg;
+    for (std::size_t k = 0; k < blocks; ++k) body(k);
 #endif
   }
 };
@@ -139,24 +147,12 @@ struct PstlExec {
                    [&](std::int64_t i) { body(i); });
   }
 
-  /// PSTL has no shape knob, so the worker count comes from the pool the
-  /// parallel algorithms execute on (workers + the submitting thread) —
-  /// fixed for the process, keeping the reduction order reproducible.
-  static int scatter_workers(KernelConfig /*ignored*/) {
-    const int w = static_cast<int>(ThreadPool::global().workers()) + 1;
-    return w > kMaxScatterWorkers ? kMaxScatterWorkers : w;
-  }
-
+  /// One pool chunk per block: the pstl grain floor would put a few
+  /// hundred block-sized items into one chunk.
   template <typename F>
-  static void launch_workers(int workers, KernelConfig /*ignored*/,
-                             F&& body) {
-    // Grain 1: one pool chunk per worker segment (the default pstl grain
-    // of 1024 would serialize a handful of segment-sized items).
-    ThreadPool::global().parallel_for(
-        workers, 1, [&](std::int64_t begin, std::int64_t end) {
-          for (std::int64_t w = begin; w < end; ++w)
-            body(static_cast<int>(w));
-        });
+  static void launch_blocks(std::size_t blocks, KernelConfig /*ignored*/,
+                            F&& body) {
+    detail::pool_blocks(blocks, body);
   }
 };
 
@@ -192,22 +188,12 @@ struct GpuSimExec {
         });
   }
 
-  /// One private slice per virtual block (blocks are the gpusim
-  /// scheduling unit), capped so scratch stays bounded when a shape asks
-  /// for a very wide grid.
-  static int scatter_workers(KernelConfig cfg) {
-    const std::int32_t blocks = resolve(cfg).blocks;
-    return blocks > kMaxScatterWorkers ? kMaxScatterWorkers
-                                       : static_cast<int>(blocks);
-  }
-
+  /// One pool chunk per block, as for PSTL: the grid stride of `launch`
+  /// would hand every block to one virtual block.
   template <typename F>
-  static void launch_workers(int workers, KernelConfig /*cfg*/, F&& body) {
-    ThreadPool::global().parallel_for(
-        workers, 1, [&](std::int64_t begin, std::int64_t end) {
-          for (std::int64_t w = begin; w < end; ++w)
-            body(static_cast<int>(w));
-        });
+  static void launch_blocks(std::size_t blocks, KernelConfig /*cfg*/,
+                            F&& body) {
+    detail::pool_blocks(blocks, body);
   }
 };
 
@@ -230,14 +216,6 @@ decltype(auto) dispatch(BackendKind kind, F&& f) {
       return f(GpuSimExec{});
   }
   return f(SerialExec{});  // unreachable; silences -Wreturn-type
-}
-
-/// Runtime view of Exec::scatter_workers: the private slices an aprod2
-/// scatter launch at `cfg` uses on `kind`.
-[[nodiscard]] inline int scatter_workers(BackendKind kind, KernelConfig cfg) {
-  return dispatch(kind, [&](auto exec) {
-    return decltype(exec)::scatter_workers(cfg);
-  });
 }
 
 }  // namespace gaia::backends

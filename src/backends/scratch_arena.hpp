@@ -1,8 +1,8 @@
 /// \file scratch_arena.hpp
 /// \brief Pooled, size-bucketed scratch buffers for the scatter commit.
 ///
-/// The aprod2 scatter commit needs `workers x section` reals of scratch
-/// on every launch — per LSQR iteration, for thousands of iterations.
+/// The aprod2 scatter commit needs `row blocks x section` reals of
+/// scratch on every launch — per LSQR iteration, for thousands of iterations.
 /// Paying the allocator each time would dwarf the commit itself,
 /// so buffers are pooled: a released buffer parks in a power-of-two size
 /// bucket and the next acquire of a compatible size reuses it. After the
@@ -30,7 +30,7 @@ class ScratchArena {
  public:
   /// RAII hold on one pooled buffer. The buffer returns to its bucket on
   /// destruction; contents are *not* zeroed (the scatter commit zeroes
-  /// each worker slice itself, in parallel).
+  /// each block's slice itself, in parallel).
   class Lease {
    public:
     Lease() = default;

@@ -100,7 +100,7 @@ class Aprod {
 
   /// The LSQR step pass (core::aprod_step): with p = A v - alpha (sigma u),
   /// overwrites u with p and q with A^T p, and returns ||p||^2 (summed in
-  /// a fixed order per launch shape). Sizes: v and q n_cols, u n_rows.
+  /// an order the system fixes). Sizes: v and q n_cols, u n_rows.
   /// v = 0, alpha = -1, sigma = 1 gives p = u and q = A^T u: the
   /// Golub-Kahan start.
   real step(std::span<const real> v, std::span<real> u, std::span<real> q,

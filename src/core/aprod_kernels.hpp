@@ -11,14 +11,22 @@
 /// The astrometric part is block diagonal, so parallelizing over *stars*
 /// gives each task exclusive ownership of its five columns: no atomics.
 /// Attitude, instrumental and global columns are shared between rows:
-/// those three kernels accumulate row chunks into per-worker private
+/// those three kernels accumulate row blocks into per-block private
 /// slices and commit the slices to x in one ordered fold
 /// (`detail::section_scatter`), so no host atomics run anywhere. The
 /// sections are contiguous in x, so the fused scatter runs all three in
 /// one row pass over one span.
 ///
+/// Every scatter and the step split the rows into the same star-aligned
+/// blocks (`detail::RowBlocks`), fixed by the system's observation count
+/// through `block_partition`, the rule of the blocked reductions. A block
+/// sums its rows in row order and the blocks fold in block order, so the
+/// backend, its thread count and the launch shape decide only which
+/// thread runs which block: every product, and the whole solve, has the
+/// same bits on every backend.
+///
 /// The LSQR step (`aprod_step`) is the third fused pass: one row pass
-/// over star-aligned chunks that forms p = A v - alpha (sigma u), writes
+/// over the row blocks that forms p = A v - alpha (sigma u), writes
 /// it over u, scatters q = A^T p and sums ||p||^2. It is the only pass
 /// `LsqrEngine` launches. `Aprod::apply1/apply2` launch the fused gather,
 /// aprod2_astro and the fused scatter (tuning::kAprodPasses). The
@@ -41,6 +49,7 @@
 #include "backends/backend.hpp"
 #include "backends/scratch_arena.hpp"
 #include "core/system_view.hpp"
+#include "core/vector_ops.hpp"
 #include "util/compensated_sum.hpp"
 #include "util/types.hpp"
 
@@ -272,66 +281,86 @@ inline ScatterSection fused_scatter_section(const SystemView& A) {
 
 namespace detail {
 
+/// The row blocks of every row pass: `block_partition(n_obs)`, each
+/// boundary k * length rounded up to the next star start, so a star's
+/// rows never straddle two blocks; the last block also takes the
+/// constraint rows. Only the system decides them.
+struct RowBlocks {
+  const SystemView& A;
+  BlockPartition part = block_partition(static_cast<std::size_t>(A.n_obs));
+
+  /// First star of block k: the first star whose rows begin at or after
+  /// k * length (n_stars from the last block on).
+  [[nodiscard]] std::int64_t first_star(std::size_t k) const {
+    if (k >= part.count) return A.n_stars;
+    const auto target = static_cast<row_index>(k * part.length);
+    const row_index* starts = A.star_row_start;
+    return std::lower_bound(starts, starts + A.n_stars + 1, target) - starts;
+  }
+  [[nodiscard]] row_index first_row(std::size_t k) const {
+    return k >= part.count ? A.n_rows : A.star_row_start[first_star(k)];
+  }
+};
+
 /// The one commit of the shared sections, for every pass that scatters
-/// into them. W = Exec::scatter_workers(cfg) workers each zero a private
-/// copy of the section in pooled scratch and run `body(w, slice)`, which
-/// adds its rows' contributions at section-relative indices. One
-/// column-parallel launch then sums slices 0..W-1 in ascending worker
-/// order and adds the sum into x: a combine order fixed by W alone, so a
-/// fixed launch shape reduces bit-identically run to run whatever the
-/// thread scheduling. No atomics: the host analogue of the block-level
-/// shared-memory aggregation GPU scatter kernels do before their device
-/// atomics.
-template <typename Exec, typename WorkerBody>
-void section_scatter(int workers, real* x, ScatterSection sect,
+/// into them. Each of the `count` row blocks of the system zeroes a
+/// private copy of the section in pooled scratch and runs
+/// `body(k, slice)`, which adds block k's rows at section-relative
+/// indices; `Exec::launch_blocks` only picks the thread. One
+/// column-parallel launch then sums slices 0..count-1 in ascending block
+/// order and adds the sum into x: a combine order fixed by the system,
+/// so every backend and launch shape reduces bit-identically, whatever
+/// the thread scheduling. No atomics: the host analogue of the
+/// block-level shared-memory aggregation GPU scatter kernels do before
+/// their device atomics.
+template <typename Exec, typename BlockBody>
+void section_scatter(std::size_t count, real* x, ScatterSection sect,
                      KernelConfig cfg, backends::ScratchArena* arena,
-                     WorkerBody&& body) {
+                     BlockBody&& body) {
   const col_index sect_len = sect.len;
   backends::ScratchArena& pool =
       arena ? *arena : backends::ScratchArena::for_backend(Exec::kKind);
-  auto lease = pool.acquire(static_cast<std::size_t>(workers) *
-                            static_cast<std::size_t>(sect_len));
+  auto lease = pool.acquire(count * static_cast<std::size_t>(sect_len));
   real* const scratch = lease.data();
   real* const xs = x + sect.offset;
 
-  Exec::launch_workers(workers, cfg, [&](int w) {
+  Exec::launch_blocks(count, cfg, [&](std::size_t k) {
     real* GAIA_RESTRICT slice =
-        scratch + static_cast<std::int64_t>(w) * sect_len;
+        scratch + static_cast<std::int64_t>(k) * sect_len;
     std::fill(slice, slice + sect_len, real{0});
-    body(w, slice);
+    body(k, slice);
   });
   if (sect_len <= 0) return;
   Exec::launch(sect_len, cfg, [=](std::int64_t c) {
     real sum = scratch[c];
-    for (int w = 1; w < workers; ++w)
-      sum += scratch[static_cast<std::int64_t>(w) * sect_len + c];
+    for (std::size_t k = 1; k < count; ++k)
+      sum += scratch[static_cast<std::int64_t>(k) * sect_len + c];
     xs[c] += sum;
   });
 }
 
-/// The scatter kernels' worker body: worker w accumulates the w-th of W
-/// equal contiguous row chunks, rows ascending, through
-/// `accumulate_row(slice, r)`.
+/// The scatter kernels' block body: block k accumulates its rows,
+/// ascending, through `accumulate_row(slice, r)`.
 template <typename Exec, typename AccumRow>
-void row_scatter(std::int64_t n_rows, real* x, ScatterSection sect,
+void row_scatter(const SystemView& A, real* x, ScatterSection sect,
                  KernelConfig cfg, backends::ScratchArena* arena,
                  AccumRow&& accumulate_row) {
   if (sect.len <= 0) return;
-  const int workers = Exec::scatter_workers(cfg);
-  const std::int64_t chunk = (n_rows + workers - 1) / workers;
+  const RowBlocks blocks{A};
   section_scatter<Exec>(
-      workers, x, sect, cfg, arena, [&](int w, real* slice) {
-        const std::int64_t begin = static_cast<std::int64_t>(w) * chunk;
-        const std::int64_t end = std::min(n_rows, begin + chunk);
-        for (std::int64_t r = begin; r < end; ++r) accumulate_row(slice, r);
+      blocks.part.count, x, sect, cfg, arena, [&](std::size_t k,
+                                                   real* slice) {
+        const row_index end = blocks.first_row(k + 1);
+        for (row_index r = blocks.first_row(k); r < end; ++r)
+          accumulate_row(slice, r);
       });
 }
 
 /// Row r of the fused scatter: the three per-section row accumulators
 /// over the contiguous shared span. Each column still
 /// belongs to exactly one section and receives the same adds in the same
-/// row order, so at a fixed launch shape the fused scatter equals the
-/// three separate kernels bit for bit.
+/// row order, so the fused scatter equals the three separate kernels bit
+/// for bit.
 template <typename AttRows, typename InstrRows, typename GlobRows>
 auto shared_rows(const SystemView& A, AttRows att, InstrRows instr,
                  GlobRows glob) {
@@ -349,8 +378,7 @@ auto shared_rows(const SystemView& A, AttRows att, InstrRows instr,
 template <typename Exec, typename SharedRows>
 void fused_scatter(const SystemView& A, real* x, KernelConfig cfg,
                    backends::ScratchArena* arena, SharedRows rows) {
-  row_scatter<Exec>(A.n_rows, x, fused_scatter_section(A), cfg, arena,
-                    rows);
+  row_scatter<Exec>(A, x, fused_scatter_section(A), cfg, arena, rows);
 }
 
 // Row accumulators, one per shared-section kernel.
@@ -401,12 +429,12 @@ inline auto seed_shared_rows(const SystemView& A, const real* y) {
 
 /// Attitude scatter: neighbouring observations hit the same spline knots
 /// (the collision hot spot the paper tunes thread counts down for); each
-/// worker's slice spans the full attitude section.
+/// block's slice spans the full attitude section.
 template <typename Exec>
 void aprod2_att(const SystemView& A, const real* y, real* x,
                 KernelConfig cfg, backends::ScratchArena* arena = nullptr) {
   detail::row_scatter<Exec>(
-      A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Att), cfg,
+      A, x, scatter_section(A, backends::KernelId::kAprod2Att), cfg,
       arena, detail::att_rows(A, y));
 }
 
@@ -414,18 +442,18 @@ template <typename Exec>
 void aprod2_instr(const SystemView& A, const real* y, real* x,
                   KernelConfig cfg, backends::ScratchArena* arena = nullptr) {
   detail::row_scatter<Exec>(
-      A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Instr), cfg,
+      A, x, scatter_section(A, backends::KernelId::kAprod2Instr), cfg,
       arena, detail::instr_rows(A, y));
 }
 
 /// Every row contributes to the single PPN-gamma unknown — the most
 /// contended column of the system. Its section degenerates to one
-/// partial sum per worker; without a global block it is empty (no-op).
+/// partial sum per block; without a global block it is empty (no-op).
 template <typename Exec>
 void aprod2_glob(const SystemView& A, const real* y, real* x,
                  KernelConfig cfg, backends::ScratchArena* arena = nullptr) {
   detail::row_scatter<Exec>(
-      A.n_rows, x, scatter_section(A, backends::KernelId::kAprod2Glob), cfg,
+      A, x, scatter_section(A, backends::KernelId::kAprod2Glob), cfg,
       arena, detail::glob_rows(A, y));
 }
 
@@ -465,35 +493,23 @@ struct StepOperands {
 
 namespace detail {
 
-/// First star of worker w's chunk of the step: the first star whose rows
-/// begin at or after w * n_obs / W (n_stars for w = W).
-inline std::int64_t step_first_star(const SystemView& A, int w,
-                                    int workers) {
-  if (w >= workers) return A.n_stars;
-  const row_index target =
-      (static_cast<row_index>(w) * A.n_obs + workers - 1) / workers;
-  const row_index* starts = A.star_row_start;
-  return std::lower_bound(starts, starts + A.n_stars + 1, target) - starts;
-}
-
 /// The step skeleton, composed from a gather row, an astrometric row
-/// accumulator and a shared row accumulator. W workers (the shared
-/// scatter's count) each own a star-aligned row chunk;
-/// the last one also takes the constraint rows. Per row, rows
-/// ascending: p_r = gather((sigma u_r)(-alpha), r) is stored over u_r,
-/// its square goes into the worker's compensated partial, and the row is
-/// added into the star's astro registers and the worker's shared slice.
-/// A worker writes the astro columns of every star in its range (0 for a
-/// star without local rows), so the astro section needs no atomics and q
-/// is overwritten whole; the shared sections commit through
-/// section_scatter onto a zeroed span. The partials combine in worker
-/// order, so ||p||^2, like q, is fixed by the launch shape.
+/// accumulator and a shared row accumulator, on the row blocks of the
+/// scatters. Per row, rows ascending within a block: p_r =
+/// gather((sigma u_r)(-alpha), r) is stored over u_r, its square goes
+/// into the block's compensated partial, and the row is added into the
+/// star's astro registers and the block's shared slice. A block writes
+/// the astro columns of every star in its range (0 for a star without
+/// local rows), so the astro section needs no atomics and q is
+/// overwritten whole; the shared sections commit through section_scatter
+/// onto a zeroed span. The partials combine in block order, so ||p||^2,
+/// like q, is fixed by the system alone.
 template <typename Exec, typename GatherRow, typename AstroRows,
           typename SharedRows>
 void fused_step(const SystemView& A, const StepOperands& op,
                 KernelConfig cfg, backends::ScratchArena* arena,
                 GatherRow gather, AstroRows astro, SharedRows shared) {
-  const int workers = Exec::scatter_workers(cfg);
+  const RowBlocks blocks{A};
   const ScatterSection sect = fused_scatter_section(A);
   real* const u = op.u;
   real* const q = op.q;
@@ -501,9 +517,10 @@ void fused_step(const SystemView& A, const StepOperands& op,
   const real neg_alpha = -op.alpha;
   const row_index* starts = A.star_row_start;
   std::fill(q + sect.offset, q + sect.offset + sect.len, real{0});
-  std::array<real, backends::kMaxScatterWorkers> partial{};
+  std::array<real, kMaxBlocks> partial{};
   section_scatter<Exec>(
-      workers, q, sect, cfg, arena, [&](int w, real* slice) {
+      blocks.part.count, q, sect, cfg, arena, [&](std::size_t k,
+                                                   real* slice) {
         util::KahanSum pnorm_sq;
         const auto row = [&](std::int64_t r) {
           const real p = gather((sigma * u[r]) * neg_alpha, r);
@@ -511,9 +528,8 @@ void fused_step(const SystemView& A, const StepOperands& op,
           pnorm_sq.add(p * p);
           shared(slice, r);
         };
-        const std::int64_t star_end = step_first_star(A, w + 1, workers);
-        for (std::int64_t s = step_first_star(A, w, workers); s < star_end;
-             ++s) {
+        const std::int64_t star_end = blocks.first_star(k + 1);
+        for (std::int64_t s = blocks.first_star(k); s < star_end; ++s) {
           real acc[kAstroNnzPerRow] = {0, 0, 0, 0, 0};
           for (row_index r = starts[s]; r < starts[s + 1]; ++r) {
             row(r);
@@ -522,13 +538,13 @@ void fused_step(const SystemView& A, const StepOperands& op,
           real* qs = q + s * kAstroParamsPerStar;
           for (int i = 0; i < kAstroNnzPerRow; ++i) qs[i] = acc[i];
         }
-        if (w == workers - 1)
+        if (k + 1 == blocks.part.count)
           for (std::int64_t r = A.n_obs; r < A.n_rows; ++r) row(r);
-        partial[static_cast<std::size_t>(w)] = pnorm_sq.sum;
+        partial[k] = pnorm_sq.sum;
       });
   util::KahanSum pnorm_sq;
-  for (int w = 0; w < workers; ++w)
-    pnorm_sq.add(partial[static_cast<std::size_t>(w)]);
+  for (std::size_t k = 0; k < blocks.part.count; ++k)
+    pnorm_sq.add(partial[k]);
   *op.pnorm_sq = pnorm_sq.sum;
 }
 

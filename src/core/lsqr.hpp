@@ -109,8 +109,8 @@ struct LsqrResult {
 
   /// Resilience: backend the run finished on (differs from
   /// options.aprod.backend after failover) and how many degradation
-  /// steps were taken. All backends compute identical results, so a
-  /// failed-over run is still numerically valid.
+  /// steps were taken. Every backend sums in the order the system fixes,
+  /// so a failed-over run returns the requested backend's bits.
   backends::BackendKind final_backend = backends::BackendKind::kSerial;
   std::uint64_t failovers = 0;
   /// Iteration a resumed run restarted from (-1 = fresh start); filled

@@ -378,10 +378,10 @@ struct LsqrEngine::Impl {
     // max_iterations is deliberately NOT part of the fingerprint: the
     // iteration budget does not change the trajectory, so a resumed run
     // may extend it (rerun with a larger --iterations). The launch-shape
-    // table (AprodOptions::tuning) is excluded too: a shape changes only
-    // the scatter's fold order, which moves results by rounding (ROADMAP
-    // item 9), so a checkpoint taken under one table may resume under
-    // another.
+    // table (AprodOptions::tuning) and the backend are excluded too:
+    // every sum runs in an order the system fixes, so neither moves a
+    // bit, and a checkpoint taken under one table or backend resumes
+    // under another bit for bit.
     mix(static_cast<std::uint64_t>(options.precondition));
     mix(static_cast<std::uint64_t>(options.compute_std_errors));
     mix(std::bit_cast<std::uint64_t>(options.damp));

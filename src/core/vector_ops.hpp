@@ -3,15 +3,15 @@
 ///
 /// Elementwise operations (scale, axpy) are embarrassingly parallel and
 /// run through the selected backend, like the GPU code. Reductions
-/// (norms, dots, sums) are deterministic: a length-n sum splits into
-/// blocks fixed by n alone, each block is a compensated sum over four
-/// interleaved lanes (util::block_sum), and the block partials fold in
-/// block order. Which thread sums a block never changes its bits, so a
-/// reduction returns the same value on every backend, at any thread
+/// (norms, dots, sums) are deterministic: a length-n sum splits into the
+/// blocks of `block_partition(n)`, each block is a compensated sum over
+/// four interleaved lanes (util::block_sum), and the block partials fold
+/// in block order. Which thread sums a block never changes its bits, so
+/// a reduction returns the same value on every backend, at any thread
 /// count, pool size or grid — and the one-argument overloads, which run
-/// the blocks on the calling thread, return it too. (The LSQR trajectory
-/// is not backend-independent: beta and q come from the step pass, whose
-/// per-worker partials and commit follow its launch shape.)
+/// the blocks on the calling thread, return it too. The row passes of
+/// core/aprod_kernels.hpp split their rows by the same rule, so the
+/// whole LSQR trajectory is backend-independent.
 #pragma once
 
 #include <algorithm>
@@ -82,59 +82,63 @@ inline void vaccumulate_sq(backends::BackendKind backend, std::span<real> y,
   });
 }
 
-namespace detail {
+/// The one partition of every ordered sum of the solve: n elements (or
+/// observation rows) in `count` blocks of `length`, the last one shorter.
+struct BlockPartition {
+  std::size_t length = 0;
+  std::size_t count = 0;
+};
 
-/// Shortest block of a reduction, and the most blocks one may have: the
-/// partials of any length live in a fixed stack array.
+/// Shortest block, and the most blocks a sum may have: the partials of
+/// any length live in a fixed stack array.
 inline constexpr std::size_t kMinBlockLength = 4096;
 inline constexpr std::size_t kMaxBlocks = 256;
+
+/// Blocks of L = max(4096, ceil(n / 256)) elements: ceil(n / L) of them,
+/// at least one and at most 256. Only n decides it.
+[[nodiscard]] inline BlockPartition block_partition(std::size_t n) {
+  const std::size_t length =
+      std::max(kMinBlockLength, (n + kMaxBlocks - 1) / kMaxBlocks);
+  return {length, std::max<std::size_t>(1, (n + length - 1) / length)};
+}
+
+namespace detail {
+
 /// Reductions shorter than eight minimum blocks run on the calling
 /// thread: a handful of blocks gains little over a fork/join.
 inline constexpr std::size_t kParallelLength = 8 * kMinBlockLength;
 
-/// Sum of term(i) over [0, n) on blocks of L = max(4096, ceil(n / 256))
-/// elements. From kParallelLength on, min(blocks, workers) workers of
-/// Exec each sum a contiguous range of blocks; the partials fold in
-/// block order, so the worker count never changes the result.
+/// Sum of term(i) over [0, n): one util::block_sum per block of
+/// block_partition(n), from kParallelLength on launched one item per
+/// block on Exec; the partials fold in block order.
 template <typename Exec, typename Term>
-[[nodiscard]] real blocked_sum(std::size_t n, int workers, Term term) {
-  const std::size_t length =
-      std::max(kMinBlockLength, (n + kMaxBlocks - 1) / kMaxBlocks);
-  const std::size_t blocks = (n + length - 1) / length;
+[[nodiscard]] real blocked_sum(std::size_t n, Term term) {
+  const BlockPartition part = block_partition(n);
   std::array<real, kMaxBlocks> partial{};
-  const auto sum_blocks = [&](std::size_t first, std::size_t last) {
-    for (std::size_t k = first; k < last; ++k) {
-      const std::size_t begin = k * length;
-      partial[k] = util::block_sum(begin, std::min(n, begin + length), term);
-    }
+  const auto sum_block = [&](std::size_t k) {
+    const std::size_t begin = k * part.length;
+    partial[k] =
+        util::block_sum(begin, std::min(n, begin + part.length), term);
   };
-  if (n < kParallelLength || workers <= 1) {
-    sum_blocks(0, blocks);
+  if (n < kParallelLength) {
+    for (std::size_t k = 0; k < part.count; ++k) sum_block(k);
   } else {
-    // Not Exec::launch: PSTL's grain floor and gpusim's grid stride
-    // would put all (at most 256) blocks into one chunk.
-    const std::size_t w_count =
-        std::min(blocks, static_cast<std::size_t>(workers));
-    Exec::launch_workers(static_cast<int>(w_count), {}, [&](int w) {
-      const auto k = static_cast<std::size_t>(w);
-      sum_blocks(blocks * k / w_count, blocks * (k + 1) / w_count);
-    });
+    Exec::launch_blocks(part.count, {}, sum_block);
   }
   util::KahanSum total;
-  for (std::size_t k = 0; k < blocks; ++k) total.add(partial[k]);
+  for (std::size_t k = 0; k < part.count; ++k) total.add(partial[k]);
   return total.sum;
 }
 
 }  // namespace detail
 
 /// Deterministic sum of term(i) over [0, n), its blocks spread over the
-/// backend's workers (Exec::scatter_workers of the default launch).
+/// backend's threads.
 template <typename Term>
 [[nodiscard]] real reduce_sum(backends::BackendKind backend, std::size_t n,
                               Term term) {
   return backends::dispatch(backend, [&](auto exec) {
-    using Exec = decltype(exec);
-    return detail::blocked_sum<Exec>(n, Exec::scatter_workers({}), term);
+    return detail::blocked_sum<decltype(exec)>(n, term);
   });
 }
 

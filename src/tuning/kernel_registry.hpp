@@ -40,7 +40,7 @@ namespace gaia::tuning {
 /// aprod2 kernels in = y, out = x. The LSQR step reads in = v and
 /// overwrites out = u with p = A v - alpha (sigma u), `q` with A^T p and
 /// `*pnorm_sq` with ||p||^2; the other passes ignore those four fields.
-/// `arena` is the scratch pool the aprod2 scatters draw their per-worker
+/// `arena` is the scratch pool the aprod2 scatters draw their per-block
 /// slices from (null = the backend's process-wide arena).
 struct LaunchArgs {
   const core::SystemView* view = nullptr;

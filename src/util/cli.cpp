@@ -93,7 +93,7 @@ bool Cli::get_flag(const std::string& name) const {
 unsigned long long Cli::get_size(const std::string& name) const {
   const std::string v = get(name);
   const auto parsed = parse_size(v);
-  GAIA_CHECK(parsed.has_value(), "option --" + name + " is not a size: " + v);
+  if (!parsed) throw Error("option --" + name + " is not a size: " + v);
   return *parsed;
 }
 

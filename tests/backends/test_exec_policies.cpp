@@ -56,6 +56,25 @@ TEST_P(ExecPolicy, HonorsExplicitKernelConfigIfClaimed) {
   }
 }
 
+TEST_P(ExecPolicy, LaunchBlocksRunsEveryBlockOnce) {
+  // The blocks of an ordered sum each write their own partial, so every
+  // block must run exactly once whatever the shape: more threads than
+  // blocks, fewer, and no block at all.
+  for (const KernelConfig cfg : {KernelConfig{}, KernelConfig{1, 1},
+                                 KernelConfig{3, 7}, KernelConfig{256, 256}}) {
+    for (const std::size_t blocks : {0, 1, 3, 256}) {
+      std::vector<std::atomic<int>> hits(blocks);
+      dispatch(GetParam(), [&](auto exec) {
+        decltype(exec)::launch_blocks(
+            blocks, cfg, [&](std::size_t k) { hits[k].fetch_add(1); });
+      });
+      for (std::size_t k = 0; k < blocks; ++k)
+        ASSERT_EQ(hits[k].load(), 1) << "cfg " << cfg.blocks << "x"
+                                     << cfg.threads << " block " << k;
+    }
+  }
+}
+
 // No kernel commits through atomics any more; the two lowerings of
 // backends::atomic_add (the host analogue the cost model prices for the
 // paper's GPU kernels) must still be exact under every launch's threads.

@@ -136,7 +136,7 @@ TEST_P(AprodDriver, SizeMismatchesRejected) {
 TEST_P(AprodDriver, StreamedAndUnstreamedResultsAgreeClosely) {
   // Two drivers on the same system and table run the same aprod2 path,
   // and the scatter commit folds its slices in an order fixed by the
-  // launch shape: the results agree bit for bit.
+  // system: the results agree bit for bit.
   backends::DeviceContext d1, d2;
   Aprod seq(gen_.A, d1, opts());
   Aprod ovl(gen_.A, d2, opts());
@@ -202,9 +202,9 @@ TEST_P(AprodDriver, FusedAprod2MatchesSplitKernels) {
 TEST_P(AprodDriver, AdjointIdentityOnEveryLayoutPrecisionAndStrategy) {
   // The matrix-free oracle at the driver level, where the passes are
   // composed: <A x, y> = <x, A^T y> through apply1/apply2 on the tuned
-  // table and on a 2x2 table (other worker counts, so another slice
-  // fold); the gap is judged against the summed magnitude of the
-  // products. No dense expansion is needed.
+  // table and on a 2x2 table (other thread counts); the gap is judged
+  // against the summed magnitude of the products. No dense expansion is
+  // needed.
   for (const bool tuned : {true, false}) {
     AprodOptions o = opts();
     if (!tuned) o.tuning = backends::TuningTable::untuned({2, 2});

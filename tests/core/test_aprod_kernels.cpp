@@ -100,7 +100,7 @@ TEST_P(AprodKernels, Aprod2SumOfKernelsMatchesDenseRmatvec) {
 TEST_P(AprodKernels, Aprod2CasModeMatchesOracleToo) {
   // There is no CAS (or any atomic) commit left to select: with the
   // metrics registry on, which counts every CAS operation, the scatters
-  // at a multi-worker shape still match the oracle and issue none.
+  // at a multi-threaded shape still match the oracle and issue none.
   auto& reg = obs::MetricsRegistry::global();
   reg.set_enabled(true);
   reg.reset();
@@ -254,10 +254,11 @@ StepOutputs launch_step(BackendKind backend, tuning::LaunchArgs args,
 TEST_P(AprodKernels, StepMatchesGatherAstroAndFusedScatter) {
   // The step forms p = A v - alpha (sigma u) with the fused gather's
   // row, so p equals the fused gather onto (sigma u)(-alpha) bit for
-  // bit. q = A^T p and ||p||^2 accumulate in another order than
-  // aprod2_astro + the fused scatter + a norm, so they agree to
-  // rounding. At one and at several workers, with and without a global
-  // block.
+  // bit. q = A^T p runs aprod2_astro's star accumulator and the fused
+  // scatter's row blocks and fold, so it equals the two bit for bit too.
+  // ||p||^2 sums per block rather than in a blocked reduction's lanes,
+  // so it agrees to rounding. At one and at many threads, with and
+  // without a global block.
   ensure_kernel_catalog();
   const tuning::KernelRegistry& reg = tuning::KernelRegistry::global();
   const real sigma = 0.75, alpha = 1.3;
@@ -265,13 +266,17 @@ TEST_P(AprodKernels, StepMatchesGatherAstroAndFusedScatter) {
     auto cfg = gaia::testing::medium_config(29);
     cfg.has_global = has_global;
     const AttachedSystem sys(cfg);
+    ASSERT_GE(block_partition(static_cast<std::size_t>(sys.gen.A.n_obs()))
+                  .count,
+              3u);
     util::Xoshiro256 rng(37);
     std::vector<real> v(static_cast<std::size_t>(sys.gen.A.n_cols()));
     std::vector<real> u0(static_cast<std::size_t>(sys.gen.A.n_rows()));
     for (auto& e : v) e = rng.normal();
     for (auto& e : u0) e = rng.normal();
     for (const backends::KernelConfig shape :
-         {backends::KernelConfig{16, 32}, backends::KernelConfig{1, 1}}) {
+         {backends::KernelConfig{16, 32}, backends::KernelConfig{1, 1},
+          backends::KernelConfig{256, 256}}) {
       tuning::LaunchArgs args;
       args.view = &sys.view;
       args.config = shape;
@@ -296,8 +301,8 @@ TEST_P(AprodKernels, StepMatchesGatherAstroAndFusedScatter) {
           launch_step(GetParam(), args, v, u0, sigma, alpha);
       for (std::size_t r = 0; r < p_ref.size(); ++r)
         ASSERT_EQ(step.p[r], p_ref[r]) << label << " row " << r;
-      EXPECT_LT(gaia::testing::rel_l2_error(step.q, q_ref), 1e-13)
-          << label;
+      for (std::size_t c = 0; c < q_ref.size(); ++c)
+        ASSERT_EQ(step.q[c], q_ref[c]) << label << " column " << c;
       EXPECT_NEAR(step.pnorm_sq, pnorm_sq_ref, 1e-13 * pnorm_sq_ref)
           << label;
     }
@@ -305,9 +310,9 @@ TEST_P(AprodKernels, StepMatchesGatherAstroAndFusedScatter) {
 }
 
 TEST_P(AprodKernels, PrivatizedStepBitIdenticalAcrossLaunches) {
-  // At a fixed launch shape the step's star-aligned chunks, slice fold
-  // order and partial combine order are all fixed: p, q and ||p||^2
-  // repeat bit for bit, whatever the thread scheduling.
+  // The step's star-aligned row blocks, slice fold order and partial
+  // combine order are fixed by the system: p, q and ||p||^2 repeat bit
+  // for bit, whatever the thread scheduling.
   ensure_kernel_catalog();
   const AttachedSystem sys(gaia::testing::medium_config(31));
   util::Xoshiro256 rng(41);

@@ -7,12 +7,11 @@
 
 #include <cmath>
 #include <sstream>
-#include <thread>
+#include <string>
 
 #include "matrix/dense.hpp"
 #include "matrix/generator.hpp"
 #include "test_helpers.hpp"
-#include "tuning/kernel_registry.hpp"
 
 namespace gaia::core {
 namespace {
@@ -101,25 +100,37 @@ TEST_P(LsqrSolve, FixedIterationSolvePastConvergenceStaysFinite) {
 }
 
 TEST_P(LsqrSolve, FixedConfigSolveRepeatsBitForBit) {
-  // Every pass of the solve combines in an order fixed by the launch
-  // shape: the gathers write each y[r] once, the scatters fold their W
-  // private slices in worker order and every reduction is a blocked sum.
-  // So two solves at the default tuned table agree to the last bit, also
-  // where that table gives the scatters several workers.
+  // Every sum of the solve is fixed by the system: the gathers write
+  // each y[r] once, the step folds its row blocks' slices and partials
+  // in block order and every reduction is a blocked sum. So this
+  // backend, at the tuned table and at shapes from one thread to far
+  // more threads than blocks, returns the serial solve bit for bit, and
+  // a repeat returns it again.
   const auto gen = matrix::generate_system(gaia::testing::medium_config(64));
-  const LsqrOptions opts = base_options(GetParam(), 60);
-  if (GetParam() != BackendKind::kSerial &&
-      std::thread::hardware_concurrency() > 1) {
-    const backends::KernelConfig step_cfg =
-        opts.aprod.tuning.get(tuning::kStepPass.id);
-    EXPECT_GT(backends::scatter_workers(GetParam(), step_cfg), 1);
+  ASSERT_GE(block_partition(static_cast<std::size_t>(gen.A.n_obs())).count,
+            3u);
+  const LsqrOptions serial_opts = base_options(BackendKind::kSerial, 60);
+  const auto serial = lsqr_solve(gen.A, serial_opts);
+  const auto expect_serial = [&](const LsqrResult& got,
+                                 const std::string& label) {
+    ASSERT_EQ(got.iterations, serial.iterations) << label;
+    EXPECT_EQ(got.x, serial.x) << label;
+    EXPECT_EQ(got.rnorm, serial.rnorm) << label;
+    EXPECT_EQ(got.arnorm, serial.arnorm) << label;
+    EXPECT_EQ(got.anorm, serial.anorm) << label;
+    EXPECT_EQ(got.acond, serial.acond) << label;
+  };
+  LsqrOptions opts = base_options(GetParam(), 60);
+  expect_serial(lsqr_solve(gen.A, opts), "tuned");
+  expect_serial(lsqr_solve(gen.A, opts), "tuned, repeated");
+  for (const backends::KernelConfig shape :
+       {backends::KernelConfig{1, 1}, backends::KernelConfig{2, 2},
+        backends::KernelConfig{3, 7}, backends::KernelConfig{256, 256}}) {
+    opts.aprod.tuning = backends::TuningTable::untuned(shape);
+    expect_serial(lsqr_solve(gen.A, opts), std::to_string(shape.blocks) +
+                                               "x" +
+                                               std::to_string(shape.threads));
   }
-  const auto first = lsqr_solve(gen.A, opts);
-  const auto second = lsqr_solve(gen.A, opts);
-  ASSERT_EQ(second.iterations, first.iterations);
-  EXPECT_EQ(second.x, first.x);
-  EXPECT_EQ(second.rnorm, first.rnorm);
-  EXPECT_EQ(second.arnorm, first.arnorm);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, LsqrSolve,

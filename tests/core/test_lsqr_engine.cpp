@@ -112,18 +112,18 @@ TEST_P(LsqrCheckpoint, ResumedRunIsBitIdentical) {
   const auto resumed = second.result();
 
   ASSERT_EQ(resumed.iterations, expected.iterations);
-  // Every backend combines in an order fixed by the launch shape (the
-  // scatters fold their private slices in worker order), so the resumed
-  // run equals the uninterrupted one bit for bit on gpusim's
+  // Every backend combines in an order fixed by the system (the
+  // scatters fold their row blocks' slices in block order), so the
+  // resumed run equals the uninterrupted one bit for bit on gpusim's
   // multi-block tuned table too.
   for (std::size_t i = 0; i < expected.x.size(); ++i)
     ASSERT_EQ(resumed.x[i], expected.x[i]) << i;
   EXPECT_EQ(resumed.rnorm, expected.rnorm);
 }
 
-// A single block and a single thread per block: one scatter worker, so
-// the gpusim resume equals the serial row order's bits — checkpoint-state
-// completeness at the degenerate launch shape.
+// A single block and a single thread per block: one thread runs every
+// row block — checkpoint-state completeness at the degenerate launch
+// shape.
 TEST(LsqrCheckpointDeterministic, SingleLaneGpusimResumeIsBitIdentical) {
   const auto gen = matrix::generate_system(gaia::testing::small_config(135));
   auto opts = engine_options(backends::BackendKind::kGpuSim);
@@ -413,8 +413,8 @@ TEST(LsqrStepStart, StartPassMatchesTheApply2Start) {
   EXPECT_LT(gaia::testing::rel_l2_error(start.v, v), 1e-14);
 }
 
-/// Options whose runs repeat bit for bit: the serial backend, and a
-/// parallel backend at a fixed launch shape.
+/// Two configurations to resume under: the serial backend, and a
+/// parallel backend at a multi-threaded launch shape.
 std::vector<LsqrOptions> deterministic_options() {
   std::vector<LsqrOptions> all = {engine_options()};
   LsqrOptions parallel = engine_options(backends::BackendKind::kOpenMP);

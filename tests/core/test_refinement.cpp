@@ -1,20 +1,19 @@
 /// Numerics contract of the one storage precision: every backend, at
-/// twelve distinct launch tables (so the scatter's worker count and fold
-/// order vary), solves to the fp64 serial seed solution within a bound
-/// that scales with the problem size, whatever retired layout, precision
-/// or scatter-strategy value its case name carries; the exit estimates
-/// match norms computed by hand; an exhausted iteration budget reports
-/// the stall; and a consistent system converges to its ground truth
-/// within the budget.
+/// twelve distinct launch tables (so the thread count that runs the row
+/// blocks varies), solves to the fp64 serial seed solution bit for bit,
+/// whatever retired layout, precision or scatter-strategy value its case
+/// name carries; the exit estimates match norms computed by hand; an
+/// exhausted iteration budget reports the stall; and a consistent system
+/// converges to its ground truth within the budget.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/lsqr.hpp"
+#include "core/vector_ops.hpp"
 #include "matrix/dense.hpp"
 #include "matrix/generator.hpp"
 #include "test_helpers.hpp"
@@ -38,8 +37,8 @@ LsqrOptions solve_options(BackendKind backend) {
 }
 
 /// The twelve launch tables a backend's cases run, one per case: the
-/// production heuristic, the naive default, and shapes from one worker
-/// to several hundred (odd ones included), so W and the fold order vary.
+/// production heuristic, the naive default, and shapes from one thread
+/// to several hundred (odd ones included).
 TuningTable launch_table(int index) {
   static const std::array<KernelConfig, 11> kShapes = {{{1, 1},
                                                         {2, 2},
@@ -71,7 +70,10 @@ class RefinedSolve : public ::testing::TestWithParam<Combo> {};
 
 TEST_P(RefinedSolve, MatchesTheFp64SerialSeedWithinTolerance) {
   const Combo c = GetParam();
-  const auto gen = matrix::generate_system(gaia::testing::small_config(77));
+  const auto gen = matrix::generate_system(gaia::testing::medium_config(77));
+  // Several row blocks, so a fold that followed the launch would show.
+  ASSERT_GE(block_partition(static_cast<std::size_t>(gen.A.n_obs())).count,
+            3u);
 
   // The fp64 serial seed: the production reference.
   const auto reference =
@@ -81,16 +83,14 @@ TEST_P(RefinedSolve, MatchesTheFp64SerialSeedWithinTolerance) {
   opts.aprod.tuning = launch_table(c.table);
   const auto result = lsqr_solve(gen.A, opts);
 
-  // Other launch shapes sum the same products in another order: each
-  // row and column sum rounds at ~eps relative, and the solve carries
-  // that through ~n_rows of them, so the bound grows with the system
-  // (1.3e-11 at the 229 rows here; the worst case measured 1.5e-12).
-  const double bound = 256 * std::numeric_limits<real>::epsilon() *
-                       static_cast<double>(gen.A.n_rows());
-  EXPECT_LT(gaia::testing::rel_l2_error(result.x, reference.x), bound)
-      << backends::to_string(c.backend) << " table " << c.table;
-  EXPECT_NE(result.istop, LsqrStop::kIterationLimit);
-  EXPECT_NEAR(result.rnorm, reference.rnorm, bound * reference.rnorm);
+  // Every launch shape sums the same products in the order the system
+  // fixes, so the tolerance is zero.
+  const std::string label =
+      backends::to_string(c.backend) + " table " + std::to_string(c.table);
+  EXPECT_NE(result.istop, LsqrStop::kIterationLimit) << label;
+  ASSERT_EQ(result.iterations, reference.iterations) << label;
+  ASSERT_EQ(result.x, reference.x) << label;
+  EXPECT_EQ(result.rnorm, reference.rnorm) << label;
 }
 
 std::vector<Combo> all_combos() {

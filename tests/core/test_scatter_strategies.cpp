@@ -1,13 +1,13 @@
 /// \file test_scatter_strategies.cpp
-/// \brief Property suite for the aprod2 scatter commit: every worker
-/// accumulates a row chunk into a private slice, and one launch folds the
-/// slices into x in worker order. Covers equivalence with the serial
-/// reference on every backend, explicit worker counts
-/// (the bits depend on W alone), the fused slot, shape sweeps and
-/// degenerate shapes, bit-reproducibility, the inert scatter-strategy
-/// field, the adjoint identity through every registered launcher, the
-/// perf-counter labels, and the scratch-arena reuse contract (allocator
-/// goes silent after the first iteration).
+/// \brief Property suite for the aprod2 scatter commit: every row block
+/// of the system accumulates its rows into a private slice, and one
+/// launch folds the slices into x in block order. Covers bit-equality
+/// with the serial backend and with a hand-built block fold on every
+/// backend and launch shape, the fused slot, shape sweeps and degenerate
+/// shapes, bit-reproducibility, the inert scatter-strategy field, the
+/// adjoint identity through every registered launcher, the perf-counter
+/// labels, and the scratch-arena reuse contract (allocator goes silent
+/// after the first iteration).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +18,7 @@
 #include "core/aprod.hpp"
 #include "core/aprod_kernels.hpp"
 #include "core/kernel_catalog.hpp"
+#include "core/vector_ops.hpp"
 #include "matrix/generator.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf_counters.hpp"
@@ -58,23 +59,39 @@ void run_scatters(const SystemView& view, const real* y, std::vector<real>& x,
   aprod2_glob<Exec>(view, y, x.data(), cfg, arena);
 }
 
-/// The fused scatter at an explicit worker count: row_scatter's W equal
-/// row chunks, committed by section_scatter, without asking
-/// Exec::scatter_workers — so every backend can run any W.
-template <typename Exec>
-std::vector<real> fused_scatter_at(const SystemView& view,
-                                   const std::vector<real>& y, int workers) {
-  std::vector<real> x(static_cast<std::size_t>(view.n_cols), 0.0);
+/// The fused scatter built by hand: the rows split at the first star
+/// start at or after each k * block_partition(n_obs).length, the last
+/// block also takes the constraint rows, each block accumulates its rows
+/// in row order into a zeroed slice, and every column adds the slices in
+/// block order.
+std::vector<real> block_fold(const SystemView& view,
+                             const std::vector<real>& y) {
+  const BlockPartition part =
+      block_partition(static_cast<std::size_t>(view.n_obs));
+  std::vector<row_index> first_row;
+  for (std::size_t k = 0; k < part.count; ++k) {
+    row_index s = 0;
+    while (s < view.n_stars &&
+           view.star_row_start[s] < static_cast<row_index>(k * part.length))
+      ++s;
+    first_row.push_back(view.star_row_start[s]);
+  }
+  first_row.push_back(view.n_rows);
+  const ScatterSection sect = fused_scatter_section(view);
   const auto rows = detail::seed_shared_rows(view, y.data());
-  const std::int64_t n = view.n_rows;
-  const std::int64_t chunk = (n + workers - 1) / workers;
-  detail::section_scatter<Exec>(
-      workers, x.data(), fused_scatter_section(view), KernelConfig{}, nullptr,
-      [&](int w, real* slice) {
-        const std::int64_t begin = static_cast<std::int64_t>(w) * chunk;
-        const std::int64_t end = std::min(n, begin + chunk);
-        for (std::int64_t r = begin; r < end; ++r) rows(slice, r);
-      });
+  std::vector<std::vector<real>> slices;
+  for (std::size_t k = 0; k < part.count; ++k) {
+    slices.emplace_back(static_cast<std::size_t>(sect.len), 0.0);
+    for (row_index r = first_row[k]; r < first_row[k + 1]; ++r)
+      rows(slices.back().data(), r);
+  }
+  std::vector<real> x(static_cast<std::size_t>(view.n_cols), 0.0);
+  for (col_index c = 0; c < sect.len; ++c) {
+    real sum = slices[0][static_cast<std::size_t>(c)];
+    for (std::size_t k = 1; k < slices.size(); ++k)
+      sum += slices[k][static_cast<std::size_t>(c)];
+    x[static_cast<std::size_t>(sect.offset + c)] += sum;
+  }
   return x;
 }
 
@@ -107,6 +124,10 @@ class ScatterStrategies : public ::testing::TestWithParam<BackendKind> {
     ensure_kernel_catalog();
     gen_ = matrix::generate_system(gaia::testing::medium_config(23));
     view_ = SystemView::from(gen_.A);
+    // Several row blocks, so a commit that followed the launch would
+    // show in the bits.
+    ASSERT_GE(block_partition(static_cast<std::size_t>(gen_.A.n_obs())).count,
+              3u);
     y_ = random_vector(static_cast<std::size_t>(gen_.A.n_rows()), 47);
     reference_.assign(static_cast<std::size_t>(gen_.A.n_cols()), 0.0);
     run_scatters<backends::SerialExec>(view_, y_.data(), reference_, {});
@@ -127,9 +148,8 @@ class ScatterStrategies : public ::testing::TestWithParam<BackendKind> {
 };
 
 TEST_P(ScatterStrategies, PrivatizedMatchesSerialAtomicReference) {
-  // The backend-default shape against the serial (one-worker) reference.
-  const auto x = result({});
-  EXPECT_LT(gaia::testing::rel_l2_error(x, reference_), 1e-12);
+  // The backend-default shape against the serial reference, bit for bit.
+  EXPECT_EQ(result({}), reference_);
 }
 
 TEST_P(ScatterStrategies, PrivatizedMatchesAtomicOnSameBackend) {
@@ -142,22 +162,21 @@ TEST_P(ScatterStrategies, PrivatizedMatchesAtomicOnSameBackend) {
 }
 
 TEST_P(ScatterStrategies, WorkerCountSweepPreservesResults) {
-  // scatter_workers is a pure function of the launch shape; every shape
-  // (1 worker, odd counts, the kMaxScatterWorkers cap) must agree with
-  // the reference.
+  // The launch shape sets how many threads run the row blocks, never
+  // the blocks or their fold: every shape (one thread, odd counts, more
+  // threads than blocks) gives the serial reference bit for bit.
   for (const KernelConfig cfg :
        {KernelConfig{1, 1}, KernelConfig{2, 3}, KernelConfig{7, 5},
         KernelConfig{64, 32}, KernelConfig{300, 64},
         KernelConfig{1024, 256}}) {
-    const auto x = result(cfg);
-    EXPECT_LT(gaia::testing::rel_l2_error(x, reference_), 1e-12)
+    EXPECT_EQ(result(cfg), reference_)
         << "cfg " << cfg.blocks << "x" << cfg.threads;
   }
 }
 
 TEST_P(ScatterStrategies, BitIdenticalAcrossRepeatedRuns) {
-  // The fold order is fixed by the worker count alone, and each worker
-  // accumulates its row chunk sequentially — repeated runs at the same
+  // The fold order is fixed by the system alone, and each block
+  // accumulates its rows sequentially — repeated runs at the same
   // shape must agree to the last bit, on every backend.
   const KernelConfig cfg{64, 32};
   const auto first = result(cfg);
@@ -169,9 +188,9 @@ TEST_P(ScatterStrategies, BitIdenticalAcrossRepeatedRuns) {
 }
 
 TEST_P(ScatterStrategies, DegenerateSingleStarSystem) {
-  // A dozen rows: wide shapes give more workers than rows on the
-  // backends that honour the launch shape, so most workers accumulate
-  // an empty chunk and fold a zero slice.
+  // A dozen rows: one row block, so wide shapes ask for far more
+  // threads than there are blocks and the result is still the serial
+  // one bit for bit.
   auto cfg = gaia::testing::small_config(29);
   cfg.n_stars = 1;
   const auto gen = matrix::generate_system(cfg);
@@ -181,16 +200,13 @@ TEST_P(ScatterStrategies, DegenerateSingleStarSystem) {
   std::vector<real> ref(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
   run_scatters<backends::SerialExec>(view, y.data(), ref, {});
 
-  const KernelConfig wide{300, 64};
-  if (GetParam() == BackendKind::kGpuSim) {
-    ASSERT_GT(backends::scatter_workers(GetParam(), wide), gen.A.n_rows());
-  }
-  for (const KernelConfig shape : {KernelConfig{128, 64}, wide}) {
+  for (const KernelConfig shape :
+       {KernelConfig{128, 64}, KernelConfig{300, 64}}) {
     std::vector<real> x(ref.size(), 0.0);
     backends::dispatch(GetParam(), [&](auto exec) {
       run_scatters<decltype(exec)>(view, y.data(), x, shape);
     });
-    EXPECT_LT(gaia::testing::rel_l2_error(x, ref), 1e-12) << shape.blocks;
+    EXPECT_EQ(x, ref) << shape.blocks;
   }
 }
 
@@ -219,42 +235,28 @@ TEST_P(ScatterStrategies, FusedSlotWithoutGlobalSectionMatchesSeparate) {
   const auto ref = registry_scatter(view, y, BackendKind::kSerial, {}, false);
   for (const KernelConfig shape : {KernelConfig{16, 32}, KernelConfig{3, 7}}) {
     const auto fused = registry_scatter(view, y, GetParam(), shape, true);
-    EXPECT_LT(gaia::testing::rel_l2_error(fused, ref), 1e-12)
-        << shape.blocks << "x" << shape.threads;
+    EXPECT_EQ(fused, ref) << shape.blocks << "x" << shape.threads;
     const auto separate = registry_scatter(view, y, GetParam(), shape, false);
     EXPECT_EQ(fused, separate) << shape.blocks << "x" << shape.threads;
   }
 }
 
-/// fused_scatter_at on `backend`.
-std::vector<real> fused_at(BackendKind backend, const SystemView& view,
-                           const std::vector<real>& y, int workers) {
-  return backends::dispatch(backend, [&](auto exec) {
-    return fused_scatter_at<decltype(exec)>(view, y, workers);
-  });
-}
-
 TEST_P(ScatterStrategies, AtomicCommitMatchesSeedOnAllLayoutsAndPrecisions) {
-  // The one commit against the serial seed, with W = 1, 2, 3, 5 and 256
-  // private slices forced on this backend. The fold order depends on W
-  // alone, so each result also equals the serial backend's fold of the
-  // same W chunks bit for bit, and W = 1 is the seed's row order. Through
-  // the registry the fused slot equals the three separate kernels bit for
+  // The one commit against the hand-built block fold, on this backend at
+  // the default shape and at one thread up to far more threads than
+  // blocks: the separate kernels and the fused slot both equal it bit for
   // bit, since each column sees the same adds in the same order.
-  const auto ref = registry_scatter(view_, y_, BackendKind::kSerial, {}, false);
-  for (const int workers : {1, 2, 3, 5, 256}) {
-    const auto x = fused_at(GetParam(), view_, y_, workers);
-    EXPECT_LT(gaia::testing::rel_l2_error(x, ref), 1e-12) << "W=" << workers;
-    EXPECT_EQ(x, fused_at(BackendKind::kSerial, view_, y_, workers))
-        << "W=" << workers;
-    if (workers == 1) EXPECT_EQ(x, ref);
+  const auto ref = block_fold(view_, y_);
+  for (const KernelConfig cfg : {KernelConfig{}, KernelConfig{1, 1},
+                                 KernelConfig{3, 7}, KernelConfig{16, 32},
+                                 KernelConfig{256, 256}}) {
+    const std::string label =
+        std::to_string(cfg.blocks) + "x" + std::to_string(cfg.threads);
+    EXPECT_EQ(registry_scatter(view_, y_, GetParam(), cfg, false), ref)
+        << label;
+    EXPECT_EQ(registry_scatter(view_, y_, GetParam(), cfg, true), ref)
+        << label;
   }
-  const KernelConfig cfg{16, 32};
-  const auto separate = registry_scatter(view_, y_, GetParam(), cfg, false);
-  const auto fused = registry_scatter(view_, y_, GetParam(), cfg, true);
-  EXPECT_LT(gaia::testing::rel_l2_error(fused, ref), 1e-12);
-  for (std::size_t i = 0; i < fused.size(); ++i)
-    ASSERT_EQ(fused[i], separate[i]) << "at " << i;
 }
 
 TEST_P(ScatterStrategies, AdjointIdentityThroughEveryRegisteredScatter) {
@@ -300,49 +302,48 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ScatterStrategies,
                          });
 
 TEST(ScatterStrategyCommit, SerialAtomicBitIdenticalToPrivatized) {
-  // One worker: the serial commit adds the rows into one slice in row
-  // order and folds nothing, so it equals a plain row-order accumulation
-  // bit for bit — the separate kernels and the fused slot alike, whatever
-  // retired strategy value the config carries.
+  // The serial commit folds the system's row blocks in block order, so
+  // it equals the hand-built block fold bit for bit — the separate
+  // kernels and the fused slot alike, whatever retired strategy value
+  // the config carries.
   ensure_kernel_catalog();
   const auto gen = matrix::generate_system(gaia::testing::medium_config(71));
   const SystemView view = SystemView::from(gen.A);
+  ASSERT_GE(block_partition(static_cast<std::size_t>(gen.A.n_obs())).count,
+            3u);
   const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 73);
-  std::vector<real> plain(static_cast<std::size_t>(view.n_cols), 0.0);
-  const auto rows = detail::seed_shared_rows(view, y.data());
-  real* shared = plain.data() + fused_scatter_section(view).offset;
-  for (std::int64_t r = 0; r < view.n_rows; ++r) rows(shared, r);
+  const auto expected = block_fold(view, y);
   for (const bool fused : {false, true}) {
     for (const ScatterStrategy strategy :
          {ScatterStrategy::kAtomic, ScatterStrategy::kPrivatized}) {
       const auto got = registry_scatter(view, y, BackendKind::kSerial,
                                         with_strategy({}, strategy), fused);
       for (std::size_t i = 0; i < got.size(); ++i)
-        ASSERT_EQ(got[i], plain[i]) << (fused ? "fused " : "") << "at " << i;
+        ASSERT_EQ(got[i], expected[i])
+            << (fused ? "fused " : "") << "at " << i;
     }
   }
 }
 
 TEST(ScatterStrategyCommit, PstlAtomicUnderTheGrainCommitsInRowOrder) {
-  // PSTL's worker count is the pool size whatever the launch, also for a
-  // launch under the pstl grain: it folds W slices like any other launch,
-  // so it equals the serial backend's fold of the same W row chunks bit
-  // for bit (the bits depend on W alone), separate kernels and fused
-  // slot alike.
+  // A system of a few hundred rows is one row block, so a pstl launch
+  // under the grain commits a plain row-order accumulation bit for bit,
+  // separate kernels and fused slot alike, whatever the pool size.
   ensure_kernel_catalog();
-  const int workers = backends::scatter_workers(BackendKind::kPstl, {});
   auto small = gaia::testing::small_config(29);
   small.n_stars = 4;
   const auto gen = matrix::generate_system(small);
   ASSERT_LE(gen.A.n_rows(), 256);
   const SystemView view = SystemView::from(gen.A);
   const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 7);
-  const auto expected =
-      fused_scatter_at<backends::SerialExec>(view, y, workers);
+  std::vector<real> plain(static_cast<std::size_t>(view.n_cols), 0.0);
+  const auto rows = detail::seed_shared_rows(view, y.data());
+  real* shared = plain.data() + fused_scatter_section(view).offset;
+  for (std::int64_t r = 0; r < view.n_rows; ++r) rows(shared, r);
   for (const bool fused : {false, true}) {
     const auto pstl = registry_scatter(view, y, BackendKind::kPstl, {}, fused);
-    for (std::size_t i = 0; i < expected.size(); ++i)
-      ASSERT_EQ(pstl[i], expected[i])
+    for (std::size_t i = 0; i < plain.size(); ++i)
+      ASSERT_EQ(pstl[i], plain[i])
           << (fused ? "fused" : "separate") << " at " << i;
   }
 }
@@ -406,8 +407,8 @@ TEST(ScatterStrategyCommit, AtomicUpdatesCountCommitsNotRowEntries) {
 
 TEST(ScatterStrategyDriver, PrivatizedTableMatchesAtomicThroughAprod) {
   // KernelConfig::strategy is inert through the driver: tables carrying
-  // either retired value run the same commit at the same shapes, so
-  // apply2 and the step agree bit for bit on a multi-worker backend.
+  // either retired value run the same commit, so apply2 and the step
+  // agree bit for bit on a multi-threaded backend.
   const auto gen = matrix::generate_system(gaia::testing::medium_config(37));
   const auto y = random_vector(static_cast<std::size_t>(gen.A.n_rows()), 11);
   const auto v = random_vector(static_cast<std::size_t>(gen.A.n_cols()), 12);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -88,18 +89,33 @@ TEST_P(VectorOps, ReductionsMatchTheCallingThreadBitForBit) {
 }
 
 TEST_P(VectorOps, BlockedSumIgnoresTheWorkerCount) {
-  // Workers take contiguous block ranges, so any worker count — more
-  // workers than blocks included — folds the same partials.
+  // The blocks are block_partition(n)'s and their partials fold in block
+  // order, so the sum equals a block-by-block fold built by hand, at any
+  // thread count: on OpenMP at teams of 1, 2, 3, 5 and 8 threads.
   for (const std::size_t n : {std::size_t{32769}, kLongest}) {
     const real* x = operand(0).data();
     const auto term = [=](std::size_t i) { return x[i]; };
-    const real serial = vsum(std::span<const real>(operand(0)).first(n));
-    for (const int workers : {1, 2, 3, 5, 8, 64}) {
-      const real sum = backends::dispatch(GetParam(), [&](auto exec) {
-        return detail::blocked_sum<decltype(exec)>(n, workers, term);
+    const BlockPartition part = block_partition(n);
+    util::KahanSum by_hand;
+    for (std::size_t begin = 0; begin < n; begin += part.length)
+      by_hand.add(util::block_sum(begin, std::min(n, begin + part.length),
+                                  term));
+    const auto blocked = [&] {
+      return backends::dispatch(GetParam(), [&](auto exec) {
+        return detail::blocked_sum<decltype(exec)>(n, term);
       });
-      EXPECT_EQ(bits(sum), bits(serial)) << "n=" << n << " W=" << workers;
+    };
+    EXPECT_EQ(bits(blocked()), bits(by_hand.sum)) << "n=" << n;
+#if defined(GAIA_HAS_OPENMP)
+    if (GetParam() != BackendKind::kOpenMP) continue;
+    const int team = omp_get_max_threads();
+    for (const int threads : {1, 2, 3, 5, 8}) {
+      omp_set_num_threads(threads);
+      EXPECT_EQ(bits(blocked()), bits(by_hand.sum))
+          << "n=" << n << " threads=" << threads;
     }
+    omp_set_num_threads(team);
+#endif
   }
 }
 

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/lsqr_engine.hpp"
+#include "core/vector_ops.hpp"
 #include "matrix/dense.hpp"
 #include "matrix/generator.hpp"
 #include "obs/metrics.hpp"
@@ -41,9 +42,8 @@ TEST_P(DistLsqr, MatchesSingleProcessSolution) {
   // single-process solve's. They are compared over a fixed 20
   // iterations: other rank counts sum in another order, and once the
   // Lanczos vectors lose orthogonality the estimate trajectories drift
-  // apart (anorm by ~1e-4 after 60 iterations, as between two
-  // single-process launch shapes), and the converged stop can fire one
-  // iteration apart.
+  // apart (anorm by ~1e-4 after 60 iterations), and the converged stop
+  // can fire one iteration apart.
   core::LsqrOptions fixed = solver_options();
   fixed.atol = 0;
   fixed.btol = 0;
@@ -135,6 +135,40 @@ TEST(DistLsqrParallelBackend, GpuSimBackendAgreesAcrossRanks) {
   opts.lsqr = opts_core;
   const auto dist = dist_lsqr_solve(gen.A, opts);
   EXPECT_LT(gaia::testing::rel_l2_error(dist.x, reference.x), 1e-7);
+}
+
+TEST(DistLsqrParallelBackend, ThreeRanksGiveOneSolutionOnEveryBackend) {
+  // Each rank splits its observation rows into row blocks fixed by its
+  // slice, and the ranks add their partials in rank order, so at a fixed
+  // rank count every backend returns the same x and estimates.
+  auto cfg = gaia::testing::medium_config(105);
+  cfg.n_stars = 1500;
+  const auto gen = matrix::generate_system(cfg);
+  DistLsqrOptions opts;
+  opts.n_ranks = 3;
+  opts.lsqr = solver_options();
+  opts.lsqr.atol = 0;
+  opts.lsqr.btol = 0;
+  opts.lsqr.max_iterations = 60;
+  const auto serial = dist_lsqr_solve(gen.A, opts);
+  for (int r = 0; r < opts.n_ranks; ++r)
+    ASSERT_GE(core::block_partition(
+                  static_cast<std::size_t>(serial.partition.rows_of(r)))
+                  .count,
+              3u)
+        << "rank " << r;
+  for (const auto backend :
+       {backends::BackendKind::kOpenMP, backends::BackendKind::kPstl,
+        backends::BackendKind::kGpuSim}) {
+    opts.lsqr.aprod.backend = backend;
+    const auto dist = dist_lsqr_solve(gen.A, opts);
+    const std::string label = backends::to_string(backend);
+    EXPECT_EQ(dist.x, serial.x) << label;
+    EXPECT_EQ(dist.rnorm, serial.rnorm) << label;
+    EXPECT_EQ(dist.arnorm, serial.arnorm) << label;
+    EXPECT_EQ(dist.anorm, serial.anorm) << label;
+    EXPECT_EQ(dist.acond, serial.acond) << label;
+  }
 }
 
 TEST(DistLsqrStopping, ConlimStopsLikeTheSingleProcessSolve) {

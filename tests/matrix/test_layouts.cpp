@@ -154,7 +154,7 @@ KernelConfig shape(StorageLayout layout, std::int32_t blocks = 64,
 TEST_P(LayoutEquivalence, AllLayoutsAndStrategiesMatchSerialSeed) {
   // Every retired layout and scatter-strategy value is inert: each
   // (layout, strategy) config matches the serial seed, at two launch
-  // shapes (different worker counts, so a different slice fold).
+  // shapes (different thread counts over the same row blocks).
   for (int li = 0; li < kNumStorageLayouts; ++li) {
     for (const KernelConfig base :
          {shape(static_cast<StorageLayout>(li)),
@@ -198,7 +198,7 @@ TEST_P(LayoutEquivalence, FixedConfigRepeatsAreBitIdentical) {
 TEST_P(LayoutEquivalence, UnattachedLayoutClampsToSeedSemantics) {
   // A config carrying a retired layout launches the row-record bodies:
   // both directions equal the seed-layout launch of the same shape bit
-  // for bit (the launch shape fixes the scatter's combine order).
+  // for bit (the system fixes the scatter's combine order).
   const auto seed_y = run_aprod1(GetParam(), shape(StorageLayout::kSeedAos));
   const auto seed_x = run_aprod2(GetParam(), shape(StorageLayout::kSeedAos));
   for (const StorageLayout layout :

@@ -1,18 +1,21 @@
 /// Checkpoint -> restore -> continue must be bit-identical to an
 /// uninterrupted run of the same configuration — including on a
-/// multi-worker backend at a fixed launch shape (the scatter commit
-/// folds its slices in a fixed order). This is the property the SDC
+/// multi-threaded backend (the scatter commit folds its slices in an
+/// order fixed by the system). This is the property the SDC
 /// rollback/repair loop stands on: a restored snapshot replays the exact
 /// trajectory, so "repaired" means "the fault-free solve", not "a nearby
-/// solve". Launch shapes stay outside the checkpoint fingerprint, so a
-/// checkpoint also resumes under another tuning table.
+/// solve". Launch shapes and backends stay outside the checkpoint
+/// fingerprint and move no bit, so a checkpoint also resumes under
+/// another tuning table or on another backend, bit for bit.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "core/lsqr_engine.hpp"
 #include "core/solver.hpp"
+#include "core/vector_ops.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
 
@@ -38,8 +41,8 @@ class CheckpointContinuation : public ::testing::Test {
     cfg.generator = gaia::testing::small_config(55);
     cfg.lsqr.aprod.backend = backends::BackendKind::kGpuSim;
     cfg.lsqr.max_iterations = iterations;
-    // A fixed multi-worker table: every scatter folds W = 3 private
-    // slices, so restore must reproduce the fold order with the state.
+    // A fixed multi-threaded table: restore must reproduce the
+    // trajectory with the state.
     cfg.lsqr.aprod.tuning = backends::TuningTable::untuned({3, 7});
     return cfg;
   }
@@ -97,9 +100,12 @@ TEST_F(CheckpointContinuation,
 
 TEST_F(CheckpointContinuation, CheckpointsCrossTuningBoundaries) {
   // A checkpoint sealed under one launch-shape table must restore into
-  // an engine running another (and vice versa): launch-shape tuning is
-  // deliberately outside the problem fingerprint.
-  auto gen = matrix::generate_system(gaia::testing::small_config(7));
+  // an engine running another table, or another backend: neither is part
+  // of the problem fingerprint, and neither moves a bit of the solve, so
+  // the resumed run equals the uninterrupted one bit for bit.
+  auto gen = matrix::generate_system(gaia::testing::medium_config(7));
+  ASSERT_GE(block_partition(static_cast<std::size_t>(gen.A.n_obs())).count,
+            3u);
 
   LsqrOptions untuned;
   untuned.aprod.backend = backends::BackendKind::kGpuSim;
@@ -110,13 +116,26 @@ TEST_F(CheckpointContinuation, CheckpointsCrossTuningBoundaries) {
   writer.step();
   std::ostringstream payload(std::ios::binary);
   writer.checkpoint(payload);
+  LsqrEngine uninterrupted(gen.A, untuned);
+  uninterrupted.run_to_completion();
+  const LsqrResult reference = uninterrupted.result();
 
   LsqrOptions tuned = untuned;
   tuned.aprod.tuning = backends::TuningTable::tuned_default();
-  LsqrEngine reader(gen.A, tuned);
-  std::istringstream in(payload.str(), std::ios::binary);
-  EXPECT_NO_THROW(reader.restore(in));
-  EXPECT_EQ(reader.iteration(), 2);
+  LsqrOptions other_backend = tuned;
+  other_backend.aprod.backend = backends::BackendKind::kOpenMP;
+  for (const LsqrOptions& opts : {tuned, other_backend}) {
+    const std::string label = backends::to_string(opts.aprod.backend);
+    LsqrEngine reader(gen.A, opts);
+    std::istringstream in(payload.str(), std::ios::binary);
+    ASSERT_NO_THROW(reader.restore(in)) << label;
+    EXPECT_EQ(reader.iteration(), 2) << label;
+    reader.run_to_completion();
+    const LsqrResult resumed = reader.result();
+    EXPECT_EQ(resumed.x, reference.x) << label;
+    EXPECT_EQ(resumed.rnorm, reference.rnorm) << label;
+    EXPECT_EQ(resumed.arnorm, reference.arnorm) << label;
+  }
 
   // The control: an actually different problem still refuses to load.
   auto other = matrix::generate_system(gaia::testing::small_config(8));

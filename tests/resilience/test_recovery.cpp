@@ -58,14 +58,11 @@ TEST_P(RecoveryTest, TransientFaultsRetryToTheFaultFreeSolution) {
   EXPECT_GT(reg.counter("resilience.retries").value(), 0u);
   ASSERT_EQ(faulted.iterations, healthy.iterations);
   // An injected fault fires *before* the kernel body runs, so a retried
-  // launch repeats identical work: the serial trajectory is bitwise
-  // unchanged, parallel ones agree to accumulation-order roundoff.
-  if (GetParam() == BackendKind::kSerial && faulted.failovers == 0) {
-    for (std::size_t i = 0; i < healthy.x.size(); ++i)
-      ASSERT_EQ(faulted.x[i], healthy.x[i]) << i;
-  } else {
-    EXPECT_LT(gaia::testing::rel_l2_error(faulted.x, healthy.x), 1e-2);
-  }
+  // launch repeats identical work, and every backend a failover may
+  // reach sums in the order the system fixes: the trajectory is bitwise
+  // unchanged on every backend.
+  for (std::size_t i = 0; i < healthy.x.size(); ++i)
+    ASSERT_EQ(faulted.x[i], healthy.x[i]) << i;
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, RecoveryTest,

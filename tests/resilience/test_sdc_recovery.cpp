@@ -31,8 +31,8 @@ class SdcRecoveryTest : public ::testing::Test {
   LsqrOptions options(resilience::HealthMode mode,
                       std::int64_t every = 5) const {
     LsqrOptions opts;
-    // Serial backend: one scatter worker, row order, so "repaired ==
-    // fault-free" can be asserted bit-for-bit.
+    // A deterministic solve, so "repaired == fault-free" can be
+    // asserted bit-for-bit; serial keeps it cheap.
     opts.aprod.backend = backends::BackendKind::kSerial;
     opts.max_iterations = 24;
     opts.health.mode = mode;

@@ -151,7 +151,7 @@ TEST_F(KernelRegistryDispatch, FusedLauncherMatchesDirectFusedCall) {
 }
 
 TEST_F(KernelRegistryDispatch, CasModeFlowsThroughTheLaunchArgs) {
-  // LaunchArgs carries no atomic lowering any more: a multi-worker
+  // LaunchArgs carries no atomic lowering any more: a multi-threaded
   // scatter through the registry issues no CAS operation (the metrics
   // registry counts every one) and equals the direct call exactly, since
   // both fold the same slices in the same order.
